@@ -6,7 +6,7 @@ two-party comparisons (:mod:`pous.garbled`), are scored by a truth
 serum that rewards honest approvals (:mod:`pous.bts`), a sampled
 committee agrees on the leader (:mod:`pous.committee`), and the leader
 packs a block of clustered transactions (:mod:`pous.packing`). The
-discrete-event engine (:mod:`pous.simnet`) compares the whole stack
+round-loop simulator (:mod:`pous.simnet`) compares the whole stack
 against a proof-of-work baseline; :mod:`pous.cli` wraps it in scenario
 presets.
 """
@@ -76,11 +76,11 @@ from .packing import (
     merkle_root,
     pack_block,
     pca_project,
+    priority,
+    rank,
     tx_priority,
 )
 from .simnet import (
-    Event,
-    EventLoop,
     Metrics,
     SimConfig,
     Workload,
@@ -109,8 +109,8 @@ __all__ = [
     "agree", "select_committee", "verify_block",
     "Block", "BlockHeader", "Cluster", "PriorityWeights", "cluster_mempool",
     "decode_flag", "encode_flag", "merkle_root", "pack_block", "pca_project",
-    "tx_priority",
-    "Event", "EventLoop", "Metrics", "SimConfig", "Workload",
+    "priority", "rank", "tx_priority",
+    "Metrics", "SimConfig", "Workload",
     "confirmation_latency", "gen_workload", "replay_trace", "run_pous",
     "run_pow",
 ]

@@ -33,11 +33,13 @@ import numpy as np
 from . import garbled
 from .bts import VoteRecord, votes_to_crs
 from .errors import ConfigurationError
-from .packing import PriorityWeights, kmeans, pca_project
-from .similarity import DEFAULT_CLASSES, compute_usm, pair_sequence
+from .packing import kmeans, pca_project, priority, rank
+from .similarity import DEFAULT_CLASSES, pair_sequence
 from .simnet import (
     Metrics,
     SimConfig,
+    _rng_streams,
+    config_from_fields,
     gen_workload,
     replay_trace,
     run_pous,
@@ -196,25 +198,6 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
     return out
 
 
-def _build_config(base: dict, overrides: dict) -> SimConfig:
-    names = {f.name for f in dataclasses.fields(SimConfig)}
-    merged = dict(base)
-    leftover = {}
-    for key, value in overrides.items():
-        if key in names:
-            merged[key] = value
-        else:
-            leftover[key] = value
-    if leftover:
-        raise ConfigurationError(f"unknown config fields: {sorted(leftover)}")
-    unknown = set(merged) - names - {"weights"}
-    if unknown:
-        raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    if "weights" in merged and not isinstance(merged["weights"], PriorityWeights):
-        merged["weights"] = PriorityWeights(*merged["weights"])
-    return SimConfig(**merged)
-
-
 def _check_sweep(param: str, values: list, notes: list) -> None:
     if param in _SWEEP_RANGES:
         lo, hi = _SWEEP_RANGES[param]
@@ -240,9 +223,11 @@ def scenario_from_preset(
     overrides = dict(overrides or {})
     replicates = spec["fast_replicates"] if fast else spec["replicates"]
     if "replicates" in overrides:
-        replicates = int(overrides.pop("replicates"))
+        replicates = overrides.pop("replicates")
+        if isinstance(replicates, bool) or not isinstance(replicates, int):
+            raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
     notes: list[str] = []
-    base = _build_config(dict(spec["base"], seed=seed), overrides)
+    base = config_from_fields({**spec["base"], "seed": seed, **overrides})
     _check_sweep(spec["sweep_param"], spec["sweep_values"], notes)
     scenario = Scenario(
         name=name,
@@ -274,7 +259,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
     sweep = doc.get("sweep", {})
     if set(sweep) - {"param", "values"}:
         raise ConfigurationError(f"{path}: sweep takes only param and values")
-    base = _build_config(doc.get("base", {}), overrides or {})
+    base = config_from_fields({**doc.get("base", {}), **(overrides or {})})
     return Scenario(
         name=doc.get("name", Path(path).stem),
         base=base,
@@ -396,8 +381,7 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
 def pca_scatter_rows(config: SimConfig) -> list[dict]:
     """Cluster the first round's mempool, select a block's worth of
     transactions, and project the user vectors to 2-D for plotting."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    wl = gen_workload(config, rng)
+    wl = gen_workload(config, _rng_streams(config, "pous")["workload"])
     horizon = config.block_interval
     mask = wl.arrival <= horizon
     if not mask.any():
@@ -413,12 +397,9 @@ def pca_scatter_rows(config: SimConfig) -> list[dict]:
     dist_lookup = np.zeros(config.n_nodes + 1)
     dist_lookup[users] = np.sqrt(((view[users] - centers[labels]) ** 2).sum(axis=1))
     idx = np.flatnonzero(mask)
-    prio = (
-        config.weights.a * (horizon - wl.submit[idx])
-        + config.weights.b * wl.fee[idx]
-        + config.weights.c / (1.0 + dist_lookup[wl.source[idx]])
-    )
-    order = np.lexsort((wl.ids[idx], wl.submit[idx], -prio))
+    prio = priority(horizon, wl.submit[idx], wl.fee[idx],
+                    dist_lookup[wl.source[idx]], config.weights)
+    order = rank(prio, wl.submit[idx], wl.ids[idx])
     chosen = set(wl.source[idx[order[:config.capacity()]]].tolist())
 
     rows = []

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import secrets
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -500,16 +501,16 @@ class DiffieHellmanOT:
     The receiver builds two public keys whose product is a group element
     of unknown discrete log, so it can decrypt exactly one ciphertext;
     the key it sends is uniform either way, so the sender learns nothing
-    about the choice bit.
+    about the choice bit. Exponents come from the operating system's
+    cryptographic source unless a (seeded, reproducible) ``rng`` is
+    injected.
     """
 
     name = "dh"
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
-        import random as _random
-
         self.group = group
-        self._rng = rng if rng is not None else _random.Random()
+        self._rng = rng if rng is not None else secrets.SystemRandom()
 
     def _rand_exp(self) -> int:
         return self._rng.randrange(1, self.group.q)

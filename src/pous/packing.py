@@ -193,21 +193,30 @@ def cluster_mempool(
     return clusters
 
 
+def priority(now, submit, fee, dist, weights: PriorityWeights):
+    """The priority rule over scalars or columns: waiting time, fee, and
+    similarity as inverse distance to the cluster center."""
+    return weights.a * (now - submit) + weights.b * fee + weights.c / (1.0 + dist)
+
+
+def rank(prio, submit, ids) -> np.ndarray:
+    """Indices in packing order: higher priority first, ties to the
+    earlier submitter, then to the lower id."""
+    return np.lexsort((ids, submit, -np.asarray(prio)))
+
+
 def tx_priority(
     tx: Transaction,
     now: float,
     cluster: Cluster,
     weights: PriorityWeights = PriorityWeights(),
 ) -> float:
-    """Linear priority: waiting time, fee, and similarity to the
-    cluster center (inverse distance, same scale as the user metric)."""
+    """:func:`priority` of one transaction within its cluster."""
     if tx.id not in cluster.tx_users:
         raise RejectedInputError(f"tx {tx.id} not assigned to cluster {cluster.id}")
     vec = cluster.user_vectors[cluster.tx_users[tx.id]]
     dist = float(np.sqrt(((vec - cluster.centroid) ** 2).sum()))
-    waiting = now - tx.submit_time
-    sim = 1.0 / (1.0 + dist)
-    return weights.a * waiting + weights.b * tx.fee + weights.c * sim
+    return float(priority(now, tx.submit_time, tx.fee, dist, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +309,6 @@ def merkle_root(txs: Sequence[Transaction]) -> bytes:
 # packing
 
 
-def _rank_key(priority: float, tx: Transaction) -> tuple:
-    return (-priority, tx.submit_time, tx.id)
-
-
 def pack_block(
     clusters: Sequence[Cluster],
     weights: PriorityWeights,
@@ -314,39 +319,37 @@ def pack_block(
     round_index: int = 0,
     producer: int = 0,
 ) -> Optional[Block]:
-    """Select the top-``capacity`` transactions and lay them out
-    cluster-contiguously.
+    """Select the top-``capacity`` transactions by :func:`rank` and lay
+    them out cluster-contiguously.
 
-    Ties break toward the earlier submitter, then the lower id, so any
-    verifier reproduces the identical block. Clusters appear in order
-    of their best member's priority; the flag marks each cluster's
-    first position. Returns None when there is nothing to pack.
+    The tie-breaks let any verifier reproduce the identical block.
+    Clusters appear in order of their best member; the flag marks each
+    cluster's first position. Returns None when there is nothing to
+    pack.
     """
     if capacity < 1:
         raise RejectedInputError("block capacity must be positive")
-    scored = []
-    for cl in clusters:
-        for tid in cl.tx_ids:
-            tx = tx_lookup[tid]
-            scored.append((tx_priority(tx, now, cl, weights), tx, cl))
-    if not scored:
+    members = [(tx_lookup[tid], cl) for cl in clusters for tid in cl.tx_ids]
+    if not members:
         return None
-    scored.sort(key=lambda item: _rank_key(item[0], item[1]))
-    chosen = scored[:capacity]
-
-    by_cluster: dict[int, list[tuple[float, Transaction]]] = {}
-    for pr, tx, cl in chosen:
-        by_cluster.setdefault(cl.id, []).append((pr, tx))
-    ordered = sorted(
-        by_cluster.values(),
-        key=lambda group: _rank_key(group[0][0], group[0][1]),
+    order = rank(
+        [tx_priority(tx, now, cl, weights) for tx, cl in members],
+        [tx.submit_time for tx, _cl in members],
+        [tx.id for tx, _cl in members],
     )
+
+    # grouped by first appearance in rank order, so each cluster's
+    # segment follows its best member
+    by_cluster: dict[int, list[Transaction]] = {}
+    for i in order[:capacity]:
+        tx, cl = members[i]
+        by_cluster.setdefault(cl.id, []).append(tx)
 
     body: list[Transaction] = []
     offsets: list[int] = []
-    for group in ordered:
+    for group in by_cluster.values():
         offsets.append(len(body) + 1)
-        body.extend(tx for _pr, tx in group)
+        body.extend(group)
 
     header = BlockHeader(
         prev_hash=prev_hash,

@@ -1,31 +1,30 @@
-"""Discrete-event simulation of the similarity consensus and a
+"""Round-loop simulation of the similarity consensus and a
 proof-of-work baseline.
 
-The engine runs fixed-length rounds (mining, voting, result waiting)
-for the similarity protocol and exponential block arrivals for the
-baseline, over one shared workload per seed so throughput comparisons
-pair replicate by replicate. Bulk transaction traffic is held in
-columnar arrays; the event heap carries the protocol-level events
-(deadlines, proposals, arrivals of blocks), which keeps million-
-transaction runs fast without changing observable behavior.
+The similarity protocol runs as a plain loop over fixed-length rounds
+(mining, voting, result waiting), each decided at its count deadline;
+the baseline walks exponential block gaps. Both consume one shared
+workload per seed, so throughput comparisons pair replicate by
+replicate, and transaction traffic is held in columnar arrays, which
+keeps million-transaction runs fast. Packing order comes from
+:func:`pous.packing.priority` and :func:`pous.packing.rank`, the same
+rule the library's block assembly uses.
 
 Simulated miners all watch the same mempool, so their user vectors
 agree and honest comparisons always approve shared entries. That
-collapses the voting tally to budget arithmetic (who computed the
-longest verified prefix of the pair sequence), which the tests
-cross-check against the full record-level tally on small instances.
+collapses the voting tally to budget arithmetic: the leader is the
+miner that computed the longest prefix of the pair sequence. No test
+yet checks this shortcut against the full record-level tally.
 Cryptographic cost is accounted from the real circuit sizes and
-transcript formats even when the mock comparison backend is active.
+transcript formats; no comparison is actually run.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -37,16 +36,11 @@ from .committee import (
     select_committee,
 )
 from .errors import ConfigurationError
-from .packing import PriorityWeights, kmeans
+from .packing import PriorityWeights, kmeans, priority, rank
 from .similarity import DEFAULT_CLASSES
 
-EVENT_KINDS = (
-    "TxCreate", "TxArrive", "MiningDeadline", "VoteExchange", "VoteSubmit",
-    "CountDeadline", "BlockProposed", "BlockArrive", "RoundAbort",
-)
-
 # sha256 throughput measured on this class of hardware; only used to
-# convert gate counts into simulated seconds in mock mode
+# convert gate counts into simulated seconds
 _SHA_SECONDS = 4.4e-7
 _AVG_ROW_TRIES = 2.5
 
@@ -63,13 +57,9 @@ class SimConfig:
     block_size_mb: float = 1.0
     block_interval: float = 600.0
     block_delay: float = 0.4
-    block_reward: float = 6.25
-    link_delay_mean: float = 0.4
     tx_count_mean: float = 30.0
     fee_mean: float = 0.000062
     sigma: float = 1.0
-    theta: float = 0.4
-    eta: int = 1
     weights: PriorityWeights = field(default_factory=PriorityWeights)
     power_low: float = 0.0
     power_high: float = 100.0
@@ -79,7 +69,6 @@ class SimConfig:
     honest_fraction: float = 1.0
     k_clusters: int = 3
     bitwidth: int = 16
-    crypto_mode: str = "mock"
     tx_epoch: Optional[float] = None
     seed: int = 0
 
@@ -88,17 +77,13 @@ class SimConfig:
             "n_nodes": self.n_nodes, "sim_time": self.sim_time,
             "tx_size": self.tx_size, "block_size_mb": self.block_size_mb,
             "block_interval": self.block_interval, "block_delay": self.block_delay,
-            "tx_delay_mean": self.tx_delay_mean, "link_delay_mean": self.link_delay_mean,
+            "tx_delay_mean": self.tx_delay_mean,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
         if self.sigma < 0:
             raise ConfigurationError("sigma must be nonnegative")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigurationError("theta must sit in [0, 1]")
-        if self.eta < 1:
-            raise ConfigurationError("eta must be at least 1")
         if not 0.0 <= self.power_low < self.power_high:
             raise ConfigurationError("power range must satisfy 0 <= low < high")
         if self.budget_scale <= 0:
@@ -113,8 +98,6 @@ class SimConfig:
             raise ConfigurationError("k_clusters must be at least 1")
         if not 2 <= self.bitwidth <= 32:
             raise ConfigurationError("bitwidth outside 2..32")
-        if self.crypto_mode not in ("mock", "real"):
-            raise ConfigurationError("crypto_mode must be 'mock' or 'real'")
         if self.tx_epoch is not None and self.tx_epoch <= 0:
             raise ConfigurationError("tx_epoch must be positive when set")
 
@@ -124,38 +107,6 @@ class SimConfig:
         if r < 1:
             raise ConfigurationError("block too small for a single transaction")
         return r
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str
-    payload: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ConfigurationError(f"unknown event kind {self.kind!r}")
-
-
-class EventLoop:
-    """Min-heap of events, FIFO among equal timestamps."""
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = itertools.count()
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, next(self._seq), event))
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def drain(self) -> Iterator[Event]:
-        while self._heap:
-            yield self.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +334,6 @@ def _rng_streams(config: SimConfig, protocol: str) -> dict[str, np.random.Genera
     return streams
 
 
-def _user_vector_table(config: SimConfig) -> np.ndarray:
-    return np.zeros((config.n_nodes + 1, len(DEFAULT_CLASSES)), dtype=float)
-
-
-def _accumulate_view(
-    table: np.ndarray,
-    wl: Workload,
-    lo: int,
-    hi: int,
-) -> None:
-    """Fold arrivals [lo, hi) of the arrival-sorted index into per-user
-    class counts."""
-    np.add.at(table, (wl.source[lo:hi], wl.tx_class[lo:hi]), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # the similarity protocol
 
@@ -409,7 +345,6 @@ def run_pous(config: SimConfig) -> Metrics:
     capacity = config.capacity()
     interval = config.block_interval
     n = config.n_nodes
-    weights = config.weights
 
     powers = streams["powers"].uniform(config.power_low, config.power_high, n)
     total_pairs = n * (n - 1) // 2
@@ -434,19 +369,10 @@ def run_pous(config: SimConfig) -> Metrics:
     arrivals_sorted = wl.arrival[arrival_order]
     commit_time = np.zeros(len(wl))
     committed = np.zeros(len(wl), dtype=bool)
-    view = _user_vector_table(config)
+    view = np.zeros((n + 1, len(DEFAULT_CLASSES)))
     view_ptr = 0
 
-    loop = EventLoop()
     n_rounds = int(config.sim_time // interval)
-    for r in range(n_rounds):
-        start = r * interval
-        timers = RoundTimers.split_interval(start, interval)
-        loop.push(Event(timers.mining_deadline, "MiningDeadline", {"round": r}))
-        loop.push(Event(timers.voting_deadline, "VoteSubmit", {"round": r}))
-        loop.push(Event(timers.result_waiting_deadline, "CountDeadline",
-                        {"round": r, "timers": timers}))
-
     leaders: list[int] = []
     round_log: list[dict] = []
     aborts = 0
@@ -458,11 +384,9 @@ def run_pous(config: SimConfig) -> Metrics:
     fault_rng = streams["faults"]
     round_rng = streams["rounds"]
 
-    for ev in loop.drain():
-        if ev.kind != "CountDeadline":
-            continue
-        r = ev.payload["round"]
-        now = ev.time
+    for r in range(n_rounds):
+        # the committee counts the votes at the end of the result window
+        now = RoundTimers.split_interval(r * interval, interval).result_waiting_deadline
         committee = select_committee(miners, committee_cfg, r)
         digest = sha256(f"round{r}|leader{leader}|b{int(budgets[leader - 1])}".encode()).hexdigest()
         submissions = {}
@@ -504,12 +428,9 @@ def run_pous(config: SimConfig) -> Metrics:
         dist_lookup[users] = dist_user
 
         d_tx = dist_lookup[src]
-        prio = (
-            weights.a * (now - wl.submit[pending_idx])
-            + weights.b * wl.fee[pending_idx]
-            + weights.c / (1.0 + d_tx)
-        )
-        order = np.lexsort((wl.ids[pending_idx], wl.submit[pending_idx], -prio))
+        submit = wl.submit[pending_idx]
+        prio = priority(now, submit, wl.fee[pending_idx], d_tx, config.weights)
+        order = rank(prio, submit, wl.ids[pending_idx])
         chosen = order[:capacity]
         sel_idx = pending_idx[chosen]
 
@@ -558,34 +479,24 @@ def run_pow(config: SimConfig) -> Metrics:
     commit_time = np.zeros(len(wl))
     committed = np.zeros(len(wl), dtype=bool)
 
-    loop = EventLoop()
-    t = 0.0
-    while True:
-        t += rng.exponential(config.block_interval)
-        if t + config.block_delay > config.sim_time:
-            break
-        loop.push(Event(t, "BlockProposed", {
-            "leader": int(rng.choice(config.n_nodes, p=pweights)) + 1,
-        }))
-
     leaders = []
     round_log = []
     blocks = 0
-    r = 0
-    for ev in loop.drain():
-        now = ev.time
-        leader = ev.payload["leader"]
+    now = 0.0
+    while True:
+        now += rng.exponential(config.block_interval)
+        commit_at = now + config.block_delay
+        if commit_at > config.sim_time:
+            break
+        leader = int(rng.choice(config.n_nodes, p=pweights)) + 1
+        r = len(round_log)
         hi = int(np.searchsorted(arrivals_sorted, now, side="right"))
         pending_idx = arrival_order[:hi][~committed[arrival_order[:hi]]]
-        commit_at = now + config.block_delay
         if len(pending_idx) == 0:
             round_log.append({"round": r, "aborted": 0, "leader": leader,
                               "packed": 0, "commit_time": commit_at, "sum_latency": 0.0})
-            r += 1
             continue
-        order = np.lexsort((
-            wl.ids[pending_idx], wl.submit[pending_idx], -wl.fee[pending_idx]
-        ))
+        order = rank(wl.fee[pending_idx], wl.submit[pending_idx], wl.ids[pending_idx])
         sel_idx = pending_idx[order[:capacity]]
         committed[sel_idx] = True
         commit_time[sel_idx] = commit_at
@@ -594,28 +505,20 @@ def run_pow(config: SimConfig) -> Metrics:
         round_log.append({"round": r, "aborted": 0, "leader": leader,
                           "packed": int(len(sel_idx)), "commit_time": commit_at,
                           "sum_latency": float((commit_at - wl.submit[sel_idx]).sum())})
-        r += 1
 
     return _finish_metrics(
-        "pow", config, wl, commit_time, r, blocks, 0, leaders,
+        "pow", config, wl, commit_time, len(round_log), blocks, 0, leaders,
         0.0, 0, 0, blocks, round_log,
     )
 
 
 # ---------------------------------------------------------------------------
-# event trace
+# run trace
 
 
 def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[str]:
     """Replayable line-delimited run log: header, rounds, summary."""
-    cfg = {k: getattr(config, k) for k in (
-        "n_nodes", "sim_time", "tx_size", "tx_delay_mean", "block_size_mb",
-        "block_interval", "block_delay", "block_reward", "link_delay_mean",
-        "tx_count_mean", "fee_mean", "sigma", "theta", "eta", "power_low",
-        "power_high", "budget_scale", "committee_size", "rotation_period",
-        "honest_fraction", "k_clusters", "bitwidth", "crypto_mode",
-        "tx_epoch", "seed",
-    )}
+    cfg = {f.name: getattr(config, f.name) for f in fields(config)}
     cfg["weights"] = [config.weights.a, config.weights.b, config.weights.c]
     yield json.dumps({"kind": "header", "protocol": protocol, "config": cfg},
                      sort_keys=True)
@@ -631,23 +534,69 @@ def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[
     }, sort_keys=True)
 
 
+_FIELD_TYPES = get_type_hints(SimConfig)
+
+
+def config_from_fields(values: Mapping) -> SimConfig:
+    """SimConfig from field values, each checked against its field's
+    type; ``weights`` may be given as an (a, b, c) sequence.
+
+    Unknown fields and ill-typed values raise ConfigurationError naming
+    the field.
+    """
+    unknown = sorted(set(values) - set(_FIELD_TYPES))
+    if unknown:
+        raise ConfigurationError(f"unknown config fields: {unknown}")
+    values = dict(values)
+    for name, value in values.items():
+        kind = _FIELD_TYPES[name]
+        if kind is PriorityWeights:
+            if not isinstance(value, PriorityWeights):
+                try:
+                    values[name] = PriorityWeights(*value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(f"weights {value!r}: {exc}") from None
+        elif value is None and kind == Optional[float]:
+            continue
+        elif isinstance(value, bool) or not isinstance(
+            value, int if kind is int else (int, float)
+        ):
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+    return SimConfig(**values)
+
+
 def config_from_trace_header(header: dict) -> tuple[SimConfig, str]:
-    cfg = dict(header["config"])
-    w = cfg.pop("weights")
-    config = SimConfig(weights=PriorityWeights(*w), **cfg)
-    return config, header["protocol"]
+    """The configuration and protocol a trace header records.
+
+    Every SimConfig field must be present and no other; anything else
+    raises ConfigurationError.
+    """
+    protocol = header.get("protocol")
+    if protocol not in ("pous", "pow"):
+        raise ConfigurationError(f"trace header names unknown protocol {protocol!r}")
+    cfg = header.get("config")
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("trace header carries no config object")
+    missing = sorted(set(_FIELD_TYPES) - set(cfg))
+    if missing:
+        raise ConfigurationError(f"trace header lacks config fields: {missing}")
+    return config_from_fields(cfg), protocol
 
 
 def replay_trace(lines: list[str]) -> tuple[bool, str]:
     """Re-run a trace's configuration and diff every logged line.
 
     Returns (ok, message); any divergence names the first offending
-    line.
+    line. A header that cannot be read raises ConfigurationError.
     """
     if not lines:
         return False, "empty trace"
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"trace line 1 is not JSON: {exc.msg}") from None
+    if not isinstance(header, dict) or header.get("kind") != "header":
         return False, "first line is not a trace header"
     config, protocol = config_from_trace_header(header)
     runner = run_pous if protocol == "pous" else run_pow

@@ -369,6 +369,46 @@ def test_run_verb_bad_override_fails(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair, field", [
+    ("sim_time=abc", "sim_time"),
+    ("n_nodes=2.5", "n_nodes"),
+    ("crypto_mode=real", "crypto_mode"),
+    ("replicates=abc", "replicates"),
+])
+def test_run_verb_ill_typed_override_fails(tmp_path, capsys, pair, field):
+    rc = main(["run", "fig7-n30", "--fast", "--out", str(tmp_path / "out"),
+               "--set", pair])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _doctor_header(header):
+    """Trace headers that replay must refuse, keyed by the name the
+    error has to mention."""
+    old = json.loads(json.dumps(header))
+    old["config"]["block_reward"] = 6.25
+    no_weights = json.loads(json.dumps(header))
+    del no_weights["config"]["weights"]
+    ill_typed = json.loads(json.dumps(header))
+    ill_typed["config"]["n_nodes"] = "eight"
+    alien = dict(header, protocol="pos")
+    return {"block_reward": json.dumps(old), "weights": json.dumps(no_weights),
+            "n_nodes": json.dumps(ill_typed), "pos": json.dumps(alien),
+            "not JSON": "this is no trace header"}
+
+
+@pytest.mark.parametrize("case", ["block_reward", "weights", "n_nodes", "pos", "not JSON"])
+def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
+    report = run_scenario(tiny_scenario(replicates=1), keep_traces=True)
+    lines = report.traces[("pow", 0.5, 0)]
+    lines[0] = _doctor_header(json.loads(lines[0]))[case]
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(trace)]) == 2
+    assert case in capsys.readouterr().err
+
+
 def test_replay_verb(tmp_path, capsys):
     report = run_scenario(tiny_scenario(replicates=1), keep_traces=True)
     emit(report, str(tmp_path))
@@ -395,3 +435,25 @@ def test_scatter_preset_writes_projection(tmp_path, capsys):
     scatter = (out_dir / "pca_scatter.csv").read_text().splitlines()
     assert scatter[0] == "user,x,y,cluster,selected"
     assert len(scatter) > 1
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: simulator numbers pinned byte for byte
+
+
+@pytest.mark.parametrize("preset, extra, name, digest", [
+    ("fig8-n30", [], "cells.csv",
+     "bf03c1d80b9a58d8f21151829958df804c5c4af38391d47ddb6afcbf049e5aa4"),
+    ("fig10", [], "pca_scatter.csv",
+     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
+    # 419-transaction blocks: the pending pool overflows every block, so
+    # the priority rule decides what is packed
+    ("fig8-n30", ["--set", "block_size_mb=0.1"], "cells.csv",
+     "fcc3b29d22a76137feabae44898da8cbd214b117253983f2d04889fc02f4e83a"),
+])
+def test_golden_output(tmp_path, capsys, preset, extra, name, digest):
+    out_dir = tmp_path / "out"
+    assert main(["run", preset, "--fast", "--set", "replicates=1", *extra,
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert sha256((out_dir / name).read_bytes()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Garbled comparator, gate encryption, and oblivious transfer."""
 import hashlib
 import random
+import secrets
 import struct
 
 import pytest
@@ -331,6 +332,13 @@ def test_ot_returns_chosen_label():
     out1, _ = ot.exchange(m0, m1, 1)
     assert out0 == m0
     assert out1 == m1
+
+
+def test_ot_default_rng_is_cryptographic():
+    ot = DiffieHellmanOT(FAST_GROUP)
+    assert isinstance(ot._rng, secrets.SystemRandom)
+    m0, m1 = bytes(range(16)), bytes(range(16, 32))
+    assert ot.exchange(m0, m1, 1)[0] == m1
 
 
 def test_ot_default_group_works():

@@ -22,6 +22,8 @@ from pous.packing import (
     merkle_root,
     pack_block,
     pca_project,
+    priority,
+    rank,
     tx_leaf,
     tx_priority,
 )
@@ -427,6 +429,46 @@ def test_pack_selects_global_top_r():
         seg_p = [prios[t.id] for t in block.body[pos:pos + seg]]
         assert all(seg_p[i] >= seg_p[i + 1] for i in range(len(seg_p) - 1))
         pos += seg
+
+
+def test_pack_body_is_columnar_rank_top_r():
+    rng = np.random.default_rng(23)
+    vecs = {u: rng.normal(size=3) for u in range(1, 7)}
+    mempool = [
+        tx(i, user=int(rng.integers(1, 7)), fee=float(rng.choice([0.0, 0.5])),
+           submit=float(rng.integers(0, 5)))
+        for i in range(1, 41)
+    ]
+    lookup = {t.id: t for t in mempool}
+    clusters = cluster_mempool(mempool, vecs, k=3, seed=4)
+    now, cap, w = 10.0, 15, PriorityWeights(0.5, 2.0, 1.0)
+    block = pack_block(clusters, w, cap, now, b"\x00" * 32, lookup)
+
+    cluster_of = {tid: cl for cl in clusters for tid in cl.tx_ids}
+    ids = np.array(sorted(lookup))
+    dist = np.array([
+        np.sqrt(((cluster_of[t].user_vectors[lookup[t].source_user]
+                  - cluster_of[t].centroid) ** 2).sum())
+        for t in ids
+    ])
+    submit = np.array([lookup[t].submit_time for t in ids])
+    fee = np.array([lookup[t].fee for t in ids])
+    ranked = list(ids[rank(priority(now, submit, fee, dist, w), submit, ids)])
+    assert sorted(t.id for t in block.body) == sorted(ranked[:cap])
+    # each segment is one cluster, in rank order
+    pos = 0
+    for seg in cluster_sizes(decode_flag(block.header), len(block.body)):
+        seg_ids = [t.id for t in block.body[pos:pos + seg]]
+        assert len({cluster_of[t].id for t in seg_ids}) == 1
+        assert seg_ids == sorted(seg_ids, key=ranked.index)
+        pos += seg
+
+
+def test_rank_breaks_ties_by_submit_then_id():
+    prio = np.array([1.0, 2.0, 2.0, 2.0])
+    submit = np.array([0.0, 5.0, 3.0, 3.0])
+    ids = np.array([4, 3, 2, 1])
+    assert list(rank(prio, submit, ids)) == [3, 2, 1, 0]
 
 
 def test_pack_flag_popcount_equals_clusters_present():

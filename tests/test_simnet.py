@@ -1,4 +1,4 @@
-"""Event engine, workload generation, both protocol runners, traces."""
+"""Configuration, workload generation, both protocol runners, traces."""
 import json
 import math
 
@@ -8,8 +8,6 @@ from scipy import stats
 
 from pous.errors import ConfigurationError
 from pous.simnet import (
-    Event,
-    EventLoop,
     Metrics,
     SimConfig,
     _crypto_round_costs,
@@ -50,8 +48,6 @@ def test_config_validation():
     bad = [
         dict(n_nodes=0),
         dict(sim_time=0),
-        dict(theta=1.5),
-        dict(eta=0),
         dict(power_low=10, power_high=5),
         dict(committee_size=3),
         dict(committee_size=31),
@@ -59,33 +55,12 @@ def test_config_validation():
         dict(honest_fraction=1.2),
         dict(k_clusters=0),
         dict(bitwidth=1),
-        dict(crypto_mode="fake"),
         dict(tx_epoch=0.0),
         dict(sigma=-1),
     ]
     for kw in bad:
         with pytest.raises(ConfigurationError):
             cfg(**kw)
-
-
-# ---------------------------------------------------------------------------
-# event loop
-
-
-def test_event_loop_orders_by_time_then_insertion():
-    loop = EventLoop()
-    loop.push(Event(5.0, "TxCreate", {"tag": "late"}))
-    loop.push(Event(1.0, "TxCreate", {"tag": "a"}))
-    loop.push(Event(1.0, "TxArrive", {"tag": "b"}))
-    loop.push(Event(0.5, "BlockProposed", {"tag": "first"}))
-    tags = [ev.payload["tag"] for ev in loop.drain()]
-    assert tags == ["first", "a", "b", "late"]
-    assert len(loop) == 0
-
-
-def test_event_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        Event(0.0, "Nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +369,4 @@ def test_trace_replay_rejects_garbage():
     assert replay_trace([]) == (False, "empty trace")
     ok, msg = replay_trace([json.dumps({"kind": "round"})])
     assert not ok and "header" in msg
+
