@@ -33,7 +33,7 @@ import numpy as np
 from . import garbled
 from .bts import VoteRecord, votes_to_crs
 from .errors import ConfigurationError
-from .packing import kmeans, pca_project, priority, rank
+from .packing import pca_project
 from .similarity import DEFAULT_CLASSES, pair_sequence
 from .simnet import (
     Metrics,
@@ -41,6 +41,7 @@ from .simnet import (
     _rng_streams,
     config_from_fields,
     gen_workload,
+    rank_pool,
     replay_trace,
     run_pous,
     run_pow,
@@ -61,13 +62,18 @@ class Scenario:
     kind: str = "sim"
 
     def __post_init__(self):
+        if self.kind not in ("sim", "scatter", "cost"):
+            raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be at least 1")
-        if self.kind == "sim":
+        if self.kind != "cost":
             if not self.protocols or any(p not in ("pous", "pow") for p in self.protocols):
                 raise ConfigurationError(f"unknown protocols {self.protocols}")
-            if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
+            fixed = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(SimConfig)}
+            if self.sweep_param not in fixed:
                 raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
+            for value in self.sweep_values:
+                config_from_fields({**fixed, self.sweep_param: value})
 
 
 @dataclass
@@ -198,6 +204,21 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
     return out
 
 
+def _pop_replicates(overrides: dict, default) -> int:
+    """The replicate count, from overrides when they set one."""
+    replicates = overrides.pop("replicates", default)
+    if isinstance(replicates, bool) or not isinstance(replicates, int):
+        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
+    return replicates
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def _check_sweep(param: str, values: list, notes: list) -> None:
     if param in _SWEEP_RANGES:
         lo, hi = _SWEEP_RANGES[param]
@@ -221,11 +242,9 @@ def scenario_from_preset(
         )
     spec = PRESETS[name]
     overrides = dict(overrides or {})
-    replicates = spec["fast_replicates"] if fast else spec["replicates"]
-    if "replicates" in overrides:
-        replicates = overrides.pop("replicates")
-        if isinstance(replicates, bool) or not isinstance(replicates, int):
-            raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
+    replicates = _pop_replicates(
+        overrides, spec["fast_replicates"] if fast else spec["replicates"]
+    )
     notes: list[str] = []
     base = config_from_fields({**spec["base"], "seed": seed, **overrides})
     _check_sweep(spec["sweep_param"], spec["sweep_values"], notes)
@@ -247,11 +266,14 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
     The file carries name, base config, sweep, protocols, replicates;
     unknown keys at either level are rejected by name.
     """
-    raw = Path(path).read_text()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key, {}), dict) for key in ("base", "sweep")
+    ):
+        raise ConfigurationError(f"{path}: the scenario, its base and its sweep must be objects")
     allowed = {"name", "base", "sweep", "protocols", "replicates", "kind"}
     unknown = set(doc) - allowed
     if unknown:
@@ -259,14 +281,16 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
     sweep = doc.get("sweep", {})
     if set(sweep) - {"param", "values"}:
         raise ConfigurationError(f"{path}: sweep takes only param and values")
-    base = config_from_fields({**doc.get("base", {}), **(overrides or {})})
+    overrides = dict(overrides or {})
+    replicates = _pop_replicates(overrides, doc.get("replicates", 100))
+    base = config_from_fields({**doc.get("base", {}), **overrides})
     return Scenario(
         name=doc.get("name", Path(path).stem),
         base=base,
         sweep_param=sweep.get("param", "block_size_mb"),
         sweep_values=list(sweep.get("values", [base.block_size_mb])),
         protocols=tuple(doc.get("protocols", ("pous", "pow"))),
-        replicates=int(doc.get("replicates", 100)),
+        replicates=replicates,
         kind=doc.get("kind", "sim"),
     )
 
@@ -282,15 +306,6 @@ def cell_seed(master: int, param: str, value, replicate: int) -> int:
 
 
 _RUNNERS = {"pous": run_pous, "pow": run_pow}
-
-
-def _cell_row(
-    protocol: str, param: str, value, replicate: int, metrics: Metrics
-) -> dict:
-    row = {"protocol": protocol, "param": param, "value": value,
-           "replicate": replicate}
-    row.update(metrics.summary())
-    return row
 
 
 def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
@@ -322,9 +337,8 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
                         f"/rep{replicate} failed: {exc}"
                     ) from exc
                 by_point.setdefault((protocol, value), []).append(metrics)
-                report.cells.append(_cell_row(
-                    protocol, scenario.sweep_param, value, replicate, metrics
-                ))
+                report.cells.append({"param": scenario.sweep_param, "value": value,
+                                     "replicate": replicate, **metrics.summary()})
                 if keep_traces:
                     report.traces[(protocol, value, replicate)] = list(
                         trace_lines(config, protocol, metrics)
@@ -383,35 +397,20 @@ def pca_scatter_rows(config: SimConfig) -> list[dict]:
     transactions, and project the user vectors to 2-D for plotting."""
     wl = gen_workload(config, _rng_streams(config, "pous")["workload"])
     horizon = config.block_interval
-    mask = wl.arrival <= horizon
-    if not mask.any():
+    idx = np.flatnonzero(wl.arrival <= horizon)
+    if len(idx) == 0:
         return []
     view = np.zeros((config.n_nodes + 1, len(DEFAULT_CLASSES)))
-    np.add.at(view, (wl.source[mask], wl.tx_class[mask]), 1.0)
+    np.add.at(view, (wl.source[idx], wl.tx_class[idx]), 1.0)
 
-    users = np.unique(wl.source[mask])
-    k = min(config.k_clusters, len(users))
-    labels, centers = kmeans(view[users], k, seed=config.seed)
+    order, _, users, labels = rank_pool(view, wl, idx, horizon, config, seed=config.seed)
     coords = pca_project(view[users]) if len(users) >= 2 else np.zeros((len(users), 2))
-
-    dist_lookup = np.zeros(config.n_nodes + 1)
-    dist_lookup[users] = np.sqrt(((view[users] - centers[labels]) ** 2).sum(axis=1))
-    idx = np.flatnonzero(mask)
-    prio = priority(horizon, wl.submit[idx], wl.fee[idx],
-                    dist_lookup[wl.source[idx]], config.weights)
-    order = rank(prio, wl.submit[idx], wl.ids[idx])
     chosen = set(wl.source[idx[order[:config.capacity()]]].tolist())
-
-    rows = []
-    for pos, user in enumerate(users):
-        rows.append({
-            "user": int(user),
-            "x": float(coords[pos, 0]),
-            "y": float(coords[pos, 1]),
-            "cluster": int(labels[pos]),
-            "selected": int(user in chosen),
-        })
-    return rows
+    return [
+        {"user": int(user), "x": float(x), "y": float(y), "cluster": int(label),
+         "selected": int(user in chosen)}
+        for user, (x, y), label in zip(users, coords, labels)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +520,7 @@ def emit(report: RunReport, out_dir: str) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    cell_header = ["protocol", "param", "value", "replicate", "seed", "sim_time",
-                   "total_tx_count", "confirmed_tx_count", "tps", "mean_latency",
-                   "p50_latency", "p90_latency", "rounds", "blocks_committed",
-                   "aborts", "crypto_time", "crypto_bytes", "functionality_wins",
-                   "rounds_with_block"]
+    cell_header = ["protocol", "param", "value", "replicate", *Metrics.CSV_FIELDS[1:]]
     _write_csv(out / "cells.csv", cell_header, report.cells)
     written.append("cells.csv")
 
@@ -654,7 +649,7 @@ def _cmd_presets(_args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    lines = Path(args.trace).read_text().splitlines()
+    lines = _read_text(args.trace).splitlines()
     ok, message = replay_trace(lines)
     sys.stdout.write(message + "\n")
     return 0 if ok else 1

@@ -5,8 +5,10 @@ The similarity protocol runs as a plain loop over fixed-length rounds
 (mining, voting, result waiting), each decided at its count deadline;
 the baseline walks exponential block gaps. Both consume one shared
 workload per seed, so throughput comparisons pair replicate by
-replicate, and transaction traffic is held in columnar arrays, which
-keeps million-transaction runs fast. Packing order comes from
+replicate, and both admit, commit and log transactions through one
+ledger (:class:`_Chain`), so the two differ only in how a round picks
+its leader and orders its pool. Traffic is held in columnar arrays,
+which keeps million-transaction runs fast. Packing order comes from
 :func:`pous.packing.priority` and :func:`pous.packing.rank`, the same
 rule the library's block assembly uses.
 
@@ -96,8 +98,8 @@ class SimConfig:
             raise ConfigurationError("honest_fraction outside [0, 1]")
         if self.k_clusters < 1:
             raise ConfigurationError("k_clusters must be at least 1")
-        if not 2 <= self.bitwidth <= 32:
-            raise ConfigurationError("bitwidth outside 2..32")
+        if not 4 <= self.bitwidth <= 32:
+            raise ConfigurationError("bitwidth outside 4..32, the comparator's range")
         if self.tx_epoch is not None and self.tx_epoch <= 0:
             raise ConfigurationError("tx_epoch must be positive when set")
 
@@ -225,47 +227,6 @@ def confirmation_latency(metrics: Metrics) -> np.ndarray:
     return metrics.latencies.copy()
 
 
-def _finish_metrics(
-    protocol: str,
-    config: SimConfig,
-    wl: Workload,
-    commit_time: np.ndarray,
-    rounds: int,
-    blocks: int,
-    aborts: int,
-    leaders: list,
-    crypto_time: float,
-    crypto_bytes: int,
-    wins: int,
-    rounds_with_block: int,
-    round_log: list,
-) -> Metrics:
-    committed = commit_time > 0
-    latencies = commit_time[committed] - wl.submit[committed]
-    count = int(committed.sum())
-    return Metrics(
-        protocol=protocol,
-        sim_time=config.sim_time,
-        seed=config.seed,
-        total_tx_count=len(wl),
-        confirmed_tx_count=count,
-        tps=count / config.sim_time,
-        mean_latency=float(latencies.mean()) if count else float("nan"),
-        p50_latency=float(np.percentile(latencies, 50)) if count else float("nan"),
-        p90_latency=float(np.percentile(latencies, 90)) if count else float("nan"),
-        rounds=rounds,
-        blocks_committed=blocks,
-        aborts=aborts,
-        leaders=tuple(leaders),
-        crypto_time=crypto_time,
-        crypto_bytes=crypto_bytes,
-        functionality_wins=wins,
-        rounds_with_block=rounds_with_block,
-        latencies=latencies,
-        round_log=round_log,
-    )
-
-
 # ---------------------------------------------------------------------------
 # crypto cost accounting
 
@@ -335,6 +296,108 @@ def _rng_streams(config: SimConfig, protocol: str) -> dict[str, np.random.Genera
 
 
 # ---------------------------------------------------------------------------
+# the shared ledger
+
+
+class _Chain:
+    """Mempool and commit ledger that both runners account through.
+
+    The pool holds the transactions that have arrived and are not yet
+    committed, in arrival order: newcomers are appended as time
+    advances and committed entries are filtered out, so no round
+    rescans the arrival prefix. Every round record is written by
+    :meth:`log`.
+    """
+
+    def __init__(self, wl: Workload):
+        self.wl = wl
+        self._order = np.argsort(wl.arrival, kind="stable")
+        self._arrivals = wl.arrival[self._order]
+        self._seen = 0
+        self.pool = self._order[:0]
+        self.commit_time = np.zeros(len(wl))
+        self.blocks = 0
+        self.round_log: list[dict] = []
+
+    def admit(self, now: float) -> np.ndarray:
+        """Append the transactions arrived by ``now``; returns them."""
+        hi = int(np.searchsorted(self._arrivals, now, side="right"))
+        fresh = self._order[self._seen:hi]
+        self._seen = hi
+        self.pool = np.concatenate((self.pool, fresh))
+        return fresh
+
+    def commit(self, r: int, leader: int, chosen: np.ndarray, commit_at: float) -> None:
+        """Commit the pool entries at positions ``chosen`` as round r's block."""
+        keep = np.ones(len(self.pool), dtype=bool)
+        keep[chosen] = False
+        packed = self.pool[chosen]
+        self.pool = self.pool[keep]
+        self.commit_time[packed] = commit_at
+        self.blocks += 1
+        self.log(r, leader, packed, commit_at)
+
+    def log(self, r: int, leader: int, packed=(), commit_at: float = -1.0,
+            aborted: int = 0) -> None:
+        """Round r's record; a round that packs nothing commits at -1."""
+        n = len(packed)
+        self.round_log.append({
+            "round": r, "aborted": aborted, "leader": leader, "packed": n,
+            "commit_time": commit_at if n else -1.0,
+            "sum_latency": float((commit_at - self.wl.submit[packed]).sum()) if n else 0.0,
+        })
+
+    def metrics(self, protocol: str, config: SimConfig, leaders: list, wins: int,
+                rounds_with_block: int, crypto_time: float = 0.0,
+                crypto_bytes: int = 0) -> Metrics:
+        committed = self.commit_time > 0
+        latencies = self.commit_time[committed] - self.wl.submit[committed]
+        count = int(committed.sum())
+        return Metrics(
+            protocol=protocol,
+            sim_time=config.sim_time,
+            seed=config.seed,
+            total_tx_count=len(self.wl),
+            confirmed_tx_count=count,
+            tps=count / config.sim_time,
+            mean_latency=float(latencies.mean()) if count else float("nan"),
+            p50_latency=float(np.percentile(latencies, 50)) if count else float("nan"),
+            p90_latency=float(np.percentile(latencies, 90)) if count else float("nan"),
+            rounds=len(self.round_log),
+            blocks_committed=self.blocks,
+            aborts=sum(e["aborted"] for e in self.round_log),
+            leaders=tuple(leaders),
+            crypto_time=crypto_time,
+            crypto_bytes=crypto_bytes,
+            functionality_wins=wins,
+            rounds_with_block=rounds_with_block,
+            latencies=latencies,
+            round_log=self.round_log,
+        )
+
+
+def rank_pool(view: np.ndarray, wl: Workload, idx: np.ndarray, now: float,
+              config: SimConfig, seed: int):
+    """One round's packing order over the pool ``idx``.
+
+    The pool's source users are clustered on their rows of ``view``;
+    each transaction's distance is its user's distance to the cluster
+    centre, which feeds :func:`pous.packing.priority` and
+    :func:`pous.packing.rank`. Returns (order, per-transaction
+    distance, users, labels); ``order`` indexes into ``idx``.
+    """
+    src = wl.source[idx]
+    users = np.unique(src)
+    labels, centers = kmeans(view[users], min(config.k_clusters, len(users)), seed=seed)
+    dist_user = np.zeros(len(view))
+    dist_user[users] = np.sqrt(((view[users] - centers[labels]) ** 2).sum(axis=1))
+    d_tx = dist_user[src]
+    submit = wl.submit[idx]
+    prio = priority(now, submit, wl.fee[idx], d_tx, config.weights)
+    return rank(prio, submit, wl.ids[idx]), d_tx, users, labels
+
+
+# ---------------------------------------------------------------------------
 # the similarity protocol
 
 
@@ -353,9 +416,7 @@ def run_pous(config: SimConfig) -> Metrics:
     )
     # symmetric views: the longest verified prefix wins every tally
     leader = int(np.argmax(budgets)) + 1
-    comparisons, round_crypto_time, round_crypto_bytes = _crypto_round_costs(
-        budgets, config
-    )
+    _, round_crypto_time, round_crypto_bytes = _crypto_round_costs(budgets, config)
 
     committee_cfg = CommitteeConfig(
         size=config.committee_size,
@@ -365,22 +426,13 @@ def run_pous(config: SimConfig) -> Metrics:
     )
     miners = list(range(1, n + 1))
 
-    arrival_order = np.argsort(wl.arrival, kind="stable")
-    arrivals_sorted = wl.arrival[arrival_order]
-    commit_time = np.zeros(len(wl))
-    committed = np.zeros(len(wl), dtype=bool)
+    chain = _Chain(wl)
     view = np.zeros((n + 1, len(DEFAULT_CLASSES)))
-    view_ptr = 0
-
     n_rounds = int(config.sim_time // interval)
     leaders: list[int] = []
-    round_log: list[dict] = []
-    aborts = 0
-    blocks = 0
     wins = 0
     rounds_with_block = 0
     crypto_time = 0.0
-    crypto_bytes = 0
     fault_rng = streams["faults"]
     round_rng = streams["rounds"]
 
@@ -397,66 +449,34 @@ def run_pous(config: SimConfig) -> Metrics:
                 submissions[member] = (0, f"garbled-view-{r}-{member}")
         decision = agree(submissions, committee_cfg.size, round_index=r)
         crypto_time += round_crypto_time
-        crypto_bytes += round_crypto_bytes
 
         if decision is None:
-            aborts += 1
-            round_log.append({"round": r, "aborted": 1, "leader": -1,
-                              "packed": 0, "commit_time": -1.0, "sum_latency": 0.0})
+            chain.log(r, -1, aborted=1)
             continue
         leaders.append(decision.leader)
 
-        hi = int(np.searchsorted(arrivals_sorted, now, side="right"))
-        if hi > view_ptr:
-            idx = arrival_order[view_ptr:hi]
-            np.add.at(view, (wl.source[idx], wl.tx_class[idx]), 1.0)
-            view_ptr = hi
-        pending_idx = arrival_order[:hi][~committed[arrival_order[:hi]]]
-        if len(pending_idx) == 0:
-            round_log.append({"round": r, "aborted": 0, "leader": decision.leader,
-                              "packed": 0, "commit_time": -1.0, "sum_latency": 0.0})
+        fresh = chain.admit(now)
+        np.add.at(view, (wl.source[fresh], wl.tx_class[fresh]), 1.0)
+        if len(chain.pool) == 0:
+            chain.log(r, decision.leader)
             continue
 
-        src = wl.source[pending_idx]
-        users = np.unique(src)
-        k = min(config.k_clusters, len(users))
-        labels, centers = kmeans(
-            view[users], k, seed=int(round_rng.integers(2**63))
+        order, d_tx, _, _ = rank_pool(
+            view, wl, chain.pool, now, config, seed=int(round_rng.integers(2**63))
         )
-        dist_user = np.sqrt(((view[users] - centers[labels]) ** 2).sum(axis=1))
-        dist_lookup = np.zeros(n + 1)
-        dist_lookup[users] = dist_user
-
-        d_tx = dist_lookup[src]
-        submit = wl.submit[pending_idx]
-        prio = priority(now, submit, wl.fee[pending_idx], d_tx, config.weights)
-        order = rank(prio, submit, wl.ids[pending_idx])
         chosen = order[:capacity]
-        sel_idx = pending_idx[chosen]
-
-        pool_mean = float(d_tx.mean())
-        sel_mean = float(d_tx[chosen].mean())
-        if sel_mean <= pool_mean + 1e-12:
+        if float(d_tx[chosen].mean()) <= float(d_tx.mean()) + 1e-12:
             wins += 1
         rounds_with_block += 1
 
         commit_at = now + config.block_delay
         if commit_at <= config.sim_time:
-            committed[sel_idx] = True
-            commit_time[sel_idx] = commit_at
-            blocks += 1
-            sum_latency = float((commit_at - wl.submit[sel_idx]).sum())
-            round_log.append({"round": r, "aborted": 0, "leader": decision.leader,
-                              "packed": int(len(sel_idx)), "commit_time": commit_at,
-                              "sum_latency": sum_latency})
+            chain.commit(r, decision.leader, chosen, commit_at)
         else:
-            round_log.append({"round": r, "aborted": 0, "leader": decision.leader,
-                              "packed": 0, "commit_time": -1.0, "sum_latency": 0.0})
+            chain.log(r, decision.leader)
 
-    return _finish_metrics(
-        "pous", config, wl, commit_time, n_rounds, blocks, aborts, leaders,
-        crypto_time, crypto_bytes, wins, rounds_with_block, round_log,
-    )
+    return chain.metrics("pous", config, leaders, wins, rounds_with_block,
+                         crypto_time, round_crypto_bytes * n_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +494,8 @@ def run_pow(config: SimConfig) -> Metrics:
     pweights = powers / powers.sum()
     rng = streams["rounds"]
 
-    arrival_order = np.argsort(wl.arrival, kind="stable")
-    arrivals_sorted = wl.arrival[arrival_order]
-    commit_time = np.zeros(len(wl))
-    committed = np.zeros(len(wl), dtype=bool)
-
+    chain = _Chain(wl)
     leaders = []
-    round_log = []
-    blocks = 0
     now = 0.0
     while True:
         now += rng.exponential(config.block_interval)
@@ -489,27 +503,17 @@ def run_pow(config: SimConfig) -> Metrics:
         if commit_at > config.sim_time:
             break
         leader = int(rng.choice(config.n_nodes, p=pweights)) + 1
-        r = len(round_log)
-        hi = int(np.searchsorted(arrivals_sorted, now, side="right"))
-        pending_idx = arrival_order[:hi][~committed[arrival_order[:hi]]]
-        if len(pending_idx) == 0:
-            round_log.append({"round": r, "aborted": 0, "leader": leader,
-                              "packed": 0, "commit_time": commit_at, "sum_latency": 0.0})
+        r = len(chain.round_log)
+        chain.admit(now)
+        pool = chain.pool
+        if len(pool) == 0:
+            chain.log(r, leader)
             continue
-        order = rank(wl.fee[pending_idx], wl.submit[pending_idx], wl.ids[pending_idx])
-        sel_idx = pending_idx[order[:capacity]]
-        committed[sel_idx] = True
-        commit_time[sel_idx] = commit_at
-        blocks += 1
+        order = rank(wl.fee[pool], wl.submit[pool], wl.ids[pool])
+        chain.commit(r, leader, order[:capacity], commit_at)
         leaders.append(leader)
-        round_log.append({"round": r, "aborted": 0, "leader": leader,
-                          "packed": int(len(sel_idx)), "commit_time": commit_at,
-                          "sum_latency": float((commit_at - wl.submit[sel_idx]).sum())})
 
-    return _finish_metrics(
-        "pow", config, wl, commit_time, len(round_log), blocks, 0, leaders,
-        0.0, 0, 0, blocks, round_log,
-    )
+    return chain.metrics("pow", config, leaders, wins=0, rounds_with_block=chain.blocks)
 
 
 # ---------------------------------------------------------------------------

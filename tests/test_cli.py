@@ -151,6 +151,40 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("change, name", [
+    ({"replicates": "abc"}, "replicates"),
+    ({"sweep": {"param": "block_size_mb", "values": [0.5, "abc"]}}, "block_size_mb"),
+    ({"kind": "bogus"}, "bogus"),
+])
+def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_JSON, **change)))
+    rc = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_file_takes_replicates_override(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_JSON))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--set", "replicates=1"]) == 0
+    capsys.readouterr()
+    cells = (out_dir / "cells.csv").read_text().splitlines()
+    assert len(cells) == 1 + 2 * 2  # protocols x values, one replicate
+    with pytest.raises(ConfigurationError, match="replicates"):
+        load_config(str(path), {"replicates": 2.5})
+
+
+@pytest.mark.parametrize("text", ["5", '{"sweep": []}', '{"base": [1]}'])
+def test_load_config_rejects_non_objects(tmp_path, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="objects"):
+        load_config(str(path))
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         tiny = tiny_scenario()
@@ -407,6 +441,13 @@ def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(trace)]) == 2
     assert case in capsys.readouterr().err
+
+
+def test_replay_verb_rejects_non_utf8_file(tmp_path, capsys):
+    trace = tmp_path / "utf16.jsonl"
+    trace.write_bytes(b"\xff\xfe" + '{"kind": "header"}'.encode("utf-16-le"))
+    assert main(["replay", str(trace)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_replay_verb(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pous import simnet
 from pous.errors import ConfigurationError
 from pous.simnet import (
     Metrics,
@@ -55,6 +56,7 @@ def test_config_validation():
         dict(honest_fraction=1.2),
         dict(k_clusters=0),
         dict(bitwidth=1),
+        dict(bitwidth=3),  # the comparator starts at 4 bits
         dict(tx_epoch=0.0),
         dict(sigma=-1),
     ]
@@ -304,6 +306,51 @@ def test_pous_no_transactions():
     assert m.blocks_committed == 0
     assert m.aborts == 0
     assert len(m.leaders) == m.rounds
+
+
+# ---------------------------------------------------------------------------
+# the ledger both runners share
+
+
+@pytest.mark.parametrize("run", [run_pous, run_pow])
+def test_round_that_packs_nothing_commits_nothing(run):
+    # one transaction per node over ten rounds: most rounds find an
+    # empty pool
+    c = cfg(n_nodes=6, sim_time=1000.0, block_interval=100.0, tx_epoch=1000.0,
+            tx_count_mean=1.0, sigma=0.0, seed=3)
+    m = run(c)
+    empty = [e for e in m.round_log if e["packed"] == 0]
+    assert empty and len(empty) < len(m.round_log)
+    for entry in empty:
+        assert entry["commit_time"] == -1.0
+        assert entry["sum_latency"] == 0.0
+
+
+@pytest.mark.parametrize("run", [run_pous, run_pow])
+def test_committed_transactions_arrived_in_time_and_commit_once(run, monkeypatch):
+    blocks = []
+
+    class RecordingChain(simnet._Chain):
+        def commit(self, r, leader, chosen, commit_at):
+            # reference: rebuild the pool from the admitted arrival prefix
+            prefix = np.argsort(self.wl.arrival, kind="stable")[:self._seen]
+            assert np.array_equal(self.pool, prefix[self.commit_time[prefix] == 0])
+            # the whole pool, not only the packed part, must have arrived
+            blocks.append((commit_at, self.wl.ids[self.pool[chosen]],
+                           self.wl.arrival[self.pool]))
+            super().commit(r, leader, chosen, commit_at)
+
+    monkeypatch.setattr(simnet, "_Chain", RecordingChain)
+    c = small_pous_cfg(n_nodes=20, block_size_mb=0.01)
+    m = run(c)
+    assert any(len(ids) == c.capacity() for _, ids, _ in blocks)
+    assert m.confirmed_tx_count < m.total_tx_count
+    for commit_at, _, arrival in blocks:
+        assert (commit_at - c.block_delay >= arrival).all()
+    ids = np.concatenate([ids for _, ids, _ in blocks])
+    assert len(np.unique(ids)) == len(ids) == m.confirmed_tx_count
+    packed = [e["packed"] for e in m.round_log if e["packed"]]
+    assert packed == [len(block) for _, block, _ in blocks]
 
 
 # ---------------------------------------------------------------------------
