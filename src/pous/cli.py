@@ -236,6 +236,8 @@ def scenario_from_preset(
     seed: int = 7,
     overrides: Optional[dict] = None,
 ) -> tuple[Scenario, dict, list]:
+    """(scenario, run metadata, notes); the notes stay empty, because
+    :func:`run_scenario` adds the sweep-range note for every scenario."""
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; run 'pous presets' for the list"
@@ -245,9 +247,7 @@ def scenario_from_preset(
     replicates = _pop_replicates(
         overrides, spec["fast_replicates"] if fast else spec["replicates"]
     )
-    notes: list[str] = []
     base = config_from_fields({**spec["base"], "seed": seed, **overrides})
-    _check_sweep(spec["sweep_param"], spec["sweep_values"], notes)
     scenario = Scenario(
         name=name,
         base=base,
@@ -257,7 +257,7 @@ def scenario_from_preset(
         replicates=replicates,
         kind=spec["kind"],
     )
-    return scenario, {"seed": seed, "fast": fast}, notes
+    return scenario, {"seed": seed, "fast": fast}, []
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
@@ -281,6 +281,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
     sweep = doc.get("sweep", {})
     if set(sweep) - {"param", "values"}:
         raise ConfigurationError(f"{path}: sweep takes only param and values")
+    for key, value in (("sweep.values", sweep.get("values", [])),
+                       ("protocols", doc.get("protocols", []))):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: {key} must be a list, got {value!r}")
     overrides = dict(overrides or {})
     replicates = _pop_replicates(overrides, doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
@@ -319,6 +323,7 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     if scenario.kind == "cost":
         report.cost_series = run_cost_benchmark(scenario.base.seed)
         return report
+    _check_sweep(scenario.sweep_param, scenario.sweep_values, report.notes)
 
     master = scenario.base.seed
     by_point: dict[tuple[str, object], list[Metrics]] = {}
@@ -349,11 +354,13 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     ):
         tps = np.array([m.tps for m in runs])
         lat = np.array([m.mean_latency for m in runs])
+        # nan, not a warning, when no replicate confirmed anything
+        any_lat = not np.isnan(lat).all()
         report.aggregates.append({
             "protocol": protocol, "param": scenario.sweep_param, "value": value,
             "mean_tps": float(tps.mean()), "std_tps": float(tps.std()),
-            "mean_latency": float(np.nanmean(lat)) if len(lat) else float("nan"),
-            "std_latency": float(np.nanstd(lat)) if len(lat) else float("nan"),
+            "mean_latency": float(np.nanmean(lat)) if any_lat else float("nan"),
+            "std_latency": float(np.nanstd(lat)) if any_lat else float("nan"),
             "mean_crypto_time": float(np.mean([m.crypto_time for m in runs])),
             "mean_crypto_bytes": float(np.mean([m.crypto_bytes for m in runs])),
             "replicates": len(runs),
@@ -621,15 +628,13 @@ def _cmd_run(args) -> int:
             scenario = dataclasses.replace(
                 scenario, base=dataclasses.replace(scenario.base, seed=args.seed)
             )
-        notes = []
     else:
-        scenario, _, notes = scenario_from_preset(
+        scenario, _, _ = scenario_from_preset(
             args.scenario, fast=args.fast,
             seed=args.seed if args.seed is not None else 7,
             overrides=overrides,
         )
     report = run_scenario(scenario, keep_traces=args.trace)
-    report.notes.extend(notes)
     files = emit(report, args.out)
     sys.stdout.write(render_summary(report))
     sys.stdout.write(f"wrote {', '.join(files)} under {args.out}\n")

@@ -29,12 +29,12 @@ threshold constants.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import math
 import secrets
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputError
 
@@ -95,6 +95,8 @@ class KeyStream:
 # ---------------------------------------------------------------------------
 # fixed point encoding
 
+BITWIDTHS = range(4, 33)  # the comparator's input widths; every width check tests this
+
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -104,8 +106,8 @@ class FixedPoint:
     bitwidth: int
 
     def __post_init__(self):
-        if not 2 <= self.bitwidth <= 32:
-            raise RejectedInputError(f"bitwidth {self.bitwidth} outside 2..32")
+        if self.bitwidth not in BITWIDTHS:
+            raise RejectedInputError(f"bitwidth {self.bitwidth} outside 4..32")
         if not 0 <= self.raw < (1 << self.bitwidth):
             raise RejectedInputError(f"raw {self.raw} overflows {self.bitwidth} bits")
 
@@ -113,8 +115,8 @@ class FixedPoint:
     def encode(cls, value: float, bitwidth: int) -> "FixedPoint":
         if not 0.0 <= value <= 1.0:
             raise RejectedInputError(f"value {value} outside [0, 1]")
-        if not 2 <= bitwidth <= 32:
-            raise RejectedInputError(f"bitwidth {bitwidth} outside 2..32")
+        if bitwidth not in BITWIDTHS:
+            raise RejectedInputError(f"bitwidth {bitwidth} outside 4..32")
         return cls(raw=round(value * ((1 << bitwidth) - 1)), bitwidth=bitwidth)
 
     def decode(self) -> float:
@@ -327,7 +329,7 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     The threshold is public and baked in: its bit wires ship with only
     the label matching the actual constant bit. Same seed, same bytes.
     """
-    if not 4 <= bitwidth <= 32:
+    if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
     theta_fp = FixedPoint.encode(theta, bitwidth)
     b = _Builder()
@@ -367,12 +369,26 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     )
 
 
+@functools.cache
+def comparator_size(bitwidth: int) -> tuple[int, int]:
+    """Gate count and serialized bytes of the width-``bitwidth``
+    comparator, read off one real garbled circuit; neither depends on
+    theta or the seed."""
+    circuit = garble_comparator(bitwidth, 0.5, seed=0).circuit
+    return len(circuit.gates), len(circuit.serialize())
+
+
 def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint) -> list[bytes]:
     """Pick the label per input wire matching the value's bits."""
     bits = value.bits_lsb()
     if len(bits) != len(keys):
         raise RejectedInputError("value width does not match circuit inputs")
     return [keys[i][bit] for i, bit in enumerate(bits)]
+
+
+# rows eval_circuit decrypts per gate on average: the valid row sits at a
+# uniformly shuffled slot among four, so (1 + 2 + 3 + 4) / 4
+ROW_TRIES = 2.5
 
 
 def eval_circuit(
@@ -572,25 +588,20 @@ class TrustedDealerOT:
 # end-to-end comparison
 
 
-def evaluator_input_labels(
-    template: ComparatorTemplate,
-    value: FixedPoint,
-    ot,
-) -> tuple[list[bytes], int]:
-    """Fetch the evaluator's labels bit by bit through OT.
+def comparison_bytes(bitwidth: int, ot) -> int:
+    """Bytes one comparison moves besides the circuit: the generator's
+    active labels plus one transfer per evaluator bit."""
+    return bitwidth * (LABEL_BYTES + ot.transfer_bytes())
 
-    Returns the labels and the transcript byte total. The evaluator side
-    never touches the generator's key table directly.
-    """
-    bits = value.bits_lsb()
-    labels = []
-    total = 0
-    for i, bit in enumerate(bits):
-        k0, k1 = template.eval_keys[i]
-        lab, transcript = ot.exchange(k0, k1, bit)
-        labels.append(lab)
-        total += transcript.total_bytes()
-    return labels, total
+
+def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float, ot) -> int:
+    """Encode both values, fetch the evaluator's labels bit by bit through
+    OT (it never sees the generator's key table), evaluate and decode."""
+    circuit = template.circuit
+    a, b = (FixedPoint.encode(v, circuit.bitwidth) for v in (gen_value, eval_value))
+    eval_labels = [ot.exchange(*k, bit)[0] for k, bit in zip(template.eval_keys, b.bits_lsb())]
+    out = eval_circuit(circuit, select_input_labels(template.gen_keys, a), eval_labels)
+    return decode_output(circuit, out)
 
 
 def secure_compare(
@@ -609,21 +620,16 @@ def secure_compare(
     """
     if template is None:
         template = garble_comparator(bitwidth, theta, seed)
-    ot = ot if ot is not None else TrustedDealerOT()
-    a = FixedPoint.encode(gen_value, template.circuit.bitwidth)
-    b = FixedPoint.encode(eval_value, template.circuit.bitwidth)
-    gen_labels = select_input_labels(template.gen_keys, a)
-    eval_labels, _ = evaluator_input_labels(template, b, ot)
-    out = eval_circuit(template.circuit, gen_labels, eval_labels)
-    return decode_output(template.circuit, out)
+    return _compare(template, gen_value, eval_value,
+                    ot if ot is not None else TrustedDealerOT())
 
 
 class PlainCompareBackend:
     """Threshold compare without cryptography; same fixed-point semantics.
 
-    Large network simulations swap this in for the garbled path. Byte
-    costs are reported from the real template so accounting stays
-    faithful.
+    Large network simulations swap this in for the garbled path; it
+    reports no bytes, and the simulator accounts them through
+    :func:`comparator_size` and :func:`comparison_bytes`.
     """
 
     def __init__(self, theta: float, bitwidth: int = 16):
@@ -650,14 +656,10 @@ class GarbledCompareBackend:
         self.ot = ot if ot is not None else TrustedDealerOT()
         self.bitwidth = bitwidth
         self.comparisons = 0
-        self.bytes_moved = len(self.template.circuit.serialize())
+        self.bytes_moved = comparator_size(bitwidth)[1]
 
     def compare(self, gen_value: float, eval_value: float) -> int:
-        a = FixedPoint.encode(gen_value, self.bitwidth)
-        b = FixedPoint.encode(eval_value, self.bitwidth)
-        gen_labels = select_input_labels(self.template.gen_keys, a)
-        eval_labels, ot_bytes = evaluator_input_labels(self.template, b, self.ot)
-        out = eval_circuit(self.template.circuit, gen_labels, eval_labels)
+        bit = _compare(self.template, gen_value, eval_value, self.ot)
         self.comparisons += 1
-        self.bytes_moved += len(gen_labels) * LABEL_BYTES + ot_bytes
-        return decode_output(self.template.circuit, out)
+        self.bytes_moved += comparison_bytes(self.bitwidth, self.ot)
+        return bit

@@ -17,8 +17,10 @@ agree and honest comparisons always approve shared entries. That
 collapses the voting tally to budget arithmetic: the leader is the
 miner that computed the longest prefix of the pair sequence. No test
 yet checks this shortcut against the full record-level tally.
-Cryptographic cost is accounted from the real circuit sizes and
-transcript formats; no comparison is actually run.
+Cryptographic cost is accounted from the comparator facts that
+:mod:`pous.garbled` publishes (:func:`~pous.garbled.comparator_size`,
+:func:`~pous.garbled.comparison_bytes`, ``ROW_TRIES``); no comparison
+is actually run.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ from .similarity import DEFAULT_CLASSES
 # sha256 throughput measured on this class of hardware; only used to
 # convert gate counts into simulated seconds
 _SHA_SECONDS = 4.4e-7
-_AVG_ROW_TRIES = 2.5
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,12 @@ class SimConfig:
             raise ConfigurationError("honest_fraction outside [0, 1]")
         if self.k_clusters < 1:
             raise ConfigurationError("k_clusters must be at least 1")
-        if not 4 <= self.bitwidth <= 32:
+        if self.bitwidth not in garbled.BITWIDTHS:
             raise ConfigurationError("bitwidth outside 4..32, the comparator's range")
         if self.tx_epoch is not None and self.tx_epoch <= 0:
             raise ConfigurationError("tx_epoch must be positive when set")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     def capacity(self) -> int:
         """Transactions per block: block size over transaction size."""
@@ -231,24 +234,13 @@ def confirmation_latency(metrics: Metrics) -> np.ndarray:
 # crypto cost accounting
 
 
-def _circuit_bytes(bitwidth: int) -> int:
-    key = ("circuit", bitwidth)
-    if key not in _circuit_bytes.cache:
-        template = garbled.garble_comparator(bitwidth, 0.5, seed=0)
-        _circuit_bytes.cache[key] = len(template.circuit.serialize())
-    return _circuit_bytes.cache[key]
-
-
-_circuit_bytes.cache = {}
-
-
 def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, float, int]:
     """Comparisons, simulated seconds, and transcript bytes per round.
 
     Every ordered (voter, candidate) pair compares the common prefix of
     their budgeted pair sequences, two matrix slots per user pair.
-    Evaluation time comes from gate count times measured hash cost;
-    bytes cover generator labels, the transfer transcript per evaluator
+    Evaluation time is gates times rows tried per gate times the hash
+    cost; bytes cover generator labels, the transfer transcript per evaluator
     bit, and the per-epoch circuit shipment amortized over the
     rotation period.
     """
@@ -259,14 +251,12 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     ranks = np.arange(1, max_b + 1)
     cnt_ge = len(budgets) - np.searchsorted(sorted_b, ranks, side="left")
     comparisons = int(2 * (cnt_ge * (cnt_ge - 1)).sum())
-    gates = 19 * config.bitwidth - 8
-    eval_seconds = comparisons * gates * _AVG_ROW_TRIES * _SHA_SECONDS
-    ot = garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP)
-    per_cmp_bytes = (
-        config.bitwidth * garbled.LABEL_BYTES + config.bitwidth * ot.transfer_bytes()
-    )
+    gates, circuit_bytes = garbled.comparator_size(config.bitwidth)
+    eval_seconds = comparisons * gates * garbled.ROW_TRIES * _SHA_SECONDS
+    per_cmp_bytes = garbled.comparison_bytes(
+        config.bitwidth, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
     m = len(budgets)
-    circuit_share = _circuit_bytes(config.bitwidth) * m * (m - 1) / config.rotation_period
+    circuit_share = circuit_bytes * m * (m - 1) / config.rotation_period
     total_bytes = int(comparisons * per_cmp_bytes + circuit_share)
     return comparisons, eval_seconds, total_bytes
 

@@ -1,6 +1,8 @@
 """Scenario presets, config files, orchestration, CSV emission, verbs."""
 import dataclasses
 import json
+import math
+import warnings
 from hashlib import sha256
 from pathlib import Path
 
@@ -155,6 +157,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"replicates": "abc"}, "replicates"),
     ({"sweep": {"param": "block_size_mb", "values": [0.5, "abc"]}}, "block_size_mb"),
     ({"kind": "bogus"}, "bogus"),
+    ({"sweep": {"values": 5}}, "sweep.values"),
+    ({"protocols": 5}, "protocols"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -175,6 +179,16 @@ def test_scenario_file_takes_replicates_override(tmp_path, capsys):
     assert len(cells) == 1 + 2 * 2  # protocols x values, one replicate
     with pytest.raises(ConfigurationError, match="replicates"):
         load_config(str(path), {"replicates": 2.5})
+
+
+def test_scenario_file_sweep_out_of_range_is_noted(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(
+        TINY_JSON, replicates=1, sweep={"param": "block_size_mb", "values": [40.0]})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "note: sweep values [40.0] for block_size_mb fall outside" in summary
 
 
 @pytest.mark.parametrize("text", ["5", '{"sweep": []}', '{"base": [1]}'])
@@ -252,6 +266,19 @@ def test_run_scenario_improvements_are_paired():
         for a, b in zip(pous, pow_):
             assert a["seed"] == b["seed"]
             assert a["total_tx_count"] == b["total_tx_count"]
+
+
+def test_run_scenario_point_without_confirmations_is_nan_without_warnings():
+    base = SimConfig(n_nodes=8, sim_time=430.0, block_interval=100.0,
+                     tx_count_mean=0.0, sigma=0.0)
+    idle = Scenario(name="idle", base=base, sweep_param="block_size_mb",
+                    sweep_values=[1.0], replicates=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(idle)
+    assert len(report.aggregates) == 2
+    for agg in report.aggregates:
+        assert math.isnan(agg["mean_latency"]) and math.isnan(agg["std_latency"])
 
 
 def test_run_scenario_single_protocol_skips_improvements():
@@ -394,6 +421,13 @@ def test_run_verb_bad_file_fails(tmp_path, capsys):
     assert "bad.json:1" in err
 
 
+def test_run_verb_rejects_negative_seed(tmp_path, capsys):
+    rc = main(["run", "fig7-n30", "--fast", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_verb_bad_override_fails(tmp_path, capsys):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY_JSON))
@@ -427,12 +461,15 @@ def _doctor_header(header):
     ill_typed = json.loads(json.dumps(header))
     ill_typed["config"]["n_nodes"] = "eight"
     alien = dict(header, protocol="pos")
+    negative = json.loads(json.dumps(header))
+    negative["config"]["seed"] = -1
     return {"block_reward": json.dumps(old), "weights": json.dumps(no_weights),
             "n_nodes": json.dumps(ill_typed), "pos": json.dumps(alien),
-            "not JSON": "this is no trace header"}
+            "not JSON": "this is no trace header", "seed": json.dumps(negative)}
 
 
-@pytest.mark.parametrize("case", ["block_reward", "weights", "n_nodes", "pos", "not JSON"])
+@pytest.mark.parametrize("case", ["block_reward", "weights", "n_nodes", "pos", "not JSON",
+                                  "seed"])
 def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
     report = run_scenario(tiny_scenario(replicates=1), keep_traces=True)
     lines = report.traces[("pow", 0.5, 0)]

@@ -25,6 +25,7 @@ from pous.garbled import (
     KeyStream,
     PlainCompareBackend,
     TrustedDealerOT,
+    comparator_size,
     decode_output,
     eval_circuit,
     garble_comparator,
@@ -49,6 +50,19 @@ def decrypt_row(row, ka, kb, gate_index, slot):
     plain = bytes(x ^ y for x, y in zip(row, pad[:ROW_BYTES]))
     label, tag = plain[:LABEL_BYTES], plain[LABEL_BYTES:]
     return label, tag == b"\x00" * 4
+
+
+class RecordingOT(DiffieHellmanOT):
+    """DH transfer that keeps the transcript of every exchange."""
+
+    def __init__(self, group, rng=None):
+        super().__init__(group, rng=rng)
+        self.transcripts = []
+
+    def exchange(self, m0, m1, bit):
+        label, transcript = super().exchange(m0, m1, bit)
+        self.transcripts.append(transcript)
+        return label, transcript
 
 
 def fresh_keys(stream, count=3):
@@ -178,6 +192,13 @@ def test_gate_count_closed_form():
     for w in (4, 8, 16, 24, 32):
         t = garble_comparator(w, 0.4, seed=1)
         assert len(t.circuit.gates) == 19 * w - 8
+
+
+def test_comparator_size_reads_a_real_circuit():
+    for w in (4, 8, 16):
+        for theta, seed in ((0.0, 3), (0.4, 1), (1.0, 9)):
+            c = garble_comparator(w, theta, seed).circuit
+            assert comparator_size(w) == (len(c.gates), len(c.serialize()))
 
 
 def test_comparator_rejects_unsupported_bitwidth():
@@ -445,3 +466,19 @@ def test_backends_agree():
         assert plain.compare(a, b) == garb.compare(a, b)
     assert plain.comparisons == garb.comparisons == 300
     assert garb.bytes_moved > start_bytes
+
+
+def test_backend_bytes_are_the_circuit_plus_measured_transcripts():
+    w, n = 8, 5
+    ot = RecordingOT(FAST_GROUP, rng=random.Random(21))
+    garb = GarbledCompareBackend(0.4, bitwidth=w, seed=21, ot=ot)
+    rng = random.Random(21)
+    for _ in range(n):
+        garb.compare(rng.random(), rng.random())
+    assert len(ot.transcripts) == n * w
+    measured = [
+        w * LABEL_BYTES + sum(t.total_bytes() for t in ot.transcripts[i * w:(i + 1) * w])
+        for i in range(n)
+    ]
+    assert len(set(measured)) == 1
+    assert garb.bytes_moved == len(garb.template.circuit.serialize()) + n * measured[0]

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pous import simnet
-from pous.errors import ConfigurationError
+from pous import garbled, simnet
+from pous.errors import ConfigurationError, RejectedInputError
+from pous.garbled import (
+    DEFAULT_GROUP,
+    LABEL_BYTES,
+    DiffieHellmanOT,
+    FixedPoint,
+    GarbledCompareBackend,
+    PlainCompareBackend,
+)
 from pous.simnet import (
     Metrics,
     SimConfig,
@@ -59,6 +67,7 @@ def test_config_validation():
         dict(bitwidth=3),  # the comparator starts at 4 bits
         dict(tx_epoch=0.0),
         dict(sigma=-1),
+        dict(seed=-1),  # numpy's SeedSequence takes no negative entropy
     ]
     for kw in bad:
         with pytest.raises(ConfigurationError):
@@ -142,6 +151,52 @@ def test_round_costs_match_pairwise_prefix_oracle():
 
 def test_round_costs_zero_budgets():
     assert _crypto_round_costs(np.zeros(5, dtype=int), cfg()) == (0, 0.0, 0)
+
+
+class RecordingOT(DiffieHellmanOT):
+    """DH transfer that keeps the transcript of every exchange."""
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.transcripts = []
+
+    def exchange(self, m0, m1, bit):
+        label, transcript = super().exchange(m0, m1, bit)
+        self.transcripts.append(transcript)
+        return label, transcript
+
+
+def test_round_costs_match_a_real_comparison():
+    # two miners with budget 1: 4 comparisons, 2 circuits per epoch
+    w = 8
+    ot = RecordingOT(DEFAULT_GROUP)
+    template = garbled.garble_comparator(w, 0.4, seed=3)
+    garbled.secure_compare(0.3, 0.6, 0.4, template=template, ot=ot)
+    assert len(ot.transcripts) == w
+    one = w * LABEL_BYTES + sum(t.total_bytes() for t in ot.transcripts)
+    circuit = template.circuit
+    comparisons, seconds, nbytes = _crypto_round_costs(
+        np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
+    assert comparisons == 4
+    assert nbytes == 4 * one + 2 * len(circuit.serialize())
+    assert seconds == 4 * len(circuit.gates) * garbled.ROW_TRIES * simnet._SHA_SECONDS
+
+
+def test_width_checks_share_one_range():
+    for w in (4, 32):
+        PlainCompareBackend(0.4, bitwidth=w)
+        GarbledCompareBackend(0.4, bitwidth=w)
+        FixedPoint.encode(0.4, w)
+        cfg(bitwidth=w)
+    for w in (3, 33):
+        with pytest.raises(RejectedInputError):
+            PlainCompareBackend(0.4, bitwidth=w)
+        with pytest.raises(ConfigurationError):
+            GarbledCompareBackend(0.4, bitwidth=w)
+        with pytest.raises(RejectedInputError):
+            FixedPoint.encode(0.4, w)
+        with pytest.raises(ConfigurationError):
+            cfg(bitwidth=w)
 
 
 # ---------------------------------------------------------------------------
