@@ -46,7 +46,7 @@ lookup = {t.id: t for t in mempool}
 clusters = cluster_mempool(mempool, vectors, k=3, seed=4)
 for cl in clusters:
     print(f"cluster {cl.id}: {len(cl.tx_ids)} txs from users "
-          f"{sorted(cl.user_vectors)}")
+          f"{list(cl.users)}")
 
 weights = PriorityWeights(a=0.5, b=2.0, c=1.0)
 now = 600.0

@@ -84,7 +84,6 @@ from .simnet import (
     Metrics,
     SimConfig,
     Workload,
-    confirmation_latency,
     gen_workload,
     replay_trace,
     run_pous,
@@ -111,6 +110,5 @@ __all__ = [
     "decode_flag", "encode_flag", "merkle_root", "pack_block", "pca_project",
     "priority", "rank", "tx_priority",
     "Metrics", "SimConfig", "Workload",
-    "confirmation_latency", "gen_workload", "replay_trace", "run_pous",
-    "run_pow",
+    "gen_workload", "replay_trace", "run_pous", "run_pow",
 ]

@@ -15,8 +15,6 @@ nothing.
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -348,45 +346,6 @@ def strategy_scores(p0: float, p1: float, y: float) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-_CSV_HEADER = ["round", "voter", "candidate", "entry", "x", "y", "valid"]
-
-
-def votes_to_csv(records: list[VoteRecord], round_index: int = 0) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_HEADER)
-    for r in records:
-        w.writerow(
-            [round_index, r.voter, r.candidate, r.entry, r.x, repr(r.y), int(r.valid)]
-        )
-    return buf.getvalue()
-
-
-def votes_from_csv(text: str) -> tuple[int, list[VoteRecord]]:
-    """Inverse of votes_to_csv: (round_index, records)."""
-    rows = csv.reader(io.StringIO(text))
-    header = next(rows, None)
-    if header != _CSV_HEADER:
-        raise RejectedInputError("unrecognized vote CSV header")
-    round_index = 0
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        round_index = int(row[0])
-        out.append(
-            VoteRecord(
-                voter=int(row[1]),
-                candidate=int(row[2]),
-                entry=int(row[3]),
-                x=int(row[4]),
-                y=float(row[5]),
-                valid=bool(int(row[6])),
-            )
-        )
-    return round_index, out
 
 
 def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:

@@ -66,14 +66,13 @@ class Scenario:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be at least 1")
-        if self.kind != "cost":
-            if not self.protocols or any(p not in ("pous", "pow") for p in self.protocols):
-                raise ConfigurationError(f"unknown protocols {self.protocols}")
-            fixed = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(SimConfig)}
-            if self.sweep_param not in fixed:
-                raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
-            for value in self.sweep_values:
-                config_from_fields({**fixed, self.sweep_param: value})
+        if not self.protocols or any(p not in ("pous", "pow") for p in self.protocols):
+            raise ConfigurationError(f"unknown protocols {self.protocols}")
+        fixed = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(SimConfig)}
+        if self.sweep_param not in fixed:
+            raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
+        for value in self.sweep_values:
+            config_from_fields({**fixed, self.sweep_param: value})
 
 
 @dataclass
@@ -104,12 +103,13 @@ def _preset(
     replicates=100,
     kind="sim",
 ):
-    return {
-        "name": name, "description": desc, "base": base,
-        "sweep_param": sweep_param, "sweep_values": sweep_values,
-        "protocols": protocols, "fast_replicates": fast_replicates,
-        "replicates": replicates, "kind": kind,
-    }
+    """Register a preset: the scenario document a file would carry, plus
+    its description and the replicate count ``--fast`` runs."""
+    PRESETS[name] = {"description": desc, "fast_replicates": fast_replicates, "doc": {
+        "name": name, "base": base,
+        "sweep": {"param": sweep_param, "values": list(sweep_values)},
+        "protocols": list(protocols), "replicates": replicates, "kind": kind,
+    }}
 
 
 def _lam_epoch(n_nodes: int, lam: float) -> float:
@@ -120,7 +120,7 @@ def _lam_epoch(n_nodes: int, lam: float) -> float:
 _SIZES = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
 
 PRESETS = {}
-PRESETS["pow-anchor"] = _preset(
+_preset(
     "pow-anchor",
     "Work-baseline sanity point: 1 MB blocks, 600 s interval, 30 nodes",
     dict(n_nodes=30, sim_time=60030.0, block_size_mb=1.0, block_interval=600.0,
@@ -128,38 +128,38 @@ PRESETS["pow-anchor"] = _preset(
     "block_size_mb", [1.0], protocols=("pow",), fast_replicates=10,
 )
 for _n in (30, 200, 1000):
-    PRESETS[f"fig7-n{_n}"] = _preset(
+    _preset(
         f"fig7-n{_n}",
         f"Throughput vs block size, {_n} nodes",
         dict(n_nodes=_n, sim_time=7230.0, block_interval=600.0, block_delay=0.4,
              tx_epoch=_lam_epoch(_n, 3.2), committee_size=4 if _n == 30 else 7),
-        "block_size_mb", list(_SIZES),
+        "block_size_mb", _SIZES,
     )
-    PRESETS[f"fig8-n{_n}"] = _preset(
+    _preset(
         f"fig8-n{_n}",
         f"Throughput vs block interval, {_n} nodes",
         dict(n_nodes=_n, sim_time=2430.0, block_size_mb=2.0, block_delay=0.4,
              tx_epoch=_lam_epoch(_n, 3.2), committee_size=4 if _n == 30 else 7),
         "block_interval", [200.0, 300.0, 400.0, 600.0, 800.0],
     )
-PRESETS["fig9a"] = _preset(
+_preset(
     "fig9a",
     "Confirmation latency vs block size, 30 nodes",
     dict(n_nodes=30, sim_time=2430.0, block_interval=600.0, block_delay=0.4,
          tx_epoch=_lam_epoch(30, 3.2)),
-    "block_size_mb", list(_SIZES),
+    "block_size_mb", _SIZES,
 )
 # long horizon: the work baseline's queue only shows its saturation
 # curvature near rho = offered load / (capacity/interval) ~ 0.95 once
 # the backlog has had many block arrivals to build up
-PRESETS["fig9b"] = _preset(
+_preset(
     "fig9b",
     "Confirmation latency vs block interval, 30 nodes",
     dict(n_nodes=30, sim_time=48030.0, block_size_mb=2.0, block_delay=0.4,
          tx_epoch=_lam_epoch(30, 8.0)),
     "block_interval", [200.0, 400.0, 600.0, 800.0, 1000.0],
 )
-PRESETS["fig10"] = _preset(
+_preset(
     "fig10",
     "Clustering scatter: packed transactions vs mempool clusters",
     dict(n_nodes=30, sim_time=2430.0, block_size_mb=2.0, block_interval=600.0,
@@ -167,7 +167,7 @@ PRESETS["fig10"] = _preset(
     "block_size_mb", [2.0], protocols=("pous",), fast_replicates=1, replicates=1,
     kind="scatter",
 )
-PRESETS["cost-2pc"] = _preset(
+_preset(
     "cost-2pc",
     "Two-party comparison cost scaling and vote-matrix bytes",
     dict(n_nodes=30, sim_time=2430.0),
@@ -230,66 +230,34 @@ def _check_sweep(param: str, values: list, notes: list) -> None:
             )
 
 
-def scenario_from_preset(
-    name: str,
-    fast: bool = False,
-    seed: int = 7,
-    overrides: Optional[dict] = None,
-) -> tuple[Scenario, dict, list]:
-    """(scenario, run metadata, notes); the notes stay empty, because
-    :func:`run_scenario` adds the sweep-range note for every scenario."""
-    if name not in PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; run 'pous presets' for the list"
-        )
-    spec = PRESETS[name]
-    overrides = dict(overrides or {})
-    replicates = _pop_replicates(
-        overrides, spec["fast_replicates"] if fast else spec["replicates"]
-    )
-    base = config_from_fields({**spec["base"], "seed": seed, **overrides})
-    scenario = Scenario(
-        name=name,
-        base=base,
-        sweep_param=spec["sweep_param"],
-        sweep_values=list(spec["sweep_values"]),
-        protocols=tuple(spec["protocols"]),
-        replicates=replicates,
-        kind=spec["kind"],
-    )
-    return scenario, {"seed": seed, "fast": fast}, []
+def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scenario:
+    """Scenario from a scenario document merged with base-config overrides.
 
-
-def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
-    """Scenario from a JSON file merged with overrides.
-
-    The file carries name, base config, sweep, protocols, replicates;
-    unknown keys at either level are rejected by name.
+    Presets and scenario files both load here. The document carries
+    name, base config, sweep, protocols, replicates and kind; unknown
+    keys at either level are rejected by name, and errors start with
+    ``where``.
     """
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict) or not all(
         isinstance(doc.get(key, {}), dict) for key in ("base", "sweep")
     ):
-        raise ConfigurationError(f"{path}: the scenario, its base and its sweep must be objects")
+        raise ConfigurationError(f"{where}: the scenario, its base and its sweep must be objects")
     allowed = {"name", "base", "sweep", "protocols", "replicates", "kind"}
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
     sweep = doc.get("sweep", {})
     if set(sweep) - {"param", "values"}:
-        raise ConfigurationError(f"{path}: sweep takes only param and values")
+        raise ConfigurationError(f"{where}: sweep takes only param and values")
     for key, value in (("sweep.values", sweep.get("values", [])),
                        ("protocols", doc.get("protocols", []))):
         if not isinstance(value, list):
-            raise ConfigurationError(f"{path}: {key} must be a list, got {value!r}")
+            raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
     overrides = dict(overrides or {})
     replicates = _pop_replicates(overrides, doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
     return Scenario(
-        name=doc.get("name", Path(path).stem),
+        name=doc.get("name", Path(where).stem),
         base=base,
         sweep_param=sweep.get("param", "block_size_mb"),
         sweep_values=list(sweep.get("values", [base.block_size_mb])),
@@ -297,6 +265,36 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
         replicates=replicates,
         kind=doc.get("kind", "sim"),
     )
+
+
+def scenario_from_preset(
+    name: str,
+    fast: bool = False,
+    seed: int = 7,
+    overrides: Optional[dict] = None,
+) -> tuple[Scenario, dict, list]:
+    """(scenario, run metadata, notes) of a preset; ``seed`` enters as
+    a base-config override, so a ``seed`` in ``overrides`` beats it. The
+    notes stay empty, because :func:`run_scenario` adds the sweep-range
+    note for every scenario."""
+    if name not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; run 'pous presets' for the list"
+        )
+    spec = PRESETS[name]
+    doc = dict(spec["doc"], replicates=spec["fast_replicates"]) if fast else spec["doc"]
+    scenario = scenario_from_doc(doc, name, {"seed": seed, **(overrides or {})})
+    return scenario, {"seed": scenario.base.seed, "fast": fast}, []
+
+
+def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
+    """Scenario from a JSON file merged with overrides; see
+    :func:`scenario_from_doc`."""
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    return scenario_from_doc(doc, path, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +620,13 @@ def render_summary(report: RunReport) -> str:
 
 def _cmd_run(args) -> int:
     overrides = parse_overrides(args.set or [])
+    if args.seed is not None:
+        overrides = {"seed": args.seed, **overrides}
     if Path(args.scenario).suffix == ".json" and Path(args.scenario).exists():
         scenario = load_config(args.scenario, overrides)
-        if args.seed is not None:
-            scenario = dataclasses.replace(
-                scenario, base=dataclasses.replace(scenario.base, seed=args.seed)
-            )
     else:
-        scenario, _, _ = scenario_from_preset(
-            args.scenario, fast=args.fast,
-            seed=args.seed if args.seed is not None else 7,
-            overrides=overrides,
-        )
+        scenario, _, _ = scenario_from_preset(args.scenario, fast=args.fast,
+                                              overrides=overrides)
     report = run_scenario(scenario, keep_traces=args.trace)
     files = emit(report, args.out)
     sys.stdout.write(render_summary(report))
@@ -644,10 +637,11 @@ def _cmd_run(args) -> int:
 def _cmd_presets(_args) -> int:
     for name in sorted(PRESETS):
         spec = PRESETS[name]
-        sweep = f"{spec['sweep_param']} x{len(spec['sweep_values'])}"
+        doc = spec["doc"]
+        sweep = f"{doc['sweep']['param']} x{len(doc['sweep']['values'])}"
         sys.stdout.write(
             f"{name:12s} {spec['description']} "
-            f"[{'+'.join(spec['protocols'])}; {sweep}; "
+            f"[{'+'.join(doc['protocols'])}; {sweep}; "
             f"fast x{spec['fast_replicates']}]\n"
         )
     return 0

@@ -216,6 +216,11 @@ class GarbledCircuit:
                    tuple(gates), out_wire, omap)
 
 
+def _xor(a: bytes, b: bytes) -> bytes:
+    """XOR of two equal-length byte strings."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
 def _row_pad(outer: bytes, inner: bytes, gate_index: int, slot: int) -> bytes:
     tweak = struct.pack("<IB", gate_index, slot)
     return hashlib.sha256(outer + inner + tweak).digest()[:ROW_BYTES]
@@ -245,8 +250,7 @@ def gen_gate(
     for slot, combo_idx in enumerate(order):
         a, b = combos[combo_idx]
         plain = out_keys[table[2 * a + b]] + TAG
-        pad = _row_pad(in1_keys[a], in2_keys[b], gate_index, slot)
-        rows[slot] = bytes(x ^ y for x, y in zip(plain, pad))
+        rows[slot] = _xor(plain, _row_pad(in1_keys[a], in2_keys[b], gate_index, slot))
     return GarbledGate(kind, in1, in2, out, tuple(rows))
 
 
@@ -414,26 +418,18 @@ def eval_circuit(
     for w, lab in circuit.const_wires:
         labels[w] = lab
 
-    sha = hashlib.sha256
-    tweaks = [struct.pack("<IB", gi, s) for gi in range(len(circuit.gates)) for s in range(4)]
     for gi, gate in enumerate(circuit.gates):
         ka = labels[gate.in1]
         kb = labels[gate.in2]
         if ka is None or kb is None:
             raise CorruptedCircuitError(f"gate {gi} evaluated before its inputs")
-        base = ka + kb
-        found = None
-        toff = 4 * gi
-        for slot in range(4):
-            pad = sha(base + tweaks[toff + slot]).digest()
-            row = gate.rows[slot]
-            tag = bytes(row[i] ^ pad[i] for i in range(LABEL_BYTES, ROW_BYTES))
-            if tag == TAG:
-                found = bytes(row[i] ^ pad[i] for i in range(LABEL_BYTES))
+        for slot, row in enumerate(gate.rows):
+            plain = _xor(row, _row_pad(ka, kb, gi, slot))
+            if plain[LABEL_BYTES:] == TAG:
+                labels[gate.out] = plain[:LABEL_BYTES]
                 break
-        if found is None:
+        else:
             raise CorruptedCircuitError(f"no row of gate {gi} carries a valid tag")
-        labels[gate.out] = found
     return labels[circuit.output_wire]
 
 
@@ -555,13 +551,13 @@ class DiffieHellmanOT:
             r = self._rand_exp()
             u = pow(g, r, p)
             key = _hash_to_key(grp, pow(pk, r, p))
-            ct = bytes(a ^ b for a, b in zip(m, key))
+            ct = _xor(m, key)
             cts.append((u, ct))
             t.messages.append(("sender", grp.encode(u) + ct))
         # receiver decrypts its side
         u, ct = cts[bit]
         key = _hash_to_key(grp, pow(u, x, p))
-        out = bytes(a ^ b for a, b in zip(ct, key))
+        out = _xor(ct, key)
         return out, t
 
     def transfer_bytes(self) -> int:

@@ -49,8 +49,8 @@ class Cluster:
     id: int
     tx_ids: tuple[int, ...]
     centroid: np.ndarray
-    tx_users: dict[int, int]
-    user_vectors: dict[int, np.ndarray]
+    users: tuple[int, ...]
+    tx_dist: dict[int, float]  # tx id -> its user's distance to the centroid
 
     def __post_init__(self):
         if not self.tx_ids:
@@ -145,6 +145,17 @@ def _vector_map(user_vectors) -> dict[int, np.ndarray]:
     return out
 
 
+def cluster_users(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means over user vectors with k clamped to the point count.
+
+    The one clustering step of block packing. Returns (labels, centers,
+    dist), where ``dist`` is each point's distance to its center.
+    """
+    points = np.asarray(points, dtype=float)
+    labels, centers = kmeans(points, min(k, len(points)), seed)
+    return labels, centers, np.sqrt(((points - centers[labels]) ** 2).sum(axis=1))
+
+
 def cluster_mempool(
     mempool: Sequence[Transaction],
     user_vectors,
@@ -159,8 +170,6 @@ def cluster_mempool(
     """
     if not mempool:
         raise RejectedInputError("cannot cluster an empty mempool")
-    if k < 1:
-        raise RejectedInputError("k must be at least 1")
     vecs = _vector_map(user_vectors)
     users = sorted({tx.source_user for tx in mempool})
     missing = [u for u in users if u not in vecs]
@@ -168,28 +177,21 @@ def cluster_mempool(
         raise RejectedInputError(f"no vectors for users {missing[:5]}")
     if k > len(users):
         log.warning("k=%d exceeds %d distinct users; clamping", k, len(users))
-        k = len(users)
 
-    points = np.stack([vecs[u] for u in users])
-    labels, centers = kmeans(points, k, seed)
-    user_label = {u: int(lab) for u, lab in zip(users, labels)}
-
+    labels, centers, dist = cluster_users(np.stack([vecs[u] for u in users]), k, seed)
+    user_label = dict(zip(users, labels.tolist()))
+    user_dist = dict(zip(users, dist.tolist()))
     clusters = []
-    for c in range(k):
-        tx_ids = tuple(tx.id for tx in mempool if user_label[tx.source_user] == c)
-        if not tx_ids:
-            continue
-        members = {u for u in users if user_label[u] == c}
-        clusters.append(
-            Cluster(
+    for c, centroid in enumerate(centers):
+        members = [tx for tx in mempool if user_label[tx.source_user] == c]
+        if members:
+            clusters.append(Cluster(
                 id=c,
-                tx_ids=tx_ids,
-                centroid=centers[c],
-                tx_users={tx.id: tx.source_user for tx in mempool
-                          if user_label[tx.source_user] == c},
-                user_vectors={u: vecs[u] for u in members},
-            )
-        )
+                tx_ids=tuple(tx.id for tx in members),
+                centroid=centroid,
+                users=tuple(u for u in users if user_label[u] == c),
+                tx_dist={tx.id: user_dist[tx.source_user] for tx in members},
+            ))
     return clusters
 
 
@@ -212,11 +214,9 @@ def tx_priority(
     weights: PriorityWeights = PriorityWeights(),
 ) -> float:
     """:func:`priority` of one transaction within its cluster."""
-    if tx.id not in cluster.tx_users:
+    if tx.id not in cluster.tx_dist:
         raise RejectedInputError(f"tx {tx.id} not assigned to cluster {cluster.id}")
-    vec = cluster.user_vectors[cluster.tx_users[tx.id]]
-    dist = float(np.sqrt(((vec - cluster.centroid) ** 2).sum()))
-    return float(priority(now, tx.submit_time, tx.fee, dist, weights))
+    return float(priority(now, tx.submit_time, tx.fee, cluster.tx_dist[tx.id], weights))
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +406,8 @@ def pca_project(user_vectors, dims: int = 2) -> np.ndarray:
 def mean_centroid_distance(clusters: Sequence[Cluster], tx_ids: Optional[set] = None) -> float:
     """Average distance from transactions' user vectors to their
     cluster centers, optionally restricted to a transaction subset."""
-    dists = []
-    for cl in clusters:
-        for tid in cl.tx_ids:
-            if tx_ids is not None and tid not in tx_ids:
-                continue
-            vec = cl.user_vectors[cl.tx_users[tid]]
-            dists.append(float(np.sqrt(((vec - cl.centroid) ** 2).sum())))
+    dists = [cl.tx_dist[tid] for cl in clusters for tid in cl.tx_ids
+             if tx_ids is None or tid in tx_ids]
     if not dists:
         raise RejectedInputError("no transactions to measure")
     return float(np.mean(dists))

@@ -2,7 +2,7 @@
 
 Mining here is statistics, not hashing: a miner tallies how many
 transactions each user issued per behaviour class over its current data
-view (the last ``eta`` committed blocks plus its mempool), turning every
+view (recent committed blocks plus its mempool), turning every
 user into a count vector. It then fills a user-by-user similarity matrix
 pair by pair until its per-round budget runs out. Entries it never
 reached stay null; a partially filled matrix is still a valid mining
@@ -52,13 +52,12 @@ class Transaction:
 class DataView:
     """What one miner can see: recent committed history plus its mempool.
 
-    ``history`` must span exactly the transactions of the latest ``eta``
-    committed blocks (an empty chain gives an empty history).
+    ``history`` holds the transactions of the committed blocks the miner
+    still counts (an empty chain gives an empty history).
     """
 
     history: tuple[Transaction, ...]
     mempool: tuple[Transaction, ...]
-    eta: int = 1
 
     def __iter__(self) -> Iterator[Transaction]:
         yield from self.history

@@ -7,10 +7,12 @@ the baseline walks exponential block gaps. Both consume one shared
 workload per seed, so throughput comparisons pair replicate by
 replicate, and both admit, commit and log transactions through one
 ledger (:class:`_Chain`), so the two differ only in how a round picks
-its leader and orders its pool. Traffic is held in columnar arrays,
+its leader and orders its pool; each round's leader is read from the
+round log. Traffic is held in columnar arrays,
 which keeps million-transaction runs fast. Packing order comes from
-:func:`pous.packing.priority` and :func:`pous.packing.rank`, the same
-rule the library's block assembly uses.
+:func:`pous.packing.cluster_users`, :func:`pous.packing.priority` and
+:func:`pous.packing.rank`, the same clustering step and rule the
+library's block assembly uses.
 
 Simulated miners all watch the same mempool, so their user vectors
 agree and honest comparisons always approve shared entries. That
@@ -40,7 +42,8 @@ from .committee import (
     select_committee,
 )
 from .errors import ConfigurationError
-from .packing import PriorityWeights, kmeans, priority, rank
+# kmeans stays importable here: the benchmark's tracer patches simnet.kmeans
+from .packing import PriorityWeights, cluster_users, kmeans, priority, rank
 from .similarity import DEFAULT_CLASSES
 
 # sha256 throughput measured on this class of hardware; only used to
@@ -126,7 +129,6 @@ class Workload:
     source: np.ndarray
     tx_class: np.ndarray
     fee: np.ndarray
-    size: np.ndarray
     submit: np.ndarray
     arrival: np.ndarray
 
@@ -150,12 +152,6 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     counts = np.maximum(counts, 0)
 
     total = int(counts.sum())
-    if total == 0:
-        empty_f = np.empty(0, dtype=float)
-        empty_i = np.empty(0, dtype=np.int64)
-        return Workload(empty_i, empty_i.copy(), empty_i.copy(), empty_f,
-                        empty_i.copy(), empty_f.copy(), empty_f.copy())
-
     source = np.repeat(
         np.tile(np.arange(1, config.n_nodes + 1), n_epochs), counts.reshape(-1)
     )
@@ -178,7 +174,6 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
         source=source[order].astype(np.int64),
         tx_class=tx_class[order].astype(np.int64),
         fee=fee[order],
-        size=np.full(len(order), config.tx_size, dtype=np.int64),
         submit=submit[order],
         arrival=arrival[order],
     )
@@ -202,7 +197,6 @@ class Metrics:
     rounds: int
     blocks_committed: int
     aborts: int
-    leaders: tuple
     crypto_time: float
     crypto_bytes: int
     functionality_wins: int
@@ -223,11 +217,6 @@ class Metrics:
 
     def summary(self) -> dict:
         return {f: getattr(self, f) for f in self.CSV_FIELDS}
-
-
-def confirmation_latency(metrics: Metrics) -> np.ndarray:
-    """Per-transaction commit-minus-submit times of the run."""
-    return metrics.latencies.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +326,8 @@ class _Chain:
             "sum_latency": float((commit_at - self.wl.submit[packed]).sum()) if n else 0.0,
         })
 
-    def metrics(self, protocol: str, config: SimConfig, leaders: list, wins: int,
-                rounds_with_block: int, crypto_time: float = 0.0,
-                crypto_bytes: int = 0) -> Metrics:
+    def metrics(self, protocol: str, config: SimConfig, wins: int, rounds_with_block: int,
+                crypto_time: float = 0.0, crypto_bytes: int = 0) -> Metrics:
         committed = self.commit_time > 0
         latencies = self.commit_time[committed] - self.wl.submit[committed]
         count = int(committed.sum())
@@ -356,7 +344,6 @@ class _Chain:
             rounds=len(self.round_log),
             blocks_committed=self.blocks,
             aborts=sum(e["aborted"] for e in self.round_log),
-            leaders=tuple(leaders),
             crypto_time=crypto_time,
             crypto_bytes=crypto_bytes,
             functionality_wins=wins,
@@ -370,17 +357,18 @@ def rank_pool(view: np.ndarray, wl: Workload, idx: np.ndarray, now: float,
               config: SimConfig, seed: int):
     """One round's packing order over the pool ``idx``.
 
-    The pool's source users are clustered on their rows of ``view``;
-    each transaction's distance is its user's distance to the cluster
-    centre, which feeds :func:`pous.packing.priority` and
-    :func:`pous.packing.rank`. Returns (order, per-transaction
-    distance, users, labels); ``order`` indexes into ``idx``.
+    The pool's source users are clustered on their rows of ``view`` by
+    :func:`pous.packing.cluster_users`; each transaction's distance is
+    its user's distance to the cluster centre, which feeds
+    :func:`pous.packing.priority` and :func:`pous.packing.rank`. Returns
+    (order, per-transaction distance, users, labels); ``order`` indexes
+    into ``idx``.
     """
     src = wl.source[idx]
     users = np.unique(src)
-    labels, centers = kmeans(view[users], min(config.k_clusters, len(users)), seed=seed)
+    labels, _, dist = cluster_users(view[users], config.k_clusters, seed)
     dist_user = np.zeros(len(view))
-    dist_user[users] = np.sqrt(((view[users] - centers[labels]) ** 2).sum(axis=1))
+    dist_user[users] = dist
     d_tx = dist_user[src]
     submit = wl.submit[idx]
     prio = priority(now, submit, wl.fee[idx], d_tx, config.weights)
@@ -419,7 +407,6 @@ def run_pous(config: SimConfig) -> Metrics:
     chain = _Chain(wl)
     view = np.zeros((n + 1, len(DEFAULT_CLASSES)))
     n_rounds = int(config.sim_time // interval)
-    leaders: list[int] = []
     wins = 0
     rounds_with_block = 0
     crypto_time = 0.0
@@ -443,7 +430,6 @@ def run_pous(config: SimConfig) -> Metrics:
         if decision is None:
             chain.log(r, -1, aborted=1)
             continue
-        leaders.append(decision.leader)
 
         fresh = chain.admit(now)
         np.add.at(view, (wl.source[fresh], wl.tx_class[fresh]), 1.0)
@@ -465,7 +451,7 @@ def run_pous(config: SimConfig) -> Metrics:
         else:
             chain.log(r, decision.leader)
 
-    return chain.metrics("pous", config, leaders, wins, rounds_with_block,
+    return chain.metrics("pous", config, wins, rounds_with_block,
                          crypto_time, round_crypto_bytes * n_rounds)
 
 
@@ -485,7 +471,6 @@ def run_pow(config: SimConfig) -> Metrics:
     rng = streams["rounds"]
 
     chain = _Chain(wl)
-    leaders = []
     now = 0.0
     while True:
         now += rng.exponential(config.block_interval)
@@ -501,9 +486,8 @@ def run_pow(config: SimConfig) -> Metrics:
             continue
         order = rank(wl.fee[pool], wl.submit[pool], wl.ids[pool])
         chain.commit(r, leader, order[:capacity], commit_at)
-        leaders.append(leader)
 
-    return chain.metrics("pow", config, leaders, wins=0, rounds_with_block=chain.blocks)
+    return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)
 
 
 # ---------------------------------------------------------------------------

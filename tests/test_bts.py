@@ -21,9 +21,7 @@ from pous.bts import (
     strategy_scores,
     tally,
     votes_from_crs,
-    votes_from_csv,
     votes_to_crs,
-    votes_to_csv,
 )
 from pous.errors import ProtocolAbortError, RejectedInputError
 from pous.garbled import FixedPoint, PlainCompareBackend
@@ -503,21 +501,6 @@ def test_truthful_voting_beats_flipping():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_csv_roundtrip_with_round_column():
-    mats = matrices_for(2, 3, budgets=[2, None], seed=15)
-    recs = cast_votes(mats[1], mats[2], plain_compare())
-    text = votes_to_csv(recs, round_index=7)
-    assert text.splitlines()[0] == "round,voter,candidate,entry,x,y,valid"
-    rnd, back = votes_from_csv(text)
-    assert rnd == 7
-    assert back == recs
-
-
-def test_csv_rejects_foreign_header():
-    with pytest.raises(RejectedInputError):
-        votes_from_csv("a,b,c\n1,2,3\n")
 
 
 def test_crs_votes_roundtrip():

@@ -159,6 +159,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"kind": "bogus"}, "bogus"),
     ({"sweep": {"values": 5}}, "sweep.values"),
     ({"protocols": 5}, "protocols"),
+    # a cost scenario ignores both keys, and is checked all the same
+    ({"kind": "cost", "sweep": {"param": "warp", "values": ["x"]}}, "warp"),
+    ({"kind": "cost", "protocols": ["nope"]}, "protocols"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -381,6 +384,9 @@ def test_presets_verb_lists_catalog(capsys):
     out = capsys.readouterr().out
     for name in PRESETS:
         assert name in out
+    # the listing is pinned byte for byte
+    assert sha256(out.encode()).hexdigest() == (
+        "daa687e1fde3c2919720506f03f940f054cf835bbbc709fb55166e7fcad9285b")
 
 
 def test_run_verb_on_scenario_file(tmp_path, capsys):
@@ -394,6 +400,17 @@ def test_run_verb_on_scenario_file(tmp_path, capsys):
     assert "wrote" in stdout
     assert (out_dir / "cells.csv").exists()
     assert (out_dir / "summary.txt").exists()
+
+
+def test_set_seed_beats_seed_flag_for_presets_and_files(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_JSON))
+    for scenario in ("fig8-n30", str(path)):
+        rc = main(["run", scenario, "--fast", "--seed", "3", "--set", "seed=5",
+                   "--set", "replicates=1", "--set", "sim_time=630",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "master seed: 5\n" in capsys.readouterr().out
 
 
 def test_run_verb_set_overrides(tmp_path, capsys):

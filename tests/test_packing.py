@@ -131,7 +131,7 @@ def test_two_groups_match_optimal_partition():
     mempool = [tx(i, user=(i - 1) % 8 + 1) for i in range(1, 17)]
     clusters = cluster_mempool(mempool, vecs, k=2, seed=5)
     got = frozenset(
-        frozenset(u - 1 for u in cl.user_vectors) for cl in clusters
+        frozenset(u - 1 for u in cl.users) for cl in clusters
     )
     _, want = brute_force_two_means(pts)
     assert got == want
@@ -143,15 +143,14 @@ def test_transactions_follow_their_user():
     rng = random.Random(4)
     mempool = [tx(i, user=rng.randrange(1, 7)) for i in range(1, 30)]
     clusters = cluster_mempool(mempool, vecs, k=2, seed=5)
-    assignment = {}
+    source = {t.id: t.source_user for t in mempool}
+    assert sorted(tid for cl in clusters for tid in cl.tx_ids) == sorted(source)
     for cl in clusters:
-        for tid, u in cl.tx_users.items():
-            assignment[tid] = (cl.id, u)
-    assert len(assignment) == len(mempool)
-    for cl in clusters:
-        users_here = set(cl.user_vectors)
+        assert set(cl.tx_dist) == set(cl.tx_ids)
         for tid in cl.tx_ids:
-            assert assignment[tid][1] in users_here
+            assert source[tid] in cl.users
+            want = np.sqrt(((vecs[source[tid]] - cl.centroid) ** 2).sum())
+            assert cl.tx_dist[tid] == pytest.approx(want)
 
 
 def test_k_clamped_with_warning(caplog):
@@ -171,8 +170,7 @@ def test_cluster_mempool_rejects_bad_input():
     with pytest.raises(RejectedInputError):
         cluster_mempool([tx(1, user=1)], {1: np.zeros(2)}, k=0)
     with pytest.raises(RejectedInputError):
-        Cluster(id=0, tx_ids=(), centroid=np.zeros(2), tx_users={},
-                user_vectors={})
+        Cluster(id=0, tx_ids=(), centroid=np.zeros(2), users=(), tx_dist={})
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +362,14 @@ def staged_clusters():
     now = 100.0
     for cid, (size, first_submit) in enumerate([(5, 0.0), (3, 10.0), (2, 20.0), (1, 30.0)]):
         ids = []
-        users = {}
         for j in range(size):
             t = tx(tid, user=cid + 1, fee=0.0, submit=first_submit + j)
             txs[tid] = t
-            users[tid] = cid + 1
             ids.append(tid)
             tid += 1
         clusters.append(
-            Cluster(id=cid, tx_ids=tuple(ids), centroid=vec,
-                    tx_users=users, user_vectors={cid + 1: vec})
+            Cluster(id=cid, tx_ids=tuple(ids), centroid=vec, users=(cid + 1,),
+                    tx_dist=dict.fromkeys(ids, 0.0))
         )
     return clusters, txs, now
 
@@ -447,8 +443,7 @@ def test_pack_body_is_columnar_rank_top_r():
     cluster_of = {tid: cl for cl in clusters for tid in cl.tx_ids}
     ids = np.array(sorted(lookup))
     dist = np.array([
-        np.sqrt(((cluster_of[t].user_vectors[lookup[t].source_user]
-                  - cluster_of[t].centroid) ** 2).sum())
+        np.sqrt(((vecs[lookup[t].source_user] - cluster_of[t].centroid) ** 2).sum())
         for t in ids
     ])
     submit = np.array([lookup[t].submit_time for t in ids])
@@ -505,11 +500,9 @@ def test_pack_rejects_bad_capacity():
 
 
 def test_pack_tie_breaks_deterministic():
-    vec = np.zeros(2)
-    users = {1: 1, 2: 1, 3: 1}
     txs = {i: tx(i, user=1, fee=0.001, submit=5.0) for i in (1, 2, 3)}
-    cl = Cluster(id=0, tx_ids=(3, 1, 2), centroid=vec, tx_users=users,
-                 user_vectors={1: vec})
+    cl = Cluster(id=0, tx_ids=(3, 1, 2), centroid=np.zeros(2), users=(1,),
+                 tx_dist={1: 0.0, 2: 0.0, 3: 0.0})
     block = pack_block([cl], PriorityWeights(), 2, 10.0, b"\x00" * 32, txs)
     assert [t.id for t in block.body] == [1, 2]  # equal priority: lowest ids
 
@@ -572,19 +565,15 @@ def test_pca_accepts_mapping_input():
 
 
 def test_mean_centroid_distance_hand_instance():
-    vec_a = np.array([0.0, 0.0])
-    vec_b = np.array([4.0, 0.0])
-    centroid = np.array([2.0, 0.0])
-    cl = Cluster(
-        id=0, tx_ids=(1, 2), centroid=centroid,
-        tx_users={1: 1, 2: 2}, user_vectors={1: vec_a, 2: vec_b},
-    )
-    assert mean_centroid_distance([cl]) == pytest.approx(2.0)
-    assert mean_centroid_distance([cl], tx_ids={1}) == pytest.approx(2.0)
+    vecs = {1: np.array([0.0, 0.0]), 2: np.array([4.0, 0.0]), 3: np.array([2.0, 1.0])}
+    clusters = cluster_mempool([tx(1, user=1), tx(2, user=2), tx(3, user=3)], vecs, k=1)
+    assert np.allclose(clusters[0].centroid, [2.0, 1.0 / 3.0])
+    want = [np.hypot(2.0, 1.0 / 3.0)] * 2 + [2.0 / 3.0]
+    assert mean_centroid_distance(clusters) == pytest.approx(np.mean(want))
+    assert mean_centroid_distance(clusters, tx_ids={1, 2}) == pytest.approx(want[0])
 
 
 def test_mean_centroid_distance_requires_data():
-    cl = Cluster(id=0, tx_ids=(1,), centroid=np.zeros(2),
-                 tx_users={1: 1}, user_vectors={1: np.zeros(2)})
+    cl = Cluster(id=0, tx_ids=(1,), centroid=np.zeros(2), users=(1,), tx_dist={1: 0.0})
     with pytest.raises(RejectedInputError):
         mean_centroid_distance([cl], tx_ids={99})

@@ -21,7 +21,6 @@ from pous.simnet import (
     SimConfig,
     _crypto_round_costs,
     _rng_streams,
-    confirmation_latency,
     config_from_trace_header,
     gen_workload,
     replay_trace,
@@ -33,6 +32,14 @@ from pous.simnet import (
 
 def cfg(**kw):
     return SimConfig(**kw)
+
+
+def leaders(m):
+    """Round leaders from the round log: every decided pous round, and
+    every pow round that packed a block."""
+    if m.protocol == "pous":
+        return [e["leader"] for e in m.round_log if not e["aborted"]]
+    return [e["leader"] for e in m.round_log if e["packed"] > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_workload_deterministic_and_shared_between_protocols():
     c = cfg(n_nodes=10, sim_time=500.0, seed=42)
     wl_a = gen_workload(c, _rng_streams(c, "pous")["workload"])
     wl_b = gen_workload(c, _rng_streams(c, "pow")["workload"])
-    for f in ("ids", "source", "tx_class", "fee", "size", "submit", "arrival"):
+    for f in ("ids", "source", "tx_class", "fee", "submit", "arrival"):
         assert np.array_equal(getattr(wl_a, f), getattr(wl_b, f))
     assert len(wl_a) > 0
 
@@ -113,7 +120,6 @@ def test_workload_shape_invariants():
     assert (wl.fee >= 0).all()
     assert wl.source.min() >= 1 and wl.source.max() <= 8
     assert wl.tx_class.min() >= 0 and wl.tx_class.max() <= 5
-    assert (wl.size == 250).all()
 
 
 def test_workload_total_near_mean():
@@ -216,7 +222,7 @@ def test_pow_deterministic():
     a, b = run_pow(c), run_pow(c)
     assert a.tps == b.tps
     assert a.confirmed_tx_count == b.confirmed_tx_count
-    assert a.leaders == b.leaders
+    assert a.round_log == b.round_log
     assert np.array_equal(a.latencies, b.latencies)
 
 
@@ -225,12 +231,12 @@ def test_pow_latency_accounting():
     m = run_pow(c)
     assert m.confirmed_tx_count == int(sum(r["packed"] for r in m.round_log))
     assert m.tps == pytest.approx(m.confirmed_tx_count / c.sim_time)
-    lat = confirmation_latency(m)
+    lat = m.latencies
     assert len(lat) == m.confirmed_tx_count
     assert (lat >= c.block_delay).all()
     assert m.mean_latency == pytest.approx(float(lat.mean()))
     assert m.p50_latency <= m.p90_latency
-    assert m.blocks_committed == len(m.leaders)
+    assert m.blocks_committed == len(leaders(m))
 
 
 def test_pow_respects_capacity():
@@ -249,12 +255,13 @@ def test_pow_leader_frequency_tracks_power():
             tx_epoch=1.0, tx_count_mean=2.0, sigma=0.0, block_size_mb=0.001,
             seed=2)
     m = run_pow(c)
-    assert len(m.leaders) > 5000
+    won = leaders(m)
+    assert len(won) > 5000
     powers = _rng_streams(c, "pow")["powers"].uniform(
         c.power_low, c.power_high, c.n_nodes
     )
-    expected = powers / powers.sum() * len(m.leaders)
-    observed = np.bincount(np.array(m.leaders) - 1, minlength=c.n_nodes)
+    expected = powers / powers.sum() * len(won)
+    observed = np.bincount(np.array(won) - 1, minlength=c.n_nodes)
     assert stats.chisquare(observed, expected).pvalue > 0.01
 
 
@@ -282,8 +289,7 @@ def test_pous_round_count_and_leader():
     )
     want_leader = int(np.argmax(budgets)) + 1
     assert m.aborts == 0
-    assert len(m.leaders) == m.rounds
-    assert all(l == want_leader for l in m.leaders)
+    assert leaders(m) == [want_leader] * m.rounds
 
 
 def test_pous_deterministic():
@@ -291,7 +297,7 @@ def test_pous_deterministic():
     a, b = run_pous(c), run_pous(c)
     assert a.tps == b.tps
     assert a.confirmed_tx_count == b.confirmed_tx_count
-    assert a.leaders == b.leaders
+    assert a.round_log == b.round_log
     assert a.crypto_bytes == b.crypto_bytes
     assert a.crypto_time == b.crypto_time
     assert np.array_equal(a.latencies, b.latencies)
@@ -304,8 +310,7 @@ def test_pous_commit_timing():
         if entry["packed"]:
             round_end = (entry["round"] + 1) * c.block_interval
             assert entry["commit_time"] == pytest.approx(round_end + c.block_delay)
-    lat = confirmation_latency(m)
-    assert (lat > 0).all()
+    assert (m.latencies > 0).all()
     assert m.confirmed_tx_count == int(sum(r["packed"] for r in m.round_log))
 
 
@@ -314,7 +319,7 @@ def test_pous_all_faulty_committee_aborts_every_round():
     assert m.aborts == m.rounds
     assert m.blocks_committed == 0
     assert m.confirmed_tx_count == 0
-    assert m.leaders == ()
+    assert leaders(m) == []
 
 
 def test_pous_crypto_cost_scales_with_rounds():
@@ -360,7 +365,7 @@ def test_pous_no_transactions():
     assert m.total_tx_count == 0
     assert m.blocks_committed == 0
     assert m.aborts == 0
-    assert len(m.leaders) == m.rounds
+    assert len(leaders(m)) == m.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +426,6 @@ def test_metrics_csv_row_uses_repr_floats():
     assert row[fields.index("tps")] == repr(m.tps)
     assert row[fields.index("confirmed_tx_count")] == m.confirmed_tx_count
     assert set(m.summary()) == set(fields)
-
-
-def test_confirmation_latency_returns_copy():
-    m = run_pow(cfg(n_nodes=5, sim_time=500.0, block_interval=100.0, seed=1))
-    lat = confirmation_latency(m)
-    if len(lat):
-        lat[0] = -1.0
-        assert confirmation_latency(m)[0] != -1.0
 
 
 # ---------------------------------------------------------------------------
