@@ -318,12 +318,16 @@ class _Chain:
 
     def log(self, r: int, leader: int, packed=(), commit_at: float = -1.0,
             aborted: int = 0) -> None:
-        """Round r's record; a round that packs nothing commits at -1."""
+        """Round r's record; a round that packs nothing commits at -1.
+
+        ``sum_latency`` is exactly rounded (``math.fsum``), so it does not
+        depend on the order in which the block lists its transactions.
+        """
         n = len(packed)
         self.round_log.append({
             "round": r, "aborted": aborted, "leader": leader, "packed": n,
             "commit_time": commit_at if n else -1.0,
-            "sum_latency": float((commit_at - self.wl.submit[packed]).sum()) if n else 0.0,
+            "sum_latency": math.fsum((commit_at - self.wl.submit[packed]).tolist()) if n else 0.0,
         })
 
     def metrics(self, protocol: str, config: SimConfig, wins: int, rounds_with_block: int,
