@@ -38,9 +38,8 @@ from .similarity import DEFAULT_CLASSES, pair_sequence
 from .simnet import (
     Metrics,
     SimConfig,
-    _rng_streams,
+    _workload,
     config_from_fields,
-    gen_workload,
     rank_pool,
     replay_trace,
     run_pous,
@@ -324,7 +323,9 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     _check_sweep(scenario.sweep_param, scenario.sweep_values, report.notes)
 
     master = scenario.base.seed
-    by_point: dict[tuple[str, object], list[Metrics]] = {}
+    # per sweep point, the summaries of its cells: a cell's latency array
+    # and round log are dropped once its row and trace are written
+    by_point: dict[tuple[str, object], list[dict]] = {}
     for value in scenario.sweep_values:
         for replicate in range(scenario.replicates):
             seed = cell_seed(master, scenario.sweep_param, value, replicate)
@@ -339,9 +340,10 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
                         f"cell {protocol}/{scenario.sweep_param}={value}"
                         f"/rep{replicate} failed: {exc}"
                     ) from exc
-                by_point.setdefault((protocol, value), []).append(metrics)
+                summary = metrics.summary()
+                by_point.setdefault((protocol, value), []).append(summary)
                 report.cells.append({"param": scenario.sweep_param, "value": value,
-                                     "replicate": replicate, **metrics.summary()})
+                                     "replicate": replicate, **summary})
                 if keep_traces:
                     report.traces[(protocol, value, replicate)] = list(
                         trace_lines(config, protocol, metrics)
@@ -350,8 +352,8 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     for (protocol, value), runs in sorted(
         by_point.items(), key=lambda kv: (kv[0][0], float(kv[0][1]))
     ):
-        tps = np.array([m.tps for m in runs])
-        lat = np.array([m.mean_latency for m in runs])
+        tps = np.array([m["tps"] for m in runs])
+        lat = np.array([m["mean_latency"] for m in runs])
         # nan, not a warning, when no replicate confirmed anything
         any_lat = not np.isnan(lat).all()
         report.aggregates.append({
@@ -359,8 +361,8 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
             "mean_tps": float(tps.mean()), "std_tps": float(tps.std()),
             "mean_latency": float(np.nanmean(lat)) if any_lat else float("nan"),
             "std_latency": float(np.nanstd(lat)) if any_lat else float("nan"),
-            "mean_crypto_time": float(np.mean([m.crypto_time for m in runs])),
-            "mean_crypto_bytes": float(np.mean([m.crypto_bytes for m in runs])),
+            "mean_crypto_time": float(np.mean([m["crypto_time"] for m in runs])),
+            "mean_crypto_bytes": float(np.mean([m["crypto_bytes"] for m in runs])),
             "replicates": len(runs),
         })
 
@@ -369,14 +371,14 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
             pous_runs = by_point[("pous", value)]
             pow_runs = by_point[("pow", value)]
             tps_gain = [
-                (a.tps - b.tps) / b.tps * 100.0
-                for a, b in zip(pous_runs, pow_runs) if b.tps > 0
+                (a["tps"] - b["tps"]) / b["tps"] * 100.0
+                for a, b in zip(pous_runs, pow_runs) if b["tps"] > 0
             ]
             lat_gain = [
-                (b.mean_latency - a.mean_latency) / b.mean_latency * 100.0
+                (b["mean_latency"] - a["mean_latency"]) / b["mean_latency"] * 100.0
                 for a, b in zip(pous_runs, pow_runs)
-                if np.isfinite(a.mean_latency) and np.isfinite(b.mean_latency)
-                and b.mean_latency > 0
+                if np.isfinite(a["mean_latency"]) and np.isfinite(b["mean_latency"])
+                and b["mean_latency"] > 0
             ]
             report.improvements.append({
                 "param": scenario.sweep_param, "value": value,
@@ -400,7 +402,7 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
 def pca_scatter_rows(config: SimConfig) -> list[dict]:
     """Cluster the first round's mempool, select a block's worth of
     transactions, and project the user vectors to 2-D for plotting."""
-    wl = gen_workload(config, _rng_streams(config, "pous")["workload"])
+    wl = _workload(config)
     horizon = config.block_interval
     idx = np.flatnonzero(wl.arrival <= horizon)
     if len(idx) == 0:

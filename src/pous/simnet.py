@@ -3,13 +3,19 @@ proof-of-work baseline.
 
 The similarity protocol runs as a plain loop over fixed-length rounds
 (mining, voting, result waiting), each decided at its count deadline;
-the baseline walks exponential block gaps. Both consume one shared
-workload per seed, so throughput comparisons pair replicate by
-replicate, and both admit, commit and log transactions through one
-ledger (:class:`_Chain`), so the two differ only in how a round picks
-its leader and orders its pool; each round's leader is read from the
-round log. Traffic is held in columnar arrays,
-which keeps million-transaction runs fast. Packing order comes from
+the baseline walks exponential block gaps. A cell's two runs read one
+read-only workload, generated once per config and held until the next
+config asks for its own (:func:`_workload`), so throughput comparisons
+pair replicate by replicate. Both admit, commit and log transactions
+through one ledger (:class:`_Chain`), so the two differ only in how a
+round picks its leader and orders its pool; each round's leader is
+read from the round log. Traffic is held in columnar arrays, which
+keeps million-transaction runs fast.
+
+A round ranks its pool only when the block binds: a pool that fits in
+one block is packed whole, in arrival order (:meth:`_Chain.select`).
+A pous round still draws its k-means seed then, so the rounds that do
+bind keep their seeds. Packing order comes from
 :func:`pous.packing.cluster_users`, :func:`pous.packing.priority` and
 :func:`pous.packing.rank`, the same clustering step and rule the
 library's block assembly uses.
@@ -132,6 +138,11 @@ class Workload:
     submit: np.ndarray
     arrival: np.ndarray
 
+    def __post_init__(self):
+        # both runners of a cell read one workload, so no run may write to it
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -179,6 +190,26 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     )
 
 
+# the workload of the last config asked for; see _workload
+_held: Optional[tuple[SimConfig, Workload]] = None
+
+
+def _workload(config: SimConfig) -> Workload:
+    """The transaction stream of ``config``, generated once per cell.
+
+    Both runners and the scatter rows read their workload here, so a
+    cell's pous and pow runs share one. At most one workload is held:
+    the old one is dropped before a new one is generated, so two never
+    live at once.
+    """
+    global _held
+    if _held is None or _held[0] != config:
+        _held = None
+        # the workload stream is the same for every protocol
+        _held = (config, gen_workload(config, _rng_streams(config, "pous")["workload"]))
+    return _held[1]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -210,10 +241,6 @@ class Metrics:
         "blocks_committed", "aborts", "crypto_time", "crypto_bytes",
         "functionality_wins", "rounds_with_block",
     )
-
-    def csv_row(self) -> list:
-        return [repr(getattr(self, f)) if isinstance(getattr(self, f), float)
-                else getattr(self, f) for f in self.CSV_FIELDS]
 
     def summary(self) -> dict:
         return {f: getattr(self, f) for f in self.CSV_FIELDS}
@@ -306,6 +333,19 @@ class _Chain:
         self.pool = np.concatenate((self.pool, fresh))
         return fresh
 
+    def select(self, capacity: int, ranker) -> tuple[np.ndarray, Optional[tuple]]:
+        """Pool positions of the next block, and the ranking that chose them.
+
+        A pool that fits in one block is packed whole without calling
+        ``ranker``, and the ranking is None. Otherwise ``ranker(pool)``
+        returns a tuple whose first item orders the pool, and the block
+        is the first ``capacity`` positions of that order.
+        """
+        if len(self.pool) <= capacity:
+            return np.arange(len(self.pool)), None
+        ranking = ranker(self.pool)
+        return ranking[0][:capacity], ranking
+
     def commit(self, r: int, leader: int, chosen: np.ndarray, commit_at: float) -> None:
         """Commit the pool entries at positions ``chosen`` as round r's block."""
         keep = np.ones(len(self.pool), dtype=bool)
@@ -386,7 +426,7 @@ def rank_pool(view: np.ndarray, wl: Workload, idx: np.ndarray, now: float,
 def run_pous(config: SimConfig) -> Metrics:
     """Simulate the similarity consensus for config.sim_time seconds."""
     streams = _rng_streams(config, "pous")
-    wl = gen_workload(config, streams["workload"])
+    wl = _workload(config)
     capacity = config.capacity()
     interval = config.block_interval
     n = config.n_nodes
@@ -441,12 +481,15 @@ def run_pous(config: SimConfig) -> Metrics:
             chain.log(r, decision.leader)
             continue
 
-        order, d_tx, _, _ = rank_pool(
-            view, wl, chain.pool, now, config, seed=int(round_rng.integers(2**63))
-        )
-        chosen = order[:capacity]
-        if float(d_tx[chosen].mean()) <= float(d_tx.mean()) + 1e-12:
+        # drawn even when the pool fits, so rounds that bind keep their seeds
+        seed = int(round_rng.integers(2**63))
+        chosen, ranking = chain.select(
+            capacity, lambda pool: rank_pool(view, wl, pool, now, config, seed))
+        if ranking is None:  # the whole pool: as near its clusters as itself
             wins += 1
+        else:
+            d_tx = ranking[1]
+            wins += float(d_tx[chosen].mean()) <= float(d_tx.mean()) + 1e-12
         rounds_with_block += 1
 
         commit_at = now + config.block_delay
@@ -467,7 +510,7 @@ def run_pow(config: SimConfig) -> Metrics:
     """Work baseline: exponential block times, power-weighted leader,
     fee-descending packing, identical confirmation accounting."""
     streams = _rng_streams(config, "pow")
-    wl = gen_workload(config, streams["workload"])
+    wl = _workload(config)
     capacity = config.capacity()
 
     powers = streams["powers"].uniform(config.power_low, config.power_high, config.n_nodes)
@@ -484,12 +527,12 @@ def run_pow(config: SimConfig) -> Metrics:
         leader = int(rng.choice(config.n_nodes, p=pweights)) + 1
         r = len(chain.round_log)
         chain.admit(now)
-        pool = chain.pool
-        if len(pool) == 0:
+        if len(chain.pool) == 0:
             chain.log(r, leader)
             continue
-        order = rank(wl.fee[pool], wl.submit[pool], wl.ids[pool])
-        chain.commit(r, leader, order[:capacity], commit_at)
+        chosen, _ = chain.select(
+            capacity, lambda pool: (rank(wl.fee[pool], wl.submit[pool], wl.ids[pool]),))
+        chain.commit(r, leader, chosen, commit_at)
 
     return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)
 

@@ -14,6 +14,7 @@ from scipy.stats import chi2_contingency
 
 from pous.bts import expected_scores, strategy_scores
 from pous.cli import (
+    _fmt,
     cell_seed,
     linear_r2,
     loglog_slope,
@@ -33,7 +34,7 @@ from pous.garbled import (
     select_input_labels,
 )
 from pous.packing import decode_flag, encode_flag
-from pous.simnet import run_pous, run_pow
+from pous.simnet import Metrics, run_pous, run_pow
 
 MASTER_SEED = 7
 
@@ -315,8 +316,11 @@ def test_criterion_11_cell_determinism():
         config = dataclasses.replace(scenario.base, **{param: value, "seed": seed})
         for protocol in scenario.protocols:
             runner = run_pous if protocol == "pous" else run_pow
-            first = runner(config).csv_row()
-            second = runner(config).csv_row()
+            # each row formatted as cells.csv formats it
+            first, second = (
+                [_fmt(m.summary()[f]) for f in Metrics.CSV_FIELDS]
+                for m in (runner(config), runner(config))
+            )
             identical = identical and first == second
             checked += 1
     report(

@@ -1,12 +1,14 @@
 """Configuration, workload generation, both protocol runners, traces."""
+import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pous import garbled, simnet
+from pous import cli, garbled, simnet
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
@@ -414,18 +416,133 @@ def test_committed_transactions_arrived_in_time_and_commit_once(run, monkeypatch
 
 
 # ---------------------------------------------------------------------------
+# ranking only when the block binds
+
+
+def _no_ranking(*_args):
+    raise AssertionError("ranked a pool that fits in one block")
+
+
+@pytest.mark.parametrize("run", [run_pous, run_pow])
+def test_pool_that_fits_is_packed_without_ranking(run, monkeypatch):
+    monkeypatch.setattr(simnet, "rank_pool", _no_ranking)
+    monkeypatch.setattr(simnet, "rank", _no_ranking)
+    c = small_pous_cfg(n_nodes=20)
+    m = run(c)
+    assert m.blocks_committed > 0
+    assert all(e["packed"] < c.capacity() for e in m.round_log)
+    if run is run_pous:
+        assert m.functionality_wins == m.rounds_with_block == m.blocks_committed
+
+
+def test_rounds_that_bind_keep_their_round_seeds(monkeypatch):
+    # about 360 arrivals a round against a capacity of 377: some rounds bind
+    pools, seeds = [], []
+    real = simnet.rank_pool
+
+    class RecordingChain(simnet._Chain):
+        def select(self, capacity, ranker):
+            pools.append(len(self.pool))
+            return super().select(capacity, ranker)
+
+    def recording(view, wl, idx, now, config, seed):
+        seeds.append(seed)
+        return real(view, wl, idx, now, config, seed)
+
+    monkeypatch.setattr(simnet, "_Chain", RecordingChain)
+    monkeypatch.setattr(simnet, "rank_pool", recording)
+    c = small_pous_cfg(block_size_mb=0.09, sigma=10.0)
+    m = run_pous(c)
+    # every round is decided and finds a pool, so every round draws
+    assert len(pools) == m.rounds
+    rounds = _rng_streams(c, "pous")["rounds"]
+    draws = [int(rounds.integers(2**63)) for _ in pools]
+    binding = [d for d, n in zip(draws, pools) if n > c.capacity()]
+    assert 0 < len(binding) < len(draws)
+    assert c.capacity() in pools  # a pool of exactly one block is not ranked
+    assert seeds == binding
+
+
+def test_binding_pow_block_packs_the_top_fees(monkeypatch):
+    c = cfg(n_nodes=10, sim_time=1000.0, block_interval=100.0,
+            block_size_mb=0.01, tx_epoch=100.0, seed=6)
+    capacity = c.capacity()
+    blocks = []
+
+    class RecordingChain(simnet._Chain):
+        def commit(self, r, leader, chosen, commit_at):
+            wl, pool = self.wl, self.pool
+            # highest fee first, ties to the earlier submit, then the lower id
+            by_fee = np.lexsort((wl.ids[pool], wl.submit[pool], -wl.fee[pool]))
+            blocks.append((len(pool), np.sort(pool[chosen]),
+                           np.sort(pool[by_fee[:capacity]])))
+            super().commit(r, leader, chosen, commit_at)
+
+    monkeypatch.setattr(simnet, "_Chain", RecordingChain)
+    run_pow(c)
+    binding = [(packed, top) for n, packed, top in blocks if n > capacity]
+    assert binding
+    for packed, top in binding:
+        assert np.array_equal(packed, top)
+
+
+# ---------------------------------------------------------------------------
+# one workload per cell
+
+
+def test_pous_then_pow_generate_one_workload(monkeypatch):
+    calls = []
+    real = simnet.gen_workload
+
+    def counting(config, rng):
+        calls.append(config)
+        return real(config, rng)
+
+    monkeypatch.setattr(simnet, "gen_workload", counting)
+    monkeypatch.setattr(simnet, "_held", None)
+    c = small_pous_cfg(seed=51)
+    assert run_pous(c).total_tx_count == run_pow(c).total_tx_count > 0
+    assert calls == [c]
+
+
+def test_new_config_drops_the_held_workload_before_generating(monkeypatch):
+    monkeypatch.setattr(simnet, "_held", None)
+    a, b = small_pous_cfg(seed=52), small_pous_cfg(seed=53)
+    held = weakref.ref(simnet._workload(a))
+    real = simnet.gen_workload
+
+    def generate(config, rng):
+        assert held() is None, "two workloads alive at once"
+        return real(config, rng)
+
+    monkeypatch.setattr(simnet, "gen_workload", generate)
+    wl_b = simnet._workload(b)
+    assert simnet._workload(b) is wl_b
+    assert simnet._held[0] == b and simnet._held[1] is wl_b
+
+
+def test_workload_arrays_are_read_only():
+    wl = simnet._workload(small_pous_cfg(seed=54))
+    assert len(wl) > 0
+    for f in dataclasses.fields(wl):
+        with pytest.raises(ValueError):
+            getattr(wl, f.name)[0] = 0
+
+
+# ---------------------------------------------------------------------------
 # metrics plumbing
 
 
 def test_metrics_csv_row_uses_repr_floats():
+    # a cells.csv row: cli._fmt over the summary, in CSV_FIELDS order
     m = run_pow(cfg(n_nodes=5, sim_time=500.0, block_interval=100.0, seed=1))
-    row = m.csv_row()
     fields = Metrics.CSV_FIELDS
-    assert len(row) == len(fields)
+    summary = m.summary()
+    assert tuple(summary) == fields
+    row = [cli._fmt(summary[f]) for f in fields]
     assert row[fields.index("protocol")] == "pow"
     assert row[fields.index("tps")] == repr(m.tps)
-    assert row[fields.index("confirmed_tx_count")] == m.confirmed_tx_count
-    assert set(m.summary()) == set(fields)
+    assert row[fields.index("confirmed_tx_count")] == str(m.confirmed_tx_count)
 
 
 # ---------------------------------------------------------------------------
