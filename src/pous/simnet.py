@@ -163,30 +163,27 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     counts = np.maximum(counts, 0)
 
     total = int(counts.sum())
+    epoch_node_counts = counts.reshape(-1)
     source = np.repeat(
-        np.tile(np.arange(1, config.n_nodes + 1), n_epochs), counts.reshape(-1)
+        np.tile(np.arange(1, config.n_nodes + 1), n_epochs), epoch_node_counts
     )
-    epoch_idx = np.repeat(
-        np.repeat(np.arange(n_epochs), config.n_nodes), counts.reshape(-1)
-    )
-    submit = (epoch_idx + rng.random(total)) * epoch
-    fee = np.maximum(rng.normal(config.fee_mean, config.sigma, total), 0.0)
-    tx_class = rng.integers(0, len(DEFAULT_CLASSES), total)
-    delay = np.maximum(rng.normal(config.tx_delay_mean, config.sigma, total), 0.001)
-    arrival = submit + delay
-
-    keep = submit <= config.sim_time
-    submit, fee, tx_class, delay, arrival, source = (
-        a[keep] for a in (submit, fee, tx_class, delay, arrival, source)
-    )
-    order = np.argsort(submit, kind="stable")
+    submit = (np.repeat(np.repeat(np.arange(n_epochs), config.n_nodes), epoch_node_counts)
+              + rng.random(total)) * epoch
+    # the kept transactions in submit order; each later column is drawn
+    # whole, which fixes the stream, and then taken in this order
+    kept = np.flatnonzero(submit <= config.sim_time)
+    order = kept[np.argsort(submit[kept], kind="stable")]
+    source, submit = source[order], submit[order]
+    fee = np.maximum(rng.normal(config.fee_mean, config.sigma, total), 0.0)[order]
+    tx_class = rng.integers(0, len(DEFAULT_CLASSES), total)[order]
+    delay = np.maximum(rng.normal(config.tx_delay_mean, config.sigma, total), 0.001)[order]
     return Workload(
         ids=np.arange(1, len(order) + 1, dtype=np.int64),
-        source=source[order].astype(np.int64),
-        tx_class=tx_class[order].astype(np.int64),
-        fee=fee[order],
-        submit=submit[order],
-        arrival=arrival[order],
+        source=source.astype(np.int64, copy=False),
+        tx_class=tx_class.astype(np.int64, copy=False),
+        fee=fee,
+        submit=submit,
+        arrival=submit + delay,
     )
 
 
