@@ -26,7 +26,7 @@ from .similarity import SimilarityMatrix, unflatten_index
 
 log = logging.getLogger(__name__)
 
-# default belief reports: approvals expect agreement, rejections expect
+# the belief each vote reports: approvals expect agreement, rejections expect
 # disagreement, abstentions carry an uninformed prior
 APPROVE_BELIEF = 0.9
 REJECT_BELIEF = 0.1
@@ -64,17 +64,10 @@ class VoteRecord:
             raise RejectedInputError("abstentions cannot approve")
 
 
-def default_predictor(x: int, valid: bool) -> float:
-    if not valid:
-        return ABSTAIN_BELIEF
-    return APPROVE_BELIEF if x == 1 else REJECT_BELIEF
-
-
 def cast_votes(
     voter_matrix: SimilarityMatrix,
     candidate_matrix: SimilarityMatrix,
     compare: Callable[[float, float], int],
-    predictor: Optional[Callable[[int, bool], float]] = None,
 ) -> list[VoteRecord]:
     """Vote on every off-diagonal entry of the candidate's matrix.
 
@@ -85,7 +78,6 @@ def cast_votes(
     """
     if voter_matrix.n_users != candidate_matrix.n_users:
         raise RejectedInputError("matrices cover different user counts")
-    predictor = predictor if predictor is not None else default_predictor
     n = voter_matrix.n_users
     records = []
     for j in range(1, n * n + 1):
@@ -112,7 +104,7 @@ def cast_votes(
                 candidate=candidate_matrix.owner,
                 entry=j,
                 x=x,
-                y=predictor(x, valid),
+                y=(APPROVE_BELIEF if x == 1 else REJECT_BELIEF) if valid else ABSTAIN_BELIEF,
                 valid=valid,
             )
         )

@@ -34,7 +34,7 @@ from . import garbled
 from .bts import VoteRecord, votes_to_crs
 from .errors import ConfigurationError
 from .packing import pca_project
-from .similarity import DEFAULT_CLASSES, pair_sequence
+from .similarity import DEFAULT_CLASSES, flat_index, pair_sequence
 from .simnet import (
     Metrics,
     SimConfig,
@@ -63,15 +63,16 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("sim", "scatter", "cost"):
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be at least 1")
+        if type(self.replicates) is not int or self.replicates < 1:
+            raise ConfigurationError(
+                f"replicates must be a positive integer, got {self.replicates!r}")
         if not self.protocols or any(p not in ("pous", "pow") for p in self.protocols):
             raise ConfigurationError(f"unknown protocols {self.protocols}")
-        fixed = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(SimConfig)}
-        if self.sweep_param not in fixed:
+        if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
             raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
+        # each point as run_scenario builds it, so SimConfig checks it
         for value in self.sweep_values:
-            config_from_fields({**fixed, self.sweep_param: value})
+            dataclasses.replace(self.base, **{self.sweep_param: value})
 
 
 @dataclass
@@ -180,11 +181,8 @@ _preset(
 
 
 def _parse_scalar(text: str):
-    lowered = text.lower()
-    if lowered in ("none", "null"):
+    if text.lower() in ("none", "null"):
         return None
-    if lowered in ("true", "false"):
-        return lowered == "true"
     for cast in (int, float):
         try:
             return cast(text)
@@ -201,14 +199,6 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
         key, _, value = pair.partition("=")
         out[key.strip()] = _parse_scalar(value.strip())
     return out
-
-
-def _pop_replicates(overrides: dict, default) -> int:
-    """The replicate count, from overrides when they set one."""
-    replicates = overrides.pop("replicates", default)
-    if isinstance(replicates, bool) or not isinstance(replicates, int):
-        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
-    return replicates
 
 
 def _read_text(path) -> str:
@@ -253,7 +243,7 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
         if not isinstance(value, list):
             raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
     overrides = dict(overrides or {})
-    replicates = _pop_replicates(overrides, doc.get("replicates", 100))
+    replicates = overrides.pop("replicates", doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
     return Scenario(
         name=doc.get("name", Path(where).stem),
@@ -471,12 +461,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         for rank, (k, l) in enumerate(pair_sequence(n_users)):
             if rank >= budget:
                 break
-            records.append(VoteRecord(
-                voter=1, candidate=2, entry=(k - 1) * n_users + l, x=1, y=0.9,
-            ))
-            records.append(VoteRecord(
-                voter=1, candidate=2, entry=(l - 1) * n_users + k, x=1, y=0.9,
-            ))
+            for entry in (flat_index(k, l, n_users), flat_index(l, k, n_users)):
+                records.append(VoteRecord(voter=1, candidate=2, entry=entry, x=1, y=0.9))
         blob = votes_to_crs(records, n_users)
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),

@@ -34,11 +34,13 @@ class CommitteeConfig:
 
     def __post_init__(self):
         if self.size < 4:
-            raise ConfigurationError("committee needs at least 4 members")
+            raise ConfigurationError(f"committee size {self.size} is below 4 members")
         if self.rotation_period < 1:
-            raise ConfigurationError("rotation period must be at least 1 round")
+            raise ConfigurationError(
+                f"rotation_period must be at least 1 round, got {self.rotation_period}")
         if not 0.0 <= self.honest_fraction <= 1.0:
-            raise ConfigurationError("honest fraction outside [0, 1]")
+            raise ConfigurationError(
+                f"honest_fraction {self.honest_fraction} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -54,25 +56,13 @@ class RoundTimers:
             raise ConfigurationError("round deadlines must be strictly increasing")
 
     @classmethod
-    def split_interval(
-        cls,
-        start: float,
-        interval: float,
-        fractions: tuple[float, float] = (0.6, 0.85),
-    ) -> "RoundTimers":
-        """Carve one block interval into mining, voting, and counting.
-
-        Defaults give 60% mining, 25% voting, 15% submission window
-        before the interval ends.
-        """
-        if interval <= 0:
-            raise ConfigurationError("interval must be positive")
-        f1, f2 = fractions
-        if not 0 < f1 < f2 < 1:
-            raise ConfigurationError("fractions must satisfy 0 < f1 < f2 < 1")
+    def split_interval(cls, start: float, interval: float) -> "RoundTimers":
+        """Carve one block interval into mining, voting, and counting:
+        60% mining, 25% voting, and a 15% submission window before the
+        interval ends."""
         return cls(
-            mining_deadline=start + f1 * interval,
-            voting_deadline=start + f2 * interval,
+            mining_deadline=start + 0.6 * interval,
+            voting_deadline=start + 0.85 * interval,
             result_waiting_deadline=start + interval,
         )
 

@@ -14,6 +14,7 @@ enough.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
@@ -36,8 +37,8 @@ class PriorityWeights:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c < 0:
-            raise RejectedInputError("priority weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in (self.a, self.b, self.c)):
+            raise RejectedInputError("priority weights must be finite and nonnegative")
         if self.a == self.b == self.c == 0:
             raise RejectedInputError("at least one priority weight must be positive")
 
@@ -81,16 +82,14 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
     wcss_history: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iteration with distance-weighted seeding.
 
-    Runs at most ``max_iter`` rounds or until the largest centroid
-    shift drops below ``tol``. An emptied cluster is reseeded to the
-    point currently farthest from its assigned center, which keeps all
-    k clusters alive. Returns (labels, centers).
+    Runs at most 100 rounds or until the largest centroid shift drops
+    below 1e-6. An emptied cluster is reseeded to the point currently
+    farthest from its assigned center, which keeps all k clusters
+    alive. Returns (labels, centers).
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -112,7 +111,7 @@ def kmeans(
         d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
 
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(100):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
         if wcss_history is not None:
@@ -126,7 +125,7 @@ def kmeans(
                 new_centers[c] = points[dists.min(axis=1).argmax()]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < 1e-6:
             break
     dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = dists.argmin(axis=1)
@@ -366,8 +365,8 @@ def pack_block(
 # projection for inspection plots
 
 
-def pca_project(user_vectors, dims: int = 2) -> np.ndarray:
-    """Mean-centered projection onto the top principal components.
+def pca_project(user_vectors) -> np.ndarray:
+    """Mean-centered projection onto the top two principal components.
 
     Components come from the eigendecomposition of the sample
     covariance, eigenvalues descending; each eigenvector is flipped so
@@ -390,7 +389,7 @@ def pca_project(user_vectors, dims: int = 2) -> np.ndarray:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     comps = []
-    for idx in order[:dims]:
+    for idx in order[:2]:
         if evals[idx] < 1e-12:
             comps.append(np.zeros(X.shape[1]))
             continue
@@ -398,7 +397,7 @@ def pca_project(user_vectors, dims: int = 2) -> np.ndarray:
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         comps.append(v)
-    while len(comps) < dims:
+    while len(comps) < 2:
         comps.append(np.zeros(X.shape[1]))
     return Xc @ np.stack(comps, axis=1)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from hashlib import sha256
 from typing import Iterator, Mapping, Optional, get_type_hints
 
@@ -85,11 +86,24 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is PriorityWeights:
+                if not isinstance(value, PriorityWeights):
+                    raise ConfigurationError(f"weights must be PriorityWeights, got {value!r}")
+            elif not (value is None and kind == Optional[float]):
+                if isinstance(value, bool) or not isinstance(
+                    value, int if kind is int else (int, float)
+                ):
+                    expected = "an integer" if kind is int else "a number"
+                    raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"{name} must be finite, got {value!r}")
         positive = {
             "n_nodes": self.n_nodes, "sim_time": self.sim_time,
             "tx_size": self.tx_size, "block_size_mb": self.block_size_mb,
             "block_interval": self.block_interval, "block_delay": self.block_delay,
-            "tx_delay_mean": self.tx_delay_mean,
+            "tx_delay_mean": self.tx_delay_mean, "budget_scale": self.budget_scale,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -98,14 +112,10 @@ class SimConfig:
             raise ConfigurationError("sigma must be nonnegative")
         if not 0.0 <= self.power_low < self.power_high:
             raise ConfigurationError("power range must satisfy 0 <= low < high")
-        if self.budget_scale <= 0:
-            raise ConfigurationError("budget_scale must be positive")
-        if self.committee_size < 4 or self.committee_size > self.n_nodes:
-            raise ConfigurationError("committee size must sit in [4, n_nodes]")
-        if self.rotation_period < 1:
-            raise ConfigurationError("rotation_period must be at least 1")
-        if not 0.0 <= self.honest_fraction <= 1.0:
-            raise ConfigurationError("honest_fraction outside [0, 1]")
+        self.committee()  # CommitteeConfig checks the committee's own ranges
+        if self.committee_size > self.n_nodes:
+            raise ConfigurationError(
+                f"committee_size {self.committee_size} exceeds n_nodes {self.n_nodes}")
         if self.k_clusters < 1:
             raise ConfigurationError("k_clusters must be at least 1")
         if self.bitwidth not in garbled.BITWIDTHS:
@@ -115,12 +125,24 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
+    def committee(self) -> CommitteeConfig:
+        """The vote-counting committee of this run; it checks its own ranges."""
+        return CommitteeConfig(
+            size=self.committee_size,
+            selection_seed=self.seed,
+            rotation_period=self.rotation_period,
+            honest_fraction=self.honest_fraction,
+        )
+
     def capacity(self) -> int:
         """Transactions per block: block size over transaction size."""
         r = int(self.block_size_mb * (1 << 20) // self.tx_size)
         if r < 1:
             raise ConfigurationError("block too small for a single transaction")
         return r
+
+
+_FIELD_TYPES = get_type_hints(SimConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +167,13 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def arrival_order(self) -> np.ndarray:
+        """Stable argsort of ``arrival``, sorted once per workload, read-only."""
+        order = np.argsort(self.arrival, kind="stable")
+        order.setflags(write=False)
+        return order
 
 
 def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
@@ -314,7 +343,7 @@ class _Chain:
 
     def __init__(self, wl: Workload):
         self.wl = wl
-        self._order = np.argsort(wl.arrival, kind="stable")
+        self._order = wl.arrival_order
         self._arrivals = wl.arrival[self._order]
         self._seen = 0
         self.pool = self._order[:0]
@@ -437,12 +466,7 @@ def run_pous(config: SimConfig) -> Metrics:
     leader = int(np.argmax(budgets)) + 1
     _, round_crypto_time, round_crypto_bytes = _crypto_round_costs(budgets, config)
 
-    committee_cfg = CommitteeConfig(
-        size=config.committee_size,
-        selection_seed=config.seed,
-        rotation_period=config.rotation_period,
-        honest_fraction=config.honest_fraction,
-    )
+    committee_cfg = config.committee()
     miners = list(range(1, n + 1))
 
     chain = _Chain(wl)
@@ -556,35 +580,23 @@ def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[
     }, sort_keys=True)
 
 
-_FIELD_TYPES = get_type_hints(SimConfig)
-
-
 def config_from_fields(values: Mapping) -> SimConfig:
-    """SimConfig from field values, each checked against its field's
-    type; ``weights`` may be given as an (a, b, c) sequence.
+    """SimConfig from field values; ``weights`` may be given as an
+    (a, b, c) sequence.
 
-    Unknown fields and ill-typed values raise ConfigurationError naming
-    the field.
+    Unknown fields raise ConfigurationError naming them; SimConfig
+    checks every value.
     """
     unknown = sorted(set(values) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigurationError(f"unknown config fields: {unknown}")
     values = dict(values)
-    for name, value in values.items():
-        kind = _FIELD_TYPES[name]
-        if kind is PriorityWeights:
-            if not isinstance(value, PriorityWeights):
-                try:
-                    values[name] = PriorityWeights(*value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(f"weights {value!r}: {exc}") from None
-        elif value is None and kind == Optional[float]:
-            continue
-        elif isinstance(value, bool) or not isinstance(
-            value, int if kind is int else (int, float)
-        ):
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+    weights = values.get("weights")
+    if weights is not None and not isinstance(weights, PriorityWeights):
+        try:
+            values["weights"] = PriorityWeights(*weights)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"weights {weights!r}: {exc}") from None
     return SimConfig(**values)
 
 

@@ -5,6 +5,7 @@ import math
 import warnings
 from hashlib import sha256
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from pous.cli import (
 )
 from pous.errors import ConfigurationError
 from pous.simnet import SimConfig, replay_trace
+
+FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
+                if kind in (float, Optional[float])]
 
 
 def tiny_scenario(replicates=2, protocols=("pous", "pow"), seed=7):
@@ -100,7 +104,8 @@ def test_unknown_preset_names_the_listing():
 
 def test_parse_overrides_scalars():
     got = parse_overrides(["a=3", "b=2.5", "c=true", "d=none", "e=mock"])
-    assert got == {"a": 3, "b": 2.5, "c": True, "d": None, "e": "mock"}
+    # no setting takes a bool, so "true" stays text and SimConfig names it
+    assert got == {"a": 3, "b": 2.5, "c": "true", "d": None, "e": "mock"}
     with pytest.raises(ConfigurationError):
         parse_overrides(["missing-equals"])
 
@@ -162,6 +167,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     # a cost scenario ignores both keys, and is checked all the same
     ({"kind": "cost", "sweep": {"param": "warp", "values": ["x"]}}, "warp"),
     ({"kind": "cost", "protocols": ["nope"]}, "protocols"),
+    # a sweep point is built as run_scenario builds it, so weights cannot be swept
+    ({"sweep": {"param": "weights", "values": [[0.5, 2.0, 1.0]]}}, "weights"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -495,6 +502,30 @@ def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(trace)]) == 2
     assert case in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pow_trace():
+    return run_scenario(tiny_scenario(replicates=1), keep_traces=True).traces[("pow", 0.5, 0)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_value_exits_2_on_every_path(tmp_path, capsys, pow_trace, name, value):
+    """--set, a scenario file's base and a trace header all refuse it,
+    by name, before any cell runs."""
+    assert main(["run", "fig7-n30", "--fast", "--out", str(tmp_path / "set"),
+                 "--set", f"{name}={value}"]) == 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_JSON, base={**TINY_JSON["base"], name: float(value)})))
+    assert main(["run", str(path), "--out", str(tmp_path / "file")]) == 2
+    header = json.loads(pow_trace[0])
+    header["config"][name] = float(value)
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("\n".join([json.dumps(header), *pow_trace[1:]]) + "\n")
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err.count(f"{name} must be finite") == 3
+    assert not (tmp_path / "set").exists() and not (tmp_path / "file").exists()
 
 
 def test_replay_verb_rejects_non_utf8_file(tmp_path, capsys):

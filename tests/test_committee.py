@@ -63,8 +63,6 @@ def test_split_interval_defaults():
 def test_split_interval_validation():
     with pytest.raises(ConfigurationError):
         RoundTimers.split_interval(0.0, -5.0)
-    with pytest.raises(ConfigurationError):
-        RoundTimers.split_interval(0.0, 10.0, fractions=(0.9, 0.5))
 
 
 def test_quorum_threshold_strictly_over_two_thirds():

@@ -241,6 +241,9 @@ def test_weights_validation():
         PriorityWeights(a=-1.0)
     with pytest.raises(RejectedInputError):
         PriorityWeights(a=0.0, b=0.0, c=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(RejectedInputError, match="finite"):
+            PriorityWeights(bad, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,7 @@ def test_pack_tie_breaks_deterministic():
 
 def test_pca_axis_aligned_identity():
     X = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
-    proj = pca_project(X, dims=2)
+    proj = pca_project(X)
     centered = X[:, 0] - X[:, 0].mean()
     assert np.allclose(proj[:, 0], centered)
     assert np.allclose(proj[:, 1], 0.0)
@@ -522,14 +525,14 @@ def test_pca_axis_aligned_identity():
 def test_pca_component_variances_ordered():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(50, 6)) * np.array([5, 3, 1, 1, 1, 1])
-    proj = pca_project(X, dims=2)
+    proj = pca_project(X)
     assert proj[:, 0].var() >= proj[:, 1].var()
 
 
 def test_pca_matches_svd_oracle():
     rng = np.random.default_rng(24)
     X = rng.normal(size=(30, 5))
-    proj = pca_project(X, dims=2)
+    proj = pca_project(X)
     Xc = X - X.mean(axis=0)
     _u, _s, vt = np.linalg.svd(Xc, full_matrices=False)
     want = Xc @ vt[:2].T
@@ -542,22 +545,22 @@ def test_pca_matches_svd_oracle():
 
 def test_pca_pads_rank_deficient():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    proj = pca_project(X, dims=2)
+    proj = pca_project(X)
     assert np.allclose(proj[:, 1], 0.0)
     assert not np.allclose(proj[:, 0], 0.0)
 
 
 def test_pca_needs_two_vectors():
     with pytest.raises(RejectedInputError):
-        pca_project(np.array([[1.0, 2.0]]), dims=2)
+        pca_project(np.array([[1.0, 2.0]]))
 
 
 def test_pca_accepts_mapping_input():
     rng = np.random.default_rng(25)
     vecs = {u: rng.normal(size=4) for u in (3, 1, 2)}
-    proj = pca_project(vecs, dims=2)
+    proj = pca_project(vecs)
     X = np.stack([vecs[u] for u in sorted(vecs)])
-    assert np.allclose(proj, pca_project(X, dims=2))
+    assert np.allclose(proj, pca_project(X))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import dataclasses
 import json
 import math
 import weakref
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pous import cli, garbled, simnet
+from pous.committee import CommitteeConfig
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
@@ -81,6 +83,34 @@ def test_config_validation():
     for kw in bad:
         with pytest.raises(ConfigurationError):
             cfg(**kw)
+
+
+FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
+                if kind in (float, Optional[float])]
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in FLOAT_FIELDS for value in (math.nan, math.inf)),
+    ("k_clusters", 2.5),
+    ("seed", True),
+    ("sim_time", "600"),
+    ("weights", (0.5, 2.0, 1.0)),
+])
+def test_config_checks_every_value_on_construction_and_replace(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        cfg(**{name: value})
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        dataclasses.replace(cfg(), **{name: value})
+
+
+def test_committee_is_the_one_built_and_checked_by_committee_config():
+    config = cfg(committee_size=5, rotation_period=3, honest_fraction=0.75, seed=9)
+    assert config.committee() == CommitteeConfig(
+        size=5, selection_seed=9, rotation_period=3, honest_fraction=0.75)
+    with pytest.raises(ConfigurationError, match="rotation_period"):
+        cfg(rotation_period=0)
+    with pytest.raises(ConfigurationError, match="honest_fraction"):
+        cfg(honest_fraction=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +554,12 @@ def test_new_config_drops_the_held_workload_before_generating(monkeypatch):
 def test_workload_arrays_are_read_only():
     wl = simnet._workload(small_pous_cfg(seed=54))
     assert len(wl) > 0
-    for f in dataclasses.fields(wl):
+    for name in [f.name for f in dataclasses.fields(wl)] + ["arrival_order"]:
         with pytest.raises(ValueError):
-            getattr(wl, f.name)[0] = 0
+            getattr(wl, name)[0] = 0
+    # sorted once per workload, stably, and shared by every run that reads it
+    assert wl.arrival_order is wl.arrival_order
+    assert np.array_equal(wl.arrival_order, np.argsort(wl.arrival, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
