@@ -14,7 +14,7 @@ class ProtocolAbortError(RuntimeError):
 
 
 class CorruptedCircuitError(RuntimeError):
-    """Raised when garbled-circuit evaluation finds no validly tagged row."""
+    """Raised when a garbled row fails its tag check or a label is unknown."""
 
 
 class MalformedFlagError(ValueError):

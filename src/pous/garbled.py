@@ -10,11 +10,17 @@ nothing else; the generator learns nothing.
 Construction notes:
 
 * Every wire carries two random 128-bit labels (one per truth value).
-  A gate row is the output label plus a 32-bit all-zero tag, encrypted
-  under both matching input labels; the four rows are shuffled by a
-  seeded permutation. The evaluator simply tries rows until the tag
-  checks out, so no row-pointer bits leak. A forged row passes the tag
-  check with probability 2**-32.
+  The low bit of a label is its permute bit, and a wire's two labels
+  always carry opposite permute bits (point-and-permute: Beaver, Micali
+  and Rogaway, STOC 1990). The bit of the false label is uniform and
+  known only to the generator, so the bit the evaluator sees on a wire
+  says nothing about the wire's value.
+* A gate row is the output label plus a 32-bit all-zero tag, encrypted
+  under both matching input labels, and it sits at the slot the two
+  input labels' permute bits name. The evaluator reads that slot off
+  its active labels and decrypts one row per gate. The tag stays as a
+  tamper check: a row that fails it raises CorruptedCircuitError, and a
+  forged row passes it with probability 2**-32.
 * "Encryption" is a SHA256-keyed stream: the pad is the digest of the
   two input labels plus a per-gate, per-row tweak, which keeps pads
   unique even though wire labels feed many gates.
@@ -56,8 +62,8 @@ _TABLES = {
 class KeyStream:
     """Deterministic byte stream from SHA256 in counter mode.
 
-    Used for wire labels and row permutations so that one integer seed
-    reproduces a garbled circuit byte for byte.
+    Used for wire labels so that one integer seed reproduces a garbled
+    circuit byte for byte.
     """
 
     def __init__(self, seed: int, domain: bytes = b"pous-gc"):
@@ -66,30 +72,15 @@ class KeyStream:
         self._buf = b""
 
     def randbytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._state + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buf += block
+        blocks = (n - len(self._buf) + 31) // 32  # digests still needed
+        if blocks > 0:
+            start, self._counter = self._counter, self._counter + blocks
+            self._buf += b"".join(
+                hashlib.sha256(self._state + c.to_bytes(8, "big")).digest()
+                for c in range(start, self._counter)
+            )
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
-
-    def randint(self, upper: int) -> int:
-        """Uniform int in [0, upper) via rejection sampling."""
-        nbytes = (upper.bit_length() + 7) // 8 + 1
-        while True:
-            v = int.from_bytes(self.randbytes(nbytes), "big")
-            lim = (1 << (8 * nbytes)) // upper * upper
-            if v < lim:
-                return v % upper
-
-    def shuffle4(self) -> tuple[int, int, int, int]:
-        order = [0, 1, 2, 3]
-        for i in range(3, 0, -1):
-            j = self.randint(i + 1)
-            order[i], order[j] = order[j], order[i]
-        return tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +217,11 @@ def _row_pad(outer: bytes, inner: bytes, gate_index: int, slot: int) -> bytes:
     return hashlib.sha256(outer + inner + tweak).digest()[:ROW_BYTES]
 
 
+def _permute_bit(label: bytes) -> int:
+    """The label's low bit, which names its row slot in every gate it feeds."""
+    return label[-1] & 1
+
+
 def gen_gate(
     kind: str,
     in1_keys: tuple[bytes, bytes],
@@ -235,22 +231,23 @@ def gen_gate(
     in1: int,
     in2: int,
     out: int,
-    stream: KeyStream,
 ) -> GarbledGate:
     """Garble one two-input gate.
 
     Each of the four input combinations double-encrypts the matching
-    output label (tag appended); the row order is a fresh seeded
-    permutation.
+    output label (tag appended) into the slot its input labels' permute
+    bits name. Both input key pairs must carry opposite permute bits.
     """
+    p1, p2 = _permute_bit(in1_keys[0]), _permute_bit(in2_keys[0])
+    if _permute_bit(in1_keys[1]) == p1 or _permute_bit(in2_keys[1]) == p2:
+        raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
     table = _TABLES[kind]
-    combos = [(a, b) for a in (0, 1) for b in (0, 1)]
-    order = stream.shuffle4()
     rows: list[bytes] = [b""] * 4
-    for slot, combo_idx in enumerate(order):
-        a, b = combos[combo_idx]
-        plain = out_keys[table[2 * a + b]] + TAG
-        rows[slot] = _xor(plain, _row_pad(in1_keys[a], in2_keys[b], gate_index, slot))
+    for a, ka in enumerate(in1_keys):
+        for b, kb in enumerate(in2_keys):
+            slot = 2 * (p1 ^ a) + (p2 ^ b)  # ka's permute bit is p1 ^ a
+            plain = out_keys[table[2 * a + b]] + TAG
+            rows[slot] = _xor(plain, _row_pad(ka, kb, gate_index, slot))
     return GarbledGate(kind, in1, in2, out, tuple(rows))
 
 
@@ -346,11 +343,16 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     diff = b.sub(hi, lo)
     out = b.ge(t_wires, diff)
 
-    stream = KeyStream(seed)
-    keys = [(stream.randbytes(LABEL_BYTES), stream.randbytes(LABEL_BYTES))
-            for _ in range(b.n_wires)]
+    raw = KeyStream(seed).randbytes(2 * LABEL_BYTES * b.n_wires)
+    keys = []
+    for off in range(0, len(raw), 2 * LABEL_BYTES):
+        label0 = raw[off:off + LABEL_BYTES]
+        label1 = raw[off + LABEL_BYTES:off + 2 * LABEL_BYTES]
+        # label1's permute bit is the complement of label0's
+        flipped = (label1[-1] & 0xFE) | (1 - _permute_bit(label0))
+        keys.append((label0, label1[:-1] + bytes([flipped])))
     garbled = tuple(
-        gen_gate(kind, keys[i1], keys[i2], keys[o], gi, i1, i2, o, stream)
+        gen_gate(kind, keys[i1], keys[i2], keys[o], gi, i1, i2, o)
         for gi, (kind, i1, i2, o) in enumerate(b.gates)
     )
     theta_bits = theta_fp.bits_lsb()
@@ -390,9 +392,9 @@ def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint
     return [keys[i][bit] for i, bit in enumerate(bits)]
 
 
-# rows eval_circuit decrypts per gate on average: the valid row sits at a
-# uniformly shuffled slot among four, so (1 + 2 + 3 + 4) / 4
-ROW_TRIES = 2.5
+# rows eval_circuit decrypts per gate: the input labels' permute bits
+# name the one row to open
+ROW_TRIES = 1.0
 
 
 def eval_circuit(
@@ -402,8 +404,8 @@ def eval_circuit(
 ) -> bytes:
     """Run the garbled circuit on active labels; returns the output label.
 
-    For every gate the evaluator tries the four rows and keeps the
-    single one whose tag decrypts to zero. Anything else means the
+    For every gate the evaluator decrypts the one row its active labels'
+    permute bits select. A tag that does not decrypt to zero means the
     circuit or a label was tampered with.
     """
     if len(gen_labels) != len(circuit.gen_input_wires):
@@ -423,13 +425,13 @@ def eval_circuit(
         kb = labels[gate.in2]
         if ka is None or kb is None:
             raise CorruptedCircuitError(f"gate {gi} evaluated before its inputs")
-        for slot, row in enumerate(gate.rows):
-            plain = _xor(row, _row_pad(ka, kb, gi, slot))
-            if plain[LABEL_BYTES:] == TAG:
-                labels[gate.out] = plain[:LABEL_BYTES]
-                break
-        else:
-            raise CorruptedCircuitError(f"no row of gate {gi} carries a valid tag")
+        slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
+        row = gate.rows[slot]
+        pad = _row_pad(ka, kb, gi, slot)
+        # TAG is all zeros, so the tag decrypts to it iff the bytes match the pad's
+        if row[LABEL_BYTES:] != pad[LABEL_BYTES:]:
+            raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
+        labels[gate.out] = _xor(row[:LABEL_BYTES], pad[:LABEL_BYTES])
     return labels[circuit.output_wire]
 
 

@@ -53,8 +53,11 @@ from .errors import ConfigurationError
 from .packing import PriorityWeights, cluster_users, kmeans, priority, rank
 from .similarity import DEFAULT_CLASSES
 
-# sha256 throughput measured on this class of hardware; only used to
-# convert gate counts into simulated seconds
+# simulated seconds per garbled gate evaluated: one SHA-256 row pad, the
+# only hash the evaluator computes per gate. The traced evaluator itself
+# runs slower: perfbench protocol-round (seed 301, --trace 1, shared 2-core
+# x86-64 machine) measured garbled.gates_per_s = 4.0e5, about 2.5 us per
+# gate, which includes interpreter overhead this constant leaves out
 _SHA_SECONDS = 4.4e-7
 
 
@@ -281,7 +284,7 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
 
     Every ordered (voter, candidate) pair compares the common prefix of
     their budgeted pair sequences, two matrix slots per user pair.
-    Evaluation time is gates times rows tried per gate times the hash
+    Evaluation time is gates times rows decrypted per gate times the hash
     cost; bytes cover generator labels, the transfer transcript per evaluator
     bit, and the per-epoch circuit shipment amortized over the
     rotation period.
@@ -582,7 +585,7 @@ def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[
 
 def config_from_fields(values: Mapping) -> SimConfig:
     """SimConfig from field values; ``weights`` may be given as an
-    (a, b, c) sequence.
+    (a, b, c) sequence or as the text ``"a,b,c"``.
 
     Unknown fields raise ConfigurationError naming them; SimConfig
     checks every value.
@@ -594,7 +597,10 @@ def config_from_fields(values: Mapping) -> SimConfig:
     weights = values.get("weights")
     if weights is not None and not isinstance(weights, PriorityWeights):
         try:
-            values["weights"] = PriorityWeights(*weights)
+            parts = [float(w) for w in weights.split(",")] if isinstance(weights, str) else weights
+            if len(parts) != 3:
+                raise ValueError(f"need three numbers a, b, c, got {len(parts)}")
+            values["weights"] = PriorityWeights(*parts)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"weights {weights!r}: {exc}") from None
     return SimConfig(**values)

@@ -27,6 +27,7 @@ from pous.cli import (
     scenario_from_preset,
 )
 from pous.errors import ConfigurationError
+from pous.packing import PriorityWeights
 from pous.simnet import SimConfig, replay_trace
 
 FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
@@ -528,6 +529,27 @@ def test_non_finite_value_exits_2_on_every_path(tmp_path, capsys, pow_trace, nam
     assert not (tmp_path / "set").exists() and not (tmp_path / "file").exists()
 
 
+def test_set_weights_takes_three_numbers(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_JSON))
+    sc = load_config(str(path), parse_overrides(["weights=0.25,3,1.5"]))
+    assert sc.base.weights == PriorityWeights(0.25, 3.0, 1.5)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--set", "replicates=1",
+                 "--set", "weights=0.25,3,1.5"]) == 0
+    capsys.readouterr()
+    assert (out_dir / "cells.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["0.5,2", "0.5,2,1,4", "a,b,c", "0.5", "[0.5,2,1]",
+                                  "nan,1,1", "0,0,0", "0.5,,1"])
+def test_set_malformed_weights_exits_2(tmp_path, capsys, text):
+    assert main(["run", "fig8-n30", "--fast", "--out", str(tmp_path / "out"),
+                 "--set", f"weights={text}"]) == 2
+    assert "weights" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_verb_rejects_non_utf8_file(tmp_path, capsys):
     trace = tmp_path / "utf16.jsonl"
     trace.write_bytes(b"\xff\xfe" + '{"kind": "header"}'.encode("utf-16-le"))
@@ -569,13 +591,13 @@ def test_scatter_preset_writes_projection(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset, extra, name, digest", [
     ("fig8-n30", [], "cells.csv",
-     "bf03c1d80b9a58d8f21151829958df804c5c4af38391d47ddb6afcbf049e5aa4"),
+     "4d163908818a8b67a462c534c3da41b1ee9384ed72b9a0c256ce738ebfadd98e"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     # 419-transaction blocks: the pending pool overflows every block, so
     # the priority rule decides what is packed
     ("fig8-n30", ["--set", "block_size_mb=0.1"], "cells.csv",
-     "fcc3b29d22a76137feabae44898da8cbd214b117253983f2d04889fc02f4e83a"),
+     "5e74536712b5a04e9fbf29a38fd51eed8e69af95bebb8dfd6c01eee3893201b7"),
 ])
 def test_golden_output(tmp_path, capsys, preset, extra, name, digest):
     out_dir = tmp_path / "out"

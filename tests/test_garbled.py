@@ -1,4 +1,5 @@
 """Garbled comparator, gate encryption, and oblivious transfer."""
+import dataclasses
 import hashlib
 import random
 import secrets
@@ -6,12 +7,14 @@ import struct
 
 import pytest
 
+from pous import garbled
 from pous.errors import (
     ConfigurationError,
     CorruptedCircuitError,
     RejectedInputError,
 )
 from pous.garbled import (
+    BITWIDTHS,
     DEFAULT_GROUP,
     FAST_GROUP,
     GATE_KINDS,
@@ -65,11 +68,17 @@ class RecordingOT(DiffieHellmanOT):
         return label, transcript
 
 
+def permute_bit(label):
+    return label[-1] & 1
+
+
 def fresh_keys(stream, count=3):
-    return [
-        (stream.randbytes(LABEL_BYTES), stream.randbytes(LABEL_BYTES))
-        for _ in range(count)
-    ]
+    """Random key pairs whose two labels carry opposite permute bits."""
+    keys = []
+    for _ in range(count):
+        k0, k1 = stream.randbytes(LABEL_BYTES), stream.randbytes(LABEL_BYTES)
+        keys.append((k0, k1[:-1] + bytes([(k1[-1] & 0xFE) | (1 - permute_bit(k0))])))
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +94,21 @@ def test_keystream_domain_separation():
     assert KeyStream(1, b"x").randbytes(32) != KeyStream(1, b"y").randbytes(32)
 
 
-def test_keystream_randint_bounds():
-    s = KeyStream(7)
-    vals = [s.randint(10) for _ in range(500)]
-    assert all(0 <= v < 10 for v in vals)
-    assert len(set(vals)) == 10
+def test_keystream_one_call_equals_many():
+    whole = KeyStream(5).randbytes(2 * LABEL_BYTES * 40)
+    s = KeyStream(5)
+    assert whole == b"".join(s.randbytes(LABEL_BYTES) for _ in range(80))
+    s = KeyStream(5)
+    sizes = [1, 31, 32, 33, 0, 64, 5, 3]
+    parts = [s.randbytes(n) for n in sizes]
+    assert [len(p) for p in parts] == sizes
+    assert b"".join(parts) == whole[:sum(sizes)]
 
 
-def test_keystream_shuffle4_is_permutation():
-    s = KeyStream(3)
-    seen = set()
-    for _ in range(200):
-        order = s.shuffle4()
-        assert sorted(order) == [0, 1, 2, 3]
-        seen.add(order)
-    assert len(seen) == 24
+def test_keystream_is_sha256_in_counter_mode():
+    state = hashlib.sha256(b"pous-gc" + (9).to_bytes(16, "big", signed=True)).digest()
+    want = b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest() for c in range(3))
+    assert KeyStream(9).randbytes(96) == want
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def test_fixed_point_rejects_bad_inputs():
 def test_and_gate_label_selection():
     stream = KeyStream(10)
     k1, k2, k3 = fresh_keys(stream)
-    gate = gen_gate("AND", k1, k2, k3, 0, 0, 1, 2, stream)
+    gate = gen_gate("AND", k1, k2, k3, 0, 0, 1, 2)
     for a in (0, 1):
         for b in (0, 1):
             hits = [
@@ -162,26 +171,35 @@ def test_every_kind_matches_truth_table():
     stream = KeyStream(11)
     for gi, kind in enumerate(GATE_KINDS):
         k1, k2, k3 = fresh_keys(stream)
-        gate = gen_gate(kind, k1, k2, k3, gi, 0, 1, 2, stream)
+        gate = gen_gate(kind, k1, k2, k3, gi, 0, 1, 2)
         for a in (0, 1):
             for b in (0, 1):
-                labels = [
-                    lab
+                hits = [
+                    (s, lab)
                     for s in range(4)
                     for lab, ok in [decrypt_row(gate.rows[s], k1[a], k2[b], gi, s)]
                     if ok
                 ]
-                assert len(labels) == 1
-                assert labels[0] == k3[TRUTH[kind](a, b)]
+                assert len(hits) == 1
+                # the one valid row sits at the slot the permute bits name
+                slot = 2 * permute_bit(k1[a]) + permute_bit(k2[b])
+                assert hits[0] == (slot, k3[TRUTH[kind](a, b)])
 
 
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
-    stream_a = KeyStream(12)
-    keys = fresh_keys(stream_a)
-    g0 = gen_gate("AND", *keys, 0, 0, 1, 2, KeyStream(12, b"p0"))
-    g1 = gen_gate("AND", *keys, 1, 0, 1, 2, KeyStream(12, b"p1"))
-    assert g0.rows != g1.rows
+    keys = fresh_keys(KeyStream(12))
+    g0 = gen_gate("AND", *keys, 0, 0, 1, 2)
+    g1 = gen_gate("AND", *keys, 1, 0, 1, 2)
+    assert all(r0 != r1 for r0, r1 in zip(g0.rows, g1.rows))
+
+
+def test_gate_rejects_key_pair_with_equal_permute_bits():
+    k1, k2, k3 = fresh_keys(KeyStream(14))
+    same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
+    for in1, in2 in ((k1, same), (same, k1)):
+        with pytest.raises(RejectedInputError, match="permute bit"):
+            gen_gate("AND", in1, in2, k3, 0, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +210,9 @@ def test_gate_count_closed_form():
     for w in (4, 8, 16, 24, 32):
         t = garble_comparator(w, 0.4, seed=1)
         assert len(t.circuit.gates) == 19 * w - 8
+    # four 20-byte rows per gate: 25 header + 28 per input bit + 93 per gate + 38 trailer
+    for w in BITWIDTHS:
+        assert comparator_size(w) == (19 * w - 8, 25 + 28 * w + 93 * (19 * w - 8) + 38)
 
 
 def test_comparator_size_reads_a_real_circuit():
@@ -262,6 +283,84 @@ def test_eight_bit_sample_matches_plaintext():
     for _ in range(1500):
         a, b = rng.randrange(256), rng.randrange(256)
         assert run_template(t, a, b) == plain_within_theta(a, b, t.theta.raw)
+
+
+def test_every_wire_has_opposite_permute_bits(monkeypatch):
+    pairs = {}
+    real_gen_gate = garbled.gen_gate
+
+    def recording_gen_gate(kind, k1, k2, k3, gi, in1, in2, out):
+        pairs.update({in1: k1, in2: k2, out: k3})
+        return real_gen_gate(kind, k1, k2, k3, gi, in1, in2, out)
+
+    monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
+    for w, seed in ((4, 1), (16, 2)):
+        pairs.clear()
+        t = garble_comparator(w, 0.4, seed)
+        assert sorted(pairs) == list(range(t.circuit.n_wires))
+        for k0, k1 in pairs.values():
+            assert permute_bit(k0) != permute_bit(k1)
+        assert pairs[t.circuit.output_wire] == tuple(sorted(
+            t.circuit.output_map, key=t.circuit.output_map.get))
+    # the false label's permute bit is not fixed: it varies across wires
+    assert {permute_bit(k0) for k0, _ in pairs.values()} == {0, 1}
+
+
+def opened_slots(monkeypatch, template, ga, gb):
+    """Run the evaluator and record the (gate, slot) of every pad it computes."""
+    opened = []
+    real_row_pad = garbled._row_pad
+
+    def counting_row_pad(outer, inner, gate_index, slot):
+        opened.append((gate_index, slot))
+        return real_row_pad(outer, inner, gate_index, slot)
+
+    with monkeypatch.context() as m:
+        m.setattr(garbled, "_row_pad", counting_row_pad)
+        out = eval_circuit(template.circuit, ga, gb)
+    return opened, decode_output(template.circuit, out)
+
+
+def test_evaluator_opens_one_row_per_gate(monkeypatch):
+    assert garbled.ROW_TRIES == 1
+    for w in (4, 16):
+        t = garble_comparator(w, 0.4, seed=w)
+        rng = random.Random(w)
+        for _ in range(20):
+            a, b = rng.randrange(1 << w), rng.randrange(1 << w)
+            ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
+            gb = select_input_labels(t.eval_keys, FixedPoint(b, w))
+            opened, bit = opened_slots(monkeypatch, t, ga, gb)
+            assert [gi for gi, _ in opened] == list(range(len(t.circuit.gates)))
+            assert bit == plain_within_theta(a, b, t.theta.raw)
+
+
+def with_row(circuit, gate_index, slot, flip_at):
+    """Copy of the circuit with one byte of one row flipped."""
+    gate = circuit.gates[gate_index]
+    rows = list(gate.rows)
+    row = rows[slot]
+    rows[slot] = row[:flip_at] + bytes([row[flip_at] ^ 0xFF]) + row[flip_at + 1:]
+    gates = list(circuit.gates)
+    gates[gate_index] = GarbledGate_replace(gate, tuple(rows))
+    return dataclasses.replace(circuit, gates=tuple(gates))
+
+
+def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
+    w = 4
+    t = garble_comparator(w, 0.4, seed=23)
+    for a, b in ((3, 5), (12, 2)):
+        ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
+        gb = select_input_labels(t.eval_keys, FixedPoint(b, w))
+        opened, want = opened_slots(monkeypatch, t, ga, gb)
+        assert want == plain_within_theta(a, b, t.theta.raw)
+        for gi, slot in opened:
+            with pytest.raises(CorruptedCircuitError, match=f"gate {gi} "):
+                eval_circuit(with_row(t.circuit, gi, slot, ROW_BYTES - 1), ga, gb)
+            for other in set(range(4)) - {slot}:
+                for flip_at in (0, ROW_BYTES - 1):
+                    bad = with_row(t.circuit, gi, other, flip_at)
+                    assert decode_output(bad, eval_circuit(bad, ga, gb)) == want
 
 
 def test_wrong_label_count_rejected():
