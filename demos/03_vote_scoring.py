@@ -9,7 +9,7 @@ one miner submits a corrupted matrix and collects approvals near zero.
 """
 import numpy as np
 
-from pous.bts import cast_votes, reward, score_sheet, tally
+from pous.bts import cast_votes, score_sheet, tally
 from pous.similarity import Transaction, DataView, build_user_vectors, compute_usm
 
 
@@ -56,6 +56,5 @@ print("round leader:", result.leader,
 print("\ntruth-serum scores (information + prediction):")
 for voter in range(1, m_miners + 1):
     sheet = score_sheet(voter, records, m_miners, n_users)
-    assert sheet.total == reward(voter, records, m_miners, n_users)
     print(f"  miner {voter}: {sheet.information:8.2f} + {sheet.prediction:8.2f}"
           f" = {sheet.total:8.2f}")

@@ -13,7 +13,6 @@ from pous.committee import (
     CommitteeConfig,
     RoundTimers,
     agree,
-    decision_log_line,
     quorum_threshold,
     select_committee,
     verify_block,
@@ -38,7 +37,8 @@ honest = (7, "a1b2c3")
 submissions = {m: honest for m in committee[:-1]}
 submissions[committee[-1]] = (13, "ffffff")
 decision = agree(submissions, cfg.size, round_index=0)
-print(decision_log_line(0, decision))
+print(f"round 0 decided: leader {decision.leader}, "
+      f"{decision.quorum_count} of {cfg.size} members agree")
 
 # the decided leader packs a block; anyone can re-check it
 rng = np.random.default_rng(3)

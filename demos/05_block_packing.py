@@ -68,7 +68,7 @@ print("\nmean distance to cluster center:")
 print("  packed  ", round(mean_centroid_distance(clusters, packed_ids), 4))
 print("  mempool ", round(mean_centroid_distance(clusters), 4))
 
-coords = pca_project(vectors)
+coords = pca_project(np.stack(list(vectors.values())))
 spread = coords.var(axis=0)
 print("\n2-D projection variance per axis:", np.round(spread, 2),
       "(first axis dominates)" if spread[0] >= spread[1] else "")

@@ -50,7 +50,6 @@ from .bts import (
     cast_votes,
     expected_scores,
     quadratic_score,
-    reward,
     score_sheet,
     shifted_prediction,
     strategy_scores,
@@ -102,7 +101,7 @@ __all__ = [
     "GarbledCompareBackend", "PlainCompareBackend", "TrustedDealerOT",
     "garble_comparator", "secure_compare",
     "ScoreSheet", "TallyResult", "VoteRecord", "cast_votes",
-    "expected_scores", "quadratic_score", "reward", "score_sheet",
+    "expected_scores", "quadratic_score", "score_sheet",
     "shifted_prediction", "strategy_scores", "tally",
     "CommitteeConfig", "Decision", "RoundTimers", "accept_vote_submission",
     "agree", "select_committee", "verify_block",

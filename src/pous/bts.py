@@ -11,15 +11,17 @@ rational miners neither flip votes nor copy-paste approvals.
 
 Abstentions (entries one side never computed) are recorded explicitly:
 they count toward the voter population in mean approvals but earn
-nothing.
+nothing. The tally takes the miners' matrices: an entry's best copy is
+picked among the miners that computed it, and its value goes into the
+digest the committee agrees on.
 """
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import CorruptedCircuitError, ProtocolAbortError, RejectedInputError
 from .similarity import SimilarityMatrix, unflatten_index
@@ -122,8 +124,7 @@ class TallyResult:
     ``mean_approvals`` holds x-bar per (candidate, entry) with the
     fixed denominator m - 1; ``totals`` is its per-candidate sum;
     ``global_best`` maps each entry to the candidate whose copy won the
-    approval vote (ties to the lowest miner id) plus that value when
-    matrices were supplied.
+    approval vote (ties to the lowest miner id) and that copy's value.
     """
 
     m: int
@@ -131,7 +132,7 @@ class TallyResult:
     mean_approvals: dict[tuple[int, int], float]
     totals: dict[int, float]
     leader: int
-    global_best: dict[int, tuple[int, Optional[float]]]
+    global_best: dict[int, tuple[int, float]]
 
     def digest(self) -> str:
         h = sha256()
@@ -139,7 +140,7 @@ class TallyResult:
         for entry in sorted(self.global_best):
             owner, value = self.global_best[entry]
             h.update(struct.pack("<II", entry, owner))
-            h.update(struct.pack("<d", -1.0 if value is None else value))
+            h.update(struct.pack("<d", value))
         return h.hexdigest()
 
 
@@ -147,19 +148,19 @@ def tally(
     records: list[VoteRecord],
     m: int,
     n: int,
-    matrices: Optional[dict[int, SimilarityMatrix]] = None,
+    matrices: dict[int, SimilarityMatrix],
 ) -> TallyResult:
     """Fold vote records into mean approvals, totals, leader, and the
     entry-wise best matrix.
 
     The denominator of every mean is m - 1: abstainers are voters too.
-    Duplicate (voter, candidate, entry) triples are rejected.
+    Duplicate (voter, candidate, entry) triples are rejected. An entry's
+    best copy is chosen among the ``matrices`` that computed it.
     """
     if m < 2:
         raise RejectedInputError("tally needs at least two miners")
     seen: set[tuple[int, int, int]] = set()
     sums: dict[tuple[int, int], float] = {}
-    valid_by_entry: dict[tuple[int, int], int] = {}
     for r in records:
         if r.voter > m or r.candidate > m:
             raise RejectedInputError(f"miner id beyond population {m}")
@@ -173,10 +174,6 @@ def tally(
             raise RejectedInputError(f"duplicate vote {key}")
         seen.add(key)
         sums[(r.candidate, r.entry)] = sums.get((r.candidate, r.entry), 0.0) + r.x
-        if r.valid:
-            valid_by_entry[(r.candidate, r.entry)] = (
-                valid_by_entry.get((r.candidate, r.entry), 0) + 1
-            )
 
     mean_approvals = {key: s / (m - 1) for key, s in sums.items()}
     totals: dict[int, float] = {}
@@ -188,18 +185,14 @@ def tally(
         default=1,
     )
 
-    global_best: dict[int, tuple[int, Optional[float]]] = {}
+    global_best: dict[int, tuple[int, float]] = {}
     entries = {e for (_c, e) in sums}
     for entry in entries:
-        if matrices is not None:
-            holders = [c for c, mat in matrices.items() if mat.get(entry) is not None]
-        else:
-            holders = [c for (c, e) in valid_by_entry if e == entry]
+        holders = [c for c, mat in matrices.items() if mat.get(entry) is not None]
         if not holders:
             continue
         best = min(holders, key=lambda c: (-mean_approvals.get((c, entry), 0.0), c))
-        value = matrices[best].get(entry) if matrices is not None else None
-        global_best[entry] = (best, value)
+        global_best[entry] = (best, matrices[best].get(entry))
 
     return TallyResult(
         m=m,
@@ -285,11 +278,6 @@ def score_sheet(voter: int, records: list[VoteRecord], m: int, n: int) -> ScoreS
             info += quadratic_score(y_shift, pr.x)
             pred += quadratic_score(own.y, pr.x)
     return ScoreSheet(voter=voter, information=info, prediction=pred)
-
-
-def reward(voter: int, records: list[VoteRecord], m: int, n: int) -> float:
-    """Total payout for one voter in one round."""
-    return score_sheet(voter, records, m, n).total
 
 
 def expected_quadratic(q: float, p: float) -> float:

@@ -425,9 +425,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     capability-bounded mining budget.
     """
     rows = []
-    bitwidth = 8
-    template = garbled.garble_comparator(bitwidth, theta=0.4, seed=seed)
-    dealer = garbled.TrustedDealerOT()
+    backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed, ot=garbled.TrustedDealerOT())
     rng = np.random.default_rng(seed)
     for data_bytes in (1024, 2048, 4096, 8192, 16384, 32768):
         n_cmp = data_bytes // 8
@@ -435,9 +433,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         start = time.perf_counter()
         approvals = 0
         for a, b in pairs:
-            approvals += garbled.secure_compare(
-                float(a), float(b), theta=0.4, template=template, ot=dealer
-            )
+            approvals += backend.compare(float(a), float(b))
         elapsed = time.perf_counter() - start
         rows.append({
             "series": "eval", "data_bytes": data_bytes, "comparisons": n_cmp,

@@ -30,7 +30,6 @@ class CommitteeConfig:
     size: int
     selection_seed: int = 0
     rotation_period: int = 1
-    honest_fraction: float = 1.0
 
     def __post_init__(self):
         if self.size < 4:
@@ -38,9 +37,6 @@ class CommitteeConfig:
         if self.rotation_period < 1:
             raise ConfigurationError(
                 f"rotation_period must be at least 1 round, got {self.rotation_period}")
-        if not 0.0 <= self.honest_fraction <= 1.0:
-            raise ConfigurationError(
-                f"honest_fraction {self.honest_fraction} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,6 @@ class Decision:
 
     round_index: int
     leader: int
-    global_best: Optional[dict]
     quorum_count: int
     digest: str
 
@@ -126,13 +121,11 @@ class Decision:
 Submission = Union[TallyResult, tuple]
 
 
-def _normalize(sub: Submission) -> tuple[int, str, Optional[dict]]:
+def _normalize(sub: Submission) -> tuple[int, str]:
     if isinstance(sub, TallyResult):
-        return sub.leader, sub.digest(), sub.global_best
-    if isinstance(sub, tuple) and len(sub) >= 2:
-        leader, digest = sub[0], sub[1]
-        best = sub[2] if len(sub) > 2 else None
-        return int(leader), str(digest), best
+        return sub.leader, sub.digest()
+    if isinstance(sub, tuple) and len(sub) == 2:
+        return int(sub[0]), str(sub[1])
     raise RejectedInputError("submission must be a tally or a (leader, digest) pair")
 
 
@@ -146,45 +139,24 @@ def agree(
     Stands in for a local PBFT run: a value commits once strictly more
     than two thirds of the committee reports it; otherwise the round
     aborts (returns None). Each member gets one submission; Byzantine
-    members may submit anything.
+    members may submit anything. With at most ``size`` submissions, two
+    values cannot both reach the quorum.
     """
     if size < 4:
         raise ConfigurationError("committee needs at least 4 members")
     if len(submissions) > size:
         raise RejectedInputError("more submissions than committee members")
-    votes: dict[tuple[int, str], list[int]] = {}
-    bests: dict[tuple[int, str], Optional[dict]] = {}
-    for member, sub in submissions.items():
-        leader, digest, best = _normalize(sub)
-        key = (leader, digest)
-        votes.setdefault(key, []).append(member)
-        if best is not None:
-            bests[key] = best
+    votes: dict[tuple[int, str], int] = {}
+    for sub in submissions.values():
+        key = _normalize(sub)
+        votes[key] = votes.get(key, 0) + 1
 
     needed = quorum_threshold(size)
-    winners = [(key, members) for key, members in votes.items() if len(members) >= needed]
-    if not winners:
-        return None
-    # two pairs reaching quorum is arithmetically impossible with one
-    # submission per member, but guard anyway
-    (leader, digest), members = max(winners, key=lambda kv: (len(kv[1]), -kv[0][0]))
-    return Decision(
-        round_index=round_index,
-        leader=leader,
-        global_best=bests.get((leader, digest)),
-        quorum_count=len(members),
-        digest=digest,
-    )
-
-
-def decision_log_line(round_index: int, decision: Optional[Decision]) -> str:
-    """One line per round for the decision log."""
-    if decision is None:
-        return f"round={round_index} leader=- quorum=0 aborted=1"
-    return (
-        f"round={round_index} leader={decision.leader} "
-        f"quorum={decision.quorum_count} aborted=0"
-    )
+    for (leader, digest), count in votes.items():
+        if count >= needed:
+            return Decision(round_index=round_index, leader=leader,
+                            quorum_count=count, digest=digest)
+    return None
 
 
 def verify_block(

@@ -27,6 +27,12 @@ Construction notes:
 * The evaluator's input labels travel through 1-of-2 oblivious transfer
   (a Diffie-Hellman construction over a safe-prime group, or a trusted
   dealer stand-in with the same interface for large simulations).
+* :func:`secure_compare` garbles a fresh circuit for its one
+  comparison. :class:`GarbledCompareBackend` reuses one template across
+  many comparisons, as the simulator's per-epoch cost model assumes; an
+  evaluator that sees a reused circuit under several inputs learns more
+  than one bit (Lindell and Pinkas, J. Cryptology 2009), so reuse is
+  confined to that class.
 
 The comparator layout: a greater-or-equal ripple over the two inputs
 drives two multiplexer banks that route max and min into a borrow
@@ -66,8 +72,8 @@ class KeyStream:
     circuit byte for byte.
     """
 
-    def __init__(self, seed: int, domain: bytes = b"pous-gc"):
-        self._state = hashlib.sha256(domain + seed.to_bytes(16, "big", signed=True)).digest()
+    def __init__(self, seed: int):
+        self._state = hashlib.sha256(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
         self._counter = 0
         self._buf = b""
 
@@ -135,6 +141,11 @@ class GarbledGate:
     rows: tuple[bytes, bytes, bytes, bytes]
 
 
+# serialized layout: the header after the magic, and each gate's fields before its rows
+_HEADER = "<BIIIII"  # bitwidth, wires, generator inputs, evaluator inputs, constants, gates
+_GATE_HEADER = "<BIII"  # kind, in1, in2, out
+
+
 @dataclass
 class GarbledCircuit:
     """Everything the evaluator receives: gates, wiring, constants, decode map.
@@ -153,7 +164,7 @@ class GarbledCircuit:
     output_map: dict[bytes, int]
 
     def serialize(self) -> bytes:
-        parts = [b"PGC1", struct.pack("<BIII I I", self.bitwidth, self.n_wires,
+        parts = [b"PGC1", struct.pack(_HEADER, self.bitwidth, self.n_wires,
                                       len(self.gen_input_wires), len(self.eval_input_wires),
                                       len(self.const_wires), len(self.gates))]
         parts.append(struct.pack(f"<{len(self.gen_input_wires)}I", *self.gen_input_wires))
@@ -161,7 +172,7 @@ class GarbledCircuit:
         for wire, label in self.const_wires:
             parts.append(struct.pack("<I", wire) + label)
         for g in self.gates:
-            parts.append(struct.pack("<BIII", GATE_KINDS.index(g.kind), g.in1, g.in2, g.out))
+            parts.append(struct.pack(_GATE_HEADER, GATE_KINDS.index(g.kind), g.in1, g.in2, g.out))
             parts.extend(g.rows)
         parts.append(struct.pack("<I", self.output_wire))
         for label in sorted(self.output_map):
@@ -170,11 +181,21 @@ class GarbledCircuit:
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
+        """Inverse of :meth:`serialize`. The bytes must be exactly as long
+        as their header says, with two output-map entries; anything else
+        raises CorruptedCircuitError."""
         if raw[:4] != b"PGC1":
             raise CorruptedCircuitError("bad circuit magic")
-        off = 4
-        bitwidth, n_wires, n_gen, n_eval, n_const, n_gates = struct.unpack_from("<BIIIII", raw, off)
-        off += struct.calcsize("<BIIIII")
+        off = 4 + struct.calcsize(_HEADER)
+        if len(raw) < off:
+            raise CorruptedCircuitError(f"circuit of {len(raw)} bytes ends inside its header")
+        bitwidth, n_wires, n_gen, n_eval, n_const, n_gates = struct.unpack_from(_HEADER, raw, 4)
+        expected = (off + 4 * (n_gen + n_eval) + n_const * (4 + LABEL_BYTES)
+                    + n_gates * (struct.calcsize(_GATE_HEADER) + 4 * ROW_BYTES)
+                    + 4 + 2 * (LABEL_BYTES + 1))
+        if len(raw) != expected:
+            raise CorruptedCircuitError(
+                f"circuit is {len(raw)} bytes, its header implies {expected}")
         gen = struct.unpack_from(f"<{n_gen}I", raw, off)
         off += 4 * n_gen
         ev = struct.unpack_from(f"<{n_eval}I", raw, off)
@@ -187,8 +208,10 @@ class GarbledCircuit:
             off += LABEL_BYTES
         gates = []
         for _ in range(n_gates):
-            kid, i1, i2, o = struct.unpack_from("<BIII", raw, off)
-            off += struct.calcsize("<BIII")
+            kid, i1, i2, o = struct.unpack_from(_GATE_HEADER, raw, off)
+            off += struct.calcsize(_GATE_HEADER)
+            if kid >= len(GATE_KINDS):
+                raise CorruptedCircuitError(f"unknown gate kind {kid}")
             rows = []
             for _ in range(4):
                 rows.append(raw[off:off + ROW_BYTES])
@@ -196,13 +219,10 @@ class GarbledCircuit:
             gates.append(GarbledGate(GATE_KINDS[kid], i1, i2, o, tuple(rows)))
         (out_wire,) = struct.unpack_from("<I", raw, off)
         off += 4
-        omap = {}
-        while off < len(raw):
-            label = raw[off:off + LABEL_BYTES]
-            off += LABEL_BYTES
-            (bit,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            omap[label] = bit
+        omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
+                for o in (off, off + LABEL_BYTES + 1)}
+        if len(omap) != 2:
+            raise CorruptedCircuitError("output map needs two distinct labels")
         return cls(bitwidth, n_wires, tuple(gen), tuple(ev), tuple(consts),
                    tuple(gates), out_wire, omap)
 
@@ -520,8 +540,6 @@ class DiffieHellmanOT:
     injected.
     """
 
-    name = "dh"
-
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
         self.group = group
         self._rng = rng if rng is not None else secrets.SystemRandom()
@@ -570,8 +588,6 @@ class DiffieHellmanOT:
 class TrustedDealerOT:
     """Dealer stand-in with the same interface, for large simulations."""
 
-    name = "dealer"
-
     def exchange(self, m0: bytes, m1: bytes, bit: int) -> tuple[bytes, OTTranscript]:
         if bit not in (0, 1):
             raise RejectedInputError(f"choice bit {bit}")
@@ -609,15 +625,13 @@ def secure_compare(
     bitwidth: int = 16,
     seed: int = 0,
     ot=None,
-    template: Optional[ComparatorTemplate] = None,
 ) -> int:
-    """Full two-party comparison: returns 1 iff |a - b| <= theta.
+    """One-time two-party comparison: returns 1 iff |a - b| <= theta.
 
-    ``template`` allows reusing one epoch circuit across many rounds;
-    otherwise a fresh one is garbled from ``seed``.
+    Garbles a fresh comparator from ``seed`` for this one comparison;
+    :class:`GarbledCompareBackend` is the way to reuse one template.
     """
-    if template is None:
-        template = garble_comparator(bitwidth, theta, seed)
+    template = garble_comparator(bitwidth, theta, seed)
     return _compare(template, gen_value, eval_value,
                     ot if ot is not None else TrustedDealerOT())
 
@@ -645,8 +659,9 @@ class PlainCompareBackend:
 class GarbledCompareBackend:
     """Comparison backend that actually garbles and evaluates.
 
-    The template is garbled once (per epoch); each compare ships fresh
-    active labels and runs OT per evaluator bit.
+    The template is garbled once (per epoch) and serves every compare:
+    the library's one place that reuses a garbled circuit. Each compare
+    ships fresh active labels and runs OT per evaluator bit.
     """
 
     def __init__(self, theta: float, bitwidth: int = 16, seed: int = 0, ot=None):

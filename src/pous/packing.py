@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -365,23 +365,16 @@ def pack_block(
 # projection for inspection plots
 
 
-def pca_project(user_vectors) -> np.ndarray:
-    """Mean-centered projection onto the top two principal components.
+def pca_project(points) -> np.ndarray:
+    """Mean-centered projection of the rows of ``points`` onto their top
+    two principal components.
 
     Components come from the eigendecomposition of the sample
     covariance, eigenvalues descending; each eigenvector is flipped so
     its largest-magnitude entry is positive, and directions with no
     variance project to zeros.
     """
-    if isinstance(user_vectors, Mapping) or (
-        isinstance(user_vectors, (list, tuple))
-        and user_vectors
-        and isinstance(user_vectors[0], UserVector)
-    ):
-        vecs = _vector_map(user_vectors)
-        X = np.stack([vecs[u] for u in sorted(vecs)])
-    else:
-        X = np.asarray(user_vectors, dtype=float)
+    X = np.asarray(points, dtype=float)
     if X.ndim != 2 or len(X) < 2:
         raise RejectedInputError("projection needs at least two vectors")
     Xc = X - X.mean(axis=0)

@@ -22,9 +22,11 @@ library's block assembly uses.
 
 Simulated miners all watch the same mempool, so their user vectors
 agree and honest comparisons always approve shared entries. That
-collapses the voting tally to budget arithmetic: the leader is the
-miner that computed the longest prefix of the pair sequence. No test
-yet checks this shortcut against the full record-level tally.
+collapses the voting tally to budget arithmetic. An entry that only one
+miner computed earns no approval, so every miner whose budget reaches
+the second-highest budget ties on approvals, and the lowest id among
+them leads. A differential test checks this shortcut against the
+record-level pipeline of :mod:`pous.similarity` and :mod:`pous.bts`.
 Cryptographic cost is accounted from the comparator facts that
 :mod:`pous.garbled` publishes (:func:`~pous.garbled.comparator_size`,
 :func:`~pous.garbled.comparison_bytes`, ``ROW_TRIES``); no comparison
@@ -115,6 +117,9 @@ class SimConfig:
             raise ConfigurationError("sigma must be nonnegative")
         if not 0.0 <= self.power_low < self.power_high:
             raise ConfigurationError("power range must satisfy 0 <= low < high")
+        if not 0.0 <= self.honest_fraction <= 1.0:
+            raise ConfigurationError(
+                f"honest_fraction must lie in [0, 1], got {self.honest_fraction}")
         self.committee()  # CommitteeConfig checks the committee's own ranges
         if self.committee_size > self.n_nodes:
             raise ConfigurationError(
@@ -134,7 +139,6 @@ class SimConfig:
             size=self.committee_size,
             selection_seed=self.seed,
             rotation_period=self.rotation_period,
-            honest_fraction=self.honest_fraction,
         )
 
     def capacity(self) -> int:
@@ -154,9 +158,9 @@ _FIELD_TYPES = get_type_hints(SimConfig)
 
 @dataclass
 class Workload:
-    """Columnar transaction stream, sorted by submit time, ids 1-based."""
+    """Columnar transaction stream, sorted by submit time; a transaction's
+    id is its row plus one."""
 
-    ids: np.ndarray
     source: np.ndarray
     tx_class: np.ndarray
     fee: np.ndarray
@@ -169,7 +173,7 @@ class Workload:
             getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.submit)
 
     @cached_property
     def arrival_order(self) -> np.ndarray:
@@ -210,7 +214,6 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     tx_class = rng.integers(0, len(DEFAULT_CLASSES), total)[order]
     delay = np.maximum(rng.normal(config.tx_delay_mean, config.sigma, total), 0.001)[order]
     return Workload(
-        ids=np.arange(1, len(order) + 1, dtype=np.int64),
         source=source.astype(np.int64, copy=False),
         tx_class=tx_class.astype(np.int64, copy=False),
         fee=fee,
@@ -445,7 +448,8 @@ def rank_pool(view: np.ndarray, wl: Workload, idx: np.ndarray, now: float,
     d_tx = dist_user[src]
     submit = wl.submit[idx]
     prio = priority(now, submit, wl.fee[idx], d_tx, config.weights)
-    return rank(prio, submit, wl.ids[idx]), d_tx, users, labels
+    # workload rows break ties as the transaction ids (row + 1) would
+    return rank(prio, submit, idx), d_tx, users, labels
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +469,9 @@ def run_pous(config: SimConfig) -> Metrics:
     budgets = np.minimum(
         np.rint(powers * config.budget_scale).astype(int), total_pairs
     )
-    # symmetric views: the longest verified prefix wins every tally
-    leader = int(np.argmax(budgets)) + 1
+    # symmetric views: approvals stop growing past the second-highest
+    # budget, so every miner that reaches it ties and the lowest id leads
+    leader = int(np.flatnonzero(budgets >= np.sort(budgets)[-2])[0]) + 1
     _, round_crypto_time, round_crypto_bytes = _crypto_round_costs(budgets, config)
 
     committee_cfg = config.committee()
@@ -555,7 +560,7 @@ def run_pow(config: SimConfig) -> Metrics:
             chain.log(r, leader)
             continue
         chosen, _ = chain.select(
-            capacity, lambda pool: (rank(wl.fee[pool], wl.submit[pool], wl.ids[pool]),))
+            capacity, lambda pool: (rank(wl.fee[pool], wl.submit[pool], pool),))
         chain.commit(r, leader, chosen, commit_at)
 
     return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)

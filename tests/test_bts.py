@@ -15,7 +15,6 @@ from pous.bts import (
     expected_quadratic,
     expected_scores,
     quadratic_score,
-    reward,
     score_sheet,
     shifted_prediction,
     strategy_scores,
@@ -150,7 +149,8 @@ def rec(voter, cand, entry, x, y=0.5, valid=True):
 
 def test_unanimous_two_voters():
     # m=3: voters 2 and 3 both approve entry 2 of candidate 1
-    res = tally([rec(2, 1, 2, 1), rec(3, 1, 2, 1)], m=3, n=2)
+    res = tally([rec(2, 1, 2, 1), rec(3, 1, 2, 1)], m=3, n=2,
+                matrices=matrices_for(3, 2))
     assert res.mean_approvals[(1, 2)] == 1.0
     assert res.totals[1] == 1.0
     assert res.leader == 1
@@ -158,7 +158,7 @@ def test_unanimous_two_voters():
 
 def test_two_of_three_approvals():
     recs = [rec(2, 1, 2, 1), rec(3, 1, 2, 1), rec(4, 1, 2, 0)]
-    res = tally(recs, m=4, n=2)
+    res = tally(recs, m=4, n=2, matrices=matrices_for(4, 2))
     assert res.mean_approvals[(1, 2)] == pytest.approx(2 / 3)
 
 
@@ -175,7 +175,7 @@ def test_tally_matches_brute_force():
                 if k == l:
                     continue
                 recs.append(rec(voter, cand, j, rng.randrange(2), rng.random()))
-    res = tally(recs, m, n)
+    res = tally(recs, m, n, matrices=matrices_for(m, n))
     for cand in range(1, m + 1):
         want_total = 0.0
         for j in range(1, n * n + 1):
@@ -209,7 +209,7 @@ def test_totals_are_row_sums_exactly():
 
 def test_leader_tie_goes_to_lowest_index():
     recs = [rec(3, 1, 2, 1), rec(3, 2, 2, 1)]
-    assert tally(recs, m=3, n=2).leader == 1
+    assert tally(recs, m=3, n=2, matrices=matrices_for(3, 2)).leader == 1
 
 
 def test_global_best_tie_goes_to_lowest_index():
@@ -236,19 +236,19 @@ def test_global_best_skips_uncomputed_entries():
 
 def test_duplicate_votes_rejected():
     with pytest.raises(RejectedInputError):
-        tally([rec(2, 1, 2, 1), rec(2, 1, 2, 0)], m=3, n=2)
+        tally([rec(2, 1, 2, 1), rec(2, 1, 2, 0)], m=3, n=2, matrices=matrices_for(3, 2))
 
 
 def test_diagonal_votes_rejected():
     with pytest.raises(RejectedInputError):
-        tally([rec(2, 1, 1, 1)], m=3, n=2)
+        tally([rec(2, 1, 1, 1)], m=3, n=2, matrices=matrices_for(3, 2))
 
 
 def test_out_of_range_votes_rejected():
     with pytest.raises(RejectedInputError):
-        tally([rec(2, 1, 5, 1)], m=3, n=2)
+        tally([rec(2, 1, 5, 1)], m=3, n=2, matrices=matrices_for(3, 2))
     with pytest.raises(RejectedInputError):
-        tally([rec(9, 1, 2, 1)], m=3, n=2)
+        tally([rec(9, 1, 2, 1)], m=3, n=2, matrices=matrices_for(3, 2))
 
 
 def test_selections_invariant_under_voter_duplication():
@@ -260,12 +260,14 @@ def test_selections_invariant_under_voter_duplication():
             if cand != voter:
                 for j in (2, 3, 6):
                     recs.append(rec(voter, cand, j, rng.randrange(2)))
-    base = tally(recs, m, n)
+    # both tallies see the same candidates' matrices; only the voters double
+    mats = matrices_for(m, n)
+    base = tally(recs, m, n, matrices=mats)
     doubled = recs + [
         VoteRecord(r.voter + m, r.candidate, r.entry, r.x, r.y, r.valid)
         for r in recs
     ]
-    res = tally(doubled, 2 * m, n)
+    res = tally(doubled, 2 * m, n, matrices=mats)
     assert res.leader == base.leader
     assert {e: o for e, (o, _v) in res.global_best.items()} == {
         e: o for e, (o, _v) in base.global_best.items()
@@ -382,7 +384,7 @@ def test_uniform_truthful_round_reduces_to_count():
     y = APPROVE_BELIEF
     want = scored * (quadratic_score(shifted_prediction(1, y), 1) + quadratic_score(y, 1))
     for voter in range(1, m + 1):
-        assert reward(voter, recs, m, n) == pytest.approx(want)
+        assert score_sheet(voter, recs, m, n).total == pytest.approx(want)
 
 
 def test_reward_matches_direct_double_loop():
@@ -403,7 +405,7 @@ def test_reward_matches_direct_double_loop():
                 if own and pr and rf and own.valid and pr.valid:
                     want += quadratic_score(shifted_prediction(own.x, rf.y), pr.x)
                     want += quadratic_score(own.y, pr.x)
-        assert reward(voter, recs, m, n) == pytest.approx(want, abs=1e-12)
+        assert score_sheet(voter, recs, m, n).total == pytest.approx(want, abs=1e-12)
 
 
 def test_reference_and_peer_are_distinct_neighbors():
@@ -420,7 +422,6 @@ def test_score_sheet_splits_total():
     sheet = score_sheet(2, recs, m, n)
     assert isinstance(sheet, ScoreSheet)
     assert sheet.total == sheet.information + sheet.prediction
-    assert reward(2, recs, m, n) == sheet.total
 
 
 def test_reward_skips_invalid_missing_and_self_referees():
@@ -438,7 +439,7 @@ def test_reward_skips_invalid_missing_and_self_referees():
         rec(1, 5, 2, 1, 0.4),                # no peer record on candidate 5
     ]
     want = quadratic_score(shifted_prediction(1, 0.5), 1) + quadratic_score(0.9, 1)
-    assert reward(1, recs, m, n) == pytest.approx(want)
+    assert score_sheet(1, recs, m, n).total == pytest.approx(want)
 
 
 def test_reward_is_zero_at_three_miners():
@@ -446,14 +447,14 @@ def test_reward_is_zero_at_three_miners():
     # candidates, and neither votes on itself, so nothing is scorable
     recs = full_round_records(3, 2, seed=20)
     for voter in (1, 2, 3):
-        assert reward(voter, recs, 3, 2) == 0.0
+        assert score_sheet(voter, recs, 3, 2).total == 0.0
 
 
 def test_reward_needs_three_miners():
     with pytest.raises(RejectedInputError):
-        reward(1, [], 2, 3)
+        score_sheet(1, [], 2, 3)
     with pytest.raises(RejectedInputError):
-        reward(5, [], 4, 3)
+        score_sheet(5, [], 4, 3)
 
 
 # ---------------------------------------------------------------------------

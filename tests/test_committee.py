@@ -7,18 +7,19 @@ import random
 import numpy as np
 import pytest
 
+from pous.bts import cast_votes, tally
 from pous.committee import (
     CommitteeConfig,
     Decision,
     RoundTimers,
     accept_vote_submission,
     agree,
-    decision_log_line,
     quorum_threshold,
     select_committee,
     verify_block,
 )
 from pous.errors import ConfigurationError, RejectedInputError
+from pous.garbled import PlainCompareBackend
 from pous.packing import (
     Block,
     BlockHeader,
@@ -29,7 +30,7 @@ from pous.packing import (
     pack_block,
     tx_priority,
 )
-from pous.similarity import Transaction
+from pous.similarity import Transaction, UserVector, compute_usm
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +42,6 @@ def test_config_validation():
         CommitteeConfig(size=3)
     with pytest.raises(ConfigurationError):
         CommitteeConfig(size=4, rotation_period=0)
-    with pytest.raises(ConfigurationError):
-        CommitteeConfig(size=4, honest_fraction=1.5)
     CommitteeConfig(size=4)
 
 
@@ -233,6 +232,43 @@ def test_rounds_always_terminate():
     assert outcomes["abort"] > 0
 
 
+def round_tallies():
+    """An honest tally of four miners' votes, and a forged one with the
+    same leader whose global best differs in one value."""
+    rng = np.random.default_rng(4)
+    n = 5
+    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    budgets = {1: 2, 2: 6, 3: 4, 4: 1}
+    mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in budgets.items()}
+    backend = PlainCompareBackend(theta=0.01)
+    records = [rec for v in mats for c in mats if v != c
+               for rec in cast_votes(mats[v], mats[c], backend.compare)]
+    honest = tally(records, len(mats), n, matrices=mats)
+    forged_matrix = compute_usm(vecs, budget=budgets[2], owner=2)
+    entry = min(e for e, (owner, _value) in honest.global_best.items() if owner == 2)
+    forged_matrix.set_entry(entry, 1.0 - forged_matrix.get(entry))
+    forged = tally(records, len(mats), n, matrices={**mats, 2: forged_matrix})
+    return honest, forged
+
+
+def test_agree_on_tally_submissions():
+    honest, forged = round_tallies()
+    # miners 2 and 3 reach the second-highest budget and tie; 2 is lower
+    assert honest.leader == forged.leader == 2
+    assert honest.global_best != forged.global_best
+    assert honest.digest() != forged.digest()
+    for size in (4, 5, 6, 7):
+        d = agree({i: honest for i in range(1, size + 1)}, size=size, round_index=3)
+        assert (d.leader, d.digest, d.quorum_count, d.round_index) == (
+            honest.leader, honest.digest(), size, 3)
+        f = math.ceil(size / 3) - 1
+        subs_ = {i + 1: honest for i in range(size - f)}
+        subs_.update({size - i: forged for i in range(f)})
+        d = agree(subs_, size=size)
+        assert (d.leader, d.digest, d.quorum_count) == (
+            honest.leader, honest.digest(), size - f)
+
+
 def test_agree_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         agree(subs([(1, "x")] * 3), size=3)
@@ -240,12 +276,6 @@ def test_agree_rejects_bad_input():
         agree(subs([(1, "x")] * 5), size=4)
     with pytest.raises(RejectedInputError):
         agree({1: "not-a-sub", 2: (1, "x"), 3: (1, "x"), 4: (1, "x")}, size=4)
-
-
-def test_decision_log_lines():
-    d = Decision(round_index=4, leader=2, global_best=None, quorum_count=5, digest="z")
-    assert decision_log_line(4, d) == "round=4 leader=2 quorum=5 aborted=0"
-    assert decision_log_line(9, None) == "round=9 leader=- quorum=0 aborted=1"
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +307,7 @@ def make_round(seed=0, n_users=6, n_tx=40, capacity=12, k=3):
     for cl in clusters:
         for tid in cl.tx_ids:
             prios[tid] = tx_priority(lookup[tid], now, cl, weights)
-    decision = Decision(
-        round_index=1, leader=4, global_best=None, quorum_count=4, digest="d",
-    )
+    decision = Decision(round_index=1, leader=4, quorum_count=4, digest="d")
     return block, decision, prios
 
 

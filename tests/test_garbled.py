@@ -90,10 +90,6 @@ def test_keystream_deterministic():
     assert KeyStream(42).randbytes(64) != KeyStream(43).randbytes(64)
 
 
-def test_keystream_domain_separation():
-    assert KeyStream(1, b"x").randbytes(32) != KeyStream(1, b"y").randbytes(32)
-
-
 def test_keystream_one_call_equals_many():
     whole = KeyStream(5).randbytes(2 * LABEL_BYTES * 40)
     s = KeyStream(5)
@@ -441,6 +437,42 @@ def test_bad_magic_rejected():
         GarbledCircuit.deserialize(b"XXXX" + raw[4:])
 
 
+@pytest.mark.parametrize("cut", ["10", "30", "3249", "len-17", "len-1", "extra byte"])
+def test_wrong_length_rejected(cut):
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    assert len(raw) == 6499
+    if cut == "extra byte":
+        bad = raw + b"\x00"
+    elif cut.startswith("len-"):
+        bad = raw[:len(raw) - int(cut[4:])]
+    else:
+        bad = raw[:int(cut)]
+    with pytest.raises(CorruptedCircuitError):
+        GarbledCircuit.deserialize(bad)
+
+
+def test_output_map_with_one_label_rejected():
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    entry = LABEL_BYTES + 1
+    # both entries carry the first label, so the map names one label twice
+    doubled = raw[:-entry] + raw[-2 * entry:-entry - 1] + raw[-1:]
+    assert len(doubled) == len(raw)
+    with pytest.raises(CorruptedCircuitError, match="two distinct labels"):
+        GarbledCircuit.deserialize(doubled)
+
+
+def test_unknown_gate_kind_rejected():
+    circuit = garble_comparator(4, 0.4, seed=1).circuit
+    raw = circuit.serialize()
+    # the first gate's kind byte follows the header, the input wires and the constants
+    inputs = len(circuit.gen_input_wires) + len(circuit.eval_input_wires)
+    first_gate = (4 + struct.calcsize("<BIIIII") + 4 * inputs
+                  + len(circuit.const_wires) * (4 + LABEL_BYTES))
+    bad = raw[:first_gate] + bytes([len(garbled.GATE_KINDS)]) + raw[first_gate + 1:]
+    with pytest.raises(CorruptedCircuitError, match="unknown gate kind"):
+        GarbledCircuit.deserialize(bad)
+
+
 # ---------------------------------------------------------------------------
 # oblivious transfer
 
@@ -543,16 +575,26 @@ def test_secure_compare_with_real_ot():
 
 
 def test_secure_compare_random_triples_match_plaintext():
+    # a fresh circuit per call, so every call's theta is honoured
+    rng = random.Random(99)
+    for trial in range(200):
+        theta, a, b = rng.random(), rng.random(), rng.random()
+        got = secure_compare(a, b, theta, bitwidth=8, seed=trial)
+        want = plain_within_theta(*(FixedPoint.encode(v, 8).raw for v in (a, b, theta)))
+        assert got == want
+
+
+def test_backend_random_triples_match_plaintext():
     rng = random.Random(99)
     for trial in range(10_000):
         if trial % 200 == 0:
             theta = rng.random()
-            tmpl = garble_comparator(8, theta, seed=trial)
+            backend = GarbledCompareBackend(theta, 8, seed=trial)
         a, b = rng.random(), rng.random()
-        got = secure_compare(a, b, theta, template=tmpl)
+        got = backend.compare(a, b)
         fa = FixedPoint.encode(a, 8)
         fb = FixedPoint.encode(b, 8)
-        assert got == plain_within_theta(fa.raw, fb.raw, tmpl.theta.raw)
+        assert got == plain_within_theta(fa.raw, fb.raw, backend.template.theta.raw)
 
 
 def test_backends_agree():

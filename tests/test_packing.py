@@ -555,14 +555,6 @@ def test_pca_needs_two_vectors():
         pca_project(np.array([[1.0, 2.0]]))
 
 
-def test_pca_accepts_mapping_input():
-    rng = np.random.default_rng(25)
-    vecs = {u: rng.normal(size=4) for u in (3, 1, 2)}
-    proj = pca_project(vecs)
-    X = np.stack([vecs[u] for u in sorted(vecs)])
-    assert np.allclose(proj, pca_project(X))
-
-
 # ---------------------------------------------------------------------------
 # centroid distances
 

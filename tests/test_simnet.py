@@ -10,7 +10,8 @@ import pytest
 from scipy import stats
 
 from pous import cli, garbled, simnet
-from pous.committee import CommitteeConfig
+from pous.bts import cast_votes, tally
+from pous.committee import CommitteeConfig, RoundTimers, agree, select_committee
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
@@ -31,6 +32,13 @@ from pous.simnet import (
     run_pous,
     run_pow,
     trace_lines,
+)
+from pous.similarity import (
+    DEFAULT_CLASSES,
+    DataView,
+    Transaction,
+    build_user_vectors,
+    compute_usm,
 )
 
 
@@ -105,12 +113,15 @@ def test_config_checks_every_value_on_construction_and_replace(name, value):
 
 def test_committee_is_the_one_built_and_checked_by_committee_config():
     config = cfg(committee_size=5, rotation_period=3, honest_fraction=0.75, seed=9)
-    assert config.committee() == CommitteeConfig(
-        size=5, selection_seed=9, rotation_period=3, honest_fraction=0.75)
+    assert config.committee() == CommitteeConfig(size=5, selection_seed=9, rotation_period=3)
     with pytest.raises(ConfigurationError, match="rotation_period"):
         cfg(rotation_period=0)
-    with pytest.raises(ConfigurationError, match="honest_fraction"):
-        cfg(honest_fraction=-0.5)
+
+
+def test_honest_fraction_is_checked_by_sim_config():
+    for value in (-0.5, 1.2):
+        with pytest.raises(ConfigurationError, match="^honest_fraction must lie in"):
+            cfg(honest_fraction=value)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +132,7 @@ def test_workload_deterministic_and_shared_between_protocols():
     c = cfg(n_nodes=10, sim_time=500.0, seed=42)
     wl_a = gen_workload(c, _rng_streams(c, "pous")["workload"])
     wl_b = gen_workload(c, _rng_streams(c, "pow")["workload"])
-    for f in ("ids", "source", "tx_class", "fee", "submit", "arrival"):
+    for f in ("source", "tx_class", "fee", "submit", "arrival"):
         assert np.array_equal(getattr(wl_a, f), getattr(wl_b, f))
     assert len(wl_a) > 0
 
@@ -145,7 +156,6 @@ def test_workload_exact_counts_at_zero_sigma():
 def test_workload_shape_invariants():
     c = cfg(n_nodes=8, sim_time=400.0, tx_epoch=100.0, seed=9)
     wl = gen_workload(c, np.random.default_rng(3))
-    assert np.array_equal(wl.ids, np.arange(1, len(wl) + 1))
     assert (np.diff(wl.submit) >= 0).all()
     assert (wl.submit >= 0).all() and (wl.submit <= c.sim_time).all()
     assert (wl.arrival >= wl.submit + 0.001).all()
@@ -208,11 +218,11 @@ def test_round_costs_match_a_real_comparison():
     # two miners with budget 1: 4 comparisons, 2 circuits per epoch
     w = 8
     ot = RecordingOT(DEFAULT_GROUP)
-    template = garbled.garble_comparator(w, 0.4, seed=3)
-    garbled.secure_compare(0.3, 0.6, 0.4, template=template, ot=ot)
+    backend = GarbledCompareBackend(0.4, w, seed=3, ot=ot)
+    backend.compare(0.3, 0.6)
     assert len(ot.transcripts) == w
     one = w * LABEL_BYTES + sum(t.total_bytes() for t in ot.transcripts)
-    circuit = template.circuit
+    circuit = backend.template.circuit
     comparisons, seconds, nbytes = _crypto_round_costs(
         np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
     assert comparisons == 4
@@ -308,20 +318,62 @@ def small_pous_cfg(**kw):
     return cfg(**base)
 
 
+def pous_budgets(c):
+    """Pairs each simulated miner computes per round, from the run's power stream."""
+    powers = _rng_streams(c, "pous")["powers"].uniform(c.power_low, c.power_high, c.n_nodes)
+    return np.minimum(np.rint(powers * c.budget_scale).astype(int),
+                      c.n_nodes * (c.n_nodes - 1) // 2)
+
+
 def test_pous_round_count_and_leader():
     c = small_pous_cfg()
     m = run_pous(c)
     assert m.rounds == 10
-    powers = _rng_streams(c, "pous")["powers"].uniform(
-        c.power_low, c.power_high, c.n_nodes
-    )
-    budgets = np.minimum(
-        np.rint(powers * c.budget_scale).astype(int),
-        c.n_nodes * (c.n_nodes - 1) // 2,
-    )
-    want_leader = int(np.argmax(budgets)) + 1
+    budgets = pous_budgets(c)
+    # only the top budget reaches pairs nobody else computed, and those
+    # earn no approvals: the lowest id reaching the second-highest leads
+    want_leader = int(np.flatnonzero(budgets >= np.sort(budgets)[-2])[0]) + 1
     assert m.aborts == 0
     assert leaders(m) == [want_leader] * m.rounds
+
+
+@pytest.mark.parametrize("n_nodes, budget_scale, seed, want_budgets", [
+    (4, 0.05, 7, [1, 5, 3, 4]),
+    (4, 0.05, 8, [1, 3, 4, 5]),  # top budget unique, a lower id holds the second
+    (5, 0.1, 1, [9, 3, 1, 5, 7]),
+    (6, 0.1, 29, [6, 5, 7, 2, 9, 4]),
+])
+def test_simulated_leader_and_comparisons_match_the_library_round(
+        n_nodes, budget_scale, seed, want_budgets):
+    c = cfg(n_nodes=n_nodes, budget_scale=budget_scale, seed=seed, sim_time=200.0,
+            block_interval=100.0)
+    budgets = pous_budgets(c)
+    # distinct and below the cap, so the tally separates every miner
+    assert budgets.tolist() == want_budgets
+    assert budgets.max() < n_nodes * (n_nodes - 1) // 2
+
+    # round 0 through the library: every miner sees the transactions that
+    # arrived by the count deadline, mines at its budget, and votes
+    wl = simnet._workload(c)
+    now = RoundTimers.split_interval(0.0, c.block_interval).result_waiting_deadline
+    arrived = tuple(
+        Transaction(id=int(i) + 1, source_user=int(wl.source[i]),
+                    tx_class=DEFAULT_CLASSES[wl.tx_class[i]], fee=float(wl.fee[i]),
+                    submit_time=float(wl.submit[i]))
+        for i in np.flatnonzero(wl.arrival <= now)
+    )
+    vectors = build_user_vectors(DataView((), arrived), n_nodes)
+    miners = range(1, n_nodes + 1)
+    mats = {m: compute_usm(vectors, budget=int(budgets[m - 1]), owner=m) for m in miners}
+    backend = PlainCompareBackend(theta=0.01, bitwidth=c.bitwidth)
+    records = [r for v in miners for cand in miners if v != cand
+               for r in cast_votes(mats[v], mats[cand], backend.compare)]
+    result = tally(records, n_nodes, n_nodes, matrices=mats)
+    committee = select_committee(list(miners), c.committee(), 0)
+    decision = agree({member: result for member in committee}, c.committee_size)
+
+    assert decision.leader == run_pous(c).round_log[0]["leader"]
+    assert backend.comparisons == _crypto_round_costs(budgets, c)[0]
 
 
 def test_pous_deterministic():
@@ -428,7 +480,7 @@ def test_committed_transactions_arrived_in_time_and_commit_once(run, monkeypatch
             prefix = np.argsort(self.wl.arrival, kind="stable")[:self._seen]
             assert np.array_equal(self.pool, prefix[self.commit_time[prefix] == 0])
             # the whole pool, not only the packed part, must have arrived
-            blocks.append((commit_at, self.wl.ids[self.pool[chosen]],
+            blocks.append((commit_at, self.pool[chosen] + 1,
                            self.wl.arrival[self.pool]))
             super().commit(r, leader, chosen, commit_at)
 
@@ -503,7 +555,7 @@ def test_binding_pow_block_packs_the_top_fees(monkeypatch):
         def commit(self, r, leader, chosen, commit_at):
             wl, pool = self.wl, self.pool
             # highest fee first, ties to the earlier submit, then the lower id
-            by_fee = np.lexsort((wl.ids[pool], wl.submit[pool], -wl.fee[pool]))
+            by_fee = np.lexsort((pool + 1, wl.submit[pool], -wl.fee[pool]))
             blocks.append((len(pool), np.sort(pool[chosen]),
                            np.sort(pool[by_fee[:capacity]])))
             super().commit(r, leader, chosen, commit_at)
