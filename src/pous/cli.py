@@ -420,12 +420,16 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     Data volume maps to comparisons at eight bytes per similarity
     entry. The comparator template is garbled once (epoch semantics);
     each comparison selects fresh labels and evaluates the circuit.
-    Real transfer sessions are timed separately on the small group, and
-    vote-matrix bytes are reported from actual serializations under the
-    capability-bounded mining budget.
+    Beside the wall time, an ``eval`` row counts its work: the gates
+    evaluated and the row pads the evaluator hashes (``ROW_TRIES`` per
+    gate), which do not vary run to run. Real transfer sessions are
+    timed separately on the small group, and vote-matrix bytes are
+    reported from actual serializations under the capability-bounded
+    mining budget; neither evaluates gates.
     """
     rows = []
     backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed, ot=garbled.TrustedDealerOT())
+    gates_per_cmp = len(backend.template.circuit.gates)
     rng = np.random.default_rng(seed)
     for data_bytes in (1024, 2048, 4096, 8192, 16384, 32768):
         n_cmp = data_bytes // 8
@@ -437,7 +441,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         elapsed = time.perf_counter() - start
         rows.append({
             "series": "eval", "data_bytes": data_bytes, "comparisons": n_cmp,
-            "seconds": elapsed, "approvals": approvals,
+            "seconds": elapsed, "approvals": approvals, "gates": n_cmp * gates_per_cmp,
+            "row_pads": round(n_cmp * gates_per_cmp * garbled.ROW_TRIES),
         })
 
     ot = garbled.DiffieHellmanOT(garbled.FAST_GROUP)
@@ -448,7 +453,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         ot.exchange(k0, k1, i & 1)
     rows.append({
         "series": "ot", "data_bytes": 0, "comparisons": sessions,
-        "seconds": time.perf_counter() - start, "approvals": 0,
+        "seconds": time.perf_counter() - start, "approvals": 0, "gates": 0, "row_pads": 0,
     })
 
     for n_users in (100, 500, 1000):
@@ -463,6 +468,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),
             "comparisons": len(records), "seconds": 0.0, "approvals": n_users,
+            "gates": 0, "row_pads": 0,
         })
     return rows
 
@@ -530,7 +536,8 @@ def emit(report: RunReport, out_dir: str) -> list[str]:
         written.append("pca_scatter.csv")
     if report.cost_series:
         _write_csv(out / "cost.csv",
-                   ["series", "data_bytes", "comparisons", "seconds", "approvals"],
+                   ["series", "data_bytes", "comparisons", "seconds", "approvals",
+                    "gates", "row_pads"],
                    report.cost_series)
         written.append("cost.csv")
     for (protocol, value, replicate), lines in sorted(
@@ -558,8 +565,13 @@ def render_summary(report: RunReport) -> str:
     if report.improvements:
         gains = [r["tps_improvement_pct"] for r in report.improvements
                  if np.isfinite(r["tps_improvement_pct"])]
-        if gains:
-            lines.append(f"mean throughput improvement: {np.mean(gains):.2f}%")
+        # run_scenario leaves a replicate pair out of the gain when its pow cell confirmed nothing
+        pow_tps = [c["tps"] for c in report.cells if c["protocol"] == "pow"]
+        dropped = pow_tps.count(0)
+        mean_gain = f"{np.mean(gains):.2f}%" if gains else "none"
+        lines.append(f"mean throughput improvement: {mean_gain} over "
+                     f"{len(pow_tps) - dropped} of {len(pow_tps)} replicate pairs "
+                     f"({dropped} left out: pow tps 0)")
         lat = [r["latency_reduction_pct"] for r in report.improvements
                if np.isfinite(r["latency_reduction_pct"])]
         if lat:
@@ -582,9 +594,13 @@ def render_summary(report: RunReport) -> str:
     if report.cost_series:
         evals = [r for r in report.cost_series if r["series"] == "eval"]
         if len(evals) >= 2:
-            slope = loglog_slope([r["data_bytes"] for r in evals],
-                                 [max(r["seconds"], 1e-9) for r in evals])
-            lines.append(f"2pc eval time log-log slope vs data size: {slope:.3f}")
+            sizes = [r["data_bytes"] for r in evals]
+            slope = loglog_slope(sizes, [max(r["seconds"], 1e-9) for r in evals])
+            # the work slopes do not vary run to run; the timed one does
+            gates, pads = (loglog_slope(sizes, [r[col] for r in evals])
+                           for col in ("gates", "row_pads"))
+            lines.append(f"2pc eval time log-log slope vs data size: {slope:.3f} "
+                         f"(gates {gates:.3f}, row pads {pads:.3f})")
         for r in report.cost_series:
             if r["series"] == "vote-crs":
                 lines.append(

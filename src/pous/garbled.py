@@ -469,7 +469,14 @@ def decode_output(circuit: GarbledCircuit, label: bytes) -> int:
 
 @dataclass(frozen=True)
 class OTGroup:
-    """Prime-order subgroup of Z_p* (p safe prime, g generates order q)."""
+    """Prime-order subgroup of Z_p* (p safe prime, g generates order q).
+
+    :meth:`pow_g` reads powers of the fixed generator off a radix-256
+    table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Lim
+    and Lee, CRYPTO 1994): row i holds g**(d * 256**i) for d = 1..255,
+    one row per byte of q. The table is built on the first call and
+    kept for the group's lifetime.
+    """
 
     p: int
     q: int
@@ -481,6 +488,26 @@ class OTGroup:
 
     def encode(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")
+
+    @functools.cached_property
+    def _g_table(self) -> tuple[tuple[int, ...], ...]:
+        p, base, rows = self.p, self.g, []
+        for _ in range((self.q.bit_length() + 7) // 8):
+            row = [base]
+            for _ in range(254):
+                row.append(row[-1] * base % p)
+            rows.append(tuple(row))
+            base = row[-1] * base % p  # this row's base to the 256th: the next row's
+        return tuple(rows)
+
+    def pow_g(self, e: int) -> int:
+        """``pow(g, e, p)``: one modular product per nonzero byte of
+        ``e mod q``, which names the same power because g has order q."""
+        table, p, acc = self._g_table, self.p, 1
+        for row, digit in zip(table, (e % self.q).to_bytes(len(table), "little")):
+            if digit:
+                acc = acc * row[digit - 1] % p
+        return acc
 
 
 # 768-bit MODP safe-prime group (RFC 2409 section 6.1); g=2 generates
@@ -538,6 +565,14 @@ class DiffieHellmanOT:
     about the choice bit. Exponents come from the operating system's
     cryptographic source unless a (seeded, reproducible) ``rng`` is
     injected.
+
+    The four powers of g per transfer come from the group's fixed-base
+    table (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB
+    for ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Inverses are
+    ``pow(y, -1, p)``. The values, and so the transcripts, are the ones
+    ``pow(g, e, p)`` and Fermat inversion gave. Neither the table
+    lookups nor the inverse is constant-time; the builtin ``pow`` was
+    not either.
     """
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
@@ -552,24 +587,24 @@ class DiffieHellmanOT:
             raise RejectedInputError(f"choice bit {bit}")
         if len(m0) != LABEL_BYTES or len(m1) != LABEL_BYTES:
             raise RejectedInputError("OT payloads must be wire labels")
-        g, p, grp = self.group.g, self.group.p, self.group
+        p, grp = self.group.p, self.group
         t = OTTranscript()
         # sender: random element of unknown dlog to the receiver
         z = self._rand_exp()
-        c = pow(g, z, p)
+        c = grp.pow_g(z)
         t.messages.append(("sender", grp.encode(c)))
         # receiver: key pair with the trapdoor on the chosen side
         x = self._rand_exp()
-        pk_b = pow(g, x, p)
-        pk_other = (c * pow(pk_b, p - 2, p)) % p
+        pk_b = grp.pow_g(x)
+        pk_other = c * pow(pk_b, -1, p) % p
         pk0 = pk_b if bit == 0 else pk_other
         t.messages.append(("receiver", grp.encode(pk0)))
         # sender: hashed-ElGamal under both keys
-        pk1 = (c * pow(pk0, p - 2, p)) % p
+        pk1 = c * pow(pk0, -1, p) % p
         cts = []
         for pk, m in ((pk0, m0), (pk1, m1)):
             r = self._rand_exp()
-            u = pow(g, r, p)
+            u = grp.pow_g(r)
             key = _hash_to_key(grp, pow(pk, r, p))
             ct = _xor(m, key)
             cts.append((u, ct))

@@ -633,7 +633,8 @@ def replay_trace(lines: list[str]) -> tuple[bool, str]:
     """Re-run a trace's configuration and diff every logged line.
 
     Returns (ok, message); any divergence names the first offending
-    line. A header that cannot be read raises ConfigurationError.
+    line and the first key on it whose value differs. A header that
+    cannot be read raises ConfigurationError.
     """
     if not lines:
         return False, "empty trace"
@@ -651,5 +652,22 @@ def replay_trace(lines: list[str]) -> tuple[bool, str]:
         return False, f"trace length {len(lines)} != replayed {len(fresh)}"
     for i, (old, new) in enumerate(zip(lines, fresh)):
         if old.strip() != new.strip():
-            return False, f"line {i + 1} diverged:\n  trace:  {old.strip()}\n  replay: {new.strip()}"
+            return False, f"line {i + 1} diverged{_first_difference(old, new)}"
     return True, f"replayed {len(lines)} lines, all identical"
+
+
+def _first_difference(traced: str, replayed: str) -> str:
+    """The first key, in replayed order then any the trace adds, whose
+    value differs between two trace lines, with both values; both whole
+    lines when the traced one is not a JSON object or no key differs."""
+    try:
+        old = json.loads(traced)
+    except json.JSONDecodeError:
+        old = None
+    if isinstance(old, dict):
+        new = json.loads(replayed)
+        for key in [*new, *(k for k in old if k not in new)]:
+            a, b = (json.dumps(d[key]) if key in d else "(absent)" for d in (old, new))
+            if a != b:
+                return f" at {key!r}: trace {a}, replay {b}"
+    return f":\n  trace:  {traced.strip()}\n  replay: {replayed.strip()}"

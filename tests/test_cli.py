@@ -10,7 +10,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 import pytest
 
-from pous import garbled
+from pous import cli, garbled
 from pous.cli import (
     PRESETS,
     RunReport,
@@ -24,12 +24,13 @@ from pous.cli import (
     parse_overrides,
     pca_scatter_rows,
     render_summary,
+    run_cost_benchmark,
     run_scenario,
     scenario_from_preset,
 )
 from pous.errors import ConfigurationError
 from pous.packing import PriorityWeights
-from pous.simnet import SimConfig, replay_trace
+from pous.simnet import SimConfig, replay_trace, run_pow
 
 FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
                 if kind in (float, Optional[float])]
@@ -280,6 +281,40 @@ def test_run_scenario_improvements_are_paired():
             assert a["total_tx_count"] == b["total_tx_count"]
 
 
+def test_summary_counts_pairs_left_out_of_the_gain(monkeypatch):
+    honest = run_scenario(tiny_scenario())
+    assert all(c["tps"] > 0 for c in honest.cells)
+    assert ("mean throughput improvement: "
+            f"{np.mean([r['tps_improvement_pct'] for r in honest.improvements]):.2f}% "
+            "over 4 of 4 replicate pairs (0 left out: pow tps 0)") in render_summary(honest)
+
+    calls = []
+
+    def pow_confirming_nothing_first(config):
+        metrics = run_pow(config)
+        first = config.block_size_mb == 0.5 and not calls
+        calls.append(config.seed)
+        return dataclasses.replace(metrics, tps=0.0) if first else metrics
+
+    monkeypatch.setitem(cli._RUNNERS, "pow", pow_confirming_nothing_first)
+    report = run_scenario(tiny_scenario())
+    pous = [c for c in report.cells if c["protocol"] == "pous" and c["value"] == 0.5]
+    pow_ = [c for c in report.cells if c["protocol"] == "pow" and c["value"] == 0.5]
+    assert [c["tps"] == 0 for c in pow_] == [True, False]
+    assert report.improvements[0]["tps_improvement_pct"] == pytest.approx(
+        (pous[1]["tps"] - pow_[1]["tps"]) / pow_[1]["tps"] * 100.0)
+    gains = [r["tps_improvement_pct"] for r in report.improvements]
+    assert (f"mean throughput improvement: {np.mean(gains):.2f}% "
+            "over 3 of 4 replicate pairs (1 left out: pow tps 0)") in render_summary(report)
+
+    # every pair left out: no gain to report, the count still shows
+    monkeypatch.setitem(cli._RUNNERS, "pow",
+                        lambda config: dataclasses.replace(run_pow(config), tps=0.0))
+    report = run_scenario(tiny_scenario())
+    assert ("mean throughput improvement: none over 0 of 4 replicate pairs "
+            "(4 left out: pow tps 0)") in render_summary(report)
+
+
 def test_run_scenario_point_without_confirmations_is_nan_without_warnings():
     base = SimConfig(n_nodes=8, sim_time=430.0, block_interval=100.0,
                      tx_count_mean=0.0, sigma=0.0)
@@ -328,6 +363,32 @@ def test_fit_helpers():
     assert linear_r2([1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(1.0)
     assert linear_r2([1, 2, 3, 4], [5, 5, 5, 5]) == 1.0
     assert linear_r2([1, 2, 3, 4], [1, 4, 9, 16]) < 1.0
+
+
+def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
+    # one real comparison hashes ROW_TRIES row pads per gate
+    backend = garbled.GarbledCompareBackend(0.4, 8, seed=7, ot=garbled.TrustedDealerOT())
+    gates = len(backend.template.circuit.gates)
+    pads = []
+    real_pad = garbled._row_pad
+    monkeypatch.setattr(garbled, "_row_pad", lambda *a: pads.append(a) or real_pad(*a))
+    backend.compare(0.3, 0.6)
+    assert len(pads) == gates * garbled.ROW_TRIES
+    monkeypatch.undo()
+
+    # the work columns follow from the comparison count, so stubbed
+    # comparisons leave them as they are
+    monkeypatch.setattr(garbled.GarbledCompareBackend, "compare", lambda self, a, b: 1)
+    rows = run_cost_benchmark(seed=7)
+    assert [r["series"] for r in rows] == ["eval"] * 6 + ["ot"] + ["vote-crs"] * 3
+    for r in rows:
+        want = r["comparisons"] * gates if r["series"] == "eval" else 0
+        assert (r["gates"], r["row_pads"]) == (want, want)
+    emit(RunReport(scenario="cost-2pc", master_seed=7, cost_series=rows), str(tmp_path))
+    cost = (tmp_path / "cost.csv").read_text().splitlines()
+    assert cost[0] == "series,data_bytes,comparisons,seconds,approvals,gates,row_pads"
+    assert cost[1].endswith(f",{128 * gates},{128 * gates}")
+    assert "(gates 1.000, row pads 1.000)" in (tmp_path / "summary.txt").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +633,21 @@ def test_replay_verb(tmp_path, capsys):
     doctored = tmp_path / "doctored.jsonl"
     doctored.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(doctored)]) == 1
-    assert "line 2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    true_leader = json.loads(trace.read_text().splitlines()[1])["leader"]
+    assert f"line 2 diverged at 'leader': trace 999, replay {true_leader}" in out
+
+
+def test_replay_names_a_missing_key_or_shows_unparsable_lines():
+    lines = run_scenario(tiny_scenario(replicates=1), keep_traces=True).traces[("pous", 0.5, 0)]
+    entry = json.loads(lines[1])
+    leader = entry.pop("leader")
+    ok, msg = replay_trace([lines[0], json.dumps(entry, sort_keys=True), *lines[2:]])
+    assert not ok
+    assert msg == f"line 2 diverged at 'leader': trace (absent), replay {leader}"
+    ok, msg = replay_trace([lines[0], "not json", *lines[2:]])
+    assert not ok
+    assert msg == f"line 2 diverged:\n  trace:  not json\n  replay: {lines[1]}"
 
 
 def test_scatter_preset_writes_projection(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Garbled comparator, gate encryption, and oblivious transfer."""
 import dataclasses
 import hashlib
+import os
 import random
 import secrets
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -538,6 +541,64 @@ def test_ot_receiver_message_independent_of_bit():
             counts[bit][tr.receiver_message()[0] >> 5] += 1
     _, p, _, _ = chi2_contingency(counts)
     assert p > 0.01
+
+
+@pytest.mark.parametrize("grp", [FAST_GROUP, DEFAULT_GROUP], ids=["fast", "default"])
+def test_pow_g_matches_builtin_pow(grp):
+    digits = (grp.q.bit_length() + 7) // 8
+    boundaries = [(1 << (8 * k)) + d for k in range(1, digits + 1) for d in (-1, 1)]
+    rng = random.Random(31)
+    exponents = ([0, 1, 255, 256, grp.q - 1, grp.q, grp.q + 1] + boundaries
+                 + [rng.randrange(1, grp.q) for _ in range(200)])
+    for e in exponents:
+        assert grp.pow_g(e) == pow(grp.g, e, grp.p), e
+    table = vars(grp)["_g_table"]
+    assert len(table) == digits
+    assert all(len(row) == 255 for row in table)
+
+
+def test_ot_transcripts_are_pinned():
+    """sha256 over who + payload of every message of seeded exchanges,
+    200 on FAST_GROUP then 20 on DEFAULT_GROUP, each with fresh rngs: the
+    digest the exchange gave with plain pow(g, e, p) and Fermat inverses."""
+    h = hashlib.sha256()
+    for grp, n in ((FAST_GROUP, 200), (DEFAULT_GROUP, 20)):
+        ot = DiffieHellmanOT(grp, rng=random.Random(11))
+        payloads = random.Random(12)
+        for i in range(n):
+            m0, m1 = payloads.randbytes(16), payloads.randbytes(16)
+            out, transcript = ot.exchange(m0, m1, i & 1)
+            assert out == (m0, m1)[i & 1]
+            for who, payload in transcript.messages:
+                h.update(who.encode() + payload)
+    assert h.hexdigest() == "39b36dabb5268b408d9651b086db3807ebbb16acf43a4a282dbdeaa9da70fbc4"
+
+
+LAZY_TABLE_SCRIPT = """
+import pous.cli
+from pous import garbled
+from pous.simnet import SimConfig, run_pous
+
+groups = (garbled.DEFAULT_GROUP, garbled.FAST_GROUP)
+built = lambda: [g for g in groups if "_g_table" in vars(g)]
+assert not built(), "import"
+garbled.comparison_bytes(16, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
+assert not built(), "comparison_bytes"
+run_pous(SimConfig(n_nodes=8, sim_time=430.0, block_interval=100.0, tx_epoch=100.0))
+assert not built(), "run_pous"
+garbled.DiffieHellmanOT(garbled.FAST_GROUP).exchange(bytes(16), bytes(16), 0)
+assert built() == [garbled.FAST_GROUP], "exchange"
+"""
+
+
+def test_generator_table_is_built_by_the_first_exchange_only():
+    # a fresh interpreter, since any earlier exchange in this one built it
+    src = os.path.dirname(os.path.dirname(garbled.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", LAZY_TABLE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_dealer_ot_same_interface():
