@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable
 
-from .errors import CorruptedCircuitError, ProtocolAbortError, RejectedInputError
+from .errors import CorruptedCircuitError, RejectedInputError
 from .similarity import SimilarityMatrix, unflatten_index
 
 log = logging.getLogger(__name__)
@@ -94,7 +94,7 @@ def cast_votes(
             try:
                 x = compare(cand_val, own_val)
                 valid = True
-            except (ProtocolAbortError, CorruptedCircuitError) as exc:
+            except CorruptedCircuitError as exc:
                 log.warning(
                     "comparison aborted for entry %d of miner %d: %s",
                     j, candidate_matrix.owner, exc,

@@ -113,9 +113,10 @@ def _preset(
 
 
 def _lam_epoch(n_nodes: int, lam: float) -> float:
-    """Generation epoch making the offered load lam tx/s at 30 tx per
-    node per epoch."""
-    return n_nodes * 30.0 / lam
+    """Generation epoch making the offered load lam tx/s. Each node
+    draws ``SimConfig.tx_count_mean`` transactions per epoch: 30, the
+    simulator's assumed per-node demand, which no preset overrides."""
+    return n_nodes * SimConfig.tx_count_mean / lam
 
 _SIZES = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
 

@@ -9,10 +9,6 @@ class ConfigurationError(ValueError):
     """Raised for bad scenario/config files or parameter values."""
 
 
-class ProtocolAbortError(RuntimeError):
-    """Raised when a consensus round cannot reach a decision."""
-
-
 class CorruptedCircuitError(RuntimeError):
     """Raised when a garbled row fails its tag check or a label is unknown."""
 

@@ -490,11 +490,11 @@ def run_pous(config: SimConfig) -> Metrics:
         # the committee counts the votes at the end of the result window
         now = RoundTimers.split_interval(r * interval, interval).result_waiting_deadline
         committee = select_committee(miners, committee_cfg, r)
-        digest = sha256(f"round{r}|leader{leader}|b{int(budgets[leader - 1])}".encode()).hexdigest()
+        # honest members hold the same tally, so one digest stands for it
         submissions = {}
         for member in committee:
             if fault_rng.random() < config.honest_fraction:
-                submissions[member] = (leader, digest)
+                submissions[member] = (leader, "tally")
             else:
                 submissions[member] = (0, f"garbled-view-{r}-{member}")
         decision = agree(submissions, committee_cfg.size, round_index=r)

@@ -22,7 +22,7 @@ from pous.bts import (
     votes_from_crs,
     votes_to_crs,
 )
-from pous.errors import ProtocolAbortError, RejectedInputError
+from pous.errors import CorruptedCircuitError, RejectedInputError
 from pous.garbled import FixedPoint, PlainCompareBackend
 from pous.similarity import UserVector, compute_usm, flat_index, unflatten_index
 
@@ -121,7 +121,7 @@ def test_comparison_abort_becomes_abstention(caplog):
     def flaky(cand_val, own_val):
         if flaky.calls == 2:
             flaky.calls += 1
-            raise ProtocolAbortError("injected")
+            raise CorruptedCircuitError("injected")
         flaky.calls += 1
         return 1
 

@@ -27,7 +27,7 @@ from pous.packing import (
     tx_leaf,
     tx_priority,
 )
-from pous.similarity import Transaction
+from pous.similarity import Transaction, UserVector
 
 
 def tx(i, user=1, fee=0.0, submit=0.0, cls="A"):
@@ -137,12 +137,22 @@ def test_two_groups_match_optimal_partition():
     assert got == want
 
 
+def cluster_fields(clusters):
+    return [(cl.id, cl.tx_ids, cl.users, cl.tx_dist, cl.centroid.tolist())
+            for cl in clusters]
+
+
 def test_transactions_follow_their_user():
     pts = two_blobs(n_per=3, seed=13)
+    pts -= pts.min()  # counts are non-negative
     vecs = {u + 1: pts[u] for u in range(6)}
     rng = random.Random(4)
     mempool = [tx(i, user=rng.randrange(1, 7)) for i in range(1, 30)]
     clusters = cluster_mempool(mempool, vecs, k=2, seed=5)
+    # the list form is what build_user_vectors returns
+    as_list = [UserVector(u, v) for u, v in vecs.items()]
+    assert cluster_fields(cluster_mempool(mempool, as_list, k=2, seed=5)) == \
+        cluster_fields(clusters)
     source = {t.id: t.source_user for t in mempool}
     assert sorted(tid for cl in clusters for tid in cl.tx_ids) == sorted(source)
     for cl in clusters:
@@ -169,6 +179,8 @@ def test_cluster_mempool_rejects_bad_input():
         cluster_mempool([tx(1, user=1)], {2: np.zeros(2)}, k=1)
     with pytest.raises(RejectedInputError):
         cluster_mempool([tx(1, user=1)], {1: np.zeros(2)}, k=0)
+    with pytest.raises(RejectedInputError):
+        cluster_mempool([tx(1, user=1)], [np.zeros(2)], k=1)
     with pytest.raises(RejectedInputError):
         Cluster(id=0, tx_ids=(), centroid=np.zeros(2), users=(), tx_dist={})
 

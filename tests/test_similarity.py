@@ -1,5 +1,7 @@
 """User vectors, similarity math, and budgeted matrix mining."""
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -332,3 +334,21 @@ def test_crs_rejects_truncated_payload():
         SimilarityMatrix.from_crs_bytes(raw[:-3])
     with pytest.raises(RejectedInputError):
         SimilarityMatrix.from_crs_bytes(b"\x01")
+
+
+# ---------------------------------------------------------------------------
+# package layout
+
+
+def test_package_attributes_are_the_submodules():
+    # a package-level re-export of the function ``similarity`` would shadow
+    # the submodule, and ``import pous.similarity as m`` would bind it
+    import pous
+
+    for name in ("bts", "cli", "committee", "errors", "garbled", "packing",
+                 "similarity", "simnet"):
+        module = importlib.import_module(f"pous.{name}")
+        assert getattr(pous, name) is module
+    import pous.similarity as m
+
+    assert isinstance(m, types.ModuleType)

@@ -7,6 +7,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pous import cli, garbled, simnet
@@ -495,6 +496,29 @@ def test_committed_transactions_arrived_in_time_and_commit_once(run, monkeypatch
     assert len(np.unique(ids)) == len(ids) == m.confirmed_tx_count
     packed = [e["packed"] for e in m.round_log if e["packed"]]
     assert packed == [len(block) for _, block, _ in blocks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_nodes=st.integers(4, 12),
+    sim_time=st.floats(100.0, 2000.0),
+    block_interval=st.floats(100.0, 600.0),
+    # 4..200 transactions per block against 30 per node: some blocks bind
+    block_size_mb=st.floats(0.001, 0.05),
+    block_delay=st.floats(0.1, 10.0),
+    honest_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_runners_keep_their_accounting(**fields):
+    c = cfg(**fields)
+    for run in (run_pous, run_pow):
+        m = run(c)
+        assert m.confirmed_tx_count <= m.total_tx_count
+        assert all(e["packed"] <= c.capacity() for e in m.round_log)
+        assert sum(e["packed"] for e in m.round_log) == m.confirmed_tx_count
+        # commit_at - submit rounds once, so allow an ulp below the delay
+        assert (m.latencies >= c.block_delay - 1e-9).all()
+        assert math.isclose(m.tps * c.sim_time, m.confirmed_tx_count, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
