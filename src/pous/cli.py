@@ -31,19 +31,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import garbled
-from .bts import VoteRecord, votes_to_crs
+from .bts import APPROVE_BELIEF, VoteRecord, votes_to_crs
 from .errors import ConfigurationError
-from .packing import pca_project
-from .similarity import DEFAULT_CLASSES, flat_index, pair_sequence
+from .similarity import flat_index, pair_sequence
 from .simnet import (
+    RUNNERS as _RUNNERS,
     Metrics,
     SimConfig,
-    _workload,
     config_from_fields,
-    rank_pool,
+    pca_scatter_rows,
     replay_trace,
-    run_pous,
-    run_pow,
     trace_lines,
 )
 
@@ -56,7 +53,7 @@ class Scenario:
     base: SimConfig
     sweep_param: str
     sweep_values: list
-    protocols: tuple[str, ...] = ("pous", "pow")
+    protocols: tuple[str, ...] = tuple(_RUNNERS)
     replicates: int = 100
     kind: str = "sim"
 
@@ -66,13 +63,17 @@ class Scenario:
         if type(self.replicates) is not int or self.replicates < 1:
             raise ConfigurationError(
                 f"replicates must be a positive integer, got {self.replicates!r}")
-        if not self.protocols or any(p not in ("pous", "pow") for p in self.protocols):
+        if not self.protocols or any(p not in _RUNNERS for p in self.protocols):
             raise ConfigurationError(f"unknown protocols {self.protocols}")
         if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
             raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
         # each point as run_scenario builds it, so SimConfig checks it
         for value in self.sweep_values:
             dataclasses.replace(self.base, **{self.sweep_param: value})
+        # a repeated point would share its aggregate row and trace files
+        if not self.sweep_values or len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigurationError(
+                f"sweep.values must list one or more distinct points, got {self.sweep_values}")
 
 
 @dataclass
@@ -98,7 +99,7 @@ def _preset(
     base,
     sweep_param,
     sweep_values,
-    protocols=("pous", "pow"),
+    protocols=tuple(_RUNNERS),
     fast_replicates=20,
     replicates=100,
     kind="sim",
@@ -251,7 +252,7 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
         base=base,
         sweep_param=sweep.get("param", "block_size_mb"),
         sweep_values=list(sweep.get("values", [base.block_size_mb])),
-        protocols=tuple(doc.get("protocols", ("pous", "pow"))),
+        protocols=tuple(doc.get("protocols", _RUNNERS)),
         replicates=replicates,
         kind=doc.get("kind", "sim"),
     )
@@ -295,9 +296,6 @@ def cell_seed(master: int, param: str, value, replicate: int) -> int:
     """Stable per-cell seed; both protocols share it so workloads pair."""
     material = f"{master}|{param}={value!r}|rep{replicate}"
     return int.from_bytes(sha256(material.encode()).digest()[:8], "big")
-
-
-_RUNNERS = {"pous": run_pous, "pow": run_pow}
 
 
 def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
@@ -387,31 +385,6 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# scatter data (clusters of one round vs. the packed set)
-
-
-def pca_scatter_rows(config: SimConfig) -> list[dict]:
-    """Cluster the first round's mempool, select a block's worth of
-    transactions, and project the user vectors to 2-D for plotting."""
-    wl = _workload(config)
-    horizon = config.block_interval
-    idx = np.flatnonzero(wl.arrival <= horizon)
-    if len(idx) == 0:
-        return []
-    view = np.zeros((config.n_nodes + 1, len(DEFAULT_CLASSES)))
-    np.add.at(view, (wl.source[idx], wl.tx_class[idx]), 1.0)
-
-    order, _, users, labels = rank_pool(view, wl, idx, horizon, config, seed=config.seed)
-    coords = pca_project(view[users]) if len(users) >= 2 else np.zeros((len(users), 2))
-    chosen = set(wl.source[idx[order[:config.capacity()]]].tolist())
-    return [
-        {"user": int(user), "x": float(x), "y": float(y), "cluster": int(label),
-         "selected": int(user in chosen)}
-        for user, (x, y), label in zip(users, coords, labels)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # crypto cost benchmark
 
 
@@ -429,8 +402,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     mining budget; neither evaluates gates.
     """
     rows = []
-    backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed, ot=garbled.TrustedDealerOT())
-    gates_per_cmp = len(backend.template.circuit.gates)
+    backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed)
+    gates_per_cmp = garbled.comparator_size(8)[0]
     rng = np.random.default_rng(seed)
     for data_bytes in (1024, 2048, 4096, 8192, 16384, 32768):
         n_cmp = data_bytes // 8
@@ -464,7 +437,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
             if rank >= budget:
                 break
             for entry in (flat_index(k, l, n_users), flat_index(l, k, n_users)):
-                records.append(VoteRecord(voter=1, candidate=2, entry=entry, x=1, y=0.9))
+                records.append(VoteRecord(voter=1, candidate=2, entry=entry, x=1,
+                                          y=APPROVE_BELIEF))
         blob = votes_to_crs(records, n_users)
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),
@@ -623,7 +597,7 @@ def _cmd_run(args) -> int:
     overrides = parse_overrides(args.set or [])
     if args.seed is not None:
         overrides = {"seed": args.seed, **overrides}
-    if Path(args.scenario).suffix == ".json" and Path(args.scenario).exists():
+    if Path(args.scenario).suffix == ".json":
         scenario = load_config(args.scenario, overrides)
     else:
         scenario, _, _ = scenario_from_preset(args.scenario, fast=args.fast,

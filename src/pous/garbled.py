@@ -65,28 +65,15 @@ _TABLES = {
 }
 
 
-class KeyStream:
-    """Deterministic byte stream from SHA256 in counter mode.
+def label_bytes(seed: int, n: int) -> bytes:
+    """The first ``n`` bytes of SHA256 in counter mode under ``seed``.
 
-    Used for wire labels so that one integer seed reproduces a garbled
-    circuit byte for byte.
+    Wire labels are read from here, so one integer seed reproduces a
+    garbled circuit byte for byte.
     """
-
-    def __init__(self, seed: int):
-        self._state = hashlib.sha256(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
-        self._counter = 0
-        self._buf = b""
-
-    def randbytes(self, n: int) -> bytes:
-        blocks = (n - len(self._buf) + 31) // 32  # digests still needed
-        if blocks > 0:
-            start, self._counter = self._counter, self._counter + blocks
-            self._buf += b"".join(
-                hashlib.sha256(self._state + c.to_bytes(8, "big")).digest()
-                for c in range(start, self._counter)
-            )
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+    state = hashlib.sha256(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
+    return b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest()
+                    for c in range(-(-n // 32)))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +350,7 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     diff = b.sub(hi, lo)
     out = b.ge(t_wires, diff)
 
-    raw = KeyStream(seed).randbytes(2 * LABEL_BYTES * b.n_wires)
+    raw = label_bytes(seed, 2 * LABEL_BYTES * b.n_wires)
     keys = []
     for off in range(0, len(raw), 2 * LABEL_BYTES):
         label0 = raw[off:off + LABEL_BYTES]

@@ -9,8 +9,9 @@ config asks for its own (:func:`_workload`), so throughput comparisons
 pair replicate by replicate. Both admit, commit and log transactions
 through one ledger (:class:`_Chain`), so the two differ only in how a
 round picks its leader and orders its pool; each round's leader is
-read from the round log. Traffic is held in columnar arrays, which
-keeps million-transaction runs fast.
+read from the round log. ``RUNNERS`` names the two protocols and maps
+each to its runner. Traffic is held in columnar arrays, which keeps
+million-transaction runs fast.
 
 A round ranks its pool only when the block binds: a pool that fits in
 one block is packed whole, in arrival order (:meth:`_Chain.select`).
@@ -52,7 +53,7 @@ from .committee import (
 )
 from .errors import ConfigurationError
 # kmeans stays importable here: the benchmark's tracer patches simnet.kmeans
-from .packing import PriorityWeights, cluster_users, kmeans, priority, rank
+from .packing import PriorityWeights, cluster_users, kmeans, pca_project, priority, rank
 from .similarity import DEFAULT_CLASSES
 
 # simulated seconds per garbled gate evaluated: one SHA-256 row pad, the
@@ -132,6 +133,9 @@ class SimConfig:
             raise ConfigurationError("tx_epoch must be positive when set")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if self.capacity() < 1:
+            raise ConfigurationError(f"block_size_mb must be at least one tx_size "
+                                     f"({self.tx_size} bytes), got {self.block_size_mb}")
 
     def committee(self) -> CommitteeConfig:
         """The vote-counting committee of this run; it checks its own ranges."""
@@ -143,10 +147,7 @@ class SimConfig:
 
     def capacity(self) -> int:
         """Transactions per block: block size over transaction size."""
-        r = int(self.block_size_mb * (1 << 20) // self.tx_size)
-        if r < 1:
-            raise ConfigurationError("block too small for a single transaction")
-        return r
+        return int(self.block_size_mb * (1 << 20) // self.tx_size)
 
 
 _FIELD_TYPES = get_type_hints(SimConfig)
@@ -229,7 +230,7 @@ _held: Optional[tuple[SimConfig, Workload]] = None
 def _workload(config: SimConfig) -> Workload:
     """The transaction stream of ``config``, generated once per cell.
 
-    Both runners and the scatter rows read their workload here, so a
+    Both runners and :func:`pca_scatter_rows` read their workload here, so a
     cell's pous and pow runs share one. At most one workload is held:
     the old one is dropped before a new one is generated, so two never
     live at once.
@@ -531,6 +532,28 @@ def run_pous(config: SimConfig) -> Metrics:
                          crypto_time, round_crypto_bytes * n_rounds)
 
 
+def pca_scatter_rows(config: SimConfig) -> list[dict]:
+    """fig10: round 0's pool at its count deadline, ranked (k-means seeded
+    by ``config.seed``) even when it fits the block; each user's vector is
+    projected to 2-D and marked when the block packs one of its transactions."""
+    wl = _workload(config)
+    now = RoundTimers.split_interval(0.0, config.block_interval).result_waiting_deadline
+    pool = _Chain(wl).admit(now)
+    if len(pool) == 0:
+        return []
+    view = np.zeros((config.n_nodes + 1, len(DEFAULT_CLASSES)))
+    np.add.at(view, (wl.source[pool], wl.tx_class[pool]), 1.0)
+
+    order, _, users, labels = rank_pool(view, wl, pool, now, config, seed=config.seed)
+    coords = pca_project(view[users]) if len(users) >= 2 else np.zeros((len(users), 2))
+    chosen = set(wl.source[pool[order[:config.capacity()]]].tolist())
+    return [
+        {"user": int(user), "x": float(x), "y": float(y), "cluster": int(label),
+         "selected": int(user in chosen)}
+        for user, (x, y), label in zip(users, coords, labels)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # proof-of-work baseline
 
@@ -564,6 +587,9 @@ def run_pow(config: SimConfig) -> Metrics:
         chain.commit(r, leader, chosen, commit_at)
 
     return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)
+
+
+RUNNERS = {"pous": run_pous, "pow": run_pow}  # every protocol a scenario or trace names
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +644,7 @@ def config_from_trace_header(header: dict) -> tuple[SimConfig, str]:
     raises ConfigurationError.
     """
     protocol = header.get("protocol")
-    if protocol not in ("pous", "pow"):
+    if protocol not in RUNNERS:
         raise ConfigurationError(f"trace header names unknown protocol {protocol!r}")
     cfg = header.get("config")
     if not isinstance(cfg, dict):
@@ -645,8 +671,7 @@ def replay_trace(lines: list[str]) -> tuple[bool, str]:
     if not isinstance(header, dict) or header.get("kind") != "header":
         return False, "first line is not a trace header"
     config, protocol = config_from_trace_header(header)
-    runner = run_pous if protocol == "pous" else run_pow
-    metrics = runner(config)
+    metrics = RUNNERS[protocol](config)
     fresh = list(trace_lines(config, protocol, metrics))
     if len(fresh) != len(lines):
         return False, f"trace length {len(lines)} != replayed {len(fresh)}"

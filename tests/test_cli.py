@@ -10,7 +10,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 import pytest
 
-from pous import cli, garbled
+from pous import cli, garbled, simnet
 from pous.cli import (
     PRESETS,
     RunReport,
@@ -22,7 +22,6 @@ from pous.cli import (
     loglog_slope,
     main,
     parse_overrides,
-    pca_scatter_rows,
     render_summary,
     run_cost_benchmark,
     run_scenario,
@@ -30,7 +29,7 @@ from pous.cli import (
 )
 from pous.errors import ConfigurationError
 from pous.packing import PriorityWeights
-from pous.simnet import SimConfig, replay_trace, run_pow
+from pous.simnet import SimConfig, pca_scatter_rows, replay_trace, run_pow
 
 FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
                 if kind in (float, Optional[float])]
@@ -172,6 +171,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"kind": "cost", "protocols": ["nope"]}, "protocols"),
     # a sweep point is built as run_scenario builds it, so weights cannot be swept
     ({"sweep": {"param": "weights", "values": [[0.5, 2.0, 1.0]]}}, "weights"),
+    # no point to run, or a point run twice under one aggregate row and trace name
+    ({"sweep": {"param": "block_size_mb", "values": []}}, "sweep.values"),
+    ({"kind": "scatter", "sweep": {"param": "block_size_mb", "values": []}}, "sweep.values"),
+    ({"sweep": {"param": "block_size_mb", "values": [2.0, 2.0]}}, "sweep.values"),
+    ({"sweep": {"param": "block_size_mb", "values": [1.0, 1]}}, "sweep.values"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -179,6 +183,21 @@ def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_small_block_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    for protocol in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, protocol, calls.append)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(
+        dict(TINY_JSON, sweep={"param": "block_size_mb", "values": [0.5, 0.0001]})))
+    rc = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "block_size_mb must be at least one tx_size (250 bytes), got 0.0001" in err
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 
@@ -210,6 +229,12 @@ def test_load_config_rejects_non_objects(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigurationError, match="objects"):
         load_config(str(path))
+
+
+def test_cli_runs_the_simulator_registry():
+    # perfbench wraps the runners by patching cli._RUNNERS in place
+    assert cli._RUNNERS is simnet.RUNNERS
+    assert simnet.RUNNERS == {"pous": simnet.run_pous, "pow": simnet.run_pow}
 
 
 def test_scenario_validation():
@@ -497,6 +522,46 @@ def test_run_verb_unknown_preset_fails(tmp_path, capsys):
     rc = main(["run", "no-such-preset", "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_verb_missing_json_file_fails(tmp_path, capsys):
+    rc = main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "No such file" in err and "missing.json" in err
+    assert "preset" not in err
+
+
+def test_run_verb_failing_cell_is_named(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise ValueError("boom")
+    monkeypatch.setitem(cli._RUNNERS, "pow", broken)
+    rc = main(["run", "pow-anchor", "--fast", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: cell pow/block_size_mb=1.0/rep0 failed: boom" in capsys.readouterr().err
+
+
+def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
+    rows = [
+        {"series": "eval", "data_bytes": 1024, "comparisons": 128, "seconds": 0.5,
+         "approvals": 70, "gates": 128, "row_pads": 128},
+        {"series": "eval", "data_bytes": 2048, "comparisons": 256, "seconds": 1.0,
+         "approvals": 140, "gates": 256, "row_pads": 256},
+        {"series": "vote-crs", "data_bytes": 9000, "comparisons": 2400, "seconds": 0.0,
+         "approvals": 100, "gates": 0, "row_pads": 0},
+    ]
+    seeds = []
+    monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: seeds.append(seed) or rows)
+    out_dir = tmp_path / "out"
+    assert main(["run", "cost-2pc", "--fast", "--seed", "5", "--out", str(out_dir)]) == 0
+    assert seeds == [5]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "aggregate.csv", "cells.csv", "cost.csv", "summary.txt"]
+    assert len((out_dir / "cost.csv").read_text().splitlines()) == 1 + len(rows)
+    summary = (out_dir / "summary.txt").read_text()
+    assert "2pc eval time log-log slope vs data size: 1.000 (gates 1.000" in summary
+    assert "vote matrix bytes at 100 users: 9000\n" in summary
+    assert summary in capsys.readouterr().out
 
 
 def test_run_verb_bad_file_fails(tmp_path, capsys):

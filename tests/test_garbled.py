@@ -28,7 +28,6 @@ from pous.garbled import (
     FixedPoint,
     GarbledCircuit,
     GarbledCompareBackend,
-    KeyStream,
     PlainCompareBackend,
     TrustedDealerOT,
     comparator_size,
@@ -36,6 +35,7 @@ from pous.garbled import (
     eval_circuit,
     garble_comparator,
     gen_gate,
+    label_bytes,
     plain_within_theta,
     secure_compare,
     select_input_labels,
@@ -75,39 +75,31 @@ def permute_bit(label):
     return label[-1] & 1
 
 
-def fresh_keys(stream, count=3):
+def fresh_keys(seed, count=3):
     """Random key pairs whose two labels carry opposite permute bits."""
+    raw = label_bytes(seed, 2 * LABEL_BYTES * count)
     keys = []
-    for _ in range(count):
-        k0, k1 = stream.randbytes(LABEL_BYTES), stream.randbytes(LABEL_BYTES)
+    for off in range(0, len(raw), 2 * LABEL_BYTES):
+        k0, k1 = raw[off:off + LABEL_BYTES], raw[off + LABEL_BYTES:off + 2 * LABEL_BYTES]
         keys.append((k0, k1[:-1] + bytes([(k1[-1] & 0xFE) | (1 - permute_bit(k0))])))
     return keys
 
 
 # ---------------------------------------------------------------------------
-# key stream
+# label bytes
 
 
 def test_keystream_deterministic():
-    assert KeyStream(42).randbytes(64) == KeyStream(42).randbytes(64)
-    assert KeyStream(42).randbytes(64) != KeyStream(43).randbytes(64)
-
-
-def test_keystream_one_call_equals_many():
-    whole = KeyStream(5).randbytes(2 * LABEL_BYTES * 40)
-    s = KeyStream(5)
-    assert whole == b"".join(s.randbytes(LABEL_BYTES) for _ in range(80))
-    s = KeyStream(5)
-    sizes = [1, 31, 32, 33, 0, 64, 5, 3]
-    parts = [s.randbytes(n) for n in sizes]
-    assert [len(p) for p in parts] == sizes
-    assert b"".join(parts) == whole[:sum(sizes)]
+    assert label_bytes(42, 64) == label_bytes(42, 64)
+    assert label_bytes(42, 64) != label_bytes(43, 64)
 
 
 def test_keystream_is_sha256_in_counter_mode():
     state = hashlib.sha256(b"pous-gc" + (9).to_bytes(16, "big", signed=True)).digest()
     want = b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest() for c in range(3))
-    assert KeyStream(9).randbytes(96) == want
+    assert label_bytes(9, 96) == want
+    # a length off the 32-byte digest boundary is a prefix of the stream
+    assert [label_bytes(9, n) for n in (0, 1, 33, 95)] == [want[:n] for n in (0, 1, 33, 95)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +143,7 @@ def test_fixed_point_rejects_bad_inputs():
 
 
 def test_and_gate_label_selection():
-    stream = KeyStream(10)
-    k1, k2, k3 = fresh_keys(stream)
+    k1, k2, k3 = fresh_keys(10)
     gate = gen_gate("AND", k1, k2, k3, 0, 0, 1, 2)
     for a in (0, 1):
         for b in (0, 1):
@@ -167,9 +158,9 @@ def test_and_gate_label_selection():
 
 
 def test_every_kind_matches_truth_table():
-    stream = KeyStream(11)
+    keys = fresh_keys(11, 3 * len(GATE_KINDS))
     for gi, kind in enumerate(GATE_KINDS):
-        k1, k2, k3 = fresh_keys(stream)
+        k1, k2, k3 = keys[3 * gi:3 * gi + 3]
         gate = gen_gate(kind, k1, k2, k3, gi, 0, 1, 2)
         for a in (0, 1):
             for b in (0, 1):
@@ -187,14 +178,14 @@ def test_every_kind_matches_truth_table():
 
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
-    keys = fresh_keys(KeyStream(12))
+    keys = fresh_keys(12)
     g0 = gen_gate("AND", *keys, 0, 0, 1, 2)
     g1 = gen_gate("AND", *keys, 1, 0, 1, 2)
     assert all(r0 != r1 for r0, r1 in zip(g0.rows, g1.rows))
 
 
 def test_gate_rejects_key_pair_with_equal_permute_bits():
-    k1, k2, k3 = fresh_keys(KeyStream(14))
+    k1, k2, k3 = fresh_keys(14)
     same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
     for in1, in2 in ((k1, same), (same, k1)):
         with pytest.raises(RejectedInputError, match="permute bit"):

@@ -104,6 +104,7 @@ FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
     ("seed", True),
     ("sim_time", "600"),
     ("weights", (0.5, 2.0, 1.0)),
+    ("block_size_mb", 1e-5),  # too small for one 250-byte transaction
 ])
 def test_config_checks_every_value_on_construction_and_replace(name, value):
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
