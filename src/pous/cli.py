@@ -70,10 +70,14 @@ class Scenario:
         # each point as run_scenario builds it, so SimConfig checks it
         for value in self.sweep_values:
             dataclasses.replace(self.base, **{self.sweep_param: value})
-        # a repeated point would share its aggregate row and trace files
-        if not self.sweep_values or len(set(self.sweep_values)) < len(self.sweep_values):
+        # a repeated point would share its aggregate row and trace files,
+        # and points are ordered by their numeric value
+        if (not self.sweep_values
+                or len(set(self.sweep_values)) < len(self.sweep_values)
+                or not all(isinstance(v, (int, float)) for v in self.sweep_values)):
             raise ConfigurationError(
-                f"sweep.values must list one or more distinct points, got {self.sweep_values}")
+                "sweep.values must list one or more distinct numbers, "
+                f"got {self.sweep_values}")
 
 
 @dataclass
@@ -416,7 +420,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         rows.append({
             "series": "eval", "data_bytes": data_bytes, "comparisons": n_cmp,
             "seconds": elapsed, "approvals": approvals, "gates": n_cmp * gates_per_cmp,
-            "row_pads": round(n_cmp * gates_per_cmp * garbled.ROW_TRIES),
+            "row_pads": round(n_cmp * gates_per_cmp * garbled.ROW_TRIES), "users": 0,
         })
 
     ot = garbled.DiffieHellmanOT(garbled.FAST_GROUP)
@@ -428,6 +432,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     rows.append({
         "series": "ot", "data_bytes": 0, "comparisons": sessions,
         "seconds": time.perf_counter() - start, "approvals": 0, "gates": 0, "row_pads": 0,
+        "users": 0,
     })
 
     for n_users in (100, 500, 1000):
@@ -442,8 +447,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         blob = votes_to_crs(records, n_users)
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),
-            "comparisons": len(records), "seconds": 0.0, "approvals": n_users,
-            "gates": 0, "row_pads": 0,
+            "comparisons": len(records), "seconds": 0.0, "approvals": 0,
+            "gates": 0, "row_pads": 0, "users": n_users,
         })
     return rows
 
@@ -512,7 +517,7 @@ def emit(report: RunReport, out_dir: str) -> list[str]:
     if report.cost_series:
         _write_csv(out / "cost.csv",
                    ["series", "data_bytes", "comparisons", "seconds", "approvals",
-                    "gates", "row_pads"],
+                    "gates", "row_pads", "users"],
                    report.cost_series)
         written.append("cost.csv")
     for (protocol, value, replicate), lines in sorted(
@@ -579,7 +584,7 @@ def render_summary(report: RunReport) -> str:
         for r in report.cost_series:
             if r["series"] == "vote-crs":
                 lines.append(
-                    f"vote matrix bytes at {r['approvals']} users: {r['data_bytes']}"
+                    f"vote matrix bytes at {r['users']} users: {r['data_bytes']}"
                 )
     if report.pca_scatter:
         sel = sum(r["selected"] for r in report.pca_scatter)

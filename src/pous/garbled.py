@@ -24,9 +24,14 @@ Construction notes:
 * "Encryption" is a SHA256-keyed stream: the pad is the digest of the
   two input labels plus a per-gate, per-row tweak, which keeps pads
   unique even though wire labels feed many gates.
-* The evaluator's input labels travel through 1-of-2 oblivious transfer
-  (a Diffie-Hellman construction over a safe-prime group, or a trusted
-  dealer stand-in with the same interface for large simulations).
+* The evaluator's input labels travel through 1-of-2 oblivious transfer:
+  either a Diffie-Hellman transfer over a safe-prime group, or a trusted
+  dealer stand-in with the same interface for large simulations. The DH
+  transfer uses one sender exponent for both ciphertexts (Naor and
+  Pinkas, SODA 2001) and an inverse-free receiver key ``g^x * C^bit``
+  (Chou and Orlandi, LATINCRYPT 2015). It costs two variable-base
+  exponentiations, four fixed-base powers of g and no inverse, and it
+  sends three group elements; none of it is constant-time.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes; an
@@ -539,27 +544,37 @@ class OTTranscript:
         return sum(len(p) for _, p in self.messages)
 
 
-def _hash_to_key(group: OTGroup, x: int) -> bytes:
-    return hashlib.sha256(group.encode(x)).digest()[:LABEL_BYTES]
+def _hash_to_key(group: OTGroup, x: int, slot: int) -> bytes:
+    return hashlib.sha256(group.encode(x) + bytes([slot])).digest()[:LABEL_BYTES]
 
 
 class DiffieHellmanOT:
-    """1-of-2 oblivious transfer over a prime-order group.
+    """1-of-2 oblivious transfer over a prime-order group, with one
+    sender exponent for both ciphertexts (Naor and Pinkas, SODA 2001)
+    and an inverse-free receiver key (Chou and Orlandi, LATINCRYPT 2015).
 
-    The receiver builds two public keys whose product is a group element
-    of unknown discrete log, so it can decrypt exactly one ciphertext;
-    the key it sends is uniform either way, so the sender learns nothing
-    about the choice bit. Exponents come from the operating system's
+    The sender sends ``C = g^z``. The receiver sends ``B = g^x * C^bit``,
+    computed as ``g^x`` times 1 or ``C``, so both bits take the same
+    operations. The sender draws one ``r`` and sends ``u = g^r`` with
+    ``m0 ^ H(B^r, 0)`` and ``m1 ^ H((B/C)^r, 1)``; it gets the second key
+    as ``B^r * g^(-z*r)`` without inverting anything, because it knows
+    ``z``. The receiver's own key is ``u^x = g^(x*r)``.
+
+    * The choice bit is hidden: ``B`` is uniform in the group for either
+      bit, so the sender learns nothing from it.
+    * The other label is hidden: the other key differs from ``u^x`` by a
+      factor of ``C^r`` or ``C^-r``, and ``C^r`` is the Diffie-Hellman
+      value of ``C`` and ``u``, which the receiver cannot compute
+      (computational Diffie-Hellman, in the random-oracle model for H).
+
+    Per transfer: two variable-base exponentiations (``B^r``, ``u^x``),
+    four powers of g, no inverse, three exponent draws and three group
+    elements on the wire. Exponents come from the operating system's
     cryptographic source unless a (seeded, reproducible) ``rng`` is
-    injected.
-
-    The four powers of g per transfer come from the group's fixed-base
-    table (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB
-    for ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Inverses are
-    ``pow(y, -1, p)``. The values, and so the transcripts, are the ones
-    ``pow(g, e, p)`` and Fermat inversion gave. Neither the table
-    lookups nor the inverse is constant-time; the builtin ``pow`` was
-    not either.
+    injected. Powers of g come from the group's fixed-base table
+    (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB for
+    ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Neither the table
+    lookups nor the builtin ``pow`` is constant-time.
     """
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
@@ -580,31 +595,24 @@ class DiffieHellmanOT:
         z = self._rand_exp()
         c = grp.pow_g(z)
         t.messages.append(("sender", grp.encode(c)))
-        # receiver: key pair with the trapdoor on the chosen side
+        # receiver: g^x on the chosen side, shifted by c when bit is 1
         x = self._rand_exp()
-        pk_b = grp.pow_g(x)
-        pk_other = c * pow(pk_b, -1, p) % p
-        pk0 = pk_b if bit == 0 else pk_other
-        t.messages.append(("receiver", grp.encode(pk0)))
-        # sender: hashed-ElGamal under both keys
-        pk1 = c * pow(pk0, -1, p) % p
-        cts = []
-        for pk, m in ((pk0, m0), (pk1, m1)):
-            r = self._rand_exp()
-            u = grp.pow_g(r)
-            key = _hash_to_key(grp, pow(pk, r, p))
-            ct = _xor(m, key)
-            cts.append((u, ct))
-            t.messages.append(("sender", grp.encode(u) + ct))
+        b = grp.pow_g(x) * (1, c)[bit] % p
+        t.messages.append(("receiver", grp.encode(b)))
+        # sender: one r for both keys, b^r and (b/c)^r = b^r * g^(-z*r)
+        r = self._rand_exp()
+        u = grp.pow_g(r)
+        s0 = pow(b, r, p)
+        s1 = s0 * grp.pow_g(-z * r) % p
+        cts = (_xor(m0, _hash_to_key(grp, s0, 0)), _xor(m1, _hash_to_key(grp, s1, 1)))
+        t.messages.append(("sender", grp.encode(u) + cts[0] + cts[1]))
         # receiver decrypts its side
-        u, ct = cts[bit]
-        key = _hash_to_key(grp, pow(u, x, p))
-        out = _xor(ct, key)
+        out = _xor(cts[bit], _hash_to_key(grp, pow(u, x, p), bit))
         return out, t
 
     def transfer_bytes(self) -> int:
         e = self.group.element_bytes
-        return e + e + 2 * (e + LABEL_BYTES)
+        return 3 * e + 2 * LABEL_BYTES
 
 
 class TrustedDealerOT:

@@ -176,6 +176,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"kind": "scatter", "sweep": {"param": "block_size_mb", "values": []}}, "sweep.values"),
     ({"sweep": {"param": "block_size_mb", "values": [2.0, 2.0]}}, "sweep.values"),
     ({"sweep": {"param": "block_size_mb", "values": [1.0, 1]}}, "sweep.values"),
+    # an optional field takes null, but a sweep point must be a number
+    ({"sweep": {"param": "tx_epoch", "values": [100.0, None]}}, "sweep.values"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -411,8 +413,11 @@ def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
         assert (r["gates"], r["row_pads"]) == (want, want)
     emit(RunReport(scenario="cost-2pc", master_seed=7, cost_series=rows), str(tmp_path))
     cost = (tmp_path / "cost.csv").read_text().splitlines()
-    assert cost[0] == "series,data_bytes,comparisons,seconds,approvals,gates,row_pads"
-    assert cost[1].endswith(f",{128 * gates},{128 * gates}")
+    assert cost[0] == "series,data_bytes,comparisons,seconds,approvals,gates,row_pads,users"
+    assert cost[1].endswith(f",{128 * gates},{128 * gates},0")
+    assert [line.split(",")[-1] for line in cost if line.startswith("vote-crs,")] == [
+        "100", "500", "1000"]
+    assert all(line.split(",")[4] == "0" for line in cost if line.startswith("vote-crs,"))
     assert "(gates 1.000, row pads 1.000)" in (tmp_path / "summary.txt").read_text()
 
 
@@ -544,11 +549,11 @@ def test_run_verb_failing_cell_is_named(tmp_path, capsys, monkeypatch):
 def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     rows = [
         {"series": "eval", "data_bytes": 1024, "comparisons": 128, "seconds": 0.5,
-         "approvals": 70, "gates": 128, "row_pads": 128},
+         "approvals": 70, "gates": 128, "row_pads": 128, "users": 0},
         {"series": "eval", "data_bytes": 2048, "comparisons": 256, "seconds": 1.0,
-         "approvals": 140, "gates": 256, "row_pads": 256},
+         "approvals": 140, "gates": 256, "row_pads": 256, "users": 0},
         {"series": "vote-crs", "data_bytes": 9000, "comparisons": 2400, "seconds": 0.0,
-         "approvals": 100, "gates": 0, "row_pads": 0},
+         "approvals": 0, "gates": 0, "row_pads": 0, "users": 100},
     ]
     seeds = []
     monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: seeds.append(seed) or rows)
@@ -735,32 +740,54 @@ def test_scatter_preset_writes_projection(tmp_path, capsys):
 SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 # rows the evaluator decrypted per gate before point-and-permute
 TRIAL_ROW_TRIES = 2.5
+# bytes of one DH transfer as the exchange sends them
+TRANSFER_BYTES = garbled.DiffieHellmanOT.transfer_bytes
+
+
+def two_exponent_transfer_bytes(ot):
+    """Bytes of one DH transfer when each ciphertext carried its own
+    sender element: C, the receiver key and two (u, ciphertext) pairs."""
+    return 4 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES
+
 
 GOLDEN = [
-    # (preset, extra, name, digest, row_tries)
-    # cells.csv as pinned under trial decryption: with that cost factor put
-    # back, the simulator still writes these bytes, so rows per gate is the
-    # only thing point-and-permute changed in them
+    # (preset, extra, name, digest, row_tries, transfer_bytes)
+    # cells.csv as pinned under trial decryption and two sender elements
+    # per transfer: with both cost factors put back, the simulator still
+    # writes these bytes, so rows per gate and bytes per transfer are the
+    # only things point-and-permute and the shared-randomness OT changed
     ("fig8-n30", [], "cells.csv",
-     "bf03c1d80b9a58d8f21151829958df804c5c4af38391d47ddb6afcbf049e5aa4", TRIAL_ROW_TRIES),
+     "bf03c1d80b9a58d8f21151829958df804c5c4af38391d47ddb6afcbf049e5aa4", TRIAL_ROW_TRIES,
+     two_exponent_transfer_bytes),
     ("fig10", [], "pca_scatter.csv",
-     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e", garbled.ROW_TRIES),
+     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e", garbled.ROW_TRIES,
+     TRANSFER_BYTES),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "fcc3b29d22a76137feabae44898da8cbd214b117253983f2d04889fc02f4e83a", TRIAL_ROW_TRIES),
+     "fcc3b29d22a76137feabae44898da8cbd214b117253983f2d04889fc02f4e83a", TRIAL_ROW_TRIES,
+     two_exponent_transfer_bytes),
     ("fig8-n30", [], "cells.csv",
-     "4d163908818a8b67a462c534c3da41b1ee9384ed72b9a0c256ce738ebfadd98e", garbled.ROW_TRIES),
+     "4d163908818a8b67a462c534c3da41b1ee9384ed72b9a0c256ce738ebfadd98e", garbled.ROW_TRIES,
+     two_exponent_transfer_bytes),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "5e74536712b5a04e9fbf29a38fd51eed8e69af95bebb8dfd6c01eee3893201b7", garbled.ROW_TRIES),
+     "5e74536712b5a04e9fbf29a38fd51eed8e69af95bebb8dfd6c01eee3893201b7", garbled.ROW_TRIES,
+     two_exponent_transfer_bytes),
+    ("fig8-n30", [], "cells.csv",
+     "4691232067897a9ea286a1cc27f87f525e3cde458610a159fcc60dd990eb844d", garbled.ROW_TRIES,
+     TRANSFER_BYTES),
+    ("fig8-n30", SMALL_BLOCKS, "cells.csv",
+     "d5d0cfd2b43f66794eda33cbab34465856aa05c4ca3f114a29e376f661d374f1", garbled.ROW_TRIES,
+     TRANSFER_BYTES),
 ]
 
 
-@pytest.mark.parametrize("preset, extra, name, digest, row_tries", [
+@pytest.mark.parametrize("preset, extra, name, digest, row_tries, transfer_bytes", [
     pytest.param(*case, id=f"{case[0]}-extra{i}-{case[2]}-{case[3]}")
     for i, case in enumerate(GOLDEN)
 ])
 def test_golden_output(tmp_path, capsys, monkeypatch, preset, extra, name, digest,
-                       row_tries):
+                       row_tries, transfer_bytes):
     monkeypatch.setattr(garbled, "ROW_TRIES", row_tries)
+    monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes", transfer_bytes)
     out_dir = tmp_path / "out"
     assert main(["run", preset, "--fast", "--set", "replicates=1", *extra,
                  "--out", str(out_dir)]) == 0

@@ -517,8 +517,30 @@ def test_ot_transcript_bytes_match_analytic():
         ot = DiffieHellmanOT(grp, rng=random.Random(5))
         _, tr = ot.exchange(b"x" * 16, b"y" * 16, 0)
         e = grp.element_bytes
-        assert ot.transfer_bytes() == 4 * e + 2 * LABEL_BYTES
+        assert ot.transfer_bytes() == 3 * e + 2 * LABEL_BYTES
         assert tr.total_bytes() == ot.transfer_bytes()
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_ot_transcript_layout(bit):
+    for grp in (DEFAULT_GROUP, FAST_GROUP):
+        _, tr = DiffieHellmanOT(grp, rng=random.Random(5)).exchange(b"x" * 16, b"y" * 16, bit)
+        e = grp.element_bytes
+        assert [(who, len(payload)) for who, payload in tr.messages] == [
+            ("sender", e), ("receiver", e), ("sender", e + 2 * LABEL_BYTES)]
+
+
+@pytest.mark.parametrize("grp", [FAST_GROUP, DEFAULT_GROUP], ids=["fast", "default"])
+def test_ot_second_key_needs_no_inverse(grp):
+    # the sender's (B/C)^r, from B^r and a power of g it can compute because it knows z
+    rng = random.Random(41)
+    p = grp.p
+    for _ in range(50):
+        z, r = rng.randrange(1, grp.q), rng.randrange(1, grp.q)
+        c = pow(grp.g, z, p)
+        for b in (pow(grp.g, rng.randrange(1, grp.q), p), rng.randrange(1, p)):
+            s0 = pow(b, r, p)
+            assert s0 * grp.pow_g(-z * r) % p == pow(b * pow(c, -1, p), r, p)
 
 
 def test_ot_receiver_message_independent_of_bit():
@@ -548,21 +570,47 @@ def test_pow_g_matches_builtin_pow(grp):
     assert all(len(row) == 255 for row in table)
 
 
+def reference_exchange(grp, rng, m0, m1, bit):
+    """The shared-randomness transfer re-derived slowly: builtin pow for
+    every power, a Fermat inverse for the second key, the same three rng
+    draws in the same order. Returns the wire messages."""
+    p, g, e = grp.p, grp.g, grp.element_bytes
+
+    def key(s, slot):
+        return hashlib.sha256(s.to_bytes(e, "big") + bytes([slot])).digest()[:LABEL_BYTES]
+
+    def xor(a, b):
+        return bytes(x ^ y for x, y in zip(a, b))
+
+    z = rng.randrange(1, grp.q)
+    c = pow(g, z, p)
+    x = rng.randrange(1, grp.q)
+    b = pow(g, x, p) * pow(c, bit, p) % p
+    r = rng.randrange(1, grp.q)
+    u = pow(g, r, p)
+    k0, k1 = key(pow(b, r, p), 0), key(pow(b * pow(c, p - 2, p) % p, r, p), 1)
+    assert key(pow(u, x, p), bit) == (k0, k1)[bit]
+    return [("sender", c.to_bytes(e, "big")), ("receiver", b.to_bytes(e, "big")),
+            ("sender", u.to_bytes(e, "big") + xor(m0, k0) + xor(m1, k1))]
+
+
 def test_ot_transcripts_are_pinned():
-    """sha256 over who + payload of every message of seeded exchanges,
-    200 on FAST_GROUP then 20 on DEFAULT_GROUP, each with fresh rngs: the
-    digest the exchange gave with plain pow(g, e, p) and Fermat inverses."""
+    """Every message of seeded exchanges, 200 on FAST_GROUP then 20 on
+    DEFAULT_GROUP, each with fresh rngs, equals the reference transfer's;
+    the digest is sha256 over who + payload of all of them."""
     h = hashlib.sha256()
     for grp, n in ((FAST_GROUP, 200), (DEFAULT_GROUP, 20)):
         ot = DiffieHellmanOT(grp, rng=random.Random(11))
+        reference_rng = random.Random(11)
         payloads = random.Random(12)
         for i in range(n):
             m0, m1 = payloads.randbytes(16), payloads.randbytes(16)
             out, transcript = ot.exchange(m0, m1, i & 1)
             assert out == (m0, m1)[i & 1]
+            assert transcript.messages == reference_exchange(grp, reference_rng, m0, m1, i & 1)
             for who, payload in transcript.messages:
                 h.update(who.encode() + payload)
-    assert h.hexdigest() == "39b36dabb5268b408d9651b086db3807ebbb16acf43a4a282dbdeaa9da70fbc4"
+    assert h.hexdigest() == "98c3ec3a620c556ab38b7dda70362213d4582c2de2985638d7d98f0ddc8c8ae6"
 
 
 LAZY_TABLE_SCRIPT = """
