@@ -36,7 +36,6 @@ from .errors import ConfigurationError
 from .similarity import flat_index, pair_sequence
 from .simnet import (
     RUNNERS as _RUNNERS,
-    Metrics,
     SimConfig,
     config_from_fields,
     pca_scatter_rows,
@@ -67,6 +66,9 @@ class Scenario:
             raise ConfigurationError(f"unknown protocols {self.protocols}")
         if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
             raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
+        if self.sweep_param == "seed":
+            raise ConfigurationError(
+                "seed cannot be swept: each cell's seed derives from the master seed")
         # each point as run_scenario builds it, so SimConfig checks it
         for value in self.sweep_values:
             dataclasses.replace(self.base, **{self.sweep_param: value})
@@ -251,11 +253,16 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
     overrides = dict(overrides or {})
     replicates = overrides.pop("replicates", doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
+    param = sweep.get("param", "block_size_mb")
+    # each cell sets the swept field to its sweep value
+    if "values" in sweep and param in overrides:
+        raise ConfigurationError(
+            f"{where}: {param} is swept over {sweep['values']} and cannot be overridden")
     return Scenario(
         name=doc.get("name", Path(where).stem),
         base=base,
-        sweep_param=sweep.get("param", "block_size_mb"),
-        sweep_values=list(sweep.get("values", [base.block_size_mb])),
+        sweep_param=param,
+        sweep_values=list(sweep.get("values", [getattr(base, param, None)])),
         protocols=tuple(doc.get("protocols", _RUNNERS)),
         replicates=replicates,
         kind=doc.get("kind", "sim"),
@@ -316,8 +323,8 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     _check_sweep(scenario.sweep_param, scenario.sweep_values, report.notes)
 
     master = scenario.base.seed
-    # per sweep point, the summaries of its cells: a cell's latency array
-    # and round log are dropped once its row and trace are written
+    # per sweep point, the rows of its cells: a cell's latency array and
+    # round log are dropped once its row and trace are written
     by_point: dict[tuple[str, object], list[dict]] = {}
     for value in scenario.sweep_values:
         for replicate in range(scenario.replicates):
@@ -333,10 +340,10 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
                         f"cell {protocol}/{scenario.sweep_param}={value}"
                         f"/rep{replicate} failed: {exc}"
                     ) from exc
-                summary = metrics.summary()
-                by_point.setdefault((protocol, value), []).append(summary)
-                report.cells.append({"param": scenario.sweep_param, "value": value,
-                                     "replicate": replicate, **summary})
+                row = {"protocol": protocol, "param": scenario.sweep_param,
+                       "value": value, "replicate": replicate, **metrics.summary()}
+                by_point.setdefault((protocol, value), []).append(row)
+                report.cells.append(row)
                 if keep_traces:
                     report.traces[(protocol, value, replicate)] = list(
                         trace_lines(config, protocol, metrics)
@@ -475,51 +482,29 @@ def linear_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
 # emission
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """The rows under a header of the first row's keys. A row that lacks
+    one of them raises KeyError; floats are written as their repr."""
+    header = list(rows[0])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col, "")) for col in header])
+        writer.writerows([row[col] for col in header] for row in rows)
 
 
 def emit(report: RunReport, out_dir: str) -> list[str]:
-    """Write the report's CSVs and summary; returns the file list."""
+    """Write each table that holds rows, the traces and the summary;
+    returns the file list."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    cell_header = ["protocol", "param", "value", "replicate", *Metrics.CSV_FIELDS[1:]]
-    _write_csv(out / "cells.csv", cell_header, report.cells)
-    written.append("cells.csv")
-
-    agg_header = ["protocol", "param", "value", "mean_tps", "std_tps",
-                  "mean_latency", "std_latency", "mean_crypto_time",
-                  "mean_crypto_bytes", "replicates"]
-    _write_csv(out / "aggregate.csv", agg_header, report.aggregates)
-    written.append("aggregate.csv")
-
-    if report.improvements:
-        _write_csv(out / "improvements.csv",
-                   ["param", "value", "tps_improvement_pct", "latency_reduction_pct"],
-                   report.improvements)
-        written.append("improvements.csv")
-    if report.pca_scatter:
-        _write_csv(out / "pca_scatter.csv",
-                   ["user", "x", "y", "cluster", "selected"], report.pca_scatter)
-        written.append("pca_scatter.csv")
-    if report.cost_series:
-        _write_csv(out / "cost.csv",
-                   ["series", "data_bytes", "comparisons", "seconds", "approvals",
-                    "gates", "row_pads", "users"],
-                   report.cost_series)
-        written.append("cost.csv")
+    tables = {"cells.csv": report.cells, "aggregate.csv": report.aggregates,
+              "improvements.csv": report.improvements,
+              "pca_scatter.csv": report.pca_scatter, "cost.csv": report.cost_series}
+    for name, rows in tables.items():
+        if rows:
+            _write_csv(out / name, rows)
+            written.append(name)
     for (protocol, value, replicate), lines in sorted(
         report.traces.items(), key=lambda kv: (kv[0][0], float(kv[0][1]), kv[0][2])
     ):
@@ -556,14 +541,14 @@ def render_summary(report: RunReport) -> str:
                if np.isfinite(r["latency_reduction_pct"])]
         if lat:
             lines.append(f"mean latency reduction: {np.mean(lat):.2f}%")
+        # aggregates come sorted by protocol, then by numeric sweep value
         by_param = {}
         for agg in report.aggregates:
             by_param.setdefault(agg["protocol"], []).append(
                 (float(agg["value"]), agg["mean_latency"])
             )
-        if report.improvements and report.improvements[0]["param"] == "block_interval":
-            for proto, pts in sorted(by_param.items()):
-                pts.sort()
+        if report.improvements[0]["param"] == "block_interval":
+            for proto, pts in by_param.items():
                 xs = [p[0] for p in pts]
                 ys = [p[1] for p in pts]
                 if len(xs) >= 3 and all(np.isfinite(ys)):
@@ -607,6 +592,8 @@ def _cmd_run(args) -> int:
     else:
         scenario, _, _ = scenario_from_preset(args.scenario, fast=args.fast,
                                               overrides=overrides)
+    # an --out that cannot be a directory fails before any cell runs
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_scenario(scenario, keep_traces=args.trace)
     files = emit(report, args.out)
     sys.stdout.write(render_summary(report))
@@ -667,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError, RuntimeError) as exc:
+    except (ConfigurationError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -4,7 +4,9 @@ Run with ``python3 -m pytest tests/test_acceptance.py -v -s`` to see the
 pass/fail lines; the whole gate takes a few minutes, dominated by the
 exhaustive comparator sweep and the transfer-protocol sessions.
 """
+import csv
 import dataclasses
+import io
 import itertools
 import random
 import time
@@ -14,7 +16,6 @@ from scipy.stats import chi2_contingency
 
 from pous.bts import expected_scores, strategy_scores
 from pous.cli import (
-    _fmt,
     cell_seed,
     linear_r2,
     loglog_slope,
@@ -34,7 +35,7 @@ from pous.garbled import (
     select_input_labels,
 )
 from pous.packing import decode_flag, encode_flag
-from pous.simnet import Metrics, run_pous, run_pow
+from pous.simnet import RUNNERS, run_pous
 
 MASTER_SEED = 7
 
@@ -308,6 +309,13 @@ def test_criterion_10_cost_envelope():
     )
 
 
+def csv_line(values) -> str:
+    """One row as cells.csv writes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
+
+
 def test_criterion_11_cell_determinism():
     checked = 0
     identical = True
@@ -321,12 +329,8 @@ def test_criterion_11_cell_determinism():
         seed = cell_seed(MASTER_SEED, param, value, replicate)
         config = dataclasses.replace(scenario.base, **{param: value, "seed": seed})
         for protocol in scenario.protocols:
-            runner = run_pous if protocol == "pous" else run_pow
-            # each row formatted as cells.csv formats it
-            first, second = (
-                [_fmt(m.summary()[f]) for f in Metrics.CSV_FIELDS]
-                for m in (runner(config), runner(config))
-            )
+            runner = RUNNERS[protocol]
+            first, second = (csv_line(runner(config).summary().values()) for _ in range(2))
             identical = identical and first == second
             checked += 1
     report(

@@ -178,6 +178,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"sweep": {"param": "block_size_mb", "values": [1.0, 1]}}, "sweep.values"),
     # an optional field takes null, but a sweep point must be a number
     ({"sweep": {"param": "tx_epoch", "values": [100.0, None]}}, "sweep.values"),
+    # each cell runs the seed derived from the master seed, not a swept one
+    ({"sweep": {"param": "seed", "values": [1, 2]}}, "seed"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -201,6 +203,31 @@ def test_too_small_block_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypa
     assert "block_size_mb must be at least one tx_size (250 bytes), got 0.0001" in err
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, pair", [
+    ("fig8-n30", "block_interval=300"),
+    ("tiny.json", "block_size_mb=2"),
+])
+def test_run_verb_rejects_override_of_swept_field(tmp_path, capsys, scenario, pair):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_JSON))
+    rc = main(["run", str(tmp_path / scenario) if scenario == path.name else scenario,
+               "--fast", "--set", "replicates=1", "--set", pair,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{pair.partition('=')[0]} is swept over" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_without_values_runs_the_base_value(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(dict(
+        TINY_JSON, base={**TINY_JSON["base"], "block_interval": 150.0},
+        sweep={"param": "block_interval"})))
+    assert load_config(str(path)).sweep_values == [150.0]
+    # no values are listed, so an override sets the one point
+    assert load_config(str(path), {"block_interval": 250.0}).sweep_values == [250.0]
 
 
 def test_scenario_file_takes_replicates_override(tmp_path, capsys):
@@ -437,12 +464,16 @@ def test_emit_writes_expected_files(tmp_path):
     assert "mean throughput improvement" in summary
 
 
-def test_emit_empty_report_headers_only(tmp_path):
+def test_emit_empty_report_writes_only_summary(tmp_path):
     report = RunReport(scenario="empty", master_seed=1)
-    files = emit(report, str(tmp_path))
-    assert files == ["cells.csv", "aggregate.csv", "summary.txt"]
-    assert (tmp_path / "cells.csv").read_text().count("\n") == 1
-    assert (tmp_path / "aggregate.csv").read_text().count("\n") == 1
+    assert emit(report, str(tmp_path)) == ["summary.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
+
+
+def test_emit_refuses_a_row_that_lacks_a_column(tmp_path):
+    rows = [{"protocol": "pow", "seed": 1, "tps": 0.5}, {"protocol": "pow", "tps": 0.5}]
+    with pytest.raises(KeyError, match="seed"):
+        emit(RunReport(scenario="s", master_seed=1, cells=rows), str(tmp_path))
 
 
 def test_rerun_with_same_seed_is_byte_identical(tmp_path):
@@ -537,6 +568,27 @@ def test_run_verb_missing_json_file_fails(tmp_path, capsys):
     assert "preset" not in err
 
 
+def test_run_verb_out_that_is_a_file_exits_2_before_any_cell_runs(tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    for protocol in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, protocol, calls.append)
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["run", "fig10", "--fast", "--out", str(out)]) == 2
+    assert f"File exists: '{out}'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.mkdir()
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert main(["replay", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("Is a directory") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_verb_failing_cell_is_named(tmp_path, capsys, monkeypatch):
     def broken(config):
         raise ValueError("boom")
@@ -560,8 +612,7 @@ def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "out"
     assert main(["run", "cost-2pc", "--fast", "--seed", "5", "--out", str(out_dir)]) == 0
     assert seeds == [5]
-    assert sorted(p.name for p in out_dir.iterdir()) == [
-        "aggregate.csv", "cells.csv", "cost.csv", "summary.txt"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["cost.csv", "summary.txt"]
     assert len((out_dir / "cost.csv").read_text().splitlines()) == 1 + len(rows)
     summary = (out_dir / "summary.txt").read_text()
     assert "2pc eval time log-log slope vs data size: 1.000 (gates 1.000" in summary
@@ -620,13 +671,15 @@ def _doctor_header(header):
     alien = dict(header, protocol="pos")
     negative = json.loads(json.dumps(header))
     negative["config"]["seed"] = -1
+    no_config = {key: value for key, value in header.items() if key != "config"}
     return {"block_reward": json.dumps(old), "weights": json.dumps(no_weights),
             "n_nodes": json.dumps(ill_typed), "pos": json.dumps(alien),
-            "not JSON": "this is no trace header", "seed": json.dumps(negative)}
+            "not JSON": "this is no trace header", "seed": json.dumps(negative),
+            "config": json.dumps(no_config)}
 
 
 @pytest.mark.parametrize("case", ["block_reward", "weights", "n_nodes", "pos", "not JSON",
-                                  "seed"])
+                                  "seed", "config"])
 def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
     report = run_scenario(tiny_scenario(replicates=1), keep_traces=True)
     lines = report.traces[("pow", 0.5, 0)]
@@ -640,6 +693,14 @@ def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
 @pytest.fixture(scope="module")
 def pow_trace():
     return run_scenario(tiny_scenario(replicates=1), keep_traces=True).traces[("pow", 0.5, 0)]
+
+
+def test_replay_verb_truncated_trace_exits_1(tmp_path, capsys, pow_trace):
+    trace = tmp_path / "short.jsonl"
+    trace.write_text("\n".join(pow_trace[:-1]) + "\n")
+    assert main(["replay", str(trace)]) == 1
+    assert (f"trace length {len(pow_trace) - 1} != replayed {len(pow_trace)}"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -729,6 +790,19 @@ def test_scatter_preset_writes_projection(tmp_path, capsys):
     scatter = (out_dir / "pca_scatter.csv").read_text().splitlines()
     assert scatter[0] == "user,x,y,cluster,selected"
     assert len(scatter) > 1
+
+
+def test_scatter_of_an_empty_pool_writes_no_projection(tmp_path, capsys):
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(dict(
+        TINY_JSON, kind="scatter", protocols=["pous"], replicates=1,
+        base={**TINY_JSON["base"], "tx_count_mean": 0.0, "sigma": 0.0})))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
+    assert "scatter:" not in capsys.readouterr().out
+    assert not (out_dir / "pca_scatter.csv").exists()
+    config = dataclasses.replace(load_config(str(path)).base, block_size_mb=0.5)
+    assert pca_scatter_rows(config) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Configuration, workload generation, both protocol runners, traces."""
+import csv
 import dataclasses
+import io
 import json
 import math
 import weakref
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pous import cli, garbled, simnet
+from pous import garbled, simnet
 from pous.bts import cast_votes, tally
 from pous.committee import CommitteeConfig, RoundTimers, agree, select_committee
 from pous.errors import ConfigurationError, RejectedInputError
@@ -644,12 +646,14 @@ def test_workload_arrays_are_read_only():
 
 
 def test_metrics_csv_row_uses_repr_floats():
-    # a cells.csv row: cli._fmt over the summary, in CSV_FIELDS order
+    # a cells.csv row: the summary through csv.writer, in CSV_FIELDS order
     m = run_pow(cfg(n_nodes=5, sim_time=500.0, block_interval=100.0, seed=1))
     fields = Metrics.CSV_FIELDS
     summary = m.summary()
     assert tuple(summary) == fields
-    row = [cli._fmt(summary[f]) for f in fields]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(summary.values())
+    row = buf.getvalue().rstrip("\n").split(",")
     assert row[fields.index("protocol")] == "pow"
     assert row[fields.index("tps")] == repr(m.tps)
     assert row[fields.index("confirmed_tx_count")] == str(m.confirmed_tx_count)
