@@ -62,8 +62,10 @@ class Scenario:
         if type(self.replicates) is not int or self.replicates < 1:
             raise ConfigurationError(
                 f"replicates must be a positive integer, got {self.replicates!r}")
-        if not self.protocols or any(p not in _RUNNERS for p in self.protocols):
-            raise ConfigurationError(f"unknown protocols {self.protocols}")
+        # an unknown protocol or one listed twice, whose copies would mispair the gains
+        if not self.protocols or len(set(self.protocols) & set(_RUNNERS)) < len(self.protocols):
+            raise ConfigurationError(
+                f"protocols must be distinct names from {list(_RUNNERS)}, got {self.protocols}")
         if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
             raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
         if self.sweep_param == "seed":
@@ -178,7 +180,7 @@ _preset(
 _preset(
     "cost-2pc",
     "Two-party comparison cost scaling and vote-matrix bytes",
-    dict(n_nodes=30, sim_time=2430.0),
+    {},
     "block_size_mb", [2.0], protocols=("pous",), fast_replicates=1, replicates=1,
     kind="cost",
 )
@@ -251,6 +253,8 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
         if not isinstance(value, list):
             raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
     overrides = dict(overrides or {})
+    # a cost run reads only the seed, so it refuses every other setting
+    ignored = sorted({*doc.get("base", {}), *overrides} - {"seed"})
     replicates = overrides.pop("replicates", doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
     param = sweep.get("param", "block_size_mb")
@@ -258,7 +262,7 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
     if "values" in sweep and param in overrides:
         raise ConfigurationError(
             f"{where}: {param} is swept over {sweep['values']} and cannot be overridden")
-    return Scenario(
+    scenario = Scenario(
         name=doc.get("name", Path(where).stem),
         base=base,
         sweep_param=param,
@@ -267,6 +271,9 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
         replicates=replicates,
         kind=doc.get("kind", "sim"),
     )
+    if scenario.kind == "cost" and ignored:
+        raise ConfigurationError(f"{where}: a cost run reads only seed, not {ignored}")
+    return scenario
 
 
 def scenario_from_preset(
@@ -559,13 +566,12 @@ def render_summary(report: RunReport) -> str:
     if report.cost_series:
         evals = [r for r in report.cost_series if r["series"] == "eval"]
         if len(evals) >= 2:
+            # the work, not the timed seconds, so the summary does not vary run to run
             sizes = [r["data_bytes"] for r in evals]
-            slope = loglog_slope(sizes, [max(r["seconds"], 1e-9) for r in evals])
-            # the work slopes do not vary run to run; the timed one does
             gates, pads = (loglog_slope(sizes, [r[col] for r in evals])
                            for col in ("gates", "row_pads"))
-            lines.append(f"2pc eval time log-log slope vs data size: {slope:.3f} "
-                         f"(gates {gates:.3f}, row pads {pads:.3f})")
+            lines.append(f"2pc eval work log-log slope vs data size: "
+                         f"gates {gates:.3f}, row pads {pads:.3f}")
         for r in report.cost_series:
             if r["series"] == "vote-crs":
                 lines.append(

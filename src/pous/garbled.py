@@ -174,8 +174,8 @@ class GarbledCircuit:
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
         """Inverse of :meth:`serialize`. The bytes must be exactly as long
-        as their header says, with two output-map entries; anything else
-        raises CorruptedCircuitError."""
+        as their header says, with two output-map entries and every wire
+        id below ``n_wires``; anything else raises CorruptedCircuitError."""
         if raw[:4] != b"PGC1":
             raise CorruptedCircuitError("bad circuit magic")
         off = 4 + struct.calcsize(_HEADER)
@@ -215,6 +215,11 @@ class GarbledCircuit:
                 for o in (off, off + LABEL_BYTES + 1)}
         if len(omap) != 2:
             raise CorruptedCircuitError("output map needs two distinct labels")
+        # a wire beyond n_wires would fail evaluation with an IndexError
+        wires = [*gen, *ev, *(w for w, _ in consts), out_wire,
+                 *(w for g in gates for w in (g.in1, g.in2, g.out))]
+        if max(wires) >= n_wires:
+            raise CorruptedCircuitError(f"circuit names wire {max(wires)} of {n_wires}")
         return cls(bitwidth, n_wires, tuple(gen), tuple(ev), tuple(consts),
                    tuple(gates), out_wire, omap)
 
@@ -669,8 +674,9 @@ def secure_compare(
 class PlainCompareBackend:
     """Threshold compare without cryptography; same fixed-point semantics.
 
-    Large network simulations swap this in for the garbled path; it
-    reports no bytes, and the simulator accounts them through
+    The cleartext reference that the garbled path and the simulator's
+    voting shortcut are tested against. It reports no bytes. The
+    simulator runs no comparison; it accounts their cost through
     :func:`comparator_size` and :func:`comparison_bytes`.
     """
 

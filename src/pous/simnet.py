@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from hashlib import sha256
 from typing import Iterator, Mapping, Optional, get_type_hints
@@ -51,7 +51,7 @@ from .committee import (
     agree,
     select_committee,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RejectedInputError
 # kmeans stays importable here: the benchmark's tracer patches simnet.kmeans
 from .packing import PriorityWeights, cluster_users, kmeans, pca_project, priority, rank
 from .similarity import DEFAULT_CLASSES
@@ -79,7 +79,9 @@ class SimConfig:
     tx_count_mean: float = 30.0
     fee_mean: float = 0.000062
     sigma: float = 1.0
-    weights: PriorityWeights = field(default_factory=PriorityWeights)
+    weight_a: float = PriorityWeights.a
+    weight_b: float = PriorityWeights.b
+    weight_c: float = PriorityWeights.c
     power_low: float = 0.0
     power_high: float = 100.0
     budget_scale: float = 12.0
@@ -94,10 +96,7 @@ class SimConfig:
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is PriorityWeights:
-                if not isinstance(value, PriorityWeights):
-                    raise ConfigurationError(f"weights must be PriorityWeights, got {value!r}")
-            elif not (value is None and kind == Optional[float]):
+            if not (value is None and kind == Optional[float]):
                 if isinstance(value, bool) or not isinstance(
                     value, int if kind is int else (int, float)
                 ):
@@ -122,6 +121,10 @@ class SimConfig:
             raise ConfigurationError(
                 f"honest_fraction must lie in [0, 1], got {self.honest_fraction}")
         self.committee()  # CommitteeConfig checks the committee's own ranges
+        try:
+            self.weights()
+        except RejectedInputError as exc:
+            raise ConfigurationError(f"weight_a, weight_b, weight_c: {exc}") from None
         if self.committee_size > self.n_nodes:
             raise ConfigurationError(
                 f"committee_size {self.committee_size} exceeds n_nodes {self.n_nodes}")
@@ -144,6 +147,10 @@ class SimConfig:
             selection_seed=self.seed,
             rotation_period=self.rotation_period,
         )
+
+    def weights(self) -> PriorityWeights:
+        """The packing rule's weights a, b and c; they check their own ranges."""
+        return PriorityWeights(self.weight_a, self.weight_b, self.weight_c)
 
     def capacity(self) -> int:
         """Transactions per block: block size over transaction size."""
@@ -250,8 +257,8 @@ def _workload(config: SimConfig) -> Workload:
 @dataclass
 class Metrics:
     protocol: str
-    sim_time: float
     seed: int
+    sim_time: float
     total_tx_count: int
     confirmed_tx_count: int
     tps: float
@@ -268,15 +275,10 @@ class Metrics:
     latencies: np.ndarray
     round_log: list
 
-    CSV_FIELDS = (
-        "protocol", "seed", "sim_time", "total_tx_count", "confirmed_tx_count",
-        "tps", "mean_latency", "p50_latency", "p90_latency", "rounds",
-        "blocks_committed", "aborts", "crypto_time", "crypto_bytes",
-        "functionality_wins", "rounds_with_block",
-    )
-
     def summary(self) -> dict:
-        return {f: getattr(self, f) for f in self.CSV_FIELDS}
+        """Every field but the per-transaction and per-round ones, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("latencies", "round_log")}
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +450,7 @@ def rank_pool(view: np.ndarray, wl: Workload, idx: np.ndarray, now: float,
     dist_user[users] = dist
     d_tx = dist_user[src]
     submit = wl.submit[idx]
-    prio = priority(now, submit, wl.fee[idx], d_tx, config.weights)
+    prio = priority(now, submit, wl.fee[idx], d_tx, config.weights())
     # workload rows break ties as the transaction ids (row + 1) would
     return rank(prio, submit, idx), d_tx, users, labels
 
@@ -599,7 +601,6 @@ RUNNERS = {"pous": run_pous, "pow": run_pow}  # every protocol a scenario or tra
 def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[str]:
     """Replayable line-delimited run log: header, rounds, summary."""
     cfg = {f.name: getattr(config, f.name) for f in fields(config)}
-    cfg["weights"] = [config.weights.a, config.weights.b, config.weights.c]
     yield json.dumps({"kind": "header", "protocol": protocol, "config": cfg},
                      sort_keys=True)
     for entry in metrics.round_log:
@@ -615,25 +616,11 @@ def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[
 
 
 def config_from_fields(values: Mapping) -> SimConfig:
-    """SimConfig from field values; ``weights`` may be given as an
-    (a, b, c) sequence or as the text ``"a,b,c"``.
-
-    Unknown fields raise ConfigurationError naming them; SimConfig
-    checks every value.
-    """
+    """SimConfig from field values. Unknown fields raise
+    ConfigurationError naming them; SimConfig checks every value."""
     unknown = sorted(set(values) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigurationError(f"unknown config fields: {unknown}")
-    values = dict(values)
-    weights = values.get("weights")
-    if weights is not None and not isinstance(weights, PriorityWeights):
-        try:
-            parts = [float(w) for w in weights.split(",")] if isinstance(weights, str) else weights
-            if len(parts) != 3:
-                raise ValueError(f"need three numbers a, b, c, got {len(parts)}")
-            values["weights"] = PriorityWeights(*parts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"weights {weights!r}: {exc}") from None
     return SimConfig(**values)
 
 

@@ -245,6 +245,8 @@ def test_diagonal_votes_rejected():
 
 
 def test_out_of_range_votes_rejected():
+    with pytest.raises(RejectedInputError, match="two miners"):
+        tally([], m=1, n=2, matrices=matrices_for(1, 2))
     with pytest.raises(RejectedInputError):
         tally([rec(2, 1, 5, 1)], m=3, n=2, matrices=matrices_for(3, 2))
     with pytest.raises(RejectedInputError):
@@ -333,6 +335,9 @@ def test_shifted_prediction_examples():
     assert shifted_prediction(1, 0.3) == pytest.approx(0.6)
     assert shifted_prediction(0, 0.3) == pytest.approx(0.0)
     assert shifted_prediction(1, 0.8) == pytest.approx(1.0)
+    for y in (-0.1, 1.5):
+        with pytest.raises(RejectedInputError):
+            shifted_prediction(1, y)
 
 
 def test_shifted_prediction_bounded_and_directional():
@@ -500,6 +505,15 @@ def test_truthful_voting_beats_flipping():
         assert s["truthful_neg"] > s["flipped_neg"]
 
 
+@pytest.mark.parametrize("p0, p1, y, message", [
+    (-0.1, 0.5, 0.5, "p0"), (0.2, 1.5, 0.5, "p1"), (0.2, 0.8, 1.1, "y"),
+    (0.8, 0.2, 0.5, "dominate"),
+])
+def test_strategy_scores_reject_bad_beliefs(p0, p1, y, message):
+    with pytest.raises(RejectedInputError, match=message):
+        strategy_scores(p0, p1, y)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -529,3 +543,7 @@ def test_crs_votes_reject_truncation():
     blob = votes_to_crs(cast_votes(mats[1], mats[2], plain_compare()), n=3)
     with pytest.raises(RejectedInputError):
         votes_from_crs(blob[:-2])
+    with pytest.raises(RejectedInputError, match="too short"):
+        votes_from_crs(blob[:15])
+    with pytest.raises(RejectedInputError, match="no records"):
+        votes_to_crs([], n=3)

@@ -1,4 +1,5 @@
 """Scenario presets, config files, orchestration, CSV emission, verbs."""
+import csv
 import dataclasses
 import json
 import math
@@ -48,7 +49,7 @@ def tiny_scenario(replicates=2, protocols=("pous", "pow"), seed=7):
 TINY_JSON = {
     "name": "tiny",
     "base": {"n_nodes": 8, "sim_time": 430.0, "block_interval": 100.0,
-             "tx_epoch": 100.0, "weights": [0.5, 2.0, 1.0]},
+             "tx_epoch": 100.0, "weight_a": 0.5, "weight_b": 2.0, "weight_c": 1.0},
     "sweep": {"param": "block_size_mb", "values": [0.5, 1.0]},
     "protocols": ["pous", "pow"],
     "replicates": 2,
@@ -122,7 +123,7 @@ def test_load_config_roundtrip(tmp_path):
     sc = load_config(str(path))
     assert sc.name == "tiny"
     assert sc.base.n_nodes == 8
-    assert sc.base.weights.b == 2.0
+    assert sc.base.weights() == PriorityWeights(0.5, 2.0, 1.0)
     assert sc.sweep_param == "block_size_mb"
     assert sc.sweep_values == [0.5, 1.0]
     assert sc.protocols == ("pous", "pow")
@@ -169,8 +170,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     # a cost scenario ignores both keys, and is checked all the same
     ({"kind": "cost", "sweep": {"param": "warp", "values": ["x"]}}, "warp"),
     ({"kind": "cost", "protocols": ["nope"]}, "protocols"),
-    # a sweep point is built as run_scenario builds it, so weights cannot be swept
-    ({"sweep": {"param": "weights", "values": [[0.5, 2.0, 1.0]]}}, "weights"),
+    # the weights are three number fields; the old triple is no field
+    ({"base": {**TINY_JSON["base"], "weights": [0.5, 2.0, 1.0]}}, "weights"),
     # no point to run, or a point run twice under one aggregate row and trace name
     ({"sweep": {"param": "block_size_mb", "values": []}}, "sweep.values"),
     ({"kind": "scatter", "sweep": {"param": "block_size_mb", "values": []}}, "sweep.values"),
@@ -180,6 +181,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"sweep": {"param": "tx_epoch", "values": [100.0, None]}}, "sweep.values"),
     # each cell runs the seed derived from the master seed, not a swept one
     ({"sweep": {"param": "seed", "values": [1, 2]}}, "seed"),
+    # a repeated protocol would run each cell twice and mispair the gains
+    ({"protocols": ["pous", "pous", "pow"]}, "protocols"),
+    # a cost run reads only the seed, so a base field would be ignored
+    ({"kind": "cost", "base": {"seed": 3, "n_nodes": 8}}, "n_nodes"),
 ])
 def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     path = tmp_path / "bad.json"
@@ -187,6 +192,35 @@ def test_run_verb_rejects_bad_scenario_file(tmp_path, capsys, change, name):
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_weight_sweep_runs(tmp_path, capsys):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(dict(
+        TINY_JSON, replicates=1, sweep={"param": "weight_c", "values": [0.0, 5.0]})))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--trace", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    with (out_dir / "cells.csv").open() as fh:
+        assert [(c["param"], c["value"]) for c in csv.DictReader(fh)] == [
+            ("weight_c", "0.0"), ("weight_c", "0.0"), ("weight_c", "5.0"), ("weight_c", "5.0")]
+    for value in (0.0, 5.0):
+        lines = (out_dir / f"trace-pous-{value}-r0.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["config"]["weight_c"] == value
+        assert replay_trace(lines)[0]
+
+
+@pytest.mark.parametrize("pairs", [["weight_a=-1"], ["weight_a=0", "weight_b=0", "weight_c=0"]])
+def test_weights_out_of_range_exit_2_before_any_cell_runs(tmp_path, capsys, monkeypatch,
+                                                          pairs):
+    calls = []
+    for protocol in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, protocol, calls.append)
+    assert main(["run", "fig8-n30", "--fast", "--out", str(tmp_path / "out"),
+                 *(arg for pair in pairs for arg in ("--set", pair))]) == 2
+    assert "weight_a, weight_b, weight_c: " in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 
@@ -445,7 +479,19 @@ def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
     assert [line.split(",")[-1] for line in cost if line.startswith("vote-crs,")] == [
         "100", "500", "1000"]
     assert all(line.split(",")[4] == "0" for line in cost if line.startswith("vote-crs,"))
-    assert "(gates 1.000, row pads 1.000)" in (tmp_path / "summary.txt").read_text()
+    assert "gates 1.000, row pads 1.000\n" in (tmp_path / "summary.txt").read_text()
+
+
+def test_cost_summary_does_not_vary_with_the_timed_seconds():
+    def summary(seconds):
+        rows = [{"series": "eval", "data_bytes": size, "comparisons": size // 8,
+                 "seconds": sec, "approvals": 0, "gates": size, "row_pads": size, "users": 0}
+                for size, sec in zip((1024, 2048, 4096), seconds)]
+        return render_summary(RunReport(scenario="cost-2pc", master_seed=7, cost_series=rows))
+
+    assert summary([0.7, 1.4, 2.1]) == summary([0.01, 0.005, 0.003])
+    assert "2pc eval work log-log slope vs data size: gates 1.000, row pads 1.000\n" in (
+        summary([0.7, 1.4, 2.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +661,19 @@ def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out_dir.iterdir()) == ["cost.csv", "summary.txt"]
     assert len((out_dir / "cost.csv").read_text().splitlines()) == 1 + len(rows)
     summary = (out_dir / "summary.txt").read_text()
-    assert "2pc eval time log-log slope vs data size: 1.000 (gates 1.000" in summary
+    assert "2pc eval work log-log slope vs data size: gates 1.000, row pads 1.000\n" in summary
     assert "vote matrix bytes at 100 users: 9000\n" in summary
     assert summary in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair", ["block_interval=5", "replicates=3", "n_nodes=30"])
+def test_cost_run_refuses_settings_it_would_ignore(tmp_path, capsys, monkeypatch, pair):
+    monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: pytest.fail("ran"))
+    assert main(["run", "cost-2pc", "--fast", "--set", pair,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"a cost run reads only seed, not ['{pair.partition('=')[0]}']" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_verb_bad_file_fails(tmp_path, capsys):
@@ -664,15 +720,17 @@ def _doctor_header(header):
     error has to mention."""
     old = json.loads(json.dumps(header))
     old["config"]["block_reward"] = 6.25
-    no_weights = json.loads(json.dumps(header))
-    del no_weights["config"]["weights"]
+    # as written before the weights became three fields
+    old_weights = json.loads(json.dumps(header))
+    old_weights["config"]["weights"] = [
+        old_weights["config"].pop(name) for name in ("weight_a", "weight_b", "weight_c")]
     ill_typed = json.loads(json.dumps(header))
     ill_typed["config"]["n_nodes"] = "eight"
     alien = dict(header, protocol="pos")
     negative = json.loads(json.dumps(header))
     negative["config"]["seed"] = -1
     no_config = {key: value for key, value in header.items() if key != "config"}
-    return {"block_reward": json.dumps(old), "weights": json.dumps(no_weights),
+    return {"block_reward": json.dumps(old), "weights": json.dumps(old_weights),
             "n_nodes": json.dumps(ill_typed), "pos": json.dumps(alien),
             "not JSON": "this is no trace header", "seed": json.dumps(negative),
             "config": json.dumps(no_config)}
@@ -687,7 +745,9 @@ def test_replay_verb_bad_header_fails(tmp_path, capsys, case):
     trace = tmp_path / "bad.jsonl"
     trace.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(trace)]) == 2
-    assert case in capsys.readouterr().err
+    # a header with the old weights triple lacks the three fields that replace it
+    named = {"weights": "['weight_a', 'weight_b', 'weight_c']"}.get(case, case)
+    assert named in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -725,11 +785,12 @@ def test_non_finite_value_exits_2_on_every_path(tmp_path, capsys, pow_trace, nam
 def test_set_weights_takes_three_numbers(tmp_path, capsys):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY_JSON))
-    sc = load_config(str(path), parse_overrides(["weights=0.25,3,1.5"]))
-    assert sc.base.weights == PriorityWeights(0.25, 3.0, 1.5)
+    pairs = ["weight_a=0.25", "weight_b=3", "weight_c=1.5"]
+    sc = load_config(str(path), parse_overrides(pairs))
+    assert sc.base.weights() == PriorityWeights(0.25, 3.0, 1.5)
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out_dir), "--set", "replicates=1",
-                 "--set", "weights=0.25,3,1.5"]) == 0
+                 *(arg for pair in pairs for arg in ("--set", pair))]) == 0
     capsys.readouterr()
     assert (out_dir / "cells.csv").exists()
 
@@ -737,6 +798,7 @@ def test_set_weights_takes_three_numbers(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["0.5,2", "0.5,2,1,4", "a,b,c", "0.5", "[0.5,2,1]",
                                   "nan,1,1", "0,0,0", "0.5,,1"])
 def test_set_malformed_weights_exits_2(tmp_path, capsys, text):
+    # the old weights triple is no field, whatever form its text takes
     assert main(["run", "fig8-n30", "--fast", "--out", str(tmp_path / "out"),
                  "--set", f"weights={text}"]) == 2
     assert "weights" in capsys.readouterr().err
@@ -812,58 +874,67 @@ def test_scatter_of_an_empty_pool_writes_no_projection(tmp_path, capsys):
 # 419-transaction blocks: the pending pool overflows every block, so the
 # priority rule decides what is packed
 SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
-# rows the evaluator decrypted per gate before point-and-permute
-TRIAL_ROW_TRIES = 2.5
-# bytes of one DH transfer as the exchange sends them
-TRANSFER_BYTES = garbled.DiffieHellmanOT.transfer_bytes
 
-
-def two_exponent_transfer_bytes(ot):
-    """Bytes of one DH transfer when each ciphertext carried its own
-    sender element: C, the receiver key and two (u, ciphertext) pairs."""
-    return 4 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES
-
+# the cost factors of the crypto columns, as the digests below were taken
+GOLDEN_FACTORS = {
+    "garbled.ROW_TRIES": 1.0,
+    "simnet._SHA_SECONDS": 4.4e-7,
+    "comparator_size(16)": (296, 28039),
+    "comparison_bytes(16, DEFAULT_GROUP)": 5376,
+}
 
 GOLDEN = [
-    # (preset, extra, name, digest, row_tries, transfer_bytes)
-    # cells.csv as pinned under trial decryption and two sender elements
-    # per transfer: with both cost factors put back, the simulator still
-    # writes these bytes, so rows per gate and bytes per transfer are the
-    # only things point-and-permute and the shared-randomness OT changed
+    # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "bf03c1d80b9a58d8f21151829958df804c5c4af38391d47ddb6afcbf049e5aa4", TRIAL_ROW_TRIES,
-     two_exponent_transfer_bytes),
+     "4691232067897a9ea286a1cc27f87f525e3cde458610a159fcc60dd990eb844d"),
     ("fig10", [], "pca_scatter.csv",
-     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e", garbled.ROW_TRIES,
-     TRANSFER_BYTES),
+     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "fcc3b29d22a76137feabae44898da8cbd214b117253983f2d04889fc02f4e83a", TRIAL_ROW_TRIES,
-     two_exponent_transfer_bytes),
-    ("fig8-n30", [], "cells.csv",
-     "4d163908818a8b67a462c534c3da41b1ee9384ed72b9a0c256ce738ebfadd98e", garbled.ROW_TRIES,
-     two_exponent_transfer_bytes),
-    ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "5e74536712b5a04e9fbf29a38fd51eed8e69af95bebb8dfd6c01eee3893201b7", garbled.ROW_TRIES,
-     two_exponent_transfer_bytes),
-    ("fig8-n30", [], "cells.csv",
-     "4691232067897a9ea286a1cc27f87f525e3cde458610a159fcc60dd990eb844d", garbled.ROW_TRIES,
-     TRANSFER_BYTES),
-    ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "d5d0cfd2b43f66794eda33cbab34465856aa05c4ca3f114a29e376f661d374f1", garbled.ROW_TRIES,
-     TRANSFER_BYTES),
+     "d5d0cfd2b43f66794eda33cbab34465856aa05c4ca3f114a29e376f661d374f1"),
 ]
 
 
-@pytest.mark.parametrize("preset, extra, name, digest, row_tries, transfer_bytes", [
+def test_golden_cost_factors_are_the_live_ones():
+    """A cost factor that changes fails here by name. The digests are then
+    re-pinned: only the pous rows' crypto columns move, as the last test
+    of this file shows."""
+    assert {
+        "garbled.ROW_TRIES": garbled.ROW_TRIES,
+        "simnet._SHA_SECONDS": simnet._SHA_SECONDS,
+        "comparator_size(16)": garbled.comparator_size(16),
+        "comparison_bytes(16, DEFAULT_GROUP)": garbled.comparison_bytes(
+            16, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP)),
+    } == GOLDEN_FACTORS
+
+
+@pytest.mark.parametrize("preset, extra, name, digest", [
     pytest.param(*case, id=f"{case[0]}-extra{i}-{case[2]}-{case[3]}")
     for i, case in enumerate(GOLDEN)
 ])
-def test_golden_output(tmp_path, capsys, monkeypatch, preset, extra, name, digest,
-                       row_tries, transfer_bytes):
-    monkeypatch.setattr(garbled, "ROW_TRIES", row_tries)
-    monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes", transfer_bytes)
+def test_golden_output(tmp_path, capsys, preset, extra, name, digest):
     out_dir = tmp_path / "out"
     assert main(["run", preset, "--fast", "--set", "replicates=1", *extra,
                  "--out", str(out_dir)]) == 0
     capsys.readouterr()
     assert sha256((out_dir / name).read_bytes()).hexdigest() == digest
+
+
+def test_crypto_cost_factors_move_only_the_pous_crypto_columns(tmp_path, capsys,
+                                                               monkeypatch):
+    def cells(out_dir):
+        assert main(["run", "fig8-n30", "--fast", "--set", "replicates=1", *SMALL_BLOCKS,
+                     "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        with (out_dir / "cells.csv").open() as fh:
+            return list(csv.DictReader(fh))
+
+    live = cells(tmp_path / "live")
+    # rows per gate under trial decryption, and four group elements per transfer
+    monkeypatch.setattr(garbled, "ROW_TRIES", 2.5)
+    monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes",
+                        lambda ot: 4 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES)
+    moved = cells(tmp_path / "moved")
+    assert len(live) == len(moved) == 10
+    for a, b in zip(live, moved):
+        crypto = {"crypto_time", "crypto_bytes"} if a["protocol"] == "pous" else set()
+        assert {col for col in a if a[col] != b[col]} == crypto

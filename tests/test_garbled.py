@@ -136,6 +136,8 @@ def test_fixed_point_rejects_bad_inputs():
         FixedPoint.encode(0.5, 1)
     with pytest.raises(RejectedInputError):
         FixedPoint(raw=256, bitwidth=8)
+    with pytest.raises(RejectedInputError, match="bitwidth 3"):
+        FixedPoint(raw=0, bitwidth=3)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +358,24 @@ def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
 def test_wrong_label_count_rejected():
     t = garble_comparator(8, 0.4, seed=1)
     labels = select_input_labels(t.gen_keys, FixedPoint(5, 8))
-    with pytest.raises(RejectedInputError):
+    with pytest.raises(RejectedInputError, match="generator"):
         eval_circuit(t.circuit, labels[:-1], labels)
+    with pytest.raises(RejectedInputError, match="evaluator"):
+        eval_circuit(t.circuit, labels, labels[:-1])
+    with pytest.raises(RejectedInputError, match="width"):
+        select_input_labels(t.gen_keys, FixedPoint(5, 4))
+
+
+def test_gate_that_reads_an_unset_wire_rejected():
+    t = garble_comparator(4, 0.4, seed=1)
+    c = t.circuit
+    # gate 0 reads the output wire, which only the last gate sets
+    early = dataclasses.replace(c.gates[0], in1=c.output_wire)
+    bad = dataclasses.replace(c, gates=(early, *c.gates[1:]))
+    ga = select_input_labels(t.gen_keys, FixedPoint(5, 4))
+    gb = select_input_labels(t.eval_keys, FixedPoint(6, 4))
+    with pytest.raises(CorruptedCircuitError, match="gate 0 evaluated before its inputs"):
+        eval_circuit(bad, ga, gb)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +471,26 @@ def test_output_map_with_one_label_rejected():
     assert len(doubled) == len(raw)
     with pytest.raises(CorruptedCircuitError, match="two distinct labels"):
         GarbledCircuit.deserialize(doubled)
+
+
+@pytest.mark.parametrize("far", ["n_wires", 10**6])
+@pytest.mark.parametrize("where", ["gate input", "gate output", "generator input",
+                                   "evaluator input", "constant", "output wire"])
+def test_wire_beyond_the_circuit_rejected(where, far):
+    c = garble_comparator(4, 0.4, seed=1).circuit
+    far = c.n_wires if far == "n_wires" else far
+    g0 = c.gates[0]
+    change = {
+        "gate input": {"gates": (dataclasses.replace(g0, in2=far), *c.gates[1:])},
+        "gate output": {"gates": (dataclasses.replace(g0, out=far), *c.gates[1:])},
+        "generator input": {"gen_input_wires": (far, *c.gen_input_wires[1:])},
+        "evaluator input": {"eval_input_wires": (*c.eval_input_wires[:-1], far)},
+        "constant": {"const_wires": ((far, c.const_wires[0][1]), *c.const_wires[1:])},
+        "output wire": {"output_wire": far},
+    }[where]
+    raw = dataclasses.replace(c, **change).serialize()
+    with pytest.raises(CorruptedCircuitError, match=f"names wire {far} of {c.n_wires}"):
+        GarbledCircuit.deserialize(raw)
 
 
 def test_unknown_gate_kind_rejected():
@@ -646,6 +684,9 @@ def test_dealer_ot_same_interface():
     assert out == b"q" * 16
     assert ot.transfer_bytes() == 1
     assert tr.total_bytes() == 1
+    assert tr.receiver_message() == b""  # the dealer's transcript has no receiver
+    with pytest.raises(RejectedInputError, match="choice bit"):
+        ot.exchange(b"p" * 16, b"q" * 16, 2)
 
 
 def test_ot_rejects_bad_bit_and_payload():

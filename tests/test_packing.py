@@ -315,6 +315,8 @@ def test_flag_rejects_malformed():
         encode_flag([], capacity=8)
     with pytest.raises(MalformedFlagError):
         encode_flag([1, 9], capacity=8)  # beyond capacity
+    with pytest.raises(MalformedFlagError, match="capacity must be positive"):
+        encode_flag([1], capacity=0)
     with pytest.raises(MalformedFlagError):
         decode_flag(header_with(b"\x00", 8))  # no bits
     with pytest.raises(MalformedFlagError):
@@ -560,6 +562,13 @@ def test_pca_pads_rank_deficient():
     proj = pca_project(X)
     assert np.allclose(proj[:, 1], 0.0)
     assert not np.allclose(proj[:, 0], 0.0)
+
+
+def test_pca_of_one_column_pads_the_second_component():
+    proj = pca_project(np.array([[1.0], [2.0], [4.0]]))
+    assert proj.shape == (3, 2)
+    assert np.allclose(proj[:, 0], [-4 / 3, -1 / 3, 5 / 3])
+    assert np.allclose(proj[:, 1], 0.0)
 
 
 def test_pca_needs_two_vectors():

@@ -80,11 +80,17 @@ def test_vectors_reject_unknown_class():
 def test_vectors_reject_out_of_range_user():
     with pytest.raises(RejectedInputError):
         build_user_vectors(view_of(tx(1, 3, "A")), 2, FOUR_CLASSES)
+    with pytest.raises(RejectedInputError, match="n_users"):
+        build_user_vectors(view_of(tx(1, 1, "A")), 0, FOUR_CLASSES)
 
 
 def test_transaction_rejects_negative_fee():
     with pytest.raises(RejectedInputError):
         Transaction(id=1, source_user=1, tx_class="A", fee=-0.5)
+    with pytest.raises(RejectedInputError, match="non-positive size"):
+        Transaction(id=1, source_user=1, tx_class="A", fee=0.5, size_bytes=0)
+    with pytest.raises(RejectedInputError, match="1-based"):
+        Transaction(id=1, source_user=0, tx_class="A", fee=0.5)
 
 
 def test_user_vector_rejects_negative_counts():
@@ -233,6 +239,8 @@ def test_compute_usm_rejects_bad_budget_and_empty():
         compute_usm(demo_vectors(3), budget=-1)
     with pytest.raises(RejectedInputError):
         compute_usm([], budget=None)
+    with pytest.raises(RejectedInputError, match="inconsistent"):
+        compute_usm([UserVector(1, np.array([1, 2])), UserVector(2, np.array([1, 2, 3]))])
 
 
 def test_matrix_entry_validation():

@@ -24,6 +24,7 @@ from pous.garbled import (
     GarbledCompareBackend,
     PlainCompareBackend,
 )
+from pous.packing import PriorityWeights
 from pous.simnet import (
     Metrics,
     SimConfig,
@@ -105,7 +106,6 @@ FLOAT_FIELDS = [name for name, kind in get_type_hints(SimConfig).items()
     ("k_clusters", 2.5),
     ("seed", True),
     ("sim_time", "600"),
-    ("weights", (0.5, 2.0, 1.0)),
     ("block_size_mb", 1e-5),  # too small for one 250-byte transaction
 ])
 def test_config_checks_every_value_on_construction_and_replace(name, value):
@@ -113,6 +113,14 @@ def test_config_checks_every_value_on_construction_and_replace(name, value):
         cfg(**{name: value})
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         dataclasses.replace(cfg(), **{name: value})
+
+
+def test_weights_are_the_ones_built_and_checked_by_priority_weights():
+    assert cfg(weight_a=0.25, weight_b=3, weight_c=1.5).weights() == PriorityWeights(0.25, 3, 1.5)
+    assert cfg().weights() == PriorityWeights()
+    for bad in (dict(weight_c=-1.0), dict(weight_a=0.0, weight_b=0.0, weight_c=0.0)):
+        with pytest.raises(ConfigurationError, match="^weight_a, weight_b, weight_c: "):
+            cfg(**bad)
 
 
 def test_committee_is_the_one_built_and_checked_by_committee_config():
@@ -431,12 +439,8 @@ def test_pous_packs_whole_pool_when_capacity_allows():
 def test_pous_similarity_term_steers_selection_under_pressure():
     # tight capacity plus distance-dominant weights: packed txs sit
     # closer to their cluster centers than the pool average
-    from pous.packing import PriorityWeights
-
-    c = small_pous_cfg(
-        n_nodes=20, block_size_mb=0.01,
-        weights=PriorityWeights(a=0.001, b=2.0, c=5.0),
-    )
+    c = small_pous_cfg(n_nodes=20, block_size_mb=0.01,
+                       weight_a=0.001, weight_b=2.0, weight_c=5.0)
     m = run_pous(c)
     assert m.rounds_with_block >= 8
     assert m.confirmed_tx_count < m.total_tx_count
@@ -646,11 +650,13 @@ def test_workload_arrays_are_read_only():
 
 
 def test_metrics_csv_row_uses_repr_floats():
-    # a cells.csv row: the summary through csv.writer, in CSV_FIELDS order
+    # a cells.csv row: the summary through csv.writer, in field order
     m = run_pow(cfg(n_nodes=5, sim_time=500.0, block_interval=100.0, seed=1))
-    fields = Metrics.CSV_FIELDS
     summary = m.summary()
-    assert tuple(summary) == fields
+    fields = list(summary)
+    assert fields == [f.name for f in dataclasses.fields(Metrics)
+                      if f.name not in ("latencies", "round_log")]
+    assert fields[:3] == ["protocol", "seed", "sim_time"]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(summary.values())
     row = buf.getvalue().rstrip("\n").split(",")
