@@ -353,16 +353,20 @@ def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
 
 
 def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """Inverse of votes_to_crs: (voter, candidate, n, [(row, col, x)])."""
+    """Inverse of votes_to_crs: (voter, candidate, n, [(row, col, x)]).
+
+    Refuses what votes_to_crs never writes: a length other than the
+    header's count of triples, a vote other than 0 or 1, and a row or
+    column outside 1..n.
+    """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
     voter, cand, n, count = struct.unpack_from("<IIII", raw, 0)
-    off = 16
-    triples = []
-    for _ in range(count):
-        if off + 9 > len(raw):
-            raise RejectedInputError("vote blob truncated")
-        row, col, x = struct.unpack_from("<IIB", raw, off)
-        off += 9
-        triples.append((row, col, x))
+    if len(raw) != 16 + 9 * count:
+        raise RejectedInputError(
+            f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
+    triples = [struct.unpack_from("<IIB", raw, 16 + 9 * i) for i in range(count)]
+    for row, col, x in triples:
+        if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n):
+            raise RejectedInputError(f"vote ({row}, {col}, {x}) outside 1..{n} or not 0/1")
     return voter, cand, n, triples

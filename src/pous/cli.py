@@ -71,9 +71,9 @@ class Scenario:
         if self.sweep_param == "seed":
             raise ConfigurationError(
                 "seed cannot be swept: each cell's seed derives from the master seed")
-        # each point as run_scenario builds it, so SimConfig checks it
+        # each point as its cells run it, so SimConfig checks it
         for value in self.sweep_values:
-            dataclasses.replace(self.base, **{self.sweep_param: value})
+            self.cell(value, 0)
         # a repeated point would share its aggregate row and trace files,
         # and points are ordered by their numeric value
         if (not self.sweep_values
@@ -82,6 +82,12 @@ class Scenario:
             raise ConfigurationError(
                 "sweep.values must list one or more distinct numbers, "
                 f"got {self.sweep_values}")
+
+    def cell(self, value, replicate: int) -> SimConfig:
+        """The config of cell (sweep point ``value``, ``replicate``): the
+        base with the swept field set and the cell's derived seed."""
+        seed = cell_seed(self.base.seed, self.sweep_param, value, replicate)
+        return dataclasses.replace(self.base, **{self.sweep_param: value, "seed": seed})
 
 
 @dataclass
@@ -329,16 +335,12 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
         return report
     _check_sweep(scenario.sweep_param, scenario.sweep_values, report.notes)
 
-    master = scenario.base.seed
     # per sweep point, the rows of its cells: a cell's latency array and
     # round log are dropped once its row and trace are written
     by_point: dict[tuple[str, object], list[dict]] = {}
     for value in scenario.sweep_values:
         for replicate in range(scenario.replicates):
-            seed = cell_seed(master, scenario.sweep_param, value, replicate)
-            config = dataclasses.replace(
-                scenario.base, **{scenario.sweep_param: value, "seed": seed}
-            )
+            config = scenario.cell(value, replicate)
             for protocol in scenario.protocols:
                 try:
                     metrics = _RUNNERS[protocol](config)
@@ -394,11 +396,7 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
             })
 
     if scenario.kind == "scatter":
-        config = dataclasses.replace(
-            scenario.base,
-            seed=cell_seed(master, scenario.sweep_param, scenario.sweep_values[0], 0),
-        )
-        report.pca_scatter = pca_scatter_rows(config)
+        report.pca_scatter = pca_scatter_rows(scenario.cell(scenario.sweep_values[0], 0))
     return report
 
 

@@ -166,16 +166,22 @@ def verify_block(
 ) -> tuple[bool, str]:
     """Committee-side acceptance check of the leader's block.
 
-    Accepts iff the producer matches the decided leader, the flag
-    parses and its cluster sizes cover the body, every transaction was
-    in the declared mempool snapshot, priorities never increase inside
-    a cluster segment, and segment leads are themselves ordered. The
-    priorities are the committee's own recomputation, so a lying leader
-    cannot smuggle a reordering past the check.
+    Accepts iff the producer matches the decided leader, the body fits
+    the header's capacity, the flag parses and its cluster sizes cover
+    the body, every transaction was in the declared mempool snapshot,
+    priorities never increase inside a cluster segment, and segment
+    leads are themselves ordered. The priorities are the committee's own
+    recomputation, so a lying leader cannot smuggle a reordering past
+    the check.
     """
     if block.header.producer != decision.leader:
         return False, (
             f"producer {block.header.producer} is not leader {decision.leader}"
+        )
+    # the flag bounds only cluster starts, so the last segment could run on
+    if len(block.body) > block.header.capacity:
+        return False, (
+            f"body of {len(block.body)} transactions exceeds capacity {block.header.capacity}"
         )
     try:
         offsets = decode_flag(block.header)

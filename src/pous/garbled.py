@@ -26,12 +26,16 @@ Construction notes:
   unique even though wire labels feed many gates.
 * The evaluator's input labels travel through 1-of-2 oblivious transfer:
   either a Diffie-Hellman transfer over a safe-prime group, or a trusted
-  dealer stand-in with the same interface for large simulations. The DH
-  transfer uses one sender exponent for both ciphertexts (Naor and
-  Pinkas, SODA 2001) and an inverse-free receiver key ``g^x * C^bit``
-  (Chou and Orlandi, LATINCRYPT 2015). It costs two variable-base
-  exponentiations, four fixed-base powers of g and no inverse, and it
-  sends three group elements; none of it is constant-time.
+  dealer stand-in with the same interface. The dealer is the default
+  OT of :func:`secure_compare` and :class:`GarbledCompareBackend`, so
+  their default path runs no real transfer (ROADMAP.md plans to make
+  the DH transfer that default); the simulator runs no transfer and
+  charges the DH transfer's bytes. The DH transfer uses one sender
+  exponent for both ciphertexts (Naor and Pinkas, SODA 2001) and an
+  inverse-free receiver key ``g^x * C^bit`` (Chou and Orlandi,
+  LATINCRYPT 2015). It costs two variable-base exponentiations, four
+  fixed-base powers of g and no inverse, and it sends three group
+  elements; none of it is constant-time.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes; an
@@ -174,14 +178,20 @@ class GarbledCircuit:
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
         """Inverse of :meth:`serialize`. The bytes must be exactly as long
-        as their header says, with two output-map entries and every wire
-        id below ``n_wires``; anything else raises CorruptedCircuitError."""
+        as their header says, with one wire per input, constant and gate,
+        every wire id below ``n_wires``, and an output map of two labels
+        decoding to 0 and 1; anything else raises CorruptedCircuitError."""
         if raw[:4] != b"PGC1":
             raise CorruptedCircuitError("bad circuit magic")
         off = 4 + struct.calcsize(_HEADER)
         if len(raw) < off:
             raise CorruptedCircuitError(f"circuit of {len(raw)} bytes ends inside its header")
         bitwidth, n_wires, n_gen, n_eval, n_const, n_gates = struct.unpack_from(_HEADER, raw, 4)
+        # each wire is set once, so a larger count only inflates evaluation
+        if n_wires != n_gen + n_eval + n_const + n_gates:
+            raise CorruptedCircuitError(
+                f"circuit claims {n_wires} wires, its inputs, constants and gates set "
+                f"{n_gen + n_eval + n_const + n_gates}")
         expected = (off + 4 * (n_gen + n_eval) + n_const * (4 + LABEL_BYTES)
                     + n_gates * (struct.calcsize(_GATE_HEADER) + 4 * ROW_BYTES)
                     + 4 + 2 * (LABEL_BYTES + 1))
@@ -215,6 +225,9 @@ class GarbledCircuit:
                 for o in (off, off + LABEL_BYTES + 1)}
         if len(omap) != 2:
             raise CorruptedCircuitError("output map needs two distinct labels")
+        if sorted(omap.values()) != [0, 1]:
+            raise CorruptedCircuitError(
+                f"output map decodes to {sorted(omap.values())}, not 0 and 1")
         # a wire beyond n_wires would fail evaluation with an IndexError
         wires = [*gen, *ev, *(w for w, _ in consts), out_wire,
                  *(w for g in gates for w in (g.in1, g.in2, g.out))]
@@ -621,7 +634,10 @@ class DiffieHellmanOT:
 
 
 class TrustedDealerOT:
-    """Dealer stand-in with the same interface, for large simulations."""
+    """Dealer stand-in with the same interface: it hands over the chosen
+    message and moves one byte. It is the default OT of
+    :func:`secure_compare` and :class:`GarbledCompareBackend`, which
+    therefore hide no choice bit unless given a :class:`DiffieHellmanOT`."""
 
     def exchange(self, m0: bytes, m1: bytes, bit: int) -> tuple[bytes, OTTranscript]:
         if bit not in (0, 1):

@@ -493,14 +493,11 @@ def run_pous(config: SimConfig) -> Metrics:
         # the committee counts the votes at the end of the result window
         now = RoundTimers.split_interval(r * interval, interval).result_waiting_deadline
         committee = select_committee(miners, committee_cfg, r)
-        # honest members hold the same tally, so one digest stands for it
-        submissions = {}
-        for member in committee:
-            if fault_rng.random() < config.honest_fraction:
-                submissions[member] = (leader, "tally")
-            else:
-                submissions[member] = (0, f"garbled-view-{r}-{member}")
-        decision = agree(submissions, committee_cfg.size, round_index=r)
+        # honest members hold the same tally, so one digest stands for it;
+        # a faulty member's view matches no other, so it can never count
+        honest = [m for m in committee if fault_rng.random() < config.honest_fraction]
+        decision = agree(dict.fromkeys(honest, (leader, "tally")),
+                         committee_cfg.size, round_index=r)
         crypto_time += round_crypto_time
 
         if decision is None:

@@ -16,7 +16,6 @@ from scipy.stats import chi2_contingency
 
 from pous.bts import expected_scores, strategy_scores
 from pous.cli import (
-    cell_seed,
     linear_r2,
     loglog_slope,
     run_cost_benchmark,
@@ -277,8 +276,7 @@ def test_criterion_9_functionality_property():
     wins, rounds = cell["functionality_wins"], cell["rounds_with_block"]
     # a round whose pool fits in its block packs it whole and counts as
     # a win unmeasured; only the rounds that fill their block test the rule
-    config = dataclasses.replace(scenario.base, seed=cell_seed(
-        scenario.base.seed, cell["param"], cell["value"], cell["replicate"]))
+    config = scenario.cell(cell["value"], cell["replicate"])
     filled = sum(r["packed"] == config.capacity() for r in run_pous(config).round_log)
     xs = np.array([r["x"] for r in rep.pca_scatter])
     ys = np.array([r["y"] for r in rep.pca_scatter])
@@ -320,14 +318,13 @@ def test_criterion_11_cell_determinism():
     checked = 0
     identical = True
     samples = [
-        ("pow-anchor", "block_size_mb", 1.0, 0),
-        ("fig7-n30", "block_size_mb", 2.0, 3),
-        ("fig8-n200", "block_interval", 400.0, 7),
+        ("pow-anchor", 1.0, 0),
+        ("fig7-n30", 2.0, 3),
+        ("fig8-n200", 400.0, 7),
     ]
-    for preset, param, value, replicate in samples:
+    for preset, value, replicate in samples:
         scenario, _, _ = scenario_from_preset(preset, fast=True, seed=MASTER_SEED)
-        seed = cell_seed(MASTER_SEED, param, value, replicate)
-        config = dataclasses.replace(scenario.base, **{param: value, "seed": seed})
+        config = scenario.cell(value, replicate)
         for protocol in scenario.protocols:
             runner = RUNNERS[protocol]
             first, second = (csv_line(runner(config).summary().values()) for _ in range(2))

@@ -1,6 +1,7 @@
 """Vote casting, tallying, and truth-serum scoring."""
 import logging
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -547,3 +548,26 @@ def test_crs_votes_reject_truncation():
         votes_from_crs(blob[:15])
     with pytest.raises(RejectedInputError, match="no records"):
         votes_to_crs([], n=3)
+
+
+def crs_blob(triples, n=3, count=None):
+    """A vote blob as votes_to_crs lays it out, with any triples."""
+    head = struct.pack("<IIII", 1, 2, n, len(triples) if count is None else count)
+    return head + b"".join(struct.pack("<IIB", *t) for t in triples)
+
+
+@pytest.mark.parametrize("blob, reason", [
+    (crs_blob([(1, 2, 1)]) + b"\x00" * 4, "its 1 votes take 25"),
+    (crs_blob([(1, 2, 1)], count=0), "its 0 votes take 16"),
+    (crs_blob([(1, 2, 9)]), r"vote \(1, 2, 9\)"),
+    (crs_blob([(0, 2, 1)]), r"vote \(0, 2, 1\)"),
+    (crs_blob([(1, 4, 0)]), r"vote \(1, 4, 0\)"),
+], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n"])
+def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
+    with pytest.raises(RejectedInputError, match=reason):
+        votes_from_crs(blob)
+
+
+def test_crs_votes_accept_rows_and_columns_1_to_n():
+    assert votes_from_crs(crs_blob([(1, 1, 1), (3, 3, 0)])) == (
+        1, 2, 3, [(1, 1, 1), (3, 3, 0)])

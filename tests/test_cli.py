@@ -321,6 +321,13 @@ def test_cell_seed_matches_hash_oracle():
     assert cell_seed(7, "block_size_mb", 0.5, 3) == want
 
 
+def test_cell_sets_the_swept_field_and_the_cells_seed():
+    sc = tiny_scenario()
+    config = sc.cell(1.0, 3)
+    assert config == dataclasses.replace(
+        sc.base, block_size_mb=1.0, seed=cell_seed(7, "block_size_mb", 1.0, 3))
+
+
 def test_cell_seed_distinct_per_cell():
     seeds = {
         cell_seed(m, "block_size_mb", v, r)
@@ -863,8 +870,24 @@ def test_scatter_of_an_empty_pool_writes_no_projection(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out_dir)]) == 0
     assert "scatter:" not in capsys.readouterr().out
     assert not (out_dir / "pca_scatter.csv").exists()
-    config = dataclasses.replace(load_config(str(path)).base, block_size_mb=0.5)
-    assert pca_scatter_rows(config) == []
+    assert pca_scatter_rows(load_config(str(path)).cell(0.5, 0)) == []
+
+
+def test_scatter_ranks_the_first_cells_config(tmp_path):
+    """The scatter is round 0 of cell (first sweep value, replicate 0),
+    not the base's value of the swept field under that cell's seed."""
+    path = tmp_path / "scatter.json"
+    path.write_text(json.dumps(dict(
+        TINY_JSON, kind="scatter", protocols=["pous"], replicates=1,
+        sweep={"param": "block_size_mb", "values": [0.001]})))
+    scenario = load_config(str(path))
+    cell = scenario.cell(0.001, 0)
+    assert (cell.capacity(), scenario.base.capacity()) == (4, 4194)
+    rows = run_scenario(scenario).pca_scatter
+    assert rows == pca_scatter_rows(cell)
+    # at the base's 1 MB every user of round 0 would be marked selected
+    assert rows != pca_scatter_rows(dataclasses.replace(scenario.base, seed=cell.seed))
+    assert 0 < sum(r["selected"] for r in rows) < len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +940,20 @@ def test_golden_output(tmp_path, capsys, preset, extra, name, digest):
                  "--out", str(out_dir)]) == 0
     capsys.readouterr()
     assert sha256((out_dir / name).read_bytes()).hexdigest() == digest
+
+
+def test_faulty_committee_rounds_are_pinned():
+    """Round lines of a cell whose committee aborts 5 of its 12 rounds;
+    the header and summary stay out, so no cost factor re-pins this."""
+    scenario, _, _ = scenario_from_preset(
+        "fig8-n30", fast=True, overrides={"honest_fraction": 0.7})
+    config = scenario.cell(200.0, 0)
+    metrics = simnet.run_pous(config)
+    assert (metrics.aborts, len(metrics.round_log)) == (5, 12)
+    rounds = [line for line in simnet.trace_lines(config, "pous", metrics)
+              if json.loads(line)["kind"] == "round"]
+    assert sha256("\n".join(rounds).encode()).hexdigest() == (
+        "46fad7e68554d183a6075f7ccc1edf8c9aa497ab78c2a97725ab6bc87e43f88d")
 
 
 def test_crypto_cost_factors_move_only_the_pous_crypto_columns(tmp_path, capsys,

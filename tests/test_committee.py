@@ -361,6 +361,23 @@ def test_verify_rejects_foreign_transaction():
     assert "snapshot" in reason
 
 
+def test_verify_rejects_body_beyond_capacity():
+    block, decision, prios = make_round(capacity=40)
+    # 39 transactions in priority order under one flag bit and capacity
+    # 12: the flag and the segment order both pass, only the length fails
+    body = tuple(sorted(block.body, key=lambda tx: -prios[tx.id])[:39])
+    hdr = BlockHeader(
+        block.header.prev_hash, merkle_root(body), encode_flag([1], 12),
+        12, block.header.round_index, block.header.producer,
+    )
+    ok, reason = verify_block(Block(hdr, body), decision, prios)
+    assert not ok
+    assert reason == "body of 39 transactions exceeds capacity 12"
+    fitting = Block(BlockHeader(hdr.prev_hash, merkle_root(body[:12]), hdr.flag, 12,
+                                hdr.round_index, hdr.producer), body[:12])
+    assert verify_block(fitting, decision, prios) == (True, "")
+
+
 def find_reorderable_segment(block, prios):
     from pous.packing import cluster_sizes, decode_flag
 

@@ -473,6 +473,26 @@ def test_output_map_with_one_label_rejected():
         GarbledCircuit.deserialize(doubled)
 
 
+@pytest.mark.parametrize("claim", [79, 81, 10**7])
+def test_wire_count_other_than_the_wires_set_rejected(claim):
+    c = garble_comparator(4, 0.4, seed=1).circuit
+    assert c.n_wires == 80
+    raw = bytearray(c.serialize())
+    struct.pack_into("<I", raw, 5, claim)  # n_wires follows the magic and bitwidth
+    with pytest.raises(CorruptedCircuitError, match=f"claims {claim} wires, .* set 80"):
+        GarbledCircuit.deserialize(bytes(raw))
+
+
+@pytest.mark.parametrize("bits", [(7, 7), (1, 1), (0, 0), (0, 2)])
+def test_output_map_bits_other_than_0_and_1_rejected(bits):
+    raw = bytearray(garble_comparator(4, 0.4, seed=1).circuit.serialize())
+    entry = LABEL_BYTES + 1
+    # each output-map entry ends in its bit
+    raw[-entry - 1], raw[-1] = bits
+    with pytest.raises(CorruptedCircuitError, match="decodes to"):
+        GarbledCircuit.deserialize(bytes(raw))
+
+
 @pytest.mark.parametrize("far", ["n_wires", 10**6])
 @pytest.mark.parametrize("where", ["gate input", "gate output", "generator input",
                                    "evaluator input", "constant", "output wire"])
