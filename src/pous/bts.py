@@ -355,13 +355,17 @@ def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
 def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]]]:
     """Inverse of votes_to_crs: (voter, candidate, n, [(row, col, x)]).
 
-    Refuses what votes_to_crs never writes: a length other than the
-    header's count of triples, a vote other than 0 or 1, and a row or
-    column outside 1..n.
+    Refuses what votes_to_crs never writes: a voter or candidate id of
+    0, a self-vote, a length other than the header's count of triples, a
+    vote other than 0 or 1, a row or column outside 1..n, and entries
+    that repeat or are out of order.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
     voter, cand, n, count = struct.unpack_from("<IIII", raw, 0)
+    if voter < 1 or cand < 1 or voter == cand:
+        raise RejectedInputError(f"vote blob of voter {voter} on candidate {cand}: "
+                                 "ids are 1-based and distinct")
     if len(raw) != 16 + 9 * count:
         raise RejectedInputError(
             f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
@@ -369,4 +373,8 @@ def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]
     for row, col, x in triples:
         if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n):
             raise RejectedInputError(f"vote ({row}, {col}, {x}) outside 1..{n} or not 0/1")
+    for before, after in zip(triples, triples[1:]):
+        if after[:2] <= before[:2]:
+            raise RejectedInputError(f"vote {after} does not come after {before}: "
+                                     "each entry is written once, in order")
     return voter, cand, n, triples

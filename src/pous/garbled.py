@@ -21,9 +21,13 @@ Construction notes:
   its active labels and decrypts one row per gate. The tag stays as a
   tamper check: a row that fails it raises CorruptedCircuitError, and a
   forged row passes it with probability 2**-32.
-* "Encryption" is a SHA256-keyed stream: the pad is the digest of the
-  two input labels plus a per-gate, per-row tweak, which keeps pads
-  unique even though wire labels feed many gates.
+* "Encryption" is one SHA-256 and one integer XOR per row: the pad is
+  the first 20 bytes of the digest of the two input labels plus a
+  per-gate, per-row tweak, taken as an integer. The tweak keeps pads
+  unique even though wire labels feed many gates; each gate's four
+  tweaks are packed once and cached.
+* The comparator's wiring depends only on its width, so it is built
+  once per width and each seed draws only labels and rows.
 * The evaluator's input labels travel through 1-of-2 oblivious transfer:
   either a Diffie-Hellman transfer over a safe-prime group, or a trusted
   dealer stand-in with the same interface. The dealer is the default
@@ -55,13 +59,16 @@ import hashlib
 import secrets
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputError
 
 LABEL_BYTES = 16
 TAG = b"\x00\x00\x00\x00"
 ROW_BYTES = LABEL_BYTES + len(TAG)
+# a row is (label << _TAG_BITS) ^ pad, so an intact row decrypts to zero under _TAG_MASK
+_TAG_BITS = 8 * len(TAG)
+_TAG_MASK = (1 << _TAG_BITS) - 1
 
 GATE_KINDS = ("AND", "OR", "XOR", "XNOR", "ANDNOT")
 # truth tables indexed by 2*a + b; ANDNOT(a, b) = a AND (NOT b)
@@ -78,8 +85,10 @@ def label_bytes(seed: int, n: int) -> bytes:
     """The first ``n`` bytes of SHA256 in counter mode under ``seed``.
 
     Wire labels are read from here, so one integer seed reproduces a
-    garbled circuit byte for byte.
+    garbled circuit byte for byte. The seed enters as 16 signed bytes.
     """
+    if not isinstance(seed, int) or not -2**127 <= seed < 2**127:
+        raise ConfigurationError(f"seed {seed!r} is not an integer in -2**127 .. 2**127 - 1")
     state = hashlib.sha256(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
     return b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest()
                     for c in range(-(-n // 32)))[:n]
@@ -242,9 +251,17 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def _row_pad(outer: bytes, inner: bytes, gate_index: int, slot: int) -> bytes:
-    tweak = struct.pack("<IB", gate_index, slot)
-    return hashlib.sha256(outer + inner + tweak).digest()[:ROW_BYTES]
+# bounded, since a deserialized circuit may name any number of gates;
+# 1024 holds every gate index of the widest comparator (600 gates)
+@functools.lru_cache(maxsize=1024)
+def _tweaks(gate_index: int) -> tuple[bytes, ...]:
+    return tuple(struct.pack("<IB", gate_index, slot) for slot in range(4))
+
+
+def _row_pad(outer: bytes, inner: bytes, gate_index: int, slot: int) -> int:
+    """The first ROW_BYTES (20) of the row's 32-byte digest, as an integer."""
+    digest = hashlib.sha256(outer + inner + _tweaks(gate_index)[slot]).digest()
+    return int.from_bytes(digest, "big") >> 96
 
 
 def _permute_bit(label: bytes) -> int:
@@ -272,12 +289,13 @@ def gen_gate(
     if _permute_bit(in1_keys[1]) == p1 or _permute_bit(in2_keys[1]) == p2:
         raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
     table = _TABLES[kind]
+    plains = [int.from_bytes(k, "big") << _TAG_BITS for k in out_keys]  # label + TAG
     rows: list[bytes] = [b""] * 4
     for a, ka in enumerate(in1_keys):
         for b, kb in enumerate(in2_keys):
             slot = 2 * (p1 ^ a) + (p2 ^ b)  # ka's permute bit is p1 ^ a
-            plain = out_keys[table[2 * a + b]] + TAG
-            rows[slot] = _xor(plain, _row_pad(ka, kb, gate_index, slot))
+            pad = _row_pad(ka, kb, gate_index, slot)
+            rows[slot] = (plains[table[2 * a + b]] ^ pad).to_bytes(ROW_BYTES, "big")
     return GarbledGate(kind, in1, in2, out, tuple(rows))
 
 
@@ -297,7 +315,7 @@ class _Builder:
         self.gates.append((kind, a, b, out))
         return out
 
-    def ge(self, xs: list[int], ys: list[int]) -> int:
+    def ge(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Ripple x >= y over LSB-first bit wires."""
         ge = None
         for i, (x, y) in enumerate(zip(xs, ys)):
@@ -310,7 +328,7 @@ class _Builder:
                 ge = self.gate("OR", gt, keep)
         return ge
 
-    def mux(self, sel: int, xs: list[int], ys: list[int]) -> list[int]:
+    def mux(self, sel: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         """Bitwise sel ? x : y."""
         out = []
         for x, y in zip(xs, ys):
@@ -339,6 +357,19 @@ class _Builder:
         return diff
 
 
+@functools.cache
+def _skeleton(bitwidth: int):
+    """The comparator's wiring, which only its width decides: the wire
+    count, the generator, evaluator and threshold input wires, the gates
+    as (kind, in1, in2, out) and the output wire."""
+    b = _Builder()
+    a_wires, b_wires, t_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(3))
+    sel = b.ge(a_wires, b_wires)
+    diff = b.sub(b.mux(sel, a_wires, b_wires), b.mux(sel, b_wires, a_wires))
+    out = b.ge(t_wires, diff)
+    return b.n_wires, a_wires, b_wires, t_wires, tuple(b.gates), out
+
+
 @dataclass
 class ComparatorTemplate:
     """A garbled comparator plus the generator's private key tables.
@@ -363,17 +394,8 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
     theta_fp = FixedPoint.encode(theta, bitwidth)
-    b = _Builder()
-    a_wires = [b.wire() for _ in range(bitwidth)]
-    b_wires = [b.wire() for _ in range(bitwidth)]
-    t_wires = [b.wire() for _ in range(bitwidth)]
-    sel = b.ge(a_wires, b_wires)
-    hi = b.mux(sel, a_wires, b_wires)
-    lo = b.mux(sel, b_wires, a_wires)
-    diff = b.sub(hi, lo)
-    out = b.ge(t_wires, diff)
-
-    raw = label_bytes(seed, 2 * LABEL_BYTES * b.n_wires)
+    n_wires, a_wires, b_wires, t_wires, gates, out = _skeleton(bitwidth)
+    raw = label_bytes(seed, 2 * LABEL_BYTES * n_wires)
     keys = []
     for off in range(0, len(raw), 2 * LABEL_BYTES):
         label0 = raw[off:off + LABEL_BYTES]
@@ -383,15 +405,15 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
         keys.append((label0, label1[:-1] + bytes([flipped])))
     garbled = tuple(
         gen_gate(kind, keys[i1], keys[i2], keys[o], gi, i1, i2, o)
-        for gi, (kind, i1, i2, o) in enumerate(b.gates)
+        for gi, (kind, i1, i2, o) in enumerate(gates)
     )
     theta_bits = theta_fp.bits_lsb()
     consts = tuple((w, keys[w][bit]) for w, bit in zip(t_wires, theta_bits))
     circuit = GarbledCircuit(
         bitwidth=bitwidth,
-        n_wires=b.n_wires,
-        gen_input_wires=tuple(a_wires),
-        eval_input_wires=tuple(b_wires),
+        n_wires=n_wires,
+        gen_input_wires=a_wires,
+        eval_input_wires=b_wires,
         const_wires=consts,
         gates=garbled,
         output_wire=out,
@@ -456,12 +478,10 @@ def eval_circuit(
         if ka is None or kb is None:
             raise CorruptedCircuitError(f"gate {gi} evaluated before its inputs")
         slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
-        row = gate.rows[slot]
-        pad = _row_pad(ka, kb, gi, slot)
-        # TAG is all zeros, so the tag decrypts to it iff the bytes match the pad's
-        if row[LABEL_BYTES:] != pad[LABEL_BYTES:]:
+        plain = int.from_bytes(gate.rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
+        if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-        labels[gate.out] = _xor(row[:LABEL_BYTES], pad[:LABEL_BYTES])
+        labels[gate.out] = (plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big")
     return labels[circuit.output_wire]
 
 

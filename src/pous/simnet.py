@@ -58,9 +58,10 @@ from .similarity import DEFAULT_CLASSES
 
 # simulated seconds per garbled gate evaluated: one SHA-256 row pad, the
 # only hash the evaluator computes per gate. The traced evaluator itself
-# runs slower: perfbench protocol-round (seed 301, --trace 1, shared 2-core
-# x86-64 machine) measured garbled.gates_per_s = 4.0e5, about 2.5 us per
-# gate, which includes interpreter overhead this constant leaves out
+# runs slower: perfbench protocol-round (seeds 301 and 302, --trace 1,
+# shared 2-core x86-64 machine) measured garbled.gates_per_s = 4.4e5 and
+# 4.6e5, about 2.2 us per gate, which includes interpreter overhead this
+# constant leaves out
 _SHA_SECONDS = 4.4e-7
 
 

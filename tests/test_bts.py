@@ -550,9 +550,9 @@ def test_crs_votes_reject_truncation():
         votes_to_crs([], n=3)
 
 
-def crs_blob(triples, n=3, count=None):
+def crs_blob(triples, n=3, count=None, ids=(1, 2)):
     """A vote blob as votes_to_crs lays it out, with any triples."""
-    head = struct.pack("<IIII", 1, 2, n, len(triples) if count is None else count)
+    head = struct.pack("<IIII", *ids, n, len(triples) if count is None else count)
     return head + b"".join(struct.pack("<IIB", *t) for t in triples)
 
 
@@ -562,7 +562,13 @@ def crs_blob(triples, n=3, count=None):
     (crs_blob([(1, 2, 9)]), r"vote \(1, 2, 9\)"),
     (crs_blob([(0, 2, 1)]), r"vote \(0, 2, 1\)"),
     (crs_blob([(1, 4, 0)]), r"vote \(1, 4, 0\)"),
-], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n"])
+    (crs_blob([(1, 2, 1), (1, 2, 0)]), r"vote \(1, 2, 0\) does not come after \(1, 2, 1\)"),
+    (crs_blob([(2, 1, 1), (1, 2, 0)]), r"vote \(1, 2, 0\) does not come after \(2, 1, 1\)"),
+    (crs_blob([(1, 2, 1)], ids=(1, 1)), "voter 1 on candidate 1"),
+    (crs_blob([(1, 2, 1)], ids=(0, 2)), "voter 0 on candidate 2"),
+    (crs_blob([(1, 2, 1)], ids=(1, 0)), "voter 1 on candidate 0"),
+], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n",
+        "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0"])
 def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
         votes_from_crs(blob)

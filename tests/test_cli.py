@@ -683,6 +683,13 @@ def test_cost_run_refuses_settings_it_would_ignore(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+def test_cost_run_seed_outside_the_label_seeds_exits_2(tmp_path, capsys):
+    # the comparator's labels are read from the seed as 16 signed bytes
+    assert main(["run", "cost-2pc", "--fast", "--set", f"seed={2**128}",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"seed {2**128} is not an integer in -2**127 .. 2**127 - 1" in capsys.readouterr().err
+
+
 def test_run_verb_bad_file_fails(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{]")

@@ -228,6 +228,44 @@ def test_comparator_deterministic_bytes():
     assert a != c
 
 
+def test_garbled_bytes_are_pinned():
+    """sha256 over the serialized comparators of widths 4, 8, 16 and 32
+    under three thetas and three seeds, each followed by the output labels
+    of three seeded evaluations: any change to the labels, the wiring or
+    the row cipher moves it."""
+    h = hashlib.sha256()
+    inputs = random.Random(18)
+    for w in (4, 8, 16, 32):
+        for theta in (0.0, 0.4, 1.0):
+            for seed in (0, 5, 2**127 - 1):
+                t = garble_comparator(w, theta, seed)
+                h.update(t.circuit.serialize())
+                for _ in range(3):
+                    ga = select_input_labels(t.gen_keys, FixedPoint(inputs.getrandbits(w), w))
+                    gb = select_input_labels(t.eval_keys, FixedPoint(inputs.getrandbits(w), w))
+                    h.update(eval_circuit(t.circuit, ga, gb))
+    assert h.hexdigest() == "c1de10da991137bbd7e82c7f4a615206b2c4df0a0ff838922f3973ed73d50dcb"
+
+
+def test_comparator_wiring_is_built_once_per_width():
+    # every garbling of a width shares the cached wiring, so none of it may be mutable
+    for w in (4, 8, 16, 32):
+        n_wires, *inputs, gates, out = garbled._skeleton(w)
+        assert type(gates) is tuple and all(type(g) is tuple for g in gates)
+        assert all(type(wires) is tuple for wires in inputs)
+        for theta, seed in ((0.0, 1), (0.7, 2)):
+            c = garble_comparator(w, theta, seed).circuit
+            assert [(g.kind, g.in1, g.in2, g.out) for g in c.gates] == list(gates)
+            assert (c.n_wires, c.output_wire) == (n_wires, out)
+            assert (c.gen_input_wires, c.eval_input_wires) == tuple(inputs[:2])
+
+
+@pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 2**128, 1.5, "7", None])
+def test_seed_outside_the_label_stream_range_rejected(seed):
+    with pytest.raises(ConfigurationError, match=r"seed .* -2\*\*127 \.\. 2\*\*127 - 1"):
+        garble_comparator(8, 0.4, seed)
+
+
 def test_comparator_constants_cover_threshold_wires():
     t = garble_comparator(8, 0.4, seed=2)
     assert len(t.circuit.const_wires) == 8
