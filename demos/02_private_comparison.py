@@ -8,13 +8,14 @@ fixed-point comparator once per epoch; the evaluator fetches its input
 labels through 1-of-2 oblivious transfer and evaluates blind. A
 one-off comparison garbles its own circuit with secure_compare.
 """
-import dataclasses
 import random
+import struct
 
 from pous.garbled import (
     FAST_GROUP,
     CorruptedCircuitError,
     DiffieHellmanOT,
+    GarbledCircuit,
     GarbledCompareBackend,
     secure_compare,
 )
@@ -38,13 +39,26 @@ print("\noblivious transfer moves", transcript.total_bytes(),
 
 # one flipped ciphertext byte and the evaluator notices
 broken = GarbledCompareBackend(theta=0.4, bitwidth=8, seed=3)
-gates = list(broken.template.circuit.gates)
-gates[0] = dataclasses.replace(gates[0], rows=tuple(
-    bytes([r[0] ^ 0xFF]) + r[1:] for r in gates[0].rows
-))
-broken.template.circuit.gates = tuple(gates)
+gates = broken.template.circuit.gates
+first = tuple(bytes([r[0] ^ 0xFF]) + r[1:] for r in gates[0])
+broken.template.circuit.gates = (first, *gates[1:])
 try:
     broken.compare(0.5, 0.5)
     print("tampering went unnoticed (should never happen)")
 except CorruptedCircuitError as exc:
     print("tampered circuit rejected:", exc)
+
+# The wiring is public, so the evaluator accepts only the comparator's.
+# A generator that pointed the output wire at the voter's input bit 5
+# (wire 16 + 5: the generator's 16 input wires come first) and published
+# that wire's two labels as the decode map would read the bit off the vote.
+raw = bytearray(circuit.serialize())
+omap = b"".join(label + bytes([bit]) for label, bit in
+                sorted(zip(epoch.template.eval_keys[5], (0, 1))))
+raw[-len(omap):] = omap
+struct.pack_into("<I", raw, len(raw) - len(omap) - 4, 16 + 5)  # the output wire
+try:
+    GarbledCircuit.deserialize(bytes(raw))
+    print("rerouted circuit accepted (should never happen)")
+except CorruptedCircuitError as exc:
+    print("rerouted circuit rejected:", exc)

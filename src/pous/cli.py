@@ -183,13 +183,12 @@ _preset(
     "block_size_mb", [2.0], protocols=("pous",), fast_replicates=1, replicates=1,
     kind="scatter",
 )
-_preset(
-    "cost-2pc",
-    "Two-party comparison cost scaling and vote-matrix bytes",
-    {},
-    "block_size_mb", [2.0], protocols=("pous",), fast_replicates=1, replicates=1,
-    kind="cost",
-)
+# a cost run reads only the seed, so its document names no sweep,
+# protocols or replicates, and --fast leaves it as it is
+PRESETS["cost-2pc"] = {
+    "description": "Two-party comparison cost scaling and vote-matrix bytes",
+    "doc": {"name": "cost-2pc", "base": {}, "kind": "cost"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +238,10 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
     """Scenario from a scenario document merged with base-config overrides.
 
     Presets and scenario files both load here. The document carries
-    name, base config, sweep, protocols, replicates and kind; unknown
-    keys at either level are rejected by name, and errors start with
-    ``where``.
+    name, base config, sweep, protocols, replicates and kind; a cost
+    document carries only name, a base of at most ``seed``, and kind.
+    Unknown keys at either level are rejected by name, and errors start
+    with ``where``.
     """
     if not isinstance(doc, dict) or not all(
         isinstance(doc.get(key, {}), dict) for key in ("base", "sweep")
@@ -251,6 +251,13 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+    overrides = dict(overrides or {})
+    # a cost run reads only the seed, so it refuses every other key and setting
+    if doc.get("kind") == "cost":
+        ignored = sorted({*doc, *doc.get("base", {}), *overrides}
+                         - {"name", "base", "kind", "seed"})
+        if ignored:
+            raise ConfigurationError(f"{where}: a cost run reads only seed, not {ignored}")
     sweep = doc.get("sweep", {})
     if set(sweep) - {"param", "values"}:
         raise ConfigurationError(f"{where}: sweep takes only param and values")
@@ -258,9 +265,6 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
                        ("protocols", doc.get("protocols", []))):
         if not isinstance(value, list):
             raise ConfigurationError(f"{where}: {key} must be a list, got {value!r}")
-    overrides = dict(overrides or {})
-    # a cost run reads only the seed, so it refuses every other setting
-    ignored = sorted({*doc.get("base", {}), *overrides} - {"seed"})
     replicates = overrides.pop("replicates", doc.get("replicates", 100))
     base = config_from_fields({**doc.get("base", {}), **overrides})
     param = sweep.get("param", "block_size_mb")
@@ -268,7 +272,7 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
     if "values" in sweep and param in overrides:
         raise ConfigurationError(
             f"{where}: {param} is swept over {sweep['values']} and cannot be overridden")
-    scenario = Scenario(
+    return Scenario(
         name=doc.get("name", Path(where).stem),
         base=base,
         sweep_param=param,
@@ -277,9 +281,6 @@ def scenario_from_doc(doc, where: str, overrides: Optional[dict] = None) -> Scen
         replicates=replicates,
         kind=doc.get("kind", "sim"),
     )
-    if scenario.kind == "cost" and ignored:
-        raise ConfigurationError(f"{where}: a cost run reads only seed, not {ignored}")
-    return scenario
 
 
 def scenario_from_preset(
@@ -297,7 +298,9 @@ def scenario_from_preset(
             f"unknown preset {name!r}; run 'pous presets' for the list"
         )
     spec = PRESETS[name]
-    doc = dict(spec["doc"], replicates=spec["fast_replicates"]) if fast else spec["doc"]
+    doc = spec["doc"]
+    if fast and "fast_replicates" in spec:
+        doc = dict(doc, replicates=spec["fast_replicates"])
     scenario = scenario_from_doc(doc, name, {"seed": seed, **(overrides or {})})
     return scenario, {"seed": scenario.base.seed, "fast": fast}, []
 
@@ -609,12 +612,11 @@ def _cmd_presets(_args) -> int:
     for name in sorted(PRESETS):
         spec = PRESETS[name]
         doc = spec["doc"]
-        sweep = f"{doc['sweep']['param']} x{len(doc['sweep']['values'])}"
-        sys.stdout.write(
-            f"{name:12s} {spec['description']} "
-            f"[{'+'.join(doc['protocols'])}; {sweep}; "
-            f"fast x{spec['fast_replicates']}]\n"
-        )
+        shape = "cost; reads only the seed"
+        if doc["kind"] != "cost":
+            shape = (f"{'+'.join(doc['protocols'])}; {doc['sweep']['param']} "
+                     f"x{len(doc['sweep']['values'])}; fast x{spec['fast_replicates']}")
+        sys.stdout.write(f"{name:12s} {spec['description']} [{shape}]\n")
     return 0
 
 

@@ -26,8 +26,13 @@ Construction notes:
   per-gate, per-row tweak, taken as an integer. The tweak keeps pads
   unique even though wire labels feed many gates; each gate's four
   tweaks are packed once and cached.
-* The comparator's wiring depends only on its width, so it is built
-  once per width and each seed draws only labels and rows.
+* The comparator's wiring depends only on its width and is public, as
+  a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
+  Cryptology 2009). ``_skeleton`` builds it once per width and owns it;
+  a :class:`GarbledCircuit` ships only the threshold's active labels,
+  each gate's rows and the output decode map. ``deserialize`` refuses
+  any other wiring: a generator free to choose one could route an
+  evaluator input bit to the output and read the voter's bit off the vote.
 * The evaluator's input labels travel through 1-of-2 oblivious transfer:
   either a Diffie-Hellman transfer over a safe-prime group, or a trusted
   dealer stand-in with the same interface. The dealer is the default
@@ -59,7 +64,7 @@ import hashlib
 import secrets
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputError
 
@@ -137,113 +142,83 @@ def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
 # circuit skeleton and garbling
 
 
-@dataclass(frozen=True)
-class GarbledGate:
-    kind: str
-    in1: int
-    in2: int
-    out: int
-    rows: tuple[bytes, bytes, bytes, bytes]
-
-
-# serialized layout: the header after the magic, and each gate's fields before its rows
+# serialized layout: the header after the magic, and each gate's wiring before its rows
 _HEADER = "<BIIIII"  # bitwidth, wires, generator inputs, evaluator inputs, constants, gates
 _GATE_HEADER = "<BIII"  # kind, in1, in2, out
+_GATE_BYTES = struct.calcsize(_GATE_HEADER) + 4 * ROW_BYTES
+_MAP_BYTES = 2 * (LABEL_BYTES + 1)  # two (label, bit) entries
 
 
 @dataclass
 class GarbledCircuit:
-    """Everything the evaluator receives: gates, wiring, constants, decode map.
+    """Everything the evaluator receives besides the public wiring: the
+    threshold wires' active labels, each gate's four rows in wiring
+    order, and the output decode map.
 
-    Holds only labels and ciphertexts; no similarity value ever appears
-    here.
+    The wiring is the width's comparator, ``_skeleton(bitwidth)``, which
+    both sides know. Holds only labels and ciphertexts; no similarity
+    value ever appears here.
     """
 
     bitwidth: int
-    n_wires: int
-    gen_input_wires: tuple[int, ...]
-    eval_input_wires: tuple[int, ...]
-    const_wires: tuple[tuple[int, bytes], ...]  # (wire, active label)
-    gates: tuple[GarbledGate, ...]
-    output_wire: int
+    threshold_labels: tuple[bytes, ...]  # active label per threshold bit, LSB first
+    gates: tuple[tuple[bytes, bytes, bytes, bytes], ...]  # four rows per gate
     output_map: dict[bytes, int]
 
     def serialize(self) -> bytes:
-        parts = [b"PGC1", struct.pack(_HEADER, self.bitwidth, self.n_wires,
-                                      len(self.gen_input_wires), len(self.eval_input_wires),
-                                      len(self.const_wires), len(self.gates))]
-        parts.append(struct.pack(f"<{len(self.gen_input_wires)}I", *self.gen_input_wires))
-        parts.append(struct.pack(f"<{len(self.eval_input_wires)}I", *self.eval_input_wires))
-        for wire, label in self.const_wires:
-            parts.append(struct.pack("<I", wire) + label)
-        for g in self.gates:
-            parts.append(struct.pack(_GATE_HEADER, GATE_KINDS.index(g.kind), g.in1, g.in2, g.out))
-            parts.extend(g.rows)
-        parts.append(struct.pack("<I", self.output_wire))
-        for label in sorted(self.output_map):
-            parts.append(label + struct.pack("<B", self.output_map[label]))
+        n_wires, gen, ev, thr, wiring, out = _skeleton(self.bitwidth)
+        parts = [b"PGC1", struct.pack(_HEADER, self.bitwidth, n_wires, len(gen), len(ev),
+                                      len(thr), len(wiring)),
+                 struct.pack(f"<{len(gen) + len(ev)}I", *gen, *ev)]
+        parts += [struct.pack("<I", w) + label
+                  for w, label in zip(thr, self.threshold_labels, strict=True)]
+        for (kind, in1, in2, o), rows in zip(wiring, self.gates, strict=True):
+            parts.append(struct.pack(_GATE_HEADER, GATE_KINDS.index(kind), in1, in2, o))
+            parts.extend(rows)
+        parts.append(struct.pack("<I", out))
+        parts += [label + bytes([self.output_map[label]]) for label in sorted(self.output_map)]
         return b"".join(parts)
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
-        """Inverse of :meth:`serialize`. The bytes must be exactly as long
-        as their header says, with one wire per input, constant and gate,
-        every wire id below ``n_wires``, and an output map of two labels
-        decoding to 0 and 1; anything else raises CorruptedCircuitError."""
+        """Inverse of :meth:`serialize`. The bytes must name a width in
+        ``BITWIDTHS``, be as long as that width's comparator, map two
+        distinct output labels to 0 and 1, and carry exactly that
+        comparator's wiring; anything else raises CorruptedCircuitError.
+        Another wiring is refused because the evaluator cannot see what a
+        garbled gate computes: one that routes an evaluator input to the
+        output would hand the generator the voter's bit."""
         if raw[:4] != b"PGC1":
             raise CorruptedCircuitError("bad circuit magic")
-        off = 4 + struct.calcsize(_HEADER)
-        if len(raw) < off:
-            raise CorruptedCircuitError(f"circuit of {len(raw)} bytes ends inside its header")
-        bitwidth, n_wires, n_gen, n_eval, n_const, n_gates = struct.unpack_from(_HEADER, raw, 4)
-        # each wire is set once, so a larger count only inflates evaluation
-        if n_wires != n_gen + n_eval + n_const + n_gates:
+        bitwidth = raw[4] if len(raw) > 4 else None
+        if bitwidth not in BITWIDTHS:
+            raise CorruptedCircuitError(f"circuit width {bitwidth} outside 4..32")
+        _, gen, ev, thr, wiring, _ = _skeleton(bitwidth)
+        consts = 4 + struct.calcsize(_HEADER) + 4 * (len(gen) + len(ev))
+        first_gate = consts + len(thr) * (4 + LABEL_BYTES)
+        omap_at = first_gate + len(wiring) * _GATE_BYTES + 4
+        if len(raw) != omap_at + _MAP_BYTES:
             raise CorruptedCircuitError(
-                f"circuit claims {n_wires} wires, its inputs, constants and gates set "
-                f"{n_gen + n_eval + n_const + n_gates}")
-        expected = (off + 4 * (n_gen + n_eval) + n_const * (4 + LABEL_BYTES)
-                    + n_gates * (struct.calcsize(_GATE_HEADER) + 4 * ROW_BYTES)
-                    + 4 + 2 * (LABEL_BYTES + 1))
-        if len(raw) != expected:
-            raise CorruptedCircuitError(
-                f"circuit is {len(raw)} bytes, its header implies {expected}")
-        gen = struct.unpack_from(f"<{n_gen}I", raw, off)
-        off += 4 * n_gen
-        ev = struct.unpack_from(f"<{n_eval}I", raw, off)
-        off += 4 * n_eval
-        consts = []
-        for _ in range(n_const):
-            (w,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            consts.append((w, raw[off:off + LABEL_BYTES]))
-            off += LABEL_BYTES
-        gates = []
-        for _ in range(n_gates):
-            kid, i1, i2, o = struct.unpack_from(_GATE_HEADER, raw, off)
-            off += struct.calcsize(_GATE_HEADER)
-            if kid >= len(GATE_KINDS):
-                raise CorruptedCircuitError(f"unknown gate kind {kid}")
-            rows = []
-            for _ in range(4):
-                rows.append(raw[off:off + ROW_BYTES])
-                off += ROW_BYTES
-            gates.append(GarbledGate(GATE_KINDS[kid], i1, i2, o, tuple(rows)))
-        (out_wire,) = struct.unpack_from("<I", raw, off)
-        off += 4
+                f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is "
+                f"{omap_at + _MAP_BYTES}")
+        labels = tuple(raw[o + 4:o + 4 + LABEL_BYTES]
+                       for o in range(consts, first_gate, 4 + LABEL_BYTES))
+        head = struct.calcsize(_GATE_HEADER)
+        gates = tuple(tuple(raw[r:r + ROW_BYTES] for r in range(g + head, g + _GATE_BYTES, ROW_BYTES))
+                      for g in range(first_gate, omap_at - 4, _GATE_BYTES))
         omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
-                for o in (off, off + LABEL_BYTES + 1)}
+                for o in (omap_at, omap_at + LABEL_BYTES + 1)}
         if len(omap) != 2:
             raise CorruptedCircuitError("output map needs two distinct labels")
         if sorted(omap.values()) != [0, 1]:
             raise CorruptedCircuitError(
                 f"output map decodes to {sorted(omap.values())}, not 0 and 1")
-        # a wire beyond n_wires would fail evaluation with an IndexError
-        wires = [*gen, *ev, *(w for w, _ in consts), out_wire,
-                 *(w for g in gates for w in (g.in1, g.in2, g.out))]
-        if max(wires) >= n_wires:
-            raise CorruptedCircuitError(f"circuit names wire {max(wires)} of {n_wires}")
-        return cls(bitwidth, n_wires, tuple(gen), tuple(ev), tuple(consts),
-                   tuple(gates), out_wire, omap)
+        circuit = cls(bitwidth, labels, gates, omap)
+        if circuit.serialize() != raw:
+            raise CorruptedCircuitError(
+                f"circuit is not the width-{bitwidth} comparator: its header, wiring or "
+                "output-map order differs from the one public layout")
+        return circuit
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -251,9 +226,7 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-# bounded, since a deserialized circuit may name any number of gates;
-# 1024 holds every gate index of the widest comparator (600 gates)
-@functools.lru_cache(maxsize=1024)
+@functools.cache  # gate indices stop at the widest comparator's 600 gates
 def _tweaks(gate_index: int) -> tuple[bytes, ...]:
     return tuple(struct.pack("<IB", gate_index, slot) for slot in range(4))
 
@@ -275,11 +248,8 @@ def gen_gate(
     in2_keys: tuple[bytes, bytes],
     out_keys: tuple[bytes, bytes],
     gate_index: int,
-    in1: int,
-    in2: int,
-    out: int,
-) -> GarbledGate:
-    """Garble one two-input gate.
+) -> tuple[bytes, bytes, bytes, bytes]:
+    """Garble one two-input gate into its four rows.
 
     Each of the four input combinations double-encrypts the matching
     output label (tag appended) into the slot its input labels' permute
@@ -296,7 +266,7 @@ def gen_gate(
             slot = 2 * (p1 ^ a) + (p2 ^ b)  # ka's permute bit is p1 ^ a
             pad = _row_pad(ka, kb, gate_index, slot)
             rows[slot] = (plains[table[2 * a + b]] ^ pad).to_bytes(ROW_BYTES, "big")
-    return GarbledGate(kind, in1, in2, out, tuple(rows))
+    return tuple(rows)
 
 
 class _Builder:
@@ -359,9 +329,10 @@ class _Builder:
 
 @functools.cache
 def _skeleton(bitwidth: int):
-    """The comparator's wiring, which only its width decides: the wire
-    count, the generator, evaluator and threshold input wires, the gates
-    as (kind, in1, in2, out) and the output wire."""
+    """The comparator's public wiring, which only its width decides: the
+    wire count, the generator, evaluator and threshold input wires, the
+    gates as (kind, in1, in2, out) and the output wire. Every gate reads
+    only wires set before it."""
     b = _Builder()
     a_wires, b_wires, t_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(3))
     sel = b.ge(a_wires, b_wires)
@@ -403,20 +374,11 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
         # label1's permute bit is the complement of label0's
         flipped = (label1[-1] & 0xFE) | (1 - _permute_bit(label0))
         keys.append((label0, label1[:-1] + bytes([flipped])))
-    garbled = tuple(
-        gen_gate(kind, keys[i1], keys[i2], keys[o], gi, i1, i2, o)
-        for gi, (kind, i1, i2, o) in enumerate(gates)
-    )
-    theta_bits = theta_fp.bits_lsb()
-    consts = tuple((w, keys[w][bit]) for w, bit in zip(t_wires, theta_bits))
     circuit = GarbledCircuit(
         bitwidth=bitwidth,
-        n_wires=n_wires,
-        gen_input_wires=a_wires,
-        eval_input_wires=b_wires,
-        const_wires=consts,
-        gates=garbled,
-        output_wire=out,
+        threshold_labels=tuple(keys[w][bit] for w, bit in zip(t_wires, theta_fp.bits_lsb())),
+        gates=tuple(gen_gate(kind, keys[i1], keys[i2], keys[o], gi)
+                    for gi, (kind, i1, i2, o) in enumerate(gates)),
         output_map={keys[out][0]: 0, keys[out][1]: 1},
     )
     return ComparatorTemplate(
@@ -456,33 +418,29 @@ def eval_circuit(
 ) -> bytes:
     """Run the garbled circuit on active labels; returns the output label.
 
-    For every gate the evaluator decrypts the one row its active labels'
-    permute bits select. A tag that does not decrypt to zero means the
-    circuit or a label was tampered with.
+    The wiring comes from ``_skeleton(circuit.bitwidth)``, in which every
+    gate reads wires set before it. For every gate the evaluator decrypts
+    the one row its active labels' permute bits select. A tag that does
+    not decrypt to zero means the circuit or a label was tampered with.
     """
-    if len(gen_labels) != len(circuit.gen_input_wires):
+    n_wires, gen, ev, thr, wiring, out = _skeleton(circuit.bitwidth)
+    if len(gen_labels) != len(gen):
         raise RejectedInputError("wrong generator label count")
-    if len(eval_labels) != len(circuit.eval_input_wires):
+    if len(eval_labels) != len(ev):
         raise RejectedInputError("wrong evaluator label count")
-    labels: list[Optional[bytes]] = [None] * circuit.n_wires
-    for w, lab in zip(circuit.gen_input_wires, gen_labels):
-        labels[w] = lab
-    for w, lab in zip(circuit.eval_input_wires, eval_labels):
-        labels[w] = lab
-    for w, lab in circuit.const_wires:
-        labels[w] = lab
+    labels: list[bytes] = [b""] * n_wires
+    for wires, active in ((gen, gen_labels), (ev, eval_labels), (thr, circuit.threshold_labels)):
+        for w, lab in zip(wires, active):
+            labels[w] = lab
 
-    for gi, gate in enumerate(circuit.gates):
-        ka = labels[gate.in1]
-        kb = labels[gate.in2]
-        if ka is None or kb is None:
-            raise CorruptedCircuitError(f"gate {gi} evaluated before its inputs")
+    for gi, ((_, in1, in2, o), rows) in enumerate(zip(wiring, circuit.gates, strict=True)):
+        ka, kb = labels[in1], labels[in2]
         slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
-        plain = int.from_bytes(gate.rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
+        plain = int.from_bytes(rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
         if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-        labels[gate.out] = (plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big")
-    return labels[circuit.output_wire]
+        labels[o] = (plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big")
+    return labels[out]
 
 
 def decode_output(circuit: GarbledCircuit, label: bytes) -> int:

@@ -200,13 +200,24 @@ class SimilarityMatrix:
 
     @classmethod
     def from_crs_bytes(cls, raw: bytes) -> "SimilarityMatrix":
+        """Inverse of :meth:`crs_bytes`. Refuses what it never writes: an
+        owner of 0, zero users, a row or column outside 1..n, a value
+        outside [0, 1], and entries that repeat or are out of row-major
+        order."""
         if len(raw) < 8 or (len(raw) - 8) % 16:
             raise RejectedInputError("truncated compressed-row payload")
         owner, n = struct.unpack_from("<II", raw, 0)
+        if owner < 1 or n < 1:
+            raise RejectedInputError(f"matrix of owner {owner} over {n} users: "
+                                     "the owner is 1-based and n at least 1")
         m = cls(owner=owner, n_users=n)
-        for off in range(8, len(raw), 16):
-            row, col, val = struct.unpack_from("<IId", raw, off)
+        prev = (0, 0)
+        for row, col, val in struct.iter_unpack("<IId", raw[8:]):
+            if (row, col) <= prev:
+                raise RejectedInputError(f"entry ({row}, {col}) does not come after {prev}: "
+                                         "each entry is written once, in row-major order")
             m.set_entry(flat_index(row, col, n), val)
+            prev = (row, col)
         return m
 
 

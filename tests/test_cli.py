@@ -167,8 +167,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ({"kind": "bogus"}, "bogus"),
     ({"sweep": {"values": 5}}, "sweep.values"),
     ({"protocols": 5}, "protocols"),
-    # a cost scenario ignores both keys, and is checked all the same
-    ({"kind": "cost", "sweep": {"param": "warp", "values": ["x"]}}, "warp"),
+    # a cost run reads neither key, so it refuses both by name
+    ({"kind": "cost", "sweep": {"param": "warp", "values": ["x"]}}, "sweep"),
     ({"kind": "cost", "protocols": ["nope"]}, "protocols"),
     # the weights are three number fields; the old triple is no field
     ({"base": {**TINY_JSON["base"], "weights": [0.5, 2.0, 1.0]}}, "weights"),
@@ -568,9 +568,12 @@ def test_presets_verb_lists_catalog(capsys):
     out = capsys.readouterr().out
     for name in PRESETS:
         assert name in out
+    # a cost preset lists no sweep, protocols or --fast replicates, since it reads none
+    assert ("cost-2pc     Two-party comparison cost scaling and vote-matrix bytes "
+            "[cost; reads only the seed]\n") in out
     # the listing is pinned byte for byte
     assert sha256(out.encode()).hexdigest() == (
-        "daa687e1fde3c2919720506f03f940f054cf835bbbc709fb55166e7fcad9285b")
+        "8759397dca9bbc7a54d1072e7da967fa411d1b96123da095a0413c0e64b6fb0b")
 
 
 def test_run_verb_on_scenario_file(tmp_path, capsys):
@@ -681,6 +684,33 @@ def test_cost_run_refuses_settings_it_would_ignore(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert f"a cost run reads only seed, not ['{pair.partition('=')[0]}']" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sweep", {"param": "block_interval", "values": [200.0, 400.0]}),
+    ("protocols", ["pow"]),
+    ("replicates", 5),
+])
+def test_cost_document_refuses_keys_it_would_ignore(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: pytest.fail("ran"))
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps({"name": "c", "kind": "cost", key: value}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"a cost run reads only seed, not ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cost_document_of_name_seed_and_kind_runs(tmp_path, capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: seeds.append(seed) or [])
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps({"name": "c", "kind": "cost", "base": {"seed": 3}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert seeds == [3]
+    # the preset is the same document: --fast adds no replicates to it
+    for fast in (False, True):
+        assert scenario_from_preset("cost-2pc", fast=fast)[0].kind == "cost"
+    assert PRESETS["cost-2pc"]["doc"] == {"name": "cost-2pc", "base": {}, "kind": "cost"}
 
 
 def test_cost_run_seed_outside_the_label_seeds_exits_2(tmp_path, capsys):

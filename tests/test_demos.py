@@ -15,3 +15,11 @@ def test_demos_are_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_private_comparison_demo_refuses_both_forgeries(capsys):
+    # a flipped row fails its tag; a rerouted output fails the public wiring
+    runpy.run_path(str(DEMOS[0].parent / "02_private_comparison.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "tampered circuit rejected: row 0 of gate 2 fails its tag check\n" in out
+    assert "rerouted circuit rejected: circuit is not the width-16 comparator" in out

@@ -146,11 +146,11 @@ def test_fixed_point_rejects_bad_inputs():
 
 def test_and_gate_label_selection():
     k1, k2, k3 = fresh_keys(10)
-    gate = gen_gate("AND", k1, k2, k3, 0, 0, 1, 2)
+    rows = gen_gate("AND", k1, k2, k3, 0)
     for a in (0, 1):
         for b in (0, 1):
             hits = [
-                decrypt_row(gate.rows[s], k1[a], k2[b], 0, s)
+                decrypt_row(rows[s], k1[a], k2[b], 0, s)
                 for s in range(4)
             ]
             labels = [lab for lab, ok in hits if ok]
@@ -163,13 +163,13 @@ def test_every_kind_matches_truth_table():
     keys = fresh_keys(11, 3 * len(GATE_KINDS))
     for gi, kind in enumerate(GATE_KINDS):
         k1, k2, k3 = keys[3 * gi:3 * gi + 3]
-        gate = gen_gate(kind, k1, k2, k3, gi, 0, 1, 2)
+        rows = gen_gate(kind, k1, k2, k3, gi)
         for a in (0, 1):
             for b in (0, 1):
                 hits = [
                     (s, lab)
                     for s in range(4)
-                    for lab, ok in [decrypt_row(gate.rows[s], k1[a], k2[b], gi, s)]
+                    for lab, ok in [decrypt_row(rows[s], k1[a], k2[b], gi, s)]
                     if ok
                 ]
                 assert len(hits) == 1
@@ -181,9 +181,9 @@ def test_every_kind_matches_truth_table():
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
     keys = fresh_keys(12)
-    g0 = gen_gate("AND", *keys, 0, 0, 1, 2)
-    g1 = gen_gate("AND", *keys, 1, 0, 1, 2)
-    assert all(r0 != r1 for r0, r1 in zip(g0.rows, g1.rows))
+    g0 = gen_gate("AND", *keys, 0)
+    g1 = gen_gate("AND", *keys, 1)
+    assert all(r0 != r1 for r0, r1 in zip(g0, g1))
 
 
 def test_gate_rejects_key_pair_with_equal_permute_bits():
@@ -191,7 +191,7 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
     same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
     for in1, in2 in ((k1, same), (same, k1)):
         with pytest.raises(RejectedInputError, match="permute bit"):
-            gen_gate("AND", in1, in2, k3, 0, 0, 1, 2)
+            gen_gate("AND", in1, in2, k3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +248,22 @@ def test_garbled_bytes_are_pinned():
 
 
 def test_comparator_wiring_is_built_once_per_width():
-    # every garbling of a width shares the cached wiring, so none of it may be mutable
+    # every garbling and evaluation of a width shares the cached wiring,
+    # so none of it may be mutable, and a circuit carries none of it
     for w in (4, 8, 16, 32):
         n_wires, *inputs, gates, out = garbled._skeleton(w)
+        assert garbled._skeleton(w) is garbled._skeleton(w)
         assert type(gates) is tuple and all(type(g) is tuple for g in gates)
         assert all(type(wires) is tuple for wires in inputs)
+        # every gate reads wires set before it, so evaluation needs no order check
+        for gi, (_kind, in1, in2, o) in enumerate(gates):
+            assert max(in1, in2) < o == 3 * w + gi
         for theta, seed in ((0.0, 1), (0.7, 2)):
             c = garble_comparator(w, theta, seed).circuit
-            assert [(g.kind, g.in1, g.in2, g.out) for g in c.gates] == list(gates)
-            assert (c.n_wires, c.output_wire) == (n_wires, out)
-            assert (c.gen_input_wires, c.eval_input_wires) == tuple(inputs[:2])
+            assert set(vars(c)) == {"bitwidth", "threshold_labels", "gates", "output_map"}
+            assert len(c.gates) == len(gates)
+            assert all(len(rows) == 4 and {len(r) for r in rows} == {ROW_BYTES}
+                       for rows in c.gates)
 
 
 @pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 2**128, 1.5, "7", None])
@@ -268,7 +274,7 @@ def test_seed_outside_the_label_stream_range_rejected(seed):
 
 def test_comparator_constants_cover_threshold_wires():
     t = garble_comparator(8, 0.4, seed=2)
-    assert len(t.circuit.const_wires) == 8
+    assert len(t.circuit.threshold_labels) == 8
     assert len(t.circuit.output_map) == 2
     assert sorted(t.circuit.output_map.values()) == [0, 1]
 
@@ -318,19 +324,23 @@ def test_eight_bit_sample_matches_plaintext():
 def test_every_wire_has_opposite_permute_bits(monkeypatch):
     pairs = {}
     real_gen_gate = garbled.gen_gate
+    wiring = {}
 
-    def recording_gen_gate(kind, k1, k2, k3, gi, in1, in2, out):
+    def recording_gen_gate(kind, k1, k2, k3, gi):
+        _kind, in1, in2, out = wiring[gi]
         pairs.update({in1: k1, in2: k2, out: k3})
-        return real_gen_gate(kind, k1, k2, k3, gi, in1, in2, out)
+        return real_gen_gate(kind, k1, k2, k3, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w, seed in ((4, 1), (16, 2)):
         pairs.clear()
+        n_wires, *_, gates, out = garbled._skeleton(w)
+        wiring = dict(enumerate(gates))
         t = garble_comparator(w, 0.4, seed)
-        assert sorted(pairs) == list(range(t.circuit.n_wires))
+        assert sorted(pairs) == list(range(n_wires))
         for k0, k1 in pairs.values():
             assert permute_bit(k0) != permute_bit(k1)
-        assert pairs[t.circuit.output_wire] == tuple(sorted(
+        assert pairs[out] == tuple(sorted(
             t.circuit.output_map, key=t.circuit.output_map.get))
     # the false label's permute bit is not fixed: it varies across wires
     assert {permute_bit(k0) for k0, _ in pairs.values()} == {0, 1}
@@ -367,12 +377,11 @@ def test_evaluator_opens_one_row_per_gate(monkeypatch):
 
 def with_row(circuit, gate_index, slot, flip_at):
     """Copy of the circuit with one byte of one row flipped."""
-    gate = circuit.gates[gate_index]
-    rows = list(gate.rows)
+    rows = list(circuit.gates[gate_index])
     row = rows[slot]
     rows[slot] = row[:flip_at] + bytes([row[flip_at] ^ 0xFF]) + row[flip_at + 1:]
     gates = list(circuit.gates)
-    gates[gate_index] = GarbledGate_replace(gate, tuple(rows))
+    gates[gate_index] = tuple(rows)
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 
@@ -404,26 +413,14 @@ def test_wrong_label_count_rejected():
         select_input_labels(t.gen_keys, FixedPoint(5, 4))
 
 
-def test_gate_that_reads_an_unset_wire_rejected():
-    t = garble_comparator(4, 0.4, seed=1)
-    c = t.circuit
-    # gate 0 reads the output wire, which only the last gate sets
-    early = dataclasses.replace(c.gates[0], in1=c.output_wire)
-    bad = dataclasses.replace(c, gates=(early, *c.gates[1:]))
-    ga = select_input_labels(t.gen_keys, FixedPoint(5, 4))
-    gb = select_input_labels(t.eval_keys, FixedPoint(6, 4))
-    with pytest.raises(CorruptedCircuitError, match="gate 0 evaluated before its inputs"):
-        eval_circuit(bad, ga, gb)
-
-
 # ---------------------------------------------------------------------------
 # tampering
 
 
 def active_slot(template, gate_index, ka, kb):
-    gate = template.circuit.gates[gate_index]
+    rows = template.circuit.gates[gate_index]
     for s in range(4):
-        _lab, ok = decrypt_row(gate.rows[s], ka, kb, gate_index, s)
+        _lab, ok = decrypt_row(rows[s], ka, kb, gate_index, s)
         if ok:
             return s
     raise AssertionError("no valid row")
@@ -434,29 +431,14 @@ def test_tampered_row_detected():
     a = FixedPoint.encode(0.5, 8)
     b = FixedPoint.encode(0.5, 8)
     # gate 0 compares the low bits of the two inputs directly
-    g0 = t.circuit.gates[0]
-    assert (g0.in1, g0.in2) == (0, 8)
+    assert garbled._skeleton(8)[4][0] == ("ANDNOT", 0, 8, 24)
     ka = t.gen_keys[0][a.bits_lsb()[0]]
     kb = t.eval_keys[0][b.bits_lsb()[0]]
-    slot = active_slot(t, 0, ka, kb)
-    rows = list(g0.rows)
-    rows[slot] = rows[slot][:-1] + bytes([rows[slot][-1] ^ 0xFF])
-    bad_gates = (GarbledGate_replace(g0, tuple(rows)),) + t.circuit.gates[1:]
-    bad = GarbledCircuit(
-        t.circuit.bitwidth, t.circuit.n_wires, t.circuit.gen_input_wires,
-        t.circuit.eval_input_wires, t.circuit.const_wires, bad_gates,
-        t.circuit.output_wire, t.circuit.output_map,
-    )
+    bad = with_row(t.circuit, 0, active_slot(t, 0, ka, kb), ROW_BYTES - 1)
     ga = select_input_labels(t.gen_keys, a)
     gb = select_input_labels(t.eval_keys, b)
     with pytest.raises(CorruptedCircuitError):
         eval_circuit(bad, ga, gb)
-
-
-def GarbledGate_replace(gate, rows):
-    from pous.garbled import GarbledGate
-
-    return GarbledGate(gate.kind, gate.in1, gate.in2, gate.out, rows)
 
 
 def test_unknown_output_label_detected():
@@ -467,6 +449,30 @@ def test_unknown_output_label_detected():
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def wiring_offsets(w):
+    """Byte offsets of the public wiring fields in a serialized width-w
+    comparator. Its layout: magic, header, generator then evaluator input
+    wires, (wire, label) per threshold bit, (kind, in1, in2, out, four
+    rows) per gate, output wire, output map."""
+    gen = 4 + struct.calcsize("<BIIIII")
+    const = gen + 8 * w
+    gate0 = const + w * (4 + LABEL_BYTES)
+    out = gate0 + (19 * w - 8) * (struct.calcsize("<BIII") + 4 * ROW_BYTES)
+    return {"wire count": 5, "generator input": gen, "evaluator input": gen + 4 * (2 * w - 1),
+            "constant": const, "gate kind": gate0, "gate first input": gate0 + 1,
+            "gate input": gate0 + 5, "gate output": gate0 + 9, "output wire": out}
+
+
+def tampered(raw, offset, value, fmt="<I"):
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+# deserialize's refusal of any wiring other than the width's comparator
+NOT_THE_COMPARATOR = "is not the width-4 comparator"
 
 
 def test_circuit_serialization_roundtrip():
@@ -481,10 +487,71 @@ def test_circuit_serialization_roundtrip():
     assert decode_output(back, eval_circuit(back, ga, gb)) == 1
 
 
+def test_circuit_serialization_roundtrip_at_every_width():
+    rng = random.Random(19)
+    for w in BITWIDTHS:
+        t = garble_comparator(w, rng.random(), seed=w)
+        raw = t.circuit.serialize()
+        assert len(raw) == comparator_size(w)[1]
+        back = GarbledCircuit.deserialize(raw)
+        assert back == t.circuit
+        assert back.serialize() == raw
+        a, b = rng.getrandbits(w), rng.getrandbits(w)
+        ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
+        gb = select_input_labels(t.eval_keys, FixedPoint(b, w))
+        assert decode_output(back, eval_circuit(back, ga, gb)) == plain_within_theta(
+            a, b, t.theta.raw)
+
+
+@pytest.mark.parametrize("w, bit", [(16, 0), (16, 5), (16, 15), (4, 3), (32, 31)])
+def test_output_rerouted_to_an_evaluator_input_rejected(w, bit):
+    """A generator that points the output wire at the voter's input bit
+    and publishes that wire's two labels as the decode map would read the
+    bit off every vote; the bytes pass every generic check (length, wire
+    bound, a 0/1 map), so only the public wiring refuses them."""
+    t = garble_comparator(w, 0.4, seed=bit)
+    raw = t.circuit.serialize()
+    at = wiring_offsets(w)
+    (wire,) = struct.unpack_from("<I", raw, at["generator input"] + 4 * (w + bit))
+    (n_wires,) = struct.unpack_from("<I", raw, at["wire count"])
+    assert wire < n_wires
+    omap = b"".join(label + bytes([v]) for label, v in sorted(zip(t.eval_keys[bit], (0, 1))))
+    bad = tampered(raw, at["output wire"], wire)[:-len(omap)] + omap
+    assert len(bad) == len(raw)
+    with pytest.raises(CorruptedCircuitError, match=f"is not the width-{w} comparator"):
+        GarbledCircuit.deserialize(bad)
+
+
+def test_gate_that_reads_an_unset_wire_rejected():
+    # gate 0 reading the output wire, which only the last gate sets
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    at = wiring_offsets(4)
+    (out_wire,) = struct.unpack_from("<I", raw, at["output wire"])
+    with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+        GarbledCircuit.deserialize(tampered(raw, at["gate first input"], out_wire))
+
+
 def test_bad_magic_rejected():
     raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
     with pytest.raises(CorruptedCircuitError):
         GarbledCircuit.deserialize(b"XXXX" + raw[4:])
+
+
+@pytest.mark.parametrize("width", [0, 3, 33, 255, None])
+def test_width_outside_bitwidths_rejected(width):
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    bad = raw[:4] if width is None else tampered(raw, 4, width, "<B")
+    with pytest.raises(CorruptedCircuitError, match=f"circuit width {width} outside 4..32"):
+        GarbledCircuit.deserialize(bad)
+
+
+def test_width_other_than_the_circuits_rejected():
+    raw = garble_comparator(8, 0.4, seed=1).circuit.serialize()
+    for w in (4, 16):
+        with pytest.raises(CorruptedCircuitError,
+                           match=f"{len(raw)} bytes, a width-{w} comparator is "
+                                 f"{comparator_size(w)[1]}"):
+            GarbledCircuit.deserialize(tampered(raw, 4, w, "<B"))
 
 
 @pytest.mark.parametrize("cut", ["10", "30", "3249", "len-17", "len-1", "extra byte"])
@@ -511,14 +578,31 @@ def test_output_map_with_one_label_rejected():
         GarbledCircuit.deserialize(doubled)
 
 
+def test_output_map_out_of_label_order_rejected():
+    # serialize writes the two entries sorted by label
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    entry = LABEL_BYTES + 1
+    swapped = raw[:-2 * entry] + raw[-entry:] + raw[-2 * entry:-entry]
+    with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+        GarbledCircuit.deserialize(swapped)
+
+
 @pytest.mark.parametrize("claim", [79, 81, 10**7])
 def test_wire_count_other_than_the_wires_set_rejected(claim):
-    c = garble_comparator(4, 0.4, seed=1).circuit
-    assert c.n_wires == 80
-    raw = bytearray(c.serialize())
-    struct.pack_into("<I", raw, 5, claim)  # n_wires follows the magic and bitwidth
-    with pytest.raises(CorruptedCircuitError, match=f"claims {claim} wires, .* set 80"):
-        GarbledCircuit.deserialize(bytes(raw))
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    assert garbled._skeleton(4)[0] == 80
+    with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+        GarbledCircuit.deserialize(tampered(raw, wiring_offsets(4)["wire count"], claim))
+
+
+@pytest.mark.parametrize("offset", [9, 13, 17, 21],
+                         ids=["generator inputs", "evaluator inputs", "constants", "gates"])
+def test_header_count_other_than_the_comparators_rejected(offset):
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    for delta in (-1, 1):
+        (count,) = struct.unpack_from("<I", raw, offset)
+        with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+            GarbledCircuit.deserialize(tampered(raw, offset, count + delta))
 
 
 @pytest.mark.parametrize("bits", [(7, 7), (1, 1), (0, 0), (0, 2)])
@@ -535,32 +619,20 @@ def test_output_map_bits_other_than_0_and_1_rejected(bits):
 @pytest.mark.parametrize("where", ["gate input", "gate output", "generator input",
                                    "evaluator input", "constant", "output wire"])
 def test_wire_beyond_the_circuit_rejected(where, far):
-    c = garble_comparator(4, 0.4, seed=1).circuit
-    far = c.n_wires if far == "n_wires" else far
-    g0 = c.gates[0]
-    change = {
-        "gate input": {"gates": (dataclasses.replace(g0, in2=far), *c.gates[1:])},
-        "gate output": {"gates": (dataclasses.replace(g0, out=far), *c.gates[1:])},
-        "generator input": {"gen_input_wires": (far, *c.gen_input_wires[1:])},
-        "evaluator input": {"eval_input_wires": (*c.eval_input_wires[:-1], far)},
-        "constant": {"const_wires": ((far, c.const_wires[0][1]), *c.const_wires[1:])},
-        "output wire": {"output_wire": far},
-    }[where]
-    raw = dataclasses.replace(c, **change).serialize()
-    with pytest.raises(CorruptedCircuitError, match=f"names wire {far} of {c.n_wires}"):
-        GarbledCircuit.deserialize(raw)
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    far = garbled._skeleton(4)[0] if far == "n_wires" else far
+    with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+        GarbledCircuit.deserialize(tampered(raw, wiring_offsets(4)[where], far))
 
 
 def test_unknown_gate_kind_rejected():
-    circuit = garble_comparator(4, 0.4, seed=1).circuit
-    raw = circuit.serialize()
-    # the first gate's kind byte follows the header, the input wires and the constants
-    inputs = len(circuit.gen_input_wires) + len(circuit.eval_input_wires)
-    first_gate = (4 + struct.calcsize("<BIIIII") + 4 * inputs
-                  + len(circuit.const_wires) * (4 + LABEL_BYTES))
-    bad = raw[:first_gate] + bytes([len(garbled.GATE_KINDS)]) + raw[first_gate + 1:]
-    with pytest.raises(CorruptedCircuitError, match="unknown gate kind"):
-        GarbledCircuit.deserialize(bad)
+    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
+    at = wiring_offsets(4)["gate kind"]
+    assert GATE_KINDS[raw[at]] == "ANDNOT"
+    # a kind byte past the list, and every other kind the wiring does not name
+    for kind in [len(GATE_KINDS), 255, *(i for i, k in enumerate(GATE_KINDS) if k != "ANDNOT")]:
+        with pytest.raises(CorruptedCircuitError, match=NOT_THE_COMPARATOR):
+            GarbledCircuit.deserialize(tampered(raw, at, kind, "<B"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """User vectors, similarity math, and budgeted matrix mining."""
 import importlib
 import math
+import struct
 import types
 
 import numpy as np
@@ -342,6 +343,34 @@ def test_crs_rejects_truncated_payload():
         SimilarityMatrix.from_crs_bytes(raw[:-3])
     with pytest.raises(RejectedInputError):
         SimilarityMatrix.from_crs_bytes(b"\x01")
+
+
+def crs_matrix_blob(triples, owner=1, n=3):
+    """A matrix blob as crs_bytes lays it out, with any triples."""
+    return struct.pack("<II", owner, n) + b"".join(struct.pack("<IId", *t) for t in triples)
+
+
+@pytest.mark.parametrize("blob, reason", [
+    (crs_matrix_blob([(1, 2, 0.5)], owner=0), "owner 0 over 3 users"),
+    (crs_matrix_blob([], n=0), "owner 1 over 0 users"),
+    (crs_matrix_blob([(1, 2, 0.5), (1, 2, 0.7)]), r"entry \(1, 2\) does not come after \(1, 2\)"),
+    (crs_matrix_blob([(2, 1, 0.5), (1, 2, 0.5)]), r"entry \(1, 2\) does not come after \(2, 1\)"),
+    (crs_matrix_blob([(1, 3, 0.5), (1, 2, 0.5)]), r"entry \(1, 2\) does not come after \(1, 3\)"),
+    (crs_matrix_blob([(0, 2, 0.5)]), r"pair \(0, 2\) outside 1..3"),
+    (crs_matrix_blob([(1, 4, 0.5)]), r"pair \(1, 4\) outside 1..3"),
+    (crs_matrix_blob([(1, 2, 1.5)]), "similarity 1.5 outside"),
+], ids=["owner-0", "no-users", "repeated-entry", "out-of-order", "out-of-order-in-row",
+        "row-0", "col-past-n", "value-past-1"])
+def test_crs_matrix_rejects_what_the_writer_never_writes(blob, reason):
+    with pytest.raises(RejectedInputError, match=reason):
+        SimilarityMatrix.from_crs_bytes(blob)
+
+
+def test_crs_matrix_accepts_the_diagonal_and_an_empty_matrix():
+    back = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([(1, 1, 1.0), (3, 3, 0.0)]))
+    assert back.to_crs_triples() == [(1, 1, 1.0), (3, 3, 0.0)]
+    empty = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([], owner=2, n=4))
+    assert (empty.owner, empty.n_users, empty.computed_count) == (2, 4, 0)
 
 
 # ---------------------------------------------------------------------------
