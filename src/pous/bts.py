@@ -356,16 +356,16 @@ def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]
     """Inverse of votes_to_crs: (voter, candidate, n, [(row, col, x)]).
 
     Refuses what votes_to_crs never writes: a voter or candidate id of
-    0, a self-vote, a length other than the header's count of triples, a
-    vote other than 0 or 1, a row or column outside 1..n, and entries
-    that repeat or are out of order.
+    0, a self-vote, zero users, a length other than the header's count
+    of triples, a vote other than 0 or 1, a row or column outside 1..n,
+    and entries that repeat or are out of order.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
     voter, cand, n, count = struct.unpack_from("<IIII", raw, 0)
-    if voter < 1 or cand < 1 or voter == cand:
-        raise RejectedInputError(f"vote blob of voter {voter} on candidate {cand}: "
-                                 "ids are 1-based and distinct")
+    if voter < 1 or cand < 1 or voter == cand or n < 1:
+        raise RejectedInputError(f"vote blob of voter {voter} on candidate {cand} over {n} "
+                                 "users: ids are 1-based and distinct, and n is at least 1")
     if len(raw) != 16 + 9 * count:
         raise RejectedInputError(
             f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")

@@ -168,11 +168,13 @@ def verify_block(
 
     Accepts iff the producer matches the decided leader, the body fits
     the header's capacity, the flag parses and its cluster sizes cover
-    the body, every transaction was in the declared mempool snapshot,
-    priorities never increase inside a cluster segment, and segment
-    leads are themselves ordered. The priorities are the committee's own
-    recomputation, so a lying leader cannot smuggle a reordering past
-    the check.
+    the body, every transaction was in the declared mempool snapshot
+    and is listed once, the body is the snapshot's top
+    ``min(capacity, len(snapshot))`` by priority, priorities never
+    increase inside a cluster segment, and segment leads are themselves
+    ordered. The priorities are the committee's own recomputation, so a
+    lying leader cannot smuggle a reordering or a worse pick past the
+    check.
     """
     if block.header.producer != decision.leader:
         return False, (
@@ -193,6 +195,12 @@ def verify_block(
     missing = [tx.id for tx in block.body if tx.id not in snapshot_priorities]
     if missing:
         return False, f"transactions {missing[:5]} not in mempool snapshot"
+    if len({tx.id for tx in block.body}) != len(block.body):
+        return False, "a transaction is listed twice"
+    top = sorted(snapshot_priorities.values(), reverse=True)[:block.header.capacity]
+    packed = sorted((snapshot_priorities[tx.id] for tx in block.body), reverse=True)
+    if len(packed) != len(top) or any(p < t - 1e-9 for p, t in zip(packed, top)):
+        return False, f"body is not the snapshot's top {len(top)} by priority"
 
     pos = 0
     segment_heads = []

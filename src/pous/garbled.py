@@ -4,8 +4,9 @@ Voting on someone else's similarity matrix must not reveal either side's
 values. The candidate (generator) garbles a fixed comparator circuit
 that answers one question: is ``|a - b| <= theta``? Values are encoded
 as unsigned fixed-point integers; the public threshold is baked into the
-circuit as constant wires. The voter (evaluator) learns one bit and
-nothing else; the generator learns nothing.
+circuit as constant wires. When both sides follow the protocol, the
+voter (evaluator) learns one bit and nothing else and the generator
+learns nothing.
 
 Construction notes:
 
@@ -29,10 +30,15 @@ Construction notes:
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
   Cryptology 2009). ``_skeleton`` builds it once per width and owns it;
-  a :class:`GarbledCircuit` ships only the threshold's active labels,
-  each gate's rows and the output decode map. ``deserialize`` refuses
-  any other wiring: a generator free to choose one could route an
-  evaluator input bit to the output and read the voter's bit off the vote.
+  a :class:`GarbledCircuit` and its serialized bytes carry only the
+  threshold's active labels, each gate's rows and the output decode map.
+* The comparator is secure against a semi-honest generator only. The
+  evaluator cannot see which table a garbled gate computes, so a
+  generator that garbles copy gates along the public wiring from an
+  evaluator input bit to the output reads that bit off the vote, and no
+  check on the bytes can tell. Stopping it takes a construction secure
+  against a malicious generator, such as cut-and-choose (Lindell and
+  Pinkas, EUROCRYPT 2007).
 * The evaluator's input labels travel through 1-of-2 oblivious transfer:
   either a Diffie-Hellman transfer over a safe-prime group, or a trusted
   dealer stand-in with the same interface. The dealer is the default
@@ -75,7 +81,6 @@ ROW_BYTES = LABEL_BYTES + len(TAG)
 _TAG_BITS = 8 * len(TAG)
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
-GATE_KINDS = ("AND", "OR", "XOR", "XNOR", "ANDNOT")
 # truth tables indexed by 2*a + b; ANDNOT(a, b) = a AND (NOT b)
 _TABLES = {
     "AND": (0, 0, 0, 1),
@@ -142,11 +147,9 @@ def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
 # circuit skeleton and garbling
 
 
-# serialized layout: the header after the magic, and each gate's wiring before its rows
-_HEADER = "<BIIIII"  # bitwidth, wires, generator inputs, evaluator inputs, constants, gates
-_GATE_HEADER = "<BIII"  # kind, in1, in2, out
-_GATE_BYTES = struct.calcsize(_GATE_HEADER) + 4 * ROW_BYTES
-_MAP_BYTES = 2 * (LABEL_BYTES + 1)  # two (label, bit) entries
+_MAGIC = b"PGC2"
+_HEAD = len(_MAGIC) + 1  # the magic, then the width byte
+_MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 
 
 @dataclass
@@ -166,48 +169,34 @@ class GarbledCircuit:
     output_map: dict[bytes, int]
 
     def serialize(self) -> bytes:
-        n_wires, gen, ev, thr, wiring, out = _skeleton(self.bitwidth)
-        parts = [b"PGC1", struct.pack(_HEADER, self.bitwidth, n_wires, len(gen), len(ev),
-                                      len(thr), len(wiring)),
-                 struct.pack(f"<{len(gen) + len(ev)}I", *gen, *ev)]
-        parts += [struct.pack("<I", w) + label
-                  for w, label in zip(thr, self.threshold_labels, strict=True)]
-        for (kind, in1, in2, o), rows in zip(wiring, self.gates, strict=True):
-            parts.append(struct.pack(_GATE_HEADER, GATE_KINDS.index(kind), in1, in2, o))
-            parts.extend(rows)
-        parts.append(struct.pack("<I", out))
-        parts += [label + bytes([self.output_map[label]]) for label in sorted(self.output_map)]
-        return b"".join(parts)
+        """The magic, the width byte, the threshold labels, every gate's
+        rows in wiring order, and the two decode-map entries in label order."""
+        omap = sorted(self.output_map.items())
+        return b"".join([_MAGIC, bytes([self.bitwidth]), *self.threshold_labels,
+                         *(row for rows in self.gates for row in rows),
+                         *(label + bytes([bit]) for label, bit in omap)])
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
-        """Inverse of :meth:`serialize`. The bytes must name a width in
-        ``BITWIDTHS``, be as long as that width's comparator, map two
-        distinct output labels to 0 and 1, and carry exactly that
-        comparator's wiring; anything else raises CorruptedCircuitError.
-        Another wiring is refused because the evaluator cannot see what a
-        garbled gate computes: one that routes an evaluator input to the
-        output would hand the generator the voter's bit."""
-        if raw[:4] != b"PGC1":
+        """Inverse of :meth:`serialize`. A magic other than ``PGC2``, a
+        width outside ``BITWIDTHS``, a length other than that width's
+        comparator, and a decode map that is not two distinct labels
+        decoding to 0 and 1 in label order raise CorruptedCircuitError."""
+        if raw[:4] != _MAGIC:
             raise CorruptedCircuitError("bad circuit magic")
         bitwidth = raw[4] if len(raw) > 4 else None
         if bitwidth not in BITWIDTHS:
             raise CorruptedCircuitError(f"circuit width {bitwidth} outside 4..32")
-        _, gen, ev, thr, wiring, _ = _skeleton(bitwidth)
-        consts = 4 + struct.calcsize(_HEADER) + 4 * (len(gen) + len(ev))
-        first_gate = consts + len(thr) * (4 + LABEL_BYTES)
-        omap_at = first_gate + len(wiring) * _GATE_BYTES + 4
-        if len(raw) != omap_at + _MAP_BYTES:
+        size = comparator_size(bitwidth)[1]
+        if len(raw) != size:
             raise CorruptedCircuitError(
-                f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is "
-                f"{omap_at + _MAP_BYTES}")
-        labels = tuple(raw[o + 4:o + 4 + LABEL_BYTES]
-                       for o in range(consts, first_gate, 4 + LABEL_BYTES))
-        head = struct.calcsize(_GATE_HEADER)
-        gates = tuple(tuple(raw[r:r + ROW_BYTES] for r in range(g + head, g + _GATE_BYTES, ROW_BYTES))
-                      for g in range(first_gate, omap_at - 4, _GATE_BYTES))
+                f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is {size}")
+        first_row, omap_at = _HEAD + bitwidth * LABEL_BYTES, size - 2 * _MAP_ENTRY
+        labels = tuple(raw[o:o + LABEL_BYTES] for o in range(_HEAD, first_row, LABEL_BYTES))
+        gates = tuple(tuple(raw[r:r + ROW_BYTES] for r in range(g, g + 4 * ROW_BYTES, ROW_BYTES))
+                      for g in range(first_row, omap_at, 4 * ROW_BYTES))
         omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
-                for o in (omap_at, omap_at + LABEL_BYTES + 1)}
+                for o in (omap_at, omap_at + _MAP_ENTRY)}
         if len(omap) != 2:
             raise CorruptedCircuitError("output map needs two distinct labels")
         if sorted(omap.values()) != [0, 1]:
@@ -215,9 +204,7 @@ class GarbledCircuit:
                 f"output map decodes to {sorted(omap.values())}, not 0 and 1")
         circuit = cls(bitwidth, labels, gates, omap)
         if circuit.serialize() != raw:
-            raise CorruptedCircuitError(
-                f"circuit is not the width-{bitwidth} comparator: its header, wiring or "
-                "output-map order differs from the one public layout")
+            raise CorruptedCircuitError("output map is not in label order")
         return circuit
 
 
@@ -333,6 +320,8 @@ def _skeleton(bitwidth: int):
     wire count, the generator, evaluator and threshold input wires, the
     gates as (kind, in1, in2, out) and the output wire. Every gate reads
     only wires set before it."""
+    if bitwidth not in BITWIDTHS:
+        raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
     b = _Builder()
     a_wires, b_wires, t_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(3))
     sel = b.ge(a_wires, b_wires)
@@ -362,10 +351,8 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     The threshold is public and baked in: its bit wires ship with only
     the label matching the actual constant bit. Same seed, same bytes.
     """
-    if bitwidth not in BITWIDTHS:
-        raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
-    theta_fp = FixedPoint.encode(theta, bitwidth)
     n_wires, a_wires, b_wires, t_wires, gates, out = _skeleton(bitwidth)
+    theta_fp = FixedPoint.encode(theta, bitwidth)
     raw = label_bytes(seed, 2 * LABEL_BYTES * n_wires)
     keys = []
     for off in range(0, len(raw), 2 * LABEL_BYTES):
@@ -389,13 +376,11 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     )
 
 
-@functools.cache
 def comparator_size(bitwidth: int) -> tuple[int, int]:
-    """Gate count and serialized bytes of the width-``bitwidth``
-    comparator, read off one real garbled circuit; neither depends on
-    theta or the seed."""
-    circuit = garble_comparator(bitwidth, 0.5, seed=0).circuit
-    return len(circuit.gates), len(circuit.serialize())
+    """Gate count and serialized bytes of the width-``bitwidth`` comparator: the
+    magic and width byte, a label per threshold bit, four rows per gate, two map entries."""
+    gates = len(_skeleton(bitwidth)[4])
+    return gates, _HEAD + bitwidth * LABEL_BYTES + gates * 4 * ROW_BYTES + 2 * _MAP_ENTRY
 
 
 def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint) -> list[bytes]:

@@ -567,8 +567,9 @@ def crs_blob(triples, n=3, count=None, ids=(1, 2)):
     (crs_blob([(1, 2, 1)], ids=(1, 1)), "voter 1 on candidate 1"),
     (crs_blob([(1, 2, 1)], ids=(0, 2)), "voter 0 on candidate 2"),
     (crs_blob([(1, 2, 1)], ids=(1, 0)), "voter 1 on candidate 0"),
+    (crs_blob([], n=0), "over 0 users"),
 ], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n",
-        "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0"])
+        "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0", "no-users"])
 def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
         votes_from_crs(blob)

@@ -939,18 +939,18 @@ SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
-    "comparator_size(16)": (296, 28039),
+    "comparator_size(16)": (296, 23975),
     "comparison_bytes(16, DEFAULT_GROUP)": 5376,
 }
 
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "4691232067897a9ea286a1cc27f87f525e3cde458610a159fcc60dd990eb844d"),
+     "a293a322be87afa503c10d9303b3e7018b342fc5fb22cbbda20a4c5c025ddb1f"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "d5d0cfd2b43f66794eda33cbab34465856aa05c4ca3f114a29e376f661d374f1"),
+     "5ddbdf1027fb934da6a10756cfd9606b41df1164529236060943d864b19dc136"),
 ]
 
 

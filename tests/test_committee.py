@@ -1,4 +1,5 @@
 """Committee sampling, submission window, quorum agreement, verification."""
+import dataclasses
 import itertools
 import logging
 import math
@@ -282,7 +283,9 @@ def test_agree_rejects_bad_input():
 # block verification
 
 
-def make_round(seed=0, n_users=6, n_tx=40, capacity=12, k=3):
+def make_round(seed=0, n_users=6, n_tx=40, capacity=12, k=3, only=None):
+    """An honest leader's block and the committee's priorities; with
+    ``only``, the leader packs just those transaction ids."""
     rng = np.random.default_rng(seed)
     vecs = {u: rng.integers(0, 9, size=6).astype(float) for u in range(1, n_users + 1)}
     mempool = [
@@ -299,8 +302,11 @@ def make_round(seed=0, n_users=6, n_tx=40, capacity=12, k=3):
     weights = PriorityWeights()
     now = 60.0
     lookup = {tx.id: tx for tx in mempool}
+    packed = clusters if only is None else [
+        dataclasses.replace(cl, tx_ids=kept)
+        for cl in clusters if (kept := tuple(t for t in cl.tx_ids if t in only))]
     block = pack_block(
-        clusters, weights, capacity, now, b"\x00" * 32, lookup,
+        packed, weights, capacity, now, b"\x00" * 32, lookup,
         round_index=1, producer=4,
     )
     prios = {}
@@ -376,6 +382,35 @@ def test_verify_rejects_body_beyond_capacity():
     fitting = Block(BlockHeader(hdr.prev_hash, merkle_root(body[:12]), hdr.flag, 12,
                                 hdr.round_index, hdr.producer), body[:12])
     assert verify_block(fitting, decision, prios) == (True, "")
+
+
+def test_verify_rejects_a_transaction_listed_twice():
+    block, decision, prios = make_round()
+    # the first transaction again in second place: every order check still passes
+    body = (block.body[0], block.body[0], *block.body[2:])
+    hdr = dataclasses.replace(block.header, merkle_root=merkle_root(body))
+    assert verify_block(Block(hdr, body), decision, prios) == (
+        False, "a transaction is listed twice")
+
+
+def test_verify_rejects_a_block_that_is_not_the_snapshots_top():
+    _, decision, prios = make_round()
+    lowest = sorted(prios, key=prios.get)[:12]
+    # pack_block lays the 12 lowest-priority transactions out as it would the top 12
+    block, _, _ = make_round(only=set(lowest))
+    assert sorted(tx.id for tx in block.body) == sorted(lowest)
+    assert verify_block(block, decision, prios) == (
+        False, "body is not the snapshot's top 12 by priority")
+    # a body short of min(capacity, snapshot) is refused too
+    honest, _, _ = make_round()
+    body = honest.body[:11]
+    short = Block(dataclasses.replace(honest.header, merkle_root=merkle_root(body)), body)
+    assert verify_block(short, decision, prios)[1] == (
+        "body is not the snapshot's top 12 by priority")
+    # with more room than transactions, the whole snapshot is the top
+    roomy, _, _ = make_round(capacity=50)
+    assert len(roomy.body) == 40
+    assert verify_block(roomy, decision, prios) == (True, "")
 
 
 def find_reorderable_segment(block, prios):
