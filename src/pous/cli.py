@@ -415,10 +415,11 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     each comparison selects fresh labels and evaluates the circuit.
     Beside the wall time, an ``eval`` row counts its work: the gates
     evaluated and the row pads the evaluator hashes (``ROW_TRIES`` per
-    gate), which do not vary run to run. Real transfer sessions are
-    timed separately on the small group, and vote-matrix bytes are
-    reported from actual serializations under the capability-bounded
-    mining budget; neither evaluates gates.
+    gate), which do not vary run to run. The ``ot`` row times 64 real
+    transfers on the small group as 8 batches of 8, one batch per width-8
+    comparison. Vote-matrix bytes are reported from actual serializations
+    under the capability-bounded mining budget. Neither row evaluates
+    gates.
     """
     rows = []
     backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed)
@@ -439,13 +440,13 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         })
 
     ot = garbled.DiffieHellmanOT(garbled.FAST_GROUP)
-    k0, k1 = bytes(16), bytes(range(16))
+    pairs, bits = [(bytes(16), bytes(range(16)))] * 8, [i & 1 for i in range(8)]
     start = time.perf_counter()
-    sessions = 64
-    for i in range(sessions):
-        ot.exchange(k0, k1, i & 1)
+    batches = 8
+    for _ in range(batches):
+        ot.exchange(pairs, bits)
     rows.append({
-        "series": "ot", "data_bytes": 0, "comparisons": sessions,
+        "series": "ot", "data_bytes": 0, "comparisons": batches * len(bits),
         "seconds": time.perf_counter() - start, "approvals": 0, "gates": 0, "row_pads": 0,
         "users": 0,
     })

@@ -39,18 +39,21 @@ Construction notes:
   check on the bytes can tell. Stopping it takes a construction secure
   against a malicious generator, such as cut-and-choose (Lindell and
   Pinkas, EUROCRYPT 2007).
-* The evaluator's input labels travel through 1-of-2 oblivious transfer:
-  either a Diffie-Hellman transfer over a safe-prime group, or a trusted
-  dealer stand-in with the same interface. The dealer is the default
-  OT of :func:`secure_compare` and :class:`GarbledCompareBackend`, so
-  their default path runs no real transfer (ROADMAP.md plans to make
-  the DH transfer that default); the simulator runs no transfer and
-  charges the DH transfer's bytes. The DH transfer uses one sender
-  exponent for both ciphertexts (Naor and Pinkas, SODA 2001) and an
-  inverse-free receiver key ``g^x * C^bit`` (Chou and Orlandi,
-  LATINCRYPT 2015). It costs two variable-base exponentiations, four
-  fixed-base powers of g and no inverse, and it sends three group
-  elements; none of it is constant-time.
+* The evaluator's input labels travel through 1-of-2 oblivious transfer,
+  one batch per comparison: either a Diffie-Hellman transfer over a
+  safe-prime group, or a trusted dealer stand-in with the same
+  interface. The dealer is the default OT of :func:`secure_compare` and
+  :class:`GarbledCompareBackend`, so their default path runs no real
+  transfer (ROADMAP.md plans to make the DH transfer that default); the
+  simulator runs no transfer and charges the DH transfer's bytes. The DH
+  transfer is Chou and Orlandi's "simplest OT" (LATINCRYPT 2015) with
+  one sender element per batch. A batch costs two fixed-base powers of
+  g, one element on the wire and, from six transfers on, a short-lived
+  fixed-base table of that element. Each transfer costs a power of g,
+  one variable-base exponentiation, the receiver's key off that table
+  (builtin ``pow`` in a shorter batch), one element and two labels on
+  the wire, and no inverse. Like the comparator it is secure against a
+  semi-honest party only, and none of it is constant-time.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes; an
@@ -440,15 +443,41 @@ def decode_output(circuit: GarbledCircuit, label: bytes) -> int:
 # oblivious transfer
 
 
+def _power_table(base: int, p: int, rows: int, radix: int) -> tuple[tuple[int, ...], ...]:
+    """Fixed-base table mod ``p``: row i holds base**(d * radix**i) for
+    d = 1 .. radix - 1, so a power of ``base`` with ``rows`` radix digits
+    costs one modular product per nonzero digit (Brickell, Gordon,
+    McCurley and Wilson, EUROCRYPT 1992; Lim and Lee, CRYPTO 1994)."""
+    table = []
+    for _ in range(rows):
+        row = [base]
+        for _ in range(radix - 2):
+            row.append(row[-1] * base % p)
+        table.append(tuple(row))
+        base = row[-1] * base % p  # this row's base to the radix: the next row's
+    return tuple(table)
+
+
+def _table_pow(table: tuple[tuple[int, ...], ...], digits: bytes, p: int) -> int:
+    """The power whose radix digits, least significant first, are ``digits``."""
+    acc = 1
+    for row, digit in zip(table, digits):
+        if digit:
+            acc = acc * row[digit - 1] % p
+    return acc
+
+
+# hex characters to their values, so format(e, "x") yields radix-16 digits
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 @dataclass(frozen=True)
 class OTGroup:
     """Prime-order subgroup of Z_p* (p safe prime, g generates order q).
 
     :meth:`pow_g` reads powers of the fixed generator off a radix-256
-    table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Lim
-    and Lee, CRYPTO 1994): row i holds g**(d * 256**i) for d = 1..255,
-    one row per byte of q. The table is built on the first call and
-    kept for the group's lifetime.
+    :func:`_power_table`, one row per byte of q. The table is built on
+    the first call and kept for the group's lifetime.
     """
 
     p: int
@@ -464,23 +493,13 @@ class OTGroup:
 
     @functools.cached_property
     def _g_table(self) -> tuple[tuple[int, ...], ...]:
-        p, base, rows = self.p, self.g, []
-        for _ in range((self.q.bit_length() + 7) // 8):
-            row = [base]
-            for _ in range(254):
-                row.append(row[-1] * base % p)
-            rows.append(tuple(row))
-            base = row[-1] * base % p  # this row's base to the 256th: the next row's
-        return tuple(rows)
+        return _power_table(self.g, self.p, (self.q.bit_length() + 7) // 8, 256)
 
     def pow_g(self, e: int) -> int:
         """``pow(g, e, p)``: one modular product per nonzero byte of
         ``e mod q``, which names the same power because g has order q."""
-        table, p, acc = self._g_table, self.p, 1
-        for row, digit in zip(table, (e % self.q).to_bytes(len(table), "little")):
-            if digit:
-                acc = acc * row[digit - 1] % p
-        return acc
+        table = self._g_table
+        return _table_pow(table, (e % self.q).to_bytes(len(table), "little"), self.p)
 
 
 # 768-bit MODP safe-prime group (RFC 2409 section 6.1); g=2 generates
@@ -511,7 +530,7 @@ FAST_GROUP = OTGroup(
 
 @dataclass
 class OTTranscript:
-    """Wire messages of one transfer, as (sender_tag, payload) pairs."""
+    """Wire messages of one batch of transfers, as (sender_tag, payload) pairs."""
 
     messages: list[tuple[str, bytes]] = field(default_factory=list)
 
@@ -525,37 +544,71 @@ class OTTranscript:
         return sum(len(p) for _, p in self.messages)
 
 
-def _hash_to_key(group: OTGroup, x: int, slot: int) -> bytes:
-    return hashlib.sha256(group.encode(x) + bytes([slot])).digest()[:LABEL_BYTES]
+def _check_batch(pairs: Sequence[tuple[bytes, bytes]], bits: Sequence[int]) -> None:
+    """Refuse a batch that is empty, whose pairs and bits differ in
+    number, or that holds a bit other than 0 and 1 or a payload that is
+    not a wire label."""
+    if not bits:
+        raise RejectedInputError("an OT batch needs at least one transfer")
+    if len(pairs) != len(bits):
+        raise RejectedInputError(f"{len(pairs)} label pairs but {len(bits)} choice bits")
+    for i, (pair, bit) in enumerate(zip(pairs, bits)):
+        if bit not in (0, 1):
+            raise RejectedInputError(f"choice bit {bit!r} at transfer {i}")
+        if len(pair) != 2 or any(len(m) != LABEL_BYTES for m in pair):
+            raise RejectedInputError(f"OT payloads at transfer {i} must be two wire labels")
+
+
+def _hash_to_key(group: OTGroup, x: int, index: int, slot: int) -> bytes:
+    return hashlib.sha256(group.encode(x) + struct.pack(">IB", index, slot)).digest()[:LABEL_BYTES]
+
+
+# From this many transfers on, the receiver reads its keys A^x off a
+# radix-16 table of A; in shorter batches builtin pow is as fast (both
+# groups cross over at 5 to 6 transfers on a 2-core x86-64, Python 3.11).
+_TABLE_MIN_BATCH = 6
 
 
 class DiffieHellmanOT:
-    """1-of-2 oblivious transfer over a prime-order group, with one
-    sender exponent for both ciphertexts (Naor and Pinkas, SODA 2001)
-    and an inverse-free receiver key (Chou and Orlandi, LATINCRYPT 2015).
+    """Batched 1-of-2 oblivious transfer over a prime-order group: the
+    "simplest OT" of Chou and Orlandi (LATINCRYPT 2015), with one sender
+    element for the whole batch.
 
-    The sender sends ``C = g^z``. The receiver sends ``B = g^x * C^bit``,
-    computed as ``g^x`` times 1 or ``C``, so both bits take the same
-    operations. The sender draws one ``r`` and sends ``u = g^r`` with
-    ``m0 ^ H(B^r, 0)`` and ``m1 ^ H((B/C)^r, 1)``; it gets the second key
-    as ``B^r * g^(-z*r)`` without inverting anything, because it knows
-    ``z``. The receiver's own key is ``u^x = g^(x*r)``.
+    The sender draws ``a`` and sends ``A = g^a``. For transfer i the
+    receiver draws ``x_i`` and sends ``B_i = g^x_i * A^c_i``, computed as
+    ``g^x_i`` times 1 or ``A``, so both bits take the same operations.
+    The sender sends ``m0 ^ H(B_i^a, i, 0)`` and ``m1 ^ H(B_i^a * T, i, 1)``,
+    where ``T = A^-a`` is ``g^(-a*a)``: one power of g per batch and no
+    inverse. The receiver's key ``A^x_i`` is the chosen side's key.
 
-    * The choice bit is hidden: ``B`` is uniform in the group for either
-      bit, so the sender learns nothing from it.
-    * The other label is hidden: the other key differs from ``u^x`` by a
-      factor of ``C^r`` or ``C^-r``, and ``C^r`` is the Diffie-Hellman
-      value of ``C`` and ``u``, which the receiver cannot compute
-      (computational Diffie-Hellman, in the random-oracle model for H).
+    * The choice bit is hidden: ``B_i`` is uniform in the group for
+      either bit, so the sender learns nothing from it.
+    * The other label is hidden: the other key is the receiver's key
+      times ``A^a`` or ``A^-a``, and ``A^a = g^(a*a)`` is what the
+      receiver cannot compute from ``A`` (computational Diffie-Hellman,
+      in the random-oracle model for H).
+    * The index i inside H keeps the transfers of one batch apart, so
+      equal pairs at two positions encrypt under different keys.
+    * It is secure against a semi-honest party only: neither side checks
+      what the other sends. A sender whose ``A`` is ``p - 1``, outside
+      the order-q subgroup, reads every choice bit off whether ``B_i``
+      is a quadratic residue.
 
-    Per transfer: two variable-base exponentiations (``B^r``, ``u^x``),
-    four powers of g, no inverse, three exponent draws and three group
-    elements on the wire. Exponents come from the operating system's
-    cryptographic source unless a (seeded, reproducible) ``rng`` is
-    injected. Powers of g come from the group's fixed-base table
-    (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB for
-    ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Neither the table
-    lookups nor the builtin ``pow`` is constant-time.
+    Per batch: one exponent draw, two powers of g (``A`` and ``T``), one
+    group element on the wire, and, from ``_TABLE_MIN_BATCH`` transfers
+    on, one radix-16 :func:`_power_table` of ``A`` that lives only for
+    the batch (960 products on ``FAST_GROUP``, 2,880 on
+    ``DEFAULT_GROUP``). Per transfer: one exponent draw, one power of g,
+    one variable-base exponentiation (``B_i^a``), the receiver key
+    ``A^x_i`` (one product per nonzero hex digit of ``x_i`` off the
+    table, or builtin ``pow`` in a shorter batch), three hashes, and one
+    group element and two labels on the wire. Exponents come from the
+    operating system's cryptographic source unless a (seeded,
+    reproducible) ``rng`` is injected. Powers of g come from the group's
+    fixed-base table (:meth:`OTGroup.pow_g`), built on the first
+    exchange: 0.5 MiB for ``FAST_GROUP`` and 3.2 MiB for
+    ``DEFAULT_GROUP``. Neither the table lookups nor the builtin ``pow``
+    is constant-time.
     """
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
@@ -565,51 +618,63 @@ class DiffieHellmanOT:
     def _rand_exp(self) -> int:
         return self._rng.randrange(1, self.group.q)
 
-    def exchange(self, m0: bytes, m1: bytes, bit: int) -> tuple[bytes, OTTranscript]:
-        if bit not in (0, 1):
-            raise RejectedInputError(f"choice bit {bit}")
-        if len(m0) != LABEL_BYTES or len(m1) != LABEL_BYTES:
-            raise RejectedInputError("OT payloads must be wire labels")
-        p, grp = self.group.p, self.group
+    def exchange(
+        self, pairs: Sequence[tuple[bytes, bytes]], bits: Sequence[int]
+    ) -> tuple[list[bytes], OTTranscript]:
+        """Transfer ``pairs[i][bits[i]]`` for every i, in one batch.
+        Returns the received labels and the batch's wire messages."""
+        _check_batch(pairs, bits)
+        grp, p = self.group, self.group.p
         t = OTTranscript()
-        # sender: random element of unknown dlog to the receiver
-        z = self._rand_exp()
-        c = grp.pow_g(z)
-        t.messages.append(("sender", grp.encode(c)))
-        # receiver: g^x on the chosen side, shifted by c when bit is 1
-        x = self._rand_exp()
-        b = grp.pow_g(x) * (1, c)[bit] % p
-        t.messages.append(("receiver", grp.encode(b)))
-        # sender: one r for both keys, b^r and (b/c)^r = b^r * g^(-z*r)
-        r = self._rand_exp()
-        u = grp.pow_g(r)
-        s0 = pow(b, r, p)
-        s1 = s0 * grp.pow_g(-z * r) % p
-        cts = (_xor(m0, _hash_to_key(grp, s0, 0)), _xor(m1, _hash_to_key(grp, s1, 1)))
-        t.messages.append(("sender", grp.encode(u) + cts[0] + cts[1]))
-        # receiver decrypts its side
-        out = _xor(cts[bit], _hash_to_key(grp, pow(u, x, p), bit))
+        # sender: one element of unknown dlog to the receiver for the batch
+        a = self._rand_exp()
+        big_a = grp.pow_g(a)
+        t.messages.append(("sender", grp.encode(big_a)))
+        # receiver: g^x on the chosen side, shifted by A when the bit is 1
+        xs = [self._rand_exp() for _ in bits]
+        bs = [grp.pow_g(x) * (1, big_a)[bit] % p for x, bit in zip(xs, bits)]
+        t.messages.append(("receiver", b"".join(map(grp.encode, bs))))
+        # sender: B^a and (B/A)^a = B^a * T per transfer, with T = g^(-a*a)
+        big_t = grp.pow_g(-a * a)
+        cts = []
+        for i, ((m0, m1), b) in enumerate(zip(pairs, bs)):
+            s = pow(b, a, p)
+            cts.append((_xor(m0, _hash_to_key(grp, s, i, 0)),
+                        _xor(m1, _hash_to_key(grp, s * big_t % p, i, 1))))
+        t.messages.append(("sender", b"".join(c for pair in cts for c in pair)))
+        # receiver: its key A^x, then the side its bit chose
+        if len(bits) >= _TABLE_MIN_BATCH:
+            table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
+            keys = [_table_pow(table, format(x, "x")[::-1].encode().translate(_HEX_DIGITS), p)
+                    for x in xs]
+        else:
+            keys = [pow(big_a, x, p) for x in xs]
+        out = [_xor(cts[i][bit], _hash_to_key(grp, k, i, bit))
+               for i, (k, bit) in enumerate(zip(keys, bits))]
         return out, t
 
-    def transfer_bytes(self) -> int:
+    def transfer_bytes(self, n: int) -> int:
+        """Bytes a batch of ``n`` transfers moves: ``A``, then one ``B_i``
+        and two ciphertexts per transfer."""
         e = self.group.element_bytes
-        return 3 * e + 2 * LABEL_BYTES
+        return e + n * (e + 2 * LABEL_BYTES)
 
 
 class TrustedDealerOT:
     """Dealer stand-in with the same interface: it hands over the chosen
-    message and moves one byte. It is the default OT of
+    messages and moves one byte per transfer. It is the default OT of
     :func:`secure_compare` and :class:`GarbledCompareBackend`, which
     therefore hide no choice bit unless given a :class:`DiffieHellmanOT`."""
 
-    def exchange(self, m0: bytes, m1: bytes, bit: int) -> tuple[bytes, OTTranscript]:
-        if bit not in (0, 1):
-            raise RejectedInputError(f"choice bit {bit}")
-        t = OTTranscript(messages=[("dealer", b"\x00")])
-        return (m0, m1)[bit], t
+    def exchange(
+        self, pairs: Sequence[tuple[bytes, bytes]], bits: Sequence[int]
+    ) -> tuple[list[bytes], OTTranscript]:
+        _check_batch(pairs, bits)
+        out = [pair[bit] for pair, bit in zip(pairs, bits)]
+        return out, OTTranscript(messages=[("dealer", bytes(len(bits)))])
 
-    def transfer_bytes(self) -> int:
-        return 1
+    def transfer_bytes(self, n: int) -> int:
+        return n
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +683,16 @@ class TrustedDealerOT:
 
 def comparison_bytes(bitwidth: int, ot) -> int:
     """Bytes one comparison moves besides the circuit: the generator's
-    active labels plus one transfer per evaluator bit."""
-    return bitwidth * (LABEL_BYTES + ot.transfer_bytes())
+    active labels plus one batch of transfers, one per evaluator bit."""
+    return bitwidth * LABEL_BYTES + ot.transfer_bytes(bitwidth)
 
 
 def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float, ot) -> int:
-    """Encode both values, fetch the evaluator's labels bit by bit through
-    OT (it never sees the generator's key table), evaluate and decode."""
+    """Encode both values, fetch the evaluator's labels in one OT batch
+    (it never sees the generator's key table), evaluate and decode."""
     circuit = template.circuit
     a, b = (FixedPoint.encode(v, circuit.bitwidth) for v in (gen_value, eval_value))
-    eval_labels = [ot.exchange(*k, bit)[0] for k, bit in zip(template.eval_keys, b.bits_lsb())]
+    eval_labels, _ = ot.exchange(template.eval_keys, b.bits_lsb())
     out = eval_circuit(circuit, select_input_labels(template.gen_keys, a), eval_labels)
     return decode_output(circuit, out)
 
@@ -676,7 +741,7 @@ class GarbledCompareBackend:
 
     The template is garbled once (per epoch) and serves every compare:
     the library's one place that reuses a garbled circuit. Each compare
-    ships fresh active labels and runs OT per evaluator bit.
+    ships fresh active labels and runs one OT batch for the evaluator's bits.
     """
 
     def __init__(self, theta: float, bitwidth: int = 16, seed: int = 0, ot=None):

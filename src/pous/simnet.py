@@ -292,9 +292,9 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     Every ordered (voter, candidate) pair compares the common prefix of
     their budgeted pair sequences, two matrix slots per user pair.
     Evaluation time is gates times rows decrypted per gate times the hash
-    cost; bytes cover generator labels, the transfer transcript per evaluator
-    bit, and the per-epoch circuit shipment amortized over the
-    rotation period.
+    cost; bytes cover generator labels, one transfer batch per comparison
+    (a transfer per evaluator bit), and the per-epoch circuit shipment
+    amortized over the rotation period.
     """
     max_b = int(budgets.max()) if len(budgets) else 0
     if max_b == 0:

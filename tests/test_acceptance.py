@@ -151,7 +151,7 @@ def test_criterion_5_oblivious_transfer():
     for session in range(1000):
         m0, m1 = payload_rng.randbytes(16), payload_rng.randbytes(16)
         bit = session & 1
-        out, transcript = ot.exchange(m0, m1, bit)
+        (out,), transcript = ot.exchange([(m0, m1)], [bit])  # a batch of one
         if out != (m0, m1)[bit]:
             wrong += 1
         counts[bit][transcript.receiver_message()[0] >> 5] += 1

@@ -940,17 +940,17 @@ GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
     "comparator_size(16)": (296, 23975),
-    "comparison_bytes(16, DEFAULT_GROUP)": 5376,
+    "comparison_bytes(16, DEFAULT_GROUP)": 2400,
 }
 
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "a293a322be87afa503c10d9303b3e7018b342fc5fb22cbbda20a4c5c025ddb1f"),
+     "b6c4a851dc491ced0fc565ec7c3592d1ce5bed4f5af158adc674a2da9e224c05"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "5ddbdf1027fb934da6a10756cfd9606b41df1164529236060943d864b19dc136"),
+     "6c38ac50533457252d7d2a6fd8a98cc99fdd01f6c7e6279d0865d756d328b4cb"),
 ]
 
 
@@ -1003,10 +1003,12 @@ def test_crypto_cost_factors_move_only_the_pous_crypto_columns(tmp_path, capsys,
             return list(csv.DictReader(fh))
 
     live = cells(tmp_path / "live")
-    # rows per gate under trial decryption, and four group elements per transfer
+    # rows per gate under trial decryption, and a batch that sends two
+    # group elements per transfer
     monkeypatch.setattr(garbled, "ROW_TRIES", 2.5)
     monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes",
-                        lambda ot: 4 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES)
+                        lambda ot, n: ot.group.element_bytes
+                        + n * (2 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES))
     moved = cells(tmp_path / "moved")
     assert len(live) == len(moved) == 10
     for a, b in zip(live, moved):

@@ -58,16 +58,16 @@ def decrypt_row(row, ka, kb, gate_index, slot):
 
 
 class RecordingOT(DiffieHellmanOT):
-    """DH transfer that keeps the transcript of every exchange."""
+    """DH transfer that keeps the transcript of every batch."""
 
     def __init__(self, group, rng=None):
         super().__init__(group, rng=rng)
         self.transcripts = []
 
-    def exchange(self, m0, m1, bit):
-        label, transcript = super().exchange(m0, m1, bit)
+    def exchange(self, pairs, bits):
+        labels, transcript = super().exchange(pairs, bits)
         self.transcripts.append(transcript)
-        return label, transcript
+        return labels, transcript
 
 
 def permute_bit(label):
@@ -621,26 +621,32 @@ def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit)
 # oblivious transfer
 
 
+def one(ot, m0, m1, bit):
+    """A batch of one transfer: the received label and the transcript."""
+    (out,), transcript = ot.exchange([(m0, m1)], [bit])
+    return out, transcript
+
+
 def test_ot_returns_chosen_label():
     ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(1))
     m0, m1 = bytes(range(16)), bytes(range(16, 32))
-    out0, _ = ot.exchange(m0, m1, 0)
-    out1, _ = ot.exchange(m0, m1, 1)
-    assert out0 == m0
-    assert out1 == m1
+    assert one(ot, m0, m1, 0)[0] == m0
+    assert one(ot, m0, m1, 1)[0] == m1
+    assert ot.exchange([(m0, m1)] * 8, [0, 1] * 4)[0] == [m0, m1] * 4
 
 
 def test_ot_default_rng_is_cryptographic():
     ot = DiffieHellmanOT(FAST_GROUP)
     assert isinstance(ot._rng, secrets.SystemRandom)
     m0, m1 = bytes(range(16)), bytes(range(16, 32))
-    assert ot.exchange(m0, m1, 1)[0] == m1
+    assert one(ot, m0, m1, 1)[0] == m1
 
 
 def test_ot_default_group_works():
     ot = DiffieHellmanOT(DEFAULT_GROUP, rng=random.Random(2))
     m0, m1 = b"a" * 16, b"b" * 16
-    assert ot.exchange(m0, m1, 1)[0] == m1
+    assert one(ot, m0, m1, 1)[0] == m1
+    assert ot.exchange([(m0, m1)] * 8, [1, 0] * 4)[0] == [m1, m0] * 4
 
 
 def test_ot_groups_are_safe_prime():
@@ -651,59 +657,100 @@ def test_ot_groups_are_safe_prime():
 
 
 def test_ot_many_runs_never_leak_other_label():
+    # batch lengths 1..16 cover the receiver's builtin-pow and table paths
     ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(3))
     rng = random.Random(4)
-    for _ in range(300):
-        m0 = rng.randbytes(16)
-        m1 = rng.randbytes(16)
-        bit = rng.randrange(2)
-        out, _ = ot.exchange(m0, m1, bit)
-        assert out == (m0, m1)[bit]
-        assert out != (m1, m0)[bit]
+    for _ in range(40):
+        n = rng.randrange(1, 17)
+        pairs = [(rng.randbytes(16), rng.randbytes(16)) for _ in range(n)]
+        bits = [rng.randrange(2) for _ in range(n)]
+        out, _ = ot.exchange(pairs, bits)
+        assert out == [pair[bit] for pair, bit in zip(pairs, bits)]
+        assert all(label != pair[1 - bit] for label, pair, bit in zip(out, pairs, bits))
 
 
 def test_ot_transcript_bytes_match_analytic():
-    for grp in (DEFAULT_GROUP, FAST_GROUP):
-        ot = DiffieHellmanOT(grp, rng=random.Random(5))
-        _, tr = ot.exchange(b"x" * 16, b"y" * 16, 0)
-        e = grp.element_bytes
-        assert ot.transfer_bytes() == 3 * e + 2 * LABEL_BYTES
-        assert tr.total_bytes() == ot.transfer_bytes()
+    # A, then one B_i and two ciphertexts per transfer; the dealer's one byte per transfer
+    cases = [(DiffieHellmanOT(grp, rng=random.Random(5)),
+              lambda n, e=grp.element_bytes: e + n * (e + 2 * LABEL_BYTES))
+             for grp in (DEFAULT_GROUP, FAST_GROUP)] + [(TrustedDealerOT(), lambda n: n)]
+    for ot, analytic in cases:
+        for n in (1, 8, 16):
+            _, tr = ot.exchange([(b"x" * 16, b"y" * 16)] * n, [0] * n)
+            assert tr.total_bytes() == ot.transfer_bytes(n) == analytic(n)
 
 
 @pytest.mark.parametrize("bit", [0, 1])
 def test_ot_transcript_layout(bit):
     for grp in (DEFAULT_GROUP, FAST_GROUP):
-        _, tr = DiffieHellmanOT(grp, rng=random.Random(5)).exchange(b"x" * 16, b"y" * 16, bit)
-        e = grp.element_bytes
-        assert [(who, len(payload)) for who, payload in tr.messages] == [
-            ("sender", e), ("receiver", e), ("sender", e + 2 * LABEL_BYTES)]
+        for n in (1, 8):
+            _, tr = DiffieHellmanOT(grp, rng=random.Random(5)).exchange(
+                [(b"x" * 16, b"y" * 16)] * n, [bit] * n)
+            e = grp.element_bytes
+            assert [(who, len(payload)) for who, payload in tr.messages] == [
+                ("sender", e), ("receiver", n * e), ("sender", n * 2 * LABEL_BYTES)]
 
 
 @pytest.mark.parametrize("grp", [FAST_GROUP, DEFAULT_GROUP], ids=["fast", "default"])
 def test_ot_second_key_needs_no_inverse(grp):
-    # the sender's (B/C)^r, from B^r and a power of g it can compute because it knows z
+    # the sender's (B/A)^a, from B^a and a power of g it can compute because it knows a
     rng = random.Random(41)
     p = grp.p
     for _ in range(50):
-        z, r = rng.randrange(1, grp.q), rng.randrange(1, grp.q)
-        c = pow(grp.g, z, p)
+        a = rng.randrange(1, grp.q)
+        big_a = pow(grp.g, a, p)
         for b in (pow(grp.g, rng.randrange(1, grp.q), p), rng.randrange(1, p)):
-            s0 = pow(b, r, p)
-            assert s0 * grp.pow_g(-z * r) % p == pow(b * pow(c, -1, p), r, p)
+            s0 = pow(b, a, p)
+            assert s0 * grp.pow_g(-a * a) % p == pow(b * pow(big_a, -1, p), a, p)
+
+
+class Scripted:
+    """An rng that hands out the given exponents in order."""
+
+    def __init__(self, *exponents):
+        self._next = iter(exponents).__next__
+
+    def randrange(self, *args):
+        return self._next()
+
+
+def test_ot_identical_pairs_encrypt_differently_at_each_index():
+    # one sender exponent serves the batch; with one receiver exponent
+    # repeated, every B_i is equal, so only the index in H keeps the
+    # positions' keys apart
+    m0, m1 = b"m" * 16, b"n" * 16
+    for n in (2, 8):
+        ot = DiffieHellmanOT(FAST_GROUP, rng=Scripted(12345, *[678] * n))
+        out, tr = ot.exchange([(m0, m1)] * n, [1] * n)
+        assert out == [m1] * n
+        bs, e = tr.receiver_message(), FAST_GROUP.element_bytes
+        assert len(set(bs[o:o + e] for o in range(0, len(bs), e))) == 1
+        cts = tr.messages[-1][1]
+        chunks = [cts[o:o + LABEL_BYTES] for o in range(0, len(cts), LABEL_BYTES)]
+        assert len(chunks) == 2 * n and len(set(chunks)) == 2 * n
 
 
 def test_ot_receiver_message_independent_of_bit():
-    from scipy.stats import chi2_contingency
+    # every B_i of 100 batches of 16 transfers, by its top three bits: the
+    # two bits' counts agree with each other and with a uniform element of [1, p)
+    from scipy.stats import chi2_contingency, chisquare
 
+    p, rows = FAST_GROUP.p, 8
+    e = FAST_GROUP.element_bytes
     ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(6))
-    counts = [[0] * 8, [0] * 8]
-    for bit in (0, 1):
-        for _ in range(800):
-            _, tr = ot.exchange(b"m" * 16, b"n" * 16, bit)
-            counts[bit][tr.receiver_message()[0] >> 5] += 1
-    _, p, _, _ = chi2_contingency(counts)
-    assert p > 0.01
+    bit_rng = random.Random(7)
+    counts = [[0] * rows, [0] * rows]
+    for _ in range(100):
+        bits = [bit_rng.randrange(2) for _ in range(16)]
+        _, tr = ot.exchange([(b"m" * 16, b"n" * 16)] * 16, bits)
+        msg = tr.receiver_message()
+        for i, bit in enumerate(bits):
+            counts[bit][msg[i * e] >> 5] += 1
+    width = 1 << (8 * e - 3)
+    share = [(min(p, (k + 1) * width) - k * width) / p for k in range(rows)]
+    for row in counts:
+        assert chisquare(row, [s * sum(row) for s in share]).pvalue > 0.01
+    assert chi2_contingency(counts)[1] > 0.01
 
 
 @pytest.mark.parametrize("grp", [FAST_GROUP, DEFAULT_GROUP], ids=["fast", "default"])
@@ -711,56 +758,70 @@ def test_pow_g_matches_builtin_pow(grp):
     digits = (grp.q.bit_length() + 7) // 8
     boundaries = [(1 << (8 * k)) + d for k in range(1, digits + 1) for d in (-1, 1)]
     rng = random.Random(31)
-    exponents = ([0, 1, 255, 256, grp.q - 1, grp.q, grp.q + 1] + boundaries
+    exponents = ([0, 1, 15, 16, 255, 256, grp.q - 1, grp.q, grp.q + 1] + boundaries
                  + [rng.randrange(1, grp.q) for _ in range(200)])
     for e in exponents:
         assert grp.pow_g(e) == pow(grp.g, e, grp.p), e
     table = vars(grp)["_g_table"]
     assert len(table) == digits
     assert all(len(row) == 255 for row in table)
+    # the receiver's radix-16 table of A, from the same _power_table, read by hex digit
+    base = grp.pow_g(rng.randrange(1, grp.q))
+    rows = -(-grp.q.bit_length() // 4)
+    table16 = garbled._power_table(base, grp.p, rows, 16)
+    assert len(table16) == rows and all(len(row) == 15 for row in table16)
+    for e in (e for e in exponents if e < 16 ** rows):
+        hex_digits = format(e, "x")[::-1].encode().translate(garbled._HEX_DIGITS)
+        assert garbled._table_pow(table16, hex_digits, grp.p) == pow(base, e, grp.p), e
 
 
-def reference_exchange(grp, rng, m0, m1, bit):
-    """The shared-randomness transfer re-derived slowly: builtin pow for
-    every power, a Fermat inverse for the second key, the same three rng
-    draws in the same order. Returns the wire messages."""
+def reference_exchange(grp, rng, pairs, bits):
+    """The shared-randomness batch re-derived slowly: builtin pow for
+    every power, a Fermat inverse of A for the second keys, the same rng
+    draws in the same order (a, then one x per transfer). Returns the
+    wire messages."""
     p, g, e = grp.p, grp.g, grp.element_bytes
 
-    def key(s, slot):
-        return hashlib.sha256(s.to_bytes(e, "big") + bytes([slot])).digest()[:LABEL_BYTES]
+    def key(s, index, slot):
+        return hashlib.sha256(s.to_bytes(e, "big") + index.to_bytes(4, "big")
+                              + bytes([slot])).digest()[:LABEL_BYTES]
 
     def xor(a, b):
         return bytes(x ^ y for x, y in zip(a, b))
 
-    z = rng.randrange(1, grp.q)
-    c = pow(g, z, p)
-    x = rng.randrange(1, grp.q)
-    b = pow(g, x, p) * pow(c, bit, p) % p
-    r = rng.randrange(1, grp.q)
-    u = pow(g, r, p)
-    k0, k1 = key(pow(b, r, p), 0), key(pow(b * pow(c, p - 2, p) % p, r, p), 1)
-    assert key(pow(u, x, p), bit) == (k0, k1)[bit]
-    return [("sender", c.to_bytes(e, "big")), ("receiver", b.to_bytes(e, "big")),
-            ("sender", u.to_bytes(e, "big") + xor(m0, k0) + xor(m1, k1))]
+    a = rng.randrange(1, grp.q)
+    big_a = pow(g, a, p)
+    xs = [rng.randrange(1, grp.q) for _ in bits]
+    bs = [pow(g, x, p) * pow(big_a, bit, p) % p for x, bit in zip(xs, bits)]
+    a_inv = pow(big_a, p - 2, p)
+    cts = b""
+    for i, ((m0, m1), b, x, bit) in enumerate(zip(pairs, bs, xs, bits)):
+        k0, k1 = key(pow(b, a, p), i, 0), key(pow(b * a_inv % p, a, p), i, 1)
+        assert key(pow(big_a, x, p), i, bit) == (k0, k1)[bit]
+        cts += xor(m0, k0) + xor(m1, k1)
+    return [("sender", big_a.to_bytes(e, "big")),
+            ("receiver", b"".join(b.to_bytes(e, "big") for b in bs)), ("sender", cts)]
 
 
 def test_ot_transcripts_are_pinned():
-    """Every message of seeded exchanges, 200 on FAST_GROUP then 20 on
-    DEFAULT_GROUP, each with fresh rngs, equals the reference transfer's;
-    the digest is sha256 over who + payload of all of them."""
+    """Every message of seeded batches, of 1, 8 and 16 transfers ten
+    times over on FAST_GROUP then twice over on DEFAULT_GROUP, equals
+    the reference batch's; the digest is sha256 over who + payload of
+    all of them."""
     h = hashlib.sha256()
-    for grp, n in ((FAST_GROUP, 200), (DEFAULT_GROUP, 20)):
+    for grp, rounds in ((FAST_GROUP, 10), (DEFAULT_GROUP, 2)):
         ot = DiffieHellmanOT(grp, rng=random.Random(11))
         reference_rng = random.Random(11)
         payloads = random.Random(12)
-        for i in range(n):
-            m0, m1 = payloads.randbytes(16), payloads.randbytes(16)
-            out, transcript = ot.exchange(m0, m1, i & 1)
-            assert out == (m0, m1)[i & 1]
-            assert transcript.messages == reference_exchange(grp, reference_rng, m0, m1, i & 1)
+        for n in (1, 8, 16) * rounds:
+            pairs = [(payloads.randbytes(16), payloads.randbytes(16)) for _ in range(n)]
+            bits = [payloads.randrange(2) for _ in range(n)]
+            out, transcript = ot.exchange(pairs, bits)
+            assert out == [pair[bit] for pair, bit in zip(pairs, bits)]
+            assert transcript.messages == reference_exchange(grp, reference_rng, pairs, bits)
             for who, payload in transcript.messages:
                 h.update(who.encode() + payload)
-    assert h.hexdigest() == "98c3ec3a620c556ab38b7dda70362213d4582c2de2985638d7d98f0ddc8c8ae6"
+    assert h.hexdigest() == "f671577c0f05b5539e61732bcedc1461433c7decc57f9752588194e80bb88301"
 
 
 LAZY_TABLE_SCRIPT = """
@@ -775,7 +836,7 @@ garbled.comparison_bytes(16, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
 assert not built(), "comparison_bytes"
 run_pous(SimConfig(n_nodes=8, sim_time=430.0, block_interval=100.0, tx_epoch=100.0))
 assert not built(), "run_pous"
-garbled.DiffieHellmanOT(garbled.FAST_GROUP).exchange(bytes(16), bytes(16), 0)
+garbled.DiffieHellmanOT(garbled.FAST_GROUP).exchange([(bytes(16), bytes(16))], [0])
 assert built() == [garbled.FAST_GROUP], "exchange"
 """
 
@@ -792,21 +853,31 @@ def test_generator_table_is_built_by_the_first_exchange_only():
 
 def test_dealer_ot_same_interface():
     ot = TrustedDealerOT()
-    out, tr = ot.exchange(b"p" * 16, b"q" * 16, 1)
-    assert out == b"q" * 16
-    assert ot.transfer_bytes() == 1
-    assert tr.total_bytes() == 1
+    out, tr = ot.exchange([(b"p" * 16, b"q" * 16), (b"r" * 16, b"s" * 16)], [1, 0])
+    assert out == [b"q" * 16, b"r" * 16]
+    assert ot.transfer_bytes(2) == tr.total_bytes() == 2
     assert tr.receiver_message() == b""  # the dealer's transcript has no receiver
     with pytest.raises(RejectedInputError, match="choice bit"):
-        ot.exchange(b"p" * 16, b"q" * 16, 2)
+        ot.exchange([(b"p" * 16, b"q" * 16)], [2])
 
 
 def test_ot_rejects_bad_bit_and_payload():
-    ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(7))
-    with pytest.raises(RejectedInputError):
-        ot.exchange(b"x" * 16, b"y" * 16, 2)
-    with pytest.raises(RejectedInputError):
-        ot.exchange(b"short", b"y" * 16, 0)
+    label = b"x" * 16
+    cases = [
+        ([(label, label)], [2], "choice bit 2 at transfer 0"),
+        ([(label, label), (label, label)], [0, -1], "choice bit -1 at transfer 1"),
+        ([(b"short", label)], [0], "at transfer 0 must be two wire labels"),
+        ([(label, label + b"y")], [1], "at transfer 0 must be two wire labels"),
+        ([(label, label, label)], [1], "at transfer 0 must be two wire labels"),
+        ([(label, label)] * 2, [0], "2 label pairs but 1 choice bits"),
+        ([(label, label)], [0, 1], "1 label pairs but 2 choice bits"),
+        ([], [], "at least one transfer"),
+    ]
+    # an rng with no exponent to hand out: a draw before the refusal fails
+    for ot in (DiffieHellmanOT(FAST_GROUP, rng=Scripted()), TrustedDealerOT()):
+        for pairs, bits, message in cases:
+            with pytest.raises(RejectedInputError, match=message):
+                ot.exchange(pairs, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +940,7 @@ def test_backend_bytes_are_the_circuit_plus_measured_transcripts():
     rng = random.Random(21)
     for _ in range(n):
         garb.compare(rng.random(), rng.random())
-    assert len(ot.transcripts) == n * w
-    measured = [
-        w * LABEL_BYTES + sum(t.total_bytes() for t in ot.transcripts[i * w:(i + 1) * w])
-        for i in range(n)
-    ]
+    assert len(ot.transcripts) == n  # one batch per comparison
+    measured = [w * LABEL_BYTES + t.total_bytes() for t in ot.transcripts]
     assert len(set(measured)) == 1
     assert garb.bytes_moved == len(garb.template.circuit.serialize()) + n * measured[0]

@@ -214,16 +214,16 @@ def test_round_costs_zero_budgets():
 
 
 class RecordingOT(DiffieHellmanOT):
-    """DH transfer that keeps the transcript of every exchange."""
+    """DH transfer that keeps the transcript of every batch."""
 
     def __init__(self, group):
         super().__init__(group)
         self.transcripts = []
 
-    def exchange(self, m0, m1, bit):
-        label, transcript = super().exchange(m0, m1, bit)
+    def exchange(self, pairs, bits):
+        labels, transcript = super().exchange(pairs, bits)
         self.transcripts.append(transcript)
-        return label, transcript
+        return labels, transcript
 
 
 def test_round_costs_match_a_real_comparison():
@@ -232,8 +232,8 @@ def test_round_costs_match_a_real_comparison():
     ot = RecordingOT(DEFAULT_GROUP)
     backend = GarbledCompareBackend(0.4, w, seed=3, ot=ot)
     backend.compare(0.3, 0.6)
-    assert len(ot.transcripts) == w
-    one = w * LABEL_BYTES + sum(t.total_bytes() for t in ot.transcripts)
+    assert len(ot.transcripts) == 1  # one batch per comparison
+    one = w * LABEL_BYTES + ot.transcripts[0].total_bytes()
     circuit = backend.template.circuit
     comparisons, seconds, nbytes = _crypto_round_costs(
         np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
