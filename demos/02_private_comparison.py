@@ -9,10 +9,11 @@ labels through 1-of-2 oblivious transfer, one batch per comparison, and
 evaluates blind. A one-off comparison garbles its own circuit with
 secure_compare.
 
-The wiring is public; the circuit's bytes are its labels, rows and
-decode map. The comparator is semi-honest: a generator that garbled
-other tables on the same wiring could read the voter's bits, and the
-evaluator could not tell. What the evaluator does catch is a row that
+The wiring is public and the threshold only picks gate tables, so the
+circuit's bytes are its rows and decode map. The comparator is
+semi-honest: a generator that garbled other tables on the same wiring
+could read the voter's bits or approve every pair, and the evaluator
+could not tell. What the evaluator does catch is a row that
 was altered after garbling.
 """
 import random

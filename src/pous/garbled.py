@@ -3,10 +3,10 @@
 Voting on someone else's similarity matrix must not reveal either side's
 values. The candidate (generator) garbles a fixed comparator circuit
 that answers one question: is ``|a - b| <= theta``? Values are encoded
-as unsigned fixed-point integers; the public threshold is baked into the
-circuit as constant wires. When both sides follow the protocol, the
-voter (evaluator) learns one bit and nothing else and the generator
-learns nothing.
+as unsigned fixed-point integers; the public threshold is folded into
+the truth tables of the gates that compare against it. When both sides
+follow the protocol, the voter (evaluator) learns one bit and nothing
+else and the generator learns nothing.
 
 Construction notes:
 
@@ -30,15 +30,17 @@ Construction notes:
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
   Cryptology 2009). ``_skeleton`` builds it once per width and owns it;
-  a :class:`GarbledCircuit` and its serialized bytes carry only the
-  threshold's active labels, each gate's rows and the output decode map.
+  a :class:`GarbledCircuit` and its serialized bytes carry only each
+  gate's rows and the output decode map. The threshold picks only the
+  truth tables of the gates that compare against it, at garbling time.
 * The comparator is secure against a semi-honest generator only. The
   evaluator cannot see which table a garbled gate computes, so a
   generator that garbles copy gates along the public wiring from an
-  evaluator input bit to the output reads that bit off the vote, and no
-  check on the bytes can tell. Stopping it takes a construction secure
-  against a malicious generator, such as cut-and-choose (Lindell and
-  Pinkas, EUROCRYPT 2007).
+  evaluator input bit to the output reads that bit off the vote, one
+  that garbles the output gate as the constant 1 approves every pair,
+  and no check on the bytes can tell. Stopping them takes a construction
+  secure against a malicious generator, such as cut-and-choose (Lindell
+  and Pinkas, EUROCRYPT 2007).
 * The evaluator's input labels travel through 1-of-2 oblivious transfer,
   one batch per comparison: either a Diffie-Hellman transfer over a
   safe-prime group, or a trusted dealer stand-in with the same
@@ -61,10 +63,13 @@ Construction notes:
   than one bit (Lindell and Pinkas, J. Cryptology 2009), so reuse is
   confined to that class.
 
-The comparator layout: a greater-or-equal ripple over the two inputs
-drives two multiplexer banks that route max and min into a borrow
-subtractor, and a final ripple compares the difference against the
-threshold constants.
+The comparator layout, 7w - 2 gates at width w, from blocks in the style
+of Kolesnikov, Sadeghi and Schneider (CANS 2009): a borrow subtractor
+d = a - b mod 2**w (5w - 3 gates) whose borrow out s is set iff a < b;
+two ripples of one gate per bit against public constants, d <= theta and
+d <= ~theta (w - 1 gates each, bit 0 folded into bit 1's gate); and a
+3-gate select on s. |a - b| is d when a >= b, and 2**w - d when a < b,
+which is within theta iff d > ~theta.
 """
 from __future__ import annotations
 
@@ -150,16 +155,15 @@ def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
 # circuit skeleton and garbling
 
 
-_MAGIC = b"PGC2"
+_MAGIC = b"PGC3"
 _HEAD = len(_MAGIC) + 1  # the magic, then the width byte
 _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 
 
 @dataclass
 class GarbledCircuit:
-    """Everything the evaluator receives besides the public wiring: the
-    threshold wires' active labels, each gate's four rows in wiring
-    order, and the output decode map.
+    """Everything the evaluator receives besides the public wiring: each
+    gate's four rows in wiring order and the output decode map.
 
     The wiring is the width's comparator, ``_skeleton(bitwidth)``, which
     both sides know. Holds only labels and ciphertexts; no similarity
@@ -167,21 +171,20 @@ class GarbledCircuit:
     """
 
     bitwidth: int
-    threshold_labels: tuple[bytes, ...]  # active label per threshold bit, LSB first
     gates: tuple[tuple[bytes, bytes, bytes, bytes], ...]  # four rows per gate
     output_map: dict[bytes, int]
 
     def serialize(self) -> bytes:
-        """The magic, the width byte, the threshold labels, every gate's
-        rows in wiring order, and the two decode-map entries in label order."""
+        """The magic, the width byte, every gate's rows in wiring order,
+        and the two decode-map entries in label order."""
         omap = sorted(self.output_map.items())
-        return b"".join([_MAGIC, bytes([self.bitwidth]), *self.threshold_labels,
+        return b"".join([_MAGIC, bytes([self.bitwidth]),
                          *(row for rows in self.gates for row in rows),
                          *(label + bytes([bit]) for label, bit in omap)])
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
-        """Inverse of :meth:`serialize`. A magic other than ``PGC2``, a
+        """Inverse of :meth:`serialize`. A magic other than ``PGC3``, a
         width outside ``BITWIDTHS``, a length other than that width's
         comparator, and a decode map that is not two distinct labels
         decoding to 0 and 1 in label order raise CorruptedCircuitError."""
@@ -194,10 +197,9 @@ class GarbledCircuit:
         if len(raw) != size:
             raise CorruptedCircuitError(
                 f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is {size}")
-        first_row, omap_at = _HEAD + bitwidth * LABEL_BYTES, size - 2 * _MAP_ENTRY
-        labels = tuple(raw[o:o + LABEL_BYTES] for o in range(_HEAD, first_row, LABEL_BYTES))
+        omap_at = size - 2 * _MAP_ENTRY
         gates = tuple(tuple(raw[r:r + ROW_BYTES] for r in range(g, g + 4 * ROW_BYTES, ROW_BYTES))
-                      for g in range(first_row, omap_at, 4 * ROW_BYTES))
+                      for g in range(_HEAD, omap_at, 4 * ROW_BYTES))
         omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
                 for o in (omap_at, omap_at + _MAP_ENTRY)}
         if len(omap) != 2:
@@ -205,7 +207,7 @@ class GarbledCircuit:
         if sorted(omap.values()) != [0, 1]:
             raise CorruptedCircuitError(
                 f"output map decodes to {sorted(omap.values())}, not 0 and 1")
-        circuit = cls(bitwidth, labels, gates, omap)
+        circuit = cls(bitwidth, gates, omap)
         if circuit.serialize() != raw:
             raise CorruptedCircuitError("output map is not in label order")
         return circuit
@@ -216,7 +218,7 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-@functools.cache  # gate indices stop at the widest comparator's 600 gates
+@functools.cache  # gate indices stop at the widest comparator's 222 gates
 def _tweaks(gate_index: int) -> tuple[bytes, ...]:
     return tuple(struct.pack("<IB", gate_index, slot) for slot in range(4))
 
@@ -233,13 +235,14 @@ def _permute_bit(label: bytes) -> int:
 
 
 def gen_gate(
-    kind: str,
+    table: Sequence[int],
     in1_keys: tuple[bytes, bytes],
     in2_keys: tuple[bytes, bytes],
     out_keys: tuple[bytes, bytes],
     gate_index: int,
 ) -> tuple[bytes, bytes, bytes, bytes]:
-    """Garble one two-input gate into its four rows.
+    """Garble one two-input gate, whose truth table is indexed by
+    2*a + b, into its four rows.
 
     Each of the four input combinations double-encrypts the matching
     output label (tag appended) into the slot its input labels' permute
@@ -248,7 +251,6 @@ def gen_gate(
     p1, p2 = _permute_bit(in1_keys[0]), _permute_bit(in2_keys[0])
     if _permute_bit(in1_keys[1]) == p1 or _permute_bit(in2_keys[1]) == p2:
         raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
-    table = _TABLES[kind]
     plains = [int.from_bytes(k, "big") << _TAG_BITS for k in out_keys]  # label + TAG
     rows: list[bytes] = [b""] * 4
     for a, ka in enumerate(in1_keys):
@@ -259,78 +261,74 @@ def gen_gate(
     return tuple(rows)
 
 
+def _ripple_table(c: int, i: int) -> tuple[int, int, int, int]:
+    """Bit i's table in the ripple ``d <= c`` against the public c, indexed
+    2*d_i + p. p is the verdict v on the bits below, save at bit 1, whose
+    gate reads d_0 and folds in v = (d_0 <= c_0). d_i = 0 holds if c_i or
+    v, d_i = 1 needs both."""
+    ci = c >> i & 1
+    below = (1, c & 1) if i == 1 else (0, 1)  # the verdict on the bits below, by p
+    return tuple(ci & v if di else ci | v for di in (0, 1) for v in below)
+
+
 class _Builder:
     """Accumulates wires/gates for the comparator before garbling."""
 
     def __init__(self):
         self.n_wires = 0
-        self.gates: list[tuple[str, int, int, int]] = []
+        self.gates: list[tuple[str | tuple[str, int], int, int, int]] = []
 
     def wire(self) -> int:
         self.n_wires += 1
         return self.n_wires - 1
 
-    def gate(self, kind: str, a: int, b: int) -> int:
+    def gate(self, kind: str | tuple[str, int], a: int, b: int) -> int:
         out = self.wire()
         self.gates.append((kind, a, b, out))
         return out
 
-    def ge(self, xs: Sequence[int], ys: Sequence[int]) -> int:
-        """Ripple x >= y over LSB-first bit wires."""
-        ge = None
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            gt = self.gate("ANDNOT", x, y)
-            eq = self.gate("XNOR", x, y)
-            if ge is None:
-                ge = self.gate("OR", gt, eq)
-            else:
-                keep = self.gate("AND", eq, ge)
-                ge = self.gate("OR", gt, keep)
-        return ge
-
-    def mux(self, sel: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        """Bitwise sel ? x : y."""
-        out = []
+    def sub(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int], int]:
+        """Borrow subtractor x - y mod 2**w over LSB-first wires: the
+        difference and the borrow out, which is set iff x < y."""
+        diff, borrow = [], None
         for x, y in zip(xs, ys):
             t = self.gate("XOR", x, y)
-            u = self.gate("AND", sel, t)
-            out.append(self.gate("XOR", y, u))
-        return out
-
-    def sub(self, xs: list[int], ys: list[int]) -> list[int]:
-        """Borrow subtractor x - y, assuming x >= y; returns LSB-first."""
-        diff = []
-        borrow = None
-        w = len(xs)
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            t = self.gate("XOR", x, y)
+            u = self.gate("ANDNOT", y, x)
             if borrow is None:
                 diff.append(t)
-                if i < w - 1:
-                    borrow = self.gate("ANDNOT", y, x)
+                borrow = u
             else:
                 diff.append(self.gate("XOR", t, borrow))
-                if i < w - 1:
-                    u = self.gate("ANDNOT", y, x)
-                    v = self.gate("ANDNOT", borrow, t)
-                    borrow = self.gate("OR", u, v)
-        return diff
+                v = self.gate("ANDNOT", borrow, t)
+                borrow = self.gate("OR", u, v)
+        return diff, borrow
+
+    def le(self, ds: Sequence[int], const: str) -> int:
+        """Ripple d <= the public constant named ``const``, one gate per
+        bit from bit 1 up; each gate's table is ``_ripple_table``'s."""
+        le = ds[0]
+        for i in range(1, len(ds)):
+            le = self.gate((const, i), ds[i], le)
+        return le
 
 
 @functools.cache
 def _skeleton(bitwidth: int):
     """The comparator's public wiring, which only its width decides: the
-    wire count, the generator, evaluator and threshold input wires, the
-    gates as (kind, in1, in2, out) and the output wire. Every gate reads
-    only wires set before it."""
+    wire count, the generator and evaluator input wires, the gates as
+    (kind, in1, in2, out) and the output wire. A kind is a ``_TABLES``
+    name, or (constant, bit) for a ripple gate whose table the threshold
+    picks. Every gate reads only wires set before it."""
     if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
     b = _Builder()
-    a_wires, b_wires, t_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(3))
-    sel = b.ge(a_wires, b_wires)
-    diff = b.sub(b.mux(sel, a_wires, b_wires), b.mux(sel, b_wires, a_wires))
-    out = b.ge(t_wires, diff)
-    return b.n_wires, a_wires, b_wires, t_wires, tuple(b.gates), out
+    a_wires, b_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(2))
+    diff, a_below_b = b.sub(a_wires, b_wires)
+    le_theta, le_not_theta = b.le(diff, "theta"), b.le(diff, "~theta")
+    # le_theta if a >= b, else NOT le_not_theta: le_theta ^ (a_below_b & XNOR(both))
+    flip = b.gate("AND", a_below_b, b.gate("XNOR", le_theta, le_not_theta))
+    out = b.gate("XOR", le_theta, flip)
+    return b.n_wires, a_wires, b_wires, tuple(b.gates), out
 
 
 @dataclass
@@ -351,11 +349,12 @@ class ComparatorTemplate:
 def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTemplate:
     """Build and garble the |a - b| <= theta comparator.
 
-    The threshold is public and baked in: its bit wires ship with only
-    the label matching the actual constant bit. Same seed, same bytes.
+    The threshold is public and picks the tables of the ripple gates;
+    the wiring is the width's alone. Same seed, same bytes.
     """
-    n_wires, a_wires, b_wires, t_wires, gates, out = _skeleton(bitwidth)
+    n_wires, a_wires, b_wires, gates, out = _skeleton(bitwidth)
     theta_fp = FixedPoint.encode(theta, bitwidth)
+    consts = {"theta": theta_fp.raw, "~theta": theta_fp.raw ^ ((1 << bitwidth) - 1)}
     raw = label_bytes(seed, 2 * LABEL_BYTES * n_wires)
     keys = []
     for off in range(0, len(raw), 2 * LABEL_BYTES):
@@ -364,11 +363,12 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
         # label1's permute bit is the complement of label0's
         flipped = (label1[-1] & 0xFE) | (1 - _permute_bit(label0))
         keys.append((label0, label1[:-1] + bytes([flipped])))
+    tables = [_TABLES[kind] if isinstance(kind, str) else _ripple_table(consts[kind[0]], kind[1])
+              for kind, *_ in gates]
     circuit = GarbledCircuit(
         bitwidth=bitwidth,
-        threshold_labels=tuple(keys[w][bit] for w, bit in zip(t_wires, theta_fp.bits_lsb())),
-        gates=tuple(gen_gate(kind, keys[i1], keys[i2], keys[o], gi)
-                    for gi, (kind, i1, i2, o) in enumerate(gates)),
+        gates=tuple(gen_gate(table, keys[i1], keys[i2], keys[o], gi)
+                    for gi, (table, (_, i1, i2, o)) in enumerate(zip(tables, gates))),
         output_map={keys[out][0]: 0, keys[out][1]: 1},
     )
     return ComparatorTemplate(
@@ -380,10 +380,10 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
 
 
 def comparator_size(bitwidth: int) -> tuple[int, int]:
-    """Gate count and serialized bytes of the width-``bitwidth`` comparator: the
-    magic and width byte, a label per threshold bit, four rows per gate, two map entries."""
-    gates = len(_skeleton(bitwidth)[4])
-    return gates, _HEAD + bitwidth * LABEL_BYTES + gates * 4 * ROW_BYTES + 2 * _MAP_ENTRY
+    """Gate count and serialized bytes of the width-``bitwidth`` comparator:
+    the magic and width byte, four rows per gate, two map entries."""
+    gates = len(_skeleton(bitwidth)[3])
+    return gates, _HEAD + gates * 4 * ROW_BYTES + 2 * _MAP_ENTRY
 
 
 def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint) -> list[bytes]:
@@ -411,15 +411,13 @@ def eval_circuit(
     the one row its active labels' permute bits select. A tag that does
     not decrypt to zero means the circuit or a label was tampered with.
     """
-    n_wires, gen, ev, thr, wiring, out = _skeleton(circuit.bitwidth)
+    _, gen, ev, wiring, out = _skeleton(circuit.bitwidth)
     if len(gen_labels) != len(gen):
         raise RejectedInputError("wrong generator label count")
     if len(eval_labels) != len(ev):
         raise RejectedInputError("wrong evaluator label count")
-    labels: list[bytes] = [b""] * n_wires
-    for wires, active in ((gen, gen_labels), (ev, eval_labels), (thr, circuit.threshold_labels)):
-        for w, lab in zip(wires, active):
-            labels[w] = lab
+    # the input wires come first, generator then evaluator; gates fill the rest
+    labels = [*gen_labels, *eval_labels] + [b""] * len(wiring)
 
     for gi, ((_, in1, in2, o), rows) in enumerate(zip(wiring, circuit.gates, strict=True)):
         ka, kb = labels[in1], labels[in2]

@@ -939,18 +939,18 @@ SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
-    "comparator_size(16)": (296, 23975),
+    "comparator_size(16)": (110, 8839),
     "comparison_bytes(16, DEFAULT_GROUP)": 2400,
 }
 
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "b6c4a851dc491ced0fc565ec7c3592d1ce5bed4f5af158adc674a2da9e224c05"),
+     "25cda7285cbd1f6dd900f366bd7ccd1678a8c2fd3b1755d8aebc2b57176bc37a"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "6c38ac50533457252d7d2a6fd8a98cc99fdd01f6c7e6279d0865d756d328b4cb"),
+     "6bd5a9a8a452595d0b36d5df2dd47465490c15f933aba0f167a42facd3d6b4c0"),
 ]
 
 

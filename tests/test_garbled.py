@@ -145,7 +145,7 @@ def test_fixed_point_rejects_bad_inputs():
 
 def test_and_gate_label_selection():
     k1, k2, k3 = fresh_keys(10)
-    rows = gen_gate("AND", k1, k2, k3, 0)
+    rows = gen_gate(garbled._TABLES["AND"], k1, k2, k3, 0)
     for a in (0, 1):
         for b in (0, 1):
             hits = [
@@ -159,11 +159,16 @@ def test_and_gate_label_selection():
 
 
 def test_every_kind_matches_truth_table():
+    # the named kinds are the tables they say, and gen_gate garbles any of
+    # the 16 two-input tables, indexed 2*a + b
+    assert {kind: garbled._TABLES[kind] for kind in TRUTH} == {
+        kind: tuple(f(a, b) for a in (0, 1) for b in (0, 1)) for kind, f in TRUTH.items()}
     assert set(garbled._TABLES) == set(TRUTH)
-    keys = fresh_keys(11, 3 * len(TRUTH))
-    for gi, kind in enumerate(TRUTH):
+    tables = [tuple(n >> s & 1 for s in range(4)) for n in range(16)]
+    keys = fresh_keys(11, 3 * len(tables))
+    for gi, table in enumerate(tables):
         k1, k2, k3 = keys[3 * gi:3 * gi + 3]
-        rows = gen_gate(kind, k1, k2, k3, gi)
+        rows = gen_gate(table, k1, k2, k3, gi)
         for a in (0, 1):
             for b in (0, 1):
                 hits = [
@@ -175,14 +180,14 @@ def test_every_kind_matches_truth_table():
                 assert len(hits) == 1
                 # the one valid row sits at the slot the permute bits name
                 slot = 2 * permute_bit(k1[a]) + permute_bit(k2[b])
-                assert hits[0] == (slot, k3[TRUTH[kind](a, b)])
+                assert hits[0] == (slot, k3[table[2 * a + b]])
 
 
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
     keys = fresh_keys(12)
-    g0 = gen_gate("AND", *keys, 0)
-    g1 = gen_gate("AND", *keys, 1)
+    g0 = gen_gate(garbled._TABLES["AND"], *keys, 0)
+    g1 = gen_gate(garbled._TABLES["AND"], *keys, 1)
     assert all(r0 != r1 for r0, r1 in zip(g0, g1))
 
 
@@ -191,7 +196,7 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
     same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
     for in1, in2 in ((k1, same), (same, k1)):
         with pytest.raises(RejectedInputError, match="permute bit"):
-            gen_gate("AND", in1, in2, k3, 0)
+            gen_gate(garbled._TABLES["AND"], in1, in2, k3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +206,11 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
 def test_gate_count_closed_form():
     for w in (4, 8, 16, 24, 32):
         t = garble_comparator(w, 0.4, seed=1)
-        assert len(t.circuit.gates) == 19 * w - 8
-    # 5 head bytes + 16 per threshold label + 80 per gate + two 17-byte map entries
+        assert len(t.circuit.gates) == 7 * w - 2
+    # 5 head bytes + 80 per gate + two 17-byte map entries
     for w in BITWIDTHS:
-        assert comparator_size(w) == (19 * w - 8, 1536 * w - 601)
-    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [5543, 11687, 23975, 48551]
+        assert comparator_size(w) == (7 * w - 2, 560 * w - 121)
+    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [2119, 4359, 8839, 17799]
 
 
 def test_comparator_size_reads_a_real_circuit():
@@ -247,7 +252,7 @@ def test_garbled_bytes_are_pinned():
                     ga = select_input_labels(t.gen_keys, FixedPoint(inputs.getrandbits(w), w))
                     gb = select_input_labels(t.eval_keys, FixedPoint(inputs.getrandbits(w), w))
                     h.update(eval_circuit(t.circuit, ga, gb))
-    assert h.hexdigest() == "6c85d6e0e3fa27deaaf7ca7e6c727c82f5004cc60c88a84161d1b501d97bac2f"
+    assert h.hexdigest() == "855b6f10a907b0733e914984b258d2938916809dabb6fa462d33b532e5b2416d"
 
 
 def test_comparator_wiring_is_built_once_per_width():
@@ -260,10 +265,10 @@ def test_comparator_wiring_is_built_once_per_width():
         assert all(type(wires) is tuple for wires in inputs)
         # every gate reads wires set before it, so evaluation needs no order check
         for gi, (_kind, in1, in2, o) in enumerate(gates):
-            assert max(in1, in2) < o == 3 * w + gi
+            assert max(in1, in2) < o == 2 * w + gi
         for theta, seed in ((0.0, 1), (0.7, 2)):
             c = garble_comparator(w, theta, seed).circuit
-            assert set(vars(c)) == {"bitwidth", "threshold_labels", "gates", "output_map"}
+            assert set(vars(c)) == {"bitwidth", "gates", "output_map"}
             assert len(c.gates) == len(gates)
             assert all(len(rows) == 4 and {len(r) for r in rows} == {ROW_BYTES}
                        for rows in c.gates)
@@ -275,11 +280,30 @@ def test_seed_outside_the_label_stream_range_rejected(seed):
         garble_comparator(8, 0.4, seed)
 
 
-def test_comparator_constants_cover_threshold_wires():
-    t = garble_comparator(8, 0.4, seed=2)
-    assert len(t.circuit.threshold_labels) == 8
-    assert len(t.circuit.output_map) == 2
-    assert sorted(t.circuit.output_map.values()) == [0, 1]
+def test_threshold_picks_only_the_ripple_tables(monkeypatch):
+    """Garbling under any theta runs gen_gate on the same wires with the
+    same keys; theta changes only the tables of the 2(w - 1) ripple gates."""
+    calls = {}
+    honest_gen_gate = garbled.gen_gate
+
+    def recording_gen_gate(table, k1, k2, k3, gi):
+        calls[gi] = (table, k1, k2, k3)
+        return honest_gen_gate(table, k1, k2, k3, gi)
+
+    monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
+    for w in (4, 8, 16):
+        gates = garbled._skeleton(w)[3]
+        ripple = {gi for gi, (kind, *_) in enumerate(gates) if not isinstance(kind, str)}
+        assert len(ripple) == 2 * (w - 1)
+        runs = []
+        for raw in (0, 1, 0b0101 << (w - 4), (1 << w) - 1):
+            calls.clear()
+            t = garble_comparator(w, raw / ((1 << w) - 1), seed=2)
+            assert t.theta.raw == raw and len(t.circuit.output_map) == 2
+            runs.append(dict(calls))
+        assert all(run[gi][1:] == runs[0][gi][1:] for run in runs for gi in run)
+        varied = {gi for gi in runs[0] if len({run[gi][0] for run in runs}) > 1}
+        assert varied == ripple
 
 
 def test_circuit_holds_no_plaintext_values():
@@ -308,12 +332,49 @@ def test_point_nine_vs_point_three_outside_point_four():
     assert run_template(t, a.raw, b.raw) == 0
 
 
+def garble_at(w, theta_raw, seed):
+    """The width-w comparator whose threshold encodes to ``theta_raw``."""
+    t = garble_comparator(w, theta_raw / ((1 << w) - 1), seed)
+    assert t.theta.raw == theta_raw
+    return t
+
+
+def assert_every_pair(t):
+    w = t.circuit.bitwidth
+    eval_labels = [select_input_labels(t.eval_keys, FixedPoint(b, w)) for b in range(1 << w)]
+    for a in range(1 << w):
+        ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
+        for b, gb in enumerate(eval_labels):
+            got = decode_output(t.circuit, eval_circuit(t.circuit, ga, gb))
+            assert got == plain_within_theta(a, b, t.theta.raw), (a, b, t.theta.raw)
+
+
 def test_exhaustive_four_bit_comparator():
-    t = garble_comparator(4, 0.4, seed=9)
-    theta_raw = t.theta.raw
-    for a in range(16):
-        for b in range(16):
-            assert run_template(t, a, b) == plain_within_theta(a, b, theta_raw)
+    # every threshold and every pair
+    for theta_raw in range(16):
+        assert_every_pair(garble_at(4, theta_raw, seed=theta_raw))
+
+
+@pytest.mark.parametrize("w", [5, 6])
+def test_every_pair_at_edge_thresholds(w):
+    top = (1 << w) - 1
+    alternating = int(("01" * w)[:w], 2)  # 0b0101...
+    for theta_raw in (0, 1, top - 1, top, alternating, alternating ^ top):
+        assert_every_pair(garble_at(w, theta_raw, seed=theta_raw))
+
+
+@pytest.mark.parametrize("w", [16, 32])
+def test_gaps_next_to_the_threshold_at_wide_widths(w):
+    # |a - b| of theta - 1, theta and theta + 1, with a above b and below it
+    top = (1 << w) - 1
+    rng = random.Random(w)
+    for theta_raw in (1, top - 1, *(rng.randrange(1, top) for _ in range(4))):
+        t = garble_at(w, theta_raw, seed=theta_raw)
+        for gap in (theta_raw - 1, theta_raw, theta_raw + 1):
+            for _ in range(3):
+                lo = rng.randrange(top - gap + 1)
+                for a, b in ((lo + gap, lo), (lo, lo + gap)):
+                    assert run_template(t, a, b) == (gap <= theta_raw), (a, b, theta_raw)
 
 
 def test_eight_bit_sample_matches_plaintext():
@@ -434,7 +495,7 @@ def test_tampered_row_detected():
     a = FixedPoint.encode(0.5, 8)
     b = FixedPoint.encode(0.5, 8)
     # gate 0 compares the low bits of the two inputs directly
-    assert garbled._skeleton(8)[4][0] == ("ANDNOT", 0, 8, 24)
+    assert garbled._skeleton(8)[3][0] == ("XOR", 0, 8, 16)
     ka = t.gen_keys[0][a.bits_lsb()[0]]
     kb = t.eval_keys[0][b.bits_lsb()[0]]
     bad = with_row(t.circuit, 0, active_slot(t, 0, ka, kb), ROW_BYTES - 1)
@@ -489,8 +550,9 @@ def test_circuit_serialization_roundtrip_at_every_width():
 
 def test_bad_magic_rejected():
     raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
-    # PGC1 named the format that also carried the wiring
-    for magic in (b"XXXX", b"PGC1"):
+    # PGC1 named the format that also carried the wiring, PGC2 the one
+    # that carried the threshold's labels
+    for magic in (b"XXXX", b"PGC1", b"PGC2"):
         with pytest.raises(CorruptedCircuitError, match="bad circuit magic"):
             GarbledCircuit.deserialize(magic + raw[4:])
 
@@ -514,8 +576,8 @@ def test_width_other_than_the_circuits_rejected():
 
 @pytest.mark.parametrize("cut", ["10", "30", "3249", "len-17", "len-1", "extra byte"])
 def test_wrong_length_rejected(cut):
-    raw = garble_comparator(4, 0.4, seed=1).circuit.serialize()
-    assert len(raw) == 5543
+    raw = garble_comparator(8, 0.4, seed=1).circuit.serialize()
+    assert len(raw) == 4359
     if cut == "extra byte":
         bad = raw + b"\x00"
     elif cut.startswith("len-"):
@@ -560,7 +622,7 @@ def test_flipped_row_byte_in_the_bytes_fails_its_tag():
     w = 4
     t = garble_comparator(w, 0.4, seed=24)
     raw = bytearray(t.circuit.serialize())
-    gate0 = 5 + w * LABEL_BYTES
+    gate0 = 5  # the magic and the width byte, then gate 0's rows
     for slot in range(4):
         raw[gate0 + (slot + 1) * ROW_BYTES - 1] ^= 0x01
     bad = GarbledCircuit.deserialize(bytes(raw))
@@ -573,7 +635,7 @@ def test_flipped_row_byte_in_the_bytes_fails_its_tag():
 def path_to_output(w, bit):
     """Gate index -> which input (0 or 1) lies on a path in the width-w
     wiring from evaluator input ``bit`` to the output wire."""
-    _, _, ev, _, gates, out = garbled._skeleton(w)
+    _, _, ev, gates, out = garbled._skeleton(w)
     reached = {ev[bit]}
     producer = {}
     for gi, (_kind, in1, in2, o) in enumerate(gates):
@@ -596,13 +658,12 @@ def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit)
     the output as a copy of that input learns the bit from the vote, and
     the bytes it ships are well formed: nothing the evaluator can check
     tells its rows from honest ones."""
-    monkeypatch.setitem(garbled._TABLES, "COPY1", (0, 0, 1, 1))
-    monkeypatch.setitem(garbled._TABLES, "COPY2", (0, 1, 0, 1))
     path = path_to_output(w, bit)
     honest_gen_gate = garbled.gen_gate
 
-    def copying_gen_gate(kind, k1, k2, k3, gi):
-        copy = ("COPY1", "COPY2")[path[gi]] if gi in path else kind
+    def copying_gen_gate(table, k1, k2, k3, gi):
+        # (0, 0, 1, 1) copies the first input, (0, 1, 0, 1) the second
+        copy = ((0, 0, 1, 1), (0, 1, 0, 1))[path[gi]] if gi in path else table
         return honest_gen_gate(copy, k1, k2, k3, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", copying_gen_gate)
@@ -615,6 +676,76 @@ def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit)
         ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
         gb = select_input_labels(t.eval_keys, FixedPoint(b, w))
         assert decode_output(back, eval_circuit(back, ga, gb)) == (b >> bit) & 1
+
+
+def forged_backend(theta, seed, w=16):
+    """A dealer-OT backend whose template is honest except for its output
+    gate, which gen_gate garbles under the template's own keys with the
+    constant-1 table: the circuit approves whatever it is fed."""
+    last = len(garbled._skeleton(w)[3]) - 1
+    honest_gen_gate = garbled.gen_gate
+
+    def forging_gen_gate(table, k1, k2, k3, gi):
+        return honest_gen_gate((1, 1, 1, 1) if gi == last else table, k1, k2, k3, gi)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(garbled, "gen_gate", forging_gen_gate)
+        return GarbledCompareBackend(theta, w, seed=seed, ot=TrustedDealerOT())
+
+
+def test_generator_forging_the_output_gate_approves_every_pair():
+    """The candidate garbles the comparator its voters evaluate. Its
+    forged output gate yields well-formed bytes that approve every pair."""
+    rng = random.Random(16)
+    for w, pairs in ((4, [(a, b) for a in range(16) for b in range(16)]),
+                     (16, [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(200)])):
+        t = forged_backend(0.05, seed=w, w=w).template
+        back = GarbledCircuit.deserialize(t.circuit.serialize())
+        assert back == t.circuit
+        assert all(run_template(t, a, b) == 1 for a, b in pairs)
+        honest = garble_comparator(w, 0.05, seed=w)
+        assert sum(run_template(honest, a, b) for a, b in pairs) < len(pairs) / 4
+
+
+def test_forged_output_gates_lead_the_tally():
+    """A 5-miner, 8-user round: miners 1-4 mine honestly on budgets of 28,
+    20, 15 and 10 of the 28 pairs; miner 5 fills all 56 entries with
+    random values. With forged output gates miner 5 leads the tally and
+    its values become the round's best matrix; with honest circuits miner
+    1 leads."""
+    import numpy as np
+
+    from pous.bts import cast_votes, tally
+    from pous.similarity import SimilarityMatrix, UserVector, compute_usm, unflatten_index
+
+    n, theta = 8, 0.05
+    users = np.random.default_rng(5)
+    vecs = [UserVector(u, users.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((28, 20, 15, 10), 1)}
+    mats[5] = SimilarityMatrix(owner=5, n_users=n)
+    values = random.Random(5)
+    for j in range(1, n * n + 1):
+        if len(set(unflatten_index(j, n))) == 2:
+            mats[5].set_entry(j, values.random())
+
+    def round_result(forge):
+        compare = {c: (forged_backend(theta, seed=c) if forge and c == 5 else
+                       GarbledCompareBackend(theta, 16, seed=c, ot=TrustedDealerOT())).compare
+                   for c in mats}
+        records = [r for v in mats for c in mats if c != v
+                   for r in cast_votes(mats[v], mats[c], compare[c])]
+        return tally(records, len(mats), n, mats)
+
+    honest, forged = round_result(False), round_result(True)
+    assert honest.leader == 1 and honest.totals[5] < honest.totals[1] / 2
+    # every voter that holds an entry approves miner 5's copy: (56 + 40 + 30 + 20) / 4
+    assert forged.leader == 5 and forged.totals[5] == 36.5 > 1.4 * forged.totals[1]
+    # miner 5's random value is the best copy of every entry, save ties,
+    # which go to the lowest id
+    lost = {e: c for e, (c, _) in forged.global_best.items() if c != 5}
+    assert len(lost) < len(forged.global_best) / 4
+    assert all(forged.mean_approvals[(c, e)] == forged.mean_approvals[(5, e)]
+               for e, c in lost.items())
 
 
 # ---------------------------------------------------------------------------
