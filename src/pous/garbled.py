@@ -29,8 +29,9 @@ Construction notes:
   tweaks are packed once and cached.
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
-  Cryptology 2009). ``_skeleton`` builds it once per width and owns it;
-  a :class:`GarbledCircuit` and its serialized bytes carry only each
+  Cryptology 2009). ``_skeleton`` lists its gates once per width, and
+  its docstring states the fixed wire layout they read and write; a
+  :class:`GarbledCircuit` and its serialized bytes carry only each
   gate's rows and the output decode map. The threshold picks only the
   truth tables of the gates that compare against it, at garbling time.
 * The comparator is secure against a semi-honest generator only. The
@@ -63,7 +64,7 @@ Construction notes:
   than one bit (Lindell and Pinkas, J. Cryptology 2009), so reuse is
   confined to that class.
 
-The comparator layout, 7w - 2 gates at width w, from blocks in the style
+The comparator's gates, 7w - 2 at width w, come from blocks in the style
 of Kolesnikov, Sadeghi and Schneider (CANS 2009): a borrow subtractor
 d = a - b mod 2**w (5w - 3 gates) whose borrow out s is set iff a < b;
 two ripples of one gate per bit against public constants, d <= theta and
@@ -162,12 +163,12 @@ _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 
 @dataclass
 class GarbledCircuit:
-    """Everything the evaluator receives besides the public wiring: each
-    gate's four rows in wiring order and the output decode map.
+    """Everything the evaluator receives besides the public wiring: the
+    four rows of each gate of ``_skeleton(bitwidth)``, in its order, and
+    the output decode map.
 
-    The wiring is the width's comparator, ``_skeleton(bitwidth)``, which
-    both sides know. Holds only labels and ciphertexts; no similarity
-    value ever appears here.
+    Both sides know the width's gate list and wire layout. Holds only
+    labels and ciphertexts; no similarity value ever appears here.
     """
 
     bitwidth: int
@@ -271,64 +272,49 @@ def _ripple_table(c: int, i: int) -> tuple[int, int, int, int]:
     return tuple(ci & v if di else ci | v for di in (0, 1) for v in below)
 
 
-class _Builder:
-    """Accumulates wires/gates for the comparator before garbling."""
-
-    def __init__(self):
-        self.n_wires = 0
-        self.gates: list[tuple[str | tuple[str, int], int, int, int]] = []
-
-    def wire(self) -> int:
-        self.n_wires += 1
-        return self.n_wires - 1
-
-    def gate(self, kind: str | tuple[str, int], a: int, b: int) -> int:
-        out = self.wire()
-        self.gates.append((kind, a, b, out))
-        return out
-
-    def sub(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int], int]:
-        """Borrow subtractor x - y mod 2**w over LSB-first wires: the
-        difference and the borrow out, which is set iff x < y."""
-        diff, borrow = [], None
-        for x, y in zip(xs, ys):
-            t = self.gate("XOR", x, y)
-            u = self.gate("ANDNOT", y, x)
-            if borrow is None:
-                diff.append(t)
-                borrow = u
-            else:
-                diff.append(self.gate("XOR", t, borrow))
-                v = self.gate("ANDNOT", borrow, t)
-                borrow = self.gate("OR", u, v)
-        return diff, borrow
-
-    def le(self, ds: Sequence[int], const: str) -> int:
-        """Ripple d <= the public constant named ``const``, one gate per
-        bit from bit 1 up; each gate's table is ``_ripple_table``'s."""
-        le = ds[0]
-        for i in range(1, len(ds)):
-            le = self.gate((const, i), ds[i], le)
-        return le
-
-
 @functools.cache
-def _skeleton(bitwidth: int):
-    """The comparator's public wiring, which only its width decides: the
-    wire count, the generator and evaluator input wires, the gates as
-    (kind, in1, in2, out) and the output wire. A kind is a ``_TABLES``
-    name, or (constant, bit) for a ripple gate whose table the threshold
-    picks. Every gate reads only wires set before it."""
+def _skeleton(bitwidth: int) -> tuple[tuple[str | tuple[str, int], int, int], ...]:
+    """The comparator's public wiring, which only its width w decides:
+    its gates, each as (kind, in1, in2). A kind is a ``_TABLES`` name, or
+    (constant, bit) for a ripple gate whose table the threshold picks.
+
+    The wire layout is fixed. The generator's inputs are wires
+    0 .. w - 1 and the evaluator's are wires w .. 2w - 1, least
+    significant bit first; gate gi writes wire 2w + gi, and the output is
+    the last gate's wire. Every gate reads only wires set before it."""
     if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
-    b = _Builder()
-    a_wires, b_wires = (tuple(b.wire() for _ in range(bitwidth)) for _ in range(2))
-    diff, a_below_b = b.sub(a_wires, b_wires)
-    le_theta, le_not_theta = b.le(diff, "theta"), b.le(diff, "~theta")
+    gates = []
+
+    def gate(kind: str | tuple[str, int], in1: int, in2: int) -> int:
+        gates.append((kind, in1, in2))
+        return 2 * bitwidth + len(gates) - 1
+
+    # borrow subtractor d = a - b mod 2**w; the borrow out is set iff a < b
+    diff, borrow = [], None
+    for a, b in zip(range(bitwidth), range(bitwidth, 2 * bitwidth)):
+        t = gate("XOR", a, b)
+        u = gate("ANDNOT", b, a)
+        if borrow is None:
+            diff.append(t)
+            borrow = u
+        else:
+            diff.append(gate("XOR", t, borrow))
+            v = gate("ANDNOT", borrow, t)
+            borrow = gate("OR", u, v)
+    # ripples d <= theta and d <= ~theta, one gate per bit from bit 1 up;
+    # each gate's table is _ripple_table's
+    ripples = []
+    for const in ("theta", "~theta"):
+        le = diff[0]
+        for i in range(1, bitwidth):
+            le = gate((const, i), diff[i], le)
+        ripples.append(le)
+    le_theta, le_not_theta = ripples
     # le_theta if a >= b, else NOT le_not_theta: le_theta ^ (a_below_b & XNOR(both))
-    flip = b.gate("AND", a_below_b, b.gate("XNOR", le_theta, le_not_theta))
-    out = b.gate("XOR", le_theta, flip)
-    return b.n_wires, a_wires, b_wires, tuple(b.gates), out
+    flip = gate("AND", borrow, gate("XNOR", le_theta, le_not_theta))
+    gate("XOR", le_theta, flip)
+    return tuple(gates)
 
 
 @dataclass
@@ -352,10 +338,10 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     The threshold is public and picks the tables of the ripple gates;
     the wiring is the width's alone. Same seed, same bytes.
     """
-    n_wires, a_wires, b_wires, gates, out = _skeleton(bitwidth)
+    gates = _skeleton(bitwidth)
     theta_fp = FixedPoint.encode(theta, bitwidth)
     consts = {"theta": theta_fp.raw, "~theta": theta_fp.raw ^ ((1 << bitwidth) - 1)}
-    raw = label_bytes(seed, 2 * LABEL_BYTES * n_wires)
+    raw = label_bytes(seed, 2 * LABEL_BYTES * (2 * bitwidth + len(gates)))
     keys = []
     for off in range(0, len(raw), 2 * LABEL_BYTES):
         label0 = raw[off:off + LABEL_BYTES]
@@ -367,14 +353,15 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
               for kind, *_ in gates]
     circuit = GarbledCircuit(
         bitwidth=bitwidth,
-        gates=tuple(gen_gate(table, keys[i1], keys[i2], keys[o], gi)
-                    for gi, (table, (_, i1, i2, o)) in enumerate(zip(tables, gates))),
-        output_map={keys[out][0]: 0, keys[out][1]: 1},
+        gates=tuple(gen_gate(table, keys[i1], keys[i2], out_keys, gi)
+                    for gi, (table, (_, i1, i2), out_keys)
+                    in enumerate(zip(tables, gates, keys[2 * bitwidth:]))),
+        output_map={keys[-1][0]: 0, keys[-1][1]: 1},
     )
     return ComparatorTemplate(
         circuit=circuit,
-        gen_keys=tuple(keys[w] for w in a_wires),
-        eval_keys=tuple(keys[w] for w in b_wires),
+        gen_keys=tuple(keys[:bitwidth]),
+        eval_keys=tuple(keys[bitwidth:2 * bitwidth]),
         theta=theta_fp,
     )
 
@@ -382,7 +369,7 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
 def comparator_size(bitwidth: int) -> tuple[int, int]:
     """Gate count and serialized bytes of the width-``bitwidth`` comparator:
     the magic and width byte, four rows per gate, two map entries."""
-    gates = len(_skeleton(bitwidth)[3])
+    gates = len(_skeleton(bitwidth))
     return gates, _HEAD + gates * 4 * ROW_BYTES + 2 * _MAP_ENTRY
 
 
@@ -406,27 +393,34 @@ def eval_circuit(
 ) -> bytes:
     """Run the garbled circuit on active labels; returns the output label.
 
-    The wiring comes from ``_skeleton(circuit.bitwidth)``, in which every
-    gate reads wires set before it. For every gate the evaluator decrypts
-    the one row its active labels' permute bits select. A tag that does
-    not decrypt to zero means the circuit or a label was tampered with.
+    The wiring comes from ``_skeleton(circuit.bitwidth)``: the labels
+    list holds the input wires, generator then evaluator, and every gate
+    appends its output wire's label. For every gate the evaluator
+    decrypts the one row its active labels' permute bits select. A width
+    outside ``BITWIDTHS``, a gate count other than that width's
+    comparator, and a tag that does not decrypt to zero (the circuit or a
+    label was tampered with) raise CorruptedCircuitError.
     """
-    _, gen, ev, wiring, out = _skeleton(circuit.bitwidth)
-    if len(gen_labels) != len(gen):
+    w = circuit.bitwidth
+    if w not in BITWIDTHS:
+        raise CorruptedCircuitError(f"circuit width {w} outside 4..32")
+    wiring = _skeleton(w)
+    if len(circuit.gates) != len(wiring):
+        raise CorruptedCircuitError(
+            f"circuit has {len(circuit.gates)} gates, a width-{w} comparator has {len(wiring)}")
+    if len(gen_labels) != w:
         raise RejectedInputError("wrong generator label count")
-    if len(eval_labels) != len(ev):
+    if len(eval_labels) != w:
         raise RejectedInputError("wrong evaluator label count")
-    # the input wires come first, generator then evaluator; gates fill the rest
-    labels = [*gen_labels, *eval_labels] + [b""] * len(wiring)
-
-    for gi, ((_, in1, in2, o), rows) in enumerate(zip(wiring, circuit.gates, strict=True)):
+    labels = [*gen_labels, *eval_labels]
+    for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
         ka, kb = labels[in1], labels[in2]
         slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
         plain = int.from_bytes(rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
         if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-        labels[o] = (plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big")
-    return labels[out]
+        labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
+    return labels[-1]
 
 
 def decode_output(circuit: GarbledCircuit, label: bytes) -> int:
@@ -678,10 +672,12 @@ def comparison_bytes(bitwidth: int, ot) -> int:
 
 
 def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float, ot) -> int:
-    """Encode both values, fetch the evaluator's labels in one OT batch
-    (it never sees the generator's key table), evaluate and decode."""
+    """Encode both values at the template's width (not the circuit's,
+    which :func:`eval_circuit` checks), fetch the evaluator's labels in
+    one OT batch (it never sees the generator's key table), evaluate and
+    decode."""
     circuit = template.circuit
-    a, b = (FixedPoint.encode(v, circuit.bitwidth) for v in (gen_value, eval_value))
+    a, b = (FixedPoint.encode(v, template.theta.bitwidth) for v in (gen_value, eval_value))
     eval_labels, _ = ot.exchange(template.eval_keys, b.bits_lsb())
     out = eval_circuit(circuit, select_input_labels(template.gen_keys, a), eval_labels)
     return decode_output(circuit, out)

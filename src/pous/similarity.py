@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RejectedInputError
 
-#: Default behaviour classes a transaction may belong to.
+#: The behaviour classes a transaction may belong to.
 DEFAULT_CLASSES: tuple[str, ...] = ("A", "B", "C", "D", "E", "F")
 
 
@@ -76,20 +76,16 @@ class UserVector:
             raise RejectedInputError(f"negative count in vector of user {self.user}")
 
 
-def build_user_vectors(
-    view: DataView,
-    n_users: int,
-    classes: tuple[str, ...] = DEFAULT_CLASSES,
-) -> list[UserVector]:
+def build_user_vectors(view: DataView, n_users: int) -> list[UserVector]:
     """Tally the view into one count vector per user (users 1..n_users).
 
-    Rejects transactions whose class is not in ``classes`` or whose
-    source user falls outside 1..n_users.
+    Rejects transactions whose class is not in ``DEFAULT_CLASSES`` or
+    whose source user falls outside 1..n_users.
     """
     if n_users < 1:
         raise RejectedInputError(f"n_users must be >= 1, got {n_users}")
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((n_users, len(classes)), dtype=np.int64)
+    index = {c: i for i, c in enumerate(DEFAULT_CLASSES)}
+    counts = np.zeros((n_users, len(DEFAULT_CLASSES)), dtype=np.int64)
     for tx in view:
         ci = index.get(tx.tx_class)
         if ci is None:
@@ -150,9 +146,6 @@ class SimilarityMatrix:
         if not 1 <= j <= self.n_users * self.n_users:
             raise RejectedInputError(f"flat index {j} outside matrix")
         return self._cells.get(j)
-
-    def get_pair(self, k: int, l: int) -> Optional[float]:
-        return self.get(flat_index(k, l, self.n_users))
 
     def set_entry(self, j: int, value: float) -> None:
         if not 0.0 <= value <= 1.0:
@@ -260,18 +253,14 @@ def compute_usm(
     return m
 
 
-def update_usm(
-    matrix: SimilarityMatrix,
-    new_view: DataView,
-    classes: tuple[str, ...] = DEFAULT_CLASSES,
-) -> SimilarityMatrix:
+def update_usm(matrix: SimilarityMatrix, new_view: DataView) -> SimilarityMatrix:
     """Recompute each previously non-null entry from a fresh view.
 
     The null pattern is preserved exactly: no new entries appear and
     none disappear. Diagonal entries stay 1.
     """
     n = matrix.n_users
-    vectors = build_user_vectors(new_view, n, classes)
+    vectors = build_user_vectors(new_view, n)
     out = SimilarityMatrix(owner=matrix.owner, n_users=n)
     for j in matrix.computed_indices:
         k, l = unflatten_index(j, n)

@@ -1,4 +1,5 @@
 """Vote casting, tallying, and truth-serum scoring."""
+import dataclasses
 import logging
 import random
 import struct
@@ -24,7 +25,7 @@ from pous.bts import (
     votes_to_crs,
 )
 from pous.errors import CorruptedCircuitError, RejectedInputError
-from pous.garbled import FixedPoint, PlainCompareBackend
+from pous.garbled import FixedPoint, GarbledCompareBackend, PlainCompareBackend
 from pous.similarity import UserVector, compute_usm, flat_index, unflatten_index
 
 
@@ -130,6 +131,25 @@ def test_comparison_abort_becomes_abstention(caplog):
     with caplog.at_level(logging.WARNING, logger="pous.bts"):
         recs = cast_votes(mats[1], mats[2], flaky)
     assert sum(not r.valid for r in recs) == 1
+    assert any("aborted" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 33"])
+def test_malformed_circuit_becomes_abstention(caplog, fault):
+    # a candidate whose circuit lost or gained a gate, or names a width no
+    # comparator has, gets abstentions rather than stopping the vote
+    mats = matrices_for(2, 3)
+    backend = GarbledCompareBackend(0.4, 8, seed=1)
+    c = backend.template.circuit
+    backend.template.circuit = {
+        "gate missing": dataclasses.replace(c, gates=c.gates[:-1]),
+        "gate extra": dataclasses.replace(c, gates=c.gates + c.gates[:1]),
+        "width 33": dataclasses.replace(c, bitwidth=33),
+    }[fault]
+    with caplog.at_level(logging.WARNING, logger="pous.bts"):
+        recs = cast_votes(mats[1], mats[2], backend.compare)
+    assert len(recs) == 6
+    assert all(not r.valid and r.x == 0 for r in recs)
     assert any("aborted" in rec.message for rec in caplog.records)
 
 

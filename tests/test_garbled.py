@@ -259,19 +259,34 @@ def test_comparator_wiring_is_built_once_per_width():
     # every garbling and evaluation of a width shares the cached wiring,
     # so none of it may be mutable, and a circuit carries none of it
     for w in (4, 8, 16, 32):
-        n_wires, *inputs, gates, out = garbled._skeleton(w)
+        gates = garbled._skeleton(w)
         assert garbled._skeleton(w) is garbled._skeleton(w)
         assert type(gates) is tuple and all(type(g) is tuple for g in gates)
-        assert all(type(wires) is tuple for wires in inputs)
+        assert all(len(g) == 3 and type(g[1]) is type(g[2]) is int for g in gates)
         # every gate reads wires set before it, so evaluation needs no order check
-        for gi, (_kind, in1, in2, o) in enumerate(gates):
-            assert max(in1, in2) < o == 2 * w + gi
+        for gi, (_kind, in1, in2) in enumerate(gates):
+            assert max(in1, in2) < 2 * w + gi
         for theta, seed in ((0.0, 1), (0.7, 2)):
             c = garble_comparator(w, theta, seed).circuit
             assert set(vars(c)) == {"bitwidth", "gates", "output_map"}
             assert len(c.gates) == len(gates)
             assert all(len(rows) == 4 and {len(r) for r in rows} == {ROW_BYTES}
                        for rows in c.gates)
+
+
+@pytest.mark.parametrize("w", BITWIDTHS)
+def test_gate_list_follows_the_fixed_wire_layout(w):
+    """Inputs are wires 0 .. 2w - 1 and gate gi writes wire 2w + gi: each
+    gate reads only wires below its own, every input wire and every gate
+    output but the last (the comparator's output) is read, so no gate is
+    dead, and there are 7w - 2 gates."""
+    gates = garbled._skeleton(w)
+    assert len(gates) == 7 * w - 2
+    read = set()
+    for gi, (_kind, in1, in2) in enumerate(gates):
+        assert 0 <= in1 < 2 * w + gi and 0 <= in2 < 2 * w + gi
+        read.update((in1, in2))
+    assert read == set(range(2 * w + len(gates) - 1))
 
 
 @pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 2**128, 1.5, "7", None])
@@ -292,7 +307,7 @@ def test_threshold_picks_only_the_ripple_tables(monkeypatch):
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w in (4, 8, 16):
-        gates = garbled._skeleton(w)[3]
+        gates = garbled._skeleton(w)
         ripple = {gi for gi, (kind, *_) in enumerate(gates) if not isinstance(kind, str)}
         assert len(ripple) == 2 * (w - 1)
         runs = []
@@ -391,20 +406,20 @@ def test_every_wire_has_opposite_permute_bits(monkeypatch):
     wiring = {}
 
     def recording_gen_gate(kind, k1, k2, k3, gi):
-        _kind, in1, in2, out = wiring[gi]
+        in1, in2, out = wiring[gi]
         pairs.update({in1: k1, in2: k2, out: k3})
         return real_gen_gate(kind, k1, k2, k3, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w, seed in ((4, 1), (16, 2)):
         pairs.clear()
-        n_wires, *_, gates, out = garbled._skeleton(w)
-        wiring = dict(enumerate(gates))
+        gates = garbled._skeleton(w)
+        wiring = {gi: (in1, in2, 2 * w + gi) for gi, (_kind, in1, in2) in enumerate(gates)}
         t = garble_comparator(w, 0.4, seed)
-        assert sorted(pairs) == list(range(n_wires))
+        assert sorted(pairs) == list(range(2 * w + len(gates)))
         for k0, k1 in pairs.values():
             assert permute_bit(k0) != permute_bit(k1)
-        assert pairs[out] == tuple(sorted(
+        assert pairs[2 * w + len(gates) - 1] == tuple(sorted(
             t.circuit.output_map, key=t.circuit.output_map.get))
     # the false label's permute bit is not fixed: it varies across wires
     assert {permute_bit(k0) for k0, _ in pairs.values()} == {0, 1}
@@ -466,6 +481,26 @@ def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
                     assert decode_output(bad, eval_circuit(bad, ga, gb)) == want
 
 
+@pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 3", "width 33",
+                                   "width 4"])
+def test_malformed_circuit_object_raises_corrupted(fault):
+    # a circuit object that deserialize never checked: eval_circuit names the fault
+    t = garble_comparator(8, 0.4, seed=1)
+    c = t.circuit
+    bad = {
+        "gate missing": dataclasses.replace(c, gates=c.gates[:-1]),
+        "gate extra": dataclasses.replace(c, gates=c.gates + c.gates[:1]),
+        "width 3": dataclasses.replace(c, bitwidth=3),
+        "width 33": dataclasses.replace(c, bitwidth=33),
+        "width 4": dataclasses.replace(c, bitwidth=4),  # 54 gates, a width-4 comparator has 26
+    }[fault]
+    ga = select_input_labels(t.gen_keys, FixedPoint(5, 8))
+    gb = select_input_labels(t.eval_keys, FixedPoint(9, 8))
+    match = "outside 4..32" if fault in ("width 3", "width 33") else r"circuit has \d+ gates"
+    with pytest.raises(CorruptedCircuitError, match=match):
+        eval_circuit(bad, ga, gb)
+
+
 def test_wrong_label_count_rejected():
     t = garble_comparator(8, 0.4, seed=1)
     labels = select_input_labels(t.gen_keys, FixedPoint(5, 8))
@@ -495,7 +530,7 @@ def test_tampered_row_detected():
     a = FixedPoint.encode(0.5, 8)
     b = FixedPoint.encode(0.5, 8)
     # gate 0 compares the low bits of the two inputs directly
-    assert garbled._skeleton(8)[3][0] == ("XOR", 0, 8, 16)
+    assert garbled._skeleton(8)[0] == ("XOR", 0, 8)
     ka = t.gen_keys[0][a.bits_lsb()[0]]
     kb = t.eval_keys[0][b.bits_lsb()[0]]
     bad = with_row(t.circuit, 0, active_slot(t, 0, ka, kb), ROW_BYTES - 1)
@@ -634,18 +669,17 @@ def test_flipped_row_byte_in_the_bytes_fails_its_tag():
 
 def path_to_output(w, bit):
     """Gate index -> which input (0 or 1) lies on a path in the width-w
-    wiring from evaluator input ``bit`` to the output wire."""
-    _, _, ev, gates, out = garbled._skeleton(w)
-    reached = {ev[bit]}
-    producer = {}
-    for gi, (_kind, in1, in2, o) in enumerate(gates):
+    wiring from evaluator input ``bit`` (wire w + bit) to the output wire
+    (the last gate's; gate gi writes wire 2w + gi)."""
+    gates = garbled._skeleton(w)
+    reached = {w + bit}
+    for gi, (_kind, in1, in2) in enumerate(gates):
         if in1 in reached or in2 in reached:
-            reached.add(o)
-            producer[o] = gi
-    path, wire = {}, out
-    while wire != ev[bit]:
-        gi = producer[wire]
-        _kind, in1, in2, _o = gates[gi]
+            reached.add(2 * w + gi)
+    path, wire = {}, 2 * w + len(gates) - 1
+    while wire != w + bit:
+        gi = wire - 2 * w
+        _kind, in1, in2 = gates[gi]
         path[gi] = 0 if in1 in reached else 1
         wire = (in1, in2)[path[gi]]
     return path
@@ -682,7 +716,7 @@ def forged_backend(theta, seed, w=16):
     """A dealer-OT backend whose template is honest except for its output
     gate, which gen_gate garbles under the template's own keys with the
     constant-1 table: the circuit approves whatever it is fed."""
-    last = len(garbled._skeleton(w)[3]) - 1
+    last = len(garbled._skeleton(w)) - 1
     honest_gen_gate = garbled.gen_gate
 
     def forging_gen_gate(table, k1, k2, k3, gi):

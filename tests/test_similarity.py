@@ -24,9 +24,6 @@ from pous.similarity import (
     update_usm,
 )
 
-FOUR_CLASSES = ("A", "B", "C", "D")
-
-
 def tx(i, user, cls, fee=0.001):
     return Transaction(id=i, source_user=user, tx_class=cls, fee=fee)
 
@@ -41,16 +38,16 @@ def view_of(*txs):
 
 def test_vector_tally_three_a_four_b():
     txs = [tx(i, 1, "A") for i in range(3)] + [tx(10 + i, 1, "B") for i in range(4)]
-    vecs = build_user_vectors(view_of(*txs), n_users=1, classes=FOUR_CLASSES)
-    assert list(vecs[0].counts) == [3, 4, 0, 0]
+    vecs = build_user_vectors(view_of(*txs), n_users=1)
+    assert list(vecs[0].counts) == [3, 4, 0, 0, 0, 0]
 
 
 def test_vectors_empty_view_all_zero():
-    vecs = build_user_vectors(view_of(), n_users=2, classes=FOUR_CLASSES)
+    vecs = build_user_vectors(view_of(), n_users=2)
     assert len(vecs) == 2
     for v in vecs:
         assert not v.counts.any()
-        assert len(v.counts) == 4
+        assert len(v.counts) == len(DEFAULT_CLASSES)
 
 
 def test_vectors_match_counting_oracle():
@@ -60,7 +57,7 @@ def test_vectors_match_counting_oracle():
         tx(i, int(rng.integers(1, n_users + 1)), DEFAULT_CLASSES[rng.integers(6)])
         for i in range(50)
     ]
-    vecs = build_user_vectors(view_of(*txs), n_users, DEFAULT_CLASSES)
+    vecs = build_user_vectors(view_of(*txs), n_users)
     for u in range(1, n_users + 1):
         for ci, cls in enumerate(DEFAULT_CLASSES):
             want = sum(1 for t in txs if t.source_user == u and t.tx_class == cls)
@@ -69,20 +66,20 @@ def test_vectors_match_counting_oracle():
 
 def test_vectors_span_history_and_mempool():
     view = DataView(history=(tx(1, 1, "A"),), mempool=(tx(2, 1, "A"),))
-    vecs = build_user_vectors(view, 1, FOUR_CLASSES)
+    vecs = build_user_vectors(view, 1)
     assert vecs[0].counts[0] == 2
 
 
 def test_vectors_reject_unknown_class():
     with pytest.raises(RejectedInputError):
-        build_user_vectors(view_of(tx(1, 1, "Z")), 1, FOUR_CLASSES)
+        build_user_vectors(view_of(tx(1, 1, "Z")), 1)
 
 
 def test_vectors_reject_out_of_range_user():
     with pytest.raises(RejectedInputError):
-        build_user_vectors(view_of(tx(1, 3, "A")), 2, FOUR_CLASSES)
+        build_user_vectors(view_of(tx(1, 3, "A")), 2)
     with pytest.raises(RejectedInputError, match="n_users"):
-        build_user_vectors(view_of(tx(1, 1, "A")), 0, FOUR_CLASSES)
+        build_user_vectors(view_of(tx(1, 1, "A")), 0)
 
 
 def test_transaction_rejects_negative_fee():
@@ -190,10 +187,10 @@ def test_full_budget_n3_nine_entries():
     m = compute_usm(demo_vectors(3), budget=None)
     assert m.computed_count == 9
     for k in range(1, 4):
-        assert m.get_pair(k, k) == 1.0
+        assert m.get(flat_index(k, k, 3)) == 1.0
         for l in range(1, 4):
-            assert m.get_pair(k, l) == m.get_pair(l, k)
-            assert m.get_pair(k, l) is not None
+            assert m.get(flat_index(k, l, 3)) == m.get(flat_index(l, k, 3))
+            assert m.get(flat_index(k, l, 3)) is not None
 
 
 def test_budget_two_of_n4_fills_two_pairs():
@@ -201,7 +198,7 @@ def test_budget_two_of_n4_fills_two_pairs():
     assert m.off_diagonal_pair_count() == 2
     # pairs (1,2) and (1,3), their mirrors, and diagonals of users 1..3
     assert m.computed_indices == [1, 2, 3, 5, 6, 9, 11]
-    assert m.get_pair(4, 4) is None
+    assert m.get(flat_index(4, 4, 4)) is None
 
 
 def test_budget_zero_all_null():
@@ -296,7 +293,8 @@ def test_update_locality_one_new_tx():
             assert m2.get(j) == m.get(j)
     # user 3 moved, so at least one of its entries must differ
     assert any(
-        m2.get_pair(3, l) != m.get_pair(3, l) for l in range(1, n + 1) if l != 3
+        m2.get(flat_index(3, l, n)) != m.get(flat_index(3, l, n))
+        for l in range(1, n + 1) if l != 3
     )
 
 
