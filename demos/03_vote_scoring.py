@@ -4,20 +4,16 @@ Approval voting with truth-serum rewards
 
 Five miners vote on each other's similarity matrices entry by entry,
 reporting an approval bit and a prediction of how often others will
-approve. Honest agreement earns information plus prediction score;
-one miner submits a corrupted matrix and collects approvals near zero.
+approve. Each comparison is a garbled circuit the candidate ships as
+bytes, and the votes reach the tally as bytes too. Honest agreement
+earns information plus prediction score; one miner submits a corrupted
+matrix and collects approvals near zero.
 """
 import numpy as np
 
-from pous.bts import cast_votes, score_sheet, tally
+from pous.bts import score_sheet
+from pous.round import vote
 from pous.similarity import Transaction, DataView, build_user_vectors, compute_usm
-
-
-def plain_compare(theta=0.05):
-    def cmp(a, b):
-        return int(abs(a - b) <= theta)
-    return cmp
-
 
 rng = np.random.default_rng(5)
 n_users, m_miners = 8, 5
@@ -35,16 +31,10 @@ matrices = {m: compute_usm(vectors, owner=m) for m in range(1, m_miners + 1)}
 for j in list(matrices[5].computed_indices)[::3]:
     matrices[5].set_entry(j, 0.999)
 
-records = []
-for voter in range(1, m_miners + 1):
-    for cand in range(1, m_miners + 1):
-        if voter != cand:
-            records.extend(
-                cast_votes(matrices[voter], matrices[cand], plain_compare())
-            )
+records, result, sent = vote(matrices, theta=0.05, seeds={m: m for m in matrices})
 print("vote records cast:", len(records))
+print("bytes moved:", ", ".join(f"{kind} {size}" for kind, size in sent.items()))
 
-result = tally(records, m_miners, n_users, matrices=matrices)
 for cand in range(1, m_miners + 1):
     print(f"  miner {cand}: approval mass {result.totals[cand]:.2f}")
 wins = np.bincount(

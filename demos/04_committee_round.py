@@ -2,68 +2,55 @@
 Committee agreement and block verification
 ==========================================
 
-A rotating committee collects tally submissions inside a timing
-window, commits when a two-thirds quorum agrees, and re-verifies the
-leader's block: producer, flag layout, merkle root, membership, and
-priority order inside every cluster segment.
+One library round among six miners: each mines its view of the mempool
+at its own budget, all vote on each other's matrices over garbled
+comparators, a rotating committee commits when a two-thirds quorum
+agrees on the tally, the leader packs a block of clustered
+transactions, and the committee re-verifies it: producer, flag layout,
+merkle root, membership, and priority order inside every cluster
+segment.
 """
 import numpy as np
 
-from pous.committee import (
-    CommitteeConfig,
-    RoundTimers,
-    agree,
-    quorum_threshold,
-    select_committee,
-    verify_block,
-)
-from pous.packing import PriorityWeights, cluster_mempool, pack_block, tx_priority
-from pous.similarity import Transaction
+from pous.committee import CommitteeConfig, RoundTimers, agree, quorum_threshold, select_committee
+from pous.round import run_round
+from pous.similarity import DataView, Transaction
 
-miners = list(range(1, 21))
-cfg = CommitteeConfig(size=5, selection_seed=11, rotation_period=5)
+miners = range(1, 7)
+cfg = CommitteeConfig(size=4, selection_seed=11, rotation_period=5)
 
 for r in (0, 4, 5):
-    print(f"round {r}: committee {select_committee(miners, cfg, r)}")
-print("quorum threshold at size 5:", quorum_threshold(5))
+    print(f"round {r}: committee {select_committee(list(miners), cfg, r)}")
+print("quorum threshold at size 4:", quorum_threshold(4))
 
 timers = RoundTimers.split_interval(start=0.0, interval=600.0)
 print(f"windows: mine until {timers.mining_deadline}, vote until "
       f"{timers.voting_deadline}, count at {timers.result_waiting_deadline}")
 
-# four members report the honest tally; one equivocates
-committee = select_committee(miners, cfg, 0)
-honest = (7, "a1b2c3")
-submissions = {m: honest for m in committee[:-1]}
-submissions[committee[-1]] = (13, "ffffff")
-decision = agree(submissions, cfg.size, round_index=0)
-print(f"round 0 decided: leader {decision.leader}, "
-      f"{decision.quorum_count} of {cfg.size} members agree")
-
-# the decided leader packs a block; anyone can re-check it
+# each miner misses a tenth of the mempool and has its own budget of the 28 pairs
 rng = np.random.default_rng(3)
-vectors = {u: rng.normal(size=4) for u in range(1, 9)}
 mempool = [
     Transaction(id=i, source_user=int(rng.integers(1, 9)),
-                tx_class="A", fee=float(rng.uniform(0, 0.001)),
+                tx_class="ABCDEF"[int(rng.integers(6))], fee=float(rng.uniform(0, 0.001)),
                 submit_time=float(rng.uniform(0, 500)))
     for i in range(1, 40)
 ]
-lookup = {t.id: t for t in mempool}
-clusters = cluster_mempool(mempool, vectors, k=3, seed=0)
-weights = PriorityWeights()
-block = pack_block(clusters, weights, capacity=12, now=600.0,
-                   prev_hash=bytes(32), tx_lookup=lookup, producer=decision.leader)
+views = {m: DataView((), tuple(tx for tx in mempool if rng.random() >= 0.1)) for m in miners}
+budgets = dict(zip(miners, (int(b) for b in rng.permutation([3, 6, 10, 15, 20, 28]))))
+print("budgets:", budgets)
 
-snapshot = {}
-for cl in clusters:
-    for tid in cl.tx_ids:
-        snapshot[tid] = tx_priority(lookup[tid], 600.0, cl, weights)
+out = run_round(views, 8, budgets, seeds={m: 100 + m for m in miners}, theta=0.05,
+                committee=cfg, capacity=12, now=timers.result_waiting_deadline)
+decision = out.decision
+print(f"round 0 decided: leader {decision.leader}, "
+      f"{decision.quorum_count} of {cfg.size} members agree")
+print("bytes moved:", ", ".join(f"{kind} {size}" for kind, size in out.sent.items()))
+print(f"block of {len(out.block.body)} transactions verifies: {out.verdict[0]}")
 
-ok, reason = verify_block(block, decision, snapshot)
-print("honest block verifies:", ok, f"({reason})")
-
-forged = pack_block(clusters, weights, capacity=12, now=600.0,
-                    prev_hash=bytes(32), tx_lookup=lookup, producer=13)
-ok, reason = verify_block(forged, decision, snapshot)
-print("forged producer rejected:", not ok, f"({reason})")
+# one member equivocates; the other three still reach the quorum
+members = select_committee(list(miners), cfg, 0)
+submissions = dict.fromkeys(members, out.tally)
+submissions[members[-1]] = (13, "ffffff")
+again = agree(submissions, cfg.size)
+print(f"with one equivocating member: leader {again.leader}, "
+      f"{again.quorum_count} of {cfg.size} members agree")

@@ -5,7 +5,8 @@ The pipeline: miners compute budgeted user-similarity matrices
 two-party comparisons (:mod:`pous.garbled`), are scored by a truth
 serum that rewards honest approvals (:mod:`pous.bts`), a sampled
 committee agrees on the leader (:mod:`pous.committee`), and the leader
-packs a block of clustered transactions (:mod:`pous.packing`). The
+packs a block of clustered transactions (:mod:`pous.packing`).
+:mod:`pous.round` runs one such round with every message as bytes. The
 round-loop simulator (:mod:`pous.simnet`) compares the whole stack
 against a proof-of-work baseline; :mod:`pous.cli` wraps it in scenario
 presets.

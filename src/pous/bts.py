@@ -24,7 +24,7 @@ from hashlib import sha256
 from typing import Callable
 
 from .errors import CorruptedCircuitError, RejectedInputError
-from .similarity import SimilarityMatrix, unflatten_index
+from .similarity import SimilarityMatrix, flat_index, unflatten_index
 
 log = logging.getLogger(__name__)
 
@@ -352,13 +352,16 @@ def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
     return b"".join(parts)
 
 
-def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """Inverse of votes_to_crs: (voter, candidate, n, [(row, col, x)]).
+def votes_from_crs(raw: bytes) -> list[VoteRecord]:
+    """Inverse of votes_to_crs: one record per off-diagonal entry of the
+    blob's n x n matrix, in entry order, as cast_votes writes them. Each
+    stored (row, col, x) is a valid vote; every other entry is an
+    abstention.
 
     Refuses what votes_to_crs never writes: a voter or candidate id of
     0, a self-vote, zero users, a length other than the header's count
     of triples, a vote other than 0 or 1, a row or column outside 1..n,
-    and entries that repeat or are out of order.
+    a diagonal entry, and entries that repeat or are out of order.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
@@ -371,10 +374,20 @@ def votes_from_crs(raw: bytes) -> tuple[int, int, int, list[tuple[int, int, int]
             f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
     triples = [struct.unpack_from("<IIB", raw, 16 + 9 * i) for i in range(count)]
     for row, col, x in triples:
-        if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n):
-            raise RejectedInputError(f"vote ({row}, {col}, {x}) outside 1..{n} or not 0/1")
+        if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n) or row == col:
+            raise RejectedInputError(
+                f"vote ({row}, {col}, {x}) outside 1..{n}, on the diagonal, or not 0/1")
     for before, after in zip(triples, triples[1:]):
         if after[:2] <= before[:2]:
             raise RejectedInputError(f"vote {after} does not come after {before}: "
                                      "each entry is written once, in order")
-    return voter, cand, n, triples
+    votes = {(row, col): x for row, col, x in triples}
+    beliefs = {None: ABSTAIN_BELIEF, 0: REJECT_BELIEF, 1: APPROVE_BELIEF}
+    records = []
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            if k != l:
+                x = votes.get((k, l))
+                records.append(VoteRecord(voter, cand, flat_index(k, l, n), x or 0,
+                                          beliefs[x], valid=x is not None))
+    return records

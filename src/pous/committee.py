@@ -1,9 +1,8 @@
 """Vote counting committee: selection, timers, agreement, verification.
 
 A small committee is sampled from the miner population each rotation.
-It accepts vote submissions only inside the round's submission window,
-folds the tallies into a single decision once more than two thirds of
-the members report the same (leader, global-best digest) pair, and
+It folds the tallies into a single decision once more than two thirds
+of the members report the same (leader, global-best digest) pair, and
 finally re-checks the leader's block against the packing rules. A
 round with no quorum aborts and is retried; that keeps liveness without
 pretending the committee can conjure agreement out of conflicting
@@ -11,7 +10,6 @@ views.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Mapping, Optional, Sequence, Union
@@ -21,8 +19,6 @@ import numpy as np
 from .bts import TallyResult
 from .errors import ConfigurationError, MalformedFlagError, RejectedInputError
 from .packing import Block, cluster_sizes, decode_flag, merkle_root
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,22 +86,6 @@ def select_committee(
     rng = np.random.default_rng(int.from_bytes(material[:8], "big"))
     picked = rng.choice(np.asarray(miners), size=config.size, replace=False)
     return tuple(sorted(int(x) for x in picked))
-
-
-def accept_vote_submission(batch, now: float, timers: RoundTimers) -> bool:
-    """Gate of the vote-sending window.
-
-    Submissions are accepted only after local voting closes and before
-    the result-waiting timer expires; anything else is dropped and
-    logged, never counted.
-    """
-    if timers.voting_deadline <= now < timers.result_waiting_deadline:
-        return True
-    log.info(
-        "dropping vote batch at t=%.3f outside window [%.3f, %.3f)",
-        now, timers.voting_deadline, timers.result_waiting_deadline,
-    )
-    return False
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,11 @@ Construction notes:
   constant-time.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
-  many comparisons, as the simulator's per-epoch cost model assumes; an
-  evaluator that sees a reused circuit under several inputs learns more
-  than one bit (Lindell and Pinkas, J. Cryptology 2009), so reuse is
-  confined to that class.
+  many comparisons, as the simulator's per-epoch cost model assumes, and
+  :func:`pous.round.vote` reuses each candidate's template across the
+  round's voters and entries; an evaluator that sees a reused circuit
+  under several inputs learns more than one bit (Lindell and Pinkas, J.
+  Cryptology 2009).
 
 The comparator's gates, 7w - 2 at width w, come from blocks in the style
 of Kolesnikov, Sadeghi and Schneider (CANS 2009): a borrow subtractor
@@ -139,9 +140,6 @@ class FixedPoint:
         if bitwidth not in BITWIDTHS:
             raise RejectedInputError(f"bitwidth {bitwidth} outside 4..32")
         return cls(raw=round(value * ((1 << bitwidth) - 1)), bitwidth=bitwidth)
-
-    def decode(self) -> float:
-        return self.raw / ((1 << self.bitwidth) - 1)
 
     def bits_lsb(self) -> tuple[int, ...]:
         return tuple((self.raw >> i) & 1 for i in range(self.bitwidth))
@@ -398,8 +396,9 @@ def eval_circuit(
     appends its output wire's label. For every gate the evaluator
     decrypts the one row its active labels' permute bits select. A width
     outside ``BITWIDTHS``, a gate count other than that width's
-    comparator, and a tag that does not decrypt to zero (the circuit or a
-    label was tampered with) raise CorruptedCircuitError.
+    comparator, a gate with fewer than four rows, and a tag that does not
+    decrypt to zero (the circuit or a label was tampered with) raise
+    CorruptedCircuitError.
     """
     w = circuit.bitwidth
     if w not in BITWIDTHS:
@@ -413,13 +412,16 @@ def eval_circuit(
     if len(eval_labels) != w:
         raise RejectedInputError("wrong evaluator label count")
     labels = [*gen_labels, *eval_labels]
-    for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
-        ka, kb = labels[in1], labels[in2]
-        slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
-        plain = int.from_bytes(rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
-        if plain & _TAG_MASK:
-            raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-        labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
+    try:  # free on the happy path, unlike a row count check per gate
+        for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
+            ka, kb = labels[in1], labels[in2]
+            slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
+            plain = int.from_bytes(rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
+            if plain & _TAG_MASK:
+                raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
+            labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
+    except IndexError:
+        raise CorruptedCircuitError(f"gate {gi} has no row {slot}") from None
     return labels[-1]
 
 
@@ -671,16 +673,17 @@ def comparison_bytes(bitwidth: int, ot) -> int:
     return bitwidth * LABEL_BYTES + ot.transfer_bytes(bitwidth)
 
 
-def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float, ot) -> int:
+def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float,
+             ot) -> tuple[int, OTTranscript]:
     """Encode both values at the template's width (not the circuit's,
     which :func:`eval_circuit` checks), fetch the evaluator's labels in
     one OT batch (it never sees the generator's key table), evaluate and
-    decode."""
+    decode. Returns the bit and the batch's transcript."""
     circuit = template.circuit
     a, b = (FixedPoint.encode(v, template.theta.bitwidth) for v in (gen_value, eval_value))
-    eval_labels, _ = ot.exchange(template.eval_keys, b.bits_lsb())
+    eval_labels, transcript = ot.exchange(template.eval_keys, b.bits_lsb())
     out = eval_circuit(circuit, select_input_labels(template.gen_keys, a), eval_labels)
-    return decode_output(circuit, out)
+    return decode_output(circuit, out), transcript
 
 
 def secure_compare(
@@ -698,7 +701,7 @@ def secure_compare(
     """
     template = garble_comparator(bitwidth, theta, seed)
     return _compare(template, gen_value, eval_value,
-                    ot if ot is not None else TrustedDealerOT())
+                    ot if ot is not None else TrustedDealerOT())[0]
 
 
 class PlainCompareBackend:
@@ -738,7 +741,7 @@ class GarbledCompareBackend:
         self.bytes_moved = comparator_size(bitwidth)[1]
 
     def compare(self, gen_value: float, eval_value: float) -> int:
-        bit = _compare(self.template, gen_value, eval_value, self.ot)
+        bit, _ = _compare(self.template, gen_value, eval_value, self.ot)
         self.comparisons += 1
         self.bytes_moved += comparison_bytes(self.bitwidth, self.ot)
         return bit

@@ -26,7 +26,7 @@ from pous.bts import (
 )
 from pous.errors import CorruptedCircuitError, RejectedInputError
 from pous.garbled import FixedPoint, GarbledCompareBackend, PlainCompareBackend
-from pous.similarity import UserVector, compute_usm, flat_index, unflatten_index
+from pous.similarity import UserVector, compute_usm, unflatten_index
 
 
 def matrices_for(m, n, budgets=None, seed=0):
@@ -134,7 +134,7 @@ def test_comparison_abort_becomes_abstention(caplog):
     assert any("aborted" in rec.message for rec in caplog.records)
 
 
-@pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 33"])
+@pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 33", "three rows"])
 def test_malformed_circuit_becomes_abstention(caplog, fault):
     # a candidate whose circuit lost or gained a gate, or names a width no
     # comparator has, gets abstentions rather than stopping the vote
@@ -145,6 +145,7 @@ def test_malformed_circuit_becomes_abstention(caplog, fault):
         "gate missing": dataclasses.replace(c, gates=c.gates[:-1]),
         "gate extra": dataclasses.replace(c, gates=c.gates + c.gates[:1]),
         "width 33": dataclasses.replace(c, bitwidth=33),
+        "three rows": dataclasses.replace(c, gates=tuple(rows[:3] for rows in c.gates)),
     }[fault]
     with caplog.at_level(logging.WARNING, logger="pous.bts"):
         recs = cast_votes(mats[1], mats[2], backend.compare)
@@ -540,17 +541,13 @@ def test_strategy_scores_reject_bad_beliefs(p0, p1, y, message):
 
 
 def test_crs_votes_roundtrip():
+    # the blob stores valid votes only; the reader rebuilds the abstentions
     mats = matrices_for(2, 4, budgets=[3, None], seed=16)
     recs = cast_votes(mats[1], mats[2], plain_compare())
     blob = votes_to_crs(recs, n=4)
-    voter, cand, n, triples = votes_from_crs(blob)
-    assert (voter, cand, n) == (1, 2, 4)
-    valid = sorted((r for r in recs if r.valid), key=lambda r: r.entry)
-    assert len(triples) == len(valid)
-    for (row, col, x), r in zip(triples, valid):
-        assert flat_index(row, col, 4) == r.entry
-        assert x == r.x
-    assert len(blob) == 16 + 9 * len(valid)
+    assert votes_from_crs(blob) == recs
+    assert sum(not r.valid for r in recs) == 6
+    assert len(blob) == 16 + 9 * sum(r.valid for r in recs)
 
 
 def test_crs_votes_reject_mixed_pairs():
@@ -582,13 +579,14 @@ def crs_blob(triples, n=3, count=None, ids=(1, 2)):
     (crs_blob([(1, 2, 9)]), r"vote \(1, 2, 9\)"),
     (crs_blob([(0, 2, 1)]), r"vote \(0, 2, 1\)"),
     (crs_blob([(1, 4, 0)]), r"vote \(1, 4, 0\)"),
+    (crs_blob([(2, 2, 1)]), r"vote \(2, 2, 1\) outside 1..3, on the diagonal"),
     (crs_blob([(1, 2, 1), (1, 2, 0)]), r"vote \(1, 2, 0\) does not come after \(1, 2, 1\)"),
     (crs_blob([(2, 1, 1), (1, 2, 0)]), r"vote \(1, 2, 0\) does not come after \(2, 1, 1\)"),
     (crs_blob([(1, 2, 1)], ids=(1, 1)), "voter 1 on candidate 1"),
     (crs_blob([(1, 2, 1)], ids=(0, 2)), "voter 0 on candidate 2"),
     (crs_blob([(1, 2, 1)], ids=(1, 0)), "voter 1 on candidate 0"),
     (crs_blob([], n=0), "over 0 users"),
-], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n",
+], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n", "diagonal",
         "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0", "no-users"])
 def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
@@ -596,5 +594,9 @@ def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
 
 
 def test_crs_votes_accept_rows_and_columns_1_to_n():
-    assert votes_from_crs(crs_blob([(1, 1, 1), (3, 3, 0)])) == (
-        1, 2, 3, [(1, 1, 1), (3, 3, 0)])
+    recs = votes_from_crs(crs_blob([(1, 3, 1), (3, 1, 0)]))
+    assert [(r.entry, r.x, r.y, r.valid) for r in recs if r.valid] == [
+        (3, 1, APPROVE_BELIEF, True), (7, 0, REJECT_BELIEF, True)]
+    assert [r.entry for r in recs] == [2, 3, 4, 6, 7, 8]
+    assert all((r.voter, r.candidate) == (1, 2) for r in recs)
+    assert all((r.x, r.y) == (0, ABSTAIN_BELIEF) for r in recs if not r.valid)

@@ -1,26 +1,23 @@
-"""Committee sampling, submission window, quorum agreement, verification."""
+"""Committee sampling, quorum agreement, verification."""
 import dataclasses
 import itertools
-import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
-from pous.bts import cast_votes, tally
+from pous.bts import tally
 from pous.committee import (
     CommitteeConfig,
     Decision,
     RoundTimers,
-    accept_vote_submission,
     agree,
     quorum_threshold,
     select_committee,
     verify_block,
 )
 from pous.errors import ConfigurationError, RejectedInputError
-from pous.garbled import PlainCompareBackend
 from pous.packing import (
     Block,
     BlockHeader,
@@ -31,6 +28,7 @@ from pous.packing import (
     pack_block,
     tx_priority,
 )
+from pous.round import vote
 from pous.similarity import Transaction, UserVector, compute_usm
 
 
@@ -130,31 +128,6 @@ def test_membership_frequency_binomial():
 
 
 # ---------------------------------------------------------------------------
-# submission window
-
-
-WINDOW = RoundTimers(mining_deadline=60.0, voting_deadline=85.0,
-                     result_waiting_deadline=100.0)
-
-
-def test_submission_before_window_rejected(caplog):
-    with caplog.at_level(logging.INFO, logger="pous.committee"):
-        assert not accept_vote_submission(object(), 84.9, WINDOW)
-    assert any("dropping" in r.message for r in caplog.records)
-
-
-def test_submission_inside_window_accepted():
-    assert accept_vote_submission(object(), 85.0, WINDOW)
-    assert accept_vote_submission(object(), 92.0, WINDOW)
-    assert accept_vote_submission(object(), 99.999, WINDOW)
-
-
-def test_submission_after_window_rejected():
-    assert not accept_vote_submission(object(), 100.0, WINDOW)
-    assert not accept_vote_submission(object(), 130.0, WINDOW)
-
-
-# ---------------------------------------------------------------------------
 # agreement
 
 
@@ -241,10 +214,7 @@ def round_tallies():
     vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
     budgets = {1: 2, 2: 6, 3: 4, 4: 1}
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in budgets.items()}
-    backend = PlainCompareBackend(theta=0.01)
-    records = [rec for v in mats for c in mats if v != c
-               for rec in cast_votes(mats[v], mats[c], backend.compare)]
-    honest = tally(records, len(mats), n, matrices=mats)
+    records, honest, _ = vote(mats, theta=0.01, seeds={c: c for c in mats})
     forged_matrix = compute_usm(vecs, budget=budgets[2], owner=2)
     entry = min(e for e, (owner, _value) in honest.global_best.items() if owner == 2)
     forged_matrix.set_entry(entry, 1.0 - forged_matrix.get(entry))

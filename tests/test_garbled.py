@@ -112,13 +112,12 @@ def test_fixed_point_roundtrip_error_bound():
             v = rng.random()
             fp = FixedPoint.encode(v, w)
             assert 0 <= fp.raw < (1 << w)
-            assert abs(fp.decode() - v) <= 2.0 ** -w
+            assert abs(fp.raw / ((1 << w) - 1) - v) <= 2.0 ** -w
 
 
 def test_fixed_point_endpoints():
     assert FixedPoint.encode(0.0, 8).raw == 0
     assert FixedPoint.encode(1.0, 8).raw == 255
-    assert FixedPoint.encode(1.0, 8).decode() == 1.0
 
 
 def test_fixed_point_bits_lsb():
@@ -482,7 +481,7 @@ def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 3", "width 33",
-                                   "width 4"])
+                                   "width 4", "three rows"])
 def test_malformed_circuit_object_raises_corrupted(fault):
     # a circuit object that deserialize never checked: eval_circuit names the fault
     t = garble_comparator(8, 0.4, seed=1)
@@ -493,10 +492,13 @@ def test_malformed_circuit_object_raises_corrupted(fault):
         "width 3": dataclasses.replace(c, bitwidth=3),
         "width 33": dataclasses.replace(c, bitwidth=33),
         "width 4": dataclasses.replace(c, bitwidth=4),  # 54 gates, a width-4 comparator has 26
+        # every gate loses row 3, so the first gate whose active row it is fails
+        "three rows": dataclasses.replace(c, gates=tuple(rows[:3] for rows in c.gates)),
     }[fault]
     ga = select_input_labels(t.gen_keys, FixedPoint(5, 8))
     gb = select_input_labels(t.eval_keys, FixedPoint(9, 8))
-    match = "outside 4..32" if fault in ("width 3", "width 33") else r"circuit has \d+ gates"
+    match = {"width 3": "outside 4..32", "width 33": "outside 4..32",
+             "three rows": r"gate \d+ has no row 3"}.get(fault, r"circuit has \d+ gates")
     with pytest.raises(CorruptedCircuitError, match=match):
         eval_circuit(bad, ga, gb)
 
@@ -712,10 +714,10 @@ def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit)
         assert decode_output(back, eval_circuit(back, ga, gb)) == (b >> bit) & 1
 
 
-def forged_backend(theta, seed, w=16):
-    """A dealer-OT backend whose template is honest except for its output
-    gate, which gen_gate garbles under the template's own keys with the
-    constant-1 table: the circuit approves whatever it is fed."""
+def forged_template(theta, seed, w=16):
+    """A template that is honest except for its output gate, which gen_gate
+    garbles under the template's own keys with the constant-1 table: the
+    circuit approves whatever it is fed."""
     last = len(garbled._skeleton(w)) - 1
     honest_gen_gate = garbled.gen_gate
 
@@ -724,7 +726,7 @@ def forged_backend(theta, seed, w=16):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(garbled, "gen_gate", forging_gen_gate)
-        return GarbledCompareBackend(theta, w, seed=seed, ot=TrustedDealerOT())
+        return garble_comparator(w, theta, seed)
 
 
 def test_generator_forging_the_output_gate_approves_every_pair():
@@ -733,7 +735,7 @@ def test_generator_forging_the_output_gate_approves_every_pair():
     rng = random.Random(16)
     for w, pairs in ((4, [(a, b) for a in range(16) for b in range(16)]),
                      (16, [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(200)])):
-        t = forged_backend(0.05, seed=w, w=w).template
+        t = forged_template(0.05, seed=w, w=w)
         back = GarbledCircuit.deserialize(t.circuit.serialize())
         assert back == t.circuit
         assert all(run_template(t, a, b) == 1 for a, b in pairs)
@@ -741,15 +743,15 @@ def test_generator_forging_the_output_gate_approves_every_pair():
         assert sum(run_template(honest, a, b) for a, b in pairs) < len(pairs) / 4
 
 
-def test_forged_output_gates_lead_the_tally():
-    """A 5-miner, 8-user round: miners 1-4 mine honestly on budgets of 28,
-    20, 15 and 10 of the 28 pairs; miner 5 fills all 56 entries with
-    random values. With forged output gates miner 5 leads the tally and
-    its values become the round's best matrix; with honest circuits miner
-    1 leads."""
+def test_forged_output_gates_lead_the_tally(monkeypatch):
+    """A 5-miner, 8-user round with dealer OT: miners 1-4 mine honestly on
+    budgets of 28, 20, 15 and 10 of the 28 pairs; miner 5 fills all 56
+    entries with random values. When miner 5 forges its output gate it
+    leads the tally and its values become the round's best matrix; with
+    honest circuits miner 1 leads."""
     import numpy as np
 
-    from pous.bts import cast_votes, tally
+    from pous.round import vote
     from pous.similarity import SimilarityMatrix, UserVector, compute_usm, unflatten_index
 
     n, theta = 8, 0.05
@@ -762,15 +764,14 @@ def test_forged_output_gates_lead_the_tally():
         if len(set(unflatten_index(j, n))) == 2:
             mats[5].set_entry(j, values.random())
 
-    def round_result(forge):
-        compare = {c: (forged_backend(theta, seed=c) if forge and c == 5 else
-                       GarbledCompareBackend(theta, 16, seed=c, ot=TrustedDealerOT())).compare
-                   for c in mats}
-        records = [r for v in mats for c in mats if c != v
-                   for r in cast_votes(mats[v], mats[c], compare[c])]
-        return tally(records, len(mats), n, mats)
+    seeds = {c: c for c in mats}
+    honest = vote(mats, theta, seeds)[1]
 
-    honest, forged = round_result(False), round_result(True)
+    def garble(w, theta, seed):  # miner 5 garbles from seed 5, the others honestly
+        return forged_template(theta, seed, w) if seed == 5 else garble_comparator(w, theta, seed)
+
+    monkeypatch.setattr(garbled, "garble_comparator", garble)
+    forged = vote(mats, theta, seeds)[1]
     assert honest.leader == 1 and honest.totals[5] < honest.totals[1] / 2
     # every voter that holds an entry approves miner 5's copy: (56 + 40 + 30 + 20) / 4
     assert forged.leader == 5 and forged.totals[5] == 36.5 > 1.4 * forged.totals[1]

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pous import garbled, simnet
-from pous.bts import cast_votes, tally
-from pous.committee import CommitteeConfig, RoundTimers, agree, select_committee
+from pous.committee import CommitteeConfig, RoundTimers
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
@@ -37,13 +36,8 @@ from pous.simnet import (
     run_pow,
     trace_lines,
 )
-from pous.similarity import (
-    DEFAULT_CLASSES,
-    DataView,
-    Transaction,
-    build_user_vectors,
-    compute_usm,
-)
+from pous.round import run_round
+from pous.similarity import DEFAULT_CLASSES, DataView, Transaction
 
 
 def cfg(**kw):
@@ -364,8 +358,9 @@ def test_simulated_leader_and_comparisons_match_the_library_round(
     assert budgets.tolist() == want_budgets
     assert budgets.max() < n_nodes * (n_nodes - 1) // 2
 
-    # round 0 through the library: every miner sees the transactions that
-    # arrived by the count deadline, mines at its budget, and votes
+    # round 0 through the library round, with garbled comparators and dealer
+    # OT: every miner sees the transactions that arrived by the count
+    # deadline, mines at its budget, and votes
     wl = simnet._workload(c)
     now = RoundTimers.split_interval(0.0, c.block_interval).result_waiting_deadline
     arrived = tuple(
@@ -374,18 +369,14 @@ def test_simulated_leader_and_comparisons_match_the_library_round(
                     submit_time=float(wl.submit[i]))
         for i in np.flatnonzero(wl.arrival <= now)
     )
-    vectors = build_user_vectors(DataView((), arrived), n_nodes)
     miners = range(1, n_nodes + 1)
-    mats = {m: compute_usm(vectors, budget=int(budgets[m - 1]), owner=m) for m in miners}
-    backend = PlainCompareBackend(theta=0.01, bitwidth=c.bitwidth)
-    records = [r for v in miners for cand in miners if v != cand
-               for r in cast_votes(mats[v], mats[cand], backend.compare)]
-    result = tally(records, n_nodes, n_nodes, matrices=mats)
-    committee = select_committee(list(miners), c.committee(), 0)
-    decision = agree({member: result for member in committee}, c.committee_size)
+    out = run_round(dict.fromkeys(miners, DataView((), arrived)), n_nodes,
+                    {m: int(budgets[m - 1]) for m in miners}, seeds={m: m for m in miners},
+                    theta=0.01, committee=c.committee(), capacity=c.capacity(), now=now,
+                    k=c.k_clusters, weights=c.weights(), bitwidth=c.bitwidth)
 
-    assert decision.leader == run_pous(c).round_log[0]["leader"]
-    assert backend.comparisons == _crypto_round_costs(budgets, c)[0]
+    assert out.decision.leader == run_pous(c).round_log[0]["leader"]
+    assert sum(r.valid for r in out.records) == _crypto_round_costs(budgets, c)[0]
 
 
 def test_pous_deterministic():
