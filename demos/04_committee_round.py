@@ -2,13 +2,13 @@
 Committee agreement and block verification
 ==========================================
 
-One library round among six miners: each mines its view of the mempool
-at its own budget, all vote on each other's matrices over garbled
+One library round among six miners: each mines the shared mempool at
+its own budget, all vote on each other's matrices over garbled
 comparators, a rotating committee commits when a two-thirds quorum
 agrees on the tally, the leader packs a block of clustered
-transactions, and the committee re-verifies it: producer, flag layout,
-merkle root, membership, and priority order inside every cluster
-segment.
+transactions, and a committee member re-verifies it against the
+priorities it computes itself: producer, flag layout, merkle root,
+membership, and priority order inside every cluster segment.
 """
 import numpy as np
 
@@ -27,7 +27,7 @@ timers = RoundTimers.split_interval(start=0.0, interval=600.0)
 print(f"windows: mine until {timers.mining_deadline}, vote until "
       f"{timers.voting_deadline}, count at {timers.result_waiting_deadline}")
 
-# each miner misses a tenth of the mempool and has its own budget of the 28 pairs
+# every miner sees the whole mempool and has its own budget of the 28 pairs
 rng = np.random.default_rng(3)
 mempool = [
     Transaction(id=i, source_user=int(rng.integers(1, 9)),
@@ -35,7 +35,7 @@ mempool = [
                 submit_time=float(rng.uniform(0, 500)))
     for i in range(1, 40)
 ]
-views = {m: DataView((), tuple(tx for tx in mempool if rng.random() >= 0.1)) for m in miners}
+views = dict.fromkeys(miners, DataView((), tuple(mempool)))
 budgets = dict(zip(miners, (int(b) for b in rng.permutation([3, 6, 10, 15, 20, 28]))))
 print("budgets:", budgets)
 
@@ -45,7 +45,7 @@ decision = out.decision
 print(f"round 0 decided: leader {decision.leader}, "
       f"{decision.quorum_count} of {cfg.size} members agree")
 print("bytes moved:", ", ".join(f"{kind} {size}" for kind, size in out.sent.items()))
-print(f"block of {len(out.block.body)} transactions verifies: {out.verdict[0]}")
+print(f"block of {len(out.block.body)} transactions verifies: {out.verdict}")
 
 # one member equivocates; the other three still reach the quorum
 members = select_committee(list(miners), cfg, 0)

@@ -352,23 +352,25 @@ def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
     return b"".join(parts)
 
 
-def votes_from_crs(raw: bytes) -> list[VoteRecord]:
-    """Inverse of votes_to_crs: one record per off-diagonal entry of the
-    blob's n x n matrix, in entry order, as cast_votes writes them. Each
-    stored (row, col, x) is a valid vote; every other entry is an
-    abstention.
+def votes_from_crs(raw: bytes, n_users: int) -> list[VoteRecord]:
+    """Inverse of votes_to_crs over the reader's own ``n_users``: one
+    record per off-diagonal entry of the n x n matrix, in entry order,
+    as cast_votes writes them. Each stored (row, col, x) is a valid
+    vote; every other entry is an abstention.
 
     Refuses what votes_to_crs never writes: a voter or candidate id of
-    0, a self-vote, zero users, a length other than the header's count
-    of triples, a vote other than 0 or 1, a row or column outside 1..n,
-    a diagonal entry, and entries that repeat or are out of order.
+    0, a self-vote, a user count other than ``n_users`` (so a short blob
+    cannot make the reader build n(n - 1) records for a huge n), a
+    length other than the header's count of triples, a vote other than
+    0 or 1, a row or column outside 1..n, a diagonal entry, and entries
+    that repeat or are out of order.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
     voter, cand, n, count = struct.unpack_from("<IIII", raw, 0)
-    if voter < 1 or cand < 1 or voter == cand or n < 1:
+    if voter < 1 or cand < 1 or voter == cand or n != n_users:
         raise RejectedInputError(f"vote blob of voter {voter} on candidate {cand} over {n} "
-                                 "users: ids are 1-based and distinct, and n is at least 1")
+                                 f"users: ids are 1-based and distinct, and n is {n_users}")
     if len(raw) != 16 + 9 * count:
         raise RejectedInputError(
             f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
@@ -383,11 +385,6 @@ def votes_from_crs(raw: bytes) -> list[VoteRecord]:
                                      "each entry is written once, in order")
     votes = {(row, col): x for row, col, x in triples}
     beliefs = {None: ABSTAIN_BELIEF, 0: REJECT_BELIEF, 1: APPROVE_BELIEF}
-    records = []
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            if k != l:
-                x = votes.get((k, l))
-                records.append(VoteRecord(voter, cand, flat_index(k, l, n), x or 0,
-                                          beliefs[x], valid=x is not None))
-    return records
+    return [VoteRecord(voter, cand, flat_index(k, l, n), votes.get((k, l), 0),
+                       beliefs[votes.get((k, l))], valid=(k, l) in votes)
+            for k in range(1, n + 1) for l in range(1, n + 1) if k != l]

@@ -396,9 +396,9 @@ def eval_circuit(
     appends its output wire's label. For every gate the evaluator
     decrypts the one row its active labels' permute bits select. A width
     outside ``BITWIDTHS``, a gate count other than that width's
-    comparator, a gate with fewer than four rows, and a tag that does not
-    decrypt to zero (the circuit or a label was tampered with) raise
-    CorruptedCircuitError.
+    comparator, an empty input label, a gate that lacks the row its
+    labels select, and a tag that does not decrypt to zero (the circuit
+    or a label was tampered with) raise CorruptedCircuitError.
     """
     w = circuit.bitwidth
     if w not in BITWIDTHS:
@@ -412,16 +412,18 @@ def eval_circuit(
     if len(eval_labels) != w:
         raise RejectedInputError("wrong evaluator label count")
     labels = [*gen_labels, *eval_labels]
-    try:  # free on the happy path, unlike a row count check per gate
-        for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
-            ka, kb = labels[in1], labels[in2]
+    for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
+        ka, kb = labels[in1], labels[in2]
+        try:  # free on the happy path, unlike a length check per gate
             slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
-            plain = int.from_bytes(rows[slot], "big") ^ _row_pad(ka, kb, gi, slot)
-            if plain & _TAG_MASK:
-                raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-            labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
-    except IndexError:
-        raise CorruptedCircuitError(f"gate {gi} has no row {slot}") from None
+            row = rows[slot]
+        except IndexError:
+            raise CorruptedCircuitError(
+                f"gate {gi} has an empty input label or lacks the row they select") from None
+        plain = int.from_bytes(row, "big") ^ _row_pad(ka, kb, gi, slot)
+        if plain & _TAG_MASK:
+            raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
+        labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
     return labels[-1]
 
 

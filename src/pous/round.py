@@ -17,9 +17,12 @@ from .committee import CommitteeConfig, Decision, agree, select_committee, verif
 from .packing import Block, PriorityWeights, cluster_mempool, pack_block, tx_priority
 from .similarity import DataView, SimilarityMatrix, build_user_vectors, compute_usm
 
+BITWIDTH = 16  # the simulator's default comparator width
+WEIGHTS = PriorityWeights()
+
 
 def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[int, int],
-         bitwidth: int = 16, ot=None) -> tuple[list[VoteRecord], TallyResult, dict[str, int]]:
+         ot=None) -> tuple[list[VoteRecord], TallyResult, dict[str, int]]:
     """Every miner votes on every other miner's matrix, and the votes are
     tallied over the matrices as their receivers read them. Candidate c
     garbles one comparator from ``seeds[c]`` for all its voters; the OT
@@ -34,7 +37,7 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
         raw = matrix.crs_bytes()
         sent["matrix"] += len(raw) * (len(matrices) - 1)
         received[owner] = SimilarityMatrix.from_crs_bytes(raw)
-    templates = {c: garbled.garble_comparator(bitwidth, theta, seeds[c]) for c in matrices}
+    templates = {c: garbled.garble_comparator(BITWIDTH, theta, seeds[c]) for c in matrices}
     records = []
     for voter in matrices:
         for cand, template in templates.items():
@@ -46,22 +49,21 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
 
             def compare(cand_value: float, own_value: float) -> int:
                 bit, transcript = garbled._compare(copy, cand_value, own_value, ot)
-                sent["labels"] += bitwidth * garbled.LABEL_BYTES
+                sent["labels"] += BITWIDTH * garbled.LABEL_BYTES
                 sent["ot"] += transcript.total_bytes()
                 return bit
 
             votes = cast_votes(matrices[voter], received[cand], compare)
             blob = votes_to_crs(votes, matrices[voter].n_users)
             sent["votes"] += len(blob)
-            records.extend(votes_from_crs(blob))
+            records.extend(votes_from_crs(blob, matrices[voter].n_users))
     n_users = next(iter(matrices.values())).n_users
     return records, tally(records, len(matrices), n_users, received), sent
 
 
 @dataclass
 class Round:
-    """What one round produced. ``block`` is None when the leader's
-    mempool was empty."""
+    """What one round produced; ``block`` is None if the leader's mempool is empty."""
 
     records: list[VoteRecord]
     tally: TallyResult
@@ -73,30 +75,30 @@ class Round:
 
 def run_round(views: Mapping[int, DataView], n_users: int, budgets: Mapping[int, int],
               seeds: Mapping[int, int], theta: float, committee: CommitteeConfig,
-              capacity: int, now: float, k: int = 3, cluster_seed: int = 0,
-              weights: PriorityWeights = PriorityWeights(), bitwidth: int = 16, ot=None,
-              round_index: int = 0) -> Round:
-    """One round among the miners that key ``views``, in protocol order:
-    each miner mines its view at its budget; all vote (:func:`vote`); the
-    round's committee agrees on the tally, which every member computed
-    alike, so it always reaches its quorum; the
-    leader clusters its mempool and packs a block; the committee checks
-    the block against its own priorities."""
+              capacity: int, now: float, ot=None) -> Round:
+    """Round 0 among the miners that key ``views``, in protocol order:
+    each mines its view at its budget; all vote (:func:`vote`); the
+    committee agrees on the tally, which every member computed alike;
+    the leader clusters its mempool and packs a block; a member other
+    than the leader checks it against the priorities of its own view,
+    so a transaction that member never saw fails the check."""
     vectors = {m: build_user_vectors(view, n_users) for m, view in views.items()}
     matrices = {m: compute_usm(vectors[m], budget=budgets[m], owner=m) for m in views}
-    records, result, sent = vote(matrices, theta, seeds, bitwidth, ot)
-    members = select_committee(list(views), committee, round_index)
-    decision = agree(dict.fromkeys(members, result), committee.size, round_index)
+    records, result, sent = vote(matrices, theta, seeds, ot)
+    members = select_committee(list(views), committee, 0)
+    decision = agree(dict.fromkeys(members, result), committee.size)
     out = Round(records, result, sent, decision)
-    mempool = views[decision.leader].mempool
+    leader, mempool = decision.leader, views[decision.leader].mempool
     if not mempool:
         return out
-    lookup = {tx.id: tx for tx in mempool}
-    clusters = cluster_mempool(mempool, vectors[decision.leader], k, cluster_seed)
+    lookup = {tx.id: tx for view in views.values() for tx in view.mempool}
     # the round stands alone, so its block follows a zero hash
-    out.block = pack_block(clusters, weights, capacity, now, bytes(32), lookup,
-                           round_index=round_index, producer=decision.leader)
-    snapshot = {tid: tx_priority(lookup[tid], now, cl, weights)
+    out.block = pack_block(cluster_mempool(mempool, vectors[leader]), WEIGHTS, capacity, now,
+                           bytes(32), lookup, producer=leader)
+    checker = next((m for m in members if m != leader), leader)
+    own = views[checker].mempool
+    clusters = cluster_mempool(own, vectors[checker]) if own else []
+    snapshot = {tid: tx_priority(lookup[tid], now, cl, WEIGHTS)
                 for cl in clusters for tid in cl.tx_ids}
     out.verdict = verify_block(out.block, decision, snapshot)
     return out

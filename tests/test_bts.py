@@ -545,7 +545,7 @@ def test_crs_votes_roundtrip():
     mats = matrices_for(2, 4, budgets=[3, None], seed=16)
     recs = cast_votes(mats[1], mats[2], plain_compare())
     blob = votes_to_crs(recs, n=4)
-    assert votes_from_crs(blob) == recs
+    assert votes_from_crs(blob, 4) == recs
     assert sum(not r.valid for r in recs) == 6
     assert len(blob) == 16 + 9 * sum(r.valid for r in recs)
 
@@ -560,9 +560,9 @@ def test_crs_votes_reject_truncation():
     mats = matrices_for(2, 3, seed=17)
     blob = votes_to_crs(cast_votes(mats[1], mats[2], plain_compare()), n=3)
     with pytest.raises(RejectedInputError):
-        votes_from_crs(blob[:-2])
+        votes_from_crs(blob[:-2], 3)
     with pytest.raises(RejectedInputError, match="too short"):
-        votes_from_crs(blob[:15])
+        votes_from_crs(blob[:15], 3)
     with pytest.raises(RejectedInputError, match="no records"):
         votes_to_crs([], n=3)
 
@@ -586,15 +586,18 @@ def crs_blob(triples, n=3, count=None, ids=(1, 2)):
     (crs_blob([(1, 2, 1)], ids=(0, 2)), "voter 0 on candidate 2"),
     (crs_blob([(1, 2, 1)], ids=(1, 0)), "voter 1 on candidate 0"),
     (crs_blob([], n=0), "over 0 users"),
+    # 16 bytes that would expand to n(n - 1) abstentions
+    (crs_blob([], n=2**32 - 1), "over 4294967295 users: .* n is 3"),
 ], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n", "diagonal",
-        "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0", "no-users"])
+        "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0", "no-users",
+        "huge-n"])
 def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
-        votes_from_crs(blob)
+        votes_from_crs(blob, 3)
 
 
 def test_crs_votes_accept_rows_and_columns_1_to_n():
-    recs = votes_from_crs(crs_blob([(1, 3, 1), (3, 1, 0)]))
+    recs = votes_from_crs(crs_blob([(1, 3, 1), (3, 1, 0)]), 3)
     assert [(r.entry, r.x, r.y, r.valid) for r in recs if r.valid] == [
         (3, 1, APPROVE_BELIEF, True), (7, 0, REJECT_BELIEF, True)]
     assert [r.entry for r in recs] == [2, 3, 4, 6, 7, 8]

@@ -498,9 +498,18 @@ def test_malformed_circuit_object_raises_corrupted(fault):
     ga = select_input_labels(t.gen_keys, FixedPoint(5, 8))
     gb = select_input_labels(t.eval_keys, FixedPoint(9, 8))
     match = {"width 3": "outside 4..32", "width 33": "outside 4..32",
-             "three rows": r"gate \d+ has no row 3"}.get(fault, r"circuit has \d+ gates")
+             "three rows": r"gate \d+ has an empty input label or lacks the row"}.get(fault, r"circuit has \d+ gates")
     with pytest.raises(CorruptedCircuitError, match=match):
         eval_circuit(bad, ga, gb)
+
+
+def test_empty_input_label_raises_corrupted():
+    # gate 0 reads generator label 0 before any row, so the fault is named there
+    t = garble_comparator(8, 0.4, seed=1)
+    ga = select_input_labels(t.gen_keys, FixedPoint(5, 8))
+    gb = select_input_labels(t.eval_keys, FixedPoint(9, 8))
+    with pytest.raises(CorruptedCircuitError, match="gate 0 has an empty input label"):
+        eval_circuit(t.circuit, [b"", *ga[1:]], gb)
 
 
 def test_wrong_label_count_rejected():

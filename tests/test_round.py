@@ -69,3 +69,21 @@ def test_round_bytes_match_the_cost_model():
     assert sent["votes"] == 12 * 16 + 9 * 24
     assert out.decision is not None and out.block.header.producer == out.tally.leader
     assert out.verdict == (True, "")
+
+
+def test_a_member_that_never_saw_a_packed_transaction_rejects_the_block():
+    """Each miner misses a different transaction, and the block holds the
+    leader's whole mempool: the committee member that checks it computes
+    its priorities from its own view, so it finds a transaction it never
+    saw."""
+    n_users, miners = 4, (1, 2, 3, 4)
+    mempool = tuple(Transaction(id=i, source_user=1 + i % n_users, tx_class="ABCDEF"[i % 6],
+                                fee=1e-4 * i, submit_time=float(i)) for i in range(1, 11))
+    views = {m: DataView((), tuple(tx for tx in mempool if tx.id != m)) for m in miners}
+    out = run_round(views, n_users, dict.fromkeys(miners, 1), seeds={m: m for m in miners},
+                    theta=0.05, committee=CommitteeConfig(size=4, selection_seed=3),
+                    capacity=len(mempool), now=20.0)
+
+    assert len(out.block.body) == len(mempool) - 1
+    assert out.verdict[0] is False
+    assert "not in mempool snapshot" in out.verdict[1]

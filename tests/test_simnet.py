@@ -372,8 +372,7 @@ def test_simulated_leader_and_comparisons_match_the_library_round(
     miners = range(1, n_nodes + 1)
     out = run_round(dict.fromkeys(miners, DataView((), arrived)), n_nodes,
                     {m: int(budgets[m - 1]) for m in miners}, seeds={m: m for m in miners},
-                    theta=0.01, committee=c.committee(), capacity=c.capacity(), now=now,
-                    k=c.k_clusters, weights=c.weights(), bitwidth=c.bitwidth)
+                    theta=0.01, committee=c.committee(), capacity=c.capacity(), now=now)
 
     assert out.decision.leader == run_pous(c).round_log[0]["leader"]
     assert sum(r.valid for r in out.records) == _crypto_round_costs(budgets, c)[0]
