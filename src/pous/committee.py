@@ -105,8 +105,10 @@ def _normalize(sub: Submission) -> tuple[int, str]:
     if isinstance(sub, TallyResult):
         return sub.leader, sub.digest()
     if isinstance(sub, tuple) and len(sub) == 2:
-        return int(sub[0]), str(sub[1])
-    raise RejectedInputError("submission must be a tally or a (leader, digest) pair")
+        leader, digest = sub
+        if type(leader) is int and isinstance(digest, str):
+            return leader, digest
+    raise RejectedInputError("submission must be a tally or an (int leader, str digest) pair")
 
 
 def agree(

@@ -118,6 +118,7 @@ def label_bytes(seed: int, n: int) -> bytes:
 # fixed point encoding
 
 BITWIDTHS = range(4, 33)  # the comparator's input widths; every width check tests this
+DEFAULT_BITWIDTH = 16  # the width of every comparison not given its own, the simulator's too
 
 
 @dataclass(frozen=True)
@@ -692,7 +693,7 @@ def secure_compare(
     gen_value: float,
     eval_value: float,
     theta: float,
-    bitwidth: int = 16,
+    bitwidth: int = DEFAULT_BITWIDTH,
     seed: int = 0,
     ot=None,
 ) -> int:
@@ -710,20 +711,19 @@ class PlainCompareBackend:
     """Threshold compare without cryptography; same fixed-point semantics.
 
     The cleartext reference that the garbled path and the simulator's
-    voting shortcut are tested against. It reports no bytes. The
-    simulator runs no comparison; it accounts their cost through
-    :func:`comparator_size` and :func:`comparison_bytes`.
+    voting shortcut are tested against. Neither backend counts bytes:
+    :func:`pous.round.vote` measures a round's, and the simulator, which
+    runs no comparison, models them with :func:`comparator_size` and
+    :func:`comparison_bytes`.
     """
 
-    def __init__(self, theta: float, bitwidth: int = 16):
+    def __init__(self, theta: float, bitwidth: int = DEFAULT_BITWIDTH):
         self.theta = FixedPoint.encode(theta, bitwidth)
         self.bitwidth = bitwidth
-        self.comparisons = 0
 
     def compare(self, gen_value: float, eval_value: float) -> int:
         a = FixedPoint.encode(gen_value, self.bitwidth)
         b = FixedPoint.encode(eval_value, self.bitwidth)
-        self.comparisons += 1
         return plain_within_theta(a.raw, b.raw, self.theta.raw)
 
 
@@ -735,15 +735,9 @@ class GarbledCompareBackend:
     ships fresh active labels and runs one OT batch for the evaluator's bits.
     """
 
-    def __init__(self, theta: float, bitwidth: int = 16, seed: int = 0, ot=None):
+    def __init__(self, theta: float, bitwidth: int = DEFAULT_BITWIDTH, seed: int = 0, ot=None):
         self.template = garble_comparator(bitwidth, theta, seed)
         self.ot = ot if ot is not None else TrustedDealerOT()
-        self.bitwidth = bitwidth
-        self.comparisons = 0
-        self.bytes_moved = comparator_size(bitwidth)[1]
 
     def compare(self, gen_value: float, eval_value: float) -> int:
-        bit, _ = _compare(self.template, gen_value, eval_value, self.ot)
-        self.comparisons += 1
-        self.bytes_moved += comparison_bytes(self.bitwidth, self.ot)
-        return bit
+        return _compare(self.template, gen_value, eval_value, self.ot)[0]

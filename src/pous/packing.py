@@ -77,6 +77,8 @@ class Block:
 # ---------------------------------------------------------------------------
 # k-means
 
+DEFAULT_CLUSTERS = 3  # k of every clustering not given its own, the simulator's too
+
 
 def kmeans(
     points: np.ndarray,
@@ -158,7 +160,7 @@ def cluster_users(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np
 def cluster_mempool(
     mempool: Sequence[Transaction],
     user_vectors,
-    k: int = 3,
+    k: int = DEFAULT_CLUSTERS,
     seed: int = 0,
 ) -> list[Cluster]:
     """Cluster transactions through their source users.

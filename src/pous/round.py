@@ -17,7 +17,6 @@ from .committee import CommitteeConfig, Decision, agree, select_committee, verif
 from .packing import Block, PriorityWeights, cluster_mempool, pack_block, tx_priority
 from .similarity import DataView, SimilarityMatrix, build_user_vectors, compute_usm
 
-BITWIDTH = 16  # the simulator's default comparator width
 WEIGHTS = PriorityWeights()
 
 
@@ -37,7 +36,8 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
         raw = matrix.crs_bytes()
         sent["matrix"] += len(raw) * (len(matrices) - 1)
         received[owner] = SimilarityMatrix.from_crs_bytes(raw)
-    templates = {c: garbled.garble_comparator(BITWIDTH, theta, seeds[c]) for c in matrices}
+    width = garbled.DEFAULT_BITWIDTH
+    templates = {c: garbled.garble_comparator(width, theta, seeds[c]) for c in matrices}
     records = []
     for voter in matrices:
         for cand, template in templates.items():
@@ -49,7 +49,7 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
 
             def compare(cand_value: float, own_value: float) -> int:
                 bit, transcript = garbled._compare(copy, cand_value, own_value, ot)
-                sent["labels"] += BITWIDTH * garbled.LABEL_BYTES
+                sent["labels"] += width * garbled.LABEL_BYTES
                 sent["ot"] += transcript.total_bytes()
                 return bit
 

@@ -13,10 +13,10 @@ read from the round log. ``RUNNERS`` names the two protocols and maps
 each to its runner. Traffic is held in columnar arrays, which keeps
 million-transaction runs fast.
 
-A round ranks its pool only when the block binds: a pool that fits in
-one block is packed whole, in arrival order (:meth:`_Chain.select`).
-A pous round still draws its k-means seed then, so the rounds that do
-bind keep their seeds. Packing order comes from
+A round ranks its pool only when the block binds: each runner packs a
+pool that fits in one block whole, in arrival order, and ranks only a
+larger one. A pous round still draws its k-means seed before that test,
+so the rounds that do bind keep their seeds. Packing order comes from
 :func:`pous.packing.cluster_users`, :func:`pous.packing.priority` and
 :func:`pous.packing.rank`, the same clustering step and rule the
 library's block assembly uses.
@@ -53,8 +53,10 @@ from .committee import (
 )
 from .errors import ConfigurationError, RejectedInputError
 # kmeans stays importable here: the benchmark's tracer patches simnet.kmeans
-from .packing import PriorityWeights, cluster_users, kmeans, pca_project, priority, rank
-from .similarity import DEFAULT_CLASSES
+from .packing import (
+    DEFAULT_CLUSTERS, PriorityWeights, cluster_users, kmeans, pca_project, priority, rank,
+)
+from .similarity import DEFAULT_CLASSES, Transaction
 
 # simulated seconds per garbled gate evaluated: one SHA-256 row pad, the
 # only hash the evaluator computes per gate. The traced evaluator itself
@@ -72,7 +74,7 @@ class SimConfig:
 
     n_nodes: int = 30
     sim_time: float = 10000.0
-    tx_size: int = 250
+    tx_size: int = Transaction.size_bytes
     tx_delay_mean: float = 0.5
     block_size_mb: float = 1.0
     block_interval: float = 600.0
@@ -89,8 +91,8 @@ class SimConfig:
     committee_size: int = 4
     rotation_period: int = 5
     honest_fraction: float = 1.0
-    k_clusters: int = 3
-    bitwidth: int = 16
+    k_clusters: int = DEFAULT_CLUSTERS
+    bitwidth: int = garbled.DEFAULT_BITWIDTH
     tx_epoch: Optional[float] = None
     seed: int = 0
 
@@ -369,19 +371,6 @@ class _Chain:
         self.pool = np.concatenate((self.pool, fresh))
         return fresh
 
-    def select(self, capacity: int, ranker) -> tuple[np.ndarray, Optional[tuple]]:
-        """Pool positions of the next block, and the ranking that chose them.
-
-        A pool that fits in one block is packed whole without calling
-        ``ranker``, and the ranking is None. Otherwise ``ranker(pool)``
-        returns a tuple whose first item orders the pool, and the block
-        is the first ``capacity`` positions of that order.
-        """
-        if len(self.pool) <= capacity:
-            return np.arange(len(self.pool)), None
-        ranking = ranker(self.pool)
-        return ranking[0][:capacity], ranking
-
     def commit(self, r: int, leader: int, chosen: np.ndarray, commit_at: float) -> None:
         """Commit the pool entries at positions ``chosen`` as round r's block."""
         keep = np.ones(len(self.pool), dtype=bool)
@@ -513,12 +502,12 @@ def run_pous(config: SimConfig) -> Metrics:
 
         # drawn even when the pool fits, so rounds that bind keep their seeds
         seed = int(round_rng.integers(2**63))
-        chosen, ranking = chain.select(
-            capacity, lambda pool: rank_pool(view, wl, pool, now, config, seed))
-        if ranking is None:  # the whole pool: as near its clusters as itself
+        if len(chain.pool) <= capacity:  # the whole pool: as near its clusters as itself
+            chosen = np.arange(len(chain.pool))
             wins += 1
         else:
-            d_tx = ranking[1]
+            order, d_tx, _, _ = rank_pool(view, wl, chain.pool, now, config, seed)
+            chosen = order[:capacity]
             wins += float(d_tx[chosen].mean()) <= float(d_tx.mean()) + 1e-12
         rounds_with_block += 1
 
@@ -579,11 +568,12 @@ def run_pow(config: SimConfig) -> Metrics:
         leader = int(rng.choice(config.n_nodes, p=pweights)) + 1
         r = len(chain.round_log)
         chain.admit(now)
-        if len(chain.pool) == 0:
+        pool = chain.pool
+        if len(pool) == 0:
             chain.log(r, leader)
             continue
-        chosen, _ = chain.select(
-            capacity, lambda pool: (rank(wl.fee[pool], wl.submit[pool], pool),))
+        chosen = (np.arange(len(pool)) if len(pool) <= capacity
+                  else rank(wl.fee[pool], wl.submit[pool], pool)[:capacity])
         chain.commit(r, leader, chosen, commit_at)
 
     return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)

@@ -247,6 +247,10 @@ def test_agree_rejects_bad_input():
         agree(subs([(1, "x")] * 5), size=4)
     with pytest.raises(RejectedInputError):
         agree({1: "not-a-sub", 2: (1, "x"), 3: (1, "x"), 4: (1, "x")}, size=4)
+    # a leader must be an int, not a bool, and a digest a str: nothing is coerced
+    for bad in [(1.5, "d"), ("x", "d"), (None, "d"), (True, "d"), (1, 5)]:
+        with pytest.raises(RejectedInputError):
+            agree(subs([bad] * 3), size=4)
 
 
 # ---------------------------------------------------------------------------

@@ -423,3 +423,23 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
                         defined[f"{node.name}.{sub.name}"] = sub.name
     assert {full for full, name in defined.items() if name not in used} == TEST_ONLY_NAMES
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    """Every ``self.<name>`` a class of ``src/pous`` stores is read as
+    ``.<name>`` somewhere in ``src/``, ``demos/`` or ``perfbench/``: no
+    object keeps a counter that only tests look at."""
+    root = Path(__file__).resolve().parent.parent
+    read = {node.attr
+            for path in [p for d in ("src", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for path in (root / "src" / "pous").glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                unread |= {f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                           and isinstance(node.value, ast.Name) and node.value.id == "self"
+                           and node.attr not in read}
+    assert unread == set()

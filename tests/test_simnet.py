@@ -544,9 +544,10 @@ def test_rounds_that_bind_keep_their_round_seeds(monkeypatch):
     real = simnet.rank_pool
 
     class RecordingChain(simnet._Chain):
-        def select(self, capacity, ranker):
+        def admit(self, now):
+            fresh = super().admit(now)
             pools.append(len(self.pool))
-            return super().select(capacity, ranker)
+            return fresh
 
     def recording(view, wl, idx, now, config, seed):
         seeds.append(seed)
@@ -557,7 +558,7 @@ def test_rounds_that_bind_keep_their_round_seeds(monkeypatch):
     c = small_pous_cfg(block_size_mb=0.09, sigma=10.0)
     m = run_pous(c)
     # every round is decided and finds a pool, so every round draws
-    assert len(pools) == m.rounds
+    assert len(pools) == m.rounds and all(pools)
     rounds = _rng_streams(c, "pous")["rounds"]
     draws = [int(rounds.integers(2**63)) for _ in pools]
     binding = [d for d, n in zip(draws, pools) if n > c.capacity()]
