@@ -11,7 +11,9 @@ through one ledger (:class:`_Chain`), so the two differ only in how a
 round picks its leader and orders its pool; each round's leader is
 read from the round log. ``RUNNERS`` names the two protocols and maps
 each to its runner. Traffic is held in columnar arrays, which keeps
-million-transaction runs fast.
+million-transaction runs fast. A run keeps each committed transaction's
+latency and commit round; only :func:`trace_lines` sums a round's
+latencies, so a run that writes no trace pays nothing for them.
 
 A round ranks its pool only when the block binds: each runner packs a
 pool that fits in one block whole, in arrival order, and ranks only a
@@ -189,9 +191,23 @@ class Workload:
     @cached_property
     def arrival_order(self) -> np.ndarray:
         """Stable argsort of ``arrival``, sorted once per workload, read-only."""
-        order = np.argsort(self.arrival, kind="stable")
+        order = _stable_argsort(self.arrival)
         order.setflags(write=False)
         return order
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` by way of the faster default sort.
+
+    Equal keys, NaNs among them, are put back in index order by a second
+    sort, which runs only when the sorted keys hold such a run; NaNs sort
+    last, so two of them leave one second from the end.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if len(xs) > 1 and ((xs[1:] == xs[:-1]).any() or np.isnan(xs[-2])):
+        order = order[np.lexsort((order, xs))]
+    return order
 
 
 def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
@@ -219,7 +235,7 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     # the kept transactions in submit order; each later column is drawn
     # whole, which fixes the stream, and then taken in this order
     kept = np.flatnonzero(submit <= config.sim_time)
-    order = kept[np.argsort(submit[kept], kind="stable")]
+    order = kept[_stable_argsort(submit[kept])]
     source, submit = source[order], submit[order]
     fee = np.maximum(rng.normal(config.fee_mean, config.sigma, total), 0.0)[order]
     tx_class = rng.integers(0, len(DEFAULT_CLASSES), total)[order]
@@ -276,12 +292,13 @@ class Metrics:
     functionality_wins: int
     rounds_with_block: int
     latencies: np.ndarray
+    commit_rounds: np.ndarray  # the round that committed each entry of latencies
     round_log: list
 
     def summary(self) -> dict:
         """Every field but the per-transaction and per-round ones, in order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("latencies", "round_log")}
+                if f.name not in ("latencies", "commit_rounds", "round_log")}
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +377,7 @@ class _Chain:
         self._seen = 0
         self.pool = self._order[:0]
         self.commit_time = np.zeros(len(wl))
+        self.commit_round = np.zeros(len(wl), dtype=np.int32)
         self.blocks = 0
         self.round_log: list[dict] = []
 
@@ -378,28 +396,29 @@ class _Chain:
         packed = self.pool[chosen]
         self.pool = self.pool[keep]
         self.commit_time[packed] = commit_at
+        self.commit_round[packed] = r
         self.blocks += 1
-        self.log(r, leader, packed, commit_at)
+        self.log(r, leader, len(packed), commit_at)
 
-    def log(self, r: int, leader: int, packed=(), commit_at: float = -1.0,
+    def log(self, r: int, leader: int, packed: int = 0, commit_at: float = -1.0,
             aborted: int = 0) -> None:
         """Round r's record; a round that packs nothing commits at -1.
 
-        ``sum_latency`` is exactly rounded (``math.fsum``), so it does not
-        depend on the order in which the block lists its transactions.
+        The record holds no latency sum: :func:`trace_lines` adds each
+        round's ``sum_latency`` from the run's latencies and commit rounds.
         """
-        n = len(packed)
         self.round_log.append({
-            "round": r, "aborted": aborted, "leader": leader, "packed": n,
-            "commit_time": commit_at if n else -1.0,
-            "sum_latency": math.fsum((commit_at - self.wl.submit[packed]).tolist()) if n else 0.0,
+            "round": r, "aborted": aborted, "leader": leader, "packed": packed,
+            "commit_time": commit_at,
         })
 
     def metrics(self, protocol: str, config: SimConfig, wins: int, rounds_with_block: int,
                 crypto_time: float = 0.0, crypto_bytes: int = 0) -> Metrics:
         committed = self.commit_time > 0
         latencies = self.commit_time[committed] - self.wl.submit[committed]
-        count = int(committed.sum())
+        count = len(latencies)
+        p50, p90 = (np.percentile(latencies, [50, 90]) if count
+                    else (float("nan"), float("nan")))
         return Metrics(
             protocol=protocol,
             sim_time=config.sim_time,
@@ -408,8 +427,8 @@ class _Chain:
             confirmed_tx_count=count,
             tps=count / config.sim_time,
             mean_latency=float(latencies.mean()) if count else float("nan"),
-            p50_latency=float(np.percentile(latencies, 50)) if count else float("nan"),
-            p90_latency=float(np.percentile(latencies, 90)) if count else float("nan"),
+            p50_latency=float(p50),
+            p90_latency=float(p90),
             rounds=len(self.round_log),
             blocks_committed=self.blocks,
             aborts=sum(e["aborted"] for e in self.round_log),
@@ -418,6 +437,7 @@ class _Chain:
             functionality_wins=wins,
             rounds_with_block=rounds_with_block,
             latencies=latencies,
+            commit_rounds=self.commit_round[committed],
             round_log=self.round_log,
         )
 
@@ -547,6 +567,23 @@ def pca_scatter_rows(config: SimConfig) -> list[dict]:
 # proof-of-work baseline
 
 
+def _top_fees(fee: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the first ``k`` of ``rank(fee, submit[rows], rows + 1)``,
+    as a set, for ``k < len(fee)``, without sorting every entry.
+
+    Workload rows are in submit order, so rank orders by fee, then row.
+    A partition finds the k-th highest fee: every higher fee is taken, and
+    the entries that tie with it fill the rest, lowest rows first.
+    """
+    cut = np.partition(fee, len(fee) - k)[len(fee) - k]
+    above = np.flatnonzero(fee > cut)
+    tied = np.flatnonzero(fee == cut)
+    need = k - len(above)
+    if need < len(tied):
+        tied = tied[np.argpartition(rows[tied], need - 1)[:need]]
+    return np.concatenate((above, tied))
+
+
 def run_pow(config: SimConfig) -> Metrics:
     """Work baseline: exponential block times, power-weighted leader,
     fee-descending packing, identical confirmation accounting."""
@@ -573,7 +610,7 @@ def run_pow(config: SimConfig) -> Metrics:
             chain.log(r, leader)
             continue
         chosen = (np.arange(len(pool)) if len(pool) <= capacity
-                  else rank(wl.fee[pool], wl.submit[pool], pool)[:capacity])
+                  else _top_fees(wl.fee[pool], pool, capacity))
         chain.commit(r, leader, chosen, commit_at)
 
     return chain.metrics("pow", config, wins=0, rounds_with_block=chain.blocks)
@@ -587,12 +624,21 @@ RUNNERS = {"pous": run_pous, "pow": run_pow}  # every protocol a scenario or tra
 
 
 def trace_lines(config: SimConfig, protocol: str, metrics: Metrics) -> Iterator[str]:
-    """Replayable line-delimited run log: header, rounds, summary."""
+    """Replayable line-delimited run log: header, rounds, summary.
+
+    Each round line carries its ``sum_latency``, summed here from the
+    latencies of the transactions that round committed. ``math.fsum`` is
+    exactly rounded, so the sum does not depend on their order.
+    """
     cfg = {f.name: getattr(config, f.name) for f in fields(config)}
     yield json.dumps({"kind": "header", "protocol": protocol, "config": cfg},
                      sort_keys=True)
-    for entry in metrics.round_log:
-        yield json.dumps({"kind": "round", **entry}, sort_keys=True)
+    # rounds are logged in commit-round order, each with its packed count
+    by_round = np.split(metrics.latencies[np.argsort(metrics.commit_rounds)],
+                        np.cumsum([e["packed"] for e in metrics.round_log])[:-1])
+    for entry, latencies in zip(metrics.round_log, by_round):
+        yield json.dumps({"kind": "round", **entry, "sum_latency": math.fsum(latencies.tolist())},
+                         sort_keys=True)
     yield json.dumps({
         "kind": "summary",
         "confirmed_tx_count": metrics.confirmed_tx_count,

@@ -5,11 +5,12 @@ import io
 import json
 import math
 import weakref
+from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from pous import garbled, simnet
@@ -23,7 +24,8 @@ from pous.garbled import (
     GarbledCompareBackend,
     PlainCompareBackend,
 )
-from pous.packing import PriorityWeights
+from pous.cli import main
+from pous.packing import PriorityWeights, rank
 from pous.simnet import (
     Metrics,
     SimConfig,
@@ -465,7 +467,9 @@ def test_round_that_packs_nothing_commits_nothing(run):
     assert empty and len(empty) < len(m.round_log)
     for entry in empty:
         assert entry["commit_time"] == -1.0
-        assert entry["sum_latency"] == 0.0
+    traced = [json.loads(line) for line in trace_lines(c, m.protocol, m)][1:-1]
+    assert [e for e in traced if e["packed"] == 0] == [
+        {"kind": "round", **entry, "sum_latency": 0.0} for entry in empty]
 
 
 @pytest.mark.parametrize("run", [run_pous, run_pow])
@@ -538,6 +542,25 @@ def test_pool_that_fits_is_packed_without_ranking(run, monkeypatch):
         assert m.functionality_wins == m.rounds_with_block == m.blocks_committed
 
 
+def _forbidden(*_args):
+    raise AssertionError("work a run without a trace does not need")
+
+
+@pytest.mark.parametrize("run", [run_pous, run_pow])
+def test_untraced_binding_run_sums_no_latencies(run, monkeypatch):
+    # only trace_lines reads a round's latency sum
+    monkeypatch.setattr(math, "fsum", _forbidden)
+    c = small_pous_cfg(block_size_mb=0.01)
+    m = run(c)
+    assert any(e["packed"] == c.capacity() for e in m.round_log)
+
+
+def test_binding_pow_block_sorts_no_pool(monkeypatch):
+    monkeypatch.setattr(simnet, "rank", _forbidden)
+    c = small_pous_cfg(block_size_mb=0.01)
+    assert any(e["packed"] == c.capacity() for e in run_pow(c).round_log)
+
+
 def test_rounds_that_bind_keep_their_round_seeds(monkeypatch):
     # about 360 arrivals a round against a capacity of 377: some rounds bind
     pools, seeds = [], []
@@ -590,6 +613,24 @@ def test_binding_pow_block_packs_the_top_fees(monkeypatch):
         assert np.array_equal(packed, top)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 60), fees=st.sampled_from(["half zero", "all equal", "distinct"]),
+       data=st.data())
+def test_top_fees_is_the_ranked_block(n, fees, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.permutation(3 * n)[:n]  # a pool in arrival order, not row order
+    # rows are in submit order: submit times that never fall with the row,
+    # with ties among them
+    submit = np.floor(rows / 3.0)
+    fee = {"half zero": np.maximum(rng.normal(0.0, 1.0, n), 0.0),  # the workload's draw
+           "all equal": np.full(n, 0.25),
+           "distinct": rng.random(n)}[fees]
+    k = data.draw(st.sampled_from([1, n - 1, data.draw(st.integers(1, n - 1))]))
+    chosen = simnet._top_fees(fee, rows, k)
+    assert len(chosen) == len(set(chosen.tolist())) == k
+    assert set(chosen.tolist()) == set(rank(fee, submit, rows + 1)[:k].tolist())
+
+
 # ---------------------------------------------------------------------------
 # one workload per cell
 
@@ -636,6 +677,24 @@ def test_workload_arrays_are_read_only():
     assert np.array_equal(wl.arrival_order, np.argsort(wl.arrival, kind="stable"))
 
 
+# few distinct keys, so runs of ties are long; both zeros, both
+# infinities and NaN among them
+_TIED_KEYS = st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.one_of(_TIED_KEYS, st.floats()), max_size=80))
+@example(keys=[math.nan, 1.0, math.nan, 0.0, math.nan])  # NaNs only tie with each other
+@example(keys=[0.0, -0.0, 0.0, -0.0])
+@example(keys=[3.0, 2.0, 1.0])  # no ties: the second sort is skipped
+# NaNs the only run among distinct keys, too many for an insertion sort
+@example(keys=np.where(np.arange(64) % 3 == 0, math.nan,
+                       np.random.default_rng(5).random(64)).tolist())
+def test_stable_argsort_is_the_stable_permutation(keys):
+    x = np.array(keys, dtype=float)
+    assert np.array_equal(simnet._stable_argsort(x), np.argsort(x, kind="stable"))
+
+
 # ---------------------------------------------------------------------------
 # metrics plumbing
 
@@ -646,7 +705,7 @@ def test_metrics_csv_row_uses_repr_floats():
     summary = m.summary()
     fields = list(summary)
     assert fields == [f.name for f in dataclasses.fields(Metrics)
-                      if f.name not in ("latencies", "round_log")]
+                      if f.name not in ("latencies", "commit_rounds", "round_log")]
     assert fields[:3] == ["protocol", "seed", "sim_time"]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(summary.values())
@@ -678,6 +737,32 @@ def test_trace_replay_roundtrip_pow():
     lines = list(trace_lines(c, "pow", run_pow(c)))
     ok, msg = replay_trace(lines)
     assert ok, msg
+
+
+@pytest.mark.parametrize("run", [run_pous, run_pow])
+def test_trace_sums_each_rounds_latencies(run, monkeypatch):
+    sums = {}
+
+    class RecordingChain(simnet._Chain):
+        def commit(self, r, leader, chosen, commit_at):
+            packed = self.pool[chosen]
+            sums[r] = math.fsum((commit_at - self.wl.submit[packed]).tolist())
+            super().commit(r, leader, chosen, commit_at)
+
+    monkeypatch.setattr(simnet, "_Chain", RecordingChain)
+    c = small_pous_cfg(block_size_mb=0.01)
+    m = run(c)
+    traced = [json.loads(line) for line in trace_lines(c, m.protocol, m)][1:-1]
+    assert any(e["packed"] == c.capacity() for e in traced)
+    assert [e["sum_latency"] for e in traced] == [sums.get(r, 0.0) for r in range(m.rounds)]
+
+
+@pytest.mark.parametrize("protocol", ["pous", "pow"])
+def test_traces_from_round_logs_that_held_the_sum_still_replay(protocol):
+    """Each file was written when a run's round log still carried
+    ``sum_latency``; both pack full blocks."""
+    trace = Path(__file__).parent / "data" / f"trace-{protocol}-binding.jsonl"
+    assert main(["replay", str(trace)]) == 0
 
 
 def test_trace_replay_flags_divergence():
