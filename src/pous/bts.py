@@ -9,9 +9,13 @@ score. Truthful voting maximizes the expected reward whenever the
 voter's posterior is more extreme than the population prediction, so
 rational miners neither flip votes nor copy-paste approvals.
 
-Abstentions (entries one side never computed) are recorded explicitly:
-they count toward the voter population in mean approvals but earn
-nothing. The tally takes the miners' matrices: an entry's best copy is
+A voter votes on the entries its candidate computed, and on no other.
+Where the voter never computed the entry, or the comparison aborts, it
+abstains, and the abstention is recorded explicitly: it counts toward
+the voter population in mean approvals but earns nothing. An entry the
+candidate never computed gets no record at all; every voter would
+abstain on it, so it would add 0 to the candidate's total and pay no
+one. The tally takes the miners' matrices: an entry's best copy is
 picked among the miners that computed it, and its value goes into the
 digest the committee agrees on.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable
 
-from .errors import CorruptedCircuitError, RejectedInputError
+from .errors import CorruptedCircuitError, RejectedInputError, SubgroupError
 from .similarity import SimilarityMatrix, flat_index, unflatten_index
 
 log = logging.getLogger(__name__)
@@ -66,35 +70,40 @@ class VoteRecord:
             raise RejectedInputError("abstentions cannot approve")
 
 
+def _voted_entries(candidate_matrix: SimilarityMatrix) -> list[int]:
+    """The candidate's computed off-diagonal entries, in entry order: the
+    ones its voters vote on. Slot j is on the diagonal iff n + 1 divides
+    j - 1."""
+    n = candidate_matrix.n_users
+    return [j for j in candidate_matrix.computed_indices if (j - 1) % (n + 1)]
+
+
 def cast_votes(
     voter_matrix: SimilarityMatrix,
     candidate_matrix: SimilarityMatrix,
     compare: Callable[[float, float], int],
 ) -> list[VoteRecord]:
-    """Vote on every off-diagonal entry of the candidate's matrix.
+    """Vote on every off-diagonal entry the candidate computed, in entry
+    order; the voter abstains on one it never computed.
 
     ``compare(candidate_value, voter_value)`` is the two-party
     comparison; the candidate plays generator, the voter evaluator. A
-    comparison abort is logged and becomes an abstention rather than a
+    comparison abort (a corrupted circuit, or an OT sender element
+    outside its group) is logged and becomes an abstention rather than a
     protocol failure, since one bad pair must not sink the whole vote.
     """
     if voter_matrix.n_users != candidate_matrix.n_users:
         raise RejectedInputError("matrices cover different user counts")
-    n = voter_matrix.n_users
     records = []
-    for j in range(1, n * n + 1):
-        k, l = unflatten_index(j, n)
-        if k == l:
-            continue
-        cand_val = candidate_matrix.get(j)
+    for j in _voted_entries(candidate_matrix):
         own_val = voter_matrix.get(j)
-        if cand_val is None or own_val is None:
+        if own_val is None:
             x, valid = 0, False
         else:
             try:
-                x = compare(cand_val, own_val)
+                x = compare(candidate_matrix.get(j), own_val)
                 valid = True
-            except CorruptedCircuitError as exc:
+            except (CorruptedCircuitError, SubgroupError) as exc:
                 log.warning(
                     "comparison aborted for entry %d of miner %d: %s",
                     j, candidate_matrix.owner, exc,
@@ -121,8 +130,8 @@ def cast_votes(
 class TallyResult:
     """Aggregate view of a voting round.
 
-    ``mean_approvals`` holds x-bar per (candidate, entry) with the
-    fixed denominator m - 1; ``totals`` is its per-candidate sum;
+    ``mean_approvals`` holds x-bar per (candidate, entry) voted on, with
+    the fixed denominator m - 1; ``totals`` is its per-candidate sum;
     ``global_best`` maps each entry to the candidate whose copy won the
     approval vote (ties to the lowest miner id) and that copy's value.
     """
@@ -154,8 +163,11 @@ def tally(
     entry-wise best matrix.
 
     The denominator of every mean is m - 1: abstainers are voters too.
-    Duplicate (voter, candidate, entry) triples are rejected. An entry's
-    best copy is chosen among the ``matrices`` that computed it.
+    Duplicate (voter, candidate, entry) triples are rejected. Every miner
+    of ``matrices`` has a total, 0.0 when it has no record (a matrix with
+    no off-diagonal entry gets no vote), so it can still lead a round
+    nobody else scores in. An entry's best copy is chosen among the
+    ``matrices`` that computed it.
     """
     if m < 2:
         raise RejectedInputError("tally needs at least two miners")
@@ -176,14 +188,10 @@ def tally(
         sums[(r.candidate, r.entry)] = sums.get((r.candidate, r.entry), 0.0) + r.x
 
     mean_approvals = {key: s / (m - 1) for key, s in sums.items()}
-    totals: dict[int, float] = {}
+    totals = dict.fromkeys(matrices, 0.0)
     for (cand, _entry), xbar in mean_approvals.items():
         totals[cand] = totals.get(cand, 0.0) + xbar
-    leader = min(
-        (cand for cand in totals),
-        key=lambda c: (-totals[c], c),
-        default=1,
-    )
+    leader = min(totals, key=lambda c: (-totals[c], c), default=1)
 
     global_best: dict[int, tuple[int, float]] = {}
     entries = {e for (_c, e) in sums}
@@ -248,7 +256,9 @@ def score_sheet(voter: int, records: list[VoteRecord], m: int, n: int) -> ScoreS
     miner's actual approvals are the outcomes being scored. Both roles
     are fixed cyclic successors of the voter, so nobody scores
     themselves. Only entries where the voter and the peer both voted
-    validly pay out.
+    validly pay out; the voter's valid records are walked in (candidate,
+    entry) order, and records beyond the m miners or the n x n matrix
+    are ignored.
     """
     if m < 3:
         raise RejectedInputError("rewards need at least three miners")
@@ -256,27 +266,24 @@ def score_sheet(voter: int, records: list[VoteRecord], m: int, n: int) -> ScoreS
         raise RejectedInputError(f"voter {voter} outside 1..{m}")
     ref = voter % m + 1
     peer = (voter + 1) % m + 1
-    by_key: dict[tuple[int, int, int], VoteRecord] = {}
-    for r in records:
-        by_key[(r.voter, r.candidate, r.entry)] = r
+    by_key = {(r.voter, r.candidate, r.entry): r for r in records}
+    mine = sorted((r.candidate, r.entry) for r in by_key.values()
+                  if r.voter == voter and r.valid and r.candidate <= m and r.entry <= n * n)
 
     info = 0.0
     pred = 0.0
-    for cand in range(1, m + 1):
-        if cand == voter:
+    for cand, j in mine:
+        pr = by_key.get((peer, cand, j))
+        if pr is None or not pr.valid:
             continue
-        for j in range(1, n * n + 1):
-            own = by_key.get((voter, cand, j))
-            pr = by_key.get((peer, cand, j))
-            if own is None or pr is None or not own.valid or not pr.valid:
-                continue
-            ref_rec = by_key.get((ref, cand, j))
-            if ref_rec is None:
-                log.debug("no reference report for candidate %d entry %d", cand, j)
-                continue
-            y_shift = shifted_prediction(own.x, ref_rec.y)
-            info += quadratic_score(y_shift, pr.x)
-            pred += quadratic_score(own.y, pr.x)
+        ref_rec = by_key.get((ref, cand, j))
+        if ref_rec is None:
+            log.debug("no reference report for candidate %d entry %d", cand, j)
+            continue
+        own = by_key[(voter, cand, j)]
+        y_shift = shifted_prediction(own.x, ref_rec.y)
+        info += quadratic_score(y_shift, pr.x)
+        pred += quadratic_score(own.y, pr.x)
     return ScoreSheet(voter=voter, information=info, prediction=pred)
 
 
@@ -352,25 +359,29 @@ def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
     return b"".join(parts)
 
 
-def votes_from_crs(raw: bytes, n_users: int) -> list[VoteRecord]:
-    """Inverse of votes_to_crs over the reader's own ``n_users``: one
-    record per off-diagonal entry of the n x n matrix, in entry order,
-    as cast_votes writes them. Each stored (row, col, x) is a valid
-    vote; every other entry is an abstention.
+def votes_from_crs(raw: bytes, candidate: SimilarityMatrix) -> list[VoteRecord]:
+    """Inverse of votes_to_crs, read against the ``candidate`` matrix as
+    the reader holds it: one record per off-diagonal entry the candidate
+    computed, in entry order, as cast_votes writes them. Each stored
+    (row, col, x) is a valid vote; every other such entry is an
+    abstention.
 
-    Refuses what votes_to_crs never writes: a voter or candidate id of
-    0, a self-vote, a user count other than ``n_users`` (so a short blob
-    cannot make the reader build n(n - 1) records for a huge n), a
-    length other than the header's count of triples, a vote other than
-    0 or 1, a row or column outside 1..n, a diagonal entry, and entries
+    Refuses what votes_to_crs never writes over that matrix: a voter id
+    of 0, a self-vote, a candidate id or user count other than the
+    matrix's (so a short blob cannot make the reader build n(n - 1)
+    records for a huge n), a length other than the header's count of
+    triples, a vote other than 0 or 1, a row or column outside 1..n, a
+    diagonal entry, an entry the candidate never computed, and entries
     that repeat or are out of order.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
     voter, cand, n, count = struct.unpack_from("<IIII", raw, 0)
-    if voter < 1 or cand < 1 or voter == cand or n != n_users:
-        raise RejectedInputError(f"vote blob of voter {voter} on candidate {cand} over {n} "
-                                 f"users: ids are 1-based and distinct, and n is {n_users}")
+    if voter < 1 or voter == cand or cand != candidate.owner or n != candidate.n_users:
+        raise RejectedInputError(
+            f"vote blob of voter {voter} on candidate {cand} over {n} users: ids are "
+            f"1-based and distinct, the candidate is {candidate.owner} and n is "
+            f"{candidate.n_users}")
     if len(raw) != 16 + 9 * count:
         raise RejectedInputError(
             f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
@@ -379,12 +390,14 @@ def votes_from_crs(raw: bytes, n_users: int) -> list[VoteRecord]:
         if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n) or row == col:
             raise RejectedInputError(
                 f"vote ({row}, {col}, {x}) outside 1..{n}, on the diagonal, or not 0/1")
+        if candidate.get(flat_index(row, col, n)) is None:
+            raise RejectedInputError(
+                f"vote ({row}, {col}, {x}) on an entry candidate {cand} never computed")
     for before, after in zip(triples, triples[1:]):
         if after[:2] <= before[:2]:
             raise RejectedInputError(f"vote {after} does not come after {before}: "
                                      "each entry is written once, in order")
-    votes = {(row, col): x for row, col, x in triples}
+    votes = {flat_index(row, col, n): x for row, col, x in triples}
     beliefs = {None: ABSTAIN_BELIEF, 0: REJECT_BELIEF, 1: APPROVE_BELIEF}
-    return [VoteRecord(voter, cand, flat_index(k, l, n), votes.get((k, l), 0),
-                       beliefs[votes.get((k, l))], valid=(k, l) in votes)
-            for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    return [VoteRecord(voter, cand, j, votes.get(j, 0), beliefs[votes.get(j)], valid=j in votes)
+            for j in _voted_entries(candidate)]

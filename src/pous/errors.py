@@ -5,6 +5,11 @@ class RejectedInputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
+class SubgroupError(RejectedInputError):
+    """Raised when an oblivious-transfer party receives a group element
+    outside the order-q subgroup."""
+
+
 class ConfigurationError(ValueError):
     """Raised for bad scenario/config files or parameter values."""
 

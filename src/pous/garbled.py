@@ -82,7 +82,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputError
+from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputError, SubgroupError
 
 LABEL_BYTES = 16
 TAG = b"\x00\x00\x00\x00"
@@ -468,6 +468,11 @@ def _table_pow(table: tuple[tuple[int, ...], ...], digits: bytes, p: int) -> int
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
+def _hex_digits(e: int) -> bytes:
+    """The radix-16 digits of ``e``, least significant first."""
+    return format(e, "x")[::-1].encode().translate(_HEX_DIGITS)
+
+
 @dataclass(frozen=True)
 class OTGroup:
     """Prime-order subgroup of Z_p* (p safe prime, g generates order q).
@@ -580,19 +585,26 @@ class DiffieHellmanOT:
       in the random-oracle model for H).
     * The index i inside H keeps the transfers of one batch apart, so
       equal pairs at two positions encrypt under different keys.
-    * It is secure against a semi-honest party only: neither side checks
-      what the other sends. A sender whose ``A`` is ``p - 1``, outside
-      the order-q subgroup, reads every choice bit off whether ``B_i``
-      is a quadratic residue.
+    * The receiver checks the sender's element: before it computes any
+      ``B_i`` it refuses an ``A`` with ``A^q != 1``, outside the order-q
+      subgroup, with :class:`~pous.errors.SubgroupError`. A sender whose
+      ``A`` is ``p - 1`` would otherwise read every choice bit off
+      whether ``B_i`` is a quadratic residue.
+    * The sender still does not check each ``B_i``, which would cost 16
+      builtin powers per batch of 16, so the transfer is secure against
+      a semi-honest receiver only.
 
     Per batch: one exponent draw, two powers of g (``A`` and ``T``), one
     group element on the wire, and one radix-16 :func:`_power_table` of
     ``A`` that lives only for the batch (960 products on ``FAST_GROUP``,
-    2,880 on ``DEFAULT_GROUP``). Per transfer: one exponent draw, one
-    power of g, one variable-base exponentiation (``B_i^a``), the
-    receiver key ``A^x_i`` (one product per nonzero hex digit of ``x_i``
-    off the table), three hashes, and one group element and two labels
-    on the wire. The receiver's table pays for itself: in 10 alternating
+    2,880 on ``DEFAULT_GROUP``). The receiver reads ``A^q`` off that
+    table, one product per nonzero hex digit of q: 36 µs on
+    ``FAST_GROUP`` against 152 µs for builtin ``pow``, in a 16-transfer
+    batch of 4.2 ms (2-core x86-64, Python 3.11). Per transfer: one
+    exponent draw, one power of g, one variable-base exponentiation
+    (``B_i^a``), the receiver key ``A^x_i`` (one product per nonzero hex
+    digit of ``x_i`` off the table), three hashes, and one group element
+    and two labels on the wire. The receiver's table pays for itself: in 10 alternating
     pairs of 25 s ``private-compare`` runs (batches of 16, 2-core x86-64,
     Python 3.11), reading the keys off it rather than builtin ``pow``
     raised throughput 16%. Exponents come from the operating system's
@@ -622,6 +634,10 @@ class DiffieHellmanOT:
         a = self._rand_exp()
         big_a = grp.pow_g(a)
         t.messages.append(("sender", grp.encode(big_a)))
+        # receiver: a table of A for its keys, which first checks A^q = 1
+        table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
+        if _table_pow(table, _hex_digits(grp.q), p) != 1:
+            raise SubgroupError("the sender's A is outside the order-q subgroup: A^q != 1")
         # receiver: g^x on the chosen side, shifted by A when the bit is 1
         xs = [self._rand_exp() for _ in bits]
         bs = [grp.pow_g(x) * (1, big_a)[bit] % p for x, bit in zip(xs, bits)]
@@ -635,9 +651,7 @@ class DiffieHellmanOT:
                         _xor(m1, _hash_to_key(grp, s * big_t % p, i, 1))))
         t.messages.append(("sender", b"".join(c for pair in cts for c in pair)))
         # receiver: its key A^x, then the side its bit chose
-        table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
-        keys = [_table_pow(table, format(x, "x")[::-1].encode().translate(_HEX_DIGITS), p)
-                for x in xs]
+        keys = [_table_pow(table, _hex_digits(x), p) for x in xs]
         out = [_xor(cts[i][bit], _hash_to_key(grp, k, i, bit))
                for i, (k, bit) in enumerate(zip(keys, bits))]
         return out, t

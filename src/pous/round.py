@@ -28,7 +28,9 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
     defaults to the trusted dealer. Returns the records the tally read,
     the tally, and the bytes moved by kind: ``matrix`` (each to every
     other miner), ``circuit`` (each to every voter), ``labels`` (the
-    generator's active labels), ``ot`` (the transcripts) and ``votes``."""
+    generator's active labels), ``ot`` (the transcripts) and ``votes``
+    (a blob per voter on each candidate that computed an off-diagonal
+    entry; a candidate that computed none gets no vote)."""
     ot = ot if ot is not None else garbled.TrustedDealerOT()
     sent = dict.fromkeys(("matrix", "circuit", "labels", "ot", "votes"), 0)
     received = {}
@@ -54,9 +56,11 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
                 return bit
 
             votes = cast_votes(matrices[voter], received[cand], compare)
+            if not votes:  # the candidate computed no off-diagonal entry
+                continue
             blob = votes_to_crs(votes, matrices[voter].n_users)
             sent["votes"] += len(blob)
-            records.extend(votes_from_crs(blob, matrices[voter].n_users))
+            records.extend(votes_from_crs(blob, received[cand]))
     n_users = next(iter(matrices.values())).n_users
     return records, tally(records, len(matrices), n_users, received), sent
 

@@ -24,8 +24,9 @@ from pous.bts import (
     votes_from_crs,
     votes_to_crs,
 )
-from pous.errors import CorruptedCircuitError, RejectedInputError
+from pous.errors import CorruptedCircuitError, RejectedInputError, SubgroupError
 from pous.garbled import FixedPoint, GarbledCompareBackend, PlainCompareBackend
+from pous.round import vote
 from pous.similarity import UserVector, compute_usm, unflatten_index
 
 
@@ -93,6 +94,33 @@ def test_partial_voter_three_of_six_pairs():
     assert all(r.x == 0 and r.y == ABSTAIN_BELIEF for r in abst)
 
 
+def test_partial_candidate_gets_votes_on_its_entries_only():
+    mats = matrices_for(2, 4, budgets=[None, 3])
+    recs = cast_votes(mats[1], mats[2], plain_compare())
+    assert [r.entry for r in recs] == [2, 3, 4, 5, 9, 13]  # (1, 2..4) both ways
+    assert all(r.valid for r in recs)
+    assert cast_votes(mats[2], matrices_for(1, 4, budgets=[0])[1], plain_compare()) == []
+
+
+def test_vote_costs_what_each_candidate_computed():
+    """Four miners over 200 users with a few pairs each: for every voter
+    and candidate the round holds exactly as many records as the
+    candidate has off-diagonal entries, not 200 * 199."""
+    n = 200
+    rng = np.random.default_rng(9)
+    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((3, 5, 0, 8), 1)}
+    records, result, _ = vote(mats, 0.05, seeds={c: c for c in mats})
+    counts = {}
+    for r in records:
+        counts[(r.voter, r.candidate)] = counts.get((r.voter, r.candidate), 0) + 1
+    assert counts == {(v, c): 2 * b for v in mats for c, b in ((1, 3), (2, 5), (4, 8)) if v != c}
+    # miner 3 abstains on all; miner 1 lacks 2 and 5 of the others' pairs,
+    # miner 2 lacks 3 of miner 4's
+    assert sum(not r.valid for r in records) == 2 * (3 + 5 + 8) + 2 * (2 + 5) + 2 * 3
+    assert result.totals[3] == 0.0 and len(result.mean_approvals) == 2 * (3 + 5 + 8)
+
+
 def test_cast_matches_plaintext_predicate():
     from pous.similarity import SimilarityMatrix
 
@@ -132,6 +160,22 @@ def test_comparison_abort_becomes_abstention(caplog):
         recs = cast_votes(mats[1], mats[2], flaky)
     assert sum(not r.valid for r in recs) == 1
     assert any("aborted" in rec.message for rec in caplog.records)
+
+
+def test_only_a_foreign_ot_element_among_refusals_becomes_abstention():
+    # the OT receiver's refusal of the sender's element aborts the
+    # comparison; any other refusal still stops the vote
+    mats = matrices_for(2, 3)
+
+    def refuse(error):
+        def compare(cand_val, own_val):
+            raise error("injected")
+        return compare
+
+    recs = cast_votes(mats[1], mats[2], refuse(SubgroupError))
+    assert len(recs) == 6 and all(not r.valid and r.x == 0 for r in recs)
+    with pytest.raises(RejectedInputError, match="injected"):
+        cast_votes(mats[1], mats[2], refuse(RejectedInputError))
 
 
 @pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 33", "three rows"])
@@ -227,6 +271,18 @@ def test_totals_are_row_sums_exactly():
         assert total == sum(
             xbar for (c, _j), xbar in res.mean_approvals.items() if c == cand
         )
+
+
+def test_a_miner_without_entries_still_counts():
+    # miner 1 computed nothing, so nobody votes on it; its total is 0.0,
+    # and with every other copy rejected it leads as the lowest id
+    mats = matrices_for(3, 3, budgets=[0, 2, 2])
+    recs = [r for v in mats for c in mats if v != c
+            for r in cast_votes(mats[v], mats[c], lambda a, b: 0)]
+    res = tally(recs, 3, 3, matrices=mats)
+    assert not any(r.candidate == 1 for r in recs)
+    assert res.totals == {1: 0.0, 2: 0.0, 3: 0.0}
+    assert res.leader == 1
 
 
 def test_leader_tie_goes_to_lowest_index():
@@ -545,7 +601,7 @@ def test_crs_votes_roundtrip():
     mats = matrices_for(2, 4, budgets=[3, None], seed=16)
     recs = cast_votes(mats[1], mats[2], plain_compare())
     blob = votes_to_crs(recs, n=4)
-    assert votes_from_crs(blob, 4) == recs
+    assert votes_from_crs(blob, mats[2]) == recs
     assert sum(not r.valid for r in recs) == 6
     assert len(blob) == 16 + 9 * sum(r.valid for r in recs)
 
@@ -560,11 +616,17 @@ def test_crs_votes_reject_truncation():
     mats = matrices_for(2, 3, seed=17)
     blob = votes_to_crs(cast_votes(mats[1], mats[2], plain_compare()), n=3)
     with pytest.raises(RejectedInputError):
-        votes_from_crs(blob[:-2], 3)
+        votes_from_crs(blob[:-2], mats[2])
     with pytest.raises(RejectedInputError, match="too short"):
-        votes_from_crs(blob[:15], 3)
+        votes_from_crs(blob[:15], mats[2])
     with pytest.raises(RejectedInputError, match="no records"):
         votes_to_crs([], n=3)
+
+
+def full_matrix():
+    """Miner 2's matrix over 3 users, every entry computed: what the
+    reader tests read a blob against."""
+    return matrices_for(2, 3)[2]
 
 
 def crs_blob(triples, n=3, count=None, ids=(1, 2)):
@@ -588,18 +650,107 @@ def crs_blob(triples, n=3, count=None, ids=(1, 2)):
     (crs_blob([], n=0), "over 0 users"),
     # 16 bytes that would expand to n(n - 1) abstentions
     (crs_blob([], n=2**32 - 1), "over 4294967295 users: .* n is 3"),
+    (crs_blob([(1, 2, 1)], ids=(1, 3)), "on candidate 3 over 3 users: .* candidate is 2"),
+    (crs_blob([(1, 2, 1)], n=4), "over 4 users: .* n is 3"),
 ], ids=["trailing-bytes", "count-short", "x-9", "row-0", "col-past-n", "diagonal",
         "repeated-entry", "out-of-order", "self-vote", "voter-0", "candidate-0", "no-users",
-        "huge-n"])
+        "huge-n", "other-candidate", "other-n"])
 def test_crs_votes_reject_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
-        votes_from_crs(blob, 3)
+        votes_from_crs(blob, full_matrix())
 
 
 def test_crs_votes_accept_rows_and_columns_1_to_n():
-    recs = votes_from_crs(crs_blob([(1, 3, 1), (3, 1, 0)]), 3)
+    recs = votes_from_crs(crs_blob([(1, 3, 1), (3, 1, 0)]), full_matrix())
     assert [(r.entry, r.x, r.y, r.valid) for r in recs if r.valid] == [
         (3, 1, APPROVE_BELIEF, True), (7, 0, REJECT_BELIEF, True)]
     assert [r.entry for r in recs] == [2, 3, 4, 6, 7, 8]
     assert all((r.voter, r.candidate) == (1, 2) for r in recs)
     assert all((r.x, r.y) == (0, ABSTAIN_BELIEF) for r in recs if not r.valid)
+
+
+def test_crs_votes_cover_the_entries_the_candidate_computed():
+    partial = matrices_for(2, 3, budgets=[None, 1])[2]  # the pair (1, 2) only
+    assert [(r.entry, r.valid) for r in votes_from_crs(crs_blob([(2, 1, 0)]), partial)] == [
+        (2, False), (4, True)]
+    with pytest.raises(RejectedInputError,
+                       match=r"vote \(1, 3, 1\) on an entry candidate 2 never computed"):
+        votes_from_crs(crs_blob([(1, 2, 1), (1, 3, 1)]), partial)
+
+
+# ---------------------------------------------------------------------------
+# the vote against a reference that records every off-diagonal entry
+
+
+def reference_records(mats, compare):
+    """Every voter's records on every other miner's matrix, one per
+    off-diagonal entry whether or not the candidate computed it."""
+    recs = []
+    for v, mine in mats.items():
+        for c, theirs in mats.items():
+            if v == c:
+                continue
+            n = theirs.n_users
+            for j in range(1, n * n + 1):
+                k, l = unflatten_index(j, n)
+                if k == l:
+                    continue
+                cand_val, own_val = theirs.get(j), mine.get(j)
+                if cand_val is None or own_val is None:
+                    recs.append(rec(v, c, j, 0, ABSTAIN_BELIEF, valid=False))
+                else:
+                    x = compare(cand_val, own_val)
+                    recs.append(rec(v, c, j, x, APPROVE_BELIEF if x else REJECT_BELIEF))
+    return recs
+
+
+def reference_sheet(voter, recs, m, n):
+    """The score sheet as a loop over every candidate and every slot."""
+    by_key = {(r.voter, r.candidate, r.entry): r for r in recs}
+    ref, peer = voter % m + 1, (voter + 1) % m + 1
+    info = pred = 0.0
+    for cand in range(1, m + 1):
+        for j in range(1, n * n + 1):
+            own, pr = by_key.get((voter, cand, j)), by_key.get((peer, cand, j))
+            rf = by_key.get((ref, cand, j))
+            if own and pr and rf and own.valid and pr.valid:
+                info += quadratic_score(shifted_prediction(own.x, rf.y), pr.x)
+                pred += quadratic_score(own.y, pr.x)
+    return ScoreSheet(voter, info, pred)
+
+
+def test_votes_on_computed_entries_match_the_full_reference():
+    """Seeded rounds of 3-6 miners over 2-7 users, budgets including 0 and
+    None, θ in {0, 0.05, 0.3}, each miner's values jittered so approvals,
+    rejections and abstentions all occur: the leader, totals, global
+    best, digest and every score sheet equal those of the reference
+    records, bit for bit, and every mean approval the new tally drops
+    was 0.0."""
+    rng = random.Random(27)
+    dropped = 0
+    for _ in range(150):
+        m, n, theta = rng.randint(3, 6), rng.randint(2, 7), rng.choice((0.0, 0.05, 0.3))
+        pairs = n * (n - 1) // 2
+        mats = matrices_for(m, n, budgets=[rng.choice((0, None, *range(1, pairs + 1)))
+                                           for _ in range(m)], seed=rng.randrange(2**31))
+        for mat in mats.values():
+            for j in mat.computed_indices:
+                if rng.random() < 0.5:
+                    mat.set_entry(j, min(1.0, max(0.0, mat.get(j) + rng.gauss(0, 0.1))))
+        compare = plain_compare(theta)
+        recs = [r for v in mats for c in mats if v != c
+                for r in cast_votes(mats[v], mats[c], compare)]
+        want_recs = reference_records(mats, compare)
+        got, want = tally(recs, m, n, mats), tally(want_recs, m, n, mats)
+        assert (got.leader, got.totals, got.global_best) == (
+            want.leader, want.totals, want.global_best)
+        assert got.digest() == want.digest()
+        for key, xbar in want.mean_approvals.items():
+            assert got.mean_approvals.get(key, 0.0) == xbar
+        dropped += len(want.mean_approvals) - len(got.mean_approvals)
+        assert set(got.mean_approvals) <= set(want.mean_approvals)
+        for voter in mats:
+            sheet = score_sheet(voter, recs, m, n)
+            assert sheet == score_sheet(voter, want_recs, m, n)
+            assert sheet == reference_sheet(voter, want_recs, m, n)
+    assert dropped > 0

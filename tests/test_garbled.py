@@ -15,6 +15,7 @@ from pous.errors import (
     ConfigurationError,
     CorruptedCircuitError,
     RejectedInputError,
+    SubgroupError,
 )
 from pous.garbled import (
     BITWIDTHS,
@@ -808,6 +809,30 @@ def test_ot_returns_chosen_label():
     assert one(ot, m0, m1, 0)[0] == m0
     assert one(ot, m0, m1, 1)[0] == m1
     assert ot.exchange([(m0, m1)] * 8, [0, 1] * 4)[0] == [m0, m1] * 4
+
+
+def minus_one_sender():
+    """FAST_GROUP whose every power of g is p - 1, an element of order 2:
+    as the sender's ``A`` it would reveal every choice bit, since ``B_i``
+    is then a quadratic residue exactly when the bit is 0. Returns the
+    group and the list of exponents it is asked for."""
+    calls = []
+
+    class MinusOne(garbled.OTGroup):
+        def pow_g(self, e):
+            calls.append(e)
+            return self.p - 1
+
+    return MinusOne(FAST_GROUP.p, FAST_GROUP.q, FAST_GROUP.g), calls
+
+
+def test_ot_receiver_refuses_a_sender_element_outside_the_subgroup():
+    grp, calls = minus_one_sender()
+    with pytest.raises(SubgroupError, match="A is outside the order-q subgroup"):
+        DiffieHellmanOT(grp, rng=random.Random(9)).exchange([(b"m" * 16, b"n" * 16)] * 16,
+                                                            [0, 1] * 8)
+    assert len(calls) == 1  # A alone: no B_i was computed
+    assert issubclass(SubgroupError, RejectedInputError)
 
 
 def test_ot_default_rng_is_cryptographic():
