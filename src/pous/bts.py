@@ -9,15 +9,18 @@ score. Truthful voting maximizes the expected reward whenever the
 voter's posterior is more extreme than the population prediction, so
 rational miners neither flip votes nor copy-paste approvals.
 
-A voter votes on the entries its candidate computed, and on no other.
-Where the voter never computed the entry, or the comparison aborts, it
-abstains, and the abstention is recorded explicitly: it counts toward
-the voter population in mean approvals but earns nothing. An entry the
-candidate never computed gets no record at all; every voter would
-abstain on it, so it would add 0 to the candidate's total and pay no
-one. The tally takes the miners' matrices: an entry's best copy is
-picked among the miners that computed it, and its value goes into the
-digest the committee agrees on.
+A voter votes on the entries its candidate computed, and on no other,
+and runs one comparison per user pair: where both slots of a pair hold
+the same values on each side, as ``compute_usm`` writes them, the
+mirror slot reuses the first slot's verdict. Where the voter never
+computed the entry, or the comparison aborts (an aborted pair is
+compared again on its mirror slot), it abstains, and the abstention is
+recorded explicitly: it counts toward the voter population in mean
+approvals but earns nothing. An entry the candidate never computed gets
+no record at all; every voter would abstain on it, so it would add 0 to
+the candidate's total and pay no one. The tally takes the miners'
+matrices: an entry's best copy is picked among the miners that computed
+it, and its value goes into the digest the committee agrees on.
 """
 from __future__ import annotations
 
@@ -87,28 +90,40 @@ def cast_votes(
     order; the voter abstains on one it never computed.
 
     ``compare(candidate_value, voter_value)`` is the two-party
-    comparison; the candidate plays generator, the voter evaluator. A
-    comparison abort (a corrupted circuit, or an OT sender element
-    outside its group) is logged and becomes an abstention rather than a
-    protocol failure, since one bad pair must not sink the whole vote.
+    comparison; the candidate plays generator, the voter evaluator. It
+    runs once per user pair: the mirror slot (l, k) reuses the valid
+    verdict of (k, l) when both matrices hold the same values there, as
+    ``compute_usm`` writes them. A mirror whose value differs on either
+    side is compared on its own. A comparison abort (a corrupted
+    circuit, or an OT sender element outside its group) is logged and
+    becomes an abstention rather than a protocol failure, since one bad
+    pair must not sink the whole vote; the mirror of an aborted slot is
+    compared again.
     """
-    if voter_matrix.n_users != candidate_matrix.n_users:
+    n = candidate_matrix.n_users
+    if voter_matrix.n_users != n:
         raise RejectedInputError("matrices cover different user counts")
+    # valid verdicts by (unordered user pair, candidate value, voter value)
+    verdicts: dict[tuple[int, int, float, float], int] = {}
     records = []
     for j in _voted_entries(candidate_matrix):
         own_val = voter_matrix.get(j)
         if own_val is None:
             x, valid = 0, False
         else:
-            try:
-                x = compare(candidate_matrix.get(j), own_val)
-                valid = True
-            except (CorruptedCircuitError, SubgroupError) as exc:
-                log.warning(
-                    "comparison aborted for entry %d of miner %d: %s",
-                    j, candidate_matrix.owner, exc,
-                )
-                x, valid = 0, False
+            cand_val = candidate_matrix.get(j)
+            k, l = divmod(j - 1, n)
+            key = (min(k, l), max(k, l), cand_val, own_val)
+            x, valid = verdicts.get(key), True
+            if x is None:
+                try:
+                    x = verdicts[key] = compare(cand_val, own_val)
+                except (CorruptedCircuitError, SubgroupError) as exc:
+                    log.warning(
+                        "comparison aborted for entry %d of miner %d: %s",
+                        j, candidate_matrix.owner, exc,
+                    )
+                    x, valid = 0, False
         records.append(
             VoteRecord(
                 voter=voter_matrix.owner,

@@ -26,7 +26,8 @@ Construction notes:
   the first 20 bytes of the digest of the two input labels plus a
   per-gate, per-row tweak, taken as an integer. The tweak keeps pads
   unique even though wire labels feed many gates; each gate's four
-  tweaks are packed once and cached.
+  tweaks are packed once, and the evaluator reads them with the gate's
+  input wires from one cached plan per width (``_plan``).
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
   Cryptology 2009). ``_skeleton`` lists its gates once per width, and
@@ -61,9 +62,10 @@ Construction notes:
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes, and
   :func:`pous.round.vote` reuses each candidate's template across the
-  round's voters and entries; an evaluator that sees a reused circuit
-  under several inputs learns more than one bit (Lindell and Pinkas, J.
-  Cryptology 2009).
+  round's voters and user pairs (a voter compares each pair once and
+  reuses the verdict on its mirror slot, so the mirror runs no circuit);
+  an evaluator that sees a reused circuit under several inputs learns
+  more than one bit (Lindell and Pinkas, J. Cryptology 2009).
 
 The comparator's gates, 7w - 2 at width w, come from blocks in the style
 of Kolesnikov, Sadeghi and Schneider (CANS 2009): a borrow subtractor
@@ -220,13 +222,10 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 @functools.cache  # gate indices stop at the widest comparator's 222 gates
 def _tweaks(gate_index: int) -> tuple[bytes, ...]:
+    """Gate ``gate_index``'s four row tweaks. A row's pad is the first
+    ROW_BYTES (20) of the SHA-256 of its two input labels and its tweak,
+    as an integer: the digest shifted right by 96 bits."""
     return tuple(struct.pack("<IB", gate_index, slot) for slot in range(4))
-
-
-def _row_pad(outer: bytes, inner: bytes, gate_index: int, slot: int) -> int:
-    """The first ROW_BYTES (20) of the row's 32-byte digest, as an integer."""
-    digest = hashlib.sha256(outer + inner + _tweaks(gate_index)[slot]).digest()
-    return int.from_bytes(digest, "big") >> 96
 
 
 def _permute_bit(label: bytes) -> int:
@@ -252,11 +251,12 @@ def gen_gate(
     if _permute_bit(in1_keys[1]) == p1 or _permute_bit(in2_keys[1]) == p2:
         raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
     plains = [int.from_bytes(k, "big") << _TAG_BITS for k in out_keys]  # label + TAG
+    tweaks, sha256 = _tweaks(gate_index), hashlib.sha256
     rows: list[bytes] = [b""] * 4
     for a, ka in enumerate(in1_keys):
         for b, kb in enumerate(in2_keys):
             slot = 2 * (p1 ^ a) + (p2 ^ b)  # ka's permute bit is p1 ^ a
-            pad = _row_pad(ka, kb, gate_index, slot)
+            pad = int.from_bytes(sha256(ka + kb + tweaks[slot]).digest(), "big") >> 96
             rows[slot] = (plains[table[2 * a + b]] ^ pad).to_bytes(ROW_BYTES, "big")
     return tuple(rows)
 
@@ -314,6 +314,14 @@ def _skeleton(bitwidth: int) -> tuple[tuple[str | tuple[str, int], int, int], ..
     flip = gate("AND", borrow, gate("XNOR", le_theta, le_not_theta))
     gate("XOR", le_theta, flip)
     return tuple(gates)
+
+
+@functools.cache
+def _plan(bitwidth: int) -> tuple[tuple[int, int, tuple[bytes, ...]], ...]:
+    """What the evaluator reads per gate of ``_skeleton(bitwidth)``: its
+    two input wires and its four row tweaks."""
+    return tuple((in1, in2, _tweaks(gi))
+                 for gi, (_, in1, in2) in enumerate(_skeleton(bitwidth)))
 
 
 @dataclass
@@ -404,16 +412,17 @@ def eval_circuit(
     w = circuit.bitwidth
     if w not in BITWIDTHS:
         raise CorruptedCircuitError(f"circuit width {w} outside 4..32")
-    wiring = _skeleton(w)
-    if len(circuit.gates) != len(wiring):
+    plan = _plan(w)
+    if len(circuit.gates) != len(plan):
         raise CorruptedCircuitError(
-            f"circuit has {len(circuit.gates)} gates, a width-{w} comparator has {len(wiring)}")
+            f"circuit has {len(circuit.gates)} gates, a width-{w} comparator has {len(plan)}")
     if len(gen_labels) != w:
         raise RejectedInputError("wrong generator label count")
     if len(eval_labels) != w:
         raise RejectedInputError("wrong evaluator label count")
     labels = [*gen_labels, *eval_labels]
-    for gi, ((_, in1, in2), rows) in enumerate(zip(wiring, circuit.gates)):
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    for gi, ((in1, in2, tweaks), rows) in enumerate(zip(plan, circuit.gates)):
         ka, kb = labels[in1], labels[in2]
         try:  # free on the happy path, unlike a length check per gate
             slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
@@ -421,7 +430,8 @@ def eval_circuit(
         except IndexError:
             raise CorruptedCircuitError(
                 f"gate {gi} has an empty input label or lacks the row they select") from None
-        plain = int.from_bytes(row, "big") ^ _row_pad(ka, kb, gi, slot)
+        plain = from_bytes(row, "big") ^ (
+            from_bytes(sha256(ka + kb + tweaks[slot]).digest(), "big") >> 96)
         if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
         labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))

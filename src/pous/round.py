@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import garbled
-from .bts import TallyResult, VoteRecord, cast_votes, tally, votes_from_crs, votes_to_crs
+from .bts import (TallyResult, VoteRecord, _voted_entries, cast_votes, tally, votes_from_crs,
+                  votes_to_crs)
 from .committee import CommitteeConfig, Decision, agree, select_committee, verify_block
 from .packing import Block, PriorityWeights, cluster_mempool, pack_block, tx_priority
 from .similarity import DataView, SimilarityMatrix, build_user_vectors, compute_usm
@@ -24,13 +25,16 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
          ot=None) -> tuple[list[VoteRecord], TallyResult, dict[str, int]]:
     """Every miner votes on every other miner's matrix, and the votes are
     tallied over the matrices as their receivers read them. Candidate c
-    garbles one comparator from ``seeds[c]`` for all its voters; the OT
-    defaults to the trusted dealer. Returns the records the tally read,
-    the tally, and the bytes moved by kind: ``matrix`` (each to every
-    other miner), ``circuit`` (each to every voter), ``labels`` (the
-    generator's active labels), ``ot`` (the transcripts) and ``votes``
-    (a blob per voter on each candidate that computed an off-diagonal
-    entry; a candidate that computed none gets no vote)."""
+    garbles one comparator from ``seeds[c]`` for all its voters, if it
+    computed an off-diagonal entry; a candidate that computed none gets
+    no circuit and no vote. A voter compares each user pair once and
+    reuses the verdict on the mirror slot (:func:`~pous.bts.cast_votes`).
+    The OT defaults to the trusted dealer. Returns the records the tally
+    read, the tally, and the bytes moved by kind: ``matrix`` (each to
+    every other miner), ``circuit`` (each to every voter), ``labels``
+    (the generator's active labels, per comparison), ``ot`` (the
+    transcripts, one batch per comparison) and ``votes`` (a blob per
+    voter on each candidate that got a circuit)."""
     ot = ot if ot is not None else garbled.TrustedDealerOT()
     sent = dict.fromkeys(("matrix", "circuit", "labels", "ot", "votes"), 0)
     received = {}
@@ -39,7 +43,8 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
         sent["matrix"] += len(raw) * (len(matrices) - 1)
         received[owner] = SimilarityMatrix.from_crs_bytes(raw)
     width = garbled.DEFAULT_BITWIDTH
-    templates = {c: garbled.garble_comparator(width, theta, seeds[c]) for c in matrices}
+    templates = {c: garbled.garble_comparator(width, theta, seeds[c])
+                 for c in matrices if _voted_entries(received[c])}
     records = []
     for voter in matrices:
         for cand, template in templates.items():
@@ -56,8 +61,6 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
                 return bit
 
             votes = cast_votes(matrices[voter], received[cand], compare)
-            if not votes:  # the candidate computed no off-diagonal entry
-                continue
             blob = votes_to_crs(votes, matrices[voter].n_users)
             sent["votes"] += len(blob)
             records.extend(votes_from_crs(blob, received[cand]))

@@ -309,11 +309,13 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     """Comparisons, simulated seconds, and transcript bytes per round.
 
     Every ordered (voter, candidate) pair compares the common prefix of
-    their budgeted pair sequences, two matrix slots per user pair.
-    Evaluation time is gates times rows decrypted per gate times the hash
-    cost; bytes cover generator labels, one transfer batch per comparison
-    (a transfer per evaluator bit), and the per-epoch circuit shipment
-    amortized over the rotation period.
+    their budgeted pair sequences, one comparison per user pair: the
+    mirror slot reuses the verdict (``bts.cast_votes``). Evaluation time
+    is gates times rows decrypted per gate times the hash cost; bytes
+    cover generator labels, one transfer batch per comparison (a transfer
+    per evaluator bit), and the per-epoch circuit shipment, one per voter
+    of each candidate with a nonzero budget, amortized over the rotation
+    period.
     """
     max_b = int(budgets.max()) if len(budgets) else 0
     if max_b == 0:
@@ -321,13 +323,13 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     sorted_b = np.sort(budgets)
     ranks = np.arange(1, max_b + 1)
     cnt_ge = len(budgets) - np.searchsorted(sorted_b, ranks, side="left")
-    comparisons = int(2 * (cnt_ge * (cnt_ge - 1)).sum())
+    comparisons = int((cnt_ge * (cnt_ge - 1)).sum())
     gates, circuit_bytes = garbled.comparator_size(config.bitwidth)
     eval_seconds = comparisons * gates * garbled.ROW_TRIES * _SHA_SECONDS
     per_cmp_bytes = garbled.comparison_bytes(
         config.bitwidth, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
-    m = len(budgets)
-    circuit_share = circuit_bytes * m * (m - 1) / config.rotation_period
+    active = int(np.count_nonzero(budgets))
+    circuit_share = circuit_bytes * active * (len(budgets) - 1) / config.rotation_period
     total_bytes = int(comparisons * per_cmp_bytes + circuit_share)
     return comparisons, eval_seconds, total_bytes
 

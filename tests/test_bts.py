@@ -25,9 +25,15 @@ from pous.bts import (
     votes_to_crs,
 )
 from pous.errors import CorruptedCircuitError, RejectedInputError, SubgroupError
-from pous.garbled import FixedPoint, GarbledCompareBackend, PlainCompareBackend
+from pous.garbled import (
+    FixedPoint,
+    GarbledCompareBackend,
+    PlainCompareBackend,
+    TrustedDealerOT,
+    comparator_size,
+)
 from pous.round import vote
-from pous.similarity import UserVector, compute_usm, unflatten_index
+from pous.similarity import UserVector, compute_usm, flat_index, unflatten_index
 
 
 def matrices_for(m, n, budgets=None, seed=0):
@@ -110,7 +116,7 @@ def test_vote_costs_what_each_candidate_computed():
     rng = np.random.default_rng(9)
     vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((3, 5, 0, 8), 1)}
-    records, result, _ = vote(mats, 0.05, seeds={c: c for c in mats})
+    records, result, sent = vote(mats, 0.05, seeds={c: c for c in mats})
     counts = {}
     for r in records:
         counts[(r.voter, r.candidate)] = counts.get((r.voter, r.candidate), 0) + 1
@@ -119,6 +125,9 @@ def test_vote_costs_what_each_candidate_computed():
     # miner 2 lacks 3 of miner 4's
     assert sum(not r.valid for r in records) == 2 * (3 + 5 + 8) + 2 * (2 + 5) + 2 * 3
     assert result.totals[3] == 0.0 and len(result.mean_approvals) == 2 * (3 + 5 + 8)
+    # miner 3 computed no entry, so it garbles and ships no circuit: three
+    # candidates, each to three voters
+    assert sent["circuit"] == 9 * comparator_size(16)[1]
 
 
 def test_cast_matches_plaintext_predicate():
@@ -754,3 +763,116 @@ def test_votes_on_computed_entries_match_the_full_reference():
             assert sheet == score_sheet(voter, want_recs, m, n)
             assert sheet == reference_sheet(voter, want_recs, m, n)
     assert dropped > 0
+
+
+# ---------------------------------------------------------------------------
+# one comparison per user pair
+
+
+def unshared_records(mine, theirs, compare):
+    """cast_votes without verdict reuse: one comparison per slot."""
+    recs = []
+    n = theirs.n_users
+    for j in theirs.computed_indices:
+        k, l = unflatten_index(j, n)
+        if k == l:
+            continue
+        own_val = mine.get(j)
+        x, valid = 0, False
+        if own_val is not None:
+            try:
+                x, valid = compare(theirs.get(j), own_val), True
+            except CorruptedCircuitError:
+                pass
+        recs.append(rec(mine.owner, theirs.owner, j, x,
+                        (APPROVE_BELIEF if x else REJECT_BELIEF) if valid else ABSTAIN_BELIEF,
+                        valid))
+    return recs
+
+
+def aborting_compare(theta, seed, rate=0.2):
+    """A plain compare that counts its calls and aborts on a seeded share
+    of value pairs: the same two values always abort or always answer."""
+    plain = plain_compare(theta)
+
+    def compare(cand_val, own_val):
+        compare.calls += 1
+        if random.Random(f"{seed}:{cand_val!r}:{own_val!r}").random() < rate:
+            raise CorruptedCircuitError("injected")
+        return plain(cand_val, own_val)
+
+    compare.calls = 0
+    return compare
+
+
+def test_verdict_reuse_matches_a_compare_per_slot():
+    """Seeded rounds of 3-5 miners over 3-7 users, budgets including 0 and
+    None, values jittered on both slots of a pair, some mirrors hand-set
+    to another value on one slot, and a compare that aborts on a fifth of
+    its value pairs: every record equals the one a compare per slot
+    writes. cast_votes calls compare once per distinct (user pair,
+    candidate value, voter value) with a valid verdict, and once per slot
+    whose comparison aborted. Tally, digest and score sheets match."""
+    rng = random.Random(28)
+    calls = slots = aborted = asymmetric = 0
+    for round_seed in range(120):
+        m, n, theta = rng.randint(3, 5), rng.randint(3, 7), rng.choice((0.0, 0.05, 0.3))
+        pairs = n * (n - 1) // 2
+        mats = matrices_for(m, n, budgets=[rng.choice((0, None, *range(1, pairs + 1)))
+                                           for _ in range(m)], seed=rng.randrange(2**31))
+        for mat in mats.values():
+            for j in mat.computed_indices:
+                k, l = unflatten_index(j, n)
+                if k >= l:
+                    continue
+                if rng.random() < 0.5:  # both slots, as compute_usm writes them
+                    value = min(1.0, max(0.0, mat.get(j) + rng.gauss(0, 0.1)))
+                    mat.set_entry(j, value)
+                    mat.set_entry(flat_index(l, k, n), value)
+                if rng.random() < 0.15:  # the mirror alone
+                    mat.set_entry(flat_index(l, k, n), rng.random())
+                    asymmetric += 1
+        recs, want_recs = [], []
+        for v in mats:
+            for c in mats:
+                if v == c:
+                    continue
+                compare = aborting_compare(theta, round_seed)
+                got = cast_votes(mats[v], mats[c], compare)
+                want = unshared_records(mats[v], mats[c], aborting_compare(theta, round_seed))
+                assert got == want
+                compared = [r for r in want if mats[v].get(r.entry) is not None]
+                verdicts = {(*sorted(unflatten_index(r.entry, n)), mats[c].get(r.entry),
+                             mats[v].get(r.entry)) for r in compared if r.valid}
+                aborts = sum(not r.valid for r in compared)
+                assert compare.calls == len(verdicts) + aborts
+                calls += compare.calls
+                slots += len(compared)
+                aborted += aborts
+                recs.extend(got)
+                want_recs.extend(want)
+        got_tally, want_tally = tally(recs, m, n, mats), tally(want_recs, m, n, mats)
+        assert got_tally == want_tally
+        assert got_tally.digest() == want_tally.digest()
+        for voter in mats:
+            assert score_sheet(voter, recs, m, n) == score_sheet(voter, want_recs, m, n)
+    # every case occurred: reused verdicts, hand-set mirrors and aborts
+    assert calls < slots and asymmetric > 0 and aborted > 0
+
+
+def test_a_round_compares_each_shared_user_pair_once(monkeypatch):
+    """A round of four miners over compute_usm matrices with budgets 1-4
+    runs one OT batch per comparison and exactly sum over v != c of
+    min(b_v, b_c) comparisons: 20, where a comparison per slot runs 40.
+    Each verdict covers both slots of its user pair."""
+    batches = []
+    exchange = TrustedDealerOT.exchange
+    monkeypatch.setattr(TrustedDealerOT, "exchange",
+                        lambda ot, pairs, bits: batches.append(bits) or exchange(ot, pairs, bits))
+    for order in ((1, 2, 3, 4), (4, 1, 3, 2)):
+        mats = matrices_for(4, 6, budgets=list(order), seed=sum(order[:2]))
+        batches.clear()
+        records, _, _ = vote(mats, 0.05, seeds={c: c for c in mats})
+        want = sum(min(order[v - 1], order[c - 1]) for v in mats for c in mats if v != c)
+        assert len(batches) == want == 20
+        assert sum(r.valid for r in records) == 2 * want

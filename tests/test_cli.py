@@ -461,12 +461,14 @@ def test_fit_helpers():
 
 
 def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
-    # one real comparison hashes ROW_TRIES row pads per gate
+    # one real comparison hashes ROW_TRIES row pads per gate, and over
+    # dealer OT it hashes nothing else
     backend = garbled.GarbledCompareBackend(0.4, 8, seed=7, ot=garbled.TrustedDealerOT())
     gates = len(backend.template.circuit.gates)
     pads = []
-    real_pad = garbled._row_pad
-    monkeypatch.setattr(garbled, "_row_pad", lambda *a: pads.append(a) or real_pad(*a))
+    real_sha256 = garbled.hashlib.sha256
+    monkeypatch.setattr(garbled.hashlib, "sha256",
+                        lambda data: pads.append(data) or real_sha256(data))
     backend.compare(0.3, 0.6)
     assert len(pads) == gates * garbled.ROW_TRIES
     monkeypatch.undo()
@@ -946,11 +948,11 @@ GOLDEN_FACTORS = {
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "25cda7285cbd1f6dd900f366bd7ccd1678a8c2fd3b1755d8aebc2b57176bc37a"),
+     "f4d3e9b555a0a306d74b744e82866dbc947621f4453dd0ddbfad7f955425768f"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "6bd5a9a8a452595d0b36d5df2dd47465490c15f933aba0f167a42facd3d6b4c0"),
+     "37eca8d83818284b5c3d92b92b199a3dd0698635bfde89a9d67e616aed42fe21"),
 ]
 
 

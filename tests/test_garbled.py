@@ -426,16 +426,17 @@ def test_every_wire_has_opposite_permute_bits(monkeypatch):
 
 
 def opened_slots(monkeypatch, template, ga, gb):
-    """Run the evaluator and record the (gate, slot) of every pad it computes."""
+    """Run the evaluator and record the (gate, slot) of every pad it
+    computes, read off the tweak that ends each hashed row input."""
     opened = []
-    real_row_pad = garbled._row_pad
+    real_sha256 = hashlib.sha256
 
-    def counting_row_pad(outer, inner, gate_index, slot):
-        opened.append((gate_index, slot))
-        return real_row_pad(outer, inner, gate_index, slot)
+    def counting_sha256(data):
+        opened.append(struct.unpack("<IB", data[-5:]))
+        return real_sha256(data)
 
     with monkeypatch.context() as m:
-        m.setattr(garbled, "_row_pad", counting_row_pad)
+        m.setattr(hashlib, "sha256", counting_sha256)
         out = eval_circuit(template.circuit, ga, gb)
     return opened, decode_output(template.circuit, out)
 

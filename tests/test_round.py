@@ -71,6 +71,22 @@ def test_round_bytes_match_the_cost_model():
     assert out.verdict == (True, "")
 
 
+def test_vote_bytes_match_the_cost_model_with_an_idle_miner():
+    """Budgets 2, 0, 3 and 1 over four users at a rotation period of one:
+    the idle miner ships no circuit and is compared on nothing, and the
+    circuits, generator labels and OT transcripts the vote moves are
+    the bytes the simulator charges."""
+    rng = np.random.default_rng(6)
+    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, 5)]
+    budgets = (2, 0, 3, 1)
+    mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate(budgets, 1)}
+    _, _, sent = vote(mats, 0.05, seeds={c: c for c in mats}, ot=DiffieHellmanOT(DEFAULT_GROUP))
+
+    assert sent["circuit"] == 9 * comparator_size(16)[1]
+    model_bytes = _crypto_round_costs(np.array(budgets), SimConfig(n_nodes=4, rotation_period=1))[2]
+    assert sent["circuit"] + sent["labels"] + sent["ot"] == model_bytes
+
+
 def test_a_member_that_never_saw_a_packed_transaction_rejects_the_block():
     """Each miner misses a different transaction, and the block holds the
     leader's whole mempool: the committee member that checks it computes

@@ -23,6 +23,7 @@ from pous.garbled import (
     FixedPoint,
     GarbledCompareBackend,
     PlainCompareBackend,
+    TrustedDealerOT,
 )
 from pous.cli import main
 from pous.packing import PriorityWeights, rank
@@ -195,7 +196,7 @@ def test_round_costs_match_pairwise_prefix_oracle():
     for _ in range(30):
         budgets = rng.integers(0, 40, size=rng.integers(2, 12))
         comparisons, seconds, nbytes = _crypto_round_costs(budgets, c)
-        want = 2 * sum(
+        want = sum(
             min(budgets[i], budgets[j])
             for i in range(len(budgets)) for j in range(len(budgets))
             if i != j
@@ -207,6 +208,17 @@ def test_round_costs_match_pairwise_prefix_oracle():
 
 def test_round_costs_zero_budgets():
     assert _crypto_round_costs(np.zeros(5, dtype=int), cfg()) == (0, 0.0, 0)
+
+
+class CountingDealerOT(TrustedDealerOT):
+    """Dealer transfer that counts its batches: one per comparison run."""
+
+    def __init__(self):
+        self.batches = 0
+
+    def exchange(self, pairs, bits):
+        self.batches += 1
+        return super().exchange(pairs, bits)
 
 
 class RecordingOT(DiffieHellmanOT):
@@ -223,7 +235,8 @@ class RecordingOT(DiffieHellmanOT):
 
 
 def test_round_costs_match_a_real_comparison():
-    # two miners with budget 1: 4 comparisons, 2 circuits per epoch
+    # two miners with budget 1: each compares its one pair once, and each
+    # ships its circuit to the other once per epoch
     w = 8
     ot = RecordingOT(DEFAULT_GROUP)
     backend = GarbledCompareBackend(0.4, w, seed=3, ot=ot)
@@ -233,9 +246,9 @@ def test_round_costs_match_a_real_comparison():
     circuit = backend.template.circuit
     comparisons, seconds, nbytes = _crypto_round_costs(
         np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
-    assert comparisons == 4
-    assert nbytes == 4 * one + 2 * len(circuit.serialize())
-    assert seconds == 4 * len(circuit.gates) * garbled.ROW_TRIES * simnet._SHA_SECONDS
+    assert comparisons == 2
+    assert nbytes == 2 * one + 2 * len(circuit.serialize())
+    assert seconds == 2 * len(circuit.gates) * garbled.ROW_TRIES * simnet._SHA_SECONDS
 
 
 def test_width_checks_share_one_range():
@@ -372,12 +385,16 @@ def test_simulated_leader_and_comparisons_match_the_library_round(
         for i in np.flatnonzero(wl.arrival <= now)
     )
     miners = range(1, n_nodes + 1)
+    ot = CountingDealerOT()
     out = run_round(dict.fromkeys(miners, DataView((), arrived)), n_nodes,
                     {m: int(budgets[m - 1]) for m in miners}, seeds={m: m for m in miners},
-                    theta=0.01, committee=c.committee(), capacity=c.capacity(), now=now)
+                    theta=0.01, committee=c.committee(), capacity=c.capacity(), now=now, ot=ot)
 
     assert out.decision.leader == run_pous(c).round_log[0]["leader"]
-    assert sum(r.valid for r in out.records) == _crypto_round_costs(budgets, c)[0]
+    # the model charges the comparisons the round ran; each valid verdict
+    # covers both slots of its user pair
+    assert ot.batches == _crypto_round_costs(budgets, c)[0]
+    assert sum(r.valid for r in out.records) == 2 * ot.batches
 
 
 def test_pous_deterministic():
