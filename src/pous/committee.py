@@ -84,8 +84,10 @@ def select_committee(
         f"committee|{config.selection_seed}|{rotation}".encode()
     ).digest()
     rng = np.random.default_rng(int.from_bytes(material[:8], "big"))
-    picked = rng.choice(np.asarray(miners), size=config.size, replace=False)
-    return tuple(sorted(int(x) for x in picked))
+    # draw indices: the same members as drawing from the ids, without
+    # converting the id list to an array on every call
+    picked = rng.choice(len(miners), size=config.size, replace=False)
+    return tuple(sorted(int(miners[i]) for i in picked))
 
 
 @dataclass(frozen=True)

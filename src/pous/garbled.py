@@ -16,18 +16,22 @@ Construction notes:
   and Rogaway, STOC 1990). The bit of the false label is uniform and
   known only to the generator, so the bit the evaluator sees on a wire
   says nothing about the wire's value.
-* A gate row is the output label plus a 32-bit all-zero tag, encrypted
-  under both matching input labels, and it sits at the slot the two
-  input labels' permute bits name. The evaluator reads that slot off
-  its active labels and decrypts one row per gate. The tag stays as a
-  tamper check: a row that fails it raises CorruptedCircuitError, and a
-  forged row passes it with probability 2**-32.
+* A gate has two or three inputs and one row per input combination:
+  four or eight. A row is the output label plus a 32-bit all-zero tag,
+  encrypted under all of the matching input labels, and it sits at the
+  slot the input labels' permute bits name, read as a binary number with
+  the first input's bit most significant. The evaluator reads that slot
+  off its active labels and decrypts one row per gate. The tag stays as
+  a tamper check: a row that fails it raises CorruptedCircuitError, and
+  a forged row passes it with probability 2**-32.
 * "Encryption" is one SHA-256 and one integer XOR per row: the pad is
-  the first 20 bytes of the digest of the two input labels plus a
-  per-gate, per-row tweak, taken as an integer. The tweak keeps pads
-  unique even though wire labels feed many gates; each gate's four
-  tweaks are packed once, and the evaluator reads them with the gate's
-  input wires from one cached plan per width (``_plan``).
+  the first 20 bytes of the digest of the input labels plus a per-gate,
+  per-row tweak, taken as an integer. Three labels and the 5-byte tweak
+  are 53 bytes, which fits one SHA-256 compression block (at most 55
+  bytes of message), so a row costs one compression at either fan-in.
+  The tweak keeps pads unique even though wire labels feed many gates;
+  each gate's eight tweaks are packed once, and the evaluator reads them
+  with the gate's input wires from one cached plan per width (``_plan``).
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
   Cryptology 2009). ``_skeleton`` lists its gates once per width, and
@@ -67,18 +71,23 @@ Construction notes:
   an evaluator that sees a reused circuit under several inputs learns
   more than one bit (Lindell and Pinkas, J. Cryptology 2009).
 
-The comparator's gates, 7w - 2 at width w, come from blocks in the style
-of Kolesnikov, Sadeghi and Schneider (CANS 2009): a borrow subtractor
-d = a - b mod 2**w (5w - 3 gates) whose borrow out s is set iff a < b;
-two ripples of one gate per bit against public constants, d <= theta and
-d <= ~theta (w - 1 gates each, bit 0 folded into bit 1's gate); and a
-3-gate select on s. |a - b| is d when a >= b, and 2**w - d when a < b,
-which is within theta iff d > ~theta.
+The comparator's gates, 4w - 1 at width w with 24w - 8 rows, come from
+blocks in the style of Kolesnikov, Sadeghi and Schneider (CANS 2009),
+built from two- and three-input gates since Yao's garbled tables take
+any fan-in: a borrow subtractor d = a - b mod 2**w (2w - 1 gates: a
+half subtractor at bit 0, then two three-input gates per bit,
+d_i = a_i ^ b_i ^ c and the borrow out MAJ(~a_i, b_i, c)) whose last
+borrow s is set iff a < b; two ripples of one gate per bit against
+public constants, d <= theta and d <= ~theta (w - 1 gates each, bit 0
+folded into bit 1's gate); and one three-input select,
+s ? ~(d <= ~theta) : d <= theta. |a - b| is d when a >= b, and 2**w - d
+when a < b, which is within theta iff d > ~theta.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import secrets
 import struct
 from dataclasses import dataclass, field
@@ -93,13 +102,14 @@ ROW_BYTES = LABEL_BYTES + len(TAG)
 _TAG_BITS = 8 * len(TAG)
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
-# truth tables indexed by 2*a + b; ANDNOT(a, b) = a AND (NOT b)
+# truth tables indexed by the input bits as a binary number, first input
+# most significant: 2*a + b, or 4*a + 2*b + c
 _TABLES = {
-    "AND": (0, 0, 0, 1),
-    "OR": (0, 1, 1, 1),
     "XOR": (0, 1, 1, 0),
-    "XNOR": (1, 0, 0, 1),
-    "ANDNOT": (0, 0, 1, 0),
+    "ANDNOT": (0, 0, 1, 0),  # a AND (NOT b)
+    "XOR3": (0, 1, 1, 0, 1, 0, 0, 1),
+    "BORROW": (0, 1, 1, 1, 0, 0, 0, 1),  # MAJ(NOT a, b, c): set iff a < b + c
+    "SELECT": (0, 0, 1, 1, 1, 0, 1, 0),  # a ? NOT c : b
 }
 
 
@@ -157,7 +167,7 @@ def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
 # circuit skeleton and garbling
 
 
-_MAGIC = b"PGC3"
+_MAGIC = b"PGC4"
 _HEAD = len(_MAGIC) + 1  # the magic, then the width byte
 _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 
@@ -165,15 +175,15 @@ _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 @dataclass
 class GarbledCircuit:
     """Everything the evaluator receives besides the public wiring: the
-    four rows of each gate of ``_skeleton(bitwidth)``, in its order, and
-    the output decode map.
+    rows of each gate of ``_skeleton(bitwidth)``, in its order (four for a
+    two-input gate, eight for a three-input one), and the output decode map.
 
     Both sides know the width's gate list and wire layout. Holds only
     labels and ciphertexts; no similarity value ever appears here.
     """
 
     bitwidth: int
-    gates: tuple[tuple[bytes, bytes, bytes, bytes], ...]  # four rows per gate
+    gates: tuple[tuple[bytes, ...], ...]  # 2**fan-in rows per gate
     output_map: dict[bytes, int]
 
     def serialize(self) -> bytes:
@@ -186,7 +196,7 @@ class GarbledCircuit:
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
-        """Inverse of :meth:`serialize`. A magic other than ``PGC3``, a
+        """Inverse of :meth:`serialize`. A magic other than ``PGC4``, a
         width outside ``BITWIDTHS``, a length other than that width's
         comparator, and a decode map that is not two distinct labels
         decoding to 0 and 1 in label order raise CorruptedCircuitError."""
@@ -199,9 +209,12 @@ class GarbledCircuit:
         if len(raw) != size:
             raise CorruptedCircuitError(
                 f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is {size}")
-        omap_at = size - 2 * _MAP_ENTRY
-        gates = tuple(tuple(raw[r:r + ROW_BYTES] for r in range(g, g + 4 * ROW_BYTES, ROW_BYTES))
-                      for g in range(_HEAD, omap_at, 4 * ROW_BYTES))
+        gates, at = [], _HEAD
+        for _, *ins in _skeleton(bitwidth):
+            end = at + (ROW_BYTES << len(ins))
+            gates.append(tuple(raw[r:r + ROW_BYTES] for r in range(at, end, ROW_BYTES)))
+            at = end
+        omap_at = at
         omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
                 for o in (omap_at, omap_at + _MAP_ENTRY)}
         if len(omap) != 2:
@@ -209,7 +222,7 @@ class GarbledCircuit:
         if sorted(omap.values()) != [0, 1]:
             raise CorruptedCircuitError(
                 f"output map decodes to {sorted(omap.values())}, not 0 and 1")
-        circuit = cls(bitwidth, gates, omap)
+        circuit = cls(bitwidth, tuple(gates), omap)
         if circuit.serialize() != raw:
             raise CorruptedCircuitError("output map is not in label order")
         return circuit
@@ -220,12 +233,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-@functools.cache  # gate indices stop at the widest comparator's 222 gates
+@functools.cache  # gate indices stop at the widest comparator's 127 gates
 def _tweaks(gate_index: int) -> tuple[bytes, ...]:
-    """Gate ``gate_index``'s four row tweaks. A row's pad is the first
-    ROW_BYTES (20) of the SHA-256 of its two input labels and its tweak,
-    as an integer: the digest shifted right by 96 bits."""
-    return tuple(struct.pack("<IB", gate_index, slot) for slot in range(4))
+    """Gate ``gate_index``'s row tweaks, one per slot of a three-input
+    gate; a two-input gate uses the first four. A row's pad is the first
+    ROW_BYTES (20) of the SHA-256 of its input labels and its tweak, as
+    an integer: the digest shifted right by 96 bits."""
+    return tuple(struct.pack("<IB", gate_index, slot) for slot in range(8))
 
 
 def _permute_bit(label: bytes) -> int:
@@ -235,29 +249,31 @@ def _permute_bit(label: bytes) -> int:
 
 def gen_gate(
     table: Sequence[int],
-    in1_keys: tuple[bytes, bytes],
-    in2_keys: tuple[bytes, bytes],
+    in_keys: tuple[tuple[bytes, bytes], ...],
     out_keys: tuple[bytes, bytes],
     gate_index: int,
-) -> tuple[bytes, bytes, bytes, bytes]:
-    """Garble one two-input gate, whose truth table is indexed by
-    2*a + b, into its four rows.
+) -> tuple[bytes, ...]:
+    """Garble one gate of two or three inputs, whose truth table is
+    indexed by the input bits as a binary number (2*a + b, or
+    4*a + 2*b + c), into its 2**fan-in rows.
 
-    Each of the four input combinations double-encrypts the matching
-    output label (tag appended) into the slot its input labels' permute
-    bits name. Both input key pairs must carry opposite permute bits.
+    Each input combination encrypts the matching output label (tag
+    appended) under all of its input labels, into the slot their permute
+    bits name. Every input key pair must carry opposite permute bits.
     """
-    p1, p2 = _permute_bit(in1_keys[0]), _permute_bit(in2_keys[0])
-    if _permute_bit(in1_keys[1]) == p1 or _permute_bit(in2_keys[1]) == p2:
-        raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
+    flips = 0  # the false labels' permute bits, first input most significant
+    for k0, k1 in in_keys:
+        if _permute_bit(k0) == _permute_bit(k1):
+            raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
+        flips = 2 * flips + _permute_bit(k0)
     plains = [int.from_bytes(k, "big") << _TAG_BITS for k in out_keys]  # label + TAG
-    tweaks, sha256 = _tweaks(gate_index), hashlib.sha256
-    rows: list[bytes] = [b""] * 4
-    for a, ka in enumerate(in1_keys):
-        for b, kb in enumerate(in2_keys):
-            slot = 2 * (p1 ^ a) + (p2 ^ b)  # ka's permute bit is p1 ^ a
-            pad = int.from_bytes(sha256(ka + kb + tweaks[slot]).digest(), "big") >> 96
-            rows[slot] = (plains[table[2 * a + b]] ^ pad).to_bytes(ROW_BYTES, "big")
+    tweaks, sha256, from_bytes = _tweaks(gate_index), hashlib.sha256, int.from_bytes
+    rows: list[bytes] = [b""] * len(table)
+    # product() walks the input combinations in table order
+    for combo, labels in enumerate(itertools.product(*in_keys)):
+        slot = combo ^ flips  # a label's permute bit is its bit ^ the false label's
+        pad = from_bytes(sha256(b"".join((*labels, tweaks[slot]))).digest(), "big") >> 96
+        rows[slot] = (plains[table[combo]] ^ pad).to_bytes(ROW_BYTES, "big")
     return tuple(rows)
 
 
@@ -272,10 +288,11 @@ def _ripple_table(c: int, i: int) -> tuple[int, int, int, int]:
 
 
 @functools.cache
-def _skeleton(bitwidth: int) -> tuple[tuple[str | tuple[str, int], int, int], ...]:
+def _skeleton(bitwidth: int) -> tuple[tuple, ...]:
     """The comparator's public wiring, which only its width w decides:
-    its gates, each as (kind, in1, in2). A kind is a ``_TABLES`` name, or
-    (constant, bit) for a ripple gate whose table the threshold picks.
+    its gates, each as (kind, in1, in2) or (kind, in1, in2, in3). A kind
+    is a ``_TABLES`` name, or (constant, bit) for a two-input ripple gate
+    whose table the threshold picks.
 
     The wire layout is fixed. The generator's inputs are wires
     0 .. w - 1 and the evaluator's are wires w .. 2w - 1, least
@@ -285,22 +302,17 @@ def _skeleton(bitwidth: int) -> tuple[tuple[str | tuple[str, int], int, int], ..
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
     gates = []
 
-    def gate(kind: str | tuple[str, int], in1: int, in2: int) -> int:
-        gates.append((kind, in1, in2))
+    def gate(kind: str | tuple[str, int], *ins: int) -> int:
+        gates.append((kind, *ins))
         return 2 * bitwidth + len(gates) - 1
 
-    # borrow subtractor d = a - b mod 2**w; the borrow out is set iff a < b
-    diff, borrow = [], None
-    for a, b in zip(range(bitwidth), range(bitwidth, 2 * bitwidth)):
-        t = gate("XOR", a, b)
-        u = gate("ANDNOT", b, a)
-        if borrow is None:
-            diff.append(t)
-            borrow = u
-        else:
-            diff.append(gate("XOR", t, borrow))
-            v = gate("ANDNOT", borrow, t)
-            borrow = gate("OR", u, v)
+    # borrow subtractor d = a - b mod 2**w: a half subtractor at bit 0,
+    # then a full one per bit; the last borrow out is set iff a < b
+    diff = [gate("XOR", 0, bitwidth)]
+    borrow = gate("ANDNOT", bitwidth, 0)
+    for a, b in zip(range(1, bitwidth), range(bitwidth + 1, 2 * bitwidth)):
+        diff.append(gate("XOR3", a, b, borrow))
+        borrow = gate("BORROW", a, b, borrow)
     # ripples d <= theta and d <= ~theta, one gate per bit from bit 1 up;
     # each gate's table is _ripple_table's
     ripples = []
@@ -309,19 +321,26 @@ def _skeleton(bitwidth: int) -> tuple[tuple[str | tuple[str, int], int, int], ..
         for i in range(1, bitwidth):
             le = gate((const, i), diff[i], le)
         ripples.append(le)
-    le_theta, le_not_theta = ripples
-    # le_theta if a >= b, else NOT le_not_theta: le_theta ^ (a_below_b & XNOR(both))
-    flip = gate("AND", borrow, gate("XNOR", le_theta, le_not_theta))
-    gate("XOR", le_theta, flip)
+    # le_theta if a >= b, else NOT le_not_theta
+    gate("SELECT", borrow, *ripples)
     return tuple(gates)
 
 
+@functools.lru_cache(maxsize=64)
+def _tables(bitwidth: int, theta_raw: int) -> tuple[tuple[int, ...], ...]:
+    """The truth table of each gate of ``_skeleton(bitwidth)`` under the
+    threshold ``theta_raw``, which picks only the ripple gates' tables."""
+    consts = {"theta": theta_raw, "~theta": theta_raw ^ ((1 << bitwidth) - 1)}
+    return tuple(_TABLES[kind] if isinstance(kind, str) else _ripple_table(consts[kind[0]], kind[1])
+                 for kind, *_ in _skeleton(bitwidth))
+
+
 @functools.cache
-def _plan(bitwidth: int) -> tuple[tuple[int, int, tuple[bytes, ...]], ...]:
+def _plan(bitwidth: int) -> tuple[tuple[int, int, int | None, tuple[bytes, ...]], ...]:
     """What the evaluator reads per gate of ``_skeleton(bitwidth)``: its
-    two input wires and its four row tweaks."""
-    return tuple((in1, in2, _tweaks(gi))
-                 for gi, (_, in1, in2) in enumerate(_skeleton(bitwidth)))
+    input wires, the third None on a two-input gate, and its row tweaks."""
+    return tuple((in1, in2, in3[0] if in3 else None, _tweaks(gi))
+                 for gi, (_, in1, in2, *in3) in enumerate(_skeleton(bitwidth)))
 
 
 @dataclass
@@ -347,22 +366,21 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     """
     gates = _skeleton(bitwidth)
     theta_fp = FixedPoint.encode(theta, bitwidth)
-    consts = {"theta": theta_fp.raw, "~theta": theta_fp.raw ^ ((1 << bitwidth) - 1)}
-    raw = label_bytes(seed, 2 * LABEL_BYTES * (2 * bitwidth + len(gates)))
-    keys = []
-    for off in range(0, len(raw), 2 * LABEL_BYTES):
-        label0 = raw[off:off + LABEL_BYTES]
-        label1 = raw[off + LABEL_BYTES:off + 2 * LABEL_BYTES]
-        # label1's permute bit is the complement of label0's
-        flipped = (label1[-1] & 0xFE) | (1 - _permute_bit(label0))
-        keys.append((label0, label1[:-1] + bytes([flipped])))
-    tables = [_TABLES[kind] if isinstance(kind, str) else _ripple_table(consts[kind[0]], kind[1])
-              for kind, *_ in gates]
+    # each wire's false label, then its true label, off one stream
+    raw = bytearray(label_bytes(seed, 2 * LABEL_BYTES * (2 * bitwidth + len(gates))))
+    # the true label's permute bit is the complement of the false label's
+    last = 2 * LABEL_BYTES - 1
+    raw[last::2 * LABEL_BYTES] = bytes((b1 & 0xFE) | (~b0 & 1) for b0, b1 in zip(
+        raw[LABEL_BYTES - 1::2 * LABEL_BYTES], raw[last::2 * LABEL_BYTES]))
+    raw = bytes(raw)
+    labels = [raw[off:off + LABEL_BYTES] for off in range(0, len(raw), LABEL_BYTES)]
+    keys = list(zip(labels[::2], labels[1::2]))
     circuit = GarbledCircuit(
         bitwidth=bitwidth,
-        gates=tuple(gen_gate(table, keys[i1], keys[i2], out_keys, gi)
-                    for gi, (table, (_, i1, i2), out_keys)
-                    in enumerate(zip(tables, gates, keys[2 * bitwidth:]))),
+        gates=tuple(gen_gate(table, tuple(keys[i] for i in ins), out_keys, gi)
+                    for gi, (table, (_, *ins), out_keys)
+                    in enumerate(zip(_tables(bitwidth, theta_fp.raw), gates,
+                                     keys[2 * bitwidth:]))),
         output_map={keys[-1][0]: 0, keys[-1][1]: 1},
     )
     return ComparatorTemplate(
@@ -375,9 +393,10 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
 
 def comparator_size(bitwidth: int) -> tuple[int, int]:
     """Gate count and serialized bytes of the width-``bitwidth`` comparator:
-    the magic and width byte, four rows per gate, two map entries."""
-    gates = len(_skeleton(bitwidth))
-    return gates, _HEAD + gates * 4 * ROW_BYTES + 2 * _MAP_ENTRY
+    the magic and width byte, 2**fan-in rows per gate, two map entries."""
+    gates = _skeleton(bitwidth)
+    rows = sum(1 << (len(g) - 1) for g in gates)  # a gate is its kind, then its inputs
+    return len(gates), _HEAD + rows * ROW_BYTES + 2 * _MAP_ENTRY
 
 
 def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint) -> list[bytes]:
@@ -422,16 +441,22 @@ def eval_circuit(
         raise RejectedInputError("wrong evaluator label count")
     labels = [*gen_labels, *eval_labels]
     sha256, from_bytes = hashlib.sha256, int.from_bytes
-    for gi, ((in1, in2, tweaks), rows) in enumerate(zip(plan, circuit.gates)):
+    for gi, ((in1, in2, in3, tweaks), rows) in enumerate(zip(plan, circuit.gates)):
         ka, kb = labels[in1], labels[in2]
         try:  # free on the happy path, unlike a length check per gate
-            slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
+            if in3 is None:
+                slot = 2 * (ka[-1] & 1) + (kb[-1] & 1)  # _permute_bit, inlined
+                keys = ka + kb
+            else:
+                kc = labels[in3]
+                slot = 4 * (ka[-1] & 1) + 2 * (kb[-1] & 1) + (kc[-1] & 1)
+                keys = ka + kb + kc
             row = rows[slot]
         except IndexError:
             raise CorruptedCircuitError(
                 f"gate {gi} has an empty input label or lacks the row they select") from None
         plain = from_bytes(row, "big") ^ (
-            from_bytes(sha256(ka + kb + tweaks[slot]).digest(), "big") >> 96)
+            from_bytes(sha256(keys + tweaks[slot]).digest(), "big") >> 96)
         if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
         labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))

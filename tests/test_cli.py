@@ -941,18 +941,18 @@ SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
-    "comparator_size(16)": (110, 8839),
+    "comparator_size(16)": (63, 7559),
     "comparison_bytes(16, DEFAULT_GROUP)": 2400,
 }
 
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "f4d3e9b555a0a306d74b744e82866dbc947621f4453dd0ddbfad7f955425768f"),
+     "a29276f7855271a0e7e7c45a9ac8adf5524a12dfb69b35425a611ae0da1bde2f"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "37eca8d83818284b5c3d92b92b199a3dd0698635bfde89a9d67e616aed42fe21"),
+     "d98709aacc62166a39aab92bd752836640c111b514817e56280f8410099ed942"),
 ]
 
 

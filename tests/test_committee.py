@@ -103,6 +103,22 @@ def test_selection_stable_within_rotation_period():
     assert select_committee(miners, cfg, 5) != first
 
 
+def test_selection_draws_the_members_a_draw_from_the_ids_would():
+    """Drawing indices picks the members that drawing from the id array
+    under the same seed picks, so no committee moves."""
+    from hashlib import sha256
+
+    ids = random.Random(8)
+    for n, size, seed in ((1000, 30, 1), (30, 7, 2), (4, 4, 3), (50, 21, 6)):
+        miners = ids.sample(range(1, 10**6), n)
+        cfg = CommitteeConfig(size=size, selection_seed=seed)
+        for r in range(25):
+            material = sha256(f"committee|{seed}|{r}".encode()).digest()
+            rng = np.random.default_rng(int.from_bytes(material[:8], "big"))
+            want = rng.choice(np.asarray(miners), size=size, replace=False)
+            assert select_committee(miners, cfg, r) == tuple(sorted(int(m) for m in want))
+
+
 def test_selection_rejects_oversized():
     with pytest.raises(ConfigurationError):
         select_committee([1, 2, 3], CommitteeConfig(size=4), 0)

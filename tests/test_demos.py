@@ -20,5 +20,5 @@ def test_demo_runs(path, capsys):
 def test_private_comparison_demo_refuses_a_tampered_row(capsys):
     runpy.run_path(str(DEMOS[0].parent / "02_private_comparison.py"), run_name="__main__")
     out = capsys.readouterr().out
-    assert "comparator at width 16: 110 gates, 8839 bytes on the wire\n" in out
-    assert "tampered circuit rejected: row 3 of gate 37 fails its tag check\n" in out
+    assert "comparator at width 16: 63 gates, 7559 bytes on the wire\n" in out
+    assert "tampered circuit rejected: row 3 of gate 16 fails its tag check\n" in out

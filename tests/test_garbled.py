@@ -1,6 +1,7 @@
 """Garbled comparator, gate encryption, and oblivious transfer."""
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 import secrets
@@ -42,17 +43,18 @@ from pous.garbled import (
 )
 
 TRUTH = {
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
     "XOR": lambda a, b: a ^ b,
-    "XNOR": lambda a, b: 1 - (a ^ b),
     "ANDNOT": lambda a, b: a & (1 - b),
+    "XOR3": lambda a, b, c: a ^ b ^ c,
+    "BORROW": lambda a, b, c: int(a < b + c),
+    "SELECT": lambda a, b, c: 1 - c if a else b,
 }
+AND = (0, 0, 0, 1)
 
 
-def decrypt_row(row, ka, kb, gate_index, slot):
-    """Independent re-derivation of the row cipher: pad = H(ka||kb||tweak)."""
-    pad = hashlib.sha256(ka + kb + struct.pack("<IB", gate_index, slot)).digest()
+def decrypt_row(row, labels, gate_index, slot):
+    """Independent re-derivation of the row cipher: pad = H(labels||tweak)."""
+    pad = hashlib.sha256(b"".join(labels) + struct.pack("<IB", gate_index, slot)).digest()
     plain = bytes(x ^ y for x, y in zip(row, pad[:ROW_BYTES]))
     label, tag = plain[:LABEL_BYTES], plain[LABEL_BYTES:]
     return label, tag == b"\x00" * 4
@@ -145,11 +147,11 @@ def test_fixed_point_rejects_bad_inputs():
 
 def test_and_gate_label_selection():
     k1, k2, k3 = fresh_keys(10)
-    rows = gen_gate(garbled._TABLES["AND"], k1, k2, k3, 0)
+    rows = gen_gate(AND, (k1, k2), k3, 0)
     for a in (0, 1):
         for b in (0, 1):
             hits = [
-                decrypt_row(rows[s], k1[a], k2[b], 0, s)
+                decrypt_row(rows[s], (k1[a], k2[b]), 0, s)
                 for s in range(4)
             ]
             labels = [lab for lab, ok in hits if ok]
@@ -160,43 +162,57 @@ def test_and_gate_label_selection():
 
 def test_every_kind_matches_truth_table():
     # the named kinds are the tables they say, and gen_gate garbles any of
-    # the 16 two-input tables, indexed 2*a + b
-    assert {kind: garbled._TABLES[kind] for kind in TRUTH} == {
-        kind: tuple(f(a, b) for a in (0, 1) for b in (0, 1)) for kind, f in TRUTH.items()}
+    # the 16 two-input tables, indexed 2*a + b, and any of the 256
+    # three-input tables, indexed 4*a + 2*b + c
+    for kind, f in TRUTH.items():
+        fan_in = f.__code__.co_argcount
+        assert garbled._TABLES[kind] == tuple(
+            f(*bits) for bits in itertools.product((0, 1), repeat=fan_in))
     assert set(garbled._TABLES) == set(TRUTH)
     tables = [tuple(n >> s & 1 for s in range(4)) for n in range(16)]
-    keys = fresh_keys(11, 3 * len(tables))
+    tables += [tuple(n >> s & 1 for s in range(8)) for n in range(256)]
+    keys = fresh_keys(11, 4 * len(tables))
     for gi, table in enumerate(tables):
-        k1, k2, k3 = keys[3 * gi:3 * gi + 3]
-        rows = gen_gate(table, k1, k2, k3, gi)
-        for a in (0, 1):
-            for b in (0, 1):
-                hits = [
-                    (s, lab)
-                    for s in range(4)
-                    for lab, ok in [decrypt_row(rows[s], k1[a], k2[b], gi, s)]
-                    if ok
-                ]
-                assert len(hits) == 1
-                # the one valid row sits at the slot the permute bits name
-                slot = 2 * permute_bit(k1[a]) + permute_bit(k2[b])
-                assert hits[0] == (slot, k3[table[2 * a + b]])
+        fan_in = len(table).bit_length() - 1
+        ins, out = keys[4 * gi:4 * gi + fan_in], keys[4 * gi + 3]
+        rows = gen_gate(table, tuple(ins), out, gi)
+        assert len(rows) == len(table)
+        for combo, bits in enumerate(itertools.product((0, 1), repeat=fan_in)):
+            labels = [k[bit] for k, bit in zip(ins, bits)]
+            hits = [
+                (s, lab)
+                for s in range(len(rows))
+                for lab, ok in [decrypt_row(rows[s], labels, gi, s)]
+                if ok
+            ]
+            assert len(hits) == 1
+            # the one valid row sits at the slot the permute bits name,
+            # the first input's most significant
+            slot = int("".join(str(permute_bit(lab)) for lab in labels), 2)
+            assert hits[0] == (slot, out[table[combo]])
 
 
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
-    keys = fresh_keys(12)
-    g0 = gen_gate(garbled._TABLES["AND"], *keys, 0)
-    g1 = gen_gate(garbled._TABLES["AND"], *keys, 1)
+    k1, k2, k3 = fresh_keys(12)
+    g0 = gen_gate(AND, (k1, k2), k3, 0)
+    g1 = gen_gate(AND, (k1, k2), k3, 1)
+    assert all(r0 != r1 for r0, r1 in zip(g0, g1))
+    k1, k2, k3, k4 = fresh_keys(13, 4)
+    g0 = gen_gate(garbled._TABLES["XOR3"], (k1, k2, k3), k4, 0)
+    g1 = gen_gate(garbled._TABLES["XOR3"], (k1, k2, k3), k4, 1)
     assert all(r0 != r1 for r0, r1 in zip(g0, g1))
 
 
 def test_gate_rejects_key_pair_with_equal_permute_bits():
     k1, k2, k3 = fresh_keys(14)
     same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
-    for in1, in2 in ((k1, same), (same, k1)):
+    for ins in ((k1, same), (same, k1)):
         with pytest.raises(RejectedInputError, match="permute bit"):
-            gen_gate(garbled._TABLES["AND"], in1, in2, k3, 0)
+            gen_gate(AND, ins, k3, 0)
+    for ins in ((same, k1, k1), (k1, same, k1), (k1, k1, same)):
+        with pytest.raises(RejectedInputError, match="permute bit"):
+            gen_gate(garbled._TABLES["XOR3"], ins, k3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +222,12 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
 def test_gate_count_closed_form():
     for w in (4, 8, 16, 24, 32):
         t = garble_comparator(w, 0.4, seed=1)
-        assert len(t.circuit.gates) == 7 * w - 2
-    # 5 head bytes + 80 per gate + two 17-byte map entries
+        assert len(t.circuit.gates) == 4 * w - 1
+        assert sum(map(len, t.circuit.gates)) == 24 * w - 8
+    # 5 head bytes + 20 per row (24w - 8 rows) + two 17-byte map entries
     for w in BITWIDTHS:
-        assert comparator_size(w) == (7 * w - 2, 560 * w - 121)
-    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [2119, 4359, 8839, 17799]
+        assert comparator_size(w) == (4 * w - 1, 480 * w - 121)
+    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [1799, 3719, 7559, 15239]
 
 
 def test_comparator_size_reads_a_real_circuit():
@@ -252,7 +269,7 @@ def test_garbled_bytes_are_pinned():
                     ga = select_input_labels(t.gen_keys, FixedPoint(inputs.getrandbits(w), w))
                     gb = select_input_labels(t.eval_keys, FixedPoint(inputs.getrandbits(w), w))
                     h.update(eval_circuit(t.circuit, ga, gb))
-    assert h.hexdigest() == "855b6f10a907b0733e914984b258d2938916809dabb6fa462d33b532e5b2416d"
+    assert h.hexdigest() == "36ce3a0b91d8e133201637b75a0621eff9f5428eebdfdb06b48fefe31563e449"
 
 
 def test_comparator_wiring_is_built_once_per_width():
@@ -262,16 +279,17 @@ def test_comparator_wiring_is_built_once_per_width():
         gates = garbled._skeleton(w)
         assert garbled._skeleton(w) is garbled._skeleton(w)
         assert type(gates) is tuple and all(type(g) is tuple for g in gates)
-        assert all(len(g) == 3 and type(g[1]) is type(g[2]) is int for g in gates)
+        assert all(len(g) in (3, 4) and all(type(i) is int for i in g[1:]) for g in gates)
         # every gate reads wires set before it, so evaluation needs no order check
-        for gi, (_kind, in1, in2) in enumerate(gates):
-            assert max(in1, in2) < 2 * w + gi
+        for gi, (_kind, *ins) in enumerate(gates):
+            assert max(ins) < 2 * w + gi
         for theta, seed in ((0.0, 1), (0.7, 2)):
             c = garble_comparator(w, theta, seed).circuit
             assert set(vars(c)) == {"bitwidth", "gates", "output_map"}
             assert len(c.gates) == len(gates)
-            assert all(len(rows) == 4 and {len(r) for r in rows} == {ROW_BYTES}
-                       for rows in c.gates)
+            # 2**fan-in rows per gate
+            assert all(len(rows) == 1 << (len(g) - 1) and {len(r) for r in rows} == {ROW_BYTES}
+                       for rows, g in zip(c.gates, gates))
 
 
 @pytest.mark.parametrize("w", BITWIDTHS)
@@ -279,13 +297,17 @@ def test_gate_list_follows_the_fixed_wire_layout(w):
     """Inputs are wires 0 .. 2w - 1 and gate gi writes wire 2w + gi: each
     gate reads only wires below its own, every input wire and every gate
     output but the last (the comparator's output) is read, so no gate is
-    dead, and there are 7w - 2 gates."""
+    dead, and there are 4w - 1 gates: 2w - 1 in the subtractor (bit 0's
+    two two-input gates, then two three-input gates per bit), 2(w - 1)
+    two-input ripple gates and one three-input select."""
     gates = garbled._skeleton(w)
-    assert len(gates) == 7 * w - 2
+    assert len(gates) == 4 * w - 1
+    fan_in = [len(ins) for _kind, *ins in gates]
+    assert fan_in == [2, 2] + [3] * (2 * w - 2) + [2] * (2 * w - 2) + [3]
     read = set()
-    for gi, (_kind, in1, in2) in enumerate(gates):
-        assert 0 <= in1 < 2 * w + gi and 0 <= in2 < 2 * w + gi
-        read.update((in1, in2))
+    for gi, (_kind, *ins) in enumerate(gates):
+        assert all(0 <= i < 2 * w + gi for i in ins)
+        read.update(ins)
     assert read == set(range(2 * w + len(gates) - 1))
 
 
@@ -301,9 +323,9 @@ def test_threshold_picks_only_the_ripple_tables(monkeypatch):
     calls = {}
     honest_gen_gate = garbled.gen_gate
 
-    def recording_gen_gate(table, k1, k2, k3, gi):
-        calls[gi] = (table, k1, k2, k3)
-        return honest_gen_gate(table, k1, k2, k3, gi)
+    def recording_gen_gate(table, ins, out, gi):
+        calls[gi] = (table, ins, out)
+        return honest_gen_gate(table, ins, out, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w in (4, 8, 16):
@@ -405,16 +427,16 @@ def test_every_wire_has_opposite_permute_bits(monkeypatch):
     real_gen_gate = garbled.gen_gate
     wiring = {}
 
-    def recording_gen_gate(kind, k1, k2, k3, gi):
-        in1, in2, out = wiring[gi]
-        pairs.update({in1: k1, in2: k2, out: k3})
-        return real_gen_gate(kind, k1, k2, k3, gi)
+    def recording_gen_gate(kind, in_keys, out_keys, gi):
+        ins, out = wiring[gi]
+        pairs.update({**dict(zip(ins, in_keys)), out: out_keys})
+        return real_gen_gate(kind, in_keys, out_keys, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w, seed in ((4, 1), (16, 2)):
         pairs.clear()
         gates = garbled._skeleton(w)
-        wiring = {gi: (in1, in2, 2 * w + gi) for gi, (_kind, in1, in2) in enumerate(gates)}
+        wiring = {gi: (ins, 2 * w + gi) for gi, (_kind, *ins) in enumerate(gates)}
         t = garble_comparator(w, 0.4, seed)
         assert sorted(pairs) == list(range(2 * w + len(gates)))
         for k0, k1 in pairs.values():
@@ -455,6 +477,33 @@ def test_evaluator_opens_one_row_per_gate(monkeypatch):
             assert bit == plain_within_theta(a, b, t.theta.raw)
 
 
+def test_width_16_hash_work_is_one_compression_per_gate_and_row(monkeypatch):
+    """At width 16 one evaluation hashes once per gate, 63 times, and one
+    garbling once per row, 376 times, besides the label stream's state and
+    blocks. The longest row-pad message, three labels and a tweak, is 53
+    bytes: at most 55, so SHA-256 pads it into one compression block and
+    ROW_TRIES and the simulator's per-gate hash cost keep their meaning."""
+    messages = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: messages.append(data) or real_sha256(data))
+    w, (gates, _) = 16, comparator_size(16)
+    assert gates == 63
+    t = garble_comparator(w, 0.4, seed=3)
+    stream = -(-2 * LABEL_BYTES * (2 * w + gates) // 32)  # label_bytes' 32-byte blocks
+    assert stream == 95
+    assert len(messages) == 1 + stream + 376
+    pads = messages[1 + stream:]
+    # 32 two-input gates of four rows, 31 three-input gates of eight
+    assert sorted(map(len, pads)) == [2 * LABEL_BYTES + 5] * 128 + [3 * LABEL_BYTES + 5] * 248
+    assert max(map(len, messages)) == 53 <= 55
+    messages.clear()
+    ga = select_input_labels(t.gen_keys, FixedPoint(12345, w))
+    gb = select_input_labels(t.eval_keys, FixedPoint(54321, w))
+    eval_circuit(t.circuit, ga, gb)
+    assert len(messages) == 63 * garbled.ROW_TRIES
+    assert max(map(len, messages)) == 53
+
+
 def with_row(circuit, gate_index, slot, flip_at):
     """Copy of the circuit with one byte of one row flipped."""
     rows = list(circuit.gates[gate_index])
@@ -476,14 +525,14 @@ def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
         for gi, slot in opened:
             with pytest.raises(CorruptedCircuitError, match=f"gate {gi} "):
                 eval_circuit(with_row(t.circuit, gi, slot, ROW_BYTES - 1), ga, gb)
-            for other in set(range(4)) - {slot}:
+            for other in set(range(len(t.circuit.gates[gi]))) - {slot}:
                 for flip_at in (0, ROW_BYTES - 1):
                     bad = with_row(t.circuit, gi, other, flip_at)
                     assert decode_output(bad, eval_circuit(bad, ga, gb)) == want
 
 
 @pytest.mark.parametrize("fault", ["gate missing", "gate extra", "width 3", "width 33",
-                                   "width 4", "three rows"])
+                                   "width 4", "three rows", "seven rows"])
 def test_malformed_circuit_object_raises_corrupted(fault):
     # a circuit object that deserialize never checked: eval_circuit names the fault
     t = garble_comparator(8, 0.4, seed=1)
@@ -493,14 +542,18 @@ def test_malformed_circuit_object_raises_corrupted(fault):
         "gate extra": dataclasses.replace(c, gates=c.gates + c.gates[:1]),
         "width 3": dataclasses.replace(c, bitwidth=3),
         "width 33": dataclasses.replace(c, bitwidth=33),
-        "width 4": dataclasses.replace(c, bitwidth=4),  # 54 gates, a width-4 comparator has 26
+        "width 4": dataclasses.replace(c, bitwidth=4),  # 31 gates, a width-4 comparator has 15
         # every gate loses row 3, so the first gate whose active row it is fails
         "three rows": dataclasses.replace(c, gates=tuple(rows[:3] for rows in c.gates)),
+        # every three-input gate loses row 7, likewise
+        "seven rows": dataclasses.replace(c, gates=tuple(rows[:7] for rows in c.gates)),
     }[fault]
     ga = select_input_labels(t.gen_keys, FixedPoint(5, 8))
     gb = select_input_labels(t.eval_keys, FixedPoint(9, 8))
     match = {"width 3": "outside 4..32", "width 33": "outside 4..32",
-             "three rows": r"gate \d+ has an empty input label or lacks the row"}.get(fault, r"circuit has \d+ gates")
+             "three rows": r"gate \d+ has an empty input label or lacks the row",
+             "seven rows": r"gate \d+ has an empty input label or lacks the row",
+             }.get(fault, r"circuit has \d+ gates")
     with pytest.raises(CorruptedCircuitError, match=match):
         eval_circuit(bad, ga, gb)
 
@@ -529,10 +582,10 @@ def test_wrong_label_count_rejected():
 # tampering
 
 
-def active_slot(template, gate_index, ka, kb):
+def active_slot(template, gate_index, labels):
     rows = template.circuit.gates[gate_index]
-    for s in range(4):
-        _lab, ok = decrypt_row(rows[s], ka, kb, gate_index, s)
+    for s in range(len(rows)):
+        _lab, ok = decrypt_row(rows[s], labels, gate_index, s)
         if ok:
             return s
     raise AssertionError("no valid row")
@@ -546,7 +599,7 @@ def test_tampered_row_detected():
     assert garbled._skeleton(8)[0] == ("XOR", 0, 8)
     ka = t.gen_keys[0][a.bits_lsb()[0]]
     kb = t.eval_keys[0][b.bits_lsb()[0]]
-    bad = with_row(t.circuit, 0, active_slot(t, 0, ka, kb), ROW_BYTES - 1)
+    bad = with_row(t.circuit, 0, active_slot(t, 0, (ka, kb)), ROW_BYTES - 1)
     ga = select_input_labels(t.gen_keys, a)
     gb = select_input_labels(t.eval_keys, b)
     with pytest.raises(CorruptedCircuitError):
@@ -625,7 +678,7 @@ def test_width_other_than_the_circuits_rejected():
 @pytest.mark.parametrize("cut", ["10", "30", "3249", "len-17", "len-1", "extra byte"])
 def test_wrong_length_rejected(cut):
     raw = garble_comparator(8, 0.4, seed=1).circuit.serialize()
-    assert len(raw) == 4359
+    assert len(raw) == 3719
     if cut == "extra byte":
         bad = raw + b"\x00"
     elif cut.startswith("len-"):
@@ -680,21 +733,50 @@ def test_flipped_row_byte_in_the_bytes_fails_its_tag():
         eval_circuit(bad, ga, gb)
 
 
+def test_flipped_byte_in_a_three_input_row_fails_its_tag():
+    w = 4
+    t = garble_comparator(w, 0.4, seed=25)
+    gates = garbled._skeleton(w)
+    assert len(gates[2]) == 4  # gate 2, bit 1's difference, is the first three-input gate
+    raw = bytearray(t.circuit.serialize())
+    gate2 = 5 + 2 * 4 * ROW_BYTES  # the head, then gates 0 and 1 of four rows each
+    for slot in range(8):
+        raw[gate2 + (slot + 1) * ROW_BYTES - 1] ^= 0x01
+    bad = GarbledCircuit.deserialize(bytes(raw))
+    assert bad.gates[2] != t.circuit.gates[2] and bad.gates[3] == t.circuit.gates[3]
+    ga = select_input_labels(t.gen_keys, FixedPoint(3, w))
+    gb = select_input_labels(t.eval_keys, FixedPoint(5, w))
+    with pytest.raises(CorruptedCircuitError, match="of gate 2 fails its tag check"):
+        eval_circuit(bad, ga, gb)
+
+
+def test_old_two_input_circuit_bytes_rejected():
+    """A width-16 circuit in the PGC3 format (110 four-row gates, 8,839
+    bytes) is refused by its magic, and with the magic rewritten by its
+    length; neither reaches the row split."""
+    old = b"PGC3" + bytes([16]) + bytes(random.Random(3).getrandbits(8) for _ in range(8834))
+    assert len(old) == 5 + 110 * 4 * ROW_BYTES + 2 * (LABEL_BYTES + 1) == 8839
+    with pytest.raises(CorruptedCircuitError, match="bad circuit magic"):
+        GarbledCircuit.deserialize(old)
+    with pytest.raises(CorruptedCircuitError, match="8839 bytes, a width-16 comparator is 7559"):
+        GarbledCircuit.deserialize(b"PGC4" + old[4:])
+
+
 def path_to_output(w, bit):
-    """Gate index -> which input (0 or 1) lies on a path in the width-w
+    """Gate index -> which of its inputs lies on a path in the width-w
     wiring from evaluator input ``bit`` (wire w + bit) to the output wire
     (the last gate's; gate gi writes wire 2w + gi)."""
     gates = garbled._skeleton(w)
     reached = {w + bit}
-    for gi, (_kind, in1, in2) in enumerate(gates):
-        if in1 in reached or in2 in reached:
+    for gi, (_kind, *ins) in enumerate(gates):
+        if reached.intersection(ins):
             reached.add(2 * w + gi)
     path, wire = {}, 2 * w + len(gates) - 1
     while wire != w + bit:
         gi = wire - 2 * w
-        _kind, in1, in2 = gates[gi]
-        path[gi] = 0 if in1 in reached else 1
-        wire = (in1, in2)[path[gi]]
+        _kind, *ins = gates[gi]
+        path[gi] = next(j for j, i in enumerate(ins) if i in reached)
+        wire = ins[path[gi]]
     return path
 
 
@@ -708,10 +790,12 @@ def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit)
     path = path_to_output(w, bit)
     honest_gen_gate = garbled.gen_gate
 
-    def copying_gen_gate(table, k1, k2, k3, gi):
-        # (0, 0, 1, 1) copies the first input, (0, 1, 0, 1) the second
-        copy = ((0, 0, 1, 1), (0, 1, 0, 1))[path[gi]] if gi in path else table
-        return honest_gen_gate(copy, k1, k2, k3, gi)
+    def copying_gen_gate(table, ins, out, gi):
+        # the table whose entry at each index is input j's bit copies input
+        # j: (0, 0, 1, 1) the first of two inputs, (0, 1, 0, 1) the second
+        n = len(ins)
+        copy = tuple(c >> (n - 1 - path[gi]) & 1 for c in range(1 << n)) if gi in path else table
+        return honest_gen_gate(copy, ins, out, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", copying_gen_gate)
     t = garble_comparator(w, 0.4, seed=bit)
@@ -732,8 +816,8 @@ def forged_template(theta, seed, w=16):
     last = len(garbled._skeleton(w)) - 1
     honest_gen_gate = garbled.gen_gate
 
-    def forging_gen_gate(table, k1, k2, k3, gi):
-        return honest_gen_gate((1, 1, 1, 1) if gi == last else table, k1, k2, k3, gi)
+    def forging_gen_gate(table, ins, out, gi):
+        return honest_gen_gate((1,) * len(table) if gi == last else table, ins, out, gi)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(garbled, "gen_gate", forging_gen_gate)
