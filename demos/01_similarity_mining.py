@@ -2,9 +2,10 @@
 Mining user similarity under a work budget
 ==========================================
 
-Six miners watch a shared mempool, tally transactions into per-class
-count vectors, and fill a similarity matrix pair by pair until the
-budget runs out. The matrix ships as compressed sparse triples.
+Two miners tally six users' transactions into per-class count vectors
+and each fills a similarity matrix pair by pair until its budget runs
+out. Entries a miner never reached stay null; the matrix ships as
+compressed row triples of the entries it did fill.
 """
 import numpy as np
 
@@ -14,7 +15,7 @@ from pous.similarity import (
     build_user_vectors,
     compute_usm,
     similarity,
-    update_usm,
+    unflatten_index,
 )
 
 rng = np.random.default_rng(1)
@@ -37,19 +38,14 @@ print("\npairwise similarity of users 1 and 2:",
 # a rich miner computes every pair; a poor one only the first five
 rich = compute_usm(vectors, budget=None, owner=1)
 poor = compute_usm(vectors, budget=5, owner=2)
-print("\nrich miner filled", rich.computed_count, "entries")
-print("poor miner filled", poor.computed_count, "entries")
-print("poor miner's matrix (NaN = not computed):")
-print(np.round(poor.to_dense().reshape(6, 6), 3))
+print("\nrich miner filled", len(rich.computed_indices), "entries")
+print("poor miner filled", len(poor.computed_indices), "entries; the rest stay null")
+print("poor miner's pairs, each stored both ways, plus a diagonal 1 per user seen:")
+for j in poor.computed_indices:
+    k, l = unflatten_index(j, 6)
+    if k < l:
+        print(f"  users {k} and {l}: {poor.get(j):.3f}")
 
 blob = poor.crs_bytes()
 print("\ncompressed row storage:", len(blob), "bytes for",
-      poor.computed_count, "entries")
-
-# new transactions arrive; only the touched rows move
-arrivals = [Transaction(id=200, source_user=3, tx_class="F", fee=0.0002)]
-updated = update_usm(poor, DataView(history=history, mempool=arrivals))
-delta = np.abs(updated.to_dense() - poor.to_dense()).reshape(6, 6)
-changed = np.nansum(delta, axis=1)
-print("\nrow change after user 3 sends one class-F transaction:",
-      np.round(changed, 4))
+      len(poor.computed_indices), "entries")

@@ -15,7 +15,6 @@ from pous.packing import (
     cluster_mempool,
     cluster_sizes,
     decode_flag,
-    mean_centroid_distance,
     pack_block,
     pca_project,
     tx_priority,
@@ -62,11 +61,6 @@ bits = "".join(f"{byte:08b}" for byte in block.header.flag)
 print(f"\npacked {len(block.body)} of {len(mempool)} txs")
 print("flag bits:", bits[:block.header.capacity])
 print("segment offsets", offsets, "-> sizes", sizes)
-
-packed_ids = {t.id for t in block.body}
-print("\nmean distance to cluster center:")
-print("  packed  ", round(mean_centroid_distance(clusters, packed_ids), 4))
-print("  mempool ", round(mean_centroid_distance(clusters), 4))
 
 coords = pca_project(np.stack(list(vectors.values())))
 spread = coords.var(axis=0)

@@ -40,6 +40,8 @@ log = logging.getLogger(__name__)
 APPROVE_BELIEF = 0.9
 REJECT_BELIEF = 0.1
 ABSTAIN_BELIEF = 0.5
+# a vote's belief by its approval, None for an abstention
+_BELIEFS = {1: APPROVE_BELIEF, 0: REJECT_BELIEF, None: ABSTAIN_BELIEF}
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def cast_votes(
                 candidate=candidate_matrix.owner,
                 entry=j,
                 x=x,
-                y=(APPROVE_BELIEF if x == 1 else REJECT_BELIEF) if valid else ABSTAIN_BELIEF,
+                y=_BELIEFS[x if valid else None],
                 valid=valid,
             )
         )
@@ -413,6 +415,5 @@ def votes_from_crs(raw: bytes, candidate: SimilarityMatrix) -> list[VoteRecord]:
             raise RejectedInputError(f"vote {after} does not come after {before}: "
                                      "each entry is written once, in order")
     votes = {flat_index(row, col, n): x for row, col, x in triples}
-    beliefs = {None: ABSTAIN_BELIEF, 0: REJECT_BELIEF, 1: APPROVE_BELIEF}
-    return [VoteRecord(voter, cand, j, votes.get(j, 0), beliefs[votes.get(j)], valid=j in votes)
+    return [VoteRecord(voter, cand, j, votes.get(j, 0), _BELIEFS[votes.get(j)], valid=j in votes)
             for j in _voted_entries(candidate)]

@@ -571,12 +571,6 @@ class OTTranscript:
 
     messages: list[tuple[str, bytes]] = field(default_factory=list)
 
-    def receiver_message(self) -> bytes:
-        for who, payload in self.messages:
-            if who == "receiver":
-                return payload
-        return b""
-
     def total_bytes(self) -> int:
         return sum(len(p) for _, p in self.messages)
 
@@ -730,7 +724,9 @@ def _compare(template: ComparatorTemplate, gen_value: float, eval_value: float,
     """Encode both values at the template's width (not the circuit's,
     which :func:`eval_circuit` checks), fetch the evaluator's labels in
     one OT batch (it never sees the generator's key table), evaluate and
-    decode. Returns the bit and the batch's transcript."""
+    decode. Returns the bit and the batch's transcript. An ``ot`` of
+    None, every entry point's default, is the :class:`TrustedDealerOT`."""
+    ot = TrustedDealerOT() if ot is None else ot
     circuit = template.circuit
     a, b = (FixedPoint.encode(v, template.theta.bitwidth) for v in (gen_value, eval_value))
     eval_labels, transcript = ot.exchange(template.eval_keys, b.bits_lsb())
@@ -752,8 +748,7 @@ def secure_compare(
     :class:`GarbledCompareBackend` is the way to reuse one template.
     """
     template = garble_comparator(bitwidth, theta, seed)
-    return _compare(template, gen_value, eval_value,
-                    ot if ot is not None else TrustedDealerOT())[0]
+    return _compare(template, gen_value, eval_value, ot)[0]
 
 
 class PlainCompareBackend:
@@ -786,7 +781,7 @@ class GarbledCompareBackend:
 
     def __init__(self, theta: float, bitwidth: int = DEFAULT_BITWIDTH, seed: int = 0, ot=None):
         self.template = garble_comparator(bitwidth, theta, seed)
-        self.ot = ot if ot is not None else TrustedDealerOT()
+        self.ot = ot
 
     def compare(self, gen_value: float, eval_value: float) -> int:
         return _compare(self.template, gen_value, eval_value, self.ot)[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, Optional, Sequence
@@ -167,10 +168,15 @@ def cluster_mempool(
 
     The k-means instance runs over the distinct source-user vectors;
     each transaction lands in its user's cluster. Requesting more
-    clusters than distinct users clamps k with a warning.
+    clusters than distinct users clamps k with a warning. A mempool that
+    lists a transaction twice is refused, since a block packed from it
+    would list it twice too.
     """
     if not mempool:
         raise RejectedInputError("cannot cluster an empty mempool")
+    twice = [tid for tid, count in Counter(tx.id for tx in mempool).items() if count > 1]
+    if twice:
+        raise RejectedInputError(f"transaction {twice[0]} is listed twice in the mempool")
     vecs = _vector_map(user_vectors)
     users = sorted({tx.source_user for tx in mempool})
     missing = [u for u in users if u not in vecs]
@@ -395,13 +401,3 @@ def pca_project(points) -> np.ndarray:
     while len(comps) < 2:
         comps.append(np.zeros(X.shape[1]))
     return Xc @ np.stack(comps, axis=1)
-
-
-def mean_centroid_distance(clusters: Sequence[Cluster], tx_ids: Optional[set] = None) -> float:
-    """Average distance from transactions' user vectors to their
-    cluster centers, optionally restricted to a transaction subset."""
-    dists = [cl.tx_dist[tid] for cl in clusters for tid in cl.tx_ids
-             if tx_ids is None or tid in tx_ids]
-    if not dists:
-        raise RejectedInputError("no transactions to measure")
-    return float(np.mean(dists))

@@ -35,7 +35,6 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
     (the generator's active labels, per comparison), ``ot`` (the
     transcripts, one batch per comparison) and ``votes`` (a blob per
     voter on each candidate that got a circuit)."""
-    ot = ot if ot is not None else garbled.TrustedDealerOT()
     sent = dict.fromkeys(("matrix", "circuit", "labels", "ot", "votes"), 0)
     received = {}
     for owner, matrix in matrices.items():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -159,10 +159,6 @@ class SimilarityMatrix:
         """Sorted 1-based flat indices of non-null entries."""
         return sorted(self._cells)
 
-    @property
-    def computed_count(self) -> int:
-        return len(self._cells)
-
     def off_diagonal_pair_count(self) -> int:
         n = self.n_users
         cnt = 0
@@ -172,23 +168,13 @@ class SimilarityMatrix:
                 cnt += 1
         return cnt
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the flat array; null entries become NaN."""
-        out = np.full(self.n_users * self.n_users, np.nan)
-        for j, v in self._cells.items():
-            out[j - 1] = v
-        return out
-
-    def to_crs_triples(self) -> list[tuple[int, int, float]]:
-        """Non-null entries as (row, col, value), row-major order."""
-        n = self.n_users
-        return [(*unflatten_index(j, n), self._cells[j]) for j in sorted(self._cells)]
-
     def crs_bytes(self) -> bytes:
-        """Compressed-row serialization: u32 row, u32 col, f64 value."""
-        parts = [struct.pack("<II", self.owner, self.n_users)]
-        for row, col, val in self.to_crs_triples():
-            parts.append(struct.pack("<IId", row, col, val))
+        """Compressed-row serialization: u32 row, u32 col, f64 value, one
+        triple per non-null entry in row-major order."""
+        n = self.n_users
+        parts = [struct.pack("<II", self.owner, n)]
+        for j in sorted(self._cells):
+            parts.append(struct.pack("<IId", *unflatten_index(j, n), self._cells[j]))
         return b"".join(parts)
 
     @classmethod
@@ -251,21 +237,3 @@ def compute_usm(
     for u in visited:
         m.set_entry(flat_index(u, u, n), 1.0)
     return m
-
-
-def update_usm(matrix: SimilarityMatrix, new_view: DataView) -> SimilarityMatrix:
-    """Recompute each previously non-null entry from a fresh view.
-
-    The null pattern is preserved exactly: no new entries appear and
-    none disappear. Diagonal entries stay 1.
-    """
-    n = matrix.n_users
-    vectors = build_user_vectors(new_view, n)
-    out = SimilarityMatrix(owner=matrix.owner, n_users=n)
-    for j in matrix.computed_indices:
-        k, l = unflatten_index(j, n)
-        if k == l:
-            out.set_entry(j, 1.0)
-        else:
-            out.set_entry(j, similarity(vectors[k - 1], vectors[l - 1]))
-    return out

@@ -154,7 +154,7 @@ def test_criterion_5_oblivious_transfer():
         (out,), transcript = ot.exchange([(m0, m1)], [bit])  # a batch of one
         if out != (m0, m1)[bit]:
             wrong += 1
-        counts[bit][transcript.receiver_message()[0] >> 5] += 1
+        counts[bit][transcript.messages[1][1][0] >> 5] += 1
     _, p_value, _, _ = chi2_contingency(counts)
     elapsed = time.perf_counter() - start
     report(

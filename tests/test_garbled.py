@@ -1008,7 +1008,7 @@ def test_ot_identical_pairs_encrypt_differently_at_each_index():
         ot = DiffieHellmanOT(FAST_GROUP, rng=Scripted(12345, *[678] * n))
         out, tr = ot.exchange([(m0, m1)] * n, [1] * n)
         assert out == [m1] * n
-        bs, e = tr.receiver_message(), FAST_GROUP.element_bytes
+        bs, e = tr.messages[1][1], FAST_GROUP.element_bytes
         assert len(set(bs[o:o + e] for o in range(0, len(bs), e))) == 1
         cts = tr.messages[-1][1]
         chunks = [cts[o:o + LABEL_BYTES] for o in range(0, len(cts), LABEL_BYTES)]
@@ -1028,7 +1028,7 @@ def test_ot_receiver_message_independent_of_bit():
     for _ in range(100):
         bits = [bit_rng.randrange(2) for _ in range(16)]
         _, tr = ot.exchange([(b"m" * 16, b"n" * 16)] * 16, bits)
-        msg = tr.receiver_message()
+        msg = tr.messages[1][1]
         for i, bit in enumerate(bits):
             counts[bit][msg[i * e] >> 5] += 1
     width = 1 << (8 * e - 3)
@@ -1141,7 +1141,7 @@ def test_dealer_ot_same_interface():
     out, tr = ot.exchange([(b"p" * 16, b"q" * 16), (b"r" * 16, b"s" * 16)], [1, 0])
     assert out == [b"q" * 16, b"r" * 16]
     assert ot.transfer_bytes(2) == tr.total_bytes() == 2
-    assert tr.receiver_message() == b""  # the dealer's transcript has no receiver
+    assert [who for who, _ in tr.messages] == ["dealer"]  # and no receiver message
     with pytest.raises(RejectedInputError, match="choice bit"):
         ot.exchange([(b"p" * 16, b"q" * 16)], [2])
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from pous.errors import MalformedFlagError, RejectedInputError
 from pous.packing import (
-    Block,
     BlockHeader,
     Cluster,
     PriorityWeights,
@@ -18,7 +17,6 @@ from pous.packing import (
     decode_flag,
     encode_flag,
     kmeans,
-    mean_centroid_distance,
     merkle_root,
     pack_block,
     pca_project,
@@ -574,22 +572,3 @@ def test_pca_of_one_column_pads_the_second_component():
 def test_pca_needs_two_vectors():
     with pytest.raises(RejectedInputError):
         pca_project(np.array([[1.0, 2.0]]))
-
-
-# ---------------------------------------------------------------------------
-# centroid distances
-
-
-def test_mean_centroid_distance_hand_instance():
-    vecs = {1: np.array([0.0, 0.0]), 2: np.array([4.0, 0.0]), 3: np.array([2.0, 1.0])}
-    clusters = cluster_mempool([tx(1, user=1), tx(2, user=2), tx(3, user=3)], vecs, k=1)
-    assert np.allclose(clusters[0].centroid, [2.0, 1.0 / 3.0])
-    want = [np.hypot(2.0, 1.0 / 3.0)] * 2 + [2.0 / 3.0]
-    assert mean_centroid_distance(clusters) == pytest.approx(np.mean(want))
-    assert mean_centroid_distance(clusters, tx_ids={1, 2}) == pytest.approx(want[0])
-
-
-def test_mean_centroid_distance_requires_data():
-    cl = Cluster(id=0, tx_ids=(1,), centroid=np.zeros(2), users=(1,), tx_dist={1: 0.0})
-    with pytest.raises(RejectedInputError):
-        mean_centroid_distance([cl], tx_ids={99})

@@ -1,8 +1,10 @@
 """The library round: its messages as bytes, and the round's order of steps."""
 import numpy as np
+import pytest
 
 from pous.bts import cast_votes, score_sheet, tally
 from pous.committee import CommitteeConfig
+from pous.errors import RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
     DiffieHellmanOT,
@@ -35,7 +37,7 @@ def test_vote_bytes_rebuild_the_in_process_round():
     for voter in mats:
         assert score_sheet(voter, records, len(mats), n) == score_sheet(voter, local, len(mats), n)
     # each matrix to four receivers; a vote blob per (voter, candidate) pair
-    assert sent["matrix"] == 4 * sum(8 + 16 * m.computed_count for m in mats.values())
+    assert sent["matrix"] == 4 * sum(8 + 16 * len(m.computed_indices) for m in mats.values())
     assert sent["votes"] == 20 * 16 + 9 * sum(r.valid for r in records)
     assert sent["circuit"] == 20 * comparator_size(16)[1]
 
@@ -103,3 +105,17 @@ def test_a_member_that_never_saw_a_packed_transaction_rejects_the_block():
     assert len(out.block.body) == len(mempool) - 1
     assert out.verdict[0] is False
     assert "not in mempool snapshot" in out.verdict[1]
+
+
+def test_a_mempool_that_lists_a_transaction_twice_is_refused():
+    """Six miners each list transaction 7 twice in a mempool of 39: the
+    leader would pack it twice into a block of capacity 40, which the
+    round's own check rejects, so clustering refuses the mempool."""
+    n_users, miners = 5, range(1, 7)
+    mempool = tuple(Transaction(id=i, source_user=1 + i % n_users, tx_class="ABCDEF"[i % 6],
+                                fee=1e-4 * i, submit_time=float(i)) for i in range(1, 40))
+    views = {m: DataView((), mempool + (mempool[6],)) for m in miners}
+    with pytest.raises(RejectedInputError, match="transaction 7 is listed twice"):
+        run_round(views, n_users, dict.fromkeys(miners, 2), seeds={m: m for m in miners},
+                  theta=0.05, committee=CommitteeConfig(size=4, selection_seed=3),
+                  capacity=40, now=50.0)

@@ -23,7 +23,6 @@ from pous.similarity import (
     pair_sequence,
     similarity,
     unflatten_index,
-    update_usm,
 )
 
 def tx(i, user, cls, fee=0.001):
@@ -187,7 +186,7 @@ def demo_vectors(n, seed=3):
 
 def test_full_budget_n3_nine_entries():
     m = compute_usm(demo_vectors(3), budget=None)
-    assert m.computed_count == 9
+    assert len(m.computed_indices) == 9
     for k in range(1, 4):
         assert m.get(flat_index(k, k, 3)) == 1.0
         for l in range(1, 4):
@@ -205,8 +204,8 @@ def test_budget_two_of_n4_fills_two_pairs():
 
 def test_budget_zero_all_null():
     m = compute_usm(demo_vectors(3), budget=0)
-    assert m.computed_count == 0
-    assert np.isnan(m.to_dense()).all()
+    assert m.computed_indices == []
+    assert all(m.get(j) is None for j in range(1, 10))
 
 
 def test_budget_counts_pairs_exactly():
@@ -220,7 +219,6 @@ def test_full_budget_matches_all_pairs_oracle():
     vecs = demo_vectors(6, seed=9)
     m = compute_usm(vecs, budget=None)
     n = len(vecs)
-    dense = m.to_dense()
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             if k == l:
@@ -231,7 +229,7 @@ def test_full_budget_matches_all_pairs_oracle():
                         for a, b in zip(vecs[k - 1].counts, vecs[l - 1].counts))
                 )
                 want = 1.0 / (1.0 + d)
-            assert dense[flat_index(k, l, n) - 1] == want
+            assert m.get(flat_index(k, l, n)) == want
 
 
 def test_compute_usm_rejects_bad_budget_and_empty():
@@ -254,72 +252,13 @@ def test_matrix_entry_validation():
 
 
 # ---------------------------------------------------------------------------
-# updating
-
-
-def history_for(n, seed=11, count=40):
-    rng = np.random.default_rng(seed)
-    return tuple(
-        tx(i, int(rng.integers(1, n + 1)), DEFAULT_CLASSES[rng.integers(6)])
-        for i in range(count)
-    )
-
-
-def test_update_same_view_is_idempotent():
-    view = DataView(history=history_for(4), mempool=())
-    vecs = build_user_vectors(view, 4)
-    m = compute_usm(vecs, budget=3)
-    m2 = update_usm(m, view)
-    assert m2.computed_indices == m.computed_indices
-    for j in m.computed_indices:
-        assert m2.get(j) == m.get(j)
-
-
-def test_update_preserves_null_pattern():
-    view = DataView(history=history_for(5), mempool=())
-    m = compute_usm(build_user_vectors(view, 5), budget=4)
-    grown = DataView(history=view.history + (tx(900, 2, "C"),), mempool=())
-    m2 = update_usm(m, grown)
-    assert m2.computed_indices == m.computed_indices
-
-
-def test_update_locality_one_new_tx():
-    n = 5
-    view = DataView(history=history_for(n), mempool=())
-    m = compute_usm(build_user_vectors(view, n), budget=None)
-    grown = DataView(history=view.history + (tx(901, 3, "A"),), mempool=())
-    m2 = update_usm(m, grown)
-    for j in m.computed_indices:
-        k, l = unflatten_index(j, n)
-        if 3 not in (k, l):
-            assert m2.get(j) == m.get(j)
-    # user 3 moved, so at least one of its entries must differ
-    assert any(
-        m2.get(flat_index(3, l, n)) != m.get(flat_index(3, l, n))
-        for l in range(1, n + 1) if l != 3
-    )
-
-
-def test_update_equals_from_scratch_on_same_pattern():
-    n = 6
-    old = DataView(history=history_for(n, seed=2), mempool=())
-    new = DataView(history=history_for(n, seed=4, count=55), mempool=())
-    m = compute_usm(build_user_vectors(old, n), budget=7)
-    updated = update_usm(m, new)
-    fresh = compute_usm(build_user_vectors(new, n), budget=None)
-    for j in m.computed_indices:
-        assert updated.get(j) == fresh.get(j)
-    assert updated.computed_indices == m.computed_indices
-
-
-# ---------------------------------------------------------------------------
 # compressed-row serialization
 
 
 def test_crs_roundtrip_partial_matrix():
     m = compute_usm(demo_vectors(5, seed=7), budget=4, owner=3)
     raw = m.crs_bytes()
-    assert len(raw) == 8 + 16 * m.computed_count
+    assert len(raw) == 8 + 16 * len(m.computed_indices)
     back = SimilarityMatrix.from_crs_bytes(raw)
     assert back.owner == 3
     assert back.n_users == 5
@@ -330,10 +269,11 @@ def test_crs_roundtrip_partial_matrix():
 
 def test_crs_triples_row_major_order():
     m = compute_usm(demo_vectors(4), budget=2)
-    triples = m.to_crs_triples()
-    flats = [flat_index(r, c, 4) for r, c, _v in triples]
-    assert flats == sorted(flats)
-    assert len(triples) == m.computed_count
+    raw = m.crs_bytes()
+    flats = [flat_index(r, c, 4) for r, c, _v in struct.iter_unpack("<IId", raw[8:])]
+    assert flats == m.computed_indices  # sorted, one triple per entry
+    # the reader refuses entries out of row-major order
+    assert SimilarityMatrix.from_crs_bytes(raw).computed_indices == flats
 
 
 def test_crs_rejects_truncated_payload():
@@ -368,9 +308,10 @@ def test_crs_matrix_rejects_what_the_writer_never_writes(blob, reason):
 
 def test_crs_matrix_accepts_the_diagonal_and_an_empty_matrix():
     back = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([(1, 1, 1.0), (3, 3, 0.0)]))
-    assert back.to_crs_triples() == [(1, 1, 1.0), (3, 3, 0.0)]
+    assert back.computed_indices == [1, 9]
+    assert (back.get(1), back.get(9)) == (1.0, 0.0)
     empty = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([], owner=2, n=4))
-    assert (empty.owner, empty.n_users, empty.computed_count) == (2, 4, 0)
+    assert (empty.owner, empty.n_users, empty.computed_indices) == (2, 4, [])
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +337,18 @@ TEST_ONLY_NAMES = {
     "PlainCompareBackend",  # the cleartext reference the garbled path is tested against
     "expected_scores",  # criterion 6
     "strategy_scores",  # criterion 6
-    "OTTranscript.receiver_message",  # criterion 5
+    "run_round",  # the library round: demo 04 runs it, the differential tests check it
 }
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Every public function, class and method of ``src/pous`` is named
-    somewhere in ``src/``, ``demos/`` or ``perfbench/`` besides its own
-    definition: as a name, an attribute or an import."""
+    somewhere in ``src/`` or ``perfbench/`` besides its own definition:
+    as a name, an attribute or an import. A demo does not count, since
+    a name only a demo calls serves no round, simulation or workload."""
     root = Path(__file__).resolve().parent.parent
     used = set()
-    for path in [p for d in ("src", "demos", "perfbench") for p in (root / d).rglob("*.py")]:
+    for path in [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -427,11 +369,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_stored_attribute_is_read_outside_the_tests():
     """Every ``self.<name>`` a class of ``src/pous`` stores is read as
-    ``.<name>`` somewhere in ``src/``, ``demos/`` or ``perfbench/``: no
-    object keeps a counter that only tests look at."""
+    ``.<name>`` somewhere in ``src/`` or ``perfbench/``: no object keeps
+    a counter that only tests or demos look at."""
     root = Path(__file__).resolve().parent.parent
     read = {node.attr
-            for path in [p for d in ("src", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+            for path in [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = set()
