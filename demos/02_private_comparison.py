@@ -5,8 +5,8 @@ Comparing similarity entries without revealing them
 Two miners hold private similarity values a and b and want one bit:
 is |a - b| within the tolerance theta? The generator garbles a
 fixed-point comparator once per epoch; the evaluator fetches its input
-labels through 1-of-2 oblivious transfer, one batch per comparison, and
-evaluates blind. A one-off comparison garbles its own circuit with
+labels through oblivious transfer, one batch per comparison and two input
+bits per transfer, and evaluates blind. A one-off comparison garbles its own circuit with
 secure_compare.
 
 The wiring is public and the threshold only picks gate tables, so the
@@ -39,10 +39,11 @@ for a, b in cases:
 print("one-off comparison, fresh circuit: |0.30 - 0.90| <= 0.7 ?",
       "approve" if secure_compare(0.30, 0.90, theta=0.7, ot=ot) else "reject")
 
-# one batch carries a comparison's 16 evaluator input bits
+# one batch carries a comparison's 16 evaluator input bits, two per transfer
 _, transcript = ot.exchange([(bytes(16), bytes(range(16)))] * 16, [0, 1] * 8)
 print("\noblivious transfer moves", transcript.total_bytes(),
-      f"bytes per width-16 comparison ({ot.transfer_bytes(1)} for a lone bit)")
+      "bytes per width-16 comparison in 8 transfers",
+      f"({ot.transfer_bytes(1)} for a batch of one bit)")
 
 # one flipped ciphertext byte and the evaluator notices
 broken = GarbledCompareBackend(theta=0.4, bitwidth=8, seed=3)

@@ -47,21 +47,27 @@ Construction notes:
   and no check on the bytes can tell. Stopping them takes a construction
   secure against a malicious generator, such as cut-and-choose (Lindell
   and Pinkas, EUROCRYPT 2007).
-* The evaluator's input labels travel through 1-of-2 oblivious transfer,
-  one batch per comparison: either a Diffie-Hellman transfer over a
-  safe-prime group, or a trusted dealer stand-in with the same
-  interface. The dealer is the default OT of :func:`secure_compare` and
-  :class:`GarbledCompareBackend`, so their default path runs no real
-  transfer (ROADMAP.md plans to make the DH transfer that default); the
-  simulator runs no transfer and charges the DH transfer's bytes. The DH
-  transfer is Chou and Orlandi's "simplest OT" (LATINCRYPT 2015) with
-  one sender element per batch. A batch costs two fixed-base powers of
-  g, one element on the wire and a short-lived fixed-base table of that
+* The evaluator's input labels travel through oblivious transfer, one
+  batch per comparison that hands over one label of each input wire's
+  pair: either a Diffie-Hellman transfer over a safe-prime group, or a
+  trusted dealer stand-in with the same interface. The dealer is the
+  default OT of :func:`secure_compare` and :class:`GarbledCompareBackend`,
+  so their default path runs no real transfer (ROADMAP.md plans to make
+  the DH transfer that default); the simulator runs no transfer and
+  charges the DH transfer's bytes. The DH transfer is Chou and Orlandi's
+  "simplest OT" (LATINCRYPT 2015) with one sender element per batch,
+  run as 1-of-4 on each pair of evaluator bits, so a width-16 comparison
+  makes 8 transfers. A batch costs two fixed-base powers of g, one
+  element on the wire and a short-lived fixed-base table of that
   element. Each transfer costs a power of g, one variable-base
-  exponentiation, the receiver's key off that table, one element and
-  two labels on the wire, and no inverse. Like the comparator it is
-  secure against a semi-honest party only, and none of it is
-  constant-time.
+  exponentiation and three products, the receiver's key off that table,
+  one element and four two-label slots on the wire, and no inverse; the
+  last bit of an odd batch goes alone, one element and two labels. Like
+  the comparator it is secure against a semi-honest party only, and none
+  of it is constant-time. Neither group is at a modern security level:
+  ``DEFAULT_GROUP`` is RFC 2409's 768-bit group, within reach of number
+  field sieve precomputation (Adrian et al., CCS 2015), and the 256-bit
+  ``FAST_GROUP`` serves test batteries and benchmarks only.
 * :func:`secure_compare` garbles a fresh circuit for its one
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes, and
@@ -499,13 +505,19 @@ def _table_pow(table: tuple[tuple[int, ...], ...], digits: bytes, p: int) -> int
     return acc
 
 
-# hex characters to their values, so format(e, "x") yields radix-16 digits
-_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+# a hex character to the low and to the high radix-4 digit of its value
+_LOW_QUADS = bytes.maketrans(b"0123456789abcdef", bytes(d & 3 for d in range(16)))
+_HIGH_QUADS = bytes.maketrans(b"0123456789abcdef", bytes(d >> 2 for d in range(16)))
 
 
-def _hex_digits(e: int) -> bytes:
-    """The radix-16 digits of ``e``, least significant first."""
-    return format(e, "x")[::-1].encode().translate(_HEX_DIGITS)
+def _quad_digits(e: int) -> bytes:
+    """The radix-4 digits of ``e``, least significant first, read two
+    per hex digit of ``format(e, "x")``."""
+    hex_lsb = format(e, "x")[::-1].encode()
+    digits = bytearray(2 * len(hex_lsb))
+    digits[0::2] = hex_lsb.translate(_LOW_QUADS)
+    digits[1::2] = hex_lsb.translate(_HIGH_QUADS)
+    return bytes(digits)
 
 
 @dataclass(frozen=True)
@@ -540,7 +552,10 @@ class OTGroup:
 
 
 # 768-bit MODP safe-prime group (RFC 2409 section 6.1); g=2 generates
-# the prime-order-q quadratic-residue subgroup since p = 7 mod 8.
+# the prime-order-q quadratic-residue subgroup since p = 7 mod 8. Its
+# discrete logarithms are within reach of number field sieve
+# precomputation (Adrian et al., CCS 2015), well short of the 112-bit
+# level NIST SP 800-57 Part 1 puts at a 2048-bit modulus (ROADMAP item 18).
 DEFAULT_GROUP = OTGroup(
     p=int(
         "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
@@ -557,7 +572,8 @@ DEFAULT_GROUP = OTGroup(
     g=2,
 )
 
-# 256-bit safe-prime group: fast enough for statistical test batteries.
+# 256-bit safe-prime group: fast enough for statistical test batteries,
+# and far too small to protect anything; tests and benchmarks only.
 FAST_GROUP = OTGroup(
     p=int("fb086b0a2b206362c4104abd2b29008cd2cd100c087baee29648b18123651cc7", 16),
     q=int("7d843585159031b16208255e9594804669668806043dd7714b2458c091b28e63", 16),
@@ -590,58 +606,77 @@ def _check_batch(pairs: Sequence[tuple[bytes, bytes]], bits: Sequence[int]) -> N
             raise RejectedInputError(f"OT payloads at transfer {i} must be two wire labels")
 
 
-def _hash_to_key(group: OTGroup, x: int, index: int, slot: int) -> bytes:
-    return hashlib.sha256(group.encode(x) + struct.pack(">IB", index, slot)).digest()[:LABEL_BYTES]
+def _ot_pad(group: OTGroup, key: int, index: int, slot: int, size: int) -> bytes:
+    """The first ``size`` bytes (at most 32) of the SHA-256 of a transfer
+    key, the transfer's index in its batch and the slot it encrypts."""
+    return hashlib.sha256(group.encode(key) + struct.pack(">IB", index, slot)).digest()[:size]
 
 
 class DiffieHellmanOT:
-    """Batched 1-of-2 oblivious transfer over a prime-order group: the
-    "simplest OT" of Chou and Orlandi (LATINCRYPT 2015), with one sender
-    element for the whole batch.
+    """Batched 1-of-2 oblivious transfer over a prime-order group, two
+    transfers at a time: the "simplest OT" of Chou and Orlandi
+    (LATINCRYPT 2015), 1-of-4 on bit pairs, with one sender element for
+    the whole batch.
 
-    The sender draws ``a`` and sends ``A = g^a``. For transfer i the
-    receiver draws ``x_i`` and sends ``B_i = g^x_i * A^c_i``, computed as
-    ``g^x_i`` times 1 or ``A``, so both bits take the same operations.
-    The sender sends ``m0 ^ H(B_i^a, i, 0)`` and ``m1 ^ H(B_i^a * T, i, 1)``,
-    where ``T = A^-a`` is ``g^(-a*a)``: one power of g per batch and no
-    inverse. The receiver's key ``A^x_i`` is the chosen side's key.
+    The sender draws ``a`` and sends ``A = g^a``. The receiver joins
+    transfers 2j and 2j + 1 into transfer j of the batch, with choice
+    ``c_j = bits[2j] + 2*bits[2j + 1]``; the last bit of an odd batch is
+    a transfer of its own, with ``c_j`` that bit. It draws ``x_j`` and
+    sends ``B_j = g^x_j * A^c_j``, multiplying by a power of ``A`` from
+    0 to 3 (``A^0 = 1``), so every choice takes the same operations. Slot
+    s of a pair holds ``pairs[2j][s & 1] + pairs[2j + 1][s >> 1]``, and
+    the sender encrypts it under ``B_j^a * T^s``, where ``T = A^-a`` is
+    ``g^(-a*a)``: one power of g per batch, one exponentiation and three
+    products per bit pair, and no inverse. The receiver's key ``A^x_j`` is
+    the key of slot ``c_j``. A slot's pad is ``H(key, j, s)``, all 32
+    bytes of SHA-256 for two labels and the first 16 for a lone one.
 
-    * The choice bit is hidden: ``B_i`` is uniform in the group for
-      either bit, so the sender learns nothing from it.
-    * The other label is hidden: the other key is the receiver's key
-      times ``A^a`` or ``A^-a``, and ``A^a = g^(a*a)`` is what the
-      receiver cannot compute from ``A`` (computational Diffie-Hellman,
-      in the random-oracle model for H).
-    * The index i inside H keeps the transfers of one batch apart, so
+    * The choice is hidden: ``B_j`` is uniform in the group for every
+      ``c_j``, so the sender learns nothing from it.
+    * The other slots are hidden: each other slot's key is the
+      receiver's key times ``A^(a*d)`` for some d in -3..3 other than 0,
+      and ``A^a = g^(a*a)`` is what the receiver cannot compute from
+      ``A`` (computational Diffie-Hellman, in the random-oracle model
+      for H).
+    * The index j inside H keeps the transfers of one batch apart, so
       equal pairs at two positions encrypt under different keys.
     * The receiver checks the sender's element: before it computes any
-      ``B_i`` it refuses an ``A`` with ``A^q != 1``, outside the order-q
+      ``B_j`` it refuses an ``A`` with ``A^q != 1``, outside the order-q
       subgroup, with :class:`~pous.errors.SubgroupError`. A sender whose
-      ``A`` is ``p - 1`` would otherwise read every choice bit off
-      whether ``B_i`` is a quadratic residue.
-    * The sender still does not check each ``B_i``, which would cost 16
-      builtin powers per batch of 16, so the transfer is secure against
-      a semi-honest receiver only.
+      ``A`` is ``p - 1`` would otherwise read every choice's low bit off
+      whether ``B_j`` is a quadratic residue.
+    * The sender still does not check each ``B_j``, which would cost one
+      builtin power per transfer, so the transfer is secure against a
+      semi-honest receiver only.
 
     Per batch: one exponent draw, two powers of g (``A`` and ``T``), one
-    group element on the wire, and one radix-16 :func:`_power_table` of
-    ``A`` that lives only for the batch (960 products on ``FAST_GROUP``,
-    2,880 on ``DEFAULT_GROUP``). The receiver reads ``A^q`` off that
-    table, one product per nonzero hex digit of q: 36 µs on
-    ``FAST_GROUP`` against 152 µs for builtin ``pow``, in a 16-transfer
-    batch of 4.2 ms (2-core x86-64, Python 3.11). Per transfer: one
-    exponent draw, one power of g, one variable-base exponentiation
-    (``B_i^a``), the receiver key ``A^x_i`` (one product per nonzero hex
-    digit of ``x_i`` off the table), three hashes, and one group element
-    and two labels on the wire. The receiver's table pays for itself: in 10 alternating
-    pairs of 25 s ``private-compare`` runs (batches of 16, 2-core x86-64,
-    Python 3.11), reading the keys off it rather than builtin ``pow``
-    raised throughput 16%. Exponents come from the operating system's
-    cryptographic source unless a (seeded, reproducible) ``rng`` is
-    injected. Powers of g come from the group's fixed-base table
-    (:meth:`OTGroup.pow_g`), built on the first exchange: 0.5 MiB for
-    ``FAST_GROUP`` and 3.2 MiB for ``DEFAULT_GROUP``. Neither the table
-    lookups nor the builtin ``pow`` is constant-time.
+    group element on the wire, and one radix-4 :func:`_power_table` of
+    ``A`` that lives only for the batch (384 products on ``FAST_GROUP``,
+    1,152 on ``DEFAULT_GROUP``). The receiver reads ``A^q`` off that
+    table, one product per nonzero radix-4 digit of q. Per bit pair: one
+    exponent draw, one power of g, one product by ``A^c`` off the table's
+    row 0, one variable-base exponentiation (``B_j^a``) and three
+    products for the four slot keys, the receiver key ``A^x_j`` (one
+    product per nonzero radix-4 digit of ``x_j`` off the table), five
+    hashes, and one group element and four 32-byte slots on the wire. A
+    lone last bit costs the same but for one product for its second slot
+    key, three hashes and two 16-byte slots. A batch of 16 makes 8
+    builtin exponentiations and reads 9 powers of ``A`` off the table:
+    the 8 keys and ``A^q``. Built and read for those 9, a radix-4 table
+    took 0.49-0.52 ms on ``FAST_GROUP``, radix 8 the same within noise,
+    radix 16 0.58 ms and 9 builtin ``pow`` calls 0.87-0.95 ms (6.5-6.9,
+    6.5-6.6, 7.7-7.9 and 12-13 ms on ``DEFAULT_GROUP``); radix 4 also
+    holds exactly ``A``, ``A^2`` and ``A^3`` in row 0. A 16-transfer
+    batch takes 1.84 ms on ``FAST_GROUP`` and 23 ms on ``DEFAULT_GROUP``,
+    where one 1-of-2 transfer per bit took 3.1 and 42 ms (medians,
+    2-core x86-64, Python 3.11), and in 10 alternating pairs of 25 s
+    ``private-compare`` runs the pairing raised throughput 57%.
+    Exponents come from the operating system's cryptographic source
+    unless a (seeded, reproducible) ``rng`` is injected. Powers of g come
+    from the group's fixed-base table (:meth:`OTGroup.pow_g`), built on
+    the first exchange: 0.5 MiB for ``FAST_GROUP`` and 3.2 MiB for
+    ``DEFAULT_GROUP``. Neither the table lookups nor the builtin ``pow``
+    is constant-time.
     """
 
     def __init__(self, group: OTGroup = DEFAULT_GROUP, rng=None):
@@ -663,33 +698,47 @@ class DiffieHellmanOT:
         a = self._rand_exp()
         big_a = grp.pow_g(a)
         t.messages.append(("sender", grp.encode(big_a)))
-        # receiver: a table of A for its keys, which first checks A^q = 1
-        table = _power_table(big_a, p, -(-grp.q.bit_length() // 4), 16)
-        if _table_pow(table, _hex_digits(grp.q), p) != 1:
+        # receiver: a radix-4 table of A for its keys, which first checks A^q = 1
+        table = _power_table(big_a, p, -(-grp.q.bit_length() // 2), 4)
+        if _table_pow(table, _quad_digits(grp.q), p) != 1:
             raise SubgroupError("the sender's A is outside the order-q subgroup: A^q != 1")
-        # receiver: g^x on the chosen side, shifted by A when the bit is 1
-        xs = [self._rand_exp() for _ in bits]
-        bs = [grp.pow_g(x) * (1, big_a)[bit] % p for x, bit in zip(xs, bits)]
+        # receiver: one choice per bit pair, g^x shifted by A^c, with A^c off row 0
+        choices = [bits[i] + 2 * bits[i + 1] for i in range(0, len(bits) - 1, 2)]
+        choices += bits[len(choices) * 2:]  # the lone last bit of an odd batch
+        xs = [self._rand_exp() for _ in choices]
+        a_powers = (1, *table[0])
+        bs = [grp.pow_g(x) * a_powers[c] % p for x, c in zip(xs, choices)]
         t.messages.append(("receiver", b"".join(map(grp.encode, bs))))
-        # sender: B^a and (B/A)^a = B^a * T per transfer, with T = g^(-a*a)
+        # sender: slot s's key is B^a * T^s, with T = g^(-a*a)
         big_t = grp.pow_g(-a * a)
         cts = []
-        for i, ((m0, m1), b) in enumerate(zip(pairs, bs)):
-            s = pow(b, a, p)
-            cts.append((_xor(m0, _hash_to_key(grp, s, i, 0)),
-                        _xor(m1, _hash_to_key(grp, s * big_t % p, i, 1))))
-        t.messages.append(("sender", b"".join(c for pair in cts for c in pair)))
-        # receiver: its key A^x, then the side its bit chose
-        keys = [_table_pow(table, _hex_digits(x), p) for x in xs]
-        out = [_xor(cts[i][bit], _hash_to_key(grp, k, i, bit))
-               for i, (k, bit) in enumerate(zip(keys, bits))]
+        for j, b in enumerate(bs):
+            if 2 * j + 1 < len(pairs):
+                (m0, m1), (n0, n1) = pairs[2 * j:2 * j + 2]
+                slots = (m0 + n0, m1 + n0, m0 + n1, m1 + n1)
+            else:
+                slots = pairs[2 * j]
+            key, sealed = pow(b, a, p), []
+            for s, plain in enumerate(slots):
+                if s:
+                    key = key * big_t % p
+                sealed.append(_xor(plain, _ot_pad(grp, key, j, s, len(plain))))
+            cts.append(sealed)
+        t.messages.append(("sender", b"".join(c for sealed in cts for c in sealed)))
+        # receiver: its key A^x, then the slot its choice names, split into labels
+        out = []
+        for j, (x, c, sealed) in enumerate(zip(xs, choices, cts)):
+            key = _table_pow(table, _quad_digits(x), p)
+            plain = _xor(sealed[c], _ot_pad(grp, key, j, c, len(sealed[c])))
+            out += (plain[o:o + LABEL_BYTES] for o in range(0, len(plain), LABEL_BYTES))
         return out, t
 
     def transfer_bytes(self, n: int) -> int:
-        """Bytes a batch of ``n`` transfers moves: ``A``, then one ``B_i``
-        and two ciphertexts per transfer."""
+        """Bytes a batch of ``n`` transfers moves: ``A``, then one ``B_j``
+        and four two-label slots per bit pair, and one ``B_j`` and two
+        labels for the lone last bit of an odd batch."""
         e = self.group.element_bytes
-        return e + n * (e + 2 * LABEL_BYTES)
+        return e + n // 2 * (e + 8 * LABEL_BYTES) + n % 2 * (e + 2 * LABEL_BYTES)
 
 
 class TrustedDealerOT:
@@ -715,7 +764,7 @@ class TrustedDealerOT:
 
 def comparison_bytes(bitwidth: int, ot) -> int:
     """Bytes one comparison moves besides the circuit: the generator's
-    active labels plus one batch of transfers, one per evaluator bit."""
+    active labels plus one batch that transfers the evaluator's bits."""
     return bitwidth * LABEL_BYTES + ot.transfer_bytes(bitwidth)
 
 

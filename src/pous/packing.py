@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, Optional, Sequence
@@ -24,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedFlagError, RejectedInputError
-from .similarity import Transaction, UserVector
+from .similarity import Transaction, UserVector, refuse_repeated_transactions
 
 log = logging.getLogger(__name__)
 
@@ -169,14 +168,12 @@ def cluster_mempool(
     The k-means instance runs over the distinct source-user vectors;
     each transaction lands in its user's cluster. Requesting more
     clusters than distinct users clamps k with a warning. A mempool that
-    lists a transaction twice is refused, since a block packed from it
-    would list it twice too.
+    lists a transaction twice is refused
+    (:func:`~pous.similarity.refuse_repeated_transactions`).
     """
     if not mempool:
         raise RejectedInputError("cannot cluster an empty mempool")
-    twice = [tid for tid, count in Counter(tx.id for tx in mempool).items() if count > 1]
-    if twice:
-        raise RejectedInputError(f"transaction {twice[0]} is listed twice in the mempool")
+    refuse_repeated_transactions(mempool)
     vecs = _vector_map(user_vectors)
     users = sorted({tx.source_user for tx in mempool})
     missing = [u for u in users if u not in vecs]

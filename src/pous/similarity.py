@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -76,14 +77,27 @@ class UserVector:
             raise RejectedInputError(f"negative count in vector of user {self.user}")
 
 
+def refuse_repeated_transactions(txs: Iterable[Transaction]) -> None:
+    """Refuse a mempool, or a view of one, that lists a transaction id
+    twice: its tallies would count the transaction twice, and a block
+    packed from it would list it twice. One set build on the ids."""
+    ids = [tx.id for tx in txs]
+    if len(set(ids)) < len(ids):
+        twice = next(tid for tid, count in Counter(ids).items() if count > 1)
+        raise RejectedInputError(f"transaction {twice} is listed twice in the mempool")
+
+
 def build_user_vectors(view: DataView, n_users: int) -> list[UserVector]:
     """Tally the view into one count vector per user (users 1..n_users).
 
-    Rejects transactions whose class is not in ``DEFAULT_CLASSES`` or
-    whose source user falls outside 1..n_users.
+    Rejects a view that lists a transaction twice
+    (:func:`refuse_repeated_transactions`), and transactions whose class
+    is not in ``DEFAULT_CLASSES`` or whose source user falls outside
+    1..n_users.
     """
     if n_users < 1:
         raise RejectedInputError(f"n_users must be >= 1, got {n_users}")
+    refuse_repeated_transactions(view)
     index = {c: i for i, c in enumerate(DEFAULT_CLASSES)}
     counts = np.zeros((n_users, len(DEFAULT_CLASSES)), dtype=np.int64)
     for tx in view:

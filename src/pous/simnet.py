@@ -313,7 +313,7 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     mirror slot reuses the verdict (``bts.cast_votes``). Evaluation time
     is gates times rows decrypted per gate times the hash cost; bytes
     cover generator labels, one transfer batch per comparison (a transfer
-    per evaluator bit), and the per-epoch circuit shipment, one per voter
+    per two evaluator bits), and the per-epoch circuit shipment, one per voter
     of each candidate with a nonzero budget, amortized over the rotation
     period.
     """

@@ -5,7 +5,6 @@ import json
 import math
 import warnings
 from hashlib import sha256
-from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -942,17 +941,17 @@ GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
     "comparator_size(16)": (63, 7559),
-    "comparison_bytes(16, DEFAULT_GROUP)": 2400,
+    "comparison_bytes(16, DEFAULT_GROUP)": 2144,
 }
 
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "a29276f7855271a0e7e7c45a9ac8adf5524a12dfb69b35425a611ae0da1bde2f"),
+     "1b540ec14a7b999841f1f4d27b6cade7b5d45f9fa2462c7c344c3ef1445618c4"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "d98709aacc62166a39aab92bd752836640c111b514817e56280f8410099ed942"),
+     "a1150ad4a8d88fc6eeced8745dfffcb60250077934cd7daf422cc0ae8fa14db4"),
 ]
 
 

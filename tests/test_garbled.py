@@ -24,7 +24,6 @@ from pous.garbled import (
     FAST_GROUP,
     LABEL_BYTES,
     ROW_BYTES,
-    ComparatorTemplate,
     DiffieHellmanOT,
     FixedPoint,
     GarbledCircuit,
@@ -898,9 +897,9 @@ def test_ot_returns_chosen_label():
 
 def minus_one_sender():
     """FAST_GROUP whose every power of g is p - 1, an element of order 2:
-    as the sender's ``A`` it would reveal every choice bit, since ``B_i``
-    is then a quadratic residue exactly when the bit is 0. Returns the
-    group and the list of exponents it is asked for."""
+    as the sender's ``A`` it would reveal the low bit of every choice,
+    since ``B_j`` is then a quadratic residue exactly when that bit is 0.
+    Returns the group and the list of exponents it is asked for."""
     calls = []
 
     class MinusOne(garbled.OTGroup):
@@ -916,7 +915,7 @@ def test_ot_receiver_refuses_a_sender_element_outside_the_subgroup():
     with pytest.raises(SubgroupError, match="A is outside the order-q subgroup"):
         DiffieHellmanOT(grp, rng=random.Random(9)).exchange([(b"m" * 16, b"n" * 16)] * 16,
                                                             [0, 1] * 8)
-    assert len(calls) == 1  # A alone: no B_i was computed
+    assert len(calls) == 1  # A alone: no B_j was computed
     assert issubclass(SubgroupError, RejectedInputError)
 
 
@@ -942,7 +941,7 @@ def test_ot_groups_are_safe_prime():
 
 
 def test_ot_many_runs_never_leak_other_label():
-    # batch lengths 1..16 cover the receiver's builtin-pow and table paths
+    # batch lengths 1..16 cover odd batches, whose last bit travels alone
     ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(3))
     rng = random.Random(4)
     for _ in range(40):
@@ -954,13 +953,17 @@ def test_ot_many_runs_never_leak_other_label():
         assert all(label != pair[1 - bit] for label, pair, bit in zip(out, pairs, bits))
 
 
+OT_BATCH_SIZES = (1, 2, 7, 8, 16)
+
+
 def test_ot_transcript_bytes_match_analytic():
-    # A, then one B_i and two ciphertexts per transfer; the dealer's one byte per transfer
+    # A, then one B_j and four two-label slots per bit pair, one B_j and two
+    # labels for a lone last bit; the dealer's one byte per transfer
     cases = [(DiffieHellmanOT(grp, rng=random.Random(5)),
-              lambda n, e=grp.element_bytes: e + n * (e + 2 * LABEL_BYTES))
+              lambda n, e=grp.element_bytes: e + n // 2 * (e + 128) + n % 2 * (e + 32))
              for grp in (DEFAULT_GROUP, FAST_GROUP)] + [(TrustedDealerOT(), lambda n: n)]
     for ot, analytic in cases:
-        for n in (1, 8, 16):
+        for n in OT_BATCH_SIZES:
             _, tr = ot.exchange([(b"x" * 16, b"y" * 16)] * n, [0] * n)
             assert tr.total_bytes() == ot.transfer_bytes(n) == analytic(n)
 
@@ -968,12 +971,13 @@ def test_ot_transcript_bytes_match_analytic():
 @pytest.mark.parametrize("bit", [0, 1])
 def test_ot_transcript_layout(bit):
     for grp in (DEFAULT_GROUP, FAST_GROUP):
-        for n in (1, 8):
+        for n in OT_BATCH_SIZES:
             _, tr = DiffieHellmanOT(grp, rng=random.Random(5)).exchange(
                 [(b"x" * 16, b"y" * 16)] * n, [bit] * n)
             e = grp.element_bytes
             assert [(who, len(payload)) for who, payload in tr.messages] == [
-                ("sender", e), ("receiver", n * e), ("sender", n * 2 * LABEL_BYTES)]
+                ("sender", e), ("receiver", (n + 1) // 2 * e),
+                ("sender", n // 2 * 8 * LABEL_BYTES + n % 2 * 2 * LABEL_BYTES)]
 
 
 @pytest.mark.parametrize("grp", [FAST_GROUP, DEFAULT_GROUP], ids=["fast", "default"])
@@ -999,38 +1003,51 @@ class Scripted:
         return self._next()
 
 
+def sealed_slots(transcript, n):
+    """The sender's last message cut into its slots: four two-label
+    slots per bit pair, then two one-label slots for a lone last bit."""
+    cts = transcript.messages[-1][1]
+    sizes = [2 * LABEL_BYTES] * (4 * (n // 2)) + [LABEL_BYTES] * (2 * (n % 2))
+    assert len(cts) == sum(sizes)
+    ends = list(itertools.accumulate(sizes))
+    return [cts[end - size:end] for size, end in zip(sizes, ends)]
+
+
 def test_ot_identical_pairs_encrypt_differently_at_each_index():
     # one sender exponent serves the batch; with one receiver exponent
-    # repeated, every B_i is equal, so only the index in H keeps the
-    # positions' keys apart
+    # repeated, every bit pair's B_j is equal, so only the index in H
+    # keeps the positions' keys apart
     m0, m1 = b"m" * 16, b"n" * 16
-    for n in (2, 8):
-        ot = DiffieHellmanOT(FAST_GROUP, rng=Scripted(12345, *[678] * n))
+    for n in (4, 7, 8):
+        ot = DiffieHellmanOT(FAST_GROUP, rng=Scripted(12345, *[678] * ((n + 1) // 2)))
         out, tr = ot.exchange([(m0, m1)] * n, [1] * n)
         assert out == [m1] * n
         bs, e = tr.messages[1][1], FAST_GROUP.element_bytes
-        assert len(set(bs[o:o + e] for o in range(0, len(bs), e))) == 1
+        assert len(set(bs[o:o + e] for o in range(0, n // 2 * e, e))) == 1
+        blocks = sealed_slots(tr, n)
+        assert len(set(blocks)) == len(blocks) == 4 * (n // 2) + 2 * (n % 2)
         cts = tr.messages[-1][1]
         chunks = [cts[o:o + LABEL_BYTES] for o in range(0, len(cts), LABEL_BYTES)]
-        assert len(chunks) == 2 * n and len(set(chunks)) == 2 * n
+        assert len(set(chunks)) == len(chunks) == 8 * (n // 2) + 2 * (n % 2)
 
 
 def test_ot_receiver_message_independent_of_bit():
-    # every B_i of 100 batches of 16 transfers, by its top three bits: the
-    # two bits' counts agree with each other and with a uniform element of [1, p)
+    # every B_j of 200 batches of 16 transfers (8 bit pairs each), by its
+    # top three bits: the four choices' counts agree with each other and
+    # with a uniform element of [1, p)
     from scipy.stats import chi2_contingency, chisquare
 
     p, rows = FAST_GROUP.p, 8
     e = FAST_GROUP.element_bytes
     ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(6))
     bit_rng = random.Random(7)
-    counts = [[0] * rows, [0] * rows]
-    for _ in range(100):
+    counts = [[0] * rows for _ in range(4)]
+    for _ in range(200):
         bits = [bit_rng.randrange(2) for _ in range(16)]
         _, tr = ot.exchange([(b"m" * 16, b"n" * 16)] * 16, bits)
         msg = tr.messages[1][1]
-        for i, bit in enumerate(bits):
-            counts[bit][msg[i * e] >> 5] += 1
+        for j in range(8):
+            counts[bits[2 * j] + 2 * bits[2 * j + 1]][msg[j * e] >> 5] += 1
     width = 1 << (8 * e - 3)
     share = [(min(p, (k + 1) * width) - k * width) / p for k in range(rows)]
     for row in counts:
@@ -1050,47 +1067,61 @@ def test_pow_g_matches_builtin_pow(grp):
     table = vars(grp)["_g_table"]
     assert len(table) == digits
     assert all(len(row) == 255 for row in table)
-    # the receiver's radix-16 table of A, from the same _power_table, read by hex digit
+    # the receiver's radix-4 table of A, from the same _power_table, read by
+    # radix-4 digit; its row 0 is A, A^2 and A^3, the powers a choice needs
     base = grp.pow_g(rng.randrange(1, grp.q))
-    rows = -(-grp.q.bit_length() // 4)
-    table16 = garbled._power_table(base, grp.p, rows, 16)
-    assert len(table16) == rows and all(len(row) == 15 for row in table16)
-    for e in (e for e in exponents if e < 16 ** rows):
-        hex_digits = format(e, "x")[::-1].encode().translate(garbled._HEX_DIGITS)
-        assert garbled._table_pow(table16, hex_digits, grp.p) == pow(base, e, grp.p), e
+    rows = -(-grp.q.bit_length() // 2)
+    table4 = garbled._power_table(base, grp.p, rows, 4)
+    assert len(table4) == rows and all(len(row) == 3 for row in table4)
+    assert table4[0] == tuple(pow(base, c, grp.p) for c in (1, 2, 3))
+    for e in (e for e in exponents if e < 4 ** rows):
+        quads = garbled._quad_digits(e)
+        assert sum(d << 2 * i for i, d in enumerate(quads)) == e and max(quads, default=0) < 4
+        assert garbled._table_pow(table4, quads, grp.p) == pow(base, e, grp.p), e
+
+
+def ot_pad(grp, key, index, slot, size):
+    """H(key, index, slot): SHA-256 of the key's bytes, the 4-byte index
+    and the slot byte, cut to ``size`` bytes."""
+    return hashlib.sha256(key.to_bytes(grp.element_bytes, "big") + index.to_bytes(4, "big")
+                          + bytes([slot])).digest()[:size]
+
+
+def xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def reference_exchange(grp, rng, pairs, bits):
-    """The shared-randomness batch re-derived slowly: builtin pow for
-    every power, a Fermat inverse of A for the second keys, the same rng
-    draws in the same order (a, then one x per transfer). Returns the
-    wire messages."""
+    """The shared-randomness batch re-derived slowly, bit pairs first and
+    then a lone last bit: builtin pow for every power, a Fermat inverse of
+    A^s for slot s's key, the same rng draws in the same order (a, then
+    one x per transfer). Returns the wire messages."""
     p, g, e = grp.p, grp.g, grp.element_bytes
-
-    def key(s, index, slot):
-        return hashlib.sha256(s.to_bytes(e, "big") + index.to_bytes(4, "big")
-                              + bytes([slot])).digest()[:LABEL_BYTES]
-
-    def xor(a, b):
-        return bytes(x ^ y for x, y in zip(a, b))
-
     a = rng.randrange(1, grp.q)
     big_a = pow(g, a, p)
-    xs = [rng.randrange(1, grp.q) for _ in bits]
-    bs = [pow(g, x, p) * pow(big_a, bit, p) % p for x, bit in zip(xs, bits)]
-    a_inv = pow(big_a, p - 2, p)
+    # a transfer: its labels' pairs, its choice and its slots' plaintexts
+    transfers = []
+    for i in range(0, len(bits) - 1, 2):
+        (m0, m1), (n0, n1) = pairs[i], pairs[i + 1]
+        slots = [m0 + n0, m1 + n0, m0 + n1, m1 + n1]
+        transfers.append((bits[i] + 2 * bits[i + 1], slots))
+    if len(bits) % 2:
+        transfers.append((bits[-1], list(pairs[-1])))
+    xs = [rng.randrange(1, grp.q) for _ in transfers]
+    bs = [pow(g, x, p) * pow(big_a, c, p) % p for x, (c, _) in zip(xs, transfers)]
     cts = b""
-    for i, ((m0, m1), b, x, bit) in enumerate(zip(pairs, bs, xs, bits)):
-        k0, k1 = key(pow(b, a, p), i, 0), key(pow(b * a_inv % p, a, p), i, 1)
-        assert key(pow(big_a, x, p), i, bit) == (k0, k1)[bit]
-        cts += xor(m0, k0) + xor(m1, k1)
+    for j, ((c, slots), b, x) in enumerate(zip(transfers, bs, xs)):
+        keys = [pow(b * pow(pow(big_a, s, p), p - 2, p) % p, a, p) for s in range(len(slots))]
+        assert pow(big_a, x, p) == keys[c]
+        cts += b"".join(xor(m, ot_pad(grp, k, j, s, len(m)))
+                        for s, (m, k) in enumerate(zip(slots, keys)))
     return [("sender", big_a.to_bytes(e, "big")),
             ("receiver", b"".join(b.to_bytes(e, "big") for b in bs)), ("sender", cts)]
 
 
 def test_ot_transcripts_are_pinned():
-    """Every message of seeded batches, of 1, 8 and 16 transfers ten
-    times over on FAST_GROUP then twice over on DEFAULT_GROUP, equals
+    """Every message of seeded batches, of 1, 2, 7, 8 and 16 transfers
+    ten times over on FAST_GROUP then twice over on DEFAULT_GROUP, equals
     the reference batch's; the digest is sha256 over who + payload of
     all of them."""
     h = hashlib.sha256()
@@ -1098,7 +1129,7 @@ def test_ot_transcripts_are_pinned():
         ot = DiffieHellmanOT(grp, rng=random.Random(11))
         reference_rng = random.Random(11)
         payloads = random.Random(12)
-        for n in (1, 8, 16) * rounds:
+        for n in OT_BATCH_SIZES * rounds:
             pairs = [(payloads.randbytes(16), payloads.randbytes(16)) for _ in range(n)]
             bits = [payloads.randrange(2) for _ in range(n)]
             out, transcript = ot.exchange(pairs, bits)
@@ -1106,7 +1137,37 @@ def test_ot_transcripts_are_pinned():
             assert transcript.messages == reference_exchange(grp, reference_rng, pairs, bits)
             for who, payload in transcript.messages:
                 h.update(who.encode() + payload)
-    assert h.hexdigest() == "f671577c0f05b5539e61732bcedc1461433c7decc57f9752588194e80bb88301"
+    assert h.hexdigest() == "8635e8d800416ad9e12f102d0671effb10b77784c8d54b8bf9be248d0af27bf7"
+
+
+@pytest.mark.parametrize("n", [2, 7, 16])
+def test_ot_receiver_key_opens_only_the_chosen_slot(n):
+    # the receiver's key A^x_j decrypts its chosen slot to its two labels
+    # (or its lone label); under that key every other slot decrypts to
+    # bytes that hold no label of the batch
+    grp, p = FAST_GROUP, FAST_GROUP.p
+    payloads = random.Random(n)
+    for _ in range(10):
+        # a, then one x per transfer
+        draws = [payloads.randrange(1, grp.q) for _ in range(1 + (n + 1) // 2)]
+        pairs = [(payloads.randbytes(16), payloads.randbytes(16)) for _ in range(n)]
+        bits = [payloads.randrange(2) for _ in range(n)]
+        out, tr = DiffieHellmanOT(grp, rng=Scripted(*draws)).exchange(pairs, bits)
+        assert out == [pair[bit] for pair, bit in zip(pairs, bits)]
+        big_a = int.from_bytes(tr.messages[0][1], "big")
+        labels = {m for pair in pairs for m in pair}
+        slots = sealed_slots(tr, n)
+        for j, x in enumerate(draws[1:]):
+            key = pow(big_a, x, p)
+            chosen = bits[2 * j:2 * j + 2]  # one bit for a lone last bit
+            choice = sum(bit << k for k, bit in enumerate(chosen))
+            for s, sealed in enumerate(slots[4 * j:4 * j + 4]):  # or its two slots
+                plain = xor(sealed, ot_pad(grp, key, j, s, len(sealed)))
+                halves = {plain[o:o + LABEL_BYTES] for o in range(0, len(plain), LABEL_BYTES)}
+                if s == choice:
+                    assert plain == b"".join(pairs[2 * j + k][bit] for k, bit in enumerate(chosen))
+                else:
+                    assert not halves & labels, (j, s)
 
 
 LAZY_TABLE_SCRIPT = """

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from pous import garbled
 from pous.bts import cast_votes, score_sheet, tally
 from pous.committee import CommitteeConfig
 from pous.errors import RejectedInputError
@@ -13,7 +14,7 @@ from pous.garbled import (
 )
 from pous.round import run_round, vote
 from pous.simnet import SimConfig, _crypto_round_costs
-from pous.similarity import DataView, Transaction, UserVector, compute_usm
+from pous.similarity import DataView, Transaction, UserVector, build_user_vectors, compute_usm
 
 
 def test_vote_bytes_rebuild_the_in_process_round():
@@ -107,15 +108,30 @@ def test_a_member_that_never_saw_a_packed_transaction_rejects_the_block():
     assert "not in mempool snapshot" in out.verdict[1]
 
 
-def test_a_mempool_that_lists_a_transaction_twice_is_refused():
+def test_a_mempool_that_lists_a_transaction_twice_is_refused(monkeypatch):
     """Six miners each list transaction 7 twice in a mempool of 39: the
     leader would pack it twice into a block of capacity 40, which the
-    round's own check rejects, so clustering refuses the mempool."""
+    round's own check rejects, and every tally would count it twice, so
+    the round refuses the views before any miner mines or votes."""
     n_users, miners = 5, range(1, 7)
     mempool = tuple(Transaction(id=i, source_user=1 + i % n_users, tx_class="ABCDEF"[i % 6],
                                 fee=1e-4 * i, submit_time=float(i)) for i in range(1, 40))
     views = {m: DataView((), mempool + (mempool[6],)) for m in miners}
-    with pytest.raises(RejectedInputError, match="transaction 7 is listed twice"):
+    evaluated = []
+    live_eval = garbled.eval_circuit
+    monkeypatch.setattr(garbled, "eval_circuit",
+                        lambda *args: evaluated.append(1) or live_eval(*args))
+    with pytest.raises(RejectedInputError, match="transaction 7 is listed twice in the mempool"):
         run_round(views, n_users, dict.fromkeys(miners, 2), seeds={m: m for m in miners},
                   theta=0.05, committee=CommitteeConfig(size=4, selection_seed=3),
                   capacity=40, now=50.0)
+    assert evaluated == []  # no garbled comparison ran
+    # a view whose history repeats a transaction of its mempool counts it twice too
+    with pytest.raises(RejectedInputError, match="transaction 7 is listed twice in the mempool"):
+        build_user_vectors(DataView((mempool[6],), mempool), n_users)
+    # the same views without the repeat run the round, comparisons and all
+    views = {m: DataView((), mempool) for m in miners}
+    run_round(views, n_users, dict.fromkeys(miners, 2), seeds={m: m for m in miners},
+              theta=0.05, committee=CommitteeConfig(size=4, selection_seed=3),
+              capacity=40, now=50.0)
+    assert evaluated

@@ -367,6 +367,33 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert {full for full, name in defined.items() if name not in used} == TEST_ONLY_NAMES
 
 
+# imported names that nothing in their module reads, each kept for a reason
+UNREAD_IMPORTS = {
+    # the benchmark's tracer patches simnet.kmeans, until the tracer
+    # patches packing.kmeans alone (ROADMAP item 8)
+    "src/pous/simnet.py: kmeans",
+}
+
+
+def test_every_imported_name_is_read():
+    """Every name an import binds in ``src/pous``, ``tests`` or ``demos``
+    is read in the same module, so an import whose use went away goes
+    with it. ``import a.b`` binds ``a``."""
+    root = Path(__file__).resolve().parent.parent
+    unread = set()
+    for path in [p for d in ("src/pous", "tests", "demos") for p in (root / d).glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread |= {f"{path.relative_to(root).as_posix()}: {name}" for name in bound - read}
+    assert unread == UNREAD_IMPORTS
+
+
 def test_every_stored_attribute_is_read_outside_the_tests():
     """Every ``self.<name>`` a class of ``src/pous`` stores is read as
     ``.<name>`` somewhere in ``src/`` or ``perfbench/``: no object keeps
