@@ -2,8 +2,8 @@
 Mining user similarity under a work budget
 ==========================================
 
-Two miners tally six users' transactions into per-class count vectors
-and each fills a similarity matrix pair by pair until its budget runs
+Two miners tally six users' transactions into a count matrix, row
+u - 1 holding user u's count per class, and each fills a similarity matrix pair by pair until its budget runs
 out. Entries a miner never reached stay null; the matrix ships as
 compressed row triples of the entries it did fill.
 """
@@ -29,8 +29,8 @@ history = [
 ]
 view = DataView(history=history, mempool=[])
 vectors = build_user_vectors(view, n_users=6)
-for v in vectors:
-    print(f"user {v.user}: class counts {v.counts.astype(int)}")
+for u, counts in enumerate(vectors, 1):
+    print(f"user {u}: class counts {counts}")
 
 print("\npairwise similarity of users 1 and 2:",
       round(similarity(vectors[0], vectors[1]), 4))

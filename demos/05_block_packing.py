@@ -29,9 +29,8 @@ archetypes = np.array([
     [0.5, 8.0, 6.0, 0.3, 0.2, 0.0],
     [0.2, 0.3, 0.5, 7.0, 5.0, 2.0],
 ])
-vectors = {}
-for u in range(1, 22):
-    vectors[u] = archetypes[(u - 1) % 3] + rng.normal(0, 0.4, 6)
+# row u - 1 is user u's vector
+vectors = np.stack([archetypes[(u - 1) % 3] + rng.normal(0, 0.4, 6) for u in range(1, 22)])
 
 # one batch submitted together: with equal waiting time the
 # distance-to-center term decides the ranking
@@ -62,7 +61,7 @@ print(f"\npacked {len(block.body)} of {len(mempool)} txs")
 print("flag bits:", bits[:block.header.capacity])
 print("segment offsets", offsets, "-> sizes", sizes)
 
-coords = pca_project(np.stack(list(vectors.values())))
+coords = pca_project(vectors)
 spread = coords.var(axis=0)
 print("\n2-D projection variance per axis:", np.round(spread, 2),
       "(first axis dominates)" if spread[0] >= spread[1] else "")

@@ -666,11 +666,9 @@ class DiffieHellmanOT:
     took 0.49-0.52 ms on ``FAST_GROUP``, radix 8 the same within noise,
     radix 16 0.58 ms and 9 builtin ``pow`` calls 0.87-0.95 ms (6.5-6.9,
     6.5-6.6, 7.7-7.9 and 12-13 ms on ``DEFAULT_GROUP``); radix 4 also
-    holds exactly ``A``, ``A^2`` and ``A^3`` in row 0. A 16-transfer
-    batch takes 1.84 ms on ``FAST_GROUP`` and 23 ms on ``DEFAULT_GROUP``,
-    where one 1-of-2 transfer per bit took 3.1 and 42 ms (medians,
-    2-core x86-64, Python 3.11), and in 10 alternating pairs of 25 s
-    ``private-compare`` runs the pairing raised throughput 57%.
+    holds exactly ``A``, ``A^2`` and ``A^3`` in row 0. A batch of 16
+    bits (8 transfers) takes 1.84 ms on ``FAST_GROUP`` and 23 ms on
+    ``DEFAULT_GROUP`` (medians, 2-core x86-64, Python 3.11).
     Exponents come from the operating system's cryptographic source
     unless a (seeded, reproducible) ``rng`` is injected. Powers of g come
     from the group's fixed-base table (:meth:`OTGroup.pow_g`), built on
@@ -823,9 +821,10 @@ class PlainCompareBackend:
 class GarbledCompareBackend:
     """Comparison backend that actually garbles and evaluates.
 
-    The template is garbled once (per epoch) and serves every compare:
-    the library's one place that reuses a garbled circuit. Each compare
-    ships fresh active labels and runs one OT batch for the evaluator's bits.
+    The template is garbled once (per epoch) and serves every compare,
+    as :func:`pous.round.vote` reuses each candidate's template across
+    that candidate's voters and user pairs. Each compare ships fresh
+    active labels and runs one OT batch for the evaluator's bits.
     """
 
     def __init__(self, theta: float, bitwidth: int = DEFAULT_BITWIDTH, seed: int = 0, ot=None):

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedFlagError, RejectedInputError
-from .similarity import Transaction, UserVector, refuse_repeated_transactions
+from .similarity import Transaction, refuse_repeated_transactions
 
 log = logging.getLogger(__name__)
 
@@ -134,18 +134,6 @@ def kmeans(
     return labels, centers
 
 
-def _vector_map(user_vectors) -> dict[int, np.ndarray]:
-    if isinstance(user_vectors, Mapping):
-        return {int(u): np.asarray(v, dtype=float) for u, v in user_vectors.items()}
-    out = {}
-    for uv in user_vectors:
-        if isinstance(uv, UserVector):
-            out[uv.user] = np.asarray(uv.counts, dtype=float)
-        else:
-            raise RejectedInputError("user_vectors must be a mapping or UserVector list")
-    return out
-
-
 def cluster_users(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means over user vectors with k clamped to the point count.
 
@@ -159,30 +147,30 @@ def cluster_users(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np
 
 def cluster_mempool(
     mempool: Sequence[Transaction],
-    user_vectors,
+    vectors: np.ndarray,
     k: int = DEFAULT_CLUSTERS,
     seed: int = 0,
 ) -> list[Cluster]:
     """Cluster transactions through their source users.
 
-    The k-means instance runs over the distinct source-user vectors;
-    each transaction lands in its user's cluster. Requesting more
-    clusters than distinct users clamps k with a warning. A mempool that
-    lists a transaction twice is refused
-    (:func:`~pous.similarity.refuse_repeated_transactions`).
+    The k-means instance runs over the source users' rows of the count
+    matrix ``vectors``, row u - 1 for user u; each transaction lands in
+    its user's cluster. Requesting more clusters than distinct users
+    clamps k with a warning. A mempool that lists a transaction twice
+    (:func:`~pous.similarity.refuse_repeated_transactions`), or a user
+    with no row, is refused.
     """
     if not mempool:
         raise RejectedInputError("cannot cluster an empty mempool")
     refuse_repeated_transactions(mempool)
-    vecs = _vector_map(user_vectors)
     users = sorted({tx.source_user for tx in mempool})
-    missing = [u for u in users if u not in vecs]
+    missing = [u for u in users if u > len(vectors)]
     if missing:
         raise RejectedInputError(f"no vectors for users {missing[:5]}")
     if k > len(users):
         log.warning("k=%d exceeds %d distinct users; clamping", k, len(users))
 
-    labels, centers, dist = cluster_users(np.stack([vecs[u] for u in users]), k, seed)
+    labels, centers, dist = cluster_users(np.asarray(vectors)[np.array(users) - 1], k, seed)
     user_label = dict(zip(users, labels.tolist()))
     user_dist = dict(zip(users, dist.tolist()))
     clusters = []

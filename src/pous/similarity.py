@@ -2,8 +2,9 @@
 
 Mining here is statistics, not hashing: a miner tallies how many
 transactions each user issued per behaviour class over its current data
-view (recent committed blocks plus its mempool), turning every
-user into a count vector. It then fills a user-by-user similarity matrix
+view (recent committed blocks plus its mempool) into one count matrix,
+a column per class, where mining and block packing both read row u - 1
+as user u's vector. It then fills a user-by-user similarity matrix
 pair by pair until its per-round budget runs out. Entries it never
 reached stay null; a partially filled matrix is still a valid mining
 product and is exactly what gets voted on later.
@@ -65,18 +66,6 @@ class DataView:
         yield from self.mempool
 
 
-@dataclass(frozen=True)
-class UserVector:
-    """Per-class transaction counts for one user."""
-
-    user: int  # 1-based
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.counts < 0):
-            raise RejectedInputError(f"negative count in vector of user {self.user}")
-
-
 def refuse_repeated_transactions(txs: Iterable[Transaction]) -> None:
     """Refuse a mempool, or a view of one, that lists a transaction id
     twice: its tallies would count the transaction twice, and a block
@@ -87,8 +76,9 @@ def refuse_repeated_transactions(txs: Iterable[Transaction]) -> None:
         raise RejectedInputError(f"transaction {twice} is listed twice in the mempool")
 
 
-def build_user_vectors(view: DataView, n_users: int) -> list[UserVector]:
-    """Tally the view into one count vector per user (users 1..n_users).
+def build_user_vectors(view: DataView, n_users: int) -> np.ndarray:
+    """Tally the view into an ``(n_users, len(DEFAULT_CLASSES))`` int64
+    count matrix whose row u - 1 is user u's vector.
 
     Rejects a view that lists a transaction twice
     (:func:`refuse_repeated_transactions`), and transactions whose class
@@ -109,16 +99,14 @@ def build_user_vectors(view: DataView, n_users: int) -> list[UserVector]:
                 f"tx {tx.id} from user {tx.source_user} outside 1..{n_users}"
             )
         counts[tx.source_user - 1, ci] += 1
-    return [UserVector(u + 1, counts[u]) for u in range(n_users)]
+    return counts
 
 
-def similarity(u: UserVector, v: UserVector) -> float:
-    """Similarity ``1 / (1 + ||u - v||_2)``, in (0, 1]."""
-    if u.counts.shape != v.counts.shape:
-        raise RejectedInputError(
-            f"dimension mismatch: {u.counts.shape} vs {v.counts.shape}"
-        )
-    d = math.sqrt(float(np.sum((u.counts - v.counts) ** 2)))
+def similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """Similarity ``1 / (1 + ||u - v||_2)`` of two count rows, in (0, 1]."""
+    if u.shape != v.shape:
+        raise RejectedInputError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    d = math.sqrt(float(np.sum((u - v) ** 2)))
     return 1.0 / (1.0 + d)
 
 
@@ -215,27 +203,29 @@ class SimilarityMatrix:
 
 
 def compute_usm(
-    vectors: list[UserVector],
+    vectors: np.ndarray,
     budget: Optional[int] = None,
     owner: int = 1,
 ) -> SimilarityMatrix:
     """Fill a similarity matrix pair by pair under a computation budget.
 
+    ``vectors`` is a count matrix as :func:`build_user_vectors` returns
+    it; an empty or not 2-D array, or a negative count, is refused.
     Pairs are visited in row-major unordered order; each computed pair
     fills both (k, l) and (l, k) slots, and every user visited by at
     least one computed pair gets its diagonal slot set to 1. A budget of
     0 yields an all-null matrix; a budget of None (or any budget at
     least the pair count) fills the matrix completely.
     """
-    n = len(vectors)
-    if n == 0:
-        raise RejectedInputError("no user vectors")
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.size == 0:
+        raise RejectedInputError(f"vectors of shape {vectors.shape}, not a non-empty 2-D matrix")
+    negative = np.flatnonzero((vectors < 0).any(axis=1))
+    if len(negative):
+        raise RejectedInputError(f"negative count in vector of user {negative[0] + 1}")
     if budget is not None and budget < 0:
         raise RejectedInputError(f"negative budget {budget}")
-    dim = vectors[0].counts.shape
-    for v in vectors:
-        if v.counts.shape != dim:
-            raise RejectedInputError("inconsistent vector dimensions")
+    n = len(vectors)
     m = SimilarityMatrix(owner=owner, n_users=n)
     visited: set[int] = set()
     remaining = math.inf if budget is None else budget

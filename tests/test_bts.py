@@ -33,15 +33,13 @@ from pous.garbled import (
     comparator_size,
 )
 from pous.round import vote
-from pous.similarity import UserVector, compute_usm, flat_index, unflatten_index
+from pous.similarity import compute_usm, flat_index, unflatten_index
 
 
 def matrices_for(m, n, budgets=None, seed=0):
     """One full-or-partial matrix per miner over a shared user population."""
     rng = np.random.default_rng(seed)
-    vecs = [
-        UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)
-    ]
+    vecs = rng.integers(0, 8, size=(n, 6))
     budgets = budgets or [None] * m
     return {
         i: compute_usm(vecs, budget=budgets[i - 1], owner=i)
@@ -114,7 +112,7 @@ def test_vote_costs_what_each_candidate_computed():
     candidate has off-diagonal entries, not 200 * 199."""
     n = 200
     rng = np.random.default_rng(9)
-    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    vecs = rng.integers(0, 8, size=(n, 6))
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((3, 5, 0, 8), 1)}
     records, result, sent = vote(mats, 0.05, seeds={c: c for c in mats})
     counts = {}

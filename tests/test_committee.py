@@ -29,7 +29,7 @@ from pous.packing import (
     tx_priority,
 )
 from pous.round import vote
-from pous.similarity import Transaction, UserVector, compute_usm
+from pous.similarity import Transaction, compute_usm
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def round_tallies():
     same leader whose global best differs in one value."""
     rng = np.random.default_rng(4)
     n = 5
-    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    vecs = rng.integers(0, 8, size=(n, 6))
     budgets = {1: 2, 2: 6, 3: 4, 4: 1}
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in budgets.items()}
     records, honest, _ = vote(mats, theta=0.01, seeds={c: c for c in mats})
@@ -277,7 +277,7 @@ def make_round(seed=0, n_users=6, n_tx=40, capacity=12, k=3, only=None):
     """An honest leader's block and the committee's priorities; with
     ``only``, the leader packs just those transaction ids."""
     rng = np.random.default_rng(seed)
-    vecs = {u: rng.integers(0, 9, size=6).astype(float) for u in range(1, n_users + 1)}
+    vecs = rng.integers(0, 9, size=(n_users, 6))
     mempool = [
         Transaction(
             id=i,

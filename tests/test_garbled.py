@@ -846,11 +846,11 @@ def test_forged_output_gates_lead_the_tally(monkeypatch):
     import numpy as np
 
     from pous.round import vote
-    from pous.similarity import SimilarityMatrix, UserVector, compute_usm, unflatten_index
+    from pous.similarity import SimilarityMatrix, compute_usm, unflatten_index
 
     n, theta = 8, 0.05
     users = np.random.default_rng(5)
-    vecs = [UserVector(u, users.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    vecs = users.integers(0, 8, size=(n, 6))
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((28, 20, 15, 10), 1)}
     mats[5] = SimilarityMatrix(owner=5, n_users=n)
     values = random.Random(5)

@@ -25,7 +25,7 @@ from pous.packing import (
     tx_leaf,
     tx_priority,
 )
-from pous.similarity import Transaction, UserVector
+from pous.similarity import Transaction
 
 
 def tx(i, user=1, fee=0.0, submit=0.0, cls="A"):
@@ -117,7 +117,7 @@ def test_kmeans_rejects_bad_k():
 
 def test_single_user_single_cluster():
     mempool = [tx(i, user=1) for i in range(1, 6)]
-    clusters = cluster_mempool(mempool, {1: np.array([1.0, 2.0])}, k=1)
+    clusters = cluster_mempool(mempool, np.array([[1.0, 2.0]]), k=1)
     assert len(clusters) == 1
     assert clusters[0].tx_ids == (1, 2, 3, 4, 5)
     assert np.allclose(clusters[0].centroid, [1.0, 2.0])
@@ -125,9 +125,8 @@ def test_single_user_single_cluster():
 
 def test_two_groups_match_optimal_partition():
     pts = two_blobs(n_per=4, seed=11)  # users 1..8
-    vecs = {u + 1: pts[u] for u in range(8)}
     mempool = [tx(i, user=(i - 1) % 8 + 1) for i in range(1, 17)]
-    clusters = cluster_mempool(mempool, vecs, k=2, seed=5)
+    clusters = cluster_mempool(mempool, pts, k=2, seed=5)
     got = frozenset(
         frozenset(u - 1 for u in cl.users) for cl in clusters
     )
@@ -135,35 +134,25 @@ def test_two_groups_match_optimal_partition():
     assert got == want
 
 
-def cluster_fields(clusters):
-    return [(cl.id, cl.tx_ids, cl.users, cl.tx_dist, cl.centroid.tolist())
-            for cl in clusters]
-
-
 def test_transactions_follow_their_user():
     pts = two_blobs(n_per=3, seed=13)
     pts -= pts.min()  # counts are non-negative
-    vecs = {u + 1: pts[u] for u in range(6)}
     rng = random.Random(4)
     mempool = [tx(i, user=rng.randrange(1, 7)) for i in range(1, 30)]
-    clusters = cluster_mempool(mempool, vecs, k=2, seed=5)
-    # the list form is what build_user_vectors returns
-    as_list = [UserVector(u, v) for u, v in vecs.items()]
-    assert cluster_fields(cluster_mempool(mempool, as_list, k=2, seed=5)) == \
-        cluster_fields(clusters)
+    clusters = cluster_mempool(mempool, pts, k=2, seed=5)
     source = {t.id: t.source_user for t in mempool}
     assert sorted(tid for cl in clusters for tid in cl.tx_ids) == sorted(source)
     for cl in clusters:
         assert set(cl.tx_dist) == set(cl.tx_ids)
         for tid in cl.tx_ids:
             assert source[tid] in cl.users
-            want = np.sqrt(((vecs[source[tid]] - cl.centroid) ** 2).sum())
+            want = np.sqrt(((pts[source[tid] - 1] - cl.centroid) ** 2).sum())
             assert cl.tx_dist[tid] == pytest.approx(want)
 
 
 def test_k_clamped_with_warning(caplog):
     mempool = [tx(1, user=1), tx(2, user=2)]
-    vecs = {1: np.zeros(2), 2: np.ones(2)}
+    vecs = np.array([[0, 0], [1, 1]])
     with caplog.at_level(logging.WARNING, logger="pous.packing"):
         clusters = cluster_mempool(mempool, vecs, k=5)
     assert len(clusters) <= 2
@@ -172,13 +161,12 @@ def test_k_clamped_with_warning(caplog):
 
 def test_cluster_mempool_rejects_bad_input():
     with pytest.raises(RejectedInputError):
-        cluster_mempool([], {1: np.zeros(2)}, k=1)
+        cluster_mempool([], np.zeros((1, 2)), k=1)
+    # user 2 has no row in a one-user matrix
+    with pytest.raises(RejectedInputError, match=r"no vectors for users \[2\]"):
+        cluster_mempool([tx(1, user=1), tx(2, user=2)], np.zeros((1, 2)), k=1)
     with pytest.raises(RejectedInputError):
-        cluster_mempool([tx(1, user=1)], {2: np.zeros(2)}, k=1)
-    with pytest.raises(RejectedInputError):
-        cluster_mempool([tx(1, user=1)], {1: np.zeros(2)}, k=0)
-    with pytest.raises(RejectedInputError):
-        cluster_mempool([tx(1, user=1)], [np.zeros(2)], k=1)
+        cluster_mempool([tx(1, user=1)], np.zeros((1, 2)), k=0)
     with pytest.raises(RejectedInputError):
         Cluster(id=0, tx_ids=(), centroid=np.zeros(2), users=(), tx_dist={})
 
@@ -193,14 +181,14 @@ def one_cluster(vectors, mempool, seed=0):
 
 def test_priority_centroid_tx_scores_c():
     mempool = [tx(1, user=1, fee=0.0, submit=30.0)]
-    cl = one_cluster({1: np.array([2.0, 2.0])}, mempool)
+    cl = one_cluster(np.array([[2.0, 2.0]]), mempool)
     w = PriorityWeights(a=0.5, b=2.0, c=1.0)
     assert tx_priority(mempool[0], 30.0, cl, w) == pytest.approx(1.0)
 
 
 def test_priority_hand_example():
     # two users two apart: centroid sits at distance 1 from each
-    vecs = {1: np.array([0.0, 0.0]), 2: np.array([2.0, 0.0])}
+    vecs = np.array([[0.0, 0.0], [2.0, 0.0]])
     mempool = [tx(1, user=1, fee=0.5, submit=0.0), tx(2, user=2, fee=0.0, submit=0.0)]
     cl = one_cluster(vecs, mempool)
     w = PriorityWeights(a=0.5, b=2.0, c=1.0)
@@ -209,7 +197,7 @@ def test_priority_hand_example():
 
 def test_priority_weights_scale_linearly():
     rng = np.random.default_rng(6)
-    vecs = {u: rng.normal(size=3) for u in range(1, 6)}
+    vecs = rng.normal(size=(5, 3))
     mempool = [
         tx(i, user=int(rng.integers(1, 6)), fee=float(rng.uniform(0, 1)),
            submit=float(rng.uniform(0, 40)))
@@ -225,7 +213,7 @@ def test_priority_weights_scale_linearly():
 
 
 def test_priority_unbounded_in_waiting_and_fee():
-    vecs = {1: np.zeros(2), 2: np.array([9.0, 9.0])}
+    vecs = np.array([[0.0, 0.0], [9.0, 9.0]])
     mempool = [tx(1, user=1, fee=0.0, submit=0.0), tx(2, user=2, fee=0.0, submit=0.0)]
     cl = one_cluster(vecs, mempool)
     w = PriorityWeights(0.5, 2.0, 1.0)
@@ -241,7 +229,7 @@ def test_priority_unbounded_in_waiting_and_fee():
 
 def test_priority_requires_membership():
     mempool = [tx(1, user=1)]
-    cl = one_cluster({1: np.zeros(2)}, mempool)
+    cl = one_cluster(np.zeros((1, 2)), mempool)
     with pytest.raises(RejectedInputError):
         tx_priority(tx(99, user=1), 0.0, cl, PriorityWeights())
 
@@ -411,7 +399,7 @@ def test_pack_single_small_cluster():
 
 def test_pack_selects_global_top_r():
     rng = np.random.default_rng(21)
-    vecs = {u: rng.normal(size=4) for u in range(1, 9)}
+    vecs = rng.normal(size=(8, 4))
     mempool = [
         tx(i, user=int(rng.integers(1, 9)), fee=float(rng.uniform(0, 0.01)),
            submit=float(rng.uniform(0, 90)))
@@ -444,7 +432,7 @@ def test_pack_selects_global_top_r():
 
 def test_pack_body_is_columnar_rank_top_r():
     rng = np.random.default_rng(23)
-    vecs = {u: rng.normal(size=3) for u in range(1, 7)}
+    vecs = rng.normal(size=(6, 3))
     mempool = [
         tx(i, user=int(rng.integers(1, 7)), fee=float(rng.choice([0.0, 0.5])),
            submit=float(rng.integers(0, 5)))
@@ -458,7 +446,7 @@ def test_pack_body_is_columnar_rank_top_r():
     cluster_of = {tid: cl for cl in clusters for tid in cl.tx_ids}
     ids = np.array(sorted(lookup))
     dist = np.array([
-        np.sqrt(((vecs[lookup[t].source_user] - cluster_of[t].centroid) ** 2).sum())
+        np.sqrt(((vecs[lookup[t].source_user - 1] - cluster_of[t].centroid) ** 2).sum())
         for t in ids
     ])
     submit = np.array([lookup[t].submit_time for t in ids])
@@ -485,7 +473,7 @@ def test_pack_flag_popcount_equals_clusters_present():
     rng = np.random.default_rng(22)
     for trial in range(20):
         n_users = int(rng.integers(2, 10))
-        vecs = {u: rng.normal(size=3) for u in range(1, n_users + 1)}
+        vecs = rng.normal(size=(n_users, 3))
         mempool = [
             tx(i, user=int(rng.integers(1, n_users + 1)),
                fee=float(rng.uniform(0, 0.01)), submit=float(rng.uniform(0, 50)))

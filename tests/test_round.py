@@ -14,7 +14,7 @@ from pous.garbled import (
 )
 from pous.round import run_round, vote
 from pous.simnet import SimConfig, _crypto_round_costs
-from pous.similarity import DataView, Transaction, UserVector, build_user_vectors, compute_usm
+from pous.similarity import DataView, Transaction, build_user_vectors, compute_usm
 
 
 def test_vote_bytes_rebuild_the_in_process_round():
@@ -25,7 +25,7 @@ def test_vote_bytes_rebuild_the_in_process_round():
     abstention for the scores to match."""
     rng = np.random.default_rng(4)
     n, theta = 6, 0.01
-    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, n + 1)]
+    vecs = rng.integers(0, 8, size=(n, 6))
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((3, 15, 8, 1, 10), 1)}
     records, result, sent = vote(mats, theta, seeds={c: c for c in mats})
 
@@ -80,7 +80,7 @@ def test_vote_bytes_match_the_cost_model_with_an_idle_miner():
     circuits, generator labels and OT transcripts the vote moves are
     the bytes the simulator charges."""
     rng = np.random.default_rng(6)
-    vecs = [UserVector(u, rng.integers(0, 8, size=6)) for u in range(1, 5)]
+    vecs = rng.integers(0, 8, size=(4, 6))
     budgets = (2, 0, 3, 1)
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate(budgets, 1)}
     _, _, sent = vote(mats, 0.05, seeds={c: c for c in mats}, ot=DiffieHellmanOT(DEFAULT_GROUP))

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pous.errors import RejectedInputError
+from pous.packing import cluster_mempool
 from pous.similarity import (
     DEFAULT_CLASSES,
     DataView,
     SimilarityMatrix,
     Transaction,
-    UserVector,
     build_user_vectors,
     compute_usm,
     flat_index,
@@ -40,15 +40,14 @@ def view_of(*txs):
 def test_vector_tally_three_a_four_b():
     txs = [tx(i, 1, "A") for i in range(3)] + [tx(10 + i, 1, "B") for i in range(4)]
     vecs = build_user_vectors(view_of(*txs), n_users=1)
-    assert list(vecs[0].counts) == [3, 4, 0, 0, 0, 0]
+    assert vecs.tolist() == [[3, 4, 0, 0, 0, 0]]
 
 
 def test_vectors_empty_view_all_zero():
     vecs = build_user_vectors(view_of(), n_users=2)
-    assert len(vecs) == 2
-    for v in vecs:
-        assert not v.counts.any()
-        assert len(v.counts) == len(DEFAULT_CLASSES)
+    assert vecs.shape == (2, len(DEFAULT_CLASSES))
+    assert vecs.dtype == np.int64
+    assert not vecs.any()
 
 
 def test_vectors_match_counting_oracle():
@@ -62,13 +61,13 @@ def test_vectors_match_counting_oracle():
     for u in range(1, n_users + 1):
         for ci, cls in enumerate(DEFAULT_CLASSES):
             want = sum(1 for t in txs if t.source_user == u and t.tx_class == cls)
-            assert vecs[u - 1].counts[ci] == want
+            assert vecs[u - 1, ci] == want
 
 
 def test_vectors_span_history_and_mempool():
     view = DataView(history=(tx(1, 1, "A"),), mempool=(tx(2, 1, "A"),))
     vecs = build_user_vectors(view, 1)
-    assert vecs[0].counts[0] == 2
+    assert vecs[0, 0] == 2
 
 
 def test_vectors_reject_unknown_class():
@@ -92,40 +91,40 @@ def test_transaction_rejects_negative_fee():
         Transaction(id=1, source_user=0, tx_class="A", fee=0.5)
 
 
-def test_user_vector_rejects_negative_counts():
-    with pytest.raises(RejectedInputError):
-        UserVector(1, np.array([1, -1]))
+def test_compute_usm_rejects_negative_counts():
+    with pytest.raises(RejectedInputError, match="negative count in vector of user 2"):
+        compute_usm(np.array([[1, 1], [1, -1]]))
 
 
 # ---------------------------------------------------------------------------
 # similarity
 
 
-def vec(user, *counts):
-    return UserVector(user, np.array(counts, dtype=np.int64))
+def vec(*counts):
+    return np.array(counts, dtype=np.int64)
 
 
 def test_similarity_identical_is_one():
-    assert similarity(vec(1, 3, 4, 0, 0), vec(2, 3, 4, 0, 0)) == 1.0
+    assert similarity(vec(3, 4, 0, 0), vec(3, 4, 0, 0)) == 1.0
 
 
 def test_similarity_three_four_vs_zero():
     # distance sqrt(9 + 16) = 5 exactly
-    assert similarity(vec(1, 3, 4, 0, 0), vec(2, 0, 0, 0, 0)) == 1.0 / 6.0
+    assert similarity(vec(3, 4, 0, 0), vec(0, 0, 0, 0)) == 1.0 / 6.0
 
 
 def test_similarity_symmetric_on_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        u = vec(1, *rng.integers(0, 20, size=6))
-        v = vec(2, *rng.integers(0, 20, size=6))
+        u = vec(*rng.integers(0, 20, size=6))
+        v = vec(*rng.integers(0, 20, size=6))
         assert similarity(u, v) == similarity(v, u)
         assert 0.0 < similarity(u, v) <= 1.0
 
 
 def test_similarity_dimension_mismatch():
-    with pytest.raises(RejectedInputError):
-        similarity(vec(1, 1, 2), vec(2, 1, 2, 3))
+    with pytest.raises(RejectedInputError, match="dimension mismatch"):
+        similarity(vec(1, 2), vec(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +179,7 @@ def test_pair_sequence_row_major():
 
 
 def demo_vectors(n, seed=3):
-    rng = np.random.default_rng(seed)
-    return [vec(u, *rng.integers(0, 10, size=6)) for u in range(1, n + 1)]
+    return np.random.default_rng(seed).integers(0, 10, size=(n, 6))
 
 
 def test_full_budget_n3_nine_entries():
@@ -226,7 +224,7 @@ def test_full_budget_matches_all_pairs_oracle():
             else:
                 d = math.sqrt(
                     sum(int(a - b) ** 2
-                        for a, b in zip(vecs[k - 1].counts, vecs[l - 1].counts))
+                        for a, b in zip(vecs[k - 1], vecs[l - 1]))
                 )
                 want = 1.0 / (1.0 + d)
             assert m.get(flat_index(k, l, n)) == want
@@ -235,10 +233,22 @@ def test_full_budget_matches_all_pairs_oracle():
 def test_compute_usm_rejects_bad_budget_and_empty():
     with pytest.raises(RejectedInputError):
         compute_usm(demo_vectors(3), budget=-1)
-    with pytest.raises(RejectedInputError):
-        compute_usm([], budget=None)
-    with pytest.raises(RejectedInputError, match="inconsistent"):
-        compute_usm([UserVector(1, np.array([1, 2])), UserVector(2, np.array([1, 2, 3]))])
+    for empty in (np.zeros((0, 6)), np.zeros((3, 0))):
+        with pytest.raises(RejectedInputError, match="not a non-empty 2-D matrix"):
+            compute_usm(empty, budget=None)
+    # one user's vector alone is not a matrix of users
+    with pytest.raises(RejectedInputError, match=r"shape \(6,\)"):
+        compute_usm(np.ones(6, dtype=np.int64))
+
+
+def test_mining_and_packing_find_a_user_by_the_same_row():
+    """Users 1 and 3 hold identical rows: mining scores them 1.0, and
+    packing puts them in one cluster."""
+    vecs = np.array([[4, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 9], [4, 0, 0, 0, 0, 0]])
+    assert compute_usm(vecs).get(flat_index(1, 3, 3)) == 1.0
+    mempool = [tx(i, user, "A") for i, user in enumerate((2, 1, 3), 1)]
+    clusters = cluster_mempool(mempool, vecs, k=2)
+    assert sorted(cl.users for cl in clusters) == [(1, 3), (2,)]
 
 
 def test_matrix_entry_validation():

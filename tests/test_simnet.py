@@ -40,7 +40,7 @@ from pous.simnet import (
     trace_lines,
 )
 from pous.round import run_round
-from pous.similarity import DEFAULT_CLASSES, DataView, Transaction
+from pous.similarity import DEFAULT_CLASSES, DataView, Transaction, build_user_vectors
 
 
 def cfg(**kw):
@@ -384,6 +384,12 @@ def test_simulated_leader_and_comparisons_match_the_library_round(
                     submit_time=float(wl.submit[i]))
         for i in np.flatnonzero(wl.arrival <= now)
     )
+    # the library counts users as the simulator does: row u - 1 of the
+    # library's matrix is row u of the simulator's round-0 view
+    pool = simnet._Chain(wl).admit(now)
+    view = np.zeros((n_nodes + 1, len(DEFAULT_CLASSES)))
+    np.add.at(view, (wl.source[pool], wl.tx_class[pool]), 1.0)
+    assert np.array_equal(build_user_vectors(DataView((), arrived), n_nodes), view[1:])
     miners = range(1, n_nodes + 1)
     ot = CountingDealerOT()
     out = run_round(dict.fromkeys(miners, DataView((), arrived)), n_nodes,
