@@ -29,8 +29,9 @@ archetypes = np.array([
     [0.5, 8.0, 6.0, 0.3, 0.2, 0.0],
     [0.2, 0.3, 0.5, 7.0, 5.0, 2.0],
 ])
-# row u - 1 is user u's vector
-vectors = np.stack([archetypes[(u - 1) % 3] + rng.normal(0, 0.4, 6) for u in range(1, 22)])
+# row u - 1 is user u's vector; noise never takes a count below zero
+vectors = np.stack([np.maximum(archetypes[(u - 1) % 3] + rng.normal(0, 0.4, 6), 0.0)
+                    for u in range(1, 22)])
 
 # one batch submitted together: with equal waiting time the
 # distance-to-center term decides the ranking

@@ -39,5 +39,6 @@ for label, attr, fmt in rows:
 gain = (pous.tps - pow_.tps) / pow_.tps * 100
 cut = (pow_.mean_latency - pous.mean_latency) / pow_.mean_latency * 100
 print(f"\nthroughput gain {gain:.1f}%, latency cut {cut:.1f}%")
-print(f"crypto accounting: {pous.crypto_time:.1f} simulated seconds, "
-      f"{pous.crypto_bytes / 1e6:.1f} MB of comparison traffic")
+_, seconds, nbytes = pous.crypto  # per round
+print(f"crypto accounting: {seconds * pous.rounds:.1f} simulated seconds, "
+      f"{nbytes * pous.rounds / 1e6:.1f} MB of comparison traffic")

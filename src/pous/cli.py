@@ -95,6 +95,7 @@ class RunReport:
     scenario: str
     master_seed: int
     cells: list = field(default_factory=list)
+    crypto: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
     improvements: list = field(default_factory=list)
     cost_series: list = field(default_factory=list)
@@ -330,7 +331,7 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
 
     Failures abort with the cell named. Improvement rows are paired
     per replicate because both protocols consume the same workload for
-    a given cell seed.
+    a given cell seed. Each pous cell adds a ``crypto.csv`` row.
     """
     report = RunReport(scenario=scenario.name, master_seed=scenario.base.seed)
     if scenario.kind == "cost":
@@ -356,6 +357,13 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
                        "value": value, "replicate": replicate, **metrics.summary()}
                 by_point.setdefault((protocol, value), []).append(row)
                 report.cells.append(row)
+                if protocol == "pous":
+                    comparisons, seconds, nbytes = metrics.crypto
+                    report.crypto.append({
+                        "param": scenario.sweep_param, "value": value, "replicate": replicate,
+                        "comparisons_per_round": comparisons, "seconds_per_round": seconds,
+                        "bytes_per_round": nbytes, "rounds": metrics.rounds,
+                    })
                 if keep_traces:
                     report.traces[(protocol, value, replicate)] = list(
                         trace_lines(config, protocol, metrics)
@@ -373,8 +381,6 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
             "mean_tps": float(tps.mean()), "std_tps": float(tps.std()),
             "mean_latency": float(np.nanmean(lat)) if any_lat else float("nan"),
             "std_latency": float(np.nanstd(lat)) if any_lat else float("nan"),
-            "mean_crypto_time": float(np.mean([m["crypto_time"] for m in runs])),
-            "mean_crypto_bytes": float(np.mean([m["crypto_bytes"] for m in runs])),
             "replicates": len(runs),
         })
 
@@ -508,7 +514,8 @@ def emit(report: RunReport, out_dir: str) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    tables = {"cells.csv": report.cells, "aggregate.csv": report.aggregates,
+    tables = {"cells.csv": report.cells, "crypto.csv": report.crypto,
+              "aggregate.csv": report.aggregates,
               "improvements.csv": report.improvements,
               "pca_scatter.csv": report.pca_scatter, "cost.csv": report.cost_series}
     for name, rows in tables.items():

@@ -165,7 +165,8 @@ class FixedPoint:
 
 
 def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
-    """Cleartext comparator semantics shared by mock backends."""
+    """Cleartext comparator semantics on fixed-point raws: the reference
+    that the garbled comparator and the simulator's voting are tested against."""
     return 1 if abs(a_raw - b_raw) <= theta_raw else 0
 
 
@@ -796,26 +797,6 @@ def secure_compare(
     """
     template = garble_comparator(bitwidth, theta, seed)
     return _compare(template, gen_value, eval_value, ot)[0]
-
-
-class PlainCompareBackend:
-    """Threshold compare without cryptography; same fixed-point semantics.
-
-    The cleartext reference that the garbled path and the simulator's
-    voting shortcut are tested against. Neither backend counts bytes:
-    :func:`pous.round.vote` measures a round's, and the simulator, which
-    runs no comparison, models them with :func:`comparator_size` and
-    :func:`comparison_bytes`.
-    """
-
-    def __init__(self, theta: float, bitwidth: int = DEFAULT_BITWIDTH):
-        self.theta = FixedPoint.encode(theta, bitwidth)
-        self.bitwidth = bitwidth
-
-    def compare(self, gen_value: float, eval_value: float) -> int:
-        a = FixedPoint.encode(gen_value, self.bitwidth)
-        b = FixedPoint.encode(eval_value, self.bitwidth)
-        return plain_within_theta(a.raw, b.raw, self.theta.raw)
 
 
 class GarbledCompareBackend:

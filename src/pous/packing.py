@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedFlagError, RejectedInputError
-from .similarity import Transaction, refuse_repeated_transactions
+from .similarity import Transaction, refuse_bad_counts, refuse_repeated_transactions
 
 log = logging.getLogger(__name__)
 
@@ -157,12 +157,14 @@ def cluster_mempool(
     matrix ``vectors``, row u - 1 for user u; each transaction lands in
     its user's cluster. Requesting more clusters than distinct users
     clamps k with a warning. A mempool that lists a transaction twice
-    (:func:`~pous.similarity.refuse_repeated_transactions`), or a user
-    with no row, is refused.
+    (:func:`~pous.similarity.refuse_repeated_transactions`), a matrix
+    that is no count matrix (:func:`~pous.similarity.refuse_bad_counts`),
+    or a user with no row, is refused.
     """
     if not mempool:
         raise RejectedInputError("cannot cluster an empty mempool")
     refuse_repeated_transactions(mempool)
+    vectors = refuse_bad_counts(vectors)
     users = sorted({tx.source_user for tx in mempool})
     missing = [u for u in users if u > len(vectors)]
     if missing:
@@ -170,7 +172,7 @@ def cluster_mempool(
     if k > len(users):
         log.warning("k=%d exceeds %d distinct users; clamping", k, len(users))
 
-    labels, centers, dist = cluster_users(np.asarray(vectors)[np.array(users) - 1], k, seed)
+    labels, centers, dist = cluster_users(vectors[np.array(users) - 1], k, seed)
     user_label = dict(zip(users, labels.tolist()))
     user_dist = dict(zip(users, dist.tolist()))
     clusters = []

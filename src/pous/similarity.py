@@ -102,6 +102,18 @@ def build_user_vectors(view: DataView, n_users: int) -> np.ndarray:
     return counts
 
 
+def refuse_bad_counts(vectors) -> np.ndarray:
+    """``vectors`` as an array, once it is a count matrix: 2-D, not empty,
+    and no count negative. Mining and clustering both read it through here."""
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.size == 0:
+        raise RejectedInputError(f"vectors of shape {vectors.shape}, not a non-empty 2-D matrix")
+    negative = np.flatnonzero((vectors < 0).any(axis=1))
+    if len(negative):
+        raise RejectedInputError(f"negative count in vector of user {negative[0] + 1}")
+    return vectors
+
+
 def similarity(u: np.ndarray, v: np.ndarray) -> float:
     """Similarity ``1 / (1 + ||u - v||_2)`` of two count rows, in (0, 1]."""
     if u.shape != v.shape:
@@ -210,19 +222,14 @@ def compute_usm(
     """Fill a similarity matrix pair by pair under a computation budget.
 
     ``vectors`` is a count matrix as :func:`build_user_vectors` returns
-    it; an empty or not 2-D array, or a negative count, is refused.
+    it; :func:`refuse_bad_counts` refuses anything else.
     Pairs are visited in row-major unordered order; each computed pair
     fills both (k, l) and (l, k) slots, and every user visited by at
     least one computed pair gets its diagonal slot set to 1. A budget of
     0 yields an all-null matrix; a budget of None (or any budget at
     least the pair count) fills the matrix completely.
     """
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.size == 0:
-        raise RejectedInputError(f"vectors of shape {vectors.shape}, not a non-empty 2-D matrix")
-    negative = np.flatnonzero((vectors < 0).any(axis=1))
-    if len(negative):
-        raise RejectedInputError(f"negative count in vector of user {negative[0] + 1}")
+    vectors = refuse_bad_counts(vectors)
     if budget is not None and budget < 0:
         raise RejectedInputError(f"negative budget {budget}")
     n = len(vectors)

@@ -33,7 +33,8 @@ record-level pipeline of :mod:`pous.similarity` and :mod:`pous.bts`.
 Cryptographic cost is accounted from the comparator facts that
 :mod:`pous.garbled` publishes (:func:`~pous.garbled.comparator_size`,
 :func:`~pous.garbled.comparison_bytes`, ``ROW_TRIES``); no comparison
-is actually run.
+is actually run. The cost feeds no other figure: ``Metrics.crypto``
+holds it per round, and it goes to ``crypto.csv``, not ``cells.csv``.
 """
 from __future__ import annotations
 
@@ -67,8 +68,8 @@ from .similarity import DEFAULT_CLASSES, Transaction
 # 4.6e5, about 2.2 us per gate, which includes interpreter overhead this
 # constant leaves out. Those runs evaluated the 110-gate two-input
 # comparator; the tracer counts a three-input gate of today's 63-gate one
-# as one gate, so a rerun does not compare. Changing the value moves the
-# pinned digests, so it stays
+# as one gate, so a rerun does not compare. Changing the value moves only
+# crypto.csv's pinned digest
 _SHA_SECONDS = 4.4e-7
 
 
@@ -278,6 +279,8 @@ def _workload(config: SimConfig) -> Workload:
 
 @dataclass
 class Metrics:
+    """One run: ``summary()`` is its ``cells.csv`` row, ``crypto`` its ``crypto.csv`` figures."""
+
     protocol: str
     seed: int
     sim_time: float
@@ -290,18 +293,17 @@ class Metrics:
     rounds: int
     blocks_committed: int
     aborts: int
-    crypto_time: float
-    crypto_bytes: int
     functionality_wins: int
     rounds_with_block: int
+    crypto: tuple[int, float, int]  # per round: comparisons, seconds, bytes
     latencies: np.ndarray
     commit_rounds: np.ndarray  # the round that committed each entry of latencies
     round_log: list
 
     def summary(self) -> dict:
-        """Every field but the per-transaction and per-round ones, in order."""
+        """Every field in order but the cost and the per-transaction and per-round ones."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("latencies", "commit_rounds", "round_log")}
+                if f.name not in ("crypto", "latencies", "commit_rounds", "round_log")}
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,8 @@ class Metrics:
 
 
 def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, float, int]:
-    """Comparisons, simulated seconds, and transcript bytes per round.
+    """Comparisons, simulated seconds, and transcript bytes per round:
+    a pous run's ``Metrics.crypto``, which ``crypto.csv`` writes.
 
     Every ordered (voter, candidate) pair compares the common prefix of
     their budgeted pair sequences, one comparison per user pair: the
@@ -418,7 +421,7 @@ class _Chain:
         })
 
     def metrics(self, protocol: str, config: SimConfig, wins: int, rounds_with_block: int,
-                crypto_time: float = 0.0, crypto_bytes: int = 0) -> Metrics:
+                crypto: tuple[int, float, int] = (0, 0.0, 0)) -> Metrics:
         committed = self.commit_time > 0
         latencies = self.commit_time[committed] - self.wl.submit[committed]
         count = len(latencies)
@@ -437,10 +440,9 @@ class _Chain:
             rounds=len(self.round_log),
             blocks_committed=self.blocks,
             aborts=sum(e["aborted"] for e in self.round_log),
-            crypto_time=crypto_time,
-            crypto_bytes=crypto_bytes,
             functionality_wins=wins,
             rounds_with_block=rounds_with_block,
+            crypto=crypto,
             latencies=latencies,
             commit_rounds=self.commit_round[committed],
             round_log=self.round_log,
@@ -490,7 +492,6 @@ def run_pous(config: SimConfig) -> Metrics:
     # symmetric views: approvals stop growing past the second-highest
     # budget, so every miner that reaches it ties and the lowest id leads
     leader = int(np.flatnonzero(budgets >= np.sort(budgets)[-2])[0]) + 1
-    _, round_crypto_time, round_crypto_bytes = _crypto_round_costs(budgets, config)
 
     committee_cfg = config.committee()
     miners = list(range(1, n + 1))
@@ -500,7 +501,6 @@ def run_pous(config: SimConfig) -> Metrics:
     n_rounds = int(config.sim_time // interval)
     wins = 0
     rounds_with_block = 0
-    crypto_time = 0.0
     fault_rng = streams["faults"]
     round_rng = streams["rounds"]
 
@@ -513,7 +513,6 @@ def run_pous(config: SimConfig) -> Metrics:
         honest = [m for m in committee if fault_rng.random() < config.honest_fraction]
         decision = agree(dict.fromkeys(honest, (leader, "tally")),
                          committee_cfg.size, round_index=r)
-        crypto_time += round_crypto_time
 
         if decision is None:
             chain.log(r, -1, aborted=1)
@@ -543,7 +542,7 @@ def run_pous(config: SimConfig) -> Metrics:
             chain.log(r, decision.leader)
 
     return chain.metrics("pous", config, wins, rounds_with_block,
-                         crypto_time, round_crypto_bytes * n_rounds)
+                         _crypto_round_costs(budgets, config))
 
 
 def pca_scatter_rows(config: SimConfig) -> list[dict]:

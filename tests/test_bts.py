@@ -28,9 +28,9 @@ from pous.errors import CorruptedCircuitError, RejectedInputError, SubgroupError
 from pous.garbled import (
     FixedPoint,
     GarbledCompareBackend,
-    PlainCompareBackend,
     TrustedDealerOT,
     comparator_size,
+    plain_within_theta,
 )
 from pous.round import vote
 from pous.similarity import compute_usm, flat_index, unflatten_index
@@ -48,7 +48,10 @@ def matrices_for(m, n, budgets=None, seed=0):
 
 
 def plain_compare(theta=0.4, bitwidth=16):
-    return PlainCompareBackend(theta, bitwidth).compare
+    """The cleartext comparator: both values and theta as fixed-point raws."""
+    def compare(a, b):
+        return plain_within_theta(*(FixedPoint.encode(v, bitwidth).raw for v in (a, b, theta)))
+    return compare
 
 
 # ---------------------------------------------------------------------------

@@ -509,10 +509,15 @@ def test_cost_summary_does_not_vary_with_the_timed_seconds():
 def test_emit_writes_expected_files(tmp_path):
     report = run_scenario(tiny_scenario())
     files = emit(report, str(tmp_path))
-    assert files == ["cells.csv", "aggregate.csv", "improvements.csv", "summary.txt"]
+    assert files == ["cells.csv", "crypto.csv", "aggregate.csv", "improvements.csv",
+                     "summary.txt"]
     cells = (tmp_path / "cells.csv").read_text().splitlines()
     assert cells[0].startswith("protocol,param,value,replicate,seed")
     assert len(cells) == 1 + len(report.cells)
+    crypto = (tmp_path / "crypto.csv").read_text().splitlines()
+    assert crypto[0] == ("param,value,replicate,comparisons_per_round,seconds_per_round,"
+                         "bytes_per_round,rounds")
+    assert len(crypto) == 1 + sum(c["protocol"] == "pous" for c in report.cells)
     summary = (tmp_path / "summary.txt").read_text()
     assert summary.startswith("scenario: tiny\nmaster seed: 7\n")
     assert "mean throughput improvement" in summary
@@ -535,7 +540,8 @@ def test_rerun_with_same_seed_is_byte_identical(tmp_path):
     emit(run_scenario(tiny_scenario(seed=7)), str(a_dir))
     emit(run_scenario(tiny_scenario(seed=7)), str(b_dir))
     emit(run_scenario(tiny_scenario(seed=8)), str(c_dir))
-    for name in ("cells.csv", "aggregate.csv", "improvements.csv", "summary.txt"):
+    for name in ("cells.csv", "crypto.csv", "aggregate.csv", "improvements.csv",
+                 "summary.txt"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
     assert (a_dir / "cells.csv").read_bytes() != (c_dir / "cells.csv").read_bytes()
 
@@ -936,7 +942,7 @@ def test_scatter_ranks_the_first_cells_config(tmp_path):
 # priority rule decides what is packed
 SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 
-# the cost factors of the crypto columns, as the digests below were taken
+# the cost factors of crypto.csv's per-round columns, as its digest below was taken
 GOLDEN_FACTORS = {
     "garbled.ROW_TRIES": 1.0,
     "simnet._SHA_SECONDS": 4.4e-7,
@@ -947,18 +953,20 @@ GOLDEN_FACTORS = {
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "1b540ec14a7b999841f1f4d27b6cade7b5d45f9fa2462c7c344c3ef1445618c4"),
+     "abb232ce4ee122baa4b0e0373a25d5ab8302910d6913696a66b529b7b59c862a"),
     ("fig10", [], "pca_scatter.csv",
      "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "a1150ad4a8d88fc6eeced8745dfffcb60250077934cd7daf422cc0ae8fa14db4"),
+     "2b8026ce54c694c1cbc48299b7ad66f624ecfc94897a61a10447ce42cfcd7cd3"),
+    ("fig8-n30", [], "crypto.csv",
+     "d3f533071eaed8373379434e0d514c2f60caeed2de1eb346a71d57bab81abd16"),
 ]
 
 
 def test_golden_cost_factors_are_the_live_ones():
-    """A cost factor that changes fails here by name. The digests are then
-    re-pinned: only the pous rows' crypto columns move, as the last test
-    of this file shows."""
+    """A cost factor that changes fails here by name. Only the digest of
+    ``crypto.csv`` is then re-pinned: ``cells.csv`` does not move, as the
+    last test of this file shows."""
     assert {
         "garbled.ROW_TRIES": garbled.ROW_TRIES,
         "simnet._SHA_SECONDS": simnet._SHA_SECONDS,
@@ -994,24 +1002,46 @@ def test_faulty_committee_rounds_are_pinned():
         "46fad7e68554d183a6075f7ccc1edf8c9aa497ab78c2a97725ab6bc87e43f88d")
 
 
+def run_fig8(out_dir, capsys, extra=()):
+    """``fig8-n30`` at one replicate under ``out_dir``; its cells.csv rows."""
+    assert main(["run", "fig8-n30", "--fast", "--set", "replicates=1", *extra,
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return read_rows(out_dir / "cells.csv")
+
+
+def read_rows(path):
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_each_pous_cell_has_one_crypto_row(tmp_path, capsys):
+    cells = run_fig8(tmp_path, capsys)
+    crypto = read_rows(tmp_path / "crypto.csv")
+    key = ("value", "replicate", "rounds")
+    pous = [tuple(c[k] for k in key) for c in cells if c["protocol"] == "pous"]
+    assert len(pous) == 5
+    assert sorted(pous) == sorted(tuple(c[k] for k in key) for c in crypto)
+    assert len(set(pous)) == len(pous)
+
+
 def test_crypto_cost_factors_move_only_the_pous_crypto_columns(tmp_path, capsys,
                                                                monkeypatch):
-    def cells(out_dir):
-        assert main(["run", "fig8-n30", "--fast", "--set", "replicates=1", *SMALL_BLOCKS,
-                     "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        with (out_dir / "cells.csv").open() as fh:
-            return list(csv.DictReader(fh))
-
-    live = cells(tmp_path / "live")
+    """A cost factor moves crypto.csv's three per-round columns and
+    leaves cells.csv as it is, byte for byte."""
+    run_fig8(tmp_path / "live", capsys, SMALL_BLOCKS)
     # rows per gate under trial decryption, and a batch that sends two
     # group elements per transfer
     monkeypatch.setattr(garbled, "ROW_TRIES", 2.5)
     monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes",
                         lambda ot, n: ot.group.element_bytes
                         + n * (2 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES))
-    moved = cells(tmp_path / "moved")
-    assert len(live) == len(moved) == 10
-    for a, b in zip(live, moved):
-        crypto = {"crypto_time", "crypto_bytes"} if a["protocol"] == "pous" else set()
-        assert {col for col in a if a[col] != b[col]} == crypto
+    run_fig8(tmp_path / "moved", capsys, SMALL_BLOCKS)
+    live, moved = (tmp_path / d for d in ("live", "moved"))
+    assert (live / "cells.csv").read_bytes() == (moved / "cells.csv").read_bytes()
+    a_rows, b_rows = read_rows(live / "crypto.csv"), read_rows(moved / "crypto.csv")
+    assert len(a_rows) == len(b_rows) == 5
+    # of the three per-round columns the comparison count is no cost, so it stays
+    for a, b in zip(a_rows, b_rows):
+        assert {col for col in a if a[col] != b[col]} == {"seconds_per_round",
+                                                          "bytes_per_round"}

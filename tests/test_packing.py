@@ -25,7 +25,7 @@ from pous.packing import (
     tx_leaf,
     tx_priority,
 )
-from pous.similarity import Transaction
+from pous.similarity import Transaction, compute_usm
 
 
 def tx(i, user=1, fee=0.0, submit=0.0, cls="A"):
@@ -124,7 +124,7 @@ def test_single_user_single_cluster():
 
 
 def test_two_groups_match_optimal_partition():
-    pts = two_blobs(n_per=4, seed=11)  # users 1..8
+    pts = two_blobs(n_per=4, seed=11) + 10.0  # users 1..8, shifted to non-negative counts
     mempool = [tx(i, user=(i - 1) % 8 + 1) for i in range(1, 17)]
     clusters = cluster_mempool(mempool, pts, k=2, seed=5)
     got = frozenset(
@@ -171,6 +171,18 @@ def test_cluster_mempool_rejects_bad_input():
         Cluster(id=0, tx_ids=(), centroid=np.zeros(2), users=(), tx_dist={})
 
 
+@pytest.mark.parametrize("vectors, reason", [
+    (np.zeros(3), "not a non-empty 2-D matrix"),
+    (np.array([[1, 1], [-5, 2]]), "negative count in vector of user 2"),
+], ids=["one-dimensional", "negative-count"])
+def test_both_count_matrix_readers_refuse_alike(vectors, reason):
+    """Clustering refuses what mining refuses, through one check."""
+    with pytest.raises(RejectedInputError, match=reason):
+        cluster_mempool([tx(1, user=1), tx(2, user=2)], vectors, k=1)
+    with pytest.raises(RejectedInputError, match=reason):
+        compute_usm(vectors)
+
+
 # ---------------------------------------------------------------------------
 # priority
 
@@ -197,7 +209,7 @@ def test_priority_hand_example():
 
 def test_priority_weights_scale_linearly():
     rng = np.random.default_rng(6)
-    vecs = rng.normal(size=(5, 3))
+    vecs = rng.normal(size=(5, 3)) + 10.0  # a count matrix: shifted non-negative, which moves no k-means distance
     mempool = [
         tx(i, user=int(rng.integers(1, 6)), fee=float(rng.uniform(0, 1)),
            submit=float(rng.uniform(0, 40)))
@@ -399,7 +411,7 @@ def test_pack_single_small_cluster():
 
 def test_pack_selects_global_top_r():
     rng = np.random.default_rng(21)
-    vecs = rng.normal(size=(8, 4))
+    vecs = rng.normal(size=(8, 4)) + 10.0  # a count matrix: shifted non-negative, which moves no k-means distance
     mempool = [
         tx(i, user=int(rng.integers(1, 9)), fee=float(rng.uniform(0, 0.01)),
            submit=float(rng.uniform(0, 90)))
@@ -432,7 +444,7 @@ def test_pack_selects_global_top_r():
 
 def test_pack_body_is_columnar_rank_top_r():
     rng = np.random.default_rng(23)
-    vecs = rng.normal(size=(6, 3))
+    vecs = rng.normal(size=(6, 3)) + 10.0  # a count matrix: shifted non-negative, which moves no k-means distance
     mempool = [
         tx(i, user=int(rng.integers(1, 7)), fee=float(rng.choice([0.0, 0.5])),
            submit=float(rng.integers(0, 5)))
@@ -473,7 +485,7 @@ def test_pack_flag_popcount_equals_clusters_present():
     rng = np.random.default_rng(22)
     for trial in range(20):
         n_users = int(rng.integers(2, 10))
-        vecs = rng.normal(size=(n_users, 3))
+        vecs = rng.normal(size=(n_users, 3)) + 10.0  # a count matrix: shifted non-negative, which moves no k-means distance
         mempool = [
             tx(i, user=int(rng.integers(1, n_users + 1)),
                fee=float(rng.uniform(0, 0.01)), submit=float(rng.uniform(0, 50)))

@@ -9,8 +9,9 @@ from pous.errors import RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
     DiffieHellmanOT,
-    PlainCompareBackend,
+    FixedPoint,
     comparator_size,
+    plain_within_theta,
 )
 from pous.round import run_round, vote
 from pous.simnet import SimConfig, _crypto_round_costs
@@ -29,7 +30,10 @@ def test_vote_bytes_rebuild_the_in_process_round():
     mats = {i: compute_usm(vecs, budget=b, owner=i) for i, b in enumerate((3, 15, 8, 1, 10), 1)}
     records, result, sent = vote(mats, theta, seeds={c: c for c in mats})
 
-    compare = PlainCompareBackend(theta).compare
+    def compare(a, b):  # the cleartext comparator, at the vote's default width
+        return plain_within_theta(*(FixedPoint.encode(v, garbled.DEFAULT_BITWIDTH).raw
+                                    for v in (a, b, theta)))
+
     local = [r for v in mats for c in mats if v != c for r in cast_votes(mats[v], mats[c], compare)]
     assert records == local
     assert sum(not r.valid for r in records) > 0

@@ -344,7 +344,6 @@ def test_package_attributes_are_the_submodules():
 
 # public names whose only callers are tests, each kept for a reason
 TEST_ONLY_NAMES = {
-    "PlainCompareBackend",  # the cleartext reference the garbled path is tested against
     "expected_scores",  # criterion 6
     "strategy_scores",  # criterion 6
     "run_round",  # the library round: demo 04 runs it, the differential tests check it

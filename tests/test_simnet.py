@@ -22,7 +22,6 @@ from pous.garbled import (
     DiffieHellmanOT,
     FixedPoint,
     GarbledCompareBackend,
-    PlainCompareBackend,
     TrustedDealerOT,
 )
 from pous.cli import main
@@ -253,13 +252,10 @@ def test_round_costs_match_a_real_comparison():
 
 def test_width_checks_share_one_range():
     for w in (4, 32):
-        PlainCompareBackend(0.4, bitwidth=w)
         GarbledCompareBackend(0.4, bitwidth=w)
         FixedPoint.encode(0.4, w)
         cfg(bitwidth=w)
     for w in (3, 33):
-        with pytest.raises(RejectedInputError):
-            PlainCompareBackend(0.4, bitwidth=w)
         with pytest.raises(ConfigurationError):
             GarbledCompareBackend(0.4, bitwidth=w)
         with pytest.raises(RejectedInputError):
@@ -409,8 +405,7 @@ def test_pous_deterministic():
     assert a.tps == b.tps
     assert a.confirmed_tx_count == b.confirmed_tx_count
     assert a.round_log == b.round_log
-    assert a.crypto_bytes == b.crypto_bytes
-    assert a.crypto_time == b.crypto_time
+    assert a.crypto == b.crypto
     assert np.array_equal(a.latencies, b.latencies)
 
 
@@ -433,13 +428,15 @@ def test_pous_all_faulty_committee_aborts_every_round():
     assert leaders(m) == []
 
 
-def test_pous_crypto_cost_scales_with_rounds():
-    a = run_pous(small_pous_cfg())
-    b = run_pous(small_pous_cfg(sim_time=2030.0))
-    assert a.crypto_bytes > 0 and a.crypto_time > 0
-    assert b.rounds == 2 * a.rounds
-    assert b.crypto_bytes == pytest.approx(2 * a.crypto_bytes, rel=1e-9)
-    assert b.crypto_time == pytest.approx(2 * a.crypto_time, rel=1e-9)
+def test_pous_crypto_is_the_cost_model_per_round():
+    """A run's crypto figures are the cost model's for the cell's budgets,
+    per round, so a longer run moves only its round count."""
+    c = small_pous_cfg()
+    a, b = run_pous(c), run_pous(small_pous_cfg(sim_time=2030.0))
+    assert a.crypto == _crypto_round_costs(pous_budgets(c), c)
+    assert all(x > 0 for x in a.crypto)
+    assert (b.rounds, b.crypto) == (2 * a.rounds, a.crypto)
+    assert run_pow(c).crypto == (0, 0.0, 0)
 
 
 def test_pous_packs_whole_pool_when_capacity_allows():
@@ -728,7 +725,7 @@ def test_metrics_csv_row_uses_repr_floats():
     summary = m.summary()
     fields = list(summary)
     assert fields == [f.name for f in dataclasses.fields(Metrics)
-                      if f.name not in ("latencies", "commit_rounds", "round_log")]
+                      if f.name not in ("crypto", "latencies", "commit_rounds", "round_log")]
     assert fields[:3] == ["protocol", "seed", "sim_time"]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(summary.values())
