@@ -977,7 +977,7 @@ def test_golden_cost_factors_are_the_live_ones():
 
 
 @pytest.mark.parametrize("preset, extra, name, digest", [
-    pytest.param(*case, id=f"{case[0]}-extra{i}-{case[2]}-{case[3]}")
+    pytest.param(*case, id=f"{case[0]}-extra{i}-{case[2]}")
     for i, case in enumerate(GOLDEN)
 ])
 def test_golden_output(tmp_path, capsys, preset, extra, name, digest):
