@@ -10,7 +10,9 @@ bits per transfer, and evaluates blind. A one-off comparison garbles its own cir
 secure_compare.
 
 The wiring is public and the threshold only picks gate tables, so the
-circuit's bytes are its rows and decode map. The comparator is
+circuit's bytes are its rows and decode map. Each bit of the subtractor
+is one gate with two outputs, the difference bit and the borrow, so a
+row carries two labels there; the evaluator opens one row per gate. The comparator is
 semi-honest: a generator that garbled other tables on the same wiring
 could read the voter's bits or approve every pair, and the evaluator
 could not tell. What the evaluator does catch is a row that
@@ -29,8 +31,8 @@ from pous.garbled import (
 ot = DiffieHellmanOT(FAST_GROUP, rng=random.Random(7))
 epoch = GarbledCompareBackend(theta=0.05, bitwidth=16, seed=2024, ot=ot)
 circuit = epoch.template.circuit
-print(f"comparator at width 16: {len(circuit.gates)} gates,",
-      f"{len(circuit.serialize())} bytes on the wire")
+print(f"comparator at width 16: {len(circuit.gates)} gates of",
+      f"{sum(map(len, circuit.gates))} rows, {len(circuit.serialize())} bytes on the wire")
 
 cases = [(0.41, 0.44), (0.41, 0.50), (0.97, 0.93), (0.10, 0.80)]
 for a, b in cases:
@@ -45,7 +47,8 @@ print("\noblivious transfer moves", transcript.total_bytes(),
       "bytes per width-16 comparison in 8 transfers",
       f"({ot.transfer_bytes(1)} for a batch of one bit)")
 
-# one flipped ciphertext byte and the evaluator notices
+# one flipped ciphertext byte and the evaluator notices: the byte is in
+# gate 0's first label, so the gate that reads that label fails its check
 broken = GarbledCompareBackend(theta=0.4, bitwidth=8, seed=3)
 gates = broken.template.circuit.gates
 first = tuple(bytes([r[0] ^ 0xFF]) + r[1:] for r in gates[0])

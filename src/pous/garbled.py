@@ -16,22 +16,25 @@ Construction notes:
   and Rogaway, STOC 1990). The bit of the false label is uniform and
   known only to the generator, so the bit the evaluator sees on a wire
   says nothing about the wire's value.
-* A gate has two or three inputs and one row per input combination:
-  four or eight. A row is the output label plus a 32-bit all-zero tag,
-  encrypted under all of the matching input labels, and it sits at the
-  slot the input labels' permute bits name, read as a binary number with
-  the first input's bit most significant. The evaluator reads that slot
-  off its active labels and decrypts one row per gate. The tag stays as
-  a tamper check: a row that fails it raises CorruptedCircuitError, and
-  a forged row passes it with probability 2**-32.
-* "Encryption" is one SHA-256 and one integer XOR per row: the pad is
-  the first 20 bytes of the digest of the input labels plus a per-gate,
-  per-row tweak, taken as an integer. Three labels and the 5-byte tweak
-  are 53 bytes, which fits one SHA-256 compression block (at most 55
-  bytes of message), so a row costs one compression at either fan-in.
-  The tweak keeps pads unique even though wire labels feed many gates;
-  each gate's eight tweaks are packed once, and the evaluator reads them
-  with the gate's input wires from one cached plan per width (``_plan``).
+* A gate has two or three inputs, one or two outputs, and one row per
+  input combination: four or eight. A row is the output labels plus a
+  32-bit all-zero tag, 20 or 36 bytes, encrypted under all of the
+  matching input labels, and it sits at the slot the input labels'
+  permute bits name, read as a binary number with the first input's bit
+  most significant. The evaluator reads that slot off its active labels
+  and decrypts one row per gate. The tag stays as a tamper check: a row
+  that fails it raises CorruptedCircuitError, and a forged row passes it
+  with probability 2**-32.
+* "Encryption" is one BLAKE2b (Aumasson, Neves, Wilcox-O'Hearn and
+  Winnerlein, ACNS 2013; RFC 7693) and one integer XOR per row: the pad
+  is the first row-width bytes of the 64-byte digest of the input labels
+  plus a per-gate, per-row tweak, taken as an integer. Three labels and
+  the 5-byte tweak are 53 bytes, well inside one 128-byte BLAKE2b block,
+  so a row costs one compression at either fan-in and either output
+  count. The tweak keeps pads unique even though wire labels feed many
+  gates; each gate's eight tweaks are packed once, and the evaluator
+  reads them with the gate's input wires and output count from one
+  cached plan per width (``_plan``).
 * The comparator's wiring depends only on its width and is public, as
   a circuit's topology is in Yao's protocol (Lindell and Pinkas, J.
   Cryptology 2009). ``_skeleton`` lists its gates once per width, and
@@ -77,11 +80,13 @@ Construction notes:
   an evaluator that sees a reused circuit under several inputs learns
   more than one bit (Lindell and Pinkas, J. Cryptology 2009).
 
-The comparator's gates, 4w - 1 at width w with 24w - 8 rows, come from
-blocks in the style of Kolesnikov, Sadeghi and Schneider (CANS 2009),
-built from two- and three-input gates since Yao's garbled tables take
-any fan-in: a borrow subtractor d = a - b mod 2**w (2w - 1 gates: a
-half subtractor at bit 0, then two three-input gates per bit,
+The comparator's gates, 3w - 1 at width w with 16w - 4 rows and
+448w - 105 serialized bytes, come from blocks in the style of
+Kolesnikov, Sadeghi and Schneider (CANS 2009), built from gates of two
+and three inputs and one and two outputs, since Yao's garbled tables
+take any fan-in and a row may carry any number of output labels: a
+borrow subtractor d = a - b mod 2**w (w gates: a half subtractor at
+bit 0, then one three-input, two-output gate per bit that writes
 d_i = a_i ^ b_i ^ c and the borrow out MAJ(~a_i, b_i, c)) whose last
 borrow s is set iff a < b; two ripples of one gate per bit against
 public constants, d <= theta and d <= ~theta (w - 1 gates each, bit 0
@@ -103,33 +108,43 @@ from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputErro
 
 LABEL_BYTES = 16
 TAG = b"\x00\x00\x00\x00"
-ROW_BYTES = LABEL_BYTES + len(TAG)
+ROW_BYTES = LABEL_BYTES + len(TAG)  # a one-output gate's row; see _row_bytes
+_DIGEST_BYTES = 64  # a BLAKE2b digest, cut to each row's width
 # a row is (label << _TAG_BITS) ^ pad, so an intact row decrypts to zero under _TAG_MASK
 _TAG_BITS = 8 * len(TAG)
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
 # truth tables indexed by the input bits as a binary number, first input
-# most significant: 2*a + b, or 4*a + 2*b + c
+# most significant: 2*a + b, or 4*a + 2*b + c; an entry holds the output
+# bits the same way, first output most significant
 _TABLES = {
-    "XOR": (0, 1, 1, 0),
-    "ANDNOT": (0, 0, 1, 0),  # a AND (NOT b)
-    "XOR3": (0, 1, 1, 0, 1, 0, 0, 1),
-    "BORROW": (0, 1, 1, 1, 0, 0, 0, 1),  # MAJ(NOT a, b, c): set iff a < b + c
+    # (a XOR b, a < b): bit 0's difference and borrow out
+    "HSUB": (0, 3, 2, 0),
+    # (a XOR b XOR c, MAJ(NOT a, b, c)): bit i's difference and borrow
+    # out, the borrow set iff a < b + c
+    "SUB": (0, 3, 3, 1, 2, 0, 0, 3),
     "SELECT": (0, 0, 1, 1, 1, 0, 1, 0),  # a ? NOT c : b
 }
+_OUTPUTS = {"HSUB": 2, "SUB": 2}  # every other gate has one output
+
+
+def _row_bytes(outputs: int) -> int:
+    """A row's width: its gate's output labels, then the tag."""
+    return outputs * LABEL_BYTES + len(TAG)
 
 
 def label_bytes(seed: int, n: int) -> bytes:
-    """The first ``n`` bytes of SHA256 in counter mode under ``seed``.
+    """The first ``n`` bytes of BLAKE2b in counter mode under ``seed``,
+    64 bytes per call.
 
     Wire labels are read from here, so one integer seed reproduces a
     garbled circuit byte for byte. The seed enters as 16 signed bytes.
     """
     if not isinstance(seed, int) or not -2**127 <= seed < 2**127:
         raise ConfigurationError(f"seed {seed!r} is not an integer in -2**127 .. 2**127 - 1")
-    state = hashlib.sha256(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
-    return b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest()
-                    for c in range(-(-n // 32)))[:n]
+    state = hashlib.blake2b(b"pous-gc" + seed.to_bytes(16, "big", signed=True)).digest()
+    return b"".join(hashlib.blake2b(state + c.to_bytes(8, "big")).digest()
+                    for c in range(-(-n // _DIGEST_BYTES)))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +189,7 @@ def plain_within_theta(a_raw: int, b_raw: int, theta_raw: int) -> int:
 # circuit skeleton and garbling
 
 
-_MAGIC = b"PGC4"
+_MAGIC = b"PGC5"
 _HEAD = len(_MAGIC) + 1  # the magic, then the width byte
 _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 
@@ -183,7 +198,8 @@ _MAP_ENTRY = LABEL_BYTES + 1  # a decode-map entry: the label, then its bit
 class GarbledCircuit:
     """Everything the evaluator receives besides the public wiring: the
     rows of each gate of ``_skeleton(bitwidth)``, in its order (four for a
-    two-input gate, eight for a three-input one), and the output decode map.
+    two-input gate, eight for a three-input one, each as wide as
+    ``_row_bytes`` of the gate's output count), and the output decode map.
 
     Both sides know the width's gate list and wire layout. Holds only
     labels and ciphertexts; no similarity value ever appears here.
@@ -203,7 +219,7 @@ class GarbledCircuit:
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "GarbledCircuit":
-        """Inverse of :meth:`serialize`. A magic other than ``PGC4``, a
+        """Inverse of :meth:`serialize`. A magic other than ``PGC5``, a
         width outside ``BITWIDTHS``, a length other than that width's
         comparator, and a decode map that is not two distinct labels
         decoding to 0 and 1 in label order raise CorruptedCircuitError."""
@@ -216,10 +232,11 @@ class GarbledCircuit:
         if len(raw) != size:
             raise CorruptedCircuitError(
                 f"circuit is {len(raw)} bytes, a width-{bitwidth} comparator is {size}")
-        gates, at = [], _HEAD
-        for _, *ins in _skeleton(bitwidth):
-            end = at + (ROW_BYTES << len(ins))
-            gates.append(tuple(raw[r:r + ROW_BYTES] for r in range(at, end, ROW_BYTES)))
+        gates, at = [], _HEAD  # each gate's rows by its fan-in and output count
+        for kind, *ins in _skeleton(bitwidth):
+            width = _row_bytes(_OUTPUTS.get(kind, 1))
+            end = at + (width << len(ins))
+            gates.append(tuple(raw[r:r + width] for r in range(at, end, width)))
             at = end
         omap_at = at
         omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
@@ -240,13 +257,18 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-@functools.cache  # gate indices stop at the widest comparator's 127 gates
+@functools.cache  # gate indices stop at the widest comparator's 95 gates
 def _tweaks(gate_index: int) -> tuple[bytes, ...]:
     """Gate ``gate_index``'s row tweaks, one per slot of a three-input
     gate; a two-input gate uses the first four. A row's pad is the first
-    ROW_BYTES (20) of the SHA-256 of its input labels and its tweak, as
-    an integer: the digest shifted right by 96 bits."""
+    row-width bytes of the 64-byte BLAKE2b of its input labels and its
+    tweak, as an integer: the digest shifted right by ``_pad_shift``."""
     return tuple(struct.pack("<IB", gate_index, slot) for slot in range(8))
+
+
+def _pad_shift(outputs: int) -> int:
+    """The right shift that cuts a digest, as an integer, to the row width."""
+    return 8 * (_DIGEST_BYTES - _row_bytes(outputs))
 
 
 def _permute_bit(label: bytes) -> int:
@@ -257,30 +279,36 @@ def _permute_bit(label: bytes) -> int:
 def gen_gate(
     table: Sequence[int],
     in_keys: tuple[tuple[bytes, bytes], ...],
-    out_keys: tuple[bytes, bytes],
+    out_keys: tuple[tuple[bytes, bytes], ...],
     gate_index: int,
 ) -> tuple[bytes, ...]:
-    """Garble one gate of two or three inputs, whose truth table is
-    indexed by the input bits as a binary number (2*a + b, or
-    4*a + 2*b + c), into its 2**fan-in rows.
+    """Garble one gate of two or three inputs and one key pair per output
+    in ``out_keys``, into its 2**fan-in rows. The truth table is indexed
+    by the input bits as a binary number (2*a + b, or 4*a + 2*b + c), and
+    each entry holds the output bits the same way, first output most
+    significant.
 
-    Each input combination encrypts the matching output label (tag
-    appended) under all of its input labels, into the slot their permute
-    bits name. Every input key pair must carry opposite permute bits.
+    Each input combination encrypts the matching output labels, in output
+    order with the tag appended, under all of its input labels, into the
+    slot their permute bits name. Every input key pair must carry
+    opposite permute bits.
     """
     flips = 0  # the false labels' permute bits, first input most significant
     for k0, k1 in in_keys:
         if _permute_bit(k0) == _permute_bit(k1):
             raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
         flips = 2 * flips + _permute_bit(k0)
-    plains = [int.from_bytes(k, "big") << _TAG_BITS for k in out_keys]  # label + TAG
-    tweaks, sha256, from_bytes = _tweaks(gate_index), hashlib.sha256, int.from_bytes
+    # labels + TAG per table entry; product() walks entries in bit order too
+    plains = [int.from_bytes(b"".join(labels), "big") << _TAG_BITS
+              for labels in itertools.product(*out_keys)]
+    width, shift = _row_bytes(len(out_keys)), _pad_shift(len(out_keys))
+    tweaks, blake2b, from_bytes = _tweaks(gate_index), hashlib.blake2b, int.from_bytes
     rows: list[bytes] = [b""] * len(table)
     # product() walks the input combinations in table order
     for combo, labels in enumerate(itertools.product(*in_keys)):
         slot = combo ^ flips  # a label's permute bit is its bit ^ the false label's
-        pad = from_bytes(sha256(b"".join((*labels, tweaks[slot]))).digest(), "big") >> 96
-        rows[slot] = (plains[table[combo]] ^ pad).to_bytes(ROW_BYTES, "big")
+        pad = from_bytes(blake2b(b"".join(labels) + tweaks[slot]).digest(), "big") >> shift
+        rows[slot] = (plains[table[combo]] ^ pad).to_bytes(width, "big")
     return tuple(rows)
 
 
@@ -299,27 +327,35 @@ def _skeleton(bitwidth: int) -> tuple[tuple, ...]:
     """The comparator's public wiring, which only its width w decides:
     its gates, each as (kind, in1, in2) or (kind, in1, in2, in3). A kind
     is a ``_TABLES`` name, or (constant, bit) for a two-input ripple gate
-    whose table the threshold picks.
+    whose table the threshold picks. ``_OUTPUTS`` names the two-output
+    kinds; every other gate has one output.
 
     The wire layout is fixed. The generator's inputs are wires
     0 .. w - 1 and the evaluator's are wires w .. 2w - 1, least
-    significant bit first; gate gi writes wire 2w + gi, and the output is
-    the last gate's wire. Every gate reads only wires set before it."""
+    significant bit first. Gates write the wires from 2w on in gate
+    order, a gate with k outputs k consecutive wires in output order: the
+    subtractor's bit i writes d_i to wire 2w + 2i and its borrow out to
+    2w + 2i + 1, the ripple gates write one wire each from 4w on, and
+    the select writes the output, the last wire, 6w - 2. Every gate reads
+    only wires set before it."""
     if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
-    gates = []
+    gates, wires = [], [2 * bitwidth]  # wires[-1]: the next wire a gate writes
 
     def gate(kind: str | tuple[str, int], *ins: int) -> int:
+        """Append a gate; returns its first output wire."""
         gates.append((kind, *ins))
-        return 2 * bitwidth + len(gates) - 1
+        wires.append(wires[-1] + _OUTPUTS.get(kind, 1))
+        return wires[-2]
 
     # borrow subtractor d = a - b mod 2**w: a half subtractor at bit 0,
-    # then a full one per bit; the last borrow out is set iff a < b
-    diff = [gate("XOR", 0, bitwidth)]
-    borrow = gate("ANDNOT", bitwidth, 0)
+    # then a full one per bit, each one gate that writes d_i, then its
+    # borrow out; the last borrow out is set iff a < b
+    diff = [gate("HSUB", 0, bitwidth)]
+    borrow = diff[0] + 1
     for a, b in zip(range(1, bitwidth), range(bitwidth + 1, 2 * bitwidth)):
-        diff.append(gate("XOR3", a, b, borrow))
-        borrow = gate("BORROW", a, b, borrow)
+        diff.append(gate("SUB", a, b, borrow))
+        borrow = diff[-1] + 1
     # ripples d <= theta and d <= ~theta, one gate per bit from bit 1 up;
     # each gate's table is _ripple_table's
     ripples = []
@@ -343,11 +379,13 @@ def _tables(bitwidth: int, theta_raw: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _plan(bitwidth: int) -> tuple[tuple[int, int, int | None, tuple[bytes, ...]], ...]:
+def _plan(bitwidth: int) -> tuple[tuple[int, int, int | None, int, int, tuple[bytes, ...]], ...]:
     """What the evaluator reads per gate of ``_skeleton(bitwidth)``: its
-    input wires, the third None on a two-input gate, and its row tweaks."""
-    return tuple((in1, in2, in3[0] if in3 else None, _tweaks(gi))
-                 for gi, (_, in1, in2, *in3) in enumerate(_skeleton(bitwidth)))
+    input wires, the third None on a two-input gate, its output count,
+    the ``_pad_shift`` of its rows and its row tweaks."""
+    return tuple((in1, in2, in3[0] if in3 else None, _OUTPUTS.get(kind, 1),
+                  _pad_shift(_OUTPUTS.get(kind, 1)), _tweaks(gi))
+                 for gi, (kind, in1, in2, *in3) in enumerate(_skeleton(bitwidth)))
 
 
 @dataclass
@@ -371,10 +409,11 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     The threshold is public and picks the tables of the ripple gates;
     the wiring is the width's alone. Same seed, same bytes.
     """
-    gates = _skeleton(bitwidth)
+    gates, plan = _skeleton(bitwidth), _plan(bitwidth)
     theta_fp = FixedPoint.encode(theta, bitwidth)
     # each wire's false label, then its true label, off one stream
-    raw = bytearray(label_bytes(seed, 2 * LABEL_BYTES * (2 * bitwidth + len(gates))))
+    wires = 2 * bitwidth + sum(outs for _, _, _, outs, _, _ in plan)
+    raw = bytearray(label_bytes(seed, 2 * LABEL_BYTES * wires))
     # the true label's permute bit is the complement of the false label's
     last = 2 * LABEL_BYTES - 1
     raw[last::2 * LABEL_BYTES] = bytes((b1 & 0xFE) | (~b0 & 1) for b0, b1 in zip(
@@ -382,14 +421,13 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
     raw = bytes(raw)
     labels = [raw[off:off + LABEL_BYTES] for off in range(0, len(raw), LABEL_BYTES)]
     keys = list(zip(labels[::2], labels[1::2]))
+    rows, out = [], 2 * bitwidth  # out: the gate's first output wire
+    for gi, (table, (_, *ins), (*_, outs, _, _)) in enumerate(
+            zip(_tables(bitwidth, theta_fp.raw), gates, plan)):
+        rows.append(gen_gate(table, tuple([keys[i] for i in ins]), tuple(keys[out:out + outs]), gi))
+        out += outs
     circuit = GarbledCircuit(
-        bitwidth=bitwidth,
-        gates=tuple(gen_gate(table, tuple(keys[i] for i in ins), out_keys, gi)
-                    for gi, (table, (_, *ins), out_keys)
-                    in enumerate(zip(_tables(bitwidth, theta_fp.raw), gates,
-                                     keys[2 * bitwidth:]))),
-        output_map={keys[-1][0]: 0, keys[-1][1]: 1},
-    )
+        bitwidth=bitwidth, gates=tuple(rows), output_map={keys[-1][0]: 0, keys[-1][1]: 1})
     return ComparatorTemplate(
         circuit=circuit,
         gen_keys=tuple(keys[:bitwidth]),
@@ -400,10 +438,11 @@ def garble_comparator(bitwidth: int, theta: float, seed: int) -> ComparatorTempl
 
 def comparator_size(bitwidth: int) -> tuple[int, int]:
     """Gate count and serialized bytes of the width-``bitwidth`` comparator:
-    the magic and width byte, 2**fan-in rows per gate, two map entries."""
+    the magic and width byte, 2**fan-in rows per gate as wide as its
+    output count makes them, and two map entries."""
     gates = _skeleton(bitwidth)
-    rows = sum(1 << (len(g) - 1) for g in gates)  # a gate is its kind, then its inputs
-    return len(gates), _HEAD + rows * ROW_BYTES + 2 * _MAP_ENTRY
+    rows = sum(_row_bytes(_OUTPUTS.get(kind, 1)) << len(ins) for kind, *ins in gates)
+    return len(gates), _HEAD + rows + 2 * _MAP_ENTRY
 
 
 def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint) -> list[bytes]:
@@ -428,7 +467,7 @@ def eval_circuit(
 
     The wiring comes from ``_skeleton(circuit.bitwidth)``: the labels
     list holds the input wires, generator then evaluator, and every gate
-    appends its output wire's label. For every gate the evaluator
+    appends its output wires' labels. For every gate the evaluator
     decrypts the one row its active labels' permute bits select. A width
     outside ``BITWIDTHS``, a gate count other than that width's
     comparator, an empty input label, a gate that lacks the row its
@@ -447,8 +486,8 @@ def eval_circuit(
     if len(eval_labels) != w:
         raise RejectedInputError("wrong evaluator label count")
     labels = [*gen_labels, *eval_labels]
-    sha256, from_bytes = hashlib.sha256, int.from_bytes
-    for gi, ((in1, in2, in3, tweaks), rows) in enumerate(zip(plan, circuit.gates)):
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    for gi, ((in1, in2, in3, outs, shift, tweaks), rows) in enumerate(zip(plan, circuit.gates)):
         ka, kb = labels[in1], labels[in2]
         try:  # free on the happy path, unlike a length check per gate
             if in3 is None:
@@ -463,10 +502,14 @@ def eval_circuit(
             raise CorruptedCircuitError(
                 f"gate {gi} has an empty input label or lacks the row they select") from None
         plain = from_bytes(row, "big") ^ (
-            from_bytes(sha256(keys + tweaks[slot]).digest(), "big") >> 96)
+            from_bytes(blake2b(keys + tweaks[slot]).digest(), "big") >> shift)
         if plain & _TAG_MASK:
             raise CorruptedCircuitError(f"row {slot} of gate {gi} fails its tag check")
-        labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
+        if outs == 1:
+            labels.append((plain >> _TAG_BITS).to_bytes(LABEL_BYTES, "big"))
+        else:  # the subtractor's two outputs
+            pair = (plain >> _TAG_BITS).to_bytes(2 * LABEL_BYTES, "big")
+            labels += (pair[:LABEL_BYTES], pair[LABEL_BYTES:])
     return labels[-1]
 
 

@@ -61,16 +61,15 @@ from .packing import (
 )
 from .similarity import DEFAULT_CLASSES, Transaction
 
-# simulated seconds per garbled gate evaluated: one SHA-256 row pad, the
-# only hash the evaluator computes per gate. The traced evaluator itself
-# runs slower: perfbench protocol-round (seeds 301 and 302, --trace 1,
-# shared 2-core x86-64 machine) measured garbled.gates_per_s = 4.4e5 and
-# 4.6e5, about 2.2 us per gate, which includes interpreter overhead this
-# constant leaves out. Those runs evaluated the 110-gate two-input
-# comparator; the tracer counts a three-input gate of today's 63-gate one
-# as one gate, so a rerun does not compare. Changing the value moves only
-# crypto.csv's pinned digest
-_SHA_SECONDS = 4.4e-7
+# simulated seconds per garbled gate evaluated: one row pad, the only
+# hash the evaluator computes per gate, whatever the gate's fan-in or
+# output count. The value is a SHA-256 pad's cost, kept until ROADMAP
+# item 6 calibrates it. The library evaluator runs slower, since it pays
+# interpreter overhead this constant leaves out: about 1.2 us per gate,
+# 53-57 us per evaluation of the 47-gate width-16 comparator (untraced
+# medians, shared 2-core x86-64, Python 3.11). Changing the value moves
+# only crypto.csv's pinned digest
+_PAD_SECONDS = 4.4e-7
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     cnt_ge = len(budgets) - np.searchsorted(sorted_b, ranks, side="left")
     comparisons = int((cnt_ge * (cnt_ge - 1)).sum())
     gates, circuit_bytes = garbled.comparator_size(config.bitwidth)
-    eval_seconds = comparisons * gates * garbled.ROW_TRIES * _SHA_SECONDS
+    eval_seconds = comparisons * gates * garbled.ROW_TRIES * _PAD_SECONDS
     per_cmp_bytes = garbled.comparison_bytes(
         config.bitwidth, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
     active = int(np.count_nonzero(budgets))

@@ -40,22 +40,34 @@ from pous.garbled import (
     select_input_labels,
 )
 
+# each kind's output bits as one number, first output most significant
 TRUTH = {
-    "XOR": lambda a, b: a ^ b,
-    "ANDNOT": lambda a, b: a & (1 - b),
-    "XOR3": lambda a, b, c: a ^ b ^ c,
-    "BORROW": lambda a, b, c: int(a < b + c),
+    "HSUB": lambda a, b: 2 * (a ^ b) + int(a < b),
+    "SUB": lambda a, b, c: 2 * (a ^ b ^ c) + int(a < b + c),
     "SELECT": lambda a, b, c: 1 - c if a else b,
 }
+OUTPUTS = {"HSUB": 2, "SUB": 2, "SELECT": 1}
 AND = (0, 0, 0, 1)
 
 
 def decrypt_row(row, labels, gate_index, slot):
-    """Independent re-derivation of the row cipher: pad = H(labels||tweak)."""
-    pad = hashlib.sha256(b"".join(labels) + struct.pack("<IB", gate_index, slot)).digest()
-    plain = bytes(x ^ y for x, y in zip(row, pad[:ROW_BYTES]))
-    label, tag = plain[:LABEL_BYTES], plain[LABEL_BYTES:]
-    return label, tag == b"\x00" * 4
+    """Independent re-derivation of the row cipher: the pad is the first
+    len(row) bytes of BLAKE2b(labels || tweak). Returns the output labels,
+    joined, and whether the tag decrypted to zero."""
+    pad = hashlib.blake2b(b"".join(labels) + struct.pack("<IB", gate_index, slot)).digest()
+    plain = bytes(x ^ y for x, y in zip(row, pad))
+    return plain[:-4], plain[-4:] == b"\x00" * 4
+
+
+def gate_outputs(w):
+    """The wires each gate of the width-w wiring writes: from wire 2w on,
+    in gate order, a gate's outputs consecutive."""
+    wires, out = [], 2 * w
+    for kind, *_ in garbled._skeleton(w):
+        n = garbled._OUTPUTS.get(kind, 1)
+        wires.append(tuple(range(out, out + n)))
+        out += n
+    return wires
 
 
 class RecordingOT(DiffieHellmanOT):
@@ -94,12 +106,12 @@ def test_keystream_deterministic():
     assert label_bytes(42, 64) != label_bytes(43, 64)
 
 
-def test_keystream_is_sha256_in_counter_mode():
-    state = hashlib.sha256(b"pous-gc" + (9).to_bytes(16, "big", signed=True)).digest()
-    want = b"".join(hashlib.sha256(state + c.to_bytes(8, "big")).digest() for c in range(3))
-    assert label_bytes(9, 96) == want
-    # a length off the 32-byte digest boundary is a prefix of the stream
-    assert [label_bytes(9, n) for n in (0, 1, 33, 95)] == [want[:n] for n in (0, 1, 33, 95)]
+def test_keystream_is_blake2b_in_counter_mode():
+    state = hashlib.blake2b(b"pous-gc" + (9).to_bytes(16, "big", signed=True)).digest()
+    want = b"".join(hashlib.blake2b(state + c.to_bytes(8, "big")).digest() for c in range(3))
+    assert label_bytes(9, 192) == want
+    # a length off the 64-byte digest boundary is a prefix of the stream
+    assert [label_bytes(9, n) for n in (0, 1, 65, 191)] == [want[:n] for n in (0, 1, 65, 191)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +157,7 @@ def test_fixed_point_rejects_bad_inputs():
 
 def test_and_gate_label_selection():
     k1, k2, k3 = fresh_keys(10)
-    rows = gen_gate(AND, (k1, k2), k3, 0)
+    rows = gen_gate(AND, (k1, k2), (k3,), 0)
     for a in (0, 1):
         for b in (0, 1):
             hits = [
@@ -158,47 +170,71 @@ def test_and_gate_label_selection():
             assert labels[0] == want
 
 
+def assert_gate_decrypts_to(table, ins, outs, gi):
+    """Garble the table and check that every input combination opens
+    exactly one row, at the slot its labels' permute bits name (the first
+    input's most significant), and that the row holds the output labels
+    the table's entry names, first output most significant."""
+    rows = gen_gate(table, tuple(ins), tuple(outs), gi)
+    assert len(rows) == len(table)
+    assert {len(r) for r in rows} == {len(outs) * LABEL_BYTES + 4}
+    for combo, bits in enumerate(itertools.product((0, 1), repeat=len(ins))):
+        labels = [k[bit] for k, bit in zip(ins, bits)]
+        hits = [
+            (s, lab)
+            for s in range(len(rows))
+            for lab, ok in [decrypt_row(rows[s], labels, gi, s)]
+            if ok
+        ]
+        assert len(hits) == 1
+        slot = int("".join(str(permute_bit(lab)) for lab in labels), 2)
+        want = b"".join(k[table[combo] >> (len(outs) - 1 - j) & 1] for j, k in enumerate(outs))
+        assert hits[0] == (slot, want)
+
+
 def test_every_kind_matches_truth_table():
-    # the named kinds are the tables they say, and gen_gate garbles any of
-    # the 16 two-input tables, indexed 2*a + b, and any of the 256
-    # three-input tables, indexed 4*a + 2*b + c
+    # the named kinds are the tables they say, with the output counts
+    # _OUTPUTS gives them, and gen_gate garbles any of the 16 two-input
+    # tables, indexed 2*a + b, and any of the 256 three-input tables,
+    # indexed 4*a + 2*b + c, of one output
     for kind, f in TRUTH.items():
         fan_in = f.__code__.co_argcount
         assert garbled._TABLES[kind] == tuple(
             f(*bits) for bits in itertools.product((0, 1), repeat=fan_in))
+        assert garbled._OUTPUTS.get(kind, 1) == OUTPUTS[kind]
     assert set(garbled._TABLES) == set(TRUTH)
     tables = [tuple(n >> s & 1 for s in range(4)) for n in range(16)]
     tables += [tuple(n >> s & 1 for s in range(8)) for n in range(256)]
     keys = fresh_keys(11, 4 * len(tables))
     for gi, table in enumerate(tables):
         fan_in = len(table).bit_length() - 1
-        ins, out = keys[4 * gi:4 * gi + fan_in], keys[4 * gi + 3]
-        rows = gen_gate(table, tuple(ins), out, gi)
-        assert len(rows) == len(table)
-        for combo, bits in enumerate(itertools.product((0, 1), repeat=fan_in)):
-            labels = [k[bit] for k, bit in zip(ins, bits)]
-            hits = [
-                (s, lab)
-                for s in range(len(rows))
-                for lab, ok in [decrypt_row(rows[s], labels, gi, s)]
-                if ok
-            ]
-            assert len(hits) == 1
-            # the one valid row sits at the slot the permute bits name,
-            # the first input's most significant
-            slot = int("".join(str(permute_bit(lab)) for lab in labels), 2)
-            assert hits[0] == (slot, out[table[combo]])
+        assert_gate_decrypts_to(table, keys[4 * gi:4 * gi + fan_in], [keys[4 * gi + 3]], gi)
+
+
+def test_gen_gate_garbles_two_output_tables():
+    """Every two-input table of two outputs (4**4 of them) and a sample of
+    the 4**8 three-input ones open to the labels they name, and so do the
+    subtractor's HSUB and SUB."""
+    rng = random.Random(15)
+    tables = list(itertools.product(range(4), repeat=4))
+    tables += [tuple(rng.randrange(4) for _ in range(8)) for _ in range(128)]
+    tables += [garbled._TABLES["HSUB"], garbled._TABLES["SUB"]]
+    keys = fresh_keys(15, 5 * len(tables))
+    for gi, table in enumerate(tables):
+        fan_in = len(table).bit_length() - 1
+        at = 5 * gi
+        assert_gate_decrypts_to(table, keys[at:at + fan_in], keys[at + 3:at + 5], gi)
 
 
 def test_gate_rows_are_permuted_per_gate():
     # same keys, different gate index -> different ciphertext bytes
     k1, k2, k3 = fresh_keys(12)
-    g0 = gen_gate(AND, (k1, k2), k3, 0)
-    g1 = gen_gate(AND, (k1, k2), k3, 1)
+    g0 = gen_gate(AND, (k1, k2), (k3,), 0)
+    g1 = gen_gate(AND, (k1, k2), (k3,), 1)
     assert all(r0 != r1 for r0, r1 in zip(g0, g1))
-    k1, k2, k3, k4 = fresh_keys(13, 4)
-    g0 = gen_gate(garbled._TABLES["XOR3"], (k1, k2, k3), k4, 0)
-    g1 = gen_gate(garbled._TABLES["XOR3"], (k1, k2, k3), k4, 1)
+    k1, k2, k3, k4, k5 = fresh_keys(13, 5)
+    g0 = gen_gate(garbled._TABLES["SUB"], (k1, k2, k3), (k4, k5), 0)
+    g1 = gen_gate(garbled._TABLES["SUB"], (k1, k2, k3), (k4, k5), 1)
     assert all(r0 != r1 for r0, r1 in zip(g0, g1))
 
 
@@ -207,10 +243,10 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
     same = (k2[0], k2[1][:-1] + bytes([(k2[1][-1] & 0xFE) | permute_bit(k2[0])]))
     for ins in ((k1, same), (same, k1)):
         with pytest.raises(RejectedInputError, match="permute bit"):
-            gen_gate(AND, ins, k3, 0)
+            gen_gate(AND, ins, (k3,), 0)
     for ins in ((same, k1, k1), (k1, same, k1), (k1, k1, same)):
         with pytest.raises(RejectedInputError, match="permute bit"):
-            gen_gate(garbled._TABLES["XOR3"], ins, k3, 0)
+            gen_gate(garbled._TABLES["SUB"], ins, (k3, k1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +256,13 @@ def test_gate_rejects_key_pair_with_equal_permute_bits():
 def test_gate_count_closed_form():
     for w in (4, 8, 16, 24, 32):
         t = garble_comparator(w, 0.4, seed=1)
-        assert len(t.circuit.gates) == 4 * w - 1
-        assert sum(map(len, t.circuit.gates)) == 24 * w - 8
-    # 5 head bytes + 20 per row (24w - 8 rows) + two 17-byte map entries
+        assert len(t.circuit.gates) == 3 * w - 1
+        assert sum(map(len, t.circuit.gates)) == 16 * w - 4
+    # 5 head bytes + 36 per subtractor row (8w - 4 rows) + 20 per ripple
+    # and select row (8w rows) + two 17-byte map entries
     for w in BITWIDTHS:
-        assert comparator_size(w) == (4 * w - 1, 480 * w - 121)
-    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [1799, 3719, 7559, 15239]
+        assert comparator_size(w) == (3 * w - 1, 448 * w - 105)
+    assert [comparator_size(w)[1] for w in (4, 8, 16, 32)] == [1687, 3479, 7063, 14231]
 
 
 def test_comparator_size_reads_a_real_circuit():
@@ -267,7 +304,7 @@ def test_garbled_bytes_are_pinned():
                     ga = select_input_labels(t.gen_keys, FixedPoint(inputs.getrandbits(w), w))
                     gb = select_input_labels(t.eval_keys, FixedPoint(inputs.getrandbits(w), w))
                     h.update(eval_circuit(t.circuit, ga, gb))
-    assert h.hexdigest() == "36ce3a0b91d8e133201637b75a0621eff9f5428eebdfdb06b48fefe31563e449"
+    assert h.hexdigest() == "dd581c09be936ecb22d267b6caf7db95be91f4473ee8edc423f174b278bd993f"
 
 
 def test_comparator_wiring_is_built_once_per_width():
@@ -279,34 +316,43 @@ def test_comparator_wiring_is_built_once_per_width():
         assert type(gates) is tuple and all(type(g) is tuple for g in gates)
         assert all(len(g) in (3, 4) and all(type(i) is int for i in g[1:]) for g in gates)
         # every gate reads wires set before it, so evaluation needs no order check
-        for gi, (_kind, *ins) in enumerate(gates):
-            assert max(ins) < 2 * w + gi
+        for (_kind, *ins), outs in zip(gates, gate_outputs(w)):
+            assert max(ins) < outs[0]
         for theta, seed in ((0.0, 1), (0.7, 2)):
             c = garble_comparator(w, theta, seed).circuit
             assert set(vars(c)) == {"bitwidth", "gates", "output_map"}
             assert len(c.gates) == len(gates)
-            # 2**fan-in rows per gate
-            assert all(len(rows) == 1 << (len(g) - 1) and {len(r) for r in rows} == {ROW_BYTES}
-                       for rows, g in zip(c.gates, gates))
+            # 2**fan-in rows per gate, each its output labels and the tag
+            assert all(len(rows) == 1 << (len(g) - 1)
+                       and {len(r) for r in rows} == {len(outs) * LABEL_BYTES + 4}
+                       for rows, g, outs in zip(c.gates, gates, gate_outputs(w)))
 
 
 @pytest.mark.parametrize("w", BITWIDTHS)
 def test_gate_list_follows_the_fixed_wire_layout(w):
-    """Inputs are wires 0 .. 2w - 1 and gate gi writes wire 2w + gi: each
-    gate reads only wires below its own, every input wire and every gate
-    output but the last (the comparator's output) is read, so no gate is
-    dead, and there are 4w - 1 gates: 2w - 1 in the subtractor (bit 0's
-    two two-input gates, then two three-input gates per bit), 2(w - 1)
-    two-input ripple gates and one three-input select."""
+    """Inputs are wires 0 .. 2w - 1, and the gates write wires 2w .. 6w - 2
+    in order, a gate's outputs consecutive: each gate reads only wires
+    below its own, every input wire and every gate output but the last
+    (the comparator's output) is read, so no gate is dead, and there are
+    3w - 1 gates: w in the subtractor (bit 0's two-input gate, then one
+    three-input gate per bit, each with two outputs, d_i then the borrow
+    out), 2(w - 1) two-input ripple gates and one three-input select."""
     gates = garbled._skeleton(w)
-    assert len(gates) == 4 * w - 1
+    assert len(gates) == 3 * w - 1
     fan_in = [len(ins) for _kind, *ins in gates]
-    assert fan_in == [2, 2] + [3] * (2 * w - 2) + [2] * (2 * w - 2) + [3]
+    assert fan_in == [2] + [3] * (w - 1) + [2] * (2 * w - 2) + [3]
+    outs = gate_outputs(w)
+    assert [len(o) for o in outs] == [2] * w + [1] * (2 * w - 1)
+    assert [o[0] for o in outs[:w]] == [2 * w + 2 * i for i in range(w)]
+    assert outs[w][0] == 4 * w and outs[-1] == (6 * w - 2,)
+    # each subtractor bit reads a_i, b_i and the borrow out of the bit below
+    assert [ins for _kind, *ins in gates[1:w]] == [
+        [i, w + i, 2 * w + 2 * i - 1] for i in range(1, w)]
     read = set()
-    for gi, (_kind, *ins) in enumerate(gates):
-        assert all(0 <= i < 2 * w + gi for i in ins)
+    for (_kind, *ins), out in zip(gates, outs):
+        assert all(0 <= i < out[0] for i in ins)
         read.update(ins)
-    assert read == set(range(2 * w + len(gates) - 1))
+    assert read == set(range(6 * w - 2))
 
 
 @pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 2**128, 1.5, "7", None])
@@ -426,20 +472,20 @@ def test_every_wire_has_opposite_permute_bits(monkeypatch):
     wiring = {}
 
     def recording_gen_gate(kind, in_keys, out_keys, gi):
-        ins, out = wiring[gi]
-        pairs.update({**dict(zip(ins, in_keys)), out: out_keys})
+        ins, outs = wiring[gi]
+        pairs.update({**dict(zip(ins, in_keys)), **dict(zip(outs, out_keys))})
         return real_gen_gate(kind, in_keys, out_keys, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", recording_gen_gate)
     for w, seed in ((4, 1), (16, 2)):
         pairs.clear()
-        gates = garbled._skeleton(w)
-        wiring = {gi: (ins, 2 * w + gi) for gi, (_kind, *ins) in enumerate(gates)}
+        wiring = {gi: (ins, outs) for gi, ((_kind, *ins), outs)
+                  in enumerate(zip(garbled._skeleton(w), gate_outputs(w)))}
         t = garble_comparator(w, 0.4, seed)
-        assert sorted(pairs) == list(range(2 * w + len(gates)))
+        assert sorted(pairs) == list(range(6 * w - 1))
         for k0, k1 in pairs.values():
             assert permute_bit(k0) != permute_bit(k1)
-        assert pairs[2 * w + len(gates) - 1] == tuple(sorted(
+        assert pairs[6 * w - 2] == tuple(sorted(
             t.circuit.output_map, key=t.circuit.output_map.get))
     # the false label's permute bit is not fixed: it varies across wires
     assert {permute_bit(k0) for k0, _ in pairs.values()} == {0, 1}
@@ -449,14 +495,14 @@ def opened_slots(monkeypatch, template, ga, gb):
     """Run the evaluator and record the (gate, slot) of every pad it
     computes, read off the tweak that ends each hashed row input."""
     opened = []
-    real_sha256 = hashlib.sha256
+    real_blake2b = hashlib.blake2b
 
-    def counting_sha256(data):
+    def counting_blake2b(data):
         opened.append(struct.unpack("<IB", data[-5:]))
-        return real_sha256(data)
+        return real_blake2b(data)
 
     with monkeypatch.context() as m:
-        m.setattr(hashlib, "sha256", counting_sha256)
+        m.setattr(hashlib, "blake2b", counting_blake2b)
         out = eval_circuit(template.circuit, ga, gb)
     return opened, decode_output(template.circuit, out)
 
@@ -476,36 +522,42 @@ def test_evaluator_opens_one_row_per_gate(monkeypatch):
 
 
 def test_width_16_hash_work_is_one_compression_per_gate_and_row(monkeypatch):
-    """At width 16 one evaluation hashes once per gate, 63 times, and one
-    garbling once per row, 376 times, besides the label stream's state and
-    blocks. The longest row-pad message, three labels and a tweak, is 53
-    bytes: at most 55, so SHA-256 pads it into one compression block and
-    ROW_TRIES and the simulator's per-gate hash cost keep their meaning."""
+    """At width 16 one evaluation hashes once per gate, 47 times, and one
+    garbling once per row, 252 times, besides the label stream's state and
+    blocks. The longest message, the stream's 72-byte block input, and
+    the longest row-pad message, three labels and a tweak (53 bytes), fit
+    one 128-byte BLAKE2b block, so each is one compression, and ROW_TRIES
+    and the simulator's per-gate pad cost keep their meaning."""
     messages = []
-    real_sha256 = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda data: messages.append(data) or real_sha256(data))
+    real_blake2b = hashlib.blake2b
+    monkeypatch.setattr(hashlib, "blake2b",
+                        lambda data: messages.append(data) or real_blake2b(data))
     w, (gates, _) = 16, comparator_size(16)
-    assert gates == 63
+    assert gates == 47
     t = garble_comparator(w, 0.4, seed=3)
-    stream = -(-2 * LABEL_BYTES * (2 * w + gates) // 32)  # label_bytes' 32-byte blocks
-    assert stream == 95
-    assert len(messages) == 1 + stream + 376
+    # two labels for each of the 6w - 1 wires, in label_bytes' 64-byte blocks
+    stream = -(-2 * LABEL_BYTES * (6 * w - 1) // 64)
+    assert stream == 48
+    assert len(messages) == 1 + stream + 252
     pads = messages[1 + stream:]
-    # 32 two-input gates of four rows, 31 three-input gates of eight
-    assert sorted(map(len, pads)) == [2 * LABEL_BYTES + 5] * 128 + [3 * LABEL_BYTES + 5] * 248
-    assert max(map(len, messages)) == 53 <= 55
+    # 31 two-input gates of four rows (HSUB and the ripples), 16
+    # three-input gates of eight (the SUBs and the select)
+    assert sorted(map(len, pads)) == [2 * LABEL_BYTES + 5] * 124 + [3 * LABEL_BYTES + 5] * 128
+    assert max(map(len, pads)) == 53 and max(map(len, messages)) == 72 <= 128
     messages.clear()
     ga = select_input_labels(t.gen_keys, FixedPoint(12345, w))
     gb = select_input_labels(t.eval_keys, FixedPoint(54321, w))
     eval_circuit(t.circuit, ga, gb)
-    assert len(messages) == 63 * garbled.ROW_TRIES
+    assert len(messages) == 47 * garbled.ROW_TRIES
     assert max(map(len, messages)) == 53
 
 
 def with_row(circuit, gate_index, slot, flip_at):
-    """Copy of the circuit with one byte of one row flipped."""
+    """Copy of the circuit with one byte of one row flipped; a negative
+    ``flip_at`` counts from the row's end, -1 its tag's last byte."""
     rows = list(circuit.gates[gate_index])
     row = rows[slot]
+    flip_at %= len(row)
     rows[slot] = row[:flip_at] + bytes([row[flip_at] ^ 0xFF]) + row[flip_at + 1:]
     gates = list(circuit.gates)
     gates[gate_index] = tuple(rows)
@@ -522,9 +574,9 @@ def test_tampered_active_tag_raises_and_inactive_rows_are_ignored(monkeypatch):
         assert want == plain_within_theta(a, b, t.theta.raw)
         for gi, slot in opened:
             with pytest.raises(CorruptedCircuitError, match=f"gate {gi} "):
-                eval_circuit(with_row(t.circuit, gi, slot, ROW_BYTES - 1), ga, gb)
+                eval_circuit(with_row(t.circuit, gi, slot, -1), ga, gb)
             for other in set(range(len(t.circuit.gates[gi]))) - {slot}:
-                for flip_at in (0, ROW_BYTES - 1):
+                for flip_at in (0, -1):
                     bad = with_row(t.circuit, gi, other, flip_at)
                     assert decode_output(bad, eval_circuit(bad, ga, gb)) == want
 
@@ -540,7 +592,7 @@ def test_malformed_circuit_object_raises_corrupted(fault):
         "gate extra": dataclasses.replace(c, gates=c.gates + c.gates[:1]),
         "width 3": dataclasses.replace(c, bitwidth=3),
         "width 33": dataclasses.replace(c, bitwidth=33),
-        "width 4": dataclasses.replace(c, bitwidth=4),  # 31 gates, a width-4 comparator has 15
+        "width 4": dataclasses.replace(c, bitwidth=4),  # 23 gates, a width-4 comparator has 11
         # every gate loses row 3, so the first gate whose active row it is fails
         "three rows": dataclasses.replace(c, gates=tuple(rows[:3] for rows in c.gates)),
         # every three-input gate loses row 7, likewise
@@ -589,15 +641,29 @@ def active_slot(template, gate_index, labels):
     raise AssertionError("no valid row")
 
 
+def active_wires(template, ga, gb):
+    """Every wire's active label, found without eval_circuit: each gate's
+    rows are tried in turn with decrypt_row, and the one whose tag holds
+    gives the gate's output labels."""
+    wires = [*ga, *gb]
+    for gi, ((_kind, *ins), rows) in enumerate(zip(
+            garbled._skeleton(template.circuit.bitwidth), template.circuit.gates)):
+        labels = [wires[i] for i in ins]
+        (plain,) = [lab for s, row in enumerate(rows)
+                    for lab, ok in [decrypt_row(row, labels, gi, s)] if ok]
+        wires += [plain[o:o + LABEL_BYTES] for o in range(0, len(plain), LABEL_BYTES)]
+    return wires
+
+
 def test_tampered_row_detected():
     t = garble_comparator(8, 0.4, seed=21)
     a = FixedPoint.encode(0.5, 8)
     b = FixedPoint.encode(0.5, 8)
     # gate 0 compares the low bits of the two inputs directly
-    assert garbled._skeleton(8)[0] == ("XOR", 0, 8)
+    assert garbled._skeleton(8)[0] == ("HSUB", 0, 8)
     ka = t.gen_keys[0][a.bits_lsb()[0]]
     kb = t.eval_keys[0][b.bits_lsb()[0]]
-    bad = with_row(t.circuit, 0, active_slot(t, 0, (ka, kb)), ROW_BYTES - 1)
+    bad = with_row(t.circuit, 0, active_slot(t, 0, (ka, kb)), -1)
     ga = select_input_labels(t.gen_keys, a)
     gb = select_input_labels(t.eval_keys, b)
     with pytest.raises(CorruptedCircuitError):
@@ -676,7 +742,7 @@ def test_width_other_than_the_circuits_rejected():
 @pytest.mark.parametrize("cut", ["10", "30", "3249", "len-17", "len-1", "extra byte"])
 def test_wrong_length_rejected(cut):
     raw = garble_comparator(8, 0.4, seed=1).circuit.serialize()
-    assert len(raw) == 3719
+    assert len(raw) == 3479
     if cut == "extra byte":
         bad = raw + b"\x00"
     elif cut.startswith("len-"):
@@ -716,6 +782,9 @@ def test_output_map_bits_other_than_0_and_1_rejected(bits):
         GarbledCircuit.deserialize(bytes(raw))
 
 
+PAIR_ROW = 2 * LABEL_BYTES + 4  # a two-output row: d_i, the borrow out, the tag
+
+
 def test_flipped_row_byte_in_the_bytes_fails_its_tag():
     # the bytes cannot tell a flipped row from a fresh one; the evaluator's tag check can
     w = 4
@@ -723,7 +792,7 @@ def test_flipped_row_byte_in_the_bytes_fails_its_tag():
     raw = bytearray(t.circuit.serialize())
     gate0 = 5  # the magic and the width byte, then gate 0's rows
     for slot in range(4):
-        raw[gate0 + (slot + 1) * ROW_BYTES - 1] ^= 0x01
+        raw[gate0 + (slot + 1) * PAIR_ROW - 1] ^= 0x01
     bad = GarbledCircuit.deserialize(bytes(raw))
     ga = select_input_labels(t.gen_keys, FixedPoint(3, w))
     gb = select_input_labels(t.eval_keys, FixedPoint(5, w))
@@ -735,17 +804,46 @@ def test_flipped_byte_in_a_three_input_row_fails_its_tag():
     w = 4
     t = garble_comparator(w, 0.4, seed=25)
     gates = garbled._skeleton(w)
-    assert len(gates[2]) == 4  # gate 2, bit 1's difference, is the first three-input gate
+    assert len(gates[1]) == 4  # gate 1, bit 1's subtractor, is the first three-input gate
     raw = bytearray(t.circuit.serialize())
-    gate2 = 5 + 2 * 4 * ROW_BYTES  # the head, then gates 0 and 1 of four rows each
+    gate1 = 5 + 4 * PAIR_ROW  # the head, then gate 0's four rows
     for slot in range(8):
-        raw[gate2 + (slot + 1) * ROW_BYTES - 1] ^= 0x01
+        raw[gate1 + (slot + 1) * PAIR_ROW - 1] ^= 0x01
     bad = GarbledCircuit.deserialize(bytes(raw))
-    assert bad.gates[2] != t.circuit.gates[2] and bad.gates[3] == t.circuit.gates[3]
+    assert bad.gates[1] != t.circuit.gates[1] and bad.gates[2] == t.circuit.gates[2]
     ga = select_input_labels(t.gen_keys, FixedPoint(3, w))
     gb = select_input_labels(t.eval_keys, FixedPoint(5, w))
-    with pytest.raises(CorruptedCircuitError, match="of gate 2 fails its tag check"):
+    with pytest.raises(CorruptedCircuitError, match="of gate 1 fails its tag check"):
         eval_circuit(bad, ga, gb)
+
+
+@pytest.mark.parametrize("w", [4, 16])
+def test_flipped_byte_of_a_two_output_row_fails_a_tag(w):
+    """A byte flipped in the tag of a subtractor gate's active row fails
+    that gate's tag check. One flipped in either of its two labels fails
+    the tag check of the first gate that reads that label's wire: the tag
+    covers only itself, and the wrong label opens a wrong pad one gate on."""
+    t = garble_comparator(w, 0.4, seed=26)
+    gates, outs = garbled._skeleton(w), gate_outputs(w)
+    rng = random.Random(w)
+    ga = select_input_labels(t.gen_keys, FixedPoint(rng.getrandbits(w), w))
+    gb = select_input_labels(t.eval_keys, FixedPoint(rng.getrandbits(w), w))
+    wires = active_wires(t, ga, gb)
+
+    def first_reader(wire):
+        return next(gi for gi, (_kind, *ins) in enumerate(gates) if wire in ins)
+
+    for gi in (0, 1, w - 1):  # HSUB, the first SUB, the last SUB
+        kind, *ins = gates[gi]
+        assert garbled._OUTPUTS[kind] == 2
+        slot = active_slot(t, gi, [wires[i] for i in ins])
+        d, borrow = outs[gi]
+        for flip_at, fails in ((0, first_reader(d)), (LABEL_BYTES - 1, first_reader(d)),
+                               (LABEL_BYTES, first_reader(borrow)),
+                               (2 * LABEL_BYTES - 1, first_reader(borrow)),
+                               (-4, gi), (-1, gi)):
+            with pytest.raises(CorruptedCircuitError, match=f"of gate {fails} fails its tag"):
+                eval_circuit(with_row(t.circuit, gi, slot, flip_at), ga, gb)
 
 
 def test_old_two_input_circuit_bytes_rejected():
@@ -756,25 +854,39 @@ def test_old_two_input_circuit_bytes_rejected():
     assert len(old) == 5 + 110 * 4 * ROW_BYTES + 2 * (LABEL_BYTES + 1) == 8839
     with pytest.raises(CorruptedCircuitError, match="bad circuit magic"):
         GarbledCircuit.deserialize(old)
-    with pytest.raises(CorruptedCircuitError, match="8839 bytes, a width-16 comparator is 7559"):
-        GarbledCircuit.deserialize(b"PGC4" + old[4:])
+    with pytest.raises(CorruptedCircuitError, match="8839 bytes, a width-16 comparator is 7063"):
+        GarbledCircuit.deserialize(b"PGC5" + old[4:])
+
+
+def test_one_output_subtractor_circuit_bytes_rejected():
+    """A width-16 circuit in the PGC4 format (63 one-output gates: 32 of
+    four rows, 31 of eight; 7,559 bytes) is refused by its magic, and with
+    the magic rewritten by its length."""
+    old = b"PGC4" + bytes([16]) + bytes(random.Random(4).getrandbits(8) for _ in range(7554))
+    assert len(old) == 5 + (32 * 4 + 31 * 8) * ROW_BYTES + 2 * (LABEL_BYTES + 1) == 7559
+    with pytest.raises(CorruptedCircuitError, match="bad circuit magic"):
+        GarbledCircuit.deserialize(old)
+    with pytest.raises(CorruptedCircuitError, match="7559 bytes, a width-16 comparator is 7063"):
+        GarbledCircuit.deserialize(b"PGC5" + old[4:])
 
 
 def path_to_output(w, bit):
-    """Gate index -> which of its inputs lies on a path in the width-w
-    wiring from evaluator input ``bit`` (wire w + bit) to the output wire
-    (the last gate's; gate gi writes wire 2w + gi)."""
-    gates = garbled._skeleton(w)
+    """Gate index -> (which of its inputs, which of its outputs) lies on a
+    path in the width-w wiring from evaluator input ``bit`` (wire w + bit)
+    to the output wire (the last gate's only output)."""
+    gates, outs = garbled._skeleton(w), gate_outputs(w)
+    writer = {wire: (gi, k) for gi, wires in enumerate(outs) for k, wire in enumerate(wires)}
     reached = {w + bit}
-    for gi, (_kind, *ins) in enumerate(gates):
+    for (_kind, *ins), wires in zip(gates, outs):
         if reached.intersection(ins):
-            reached.add(2 * w + gi)
-    path, wire = {}, 2 * w + len(gates) - 1
+            reached.update(wires)
+    path, wire = {}, outs[-1][0]
     while wire != w + bit:
-        gi = wire - 2 * w
+        gi, k = writer[wire]
         _kind, *ins = gates[gi]
-        path[gi] = next(j for j, i in enumerate(ins) if i in reached)
-        wire = ins[path[gi]]
+        j = next(j for j, i in enumerate(ins) if i in reached)
+        path[gi] = (j, k)
+        wire = ins[j]
     return path
 
 
@@ -782,18 +894,25 @@ def path_to_output(w, bit):
 def test_generator_garbling_copy_gates_reads_the_voters_bit(monkeypatch, w, bit):
     """The comparator is semi-honest. A generator that keeps the public
     wiring but garbles every gate on a path from the voter's input bit to
-    the output as a copy of that input learns the bit from the vote, and
-    the bytes it ships are well formed: nothing the evaluator can check
-    tells its rows from honest ones."""
+    the output so that the gate's output on the path copies that input
+    learns the bit from the vote, and the bytes it ships are well formed:
+    nothing the evaluator can check tells its rows from honest ones. On
+    a subtractor gate the path runs through one of its two outputs, and
+    the other output stays honest."""
     path = path_to_output(w, bit)
+    assert any(len(outs) == 2 for gi, outs in enumerate(gate_outputs(w)) if gi in path)
     honest_gen_gate = garbled.gen_gate
 
-    def copying_gen_gate(table, ins, out, gi):
-        # the table whose entry at each index is input j's bit copies input
-        # j: (0, 0, 1, 1) the first of two inputs, (0, 1, 0, 1) the second
-        n = len(ins)
-        copy = tuple(c >> (n - 1 - path[gi]) & 1 for c in range(1 << n)) if gi in path else table
-        return honest_gen_gate(copy, ins, out, gi)
+    def copying_gen_gate(table, ins, outs, gi):
+        # input j's bit at each entry is c >> (n - 1 - j) & 1, (0, 0, 1, 1)
+        # for the first of two inputs; it replaces output k's bit, which
+        # sits at 1 << (m - 1 - k) of each entry
+        if gi in path:
+            (j, k), n, m = path[gi], len(ins), len(outs)
+            at = m - 1 - k
+            table = tuple(entry & ~(1 << at) | (c >> (n - 1 - j) & 1) << at
+                          for c, entry in enumerate(table))
+        return honest_gen_gate(table, ins, outs, gi)
 
     monkeypatch.setattr(garbled, "gen_gate", copying_gen_gate)
     t = garble_comparator(w, 0.4, seed=bit)
@@ -812,6 +931,7 @@ def forged_template(theta, seed, w=16):
     garbles under the template's own keys with the constant-1 table: the
     circuit approves whatever it is fed."""
     last = len(garbled._skeleton(w)) - 1
+    assert gate_outputs(w)[last] == (6 * w - 2,)  # the one-output select writes the output
     honest_gen_gate = garbled.gen_gate
 
     def forging_gen_gate(table, ins, out, gi):

@@ -247,7 +247,7 @@ def test_round_costs_match_a_real_comparison():
         np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
     assert comparisons == 2
     assert nbytes == 2 * one + 2 * len(circuit.serialize())
-    assert seconds == 2 * len(circuit.gates) * garbled.ROW_TRIES * simnet._SHA_SECONDS
+    assert seconds == 2 * len(circuit.gates) * garbled.ROW_TRIES * simnet._PAD_SECONDS
 
 
 def test_width_checks_share_one_range():
