@@ -262,13 +262,9 @@ def _tweaks(gate_index: int) -> tuple[bytes, ...]:
     """Gate ``gate_index``'s row tweaks, one per slot of a three-input
     gate; a two-input gate uses the first four. A row's pad is the first
     row-width bytes of the 64-byte BLAKE2b of its input labels and its
-    tweak, as an integer: the digest shifted right by ``_pad_shift``."""
+    tweak, as an integer: the digest shifted right by 8 * (64 - width)
+    bits."""
     return tuple(struct.pack("<IB", gate_index, slot) for slot in range(8))
-
-
-def _pad_shift(outputs: int) -> int:
-    """The right shift that cuts a digest, as an integer, to the row width."""
-    return 8 * (_DIGEST_BYTES - _row_bytes(outputs))
 
 
 def _permute_bit(label: bytes) -> int:
@@ -295,13 +291,15 @@ def gen_gate(
     """
     flips = 0  # the false labels' permute bits, first input most significant
     for k0, k1 in in_keys:
-        if _permute_bit(k0) == _permute_bit(k1):
+        bit = _permute_bit(k0)
+        if bit == _permute_bit(k1):
             raise RejectedInputError(f"gate {gate_index}: a key pair shares its permute bit")
-        flips = 2 * flips + _permute_bit(k0)
+        flips = 2 * flips + bit
     # labels + TAG per table entry; product() walks entries in bit order too
     plains = [int.from_bytes(b"".join(labels), "big") << _TAG_BITS
               for labels in itertools.product(*out_keys)]
-    width, shift = _row_bytes(len(out_keys)), _pad_shift(len(out_keys))
+    width = _row_bytes(len(out_keys))
+    shift = 8 * (_DIGEST_BYTES - width)
     tweaks, blake2b, from_bytes = _tweaks(gate_index), hashlib.blake2b, int.from_bytes
     rows: list[bytes] = [b""] * len(table)
     # product() walks the input combinations in table order
@@ -382,10 +380,12 @@ def _tables(bitwidth: int, theta_raw: int) -> tuple[tuple[int, ...], ...]:
 def _plan(bitwidth: int) -> tuple[tuple[int, int, int | None, int, int, tuple[bytes, ...]], ...]:
     """What the evaluator reads per gate of ``_skeleton(bitwidth)``: its
     input wires, the third None on a two-input gate, its output count,
-    the ``_pad_shift`` of its rows and its row tweaks."""
-    return tuple((in1, in2, in3[0] if in3 else None, _OUTPUTS.get(kind, 1),
-                  _pad_shift(_OUTPUTS.get(kind, 1)), _tweaks(gi))
-                 for gi, (kind, in1, in2, *in3) in enumerate(_skeleton(bitwidth)))
+    the right shift that cuts a digest to its row width, and its row
+    tweaks."""
+    return tuple((in1, in2, in3[0] if in3 else None, outs,
+                  8 * (_DIGEST_BYTES - _row_bytes(outs)), _tweaks(gi))
+                 for gi, (kind, in1, in2, *in3) in enumerate(_skeleton(bitwidth))
+                 for outs in [_OUTPUTS.get(kind, 1)])
 
 
 @dataclass
