@@ -108,7 +108,6 @@ from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputErro
 
 LABEL_BYTES = 16
 TAG = b"\x00\x00\x00\x00"
-ROW_BYTES = LABEL_BYTES + len(TAG)  # a one-output gate's row; see _row_bytes
 _DIGEST_BYTES = 64  # a BLAKE2b digest, cut to each row's width
 # a row is (label << _TAG_BITS) ^ pad, so an intact row decrypts to zero under _TAG_MASK
 _TAG_BITS = 8 * len(TAG)
@@ -338,13 +337,14 @@ def _skeleton(bitwidth: int) -> tuple[tuple, ...]:
     only wires set before it."""
     if bitwidth not in BITWIDTHS:
         raise ConfigurationError(f"unsupported bitwidth {bitwidth}, need 4..32")
-    gates, wires = [], [2 * bitwidth]  # wires[-1]: the next wire a gate writes
+    gates, free = [], 2 * bitwidth  # free: the next wire a gate writes
 
     def gate(kind: str | tuple[str, int], *ins: int) -> int:
         """Append a gate; returns its first output wire."""
+        nonlocal free
         gates.append((kind, *ins))
-        wires.append(wires[-1] + _OUTPUTS.get(kind, 1))
-        return wires[-2]
+        first, free = free, free + _OUTPUTS.get(kind, 1)
+        return first
 
     # borrow subtractor d = a - b mod 2**w: a half subtractor at bit 0,
     # then a full one per bit, each one gate that writes d_i, then its
@@ -382,10 +382,12 @@ def _plan(bitwidth: int) -> tuple[tuple[int, int, int | None, int, int, tuple[by
     input wires, the third None on a two-input gate, its output count,
     the right shift that cuts a digest to its row width, and its row
     tweaks."""
-    return tuple((in1, in2, in3[0] if in3 else None, outs,
-                  8 * (_DIGEST_BYTES - _row_bytes(outs)), _tweaks(gi))
-                 for gi, (kind, in1, in2, *in3) in enumerate(_skeleton(bitwidth))
-                 for outs in [_OUTPUTS.get(kind, 1)])
+    plan = []
+    for gi, (kind, in1, in2, *in3) in enumerate(_skeleton(bitwidth)):
+        outs = _OUTPUTS.get(kind, 1)
+        plan.append((in1, in2, in3[0] if in3 else None, outs,
+                     8 * (_DIGEST_BYTES - _row_bytes(outs)), _tweaks(gi)))
+    return tuple(plan)
 
 
 @dataclass

@@ -23,7 +23,6 @@ from pous.garbled import (
     DEFAULT_GROUP,
     FAST_GROUP,
     LABEL_BYTES,
-    ROW_BYTES,
     DiffieHellmanOT,
     FixedPoint,
     GarbledCircuit,
@@ -39,6 +38,9 @@ from pous.garbled import (
     secure_compare,
     select_input_labels,
 )
+
+ROW_BYTES = LABEL_BYTES + 4  # a one-output row: the label, then the 4-byte tag
+PAIR_ROW = 2 * LABEL_BYTES + 4  # a two-output row: d_i, the borrow out, the tag
 
 # each kind's output bits as one number, first output most significant
 TRUTH = {
@@ -780,9 +782,6 @@ def test_output_map_bits_other_than_0_and_1_rejected(bits):
     raw[-entry - 1], raw[-1] = bits
     with pytest.raises(CorruptedCircuitError, match="decodes to"):
         GarbledCircuit.deserialize(bytes(raw))
-
-
-PAIR_ROW = 2 * LABEL_BYTES + 4  # a two-output row: d_i, the borrow out, the tag
 
 
 def test_flipped_row_byte_in_the_bytes_fails_its_tag():
