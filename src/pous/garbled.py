@@ -108,10 +108,10 @@ from .errors import ConfigurationError, CorruptedCircuitError, RejectedInputErro
 
 LABEL_BYTES = 16
 TAG = b"\x00\x00\x00\x00"
-_DIGEST_BYTES = 64  # a BLAKE2b digest, cut to each row's width
-# a row is (label << _TAG_BITS) ^ pad, so an intact row decrypts to zero under _TAG_MASK
+# a row is (labels << _TAG_BITS) ^ pad, so an intact row decrypts to zero under _TAG_MASK
 _TAG_BITS = 8 * len(TAG)
 _TAG_MASK = (1 << _TAG_BITS) - 1
+_DIGEST_BYTES = 64  # a BLAKE2b digest, cut to each row's width
 
 # truth tables indexed by the input bits as a binary number, first input
 # most significant: 2*a + b, or 4*a + 2*b + c; an entry holds the output
