@@ -419,14 +419,13 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     Data volume maps to comparisons at eight bytes per similarity
     entry. The comparator template is garbled once (epoch semantics);
     each comparison selects fresh labels and evaluates the circuit.
-    Beside the wall time, an ``eval`` row counts its work: the gates
-    evaluated and the row pads the evaluator hashes (``ROW_TRIES`` per
-    gate), which do not vary run to run. The ``ot`` row times 64 real
-    transfers on the small group as 8 batches of 8, one batch per width-8
-    comparison; its ``comparisons`` column counts the 64 transfers, not
-    the 8 batches. Vote-matrix bytes are reported from actual serializations
-    under the capability-bounded mining budget. Neither row evaluates
-    gates.
+    Beside the wall time, an ``eval`` row counts its work, which does not
+    vary run to run: the gates evaluated, one row pad hashed per gate.
+    The ``ot`` row times 64 real transfers on the small group as 8
+    batches of 8, one batch per width-8 comparison; its ``comparisons``
+    column counts the 64 transfers, not the 8 batches. Vote-matrix
+    bytes are reported from actual serializations under the
+    capability-bounded mining budget. Neither row evaluates gates.
     """
     rows = []
     backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed)
@@ -443,7 +442,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         rows.append({
             "series": "eval", "data_bytes": data_bytes, "comparisons": n_cmp,
             "seconds": elapsed, "approvals": approvals, "gates": n_cmp * gates_per_cmp,
-            "row_pads": round(n_cmp * gates_per_cmp * garbled.ROW_TRIES), "users": 0,
+            "users": 0,
         })
 
     ot = garbled.DiffieHellmanOT(garbled.FAST_GROUP)
@@ -454,8 +453,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         ot.exchange(pairs, bits)
     rows.append({
         "series": "ot", "data_bytes": 0, "comparisons": batches * len(bits),
-        "seconds": time.perf_counter() - start, "approvals": 0, "gates": 0, "row_pads": 0,
-        "users": 0,
+        "seconds": time.perf_counter() - start, "approvals": 0, "gates": 0, "users": 0,
     })
 
     for n_users in (100, 500, 1000):
@@ -471,7 +469,7 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),
             "comparisons": len(records), "seconds": 0.0, "approvals": 0,
-            "gates": 0, "row_pads": 0, "users": n_users,
+            "gates": 0, "users": n_users,
         })
     return rows
 
@@ -578,10 +576,8 @@ def render_summary(report: RunReport) -> str:
         if len(evals) >= 2:
             # the work, not the timed seconds, so the summary does not vary run to run
             sizes = [r["data_bytes"] for r in evals]
-            gates, pads = (loglog_slope(sizes, [r[col] for r in evals])
-                           for col in ("gates", "row_pads"))
-            lines.append(f"2pc eval work log-log slope vs data size: "
-                         f"gates {gates:.3f}, row pads {pads:.3f}")
+            gates = loglog_slope(sizes, [r["gates"] for r in evals])
+            lines.append(f"2pc eval work log-log slope vs data size: gates {gates:.3f}")
         for r in report.cost_series:
             if r["series"] == "vote-crs":
                 lines.append(

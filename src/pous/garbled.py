@@ -237,18 +237,15 @@ class GarbledCircuit:
             end = at + (width << len(ins))
             gates.append(tuple(raw[r:r + width] for r in range(at, end, width)))
             at = end
-        omap_at = at
-        omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES]
-                for o in (omap_at, omap_at + _MAP_ENTRY)}
+        omap = {raw[o:o + LABEL_BYTES]: raw[o + LABEL_BYTES] for o in (at, at + _MAP_ENTRY)}
         if len(omap) != 2:
             raise CorruptedCircuitError("output map needs two distinct labels")
         if sorted(omap.values()) != [0, 1]:
             raise CorruptedCircuitError(
                 f"output map decodes to {sorted(omap.values())}, not 0 and 1")
-        circuit = cls(bitwidth, tuple(gates), omap)
-        if circuit.serialize() != raw:
+        if list(omap) != sorted(omap):  # serialize() writes the map in label order
             raise CorruptedCircuitError("output map is not in label order")
-        return circuit
+        return cls(bitwidth, tuple(gates), omap)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -453,11 +450,6 @@ def select_input_labels(keys: tuple[tuple[bytes, bytes], ...], value: FixedPoint
     if len(bits) != len(keys):
         raise RejectedInputError("value width does not match circuit inputs")
     return [keys[i][bit] for i, bit in enumerate(bits)]
-
-
-# rows eval_circuit decrypts per gate: the input labels' permute bits
-# name the one row to open
-ROW_TRIES = 1.0
 
 
 def eval_circuit(

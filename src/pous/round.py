@@ -44,12 +44,14 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
     width = garbled.DEFAULT_BITWIDTH
     templates = {c: garbled.garble_comparator(width, theta, seeds[c])
                  for c in matrices if _voted_entries(received[c])}
+    # serialized once per candidate; each voter reads its own copy back off the bytes
+    shipped = {c: template.circuit.serialize() for c, template in templates.items()}
     records = []
     for voter in matrices:
         for cand, template in templates.items():
             if cand == voter:
                 continue
-            raw = template.circuit.serialize()
+            raw = shipped[cand]
             sent["circuit"] += len(raw)
             copy = replace(template, circuit=garbled.GarbledCircuit.deserialize(raw))
 

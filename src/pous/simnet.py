@@ -32,9 +32,9 @@ them leads. A differential test checks this shortcut against the
 record-level pipeline of :mod:`pous.similarity` and :mod:`pous.bts`.
 Cryptographic cost is accounted from the comparator facts that
 :mod:`pous.garbled` publishes (:func:`~pous.garbled.comparator_size`,
-:func:`~pous.garbled.comparison_bytes`, ``ROW_TRIES``); no comparison
-is actually run. The cost feeds no other figure: ``Metrics.crypto``
-holds it per round, and it goes to ``crypto.csv``, not ``cells.csv``.
+:func:`~pous.garbled.comparison_bytes`); no comparison is actually run.
+The cost feeds no other figure: ``Metrics.crypto`` holds it per round,
+and it goes to ``crypto.csv``, not ``cells.csv``.
 """
 from __future__ import annotations
 
@@ -61,14 +61,16 @@ from .packing import (
 )
 from .similarity import DEFAULT_CLASSES, Transaction
 
-# simulated seconds per garbled gate evaluated: one row pad, the only
-# hash the evaluator computes per gate, whatever the gate's fan-in or
-# output count. The value is a SHA-256 pad's cost, kept until ROADMAP
-# item 6 calibrates it. The library evaluator runs slower, since it pays
-# interpreter overhead this constant leaves out: about 1.2 us per gate,
-# 53-57 us per evaluation of the 47-gate width-16 comparator (untraced
-# medians, shared 2-core x86-64, Python 3.11). Changing the value moves
-# only crypto.csv's pinned digest
+# simulated seconds per garbled gate evaluated. The model charges one
+# row pad per gate: point-and-permute names the one row the evaluator
+# opens, and its pad is the only hash it computes per gate, whatever the
+# gate's fan-in or output count. A pad is one BLAKE2b call, but 4.4e-7 s
+# is the earlier SHA-256 pad's figure, not a BLAKE2b measurement; it
+# stays until ROADMAP item 6 calibrates it. The library evaluator runs
+# slower, since it pays interpreter overhead this constant leaves out:
+# about 1.2 us per gate, 53-57 us per evaluation of the 47-gate width-16
+# comparator (untraced medians, shared 2-core x86-64, Python 3.11).
+# Changing the value moves only crypto.csv's pinned digest
 _PAD_SECONDS = 4.4e-7
 
 
@@ -316,7 +318,7 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     Every ordered (voter, candidate) pair compares the common prefix of
     their budgeted pair sequences, one comparison per user pair: the
     mirror slot reuses the verdict (``bts.cast_votes``). Evaluation time
-    is gates times rows decrypted per gate times the hash cost; bytes
+    is gates times the cost of one row pad, opened per gate; bytes
     cover generator labels, one transfer batch per comparison (a transfer
     per two evaluator bits), and the per-epoch circuit shipment, one per voter
     of each candidate with a nonzero budget, amortized over the rotation
@@ -330,7 +332,7 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     cnt_ge = len(budgets) - np.searchsorted(sorted_b, ranks, side="left")
     comparisons = int((cnt_ge * (cnt_ge - 1)).sum())
     gates, circuit_bytes = garbled.comparator_size(config.bitwidth)
-    eval_seconds = comparisons * gates * garbled.ROW_TRIES * _PAD_SECONDS
+    eval_seconds = comparisons * gates * _PAD_SECONDS
     per_cmp_bytes = garbled.comparison_bytes(
         config.bitwidth, garbled.DiffieHellmanOT(garbled.DEFAULT_GROUP))
     active = int(np.count_nonzero(budgets))

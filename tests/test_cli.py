@@ -459,9 +459,9 @@ def test_fit_helpers():
     assert linear_r2([1, 2, 3, 4], [1, 4, 9, 16]) < 1.0
 
 
-def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
-    # one real comparison hashes ROW_TRIES row pads per gate, and over
-    # dealer OT it hashes nothing else
+def test_cost_rows_count_gates(tmp_path, monkeypatch):
+    # one real comparison hashes one row pad per gate, and over dealer OT
+    # it hashes nothing else
     backend = garbled.GarbledCompareBackend(0.4, 8, seed=7, ot=garbled.TrustedDealerOT())
     gates = len(backend.template.circuit.gates)
     pads = []
@@ -469,36 +469,36 @@ def test_cost_rows_count_gates_and_row_pads(tmp_path, monkeypatch):
     monkeypatch.setattr(garbled.hashlib, "blake2b",
                         lambda data: pads.append(data) or real_blake2b(data))
     backend.compare(0.3, 0.6)
-    assert len(pads) == gates * garbled.ROW_TRIES
+    assert len(pads) == gates
     monkeypatch.undo()
 
-    # the work columns follow from the comparison count, so stubbed
-    # comparisons leave them as they are
+    # the work column follows from the comparison count, so stubbed
+    # comparisons leave it as it is
     monkeypatch.setattr(garbled.GarbledCompareBackend, "compare", lambda self, a, b: 1)
     rows = run_cost_benchmark(seed=7)
     assert [r["series"] for r in rows] == ["eval"] * 6 + ["ot"] + ["vote-crs"] * 3
     for r in rows:
         want = r["comparisons"] * gates if r["series"] == "eval" else 0
-        assert (r["gates"], r["row_pads"]) == (want, want)
+        assert r["gates"] == want
     emit(RunReport(scenario="cost-2pc", master_seed=7, cost_series=rows), str(tmp_path))
     cost = (tmp_path / "cost.csv").read_text().splitlines()
-    assert cost[0] == "series,data_bytes,comparisons,seconds,approvals,gates,row_pads,users"
-    assert cost[1].endswith(f",{128 * gates},{128 * gates},0")
+    assert cost[0] == "series,data_bytes,comparisons,seconds,approvals,gates,users"
+    assert cost[1].endswith(f",{128 * gates},0")
     assert [line.split(",")[-1] for line in cost if line.startswith("vote-crs,")] == [
         "100", "500", "1000"]
     assert all(line.split(",")[4] == "0" for line in cost if line.startswith("vote-crs,"))
-    assert "gates 1.000, row pads 1.000\n" in (tmp_path / "summary.txt").read_text()
+    assert "gates 1.000\n" in (tmp_path / "summary.txt").read_text()
 
 
 def test_cost_summary_does_not_vary_with_the_timed_seconds():
     def summary(seconds):
         rows = [{"series": "eval", "data_bytes": size, "comparisons": size // 8,
-                 "seconds": sec, "approvals": 0, "gates": size, "row_pads": size, "users": 0}
+                 "seconds": sec, "approvals": 0, "gates": size, "users": 0}
                 for size, sec in zip((1024, 2048, 4096), seconds)]
         return render_summary(RunReport(scenario="cost-2pc", master_seed=7, cost_series=rows))
 
     assert summary([0.7, 1.4, 2.1]) == summary([0.01, 0.005, 0.003])
-    assert "2pc eval work log-log slope vs data size: gates 1.000, row pads 1.000\n" in (
+    assert "2pc eval work log-log slope vs data size: gates 1.000\n" in (
         summary([0.7, 1.4, 2.1]))
 
 
@@ -664,11 +664,11 @@ def test_run_verb_failing_cell_is_named(tmp_path, capsys, monkeypatch):
 def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     rows = [
         {"series": "eval", "data_bytes": 1024, "comparisons": 128, "seconds": 0.5,
-         "approvals": 70, "gates": 128, "row_pads": 128, "users": 0},
+         "approvals": 70, "gates": 128, "users": 0},
         {"series": "eval", "data_bytes": 2048, "comparisons": 256, "seconds": 1.0,
-         "approvals": 140, "gates": 256, "row_pads": 256, "users": 0},
+         "approvals": 140, "gates": 256, "users": 0},
         {"series": "vote-crs", "data_bytes": 9000, "comparisons": 2400, "seconds": 0.0,
-         "approvals": 0, "gates": 0, "row_pads": 0, "users": 100},
+         "approvals": 0, "gates": 0, "users": 100},
     ]
     seeds = []
     monkeypatch.setattr(cli, "run_cost_benchmark", lambda seed: seeds.append(seed) or rows)
@@ -678,7 +678,7 @@ def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out_dir.iterdir()) == ["cost.csv", "summary.txt"]
     assert len((out_dir / "cost.csv").read_text().splitlines()) == 1 + len(rows)
     summary = (out_dir / "summary.txt").read_text()
-    assert "2pc eval work log-log slope vs data size: gates 1.000, row pads 1.000\n" in summary
+    assert "2pc eval work log-log slope vs data size: gates 1.000\n" in summary
     assert "vote matrix bytes at 100 users: 9000\n" in summary
     assert summary in capsys.readouterr().out
 
@@ -944,7 +944,6 @@ SMALL_BLOCKS = ["--set", "block_size_mb=0.1"]
 
 # the cost factors of crypto.csv's per-round columns, as its digest below was taken
 GOLDEN_FACTORS = {
-    "garbled.ROW_TRIES": 1.0,
     "simnet._PAD_SECONDS": 4.4e-7,
     "comparator_size(16)": (47, 7063),
     "comparison_bytes(16, DEFAULT_GROUP)": 2144,
@@ -968,7 +967,6 @@ def test_golden_cost_factors_are_the_live_ones():
     ``crypto.csv`` is then re-pinned: ``cells.csv`` does not move, as the
     last test of this file shows."""
     assert {
-        "garbled.ROW_TRIES": garbled.ROW_TRIES,
         "simnet._PAD_SECONDS": simnet._PAD_SECONDS,
         "comparator_size(16)": garbled.comparator_size(16),
         "comparison_bytes(16, DEFAULT_GROUP)": garbled.comparison_bytes(
@@ -1030,9 +1028,9 @@ def test_crypto_cost_factors_move_only_the_pous_crypto_columns(tmp_path, capsys,
     """A cost factor moves crypto.csv's three per-round columns and
     leaves cells.csv as it is, byte for byte."""
     run_fig8(tmp_path / "live", capsys, SMALL_BLOCKS)
-    # rows per gate under trial decryption, and a batch that sends two
-    # group elements per transfer
-    monkeypatch.setattr(garbled, "ROW_TRIES", 2.5)
+    # a dearer row pad, and a batch that sends two group elements per
+    # transfer
+    monkeypatch.setattr(simnet, "_PAD_SECONDS", 2.5 * simnet._PAD_SECONDS)
     monkeypatch.setattr(garbled.DiffieHellmanOT, "transfer_bytes",
                         lambda ot, n: ot.group.element_bytes
                         + n * (2 * ot.group.element_bytes + 2 * garbled.LABEL_BYTES))

@@ -510,8 +510,10 @@ def opened_slots(monkeypatch, template, ga, gb):
 
 
 def test_evaluator_opens_one_row_per_gate(monkeypatch):
-    assert garbled.ROW_TRIES == 1
-    for w in (4, 16):
+    # each gate once, in order: the per-comparison gate count
+    # comparator_size states is the pad count the simulator charges
+    for w in (4, 5, 16, 32):
+        gates = list(range(comparator_size(w)[0]))
         t = garble_comparator(w, 0.4, seed=w)
         rng = random.Random(w)
         for _ in range(20):
@@ -519,7 +521,7 @@ def test_evaluator_opens_one_row_per_gate(monkeypatch):
             ga = select_input_labels(t.gen_keys, FixedPoint(a, w))
             gb = select_input_labels(t.eval_keys, FixedPoint(b, w))
             opened, bit = opened_slots(monkeypatch, t, ga, gb)
-            assert [gi for gi, _ in opened] == list(range(len(t.circuit.gates)))
+            assert [gi for gi, _ in opened] == gates
             assert bit == plain_within_theta(a, b, t.theta.raw)
 
 
@@ -528,8 +530,8 @@ def test_width_16_hash_work_is_one_compression_per_gate_and_row(monkeypatch):
     garbling once per row, 252 times, besides the label stream's state and
     blocks. The longest message, the stream's 72-byte block input, and
     the longest row-pad message, three labels and a tweak (53 bytes), fit
-    one 128-byte BLAKE2b block, so each is one compression, and ROW_TRIES
-    and the simulator's per-gate pad cost keep their meaning."""
+    one 128-byte BLAKE2b block, so each is one compression, and the
+    simulator's per-gate pad cost keeps its meaning."""
     messages = []
     real_blake2b = hashlib.blake2b
     monkeypatch.setattr(hashlib, "blake2b",
@@ -550,7 +552,7 @@ def test_width_16_hash_work_is_one_compression_per_gate_and_row(monkeypatch):
     ga = select_input_labels(t.gen_keys, FixedPoint(12345, w))
     gb = select_input_labels(t.eval_keys, FixedPoint(54321, w))
     eval_circuit(t.circuit, ga, gb)
-    assert len(messages) == 47 * garbled.ROW_TRIES
+    assert len(messages) == 47
     assert max(map(len, messages)) == 53
 
 

@@ -351,15 +351,17 @@ TEST_ONLY_NAMES = {
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """Every public function, class and method of ``src/pous`` is named
+    """Every public function, class and method of ``src/pous``, and every
+    public module-level constant (an UPPER_CASE assignment), is named
     somewhere in ``src/`` or ``perfbench/`` besides its own definition:
-    as a name, an attribute or an import. A demo does not count, since
-    a name only a demo calls serves no round, simulation or workload."""
+    as a name read, an attribute or an import. A demo does not count,
+    since a name only a demo reads serves no round, simulation or
+    workload."""
     root = Path(__file__).resolve().parent.parent
     used = set()
     for path in [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -373,6 +375,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 for sub in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
                         defined[f"{node.name}.{sub.name}"] = sub.name
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                    defined[target.id] = target.id
     assert {full for full, name in defined.items() if name not in used} == TEST_ONLY_NAMES
 
 

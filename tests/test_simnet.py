@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from pous import garbled, simnet
+from pous import simnet
 from pous.committee import CommitteeConfig, RoundTimers
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
@@ -247,7 +247,7 @@ def test_round_costs_match_a_real_comparison():
         np.array([1, 1]), cfg(bitwidth=w, rotation_period=1))
     assert comparisons == 2
     assert nbytes == 2 * one + 2 * len(circuit.serialize())
-    assert seconds == 2 * len(circuit.gates) * garbled.ROW_TRIES * simnet._PAD_SECONDS
+    assert seconds == 2 * len(circuit.gates) * simnet._PAD_SECONDS
 
 
 def test_width_checks_share_one_range():
