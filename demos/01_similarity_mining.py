@@ -5,7 +5,7 @@ Mining user similarity under a work budget
 Two miners tally six users' transactions into a count matrix, row
 u - 1 holding user u's count per class, and each fills a similarity matrix pair by pair until its budget runs
 out. Entries a miner never reached stay null; the matrix ships as
-compressed row triples of the entries it did fill.
+compressed row triples, one per pair it did fill.
 """
 import numpy as np
 
@@ -40,12 +40,12 @@ rich = compute_usm(vectors, budget=None, owner=1)
 poor = compute_usm(vectors, budget=5, owner=2)
 print("\nrich miner filled", len(rich.computed_indices), "entries")
 print("poor miner filled", len(poor.computed_indices), "entries; the rest stay null")
-print("poor miner's pairs, each stored both ways, plus a diagonal 1 per user seen:")
-for j in poor.computed_indices:
+print("poor miner's pairs, each stored once and read from both (k, l) and (l, k);")
+print("no user is paired with itself, so the diagonal stays null:")
+for j in poor.pair_slots:
     k, l = unflatten_index(j, 6)
-    if k < l:
-        print(f"  users {k} and {l}: {poor.get(j):.3f}")
+    print(f"  users {k} and {l}: {poor.get(j):.3f}")
 
 blob = poor.crs_bytes()
 print("\ncompressed row storage:", len(blob), "bytes for",
-      len(poor.computed_indices), "entries")
+      poor.off_diagonal_pair_count(), "pairs")

@@ -10,17 +10,16 @@ voter's posterior is more extreme than the population prediction, so
 rational miners neither flip votes nor copy-paste approvals.
 
 A voter votes on the entries its candidate computed, and on no other,
-and runs one comparison per user pair: where both slots of a pair hold
-the same values on each side, as ``compute_usm`` writes them, the
-mirror slot reuses the first slot's verdict. Where the voter never
-computed the entry, or the comparison aborts (an aborted pair is
-compared again on its mirror slot), it abstains, and the abstention is
-recorded explicitly: it counts toward the voter population in mean
-approvals but earns nothing. An entry the candidate never computed gets
-no record at all; every voter would abstain on it, so it would add 0 to
-the candidate's total and pay no one. The tally takes the miners'
-matrices: an entry's best copy is picked among the miners that computed
-it, and its value goes into the digest the committee agrees on.
+and runs one comparison per user pair: a matrix holds each pair once,
+and both of its slots carry the pair's verdict. Where the voter never
+computed the pair, or the comparison aborts, it abstains on both
+slots, and the abstention is recorded explicitly: it counts toward the
+voter population in mean approvals but earns nothing. An entry the
+candidate never computed gets no record at all; every voter would
+abstain on it, so it would add 0 to the candidate's total and pay no
+one. The tally takes the miners' matrices: an entry's best copy is
+picked among the miners that computed it, and its value goes into the
+digest the committee agrees on.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from hashlib import sha256
 from typing import Callable
 
 from .errors import CorruptedCircuitError, RejectedInputError, SubgroupError
-from .similarity import SimilarityMatrix, flat_index, unflatten_index
+from .similarity import SimilarityMatrix, mirror_slot, unflatten_index
 
 log = logging.getLogger(__name__)
 
@@ -75,67 +74,47 @@ class VoteRecord:
             raise RejectedInputError("abstentions cannot approve")
 
 
-def _voted_entries(candidate_matrix: SimilarityMatrix) -> list[int]:
-    """The candidate's computed off-diagonal entries, in entry order: the
-    ones its voters vote on. Slot j is on the diagonal iff n + 1 divides
-    j - 1."""
-    n = candidate_matrix.n_users
-    return [j for j in candidate_matrix.computed_indices if (j - 1) % (n + 1)]
-
-
 def cast_votes(
     voter_matrix: SimilarityMatrix,
     candidate_matrix: SimilarityMatrix,
     compare: Callable[[float, float], int],
 ) -> list[VoteRecord]:
-    """Vote on every off-diagonal entry the candidate computed, in entry
-    order; the voter abstains on one it never computed.
+    """Vote on every entry the candidate computed, in entry order; the
+    voter abstains on one it never computed.
 
     ``compare(candidate_value, voter_value)`` is the two-party
     comparison; the candidate plays generator, the voter evaluator. It
-    runs once per user pair: the mirror slot (l, k) reuses the valid
-    verdict of (k, l) when both matrices hold the same values there, as
-    ``compute_usm`` writes them. A mirror whose value differs on either
-    side is compared on its own. A comparison abort (a corrupted
-    circuit, or an OT sender element outside its group) is logged and
-    becomes an abstention rather than a protocol failure, since one bad
-    pair must not sink the whole vote; the mirror of an aborted slot is
-    compared again.
+    runs once per user pair, and both slots of the pair get its
+    verdict. A comparison abort (a corrupted circuit, or an OT sender
+    element outside its group) is logged and becomes an abstention on
+    both slots rather than a protocol failure, since one bad pair must
+    not sink the whole vote.
     """
     n = candidate_matrix.n_users
     if voter_matrix.n_users != n:
         raise RejectedInputError("matrices cover different user counts")
-    # valid verdicts by (unordered user pair, candidate value, voter value)
-    verdicts: dict[tuple[int, int, float, float], int] = {}
-    records = []
-    for j in _voted_entries(candidate_matrix):
+    verdicts = {}  # (x, valid) by the k < l slot of each pair
+    for j in candidate_matrix.pair_slots:
         own_val = voter_matrix.get(j)
-        if own_val is None:
-            x, valid = 0, False
-        else:
-            cand_val = candidate_matrix.get(j)
-            k, l = divmod(j - 1, n)
-            key = (min(k, l), max(k, l), cand_val, own_val)
-            x, valid = verdicts.get(key), True
-            if x is None:
-                try:
-                    x = verdicts[key] = compare(cand_val, own_val)
-                except (CorruptedCircuitError, SubgroupError) as exc:
-                    log.warning(
-                        "comparison aborted for entry %d of miner %d: %s",
-                        j, candidate_matrix.owner, exc,
-                    )
-                    x, valid = 0, False
-        records.append(
-            VoteRecord(
-                voter=voter_matrix.owner,
-                candidate=candidate_matrix.owner,
-                entry=j,
-                x=x,
-                y=_BELIEFS[x if valid else None],
-                valid=valid,
-            )
-        )
+        verdicts[j] = 0, False
+        if own_val is not None:
+            try:
+                verdicts[j] = compare(candidate_matrix.get(j), own_val), True
+            except (CorruptedCircuitError, SubgroupError) as exc:
+                log.warning("comparison aborted for entry %d of miner %d: %s",
+                            j, candidate_matrix.owner, exc)
+    return _records(voter_matrix.owner, candidate_matrix, verdicts)
+
+
+def _records(voter: int, candidate: SimilarityMatrix,
+             verdicts: dict[int, tuple[int, bool]]) -> list[VoteRecord]:
+    """A record per slot the candidate computed, in entry order, each
+    carrying the verdict of its pair's k < l slot."""
+    records = []
+    for j in candidate.computed_indices:
+        x, valid = verdicts[min(j, mirror_slot(j, candidate.n_users))]
+        records.append(VoteRecord(voter=voter, candidate=candidate.owner, entry=j, x=x,
+                                  y=_BELIEFS[x if valid else None], valid=valid))
     return records
 
 
@@ -182,9 +161,9 @@ def tally(
     The denominator of every mean is m - 1: abstainers are voters too.
     Duplicate (voter, candidate, entry) triples are rejected. Every miner
     of ``matrices`` has a total, 0.0 when it has no record (a matrix with
-    no off-diagonal entry gets no vote), so it can still lead a round
-    nobody else scores in. An entry's best copy is chosen among the
-    ``matrices`` that computed it.
+    no pair gets no vote), so it can still lead a round nobody else
+    scores in. An entry's best copy is chosen among the ``matrices``
+    that computed it.
     """
     if m < 2:
         raise RejectedInputError("tally needs at least two miners")
@@ -353,43 +332,40 @@ def strategy_scores(p0: float, p1: float, y: float) -> dict[str, float]:
 
 
 def votes_to_crs(records: list[VoteRecord], n: int) -> bytes:
-    """Compact bytes for one voter's votes on one candidate.
-
-    Only valid votes are stored, as (row, col, x) triples after a small
-    header, mirroring the sparse matrix wire format.
+    """Compact bytes for one voter's votes on one candidate, as
+    cast_votes writes them: a 16 B header (voter, candidate, n and the
+    candidate's pair count P), then two bitmaps of P bits each,
+    validity and approval. Bit i, least significant first, holds the
+    candidate's i-th pair in entry order, read off the record of its
+    k < l slot; the mirror slot's record carries the same verdict.
     """
     if not records:
         raise RejectedInputError("no records to serialize")
     voter = records[0].voter
     cand = records[0].candidate
-    valid = []
-    for r in records:
-        if r.voter != voter or r.candidate != cand:
-            raise RejectedInputError("records span multiple voter-candidate pairs")
-        if r.valid:
-            valid.append(r)
-    valid.sort(key=lambda r: r.entry)
-    parts = [struct.pack("<IIII", voter, cand, n, len(valid))]
-    for r in valid:
-        row, col = unflatten_index(r.entry, n)
-        parts.append(struct.pack("<IIB", row, col, r.x))
-    return b"".join(parts)
+    if any((r.voter, r.candidate) != (voter, cand) for r in records):
+        raise RejectedInputError("records span multiple voter-candidate pairs")
+    pairs = sorted((r for r in records if r.entry < mirror_slot(r.entry, n)),
+                   key=lambda r: r.entry)
+    size = (len(pairs) + 7) // 8
+    valid = sum(r.valid << i for i, r in enumerate(pairs))
+    approved = sum(r.x << i for i, r in enumerate(pairs))
+    return (struct.pack("<IIII", voter, cand, n, len(pairs))
+            + valid.to_bytes(size, "little") + approved.to_bytes(size, "little"))
 
 
 def votes_from_crs(raw: bytes, candidate: SimilarityMatrix) -> list[VoteRecord]:
     """Inverse of votes_to_crs, read against the ``candidate`` matrix as
-    the reader holds it: one record per off-diagonal entry the candidate
-    computed, in entry order, as cast_votes writes them. Each stored
-    (row, col, x) is a valid vote; every other such entry is an
-    abstention.
+    the reader holds it: one record per entry the candidate computed, in
+    entry order, as cast_votes writes them, both slots of a pair
+    carrying the pair's bits.
 
     Refuses what votes_to_crs never writes over that matrix: a voter id
-    of 0, a self-vote, a candidate id or user count other than the
-    matrix's (so a short blob cannot make the reader build n(n - 1)
-    records for a huge n), a length other than the header's count of
-    triples, a vote other than 0 or 1, a row or column outside 1..n, a
-    diagonal entry, an entry the candidate never computed, and entries
-    that repeat or are out of order.
+    of 0, a self-vote, a candidate id, user count or pair count other
+    than the matrix's (so a short blob cannot make the reader build
+    records for a huge n), a length other than the header and two
+    bitmaps of that many bits, a bit set past the last pair, and an
+    approval on a pair whose vote is not valid.
     """
     if len(raw) < 16:
         raise RejectedInputError("vote blob too short")
@@ -399,21 +375,19 @@ def votes_from_crs(raw: bytes, candidate: SimilarityMatrix) -> list[VoteRecord]:
             f"vote blob of voter {voter} on candidate {cand} over {n} users: ids are "
             f"1-based and distinct, the candidate is {candidate.owner} and n is "
             f"{candidate.n_users}")
-    if len(raw) != 16 + 9 * count:
+    pairs = candidate.pair_slots
+    if count != len(pairs):
         raise RejectedInputError(
-            f"vote blob is {len(raw)} bytes, its {count} votes take {16 + 9 * count}")
-    triples = [struct.unpack_from("<IIB", raw, 16 + 9 * i) for i in range(count)]
-    for row, col, x in triples:
-        if x not in (0, 1) or not (1 <= row <= n and 1 <= col <= n) or row == col:
-            raise RejectedInputError(
-                f"vote ({row}, {col}, {x}) outside 1..{n}, on the diagonal, or not 0/1")
-        if candidate.get(flat_index(row, col, n)) is None:
-            raise RejectedInputError(
-                f"vote ({row}, {col}, {x}) on an entry candidate {cand} never computed")
-    for before, after in zip(triples, triples[1:]):
-        if after[:2] <= before[:2]:
-            raise RejectedInputError(f"vote {after} does not come after {before}: "
-                                     "each entry is written once, in order")
-    votes = {flat_index(row, col, n): x for row, col, x in triples}
-    return [VoteRecord(voter, cand, j, votes.get(j, 0), _BELIEFS[votes.get(j)], valid=j in votes)
-            for j in _voted_entries(candidate)]
+            f"vote blob covers {count} pairs, candidate {cand} computed {len(pairs)}")
+    size = (count + 7) // 8
+    if len(raw) != 16 + 2 * size:
+        raise RejectedInputError(
+            f"vote blob is {len(raw)} bytes, its {count} pairs take {16 + 2 * size}")
+    valid = int.from_bytes(raw[16:16 + size], "little")
+    approved = int.from_bytes(raw[16 + size:], "little")
+    if (valid | approved) >> count:
+        raise RejectedInputError(f"vote blob sets a bit past its last pair, {count}")
+    if approved & ~valid:
+        raise RejectedInputError("vote blob approves a pair its vote is not valid on")
+    verdicts = {j: (approved >> i & 1, bool(valid >> i & 1)) for i, j in enumerate(pairs)}
+    return _records(voter, candidate, verdicts)

@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import garbled
-from .bts import APPROVE_BELIEF, VoteRecord, votes_to_crs
+from .bts import cast_votes, votes_to_crs
 from .errors import ConfigurationError
-from .similarity import flat_index, pair_sequence
+from .similarity import compute_usm
 from .simnet import (
     RUNNERS as _RUNNERS,
     SimConfig,
@@ -423,12 +423,16 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     vary run to run: the gates evaluated, one row pad hashed per gate.
     The ``ot`` row times 64 real transfers on the small group as 8
     batches of 8, one batch per width-8 comparison; its ``comparisons``
-    column counts the 64 transfers, not the 8 batches. Vote-matrix
-    bytes are reported from actual serializations under the
-    capability-bounded mining budget. Neither row evaluates gates.
+    column counts the 64 transfers, not the 8 batches. A ``vote-crs``
+    row serializes one voter's votes on one candidate, both mined by
+    ``compute_usm`` at a budget of 1,200 pairs and voted by
+    ``cast_votes`` through the comparator's cleartext predicate (a
+    blob's size does not depend on its verdicts); its ``comparisons``
+    counts the pairs compared. Neither row evaluates gates.
     """
     rows = []
-    backend = garbled.GarbledCompareBackend(0.4, 8, seed=seed)
+    theta = 0.4
+    backend = garbled.GarbledCompareBackend(theta, 8, seed=seed)
     gates_per_cmp = garbled.comparator_size(8)[0]
     rng = np.random.default_rng(seed)
     for data_bytes in (1024, 2048, 4096, 8192, 16384, 32768):
@@ -457,18 +461,15 @@ def run_cost_benchmark(seed: int = 7) -> list[dict]:
     })
 
     for n_users in (100, 500, 1000):
-        budget = 1200
-        records = []
-        for rank, (k, l) in enumerate(pair_sequence(n_users)):
-            if rank >= budget:
-                break
-            for entry in (flat_index(k, l, n_users), flat_index(l, k, n_users)):
-                records.append(VoteRecord(voter=1, candidate=2, entry=entry, x=1,
-                                          y=APPROVE_BELIEF))
-        blob = votes_to_crs(records, n_users)
+        voter, candidate = (compute_usm(rng.integers(0, 8, (n_users, 6)), budget=1200, owner=o)
+                            for o in (1, 2))
+        compared = []
+        votes = cast_votes(voter, candidate,
+                           lambda a, b: compared.append(a) or int(abs(a - b) <= theta))
+        blob = votes_to_crs(votes, n_users)
         rows.append({
             "series": "vote-crs", "data_bytes": len(blob),
-            "comparisons": len(records), "seconds": 0.0, "approvals": 0,
+            "comparisons": len(compared), "seconds": 0.0, "approvals": 0,
             "gates": 0, "users": n_users,
         })
     return rows

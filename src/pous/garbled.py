@@ -75,8 +75,8 @@ Construction notes:
   comparison. :class:`GarbledCompareBackend` reuses one template across
   many comparisons, as the simulator's per-epoch cost model assumes, and
   :func:`pous.round.vote` reuses each candidate's template across the
-  round's voters and user pairs (a voter compares each pair once and
-  reuses the verdict on its mirror slot, so the mirror runs no circuit);
+  round's voters and user pairs (a matrix holds each pair once, so a
+  voter compares each pair once and both of its slots carry the verdict);
   an evaluator that sees a reused circuit under several inputs learns
   more than one bit (Lindell and Pinkas, J. Cryptology 2009).
 

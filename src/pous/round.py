@@ -12,13 +12,18 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import garbled
-from .bts import (TallyResult, VoteRecord, _voted_entries, cast_votes, tally, votes_from_crs,
-                  votes_to_crs)
+from .bts import TallyResult, VoteRecord, cast_votes, tally, votes_from_crs, votes_to_crs
 from .committee import CommitteeConfig, Decision, agree, select_committee, verify_block
+from .errors import RejectedInputError
 from .packing import Block, PriorityWeights, cluster_mempool, pack_block, tx_priority
 from .similarity import DataView, SimilarityMatrix, build_user_vectors, compute_usm
 
 WEIGHTS = PriorityWeights()
+
+
+def _refuse_fewer_than_two(miners: Mapping) -> None:
+    if len(miners) < 2:
+        raise RejectedInputError(f"a round needs at least two miners, got {len(miners)}")
 
 
 def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[int, int],
@@ -26,15 +31,18 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
     """Every miner votes on every other miner's matrix, and the votes are
     tallied over the matrices as their receivers read them. Candidate c
     garbles one comparator from ``seeds[c]`` for all its voters, if it
-    computed an off-diagonal entry; a candidate that computed none gets
-    no circuit and no vote. A voter compares each user pair once and
-    reuses the verdict on the mirror slot (:func:`~pous.bts.cast_votes`).
-    The OT defaults to the trusted dealer. Returns the records the tally
-    read, the tally, and the bytes moved by kind: ``matrix`` (each to
-    every other miner), ``circuit`` (each to every voter), ``labels``
-    (the generator's active labels, per comparison), ``ot`` (the
-    transcripts, one batch per comparison) and ``votes`` (a blob per
-    voter on each candidate that got a circuit)."""
+    computed a pair; a candidate that computed none gets no circuit and
+    no vote. A voter compares each user pair once, and both slots of the
+    pair carry its verdict (:func:`~pous.bts.cast_votes`). Fewer than
+    two miners are refused before anything is garbled. The OT defaults
+    to the trusted dealer. Returns the records the tally read, the
+    tally, and the bytes moved by kind: ``matrix`` (each to every other
+    miner, 8 B plus 16 B per pair), ``circuit`` (each to every voter),
+    ``labels`` (the generator's active labels, per comparison), ``ot``
+    (the transcripts, one batch per comparison) and ``votes`` (a blob
+    per voter on each candidate that got a circuit, 16 B plus two bits
+    per pair of the candidate, each bitmap rounded up to whole bytes)."""
+    _refuse_fewer_than_two(matrices)
     sent = dict.fromkeys(("matrix", "circuit", "labels", "ot", "votes"), 0)
     received = {}
     for owner, matrix in matrices.items():
@@ -43,7 +51,7 @@ def vote(matrices: Mapping[int, SimilarityMatrix], theta: float, seeds: Mapping[
         received[owner] = SimilarityMatrix.from_crs_bytes(raw)
     width = garbled.DEFAULT_BITWIDTH
     templates = {c: garbled.garble_comparator(width, theta, seeds[c])
-                 for c in matrices if _voted_entries(received[c])}
+                 for c in matrices if received[c].off_diagonal_pair_count()}
     # serialized once per candidate; each voter reads its own copy back off the bytes
     shipped = {c: template.circuit.serialize() for c, template in templates.items()}
     records = []
@@ -89,7 +97,9 @@ def run_round(views: Mapping[int, DataView], n_users: int, budgets: Mapping[int,
     committee agrees on the tally, which every member computed alike;
     the leader clusters its mempool and packs a block; a member other
     than the leader checks it against the priorities of its own view,
-    so a transaction that member never saw fails the check."""
+    so a transaction that member never saw fails the check. Fewer than
+    two miners are refused before any of them mines."""
+    _refuse_fewer_than_two(views)
     vectors = {m: build_user_vectors(view, n_users) for m, view in views.items()}
     matrices = {m: compute_usm(vectors[m], budget=budgets[m], owner=m) for m in views}
     records, result, sent = vote(matrices, theta, seeds, ot)

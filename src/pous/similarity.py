@@ -10,9 +10,11 @@ reached stay null; a partially filled matrix is still a valid mining
 product and is exactly what gets voted on later.
 
 Similarity between two users is ``1 / (1 + euclidean_distance)``, which
-maps identical vectors to 1 and decays smoothly toward 0. The matrix is
-stored flat: the pair (k, l) of an n-user system lives at 1-based slot
-``(k - 1) * n + l``.
+maps identical vectors to 1 and decays smoothly toward 0. Entries are
+addressed flat: the pair (k, l) of an n-user system lives at 1-based
+slot ``(k - 1) * n + l``. A matrix holds each computed pair once, under
+its k < l slot, and reads it from either slot; no user is paired with
+itself, so the diagonal stays null.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -136,6 +139,15 @@ def unflatten_index(j: int, n: int) -> tuple[int, int]:
     return (j - 1) // n + 1, (j - 1) % n + 1
 
 
+def mirror_slot(j: int, n: int) -> int:
+    """Flat slot of (l, k) for the slot j of (k, l); a diagonal slot is
+    its own mirror."""
+    if not 1 <= j <= n * n:
+        raise RejectedInputError(f"flat index {j} outside 1..{n * n}")
+    k, l = divmod(j - 1, n)
+    return l * n + k + 1
+
+
 def pair_sequence(n: int) -> Iterator[tuple[int, int]]:
     """Unordered pairs in row-major order: (1,2), (1,3), ... (2,3), ..."""
     for k in range(1, n + 1):
@@ -145,58 +157,59 @@ def pair_sequence(n: int) -> Iterator[tuple[int, int]]:
 
 @dataclass
 class SimilarityMatrix:
-    """Flat n*n similarity table with null (never-computed) entries.
+    """n*n similarity table with null (never-computed) entries.
 
     Conceptually a flat array of length ``n_users ** 2`` where slot j
-    holds either a similarity in [0, 1] or null; storage is sparse so
-    heavily budget-limited matrices stay small.
+    holds either a similarity in [0, 1] or null. Storage keeps one value
+    per computed pair, under its k < l slot, so (k, l) and (l, k) read
+    the same value and heavily budget-limited matrices stay small.
     """
 
     owner: int  # 1-based miner index
     n_users: int
-    _cells: dict[int, float] = field(default_factory=dict)
+    _pairs: dict[int, float] = field(default_factory=dict)
 
     def get(self, j: int) -> Optional[float]:
-        if not 1 <= j <= self.n_users * self.n_users:
-            raise RejectedInputError(f"flat index {j} outside matrix")
-        return self._cells.get(j)
+        return self._pairs.get(min(j, mirror_slot(j, self.n_users)))
 
     def set_entry(self, j: int, value: float) -> None:
+        """Set the pair that slot j holds, for both of its slots."""
         if not 0.0 <= value <= 1.0:
             raise RejectedInputError(f"similarity {value} outside [0, 1]")
-        if not 1 <= j <= self.n_users * self.n_users:
-            raise RejectedInputError(f"flat index {j} outside matrix")
-        self._cells[j] = value
+        mirror = mirror_slot(j, self.n_users)
+        if mirror == j:
+            raise RejectedInputError(f"slot {j} is on the diagonal: no user is paired with itself")
+        self._pairs[min(j, mirror)] = value
+
+    @property
+    def pair_slots(self) -> list[int]:
+        """Sorted k < l slots of the computed pairs, one per pair."""
+        return sorted(self._pairs)
 
     @property
     def computed_indices(self) -> list[int]:
-        """Sorted 1-based flat indices of non-null entries."""
-        return sorted(self._cells)
+        """Sorted 1-based flat indices of non-null entries: both slots of
+        each computed pair."""
+        return sorted([*self._pairs, *(mirror_slot(j, self.n_users) for j in self._pairs)])
 
     def off_diagonal_pair_count(self) -> int:
-        n = self.n_users
-        cnt = 0
-        for j in self._cells:
-            k, l = unflatten_index(j, n)
-            if k < l:
-                cnt += 1
-        return cnt
+        return len(self._pairs)
 
     def crs_bytes(self) -> bytes:
         """Compressed-row serialization: u32 row, u32 col, f64 value, one
-        triple per non-null entry in row-major order."""
+        triple per computed pair, row < col, in row-major order."""
         n = self.n_users
         parts = [struct.pack("<II", self.owner, n)]
-        for j in sorted(self._cells):
-            parts.append(struct.pack("<IId", *unflatten_index(j, n), self._cells[j]))
+        for j in self.pair_slots:
+            parts.append(struct.pack("<IId", *unflatten_index(j, n), self._pairs[j]))
         return b"".join(parts)
 
     @classmethod
     def from_crs_bytes(cls, raw: bytes) -> "SimilarityMatrix":
         """Inverse of :meth:`crs_bytes`. Refuses what it never writes: an
-        owner of 0, zero users, a row or column outside 1..n, a value
-        outside [0, 1], and entries that repeat or are out of row-major
-        order."""
+        owner of 0, zero users, a row or column outside 1..n, a row not
+        below its column, a value outside [0, 1], and entries that
+        repeat or are out of row-major order."""
         if len(raw) < 8 or (len(raw) - 8) % 16:
             raise RejectedInputError("truncated compressed-row payload")
         owner, n = struct.unpack_from("<II", raw, 0)
@@ -209,6 +222,9 @@ class SimilarityMatrix:
             if (row, col) <= prev:
                 raise RejectedInputError(f"entry ({row}, {col}) does not come after {prev}: "
                                          "each entry is written once, in row-major order")
+            if row >= col:
+                raise RejectedInputError(f"entry ({row}, {col}) has row >= col: "
+                                         "each pair is written once, as row < col")
             m.set_entry(flat_index(row, col, n), val)
             prev = (row, col)
         return m
@@ -223,28 +239,15 @@ def compute_usm(
 
     ``vectors`` is a count matrix as :func:`build_user_vectors` returns
     it; :func:`refuse_bad_counts` refuses anything else.
-    Pairs are visited in row-major unordered order; each computed pair
-    fills both (k, l) and (l, k) slots, and every user visited by at
-    least one computed pair gets its diagonal slot set to 1. A budget of
-    0 yields an all-null matrix; a budget of None (or any budget at
-    least the pair count) fills the matrix completely.
+    Pairs are visited in row-major unordered order, each computed once.
+    A budget of 0 yields an all-null matrix; a budget of None (or any
+    budget at least the pair count) fills every pair.
     """
     vectors = refuse_bad_counts(vectors)
     if budget is not None and budget < 0:
         raise RejectedInputError(f"negative budget {budget}")
     n = len(vectors)
     m = SimilarityMatrix(owner=owner, n_users=n)
-    visited: set[int] = set()
-    remaining = math.inf if budget is None else budget
-    for k, l in pair_sequence(n):
-        if remaining <= 0:
-            break
-        s = similarity(vectors[k - 1], vectors[l - 1])
-        m.set_entry(flat_index(k, l, n), s)
-        m.set_entry(flat_index(l, k, n), s)
-        visited.add(k)
-        visited.add(l)
-        remaining -= 1
-    for u in visited:
-        m.set_entry(flat_index(u, u, n), 1.0)
+    for k, l in islice(pair_sequence(n), budget):
+        m.set_entry(flat_index(k, l, n), similarity(vectors[k - 1], vectors[l - 1]))
     return m

@@ -316,13 +316,21 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
     a pous run's ``Metrics.crypto``, which ``crypto.csv`` writes.
 
     Every ordered (voter, candidate) pair compares the common prefix of
-    their budgeted pair sequences, one comparison per user pair: the
-    mirror slot reuses the verdict (``bts.cast_votes``). Evaluation time
-    is gates times the cost of one row pad, opened per gate; bytes
+    their budgeted pair sequences, one comparison per user pair, whose
+    verdict both slots of the pair carry (``bts.cast_votes``). Evaluation
+    time is gates times the cost of one row pad, opened per gate; bytes
     cover generator labels, one transfer batch per comparison (a transfer
     per two evaluator bits), and the per-epoch circuit shipment, one per voter
     of each candidate with a nonzero budget, amortized over the rotation
     period.
+
+    The matrices and vote blobs a round also moves (``round.vote``'s
+    ``matrix`` and ``votes``: 8 + 16 B per matrix and pair to each other
+    miner, 16 + 2 * ceil(b / 8) B per blob on a candidate of budget b)
+    are left out, and should stay out until the matrix's wire form
+    settles: on each fig7 preset's base they come to 5.3 MB, 0.38 GB
+    and 10 GB per round at n = 30, 200 and 1000, 0.9% to 1.1% of the
+    0.61 GB, 34 GB and 0.90 TB charged here.
     """
     max_b = int(budgets.max()) if len(budgets) else 0
     if max_b == 0:

@@ -959,8 +959,8 @@ def test_generator_forging_the_output_gate_approves_every_pair():
 
 def test_forged_output_gates_lead_the_tally(monkeypatch):
     """A 5-miner, 8-user round with dealer OT: miners 1-4 mine honestly on
-    budgets of 28, 20, 15 and 10 of the 28 pairs; miner 5 fills all 56
-    entries with random values. When miner 5 forges its output gate it
+    budgets of 28, 20, 15 and 10 of the 28 pairs; miner 5 fills all 28
+    pairs with random values. When miner 5 forges its output gate it
     leads the tally and its values become the round's best matrix; with
     honest circuits miner 1 leads."""
     import numpy as np

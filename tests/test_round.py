@@ -22,8 +22,8 @@ def test_vote_bytes_rebuild_the_in_process_round():
     """Five miners on budgets 3, 15, 8, 1 and 10 of six users' 15 pairs:
     the records the tally reads back from the vote blobs, the tally and
     every voter's score sheet equal those of the round run in process.
-    The blobs store valid votes only, so the reader must rebuild every
-    abstention for the scores to match."""
+    The blobs hold two bits per pair, so the reader must rebuild both
+    slots of every pair, abstentions included, for the scores to match."""
     rng = np.random.default_rng(4)
     n, theta = 6, 0.01
     vecs = rng.integers(0, 8, size=(n, 6))
@@ -41,9 +41,11 @@ def test_vote_bytes_rebuild_the_in_process_round():
     assert result.digest() == tally(local, len(mats), n, mats).digest()
     for voter in mats:
         assert score_sheet(voter, records, len(mats), n) == score_sheet(voter, local, len(mats), n)
-    # each matrix to four receivers; a vote blob per (voter, candidate) pair
-    assert sent["matrix"] == 4 * sum(8 + 16 * len(m.computed_indices) for m in mats.values())
-    assert sent["votes"] == 20 * 16 + 9 * sum(r.valid for r in records)
+    # each matrix to four receivers, 16 B per pair; a vote blob per
+    # (voter, candidate) pair, two bitmaps of a bit per candidate pair
+    budgets = (3, 15, 8, 1, 10)
+    assert sent["matrix"] == 4 * sum(8 + 16 * b for b in budgets) == 4 * 16 * 37 + 4 * 40
+    assert sent["votes"] == 4 * sum(16 + 2 * -(-b // 8) for b in budgets) == 4 * 94
     assert sent["circuit"] == 20 * comparator_size(16)[1]
 
 
@@ -70,10 +72,10 @@ def test_round_bytes_match_the_cost_model():
     model_bytes = _crypto_round_costs(np.array(list(budgets.values())), config)[2]
     sent = out.sent
     assert sent["circuit"] + sent["labels"] + sent["ot"] == model_bytes
-    # a matrix holds one pair both ways and two diagonal slots: 8 + 16 per
-    # entry, to each of three receivers; a vote blob is 16 + 9 per valid vote
-    assert sent["matrix"] == 4 * 3 * (8 + 16 * 4)
-    assert sent["votes"] == 12 * 16 + 9 * 24
+    # a matrix holds its one pair once: 8 + 16 B, to each of three
+    # receivers; a vote blob is 16 B and two one-byte bitmaps
+    assert sent["matrix"] == 4 * 3 * (8 + 16) == 288
+    assert sent["votes"] == 12 * (16 + 2) == 216
     assert out.decision is not None and out.block.header.producer == out.tally.leader
     assert out.verdict == (True, "")
 
@@ -92,6 +94,24 @@ def test_vote_bytes_match_the_cost_model_with_an_idle_miner():
     assert sent["circuit"] == 9 * comparator_size(16)[1]
     model_bytes = _crypto_round_costs(np.array(budgets), SimConfig(n_nodes=4, rotation_period=1))[2]
     assert sent["circuit"] + sent["labels"] + sent["ot"] == model_bytes
+
+
+@pytest.mark.parametrize("miners", [(), (1,)], ids=["none", "one"])
+def test_a_round_of_fewer_than_two_miners_is_refused(monkeypatch, miners):
+    """With fewer than two miners nobody votes: the vote and the round
+    refuse them by name before any miner mines or garbles."""
+    mined = []
+    monkeypatch.setattr(garbled, "garble_comparator", lambda *args: pytest.fail("garbled"))
+    monkeypatch.setattr("pous.round.compute_usm", lambda *args, **kw: mined.append(1))
+    view = DataView((), (Transaction(id=1, source_user=1, tx_class="A", fee=0.0),))
+    mats = {m: compute_usm(np.ones((3, 6), dtype=np.int64), owner=m) for m in miners}
+    with pytest.raises(RejectedInputError, match=f"at least two miners, got {len(miners)}"):
+        vote(mats, 0.05, seeds=dict.fromkeys(miners, 1))
+    with pytest.raises(RejectedInputError, match=f"at least two miners, got {len(miners)}"):
+        run_round(dict.fromkeys(miners, view), 3, dict.fromkeys(miners, 1),
+                  seeds=dict.fromkeys(miners, 1), theta=0.05,
+                  committee=CommitteeConfig(size=4, selection_seed=3), capacity=1, now=1.0)
+    assert mined == []
 
 
 def test_a_member_that_never_saw_a_packed_transaction_rejects_the_block():

@@ -20,6 +20,7 @@ from pous.similarity import (
     build_user_vectors,
     compute_usm,
     flat_index,
+    mirror_slot,
     pair_sequence,
     similarity,
     unflatten_index,
@@ -183,21 +184,25 @@ def demo_vectors(n, seed=3):
 
 
 def test_full_budget_n3_nine_entries():
+    # of the nine slots, the six off the diagonal read their pair's one
+    # value, and the three on it stay null
     m = compute_usm(demo_vectors(3), budget=None)
-    assert len(m.computed_indices) == 9
+    assert m.off_diagonal_pair_count() == 3
+    assert m.computed_indices == [2, 3, 4, 6, 7, 8]
     for k in range(1, 4):
-        assert m.get(flat_index(k, k, 3)) == 1.0
+        assert m.get(flat_index(k, k, 3)) is None
         for l in range(1, 4):
             assert m.get(flat_index(k, l, 3)) == m.get(flat_index(l, k, 3))
-            assert m.get(flat_index(k, l, 3)) is not None
+            assert (m.get(flat_index(k, l, 3)) is None) == (k == l)
 
 
 def test_budget_two_of_n4_fills_two_pairs():
     m = compute_usm(demo_vectors(4), budget=2)
     assert m.off_diagonal_pair_count() == 2
-    # pairs (1,2) and (1,3), their mirrors, and diagonals of users 1..3
-    assert m.computed_indices == [1, 2, 3, 5, 6, 9, 11]
-    assert m.get(flat_index(4, 4, 4)) is None
+    # pairs (1,2) and (1,3), held once each, read from both slots
+    assert m.pair_slots == [2, 3]
+    assert m.computed_indices == [2, 3, 5, 9]
+    assert all(m.get(flat_index(u, u, 4)) is None for u in range(1, 5))
 
 
 def test_budget_zero_all_null():
@@ -220,7 +225,7 @@ def test_full_budget_matches_all_pairs_oracle():
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             if k == l:
-                want = 1.0
+                want = None
             else:
                 d = math.sqrt(
                     sum(int(a - b) ** 2
@@ -259,6 +264,23 @@ def test_matrix_entry_validation():
         m.set_entry(10, 0.5)
     with pytest.raises(RejectedInputError):
         m.get(0)
+    with pytest.raises(RejectedInputError, match="slot 5 is on the diagonal"):
+        m.set_entry(5, 1.0)
+    # either slot sets the pair, for both
+    m.set_entry(8, 0.25)
+    m.set_entry(3, 0.5)
+    assert (m.get(6), m.get(8), m.get(3), m.get(7)) == (0.25, 0.25, 0.5, 0.5)
+    assert m.pair_slots == [3, 6] and m.off_diagonal_pair_count() == 2
+
+
+def test_mirror_slot_is_an_involution_fixing_the_diagonal():
+    n = 7
+    for j in range(1, n * n + 1):
+        k, l = unflatten_index(j, n)
+        assert mirror_slot(j, n) == flat_index(l, k, n)
+        assert mirror_slot(mirror_slot(j, n), n) == j
+    with pytest.raises(RejectedInputError):
+        mirror_slot(n * n + 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +290,7 @@ def test_matrix_entry_validation():
 def test_crs_roundtrip_partial_matrix():
     m = compute_usm(demo_vectors(5, seed=7), budget=4, owner=3)
     raw = m.crs_bytes()
-    assert len(raw) == 8 + 16 * len(m.computed_indices)
+    assert len(raw) == 8 + 16 * 4  # one triple per pair
     back = SimilarityMatrix.from_crs_bytes(raw)
     assert back.owner == 3
     assert back.n_users == 5
@@ -280,10 +302,12 @@ def test_crs_roundtrip_partial_matrix():
 def test_crs_triples_row_major_order():
     m = compute_usm(demo_vectors(4), budget=2)
     raw = m.crs_bytes()
-    flats = [flat_index(r, c, 4) for r, c, _v in struct.iter_unpack("<IId", raw[8:])]
-    assert flats == m.computed_indices  # sorted, one triple per entry
+    triples = list(struct.iter_unpack("<IId", raw[8:]))
+    assert [(r, c) for r, c, _v in triples] == [(1, 2), (1, 3)]  # one per pair, row < col
+    flats = [flat_index(r, c, 4) for r, c, _v in triples]
+    assert flats == m.pair_slots
     # the reader refuses entries out of row-major order
-    assert SimilarityMatrix.from_crs_bytes(raw).computed_indices == flats
+    assert SimilarityMatrix.from_crs_bytes(raw).computed_indices == m.computed_indices
 
 
 def test_crs_rejects_truncated_payload():
@@ -304,22 +328,25 @@ def crs_matrix_blob(triples, owner=1, n=3):
     (crs_matrix_blob([(1, 2, 0.5)], owner=0), "owner 0 over 3 users"),
     (crs_matrix_blob([], n=0), "owner 1 over 0 users"),
     (crs_matrix_blob([(1, 2, 0.5), (1, 2, 0.7)]), r"entry \(1, 2\) does not come after \(1, 2\)"),
-    (crs_matrix_blob([(2, 1, 0.5), (1, 2, 0.5)]), r"entry \(1, 2\) does not come after \(2, 1\)"),
+    (crs_matrix_blob([(2, 3, 0.5), (1, 2, 0.5)]), r"entry \(1, 2\) does not come after \(2, 3\)"),
     (crs_matrix_blob([(1, 3, 0.5), (1, 2, 0.5)]), r"entry \(1, 2\) does not come after \(1, 3\)"),
     (crs_matrix_blob([(0, 2, 0.5)]), r"pair \(0, 2\) outside 1..3"),
     (crs_matrix_blob([(1, 4, 0.5)]), r"pair \(1, 4\) outside 1..3"),
     (crs_matrix_blob([(1, 2, 1.5)]), "similarity 1.5 outside"),
+    (crs_matrix_blob([(2, 2, 1.0)]), r"entry \(2, 2\) has row >= col"),
+    (crs_matrix_blob([(2, 1, 0.5)]), r"entry \(2, 1\) has row >= col"),
+    (crs_matrix_blob([(1, 3, 0.5), (3, 1, 0.5)]), r"entry \(3, 1\) has row >= col"),
 ], ids=["owner-0", "no-users", "repeated-entry", "out-of-order", "out-of-order-in-row",
-        "row-0", "col-past-n", "value-past-1"])
+        "row-0", "col-past-n", "value-past-1", "diagonal", "below-diagonal", "mirror-of-a-pair"])
 def test_crs_matrix_rejects_what_the_writer_never_writes(blob, reason):
     with pytest.raises(RejectedInputError, match=reason):
         SimilarityMatrix.from_crs_bytes(blob)
 
 
-def test_crs_matrix_accepts_the_diagonal_and_an_empty_matrix():
-    back = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([(1, 1, 1.0), (3, 3, 0.0)]))
-    assert back.computed_indices == [1, 9]
-    assert (back.get(1), back.get(9)) == (1.0, 0.0)
+def test_crs_matrix_accepts_pairs_at_the_edges_and_an_empty_matrix():
+    back = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([(1, 3, 1.0), (2, 3, 0.0)]))
+    assert back.computed_indices == [3, 6, 7, 8]
+    assert (back.get(3), back.get(7), back.get(6), back.get(8)) == (1.0, 1.0, 0.0, 0.0)
     empty = SimilarityMatrix.from_crs_bytes(crs_matrix_blob([], owner=2, n=4))
     assert (empty.owner, empty.n_users, empty.computed_indices) == (2, 4, [])
 
