@@ -159,7 +159,10 @@ def tally(
     entry-wise best matrix.
 
     The denominator of every mean is m - 1: abstainers are voters too.
-    Duplicate (voter, candidate, entry) triples are rejected. Every miner
+    Duplicate (voter, candidate, entry) triples are rejected, and so is an
+    approval of an entry its candidate's matrix lacks, a copy the
+    candidate does not hold; a record that approves nothing counts
+    nothing, wherever it lies. Every miner
     of ``matrices`` has a total, 0.0 when it has no record (a matrix with
     no pair gets no vote), so it can still lead a round nobody else
     scores in. An entry's best copy is chosen among the ``matrices``
@@ -177,6 +180,10 @@ def tally(
         k, l = unflatten_index(r.entry, n)
         if k == l:
             raise RejectedInputError("diagonal entries are not voted on")
+        held = matrices.get(r.candidate)
+        if r.x and (held is None or held.get(r.entry) is None):
+            raise RejectedInputError(
+                f"approval of entry {r.entry} of miner {r.candidate}, whose matrix lacks it")
         key = (r.voter, r.candidate, r.entry)
         if key in seen:
             raise RejectedInputError(f"duplicate vote {key}")

@@ -9,11 +9,15 @@ Verbs:
 * ``pous replay <trace>`` re-executes a trace file and verifies every
   line.
 
-Scenario cells (protocol, sweep point, replicate) get seeds derived by
-hashing the master seed with the sweep value and replicate index, so
-any cell can be reproduced in isolation; the two protocols share each
-cell's workload stream, which makes the improvement percentages paired
-rather than noise-on-noise.
+Scenario cells (protocol, sweep point, replicate) get two seeds derived
+from the master seed, so any cell can be reproduced in isolation. The
+cell's ``seed``, a hash of the master seed, sweep value and replicate
+index, drives the protocol streams (powers, rounds, faults). Its
+``workload_seed``, a hash of the master seed and replicate index alone,
+drives the traffic: the two protocols of a cell, and every sweep point
+of a replicate whose swept field the traffic does not read, consume one
+transaction stream (common random numbers), which makes the improvement
+percentages and a sweep's trend paired rather than noise-on-noise.
 """
 from __future__ import annotations
 
@@ -68,9 +72,12 @@ class Scenario:
                 f"protocols must be distinct names from {list(_RUNNERS)}, got {self.protocols}")
         if self.sweep_param not in {f.name for f in dataclasses.fields(SimConfig)}:
             raise ConfigurationError(f"unknown sweep parameter {self.sweep_param!r}")
-        if self.sweep_param == "seed":
-            raise ConfigurationError(
-                "seed cannot be swept: each cell's seed derives from the master seed")
+        if self.sweep_param in ("seed", "workload_seed"):
+            raise ConfigurationError(f"{self.sweep_param} cannot be swept: each cell's "
+                                     "seeds derive from the master seed")
+        if self.base.workload_seed is not None:
+            raise ConfigurationError("workload_seed cannot be set in a scenario: each "
+                                     "replicate's derives from the master seed")
         # each point as its cells run it, so SimConfig checks it
         for value in self.sweep_values:
             self.cell(value, 0)
@@ -85,9 +92,14 @@ class Scenario:
 
     def cell(self, value, replicate: int) -> SimConfig:
         """The config of cell (sweep point ``value``, ``replicate``): the
-        base with the swept field set and the cell's derived seed."""
-        seed = cell_seed(self.base.seed, self.sweep_param, value, replicate)
-        return dataclasses.replace(self.base, **{self.sweep_param: value, "seed": seed})
+        base with the swept field set, the cell's own seed, and the
+        replicate's workload seed, which every sweep point shares."""
+        master = self.base.seed
+        return dataclasses.replace(self.base, **{
+            self.sweep_param: value,
+            "seed": cell_seed(master, self.sweep_param, value, replicate),
+            "workload_seed": replicate_seed(master, replicate),
+        })
 
 
 @dataclass
@@ -320,10 +332,19 @@ def load_config(path: str, overrides: Optional[dict] = None) -> Scenario:
 # scenario execution
 
 
-def cell_seed(master: int, param: str, value, replicate: int) -> int:
-    """Stable per-cell seed; both protocols share it so workloads pair."""
-    material = f"{master}|{param}={value!r}|rep{replicate}"
+def _hash_seed(material: str) -> int:
     return int.from_bytes(sha256(material.encode()).digest()[:8], "big")
+
+
+def cell_seed(master: int, param: str, value, replicate: int) -> int:
+    """Stable per-cell seed of the protocol streams; both protocols of
+    the cell share it, each drawing its own streams from it."""
+    return _hash_seed(f"{master}|{param}={value!r}|rep{replicate}")
+
+
+def replicate_seed(master: int, replicate: int) -> int:
+    """Stable workload seed of a replicate, shared by its sweep points."""
+    return _hash_seed(f"{master}|rep{replicate}")
 
 
 def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
@@ -331,7 +352,11 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
 
     Failures abort with the cell named. Improvement rows are paired
     per replicate because both protocols consume the same workload for
-    a given cell seed. Each pous cell adds a ``crypto.csv`` row.
+    a given cell. Cells run replicate by replicate, so a replicate's
+    sweep points reuse its held workload unless the swept field is one
+    the traffic reads; ``cells.csv`` and ``crypto.csv`` rows still come
+    in (sweep point, replicate, protocol) order. Each pous cell adds a
+    ``crypto.csv`` row.
     """
     report = RunReport(scenario=scenario.name, master_seed=scenario.base.seed)
     if scenario.kind == "cost":
@@ -342,8 +367,8 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
     # per sweep point, the rows of its cells: a cell's latency array and
     # round log are dropped once its row and trace are written
     by_point: dict[tuple[str, object], list[dict]] = {}
-    for value in scenario.sweep_values:
-        for replicate in range(scenario.replicates):
+    for replicate in range(scenario.replicates):
+        for value in scenario.sweep_values:
             config = scenario.cell(value, replicate)
             for protocol in scenario.protocols:
                 try:
@@ -368,6 +393,9 @@ def run_scenario(scenario: Scenario, keep_traces: bool = False) -> RunReport:
                     report.traces[(protocol, value, replicate)] = list(
                         trace_lines(config, protocol, metrics)
                     )
+    position = {value: i for i, value in enumerate(scenario.sweep_values)}
+    for rows in (report.cells, report.crypto):
+        rows.sort(key=lambda row: (position[row["value"]], row["replicate"]))
 
     for (protocol, value), runs in sorted(
         by_point.items(), key=lambda kv: (kv[0][0], float(kv[0][1]))
@@ -582,7 +610,7 @@ def render_summary(report: RunReport) -> str:
         for r in report.cost_series:
             if r["series"] == "vote-crs":
                 lines.append(
-                    f"vote matrix bytes at {r['users']} users: {r['data_bytes']}"
+                    f"vote blob bytes at {r['users']} users: {r['data_bytes']}"
                 )
     if report.pca_scatter:
         sel = sum(r["selected"] for r in report.pca_scatter)

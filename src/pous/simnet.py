@@ -4,9 +4,15 @@ proof-of-work baseline.
 The similarity protocol runs as a plain loop over fixed-length rounds
 (mining, voting, result waiting), each decided at its count deadline;
 the baseline walks exponential block gaps. A cell's two runs read one
-read-only workload, generated once per config and held until the next
-config asks for its own (:func:`_workload`), so throughput comparisons
-pair replicate by replicate. Both admit, commit and log transactions
+read-only workload, generated once per workload key (the fields
+:func:`gen_workload` reads and the workload seed, :func:`workload_key`)
+and held until a config with another key asks for its own
+(:func:`_workload`), so throughput comparisons pair replicate by
+replicate. The traffic has its own seed, ``workload_seed``, which
+defaults to ``seed``; the protocol streams (powers, rounds, faults)
+always draw from ``seed``, so configs that differ only in fields the
+traffic does not read, or only in ``seed`` under one ``workload_seed``,
+share one workload. Both admit, commit and log transactions
 through one ledger (:class:`_Chain`), so the two differ only in how a
 round picks its leader and orders its pool; each round's leader is
 read from the round log. ``RUNNERS`` names the two protocols and maps
@@ -43,7 +49,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from hashlib import sha256
-from typing import Iterator, Mapping, Optional, get_type_hints
+from typing import Iterator, Mapping, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -102,15 +108,17 @@ class SimConfig:
     bitwidth: int = garbled.DEFAULT_BITWIDTH
     tx_epoch: Optional[float] = None
     seed: int = 0
+    workload_seed: Optional[int] = None  # the traffic's seed; None reads seed
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not (value is None and kind == Optional[float]):
+            if not (value is None and type(None) in get_args(kind)):
+                integral = int in (kind, *get_args(kind))
                 if isinstance(value, bool) or not isinstance(
-                    value, int if kind is int else (int, float)
+                    value, int if integral else (int, float)
                 ):
-                    expected = "an integer" if kind is int else "a number"
+                    expected = "an integer" if integral else "a number"
                     raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
                 if not math.isfinite(value):
                     raise ConfigurationError(f"{name} must be finite, got {value!r}")
@@ -144,8 +152,10 @@ class SimConfig:
             raise ConfigurationError("bitwidth outside 4..32, the comparator's range")
         if self.tx_epoch is not None and self.tx_epoch <= 0:
             raise ConfigurationError("tx_epoch must be positive when set")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("seed", "workload_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigurationError(f"{name} must be nonnegative, got {value}")
         if self.capacity() < 1:
             raise ConfigurationError(f"block_size_mb must be at least one tx_size "
                                      f"({self.tx_size} bytes), got {self.block_size_mb}")
@@ -215,6 +225,22 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     return order
 
 
+# the SimConfig fields gen_workload reads: a field it starts to read goes here
+WORKLOAD_FIELDS = ("n_nodes", "sim_time", "tx_epoch", "tx_count_mean", "sigma",
+                   "fee_mean", "tx_delay_mean")
+
+
+def _workload_seed(config: SimConfig) -> int:
+    """The seed the traffic is drawn from: ``workload_seed``, else ``seed``."""
+    return config.seed if config.workload_seed is None else config.workload_seed
+
+
+def workload_key(config: SimConfig) -> tuple:
+    """What fixes ``config``'s transaction stream: the fields
+    :func:`gen_workload` reads and the workload seed."""
+    return (*(getattr(config, name) for name in WORKLOAD_FIELDS), _workload_seed(config))
+
+
 def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     """Sample the transaction stream.
 
@@ -254,23 +280,25 @@ def gen_workload(config: SimConfig, rng: np.random.Generator) -> Workload:
     )
 
 
-# the workload of the last config asked for; see _workload
-_held: Optional[tuple[SimConfig, Workload]] = None
+# the workload of the last key asked for, with that key; see _workload
+_held: Optional[tuple[tuple, Workload]] = None
 
 
 def _workload(config: SimConfig) -> Workload:
-    """The transaction stream of ``config``, generated once per cell.
+    """The transaction stream of ``config``, generated once per workload key.
 
     Both runners and :func:`pca_scatter_rows` read their workload here, so a
-    cell's pous and pow runs share one. At most one workload is held:
-    the old one is dropped before a new one is generated, so two never
-    live at once.
+    cell's pous and pow runs share one, and so do the cells of a sweep
+    whose swept field the traffic does not read, when they share a
+    workload seed. At most one workload is held: the old one is dropped
+    before a new one is generated, so two never live at once.
     """
     global _held
-    if _held is None or _held[0] != config:
+    key = workload_key(config)
+    if _held is None or _held[0] != key:
         _held = None
         # the workload stream is the same for every protocol
-        _held = (config, gen_workload(config, _rng_streams(config, "pous")["workload"]))
+        _held = (key, gen_workload(config, _rng_streams(config, "pous")["workload"]))
     return _held[1]
 
 
@@ -356,12 +384,16 @@ def _crypto_round_costs(budgets: np.ndarray, config: SimConfig) -> tuple[int, fl
 def _rng_streams(config: SimConfig, protocol: str) -> dict[str, np.random.Generator]:
     """Independent generators per purpose.
 
-    The workload stream depends only on the seed, never the protocol,
-    so both protocols consume the identical transaction stream and
-    replicate-level comparisons are paired.
+    The workload stream depends only on the workload seed, never the
+    protocol, so both protocols consume the identical transaction stream
+    and replicate-level comparisons are paired. It is the first child of
+    the workload seed's sequence and the protocol streams descend from
+    the second child of ``seed``'s, so with no ``workload_seed`` both
+    come from one sequence, and a ``workload_seed`` moves no protocol
+    stream.
     """
-    root = np.random.SeedSequence(config.seed)
-    wl_seq, proto_seq = root.spawn(2)
+    wl_seq = np.random.SeedSequence(_workload_seed(config)).spawn(2)[0]
+    proto_seq = np.random.SeedSequence(config.seed).spawn(2)[1]
     streams = {"workload": np.random.default_rng(wl_seq)}
     material = sha256(f"{protocol}".encode()).digest()
     proto_root = np.random.SeedSequence(

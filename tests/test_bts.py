@@ -298,6 +298,18 @@ def test_a_miner_without_entries_still_counts():
     assert res.leader == 1
 
 
+def test_a_vote_on_an_entry_the_candidate_lacks_is_refused():
+    # miner 1 computed nothing: two approvals on its entry 2 would make it lead
+    mats = matrices_for(3, 2, budgets=[0, 1, 1])
+    with pytest.raises(RejectedInputError, match="entry 2 of miner 1, whose matrix lacks it"):
+        tally([rec(2, 1, 2, 1), rec(3, 1, 2, 1)], m=3, n=2, matrices=mats)
+    # a rejection there counts nothing, so it stands
+    assert tally([rec(2, 1, 2, 0), rec(3, 2, 2, 1)], m=3, n=2, matrices=mats).leader == 2
+    # a candidate with no matrix at all lacks every entry
+    with pytest.raises(RejectedInputError, match="entry 2 of miner 3, whose matrix lacks it"):
+        tally([rec(1, 3, 2, 1)], m=3, n=2, matrices={1: mats[1], 2: mats[2]})
+
+
 def test_leader_tie_goes_to_lowest_index():
     recs = [rec(3, 1, 2, 1), rec(3, 2, 2, 1)]
     assert tally(recs, m=3, n=2, matrices=matrices_for(3, 2)).leader == 1

@@ -23,6 +23,7 @@ from pous.cli import (
     main,
     parse_overrides,
     render_summary,
+    replicate_seed,
     run_cost_benchmark,
     run_scenario,
     scenario_from_preset,
@@ -321,10 +322,23 @@ def test_cell_seed_matches_hash_oracle():
 
 
 def test_cell_sets_the_swept_field_and_the_cells_seed():
+    """``seed`` is the cell's own; ``workload_seed`` is the replicate's,
+    shared by every sweep point and distinct across replicates and
+    master seeds."""
     sc = tiny_scenario()
     config = sc.cell(1.0, 3)
     assert config == dataclasses.replace(
-        sc.base, block_size_mb=1.0, seed=cell_seed(7, "block_size_mb", 1.0, 3))
+        sc.base, block_size_mb=1.0, seed=cell_seed(7, "block_size_mb", 1.0, 3),
+        workload_seed=replicate_seed(7, 3))
+    assert replicate_seed(7, 3) == int.from_bytes(sha256(b"7|rep3").digest()[:8], "big")
+    cells = {(m, v, r): tiny_scenario(seed=m).cell(v, r)
+             for m in (7, 8) for v in (0.5, 1.0) for r in range(3)}
+    assert len({c.seed for c in cells.values()}) == len(cells)
+    by_replicate = {}
+    for (m, _v, r), c in cells.items():
+        by_replicate.setdefault((m, r), set()).add(c.workload_seed)
+    assert all(len(seeds) == 1 for seeds in by_replicate.values())
+    assert len(set.union(*by_replicate.values())) == len(by_replicate) == 6
 
 
 def test_cell_seed_distinct_per_cell():
@@ -373,6 +387,36 @@ def test_run_scenario_improvements_are_paired():
         for a, b in zip(pous, pow_):
             assert a["seed"] == b["seed"]
             assert a["total_tx_count"] == b["total_tx_count"]
+
+
+@pytest.mark.parametrize("param, values, workloads", [
+    ("block_interval", [100.0, 150.0, 200.0], 2),  # one per replicate
+    ("sim_time", [330.0, 430.0, 530.0], 6),  # the traffic reads it: one per cell
+])
+def test_a_sweep_generates_one_workload_per_replicate_and_traffic(monkeypatch, param,
+                                                                  values, workloads):
+    generated = []
+    real = simnet.gen_workload
+    monkeypatch.setattr(simnet, "gen_workload",
+                        lambda config, rng: generated.append(config) or real(config, rng))
+    monkeypatch.setattr(simnet, "_held", None)
+    sc = dataclasses.replace(tiny_scenario(), sweep_param=param, sweep_values=values)
+    report = run_scenario(sc)
+    assert len(generated) == workloads
+    # rows still come in (sweep point, replicate, protocol) order
+    assert [(c["value"], c["replicate"], c["protocol"]) for c in report.cells] == [
+        (v, r, p) for v in values for r in range(2) for p in ("pous", "pow")]
+    assert [(c["value"], c["replicate"]) for c in report.crypto] == [
+        (v, r) for v in values for r in range(2)]
+
+
+@pytest.mark.parametrize("change", [
+    dict(sweep_param="workload_seed", sweep_values=[1, 2]),
+    dict(base=dataclasses.replace(tiny_scenario().base, workload_seed=3)),
+], ids=["swept", "in-base"])
+def test_a_scenario_refuses_to_set_the_workload_seed(change):
+    with pytest.raises(ConfigurationError, match="workload_seed cannot be"):
+        dataclasses.replace(tiny_scenario(), **change)
 
 
 def test_summary_counts_pairs_left_out_of_the_gain(monkeypatch):
@@ -679,7 +723,7 @@ def test_run_verb_cost_scenario(tmp_path, capsys, monkeypatch):
     assert len((out_dir / "cost.csv").read_text().splitlines()) == 1 + len(rows)
     summary = (out_dir / "summary.txt").read_text()
     assert "2pc eval work log-log slope vs data size: gates 1.000\n" in summary
-    assert "vote matrix bytes at 100 users: 9000\n" in summary
+    assert "vote blob bytes at 100 users: 9000\n" in summary
     assert summary in capsys.readouterr().out
 
 
@@ -952,11 +996,11 @@ GOLDEN_FACTORS = {
 GOLDEN = [
     # (preset, extra, name, digest)
     ("fig8-n30", [], "cells.csv",
-     "abb232ce4ee122baa4b0e0373a25d5ab8302910d6913696a66b529b7b59c862a"),
+     "0021e79c3bfee9053f0af293900445dc95a91297dd7ff11c24125aad9cebc44e"),
     ("fig10", [], "pca_scatter.csv",
-     "6f3ef7b8c3a2b13b9d2cd7f4dcd799e01487e0d953dbed0cf74bcd577333a31e"),
+     "db694721363fd01d1f2f83bd87f3594e2a1773551f9e4ba86d5d58f9e791038d"),
     ("fig8-n30", SMALL_BLOCKS, "cells.csv",
-     "2b8026ce54c694c1cbc48299b7ad66f624ecfc94897a61a10447ce42cfcd7cd3"),
+     "c628c3574cc0c3551076d4f2e853ff8d09ea09637abcbbbb9969291d930dc391"),
     ("fig8-n30", [], "crypto.csv",
      "e7f319ce547eaff2cb30ce7ee2b7495c22a0460123ec8d002d2f0f60b90a617b"),
 ]
@@ -997,7 +1041,7 @@ def test_faulty_committee_rounds_are_pinned():
     rounds = [line for line in simnet.trace_lines(config, "pous", metrics)
               if json.loads(line)["kind"] == "round"]
     assert sha256("\n".join(rounds).encode()).hexdigest() == (
-        "46fad7e68554d183a6075f7ccc1edf8c9aa497ab78c2a97725ab6bc87e43f88d")
+        "2977314cbbede95f5d96a244857942b5bb9e76480b8443cf4628eaf669d85799")
 
 
 def run_fig8(out_dir, capsys, extra=()):

@@ -652,7 +652,7 @@ def test_top_fees_is_the_ranked_block(n, fees, data):
 
 
 # ---------------------------------------------------------------------------
-# one workload per cell
+# one workload per workload key
 
 
 def test_pous_then_pow_generate_one_workload(monkeypatch):
@@ -683,7 +683,59 @@ def test_new_config_drops_the_held_workload_before_generating(monkeypatch):
     monkeypatch.setattr(simnet, "gen_workload", generate)
     wl_b = simnet._workload(b)
     assert simnet._workload(b) is wl_b
-    assert simnet._held[0] == b and simnet._held[1] is wl_b
+    assert simnet._held[0] == simnet.workload_key(b) and simnet._held[1] is wl_b
+
+
+# a second valid value of every SimConfig field, each one that the
+# transaction stream reads far enough from the base to move it
+PERTURBED = dict(
+    n_nodes=9, sim_time=520.0, tx_size=300, tx_delay_mean=0.7, block_size_mb=0.02,
+    block_interval=150.0, block_delay=0.5, tx_count_mean=25.0, fee_mean=0.5, sigma=0.5,
+    weight_a=1.0, weight_b=1.0, weight_c=2.0, power_low=5.0, power_high=50.0,
+    budget_scale=6.0, committee_size=5, rotation_period=3, honest_fraction=0.5,
+    k_clusters=2, bitwidth=8, tx_epoch=130.0, seed=8, workload_seed=12,
+)
+
+
+def test_the_workload_key_holds_every_field_the_workload_reads():
+    """Moving one field changes gen_workload's stream exactly when it
+    changes the workload key, so a field gen_workload starts to read
+    fails here by name until WORKLOAD_FIELDS lists it. ``seed`` moves
+    nothing under a set ``workload_seed``."""
+    assert set(PERTURBED) == {f.name for f in dataclasses.fields(SimConfig)}
+    base = small_pous_cfg(n_nodes=8, sim_time=430.0, block_size_mb=0.01, seed=7,
+                          workload_seed=11)
+
+    def stream(config):
+        return gen_workload(config, _rng_streams(config, "pous")["workload"])
+
+    want = stream(base)
+    for name, value in PERTURBED.items():
+        config = dataclasses.replace(base, **{name: value})
+        got = stream(config)
+        moved = not all(np.array_equal(getattr(got, f.name), getattr(want, f.name))
+                        for f in dataclasses.fields(got))
+        keyed = simnet.workload_key(config) != simnet.workload_key(base)
+        assert moved == keyed, f"{name}: stream moved {moved}, key moved {keyed}"
+
+
+def test_the_workload_seed_moves_only_the_workload_stream():
+    c = cfg(seed=42)
+
+    def draws(config):
+        return {name: g.random(4) for name, g in _rng_streams(config, "pous").items()}
+
+    unset, same, other = (draws(dataclasses.replace(c, workload_seed=w))
+                          for w in (None, 42, 5))
+    for name in unset:
+        assert np.array_equal(unset[name], same[name])
+        assert np.array_equal(unset[name], other[name]) == (name != "workload"), name
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
+def test_workload_seed_is_unset_or_a_nonnegative_integer(value):
+    with pytest.raises(ConfigurationError, match="^workload_seed must be"):
+        cfg(workload_seed=value)
 
 
 def test_workload_arrays_are_read_only():
