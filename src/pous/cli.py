@@ -199,7 +199,7 @@ _preset(
 # a cost run reads only the seed, so its document names no sweep,
 # protocols or replicates, and --fast leaves it as it is
 PRESETS["cost-2pc"] = {
-    "description": "Two-party comparison cost scaling and vote-matrix bytes",
+    "description": "Two-party comparison cost scaling and vote-blob bytes",
     "doc": {"name": "cost-2pc", "base": {}, "kind": "cost"},
 }
 

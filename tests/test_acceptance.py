@@ -302,7 +302,7 @@ def test_criterion_10_cost_envelope():
     report(
         "criterion 10 (comparison cost scales sub-linearly; vote bytes bounded)",
         slope <= 1.2 and max_crs <= 25_000 and len(crs) == 3,
-        f"log-log slope {slope:.3f} <= 1.2; vote matrix at most {max_crs} "
+        f"log-log slope {slope:.3f} <= 1.2; vote blob at most {max_crs} "
         f"bytes <= 25000 for up to 1000 users, {elapsed:.0f}s",
     )
 

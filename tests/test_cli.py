@@ -620,11 +620,11 @@ def test_presets_verb_lists_catalog(capsys):
     for name in PRESETS:
         assert name in out
     # a cost preset lists no sweep, protocols or --fast replicates, since it reads none
-    assert ("cost-2pc     Two-party comparison cost scaling and vote-matrix bytes "
+    assert ("cost-2pc     Two-party comparison cost scaling and vote-blob bytes "
             "[cost; reads only the seed]\n") in out
     # the listing is pinned byte for byte
     assert sha256(out.encode()).hexdigest() == (
-        "8759397dca9bbc7a54d1072e7da967fa411d1b96123da095a0413c0e64b6fb0b")
+        "f86db22b9ea2e86dfc7b37eaf1a34e996bbb8713ac35862b4db2f5c7c3c4b213")
 
 
 def test_run_verb_on_scenario_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from pous import simnet
-from pous.committee import CommitteeConfig, RoundTimers
+from pous.committee import CommitteeConfig, RoundTimers, select_committee
 from pous.errors import ConfigurationError, RejectedInputError
 from pous.garbled import (
     DEFAULT_GROUP,
@@ -459,6 +459,24 @@ def test_pous_similarity_term_steers_selection_under_pressure():
     assert m.functionality_wins >= 0.9 * m.rounds_with_block
 
 
+@pytest.mark.parametrize("period", [1, 3, 5])
+def test_committee_is_the_rotations_in_every_round(period, monkeypatch):
+    # drawn once per rotation period, it is still every round's draw
+    seen = []
+    real = simnet.agree
+
+    def recording(submissions, size, round_index=0):
+        seen.append(tuple(submissions))
+        return real(submissions, size, round_index=round_index)
+
+    monkeypatch.setattr(simnet, "agree", recording)
+    c = small_pous_cfg(sim_time=1330.0, rotation_period=period)  # 13 rounds
+    assert run_pous(c).rounds == 13
+    miners = list(range(1, c.n_nodes + 1))
+    assert seen == [select_committee(miners, c.committee(), r) for r in range(13)]
+    assert len(set(seen)) > 1
+
+
 def test_pous_and_pow_share_tx_stream():
     c = small_pous_cfg(seed=33)
     assert run_pous(c).total_tx_count == run_pow(c).total_tx_count
@@ -566,6 +584,36 @@ def _forbidden(*_args):
     raise AssertionError("work a run without a trace does not need")
 
 
+def test_pool_that_fits_is_never_counted(monkeypatch):
+    # only ranking reads the users' counts
+    monkeypatch.setattr(simnet._Chain, "counts", _forbidden)
+    c = small_pous_cfg(n_nodes=20)
+    m = run_pous(c)
+    assert m.blocks_committed > 0
+    assert all(e["packed"] < c.capacity() for e in m.round_log)
+
+
+@pytest.mark.parametrize("honest_fraction", [1.0, 0.8])
+def test_ranking_reads_the_counts_of_every_admitted_transaction(honest_fraction,
+                                                                monkeypatch):
+    # the counts catch up only when a round ranks, over every round since
+    real = simnet.rank_pool
+    ranked = []
+
+    def checking(view, wl, idx, now, config, seed):
+        admitted = wl.arrival <= now
+        expected = np.zeros_like(view)
+        np.add.at(expected, (wl.source[admitted], wl.tx_class[admitted]), 1.0)
+        assert np.array_equal(view, expected)
+        ranked.append(now)
+        return real(view, wl, idx, now, config, seed)
+
+    monkeypatch.setattr(simnet, "rank_pool", checking)
+    c = small_pous_cfg(block_size_mb=0.09, sigma=10.0, honest_fraction=honest_fraction)
+    m = run_pous(c)
+    assert 2 <= len(ranked) < m.rounds
+
+
 @pytest.mark.parametrize("run", [run_pous, run_pow])
 def test_untraced_binding_run_sums_no_latencies(run, monkeypatch):
     # only trace_lines reads a round's latency sum
@@ -649,6 +697,25 @@ def test_top_fees_is_the_ranked_block(n, fees, data):
     chosen = simnet._top_fees(fee, rows, k)
     assert len(chosen) == len(set(chosen.tolist())) == k
     assert set(chosen.tolist()) == set(rank(fee, submit, rows + 1)[:k].tolist())
+
+
+@pytest.mark.parametrize("n, zero_share, seed", [
+    (40_000, 0.85, 1), (57_000, 0.93, 2), (80_000, 0.98, 3)])
+def test_top_fees_cuts_inside_a_long_run_of_zero_fees(n, zero_share, seed):
+    # the shape of a backlogged pow pool: tens of thousands of entries,
+    # nearly all of them zero fee, the block's cut among the zeros
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(3 * n)[:n]  # a pool in arrival order, not row order
+    submit = np.floor(rows / 3.0)
+    fee = np.where(rng.random(n) < zero_share, 0.0, rng.exponential(1.0, n))
+    zeros = np.flatnonzero(fee == 0.0)
+    fee[zeros[len(zeros) // 2]] = -0.0
+    paid = n - len(zeros)
+    # highest fee first, ties to the earlier submit, then the lower id
+    by_fee = np.lexsort((rows + 1, submit, -fee))
+    for k in (paid + 1, paid + len(zeros) // 2, n - 1):
+        chosen = simnet._top_fees(fee, rows, k)
+        assert np.array_equal(np.sort(chosen), np.sort(by_fee[:k]))
 
 
 # ---------------------------------------------------------------------------
